@@ -1,9 +1,7 @@
 #include "event/event_runtime.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "common/check.h"
@@ -50,42 +48,6 @@ EventNodeRuntime::MessageResult EventNodeRuntime::HandleMessage(
 
 EventNetwork::EventNetwork(RuntimeNetwork& fleet) : fleet_(&fleet) {}
 
-void EventNetwork::set_metrics(obs::MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics_ == nullptr) return;
-  // Same names, same registration order as RuntimeNetwork::set_metrics —
-  // the ToJson snapshot of a compat round is byte-identical to the round
-  // runtime's.
-  handles_.tx_attempts = metrics_->Counter("runtime.tx_attempts");
-  handles_.tx_bytes = metrics_->Counter("runtime.tx_bytes");
-  handles_.rx_packets = metrics_->Counter("runtime.rx_packets");
-  handles_.rx_bytes = metrics_->Counter("runtime.rx_bytes");
-  handles_.hop_transmissions = metrics_->Counter("runtime.hop_transmissions");
-  handles_.retransmissions = metrics_->Counter("runtime.retransmissions");
-  handles_.backoff_wait_ticks =
-      metrics_->Counter("runtime.backoff_wait_ticks");
-  handles_.acks_delivered = metrics_->Counter("runtime.acks_delivered");
-  handles_.acks_lost = metrics_->Counter("runtime.acks_lost");
-  handles_.dedup_hits = metrics_->Counter("runtime.dedup_hits");
-  handles_.epoch_gate_drops = metrics_->Counter("runtime.epoch_gate_drops");
-  handles_.messages_abandoned =
-      metrics_->Counter("runtime.messages_abandoned");
-  handles_.tx_packets = metrics_->Counter("runtime.tx_packets");
-  handles_.delivery_passes = metrics_->Counter("runtime.delivery_passes");
-  handles_.attempts_per_message =
-      metrics_->Histogram("runtime.attempts_per_message");
-  handles_.round_ticks = metrics_->Histogram("runtime.round_ticks");
-  handles_.installs = metrics_->Counter("runtime.image_installs");
-  handles_.install_bytes = metrics_->Counter("runtime.image_install_bytes");
-  handles_.chan_corrupt_frames = metrics_->Counter("chan.corrupt_frames");
-  handles_.chan_duplicated = metrics_->Counter("chan.duplicated");
-  handles_.chan_reordered = metrics_->Counter("chan.reordered");
-  handles_.coverage_per_destination = metrics_->Histogram(
-      "coverage.per_destination", {0, 10, 25, 50, 75, 90, 100});
-  handles_.coverage_degraded_rounds =
-      metrics_->Counter("coverage.degraded_rounds");
-}
-
 void EventNetwork::set_event_metrics(obs::MetricsRegistry* metrics) {
   event_metrics_ = metrics;
   if (event_metrics_ == nullptr) return;
@@ -104,496 +66,20 @@ RuntimeNetwork::LossyResult EventNetwork::RunCompatRound(
     const std::vector<double>& readings, const Transport& transport,
     const RetryPolicy& retry, const EnergyModel& energy, EventTrace* trace,
     int timestep) {
-  RuntimeNetwork& fleet = *fleet_;
-  const int node_count = fleet.node_count();
-  M2M_CHECK_EQ(readings.size(), static_cast<size_t>(node_count));
-  M2M_CHECK_GE(retry.max_attempts, 1);
-  M2M_CHECK_GE(retry.ack_timeout_ticks, 1);
-  M2M_CHECK_GE(retry.backoff_factor, 1);
-  M2M_CHECK_GE(retry.max_backoff_ticks, retry.ack_timeout_ticks)
-      << "max_backoff_ticks must not undercut the base ack timeout";
-  M2M_CHECK_GE(transport.max_delay_ticks(), 0);
-  const int64_t retry_horizon_ticks = retry.RetryHorizonTicks();
-  const int64_t evict_horizon_ticks =
-      retry_horizon_ticks + transport.max_delay_ticks();
-  M2M_CHECK_LE(evict_horizon_ticks, int64_t{1} << 30)
-      << "retry policy horizon overflows the tick domain";
-  auto alive = [&](NodeId n) { return transport.NodeAlive(timestep, n); };
-
-  RuntimeNetwork::LossyResult result;
-  const bool track_node_energy = fleet.track_node_energy();
-  if (track_node_energy) {
-    result.node_energy_mj.assign(static_cast<size_t>(node_count), 0.0);
-  }
-
-  // Node handlers over the shared fleet; identity clocks (compat mode is
-  // the zero-drift special case of the event engine).
-  std::vector<EventNodeRuntime> handlers;
-  handlers.reserve(static_cast<size_t>(node_count));
-  for (NodeId n = 0; n < node_count; ++n) {
-    handlers.emplace_back(&fleet.mutable_node_runtime(n));
-  }
-
-  // The transcription below mirrors RuntimeNetwork::RunRoundLossy's serial
-  // path statement for statement — same per-object write order for the
-  // result counters, energy terms (floating-point addition order is part
-  // of the byte-identity contract), trace records, metric updates, and
-  // schedule order — with the agenda, dispatch and node interaction routed
-  // through the event engine's queue, Transport and handlers instead.
-  struct Transfer {
-    NodeId sender = kInvalidNode;
-    NodeRuntime::OutgoingPacket packet;
-    uint32_t epoch = 0;
-    int attempts_made = 0;
-    bool delivered_once = false;
-    bool acked = false;
-    bool done = false;
-    int pending_events = 0;
-    int pending_retransmits = 0;
-    int last_arrival_attempt = 0;
+  LossyLinkModel links;
+  links.attempt_delivers = [&transport, timestep](NodeId from, NodeId to,
+                                                  int attempt) {
+    return transport.AttemptDelivers(timestep, from, to, attempt);
   };
-  std::vector<Transfer> transfers;
-
-  struct Event {
-    enum class Kind : uint8_t { kTransmit, kDeliver, kAckArrive };
-    Kind kind = Kind::kTransmit;
-    size_t index = 0;
-    int attempt = 0;
-    bool retransmit = false;
-    bool corrupt = false;
-    uint32_t corrupt_bit = 0;
-    bool is_dup = false;
-    int64_t origin = 0;  ///< Tick the event was scheduled at (latency obs).
+  links.node_alive = [&transport, timestep](NodeId node) {
+    return transport.NodeAlive(timestep, node);
   };
-  EventQueue<Event> agenda;
-
-  auto observe_message_done = [&](const Transfer& transfer) {
-    if (metrics_ != nullptr) {
-      metrics_->Observe(handles_.attempts_per_message,
-                        transfer.attempts_made);
-    }
+  links.hop_effects = [&transport, timestep](NodeId from, NodeId to,
+                                             int attempt) {
+    return transport.EffectsFor(timestep, from, to, attempt);
   };
-  auto maybe_finalize = [&](size_t index, int tick) {
-    Transfer& t = transfers[index];
-    if (t.done) return;
-    if (t.acked) {
-      t.done = true;
-      observe_message_done(t);
-      return;
-    }
-    if (t.attempts_made >= retry.max_attempts && t.pending_events == 0 &&
-        t.pending_retransmits == 0) {
-      t.done = true;
-      observe_message_done(t);
-      if (!t.delivered_once) {
-        result.messages_abandoned += 1;
-        if (metrics_ != nullptr) {
-          metrics_->AddNode(handles_.messages_abandoned, t.sender, 1);
-        }
-        if (trace != nullptr) {
-          trace->GiveUp(tick, t.sender, t.packet.recipient,
-                        t.packet.local_message_id);
-        }
-      }
-    }
-  };
-  auto apply_ack = [&](size_t index) {
-    if (metrics_ != nullptr) {
-      metrics_->AddNode(handles_.acks_delivered, transfers[index].sender, 1);
-    }
-    transfers[index].acked = true;
-  };
-
-  auto process_arrival = [&](size_t index, int attempt, int arrival_tick,
-                             bool corrupt, uint32_t corrupt_bit,
-                             bool is_dup) {
-    const NodeId sender = transfers[index].sender;
-    const int message_id = transfers[index].packet.local_message_id;
-    const NodeId packet_recipient = transfers[index].packet.recipient;
-    const int payload =
-        static_cast<int>(transfers[index].packet.payload.size());
-    const std::vector<NodeId>& segment =
-        fleet.node_message_segments(sender)[message_id];
-
-    if (corrupt) {
-      std::vector<uint8_t> frame =
-          wire::FrameWithCrc32(transfers[index].packet.payload);
-      size_t bit = corrupt_bit % (frame.size() * 8);
-      frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-      std::optional<std::vector<uint8_t>> opened =
-          wire::TryOpenCrc32Frame(frame);
-      if (!opened.has_value()) {
-        result.corrupt_frames += 1;
-        if (metrics_ != nullptr) {
-          metrics_->AddNode(handles_.chan_corrupt_frames, packet_recipient,
-                            1);
-        }
-        if (trace != nullptr) {
-          trace->Send(arrival_tick, sender, packet_recipient, message_id,
-                      attempt, payload, obs::SendOutcome::kCorrupt, false, 0);
-        }
-        return;
-      }
-    }
-
-    result.deliveries += 1;
-    result.payload_bytes += payload;
-    if (is_dup) {
-      result.spontaneous_duplicates += 1;
-      if (metrics_ != nullptr) metrics_->Add(handles_.chan_duplicated, 1);
-    }
-    if (attempt < transfers[index].last_arrival_attempt) {
-      result.reordered_deliveries += 1;
-      if (metrics_ != nullptr) metrics_->Add(handles_.chan_reordered, 1);
-    } else {
-      transfers[index].last_arrival_attempt = attempt;
-    }
-    if (metrics_ != nullptr) {
-      metrics_->AddNode(handles_.rx_packets, packet_recipient, 1);
-      metrics_->AddNode(handles_.rx_bytes, packet_recipient, payload);
-    }
-    obs::SendOutcome outcome = obs::SendOutcome::kRx;
-    EventNodeRuntime::MessageResult received =
-        handlers[packet_recipient].HandleMessage(
-            sender, message_id, transfers[index].epoch,
-            transfers[index].packet.payload, arrival_tick);
-    M2M_CHECK(!received.buffered)
-        << "compat mode starts every alive node at tick 0";
-    switch (received.outcome) {
-      case NodeRuntime::ReceiveOutcome::kFresh:
-        transfers[index].delivered_once = true;
-        for (NodeRuntime::OutgoingPacket& packet : received.emitted) {
-          transfers.push_back(
-              Transfer{packet_recipient, std::move(packet),
-                       fleet.node_runtime(packet_recipient).plan_epoch()});
-          Event event;
-          event.index = transfers.size() - 1;
-          event.origin = arrival_tick;
-          agenda.Schedule(arrival_tick + 1, event);
-        }
-        outcome = obs::SendOutcome::kRx;
-        break;
-      case NodeRuntime::ReceiveOutcome::kDuplicate:
-        result.duplicates += 1;
-        if (metrics_ != nullptr) {
-          metrics_->AddNode(handles_.dedup_hits, packet_recipient, 1);
-        }
-        outcome = obs::SendOutcome::kDuplicate;
-        break;
-      case NodeRuntime::ReceiveOutcome::kEpochMismatch:
-        transfers[index].delivered_once = true;
-        result.epoch_rejected += 1;
-        if (metrics_ != nullptr) {
-          metrics_->AddNode(handles_.epoch_gate_drops, packet_recipient, 1);
-        }
-        outcome = obs::SendOutcome::kEpochRejected;
-        break;
-    }
-    bool ack_ok = true;
-    int ack_hops = 0;
-    int ack_delay = 0;
-    for (size_t h = segment.size() - 1; h > 0; --h) {
-      if (!transport.AttemptDelivers(timestep, segment[h], segment[h - 1],
-                                     attempt)) {
-        ack_ok = false;
-        break;
-      }
-      ++ack_hops;
-      result.heard.emplace(segment[h], segment[h - 1]);
-      ack_delay += transport
-                       .EffectsFor(timestep, segment[h], segment[h - 1],
-                                   attempt)
-                       .delay_ticks;
-    }
-    result.energy_mj += ack_hops * energy.UnicastHopUj(0) / 1000.0;
-    if (track_node_energy) {
-      for (int crossed = 0; crossed < ack_hops; ++crossed) {
-        const size_t h = segment.size() - 1 - crossed;
-        result.node_energy_mj[segment[h]] += energy.TxUj(0) / 1000.0;
-        result.node_energy_mj[segment[h - 1]] += energy.RxUj(0) / 1000.0;
-      }
-    }
-    if (ack_ok) {
-      ack_delay = std::min(ack_delay, transport.max_delay_ticks());
-      if (ack_delay <= 0) {
-        apply_ack(index);
-      } else {
-        transfers[index].pending_events += 1;
-        Event event;
-        event.kind = Event::Kind::kAckArrive;
-        event.index = index;
-        event.attempt = attempt;
-        event.origin = arrival_tick;
-        agenda.Schedule(arrival_tick + ack_delay, event);
-      }
-    } else {
-      result.energy_mj += energy.TxUj(0) / 1000.0;
-      if (track_node_energy) {
-        result.node_energy_mj[segment[segment.size() - 1 - ack_hops]] +=
-            energy.TxUj(0) / 1000.0;
-      }
-      result.acks_lost += 1;
-      if (metrics_ != nullptr) {
-        metrics_->AddNode(handles_.acks_lost, sender, 1);
-      }
-    }
-    if (trace != nullptr) {
-      trace->Send(arrival_tick, sender, packet_recipient, message_id,
-                  attempt, payload, outcome, !ack_ok, 0);
-    }
-  };
-
-  auto process_transmit = [&](size_t index, int tick) {
-    const NodeId sender = transfers[index].sender;
-    const int message_id = transfers[index].packet.local_message_id;
-    const NodeId packet_recipient = transfers[index].packet.recipient;
-    const std::vector<NodeId>& segment =
-        fleet.node_message_segments(sender)[message_id];
-    const int payload =
-        static_cast<int>(transfers[index].packet.payload.size());
-    const int attempt = ++transfers[index].attempts_made;
-    result.attempts += 1;
-    if (attempt > 1) result.retransmissions += 1;
-    if (metrics_ != nullptr) {
-      metrics_->AddNode(handles_.tx_attempts, sender, 1);
-      metrics_->AddNode(handles_.tx_bytes, sender, payload);
-      if (attempt > 1) metrics_->Add(handles_.retransmissions, 1);
-    }
-
-    int hops_crossed = 0;
-    bool delivered = alive(packet_recipient);
-    int data_delay = 0;
-    bool dup = false;
-    bool corrupt = false;
-    uint32_t corrupt_bit = 0;
-    if (delivered) {
-      for (size_t h = 0; h + 1 < segment.size(); ++h) {
-        if (!transport.AttemptDelivers(timestep, segment[h], segment[h + 1],
-                                       attempt)) {
-          delivered = false;
-          break;
-        }
-        ++hops_crossed;
-        if (metrics_ != nullptr) {
-          metrics_->AddEdge(handles_.hop_transmissions, segment[h],
-                            segment[h + 1], 1);
-        }
-        result.heard.emplace(segment[h], segment[h + 1]);
-        HopEffects effects =
-            transport.EffectsFor(timestep, segment[h], segment[h + 1],
-                                 attempt);
-        data_delay += effects.delay_ticks;
-        if (effects.duplicate) dup = true;
-        if (effects.corrupt && !corrupt) {
-          corrupt = true;
-          corrupt_bit = effects.corrupt_bit;
-        }
-      }
-    }
-    result.energy_mj += hops_crossed * energy.UnicastHopUj(payload) / 1000.0;
-    if (track_node_energy) {
-      for (int h = 0; h < hops_crossed; ++h) {
-        result.node_energy_mj[segment[h]] += energy.TxUj(payload) / 1000.0;
-        result.node_energy_mj[segment[h + 1]] +=
-            energy.RxUj(payload) / 1000.0;
-      }
-    }
-    if (!delivered && hops_crossed + 2 <= static_cast<int>(segment.size())) {
-      result.energy_mj += energy.TxUj(payload) / 1000.0;
-      if (track_node_energy) {
-        result.node_energy_mj[segment[hops_crossed]] +=
-            energy.TxUj(payload) / 1000.0;
-      }
-    }
-
-    if (delivered) {
-      data_delay = std::min(data_delay, transport.max_delay_ticks());
-      if (data_delay <= 0) {
-        process_arrival(index, attempt, tick, corrupt, corrupt_bit,
-                        /*is_dup=*/false);
-      } else {
-        transfers[index].pending_events += 1;
-        Event event;
-        event.kind = Event::Kind::kDeliver;
-        event.index = index;
-        event.attempt = attempt;
-        event.corrupt = corrupt;
-        event.corrupt_bit = corrupt_bit;
-        event.origin = tick;
-        agenda.Schedule(tick + data_delay, event);
-      }
-      if (dup) {
-        transfers[index].pending_events += 1;
-        Event event;
-        event.kind = Event::Kind::kDeliver;
-        event.index = index;
-        event.attempt = attempt;
-        event.corrupt = corrupt;
-        event.corrupt_bit = corrupt_bit;
-        event.is_dup = true;
-        event.origin = tick;
-        agenda.Schedule(tick + data_delay + 1, event);
-      }
-    } else {
-      obs::SendOutcome outcome = alive(packet_recipient)
-                                     ? obs::SendOutcome::kDropped
-                                     : obs::SendOutcome::kDeadRecipient;
-      if (trace != nullptr) {
-        trace->Send(tick, sender, packet_recipient, message_id, attempt,
-                    payload, outcome, false,
-                    outcome == obs::SendOutcome::kDropped ? hops_crossed + 1
-                                                          : 0);
-      }
-    }
-
-    if (!transfers[index].acked && !transfers[index].done &&
-        attempt < retry.max_attempts) {
-      const int64_t timeout = retry.BackoffWaitTicks(attempt);
-      transfers[index].pending_retransmits += 1;
-      Event event;
-      event.index = index;
-      event.retransmit = true;
-      event.origin = tick;
-      agenda.Schedule(tick + static_cast<int>(timeout), event);
-      if (metrics_ != nullptr) {
-        metrics_->Add(handles_.backoff_wait_ticks, timeout);
-      }
-    }
-    maybe_finalize(index, tick);
-  };
-
-  auto process_event = [&](const Event& event, int tick) {
-    switch (event.kind) {
-      case Event::Kind::kTransmit:
-        if (event.retransmit) {
-          transfers[event.index].pending_retransmits -= 1;
-          if (transfers[event.index].acked || transfers[event.index].done) {
-            maybe_finalize(event.index, tick);
-            break;
-          }
-        }
-        process_transmit(event.index, tick);
-        break;
-      case Event::Kind::kDeliver:
-        transfers[event.index].pending_events -= 1;
-        process_arrival(event.index, event.attempt, tick, event.corrupt,
-                        event.corrupt_bit, event.is_dup);
-        maybe_finalize(event.index, tick);
-        break;
-      case Event::Kind::kAckArrive:
-        transfers[event.index].pending_events -= 1;
-        apply_ack(event.index);
-        maybe_finalize(event.index, tick);
-        break;
-    }
-  };
-
-  // Round start: alive nodes start in node-id order — the serial merge
-  // order of the round runtime.
-  for (NodeId n = 0; n < node_count; ++n) {
-    if (!alive(n)) continue;
-    for (NodeRuntime::OutgoingPacket& packet :
-         handlers[n].HandleTimestepStart(readings[n])) {
-      transfers.push_back(
-          Transfer{n, std::move(packet), fleet.node_runtime(n).plan_epoch()});
-      Event event;
-      event.index = transfers.size() - 1;
-      agenda.Schedule(0, event);
-    }
-  }
-
-  int current_tick = -1;
-  while (!agenda.empty()) {
-    const int tick = static_cast<int>(*agenda.NextTime());
-    if (tick != current_tick) {
-      current_tick = tick;
-      result.final_tick = tick;
-      if (tick > evict_horizon_ticks) {
-        const int evict_before =
-            tick - static_cast<int>(evict_horizon_ticks);
-        for (NodeId n = 0; n < node_count; ++n) {
-          fleet.mutable_node_runtime(n).EvictSeenPacketsBefore(evict_before);
-        }
-      }
-    }
-    std::optional<EventQueue<Event>::Fired> fired = agenda.Pop();
-    if (!fired.has_value()) break;
-    if (event_metrics_ != nullptr) {
-      event_metrics_->Add(event_handles_.events_processed, 1);
-      event_metrics_->Observe(event_handles_.queue_depth,
-                              static_cast<int64_t>(agenda.size()));
-      event_metrics_->Observe(event_handles_.handler_latency_ticks,
-                              tick - fired->payload.origin);
-    }
-    process_event(fired->payload, tick);
-  }
-  if (metrics_ != nullptr) {
-    metrics_->Observe(handles_.round_ticks, result.final_tick);
-  }
-
-  // Coverage tail — identical to the round runtime's.
-  std::map<NodeId, std::set<NodeId>> expected_sources;
-  std::map<NodeId, uint32_t> destination_epoch;
-  for (NodeId n = 0; n < node_count; ++n) {
-    const NodeRuntime& node = fleet.node_runtime(n);
-    if (node.is_destination() && alive(node.id())) {
-      destination_epoch[node.id()] = node.plan_epoch();
-    }
-  }
-  for (NodeId n = 0; n < node_count; ++n) {
-    const NodeRuntime& node = fleet.node_runtime(n);
-    for (const PreAggTableEntry& entry : node.decoded().state.preagg_table) {
-      auto it = destination_epoch.find(entry.destination);
-      if (it == destination_epoch.end()) continue;
-      if (node.plan_epoch() != it->second) continue;
-      expected_sources[entry.destination].insert(entry.source);
-    }
-  }
-
-  bool any_degraded = false;
-  for (NodeId n = 0; n < node_count; ++n) {
-    const NodeRuntime& node = fleet.node_runtime(n);
-    if (!node.is_destination() || !alive(node.id())) continue;
-    std::optional<double> value = node.FinalValue();
-    if (value.has_value()) {
-      result.destination_values[node.id()] = *value;
-      result.destination_epochs[node.id()] = node.plan_epoch();
-    } else {
-      result.incomplete_destinations.push_back(node.id());
-    }
-    std::optional<NodeRuntime::CoverageReport> report =
-        node.DestinationCoverage();
-    if (!report.has_value()) continue;
-    RuntimeNetwork::LossyResult::DestinationCoverage coverage;
-    const std::set<NodeId>& expected = expected_sources[node.id()];
-    coverage.expected = static_cast<int>(expected.size());
-    coverage.covered = static_cast<int>(report->summary.count);
-    coverage.coverage =
-        coverage.expected > 0
-            ? std::min(1.0, static_cast<double>(coverage.covered) /
-                                coverage.expected)
-            : 1.0;
-    coverage.complete = coverage.covered == coverage.expected;
-    coverage.exact_known = report->summary.exact_known;
-    coverage.xor_fold = report->summary.xor_fold;
-    coverage.sources = report->summary.sources;
-    if (!value.has_value()) {
-      any_degraded = true;
-      if (report->degraded_value.has_value()) {
-        result.degraded_values[node.id()] = *report->degraded_value;
-      }
-    }
-    if (metrics_ != nullptr) {
-      metrics_->Observe(
-          handles_.coverage_per_destination,
-          static_cast<int64_t>(coverage.coverage * 100.0 + 0.5));
-    }
-    result.destination_coverage[node.id()] = std::move(coverage);
-  }
-  if (any_degraded && metrics_ != nullptr) {
-    metrics_->Add(handles_.coverage_degraded_rounds, 1);
-  }
-  return result;
+  links.max_delay_ticks = transport.max_delay_ticks();
+  return fleet_->RunRoundLossy(readings, links, retry, energy, trace);
 }
 
 EventNetwork::PipelineResult EventNetwork::RunPipelined(
@@ -734,7 +220,7 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
     run.handlers.clear();
     run.transfers.clear();
   };
-  auto maybe_finalize = [&](int t, size_t index, int64_t tick) {
+  auto maybe_finalize = [&](int t, size_t index) {
     TimestepRun& run = runs[static_cast<size_t>(t)];
     PTransfer& tr = run.transfers[index];
     if (tr.done) return;
@@ -749,15 +235,15 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
         result.timesteps[static_cast<size_t>(t)].messages_abandoned += 1;
       }
     }
-    (void)tick;
   };
   auto add_transfer = [&](int t, NodeId sender,
                           NodeRuntime::OutgoingPacket packet, int64_t tick,
                           int64_t launch_tick) {
     TimestepRun& run = runs[static_cast<size_t>(t)];
-    run.transfers.push_back(
-        PTransfer{sender, std::move(packet),
-                  run.nodes[static_cast<size_t>(sender)].plan_epoch()});
+    PTransfer& transfer = run.transfers.emplace_back();
+    transfer.sender = sender;
+    transfer.packet = std::move(packet);
+    transfer.epoch = run.nodes[static_cast<size_t>(sender)].plan_epoch();
     PEvent event;
     event.kind = PEvent::Kind::kTransmit;
     event.timestep = t;
@@ -800,7 +286,7 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
       run.pending_total -= 1;
       tr.retransmit_timer = EventId{};
       if (tr.acked || tr.done) {
-        maybe_finalize(t, e.index, tick);
+        maybe_finalize(t, e.index);
         maybe_retire(t, tick);
         return;
       }
@@ -874,7 +360,7 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
       tr.retransmit_timer =
           queue.Schedule(tick + retry.BackoffWaitTicks(attempt), rt);
     }
-    maybe_finalize(t, e.index, tick);
+    maybe_finalize(t, e.index);
     maybe_retire(t, tick);
   };
 
@@ -897,7 +383,7 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
       frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
       if (!wire::TryOpenCrc32Frame(frame).has_value()) {
         stats.corrupt_frames += 1;
-        maybe_finalize(t, e.index, tick);
+        maybe_finalize(t, e.index);
         maybe_retire(t, tick);
         return;
       }
@@ -956,7 +442,7 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
       ack.origin = tick;
       queue.Schedule(tick + ack_latency + ack_delay, ack);
     }
-    maybe_finalize(t, e.index, tick);
+    maybe_finalize(t, e.index);
     maybe_retire(t, tick);
   };
 
@@ -982,7 +468,7 @@ EventNetwork::PipelineResult EventNetwork::RunPipelined(
       }
       tr.retransmit_timer = EventId{};
     }
-    maybe_finalize(t, e.index, tick);
+    maybe_finalize(t, e.index);
     maybe_retire(t, tick);
   };
 

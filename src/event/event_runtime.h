@@ -84,13 +84,13 @@ class EventNodeRuntime {
 ///
 /// Two execution modes:
 ///
-///   - `RunCompatRound`: the round-compatibility mode. With a
-///     RoundCompatTransport (zero hop latency — the round model's
-///     slot semantics) it reproduces `RuntimeNetwork::RunRoundLossy`
-///     byte-identically: same traces, same metrics JSON, same aggregate
-///     bits (tests/event_test.cc pins this with a 20-seed differential).
-///     The round barrier is thereby demoted to a special case of the
-///     event engine.
+///   - `RunCompatRound`: the round-compatibility mode. It *is*
+///     `RuntimeNetwork::RunRoundLossy` over a transport adapter: the
+///     transport's per-timestep decisions are bound into a LossyLinkModel
+///     and the fleet runs its own lossy round (whose tick agenda is this
+///     module's EventQueue). Same traces, same `runtime.*` metrics, same
+///     aggregate bits by construction; tests/event_test.cc pins the output
+///     with golden digests over 20 seeds and four channel regimes.
 ///
 ///   - `RunPipelined`: genuinely asynchronous execution the round model
 ///     cannot express. Per-node virtual clocks release timestep starts on
@@ -107,21 +107,20 @@ class EventNetwork {
  public:
   explicit EventNetwork(RuntimeNetwork& fleet);
 
-  /// Registers the same runtime metric set RuntimeNetwork::set_metrics
-  /// registers, in the same order — a compat round renders a byte-identical
-  /// metrics JSON. Pass nullptr to detach.
-  void set_metrics(obs::MetricsRegistry* metrics);
-
-  /// Registers the event-engine instrumentation (`event.*`): queue depth,
-  /// handler scheduling-latency histogram, pipeline occupancy, processed
-  /// event and cancelled timer counters. Kept separate from set_metrics so
-  /// byte-identity differentials can run with engine introspection off.
+  /// Registers the event-engine instrumentation of RunPipelined
+  /// (`event.*`): queue depth, handler scheduling-latency histogram,
+  /// pipeline occupancy, processed event and cancelled timer counters.
+  /// Observational only: attaching it changes no pipelined output. Pass
+  /// nullptr to detach.
   void set_event_metrics(obs::MetricsRegistry* metrics);
 
-  /// Runs one timestep in round-compatibility mode over `transport`.
-  /// `timestep` is forwarded to the transport's per-timestep decisions
-  /// (a RoundCompatTransport ignores it — its LossyLinkModel is already
-  /// bound to a round).
+  /// Runs one timestep in round-compatibility mode over `transport`:
+  /// `RuntimeNetwork::RunRoundLossy` with `AttemptDelivers`, `NodeAlive`,
+  /// `EffectsFor` and `max_delay_ticks` bound at `timestep` (a
+  /// RoundCompatTransport ignores it — its LossyLinkModel is already bound
+  /// to a round). `HopLatencyTicks` is not consulted: a whole attempt
+  /// completes within its tick, the round model's slot semantics. Metrics
+  /// go to the fleet's own registry (RuntimeNetwork::set_metrics).
   RuntimeNetwork::LossyResult RunCompatRound(
       const std::vector<double>& readings, const Transport& transport,
       const RetryPolicy& retry = {}, const EnergyModel& energy = {},
@@ -174,31 +173,6 @@ class EventNetwork {
       const Transport& transport, const PipelineOptions& options);
 
  private:
-  struct RuntimeMetricHandles {
-    obs::MetricHandle tx_attempts;
-    obs::MetricHandle tx_bytes;
-    obs::MetricHandle rx_packets;
-    obs::MetricHandle rx_bytes;
-    obs::MetricHandle hop_transmissions;
-    obs::MetricHandle retransmissions;
-    obs::MetricHandle backoff_wait_ticks;
-    obs::MetricHandle acks_delivered;
-    obs::MetricHandle acks_lost;
-    obs::MetricHandle dedup_hits;
-    obs::MetricHandle epoch_gate_drops;
-    obs::MetricHandle messages_abandoned;
-    obs::MetricHandle tx_packets;
-    obs::MetricHandle delivery_passes;
-    obs::MetricHandle attempts_per_message;
-    obs::MetricHandle round_ticks;
-    obs::MetricHandle installs;
-    obs::MetricHandle install_bytes;
-    obs::MetricHandle chan_corrupt_frames;
-    obs::MetricHandle chan_duplicated;
-    obs::MetricHandle chan_reordered;
-    obs::MetricHandle coverage_per_destination;
-    obs::MetricHandle coverage_degraded_rounds;
-  };
   struct EventMetricHandles {
     obs::MetricHandle events_processed;
     obs::MetricHandle queue_depth;
@@ -208,8 +182,6 @@ class EventNetwork {
   };
 
   RuntimeNetwork* fleet_;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  RuntimeMetricHandles handles_;
   obs::MetricsRegistry* event_metrics_ = nullptr;
   EventMetricHandles event_handles_;
 };

@@ -137,11 +137,6 @@ const NodeRuntime& RuntimeNetwork::node_runtime(NodeId node) const {
   return nodes_[node];
 }
 
-NodeRuntime& RuntimeNetwork::mutable_node_runtime(NodeId node) {
-  M2M_CHECK(node >= 0 && node < static_cast<NodeId>(nodes_.size()));
-  return nodes_[node];
-}
-
 const std::vector<std::vector<NodeId>>& RuntimeNetwork::node_message_segments(
     NodeId node) const {
   M2M_CHECK(node >= 0 && node < static_cast<NodeId>(nodes_.size()));

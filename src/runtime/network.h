@@ -241,12 +241,6 @@ class RuntimeNetwork {
 
   int node_count() const { return static_cast<int>(nodes_.size()); }
 
-  /// Mutable node access for the event-driven engine (src/event), which
-  /// drives this same fleet through event handlers instead of the round
-  /// barrier. Installed images, epochs and round state stay shared between
-  /// the two execution models.
-  NodeRuntime& mutable_node_runtime(NodeId node);
-
   /// Physical segments (tail..head inclusive) of `node`'s outgoing
   /// messages, indexed by node-local message id.
   const std::vector<std::vector<NodeId>>& node_message_segments(

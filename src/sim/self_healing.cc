@@ -7,8 +7,6 @@
 
 #include "common/check.h"
 #include "common/crc32.h"
-#include "event/event_runtime.h"
-#include "event/transport.h"
 #include "plan/dissemination.h"
 #include "plan/serialization.h"
 #include "routing/lifetime_forest.h"
@@ -207,16 +205,8 @@ SelfHealingRoundResult SelfHealingRuntime::RunRound(
   }
 
   // 1. Data round over the installed (possibly mixed-epoch) images.
-  if (options_.use_event_runtime) {
-    event::EventNetwork engine(network_);
-    engine.set_metrics(network_.metrics());
-    event::RoundCompatTransport transport(*model);
-    result.data = engine.RunCompatRound(readings, transport, options_.retry,
-                                        {}, trace, round);
-  } else {
-    result.data = network_.RunRoundLossy(readings, *model, options_.retry,
-                                         {}, trace);
-  }
+  result.data =
+      network_.RunRoundLossy(readings, *model, options_.retry, {}, trace);
   if (options_.energy.battery_aware) {
     ChargeBatteries(round, result, trace);
   }

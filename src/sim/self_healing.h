@@ -90,12 +90,6 @@ struct SelfHealingOptions {
   /// aware replans, proactive rotation). Off (default) reproduces the
   /// legacy infinite-energy behavior byte for byte.
   EnergyAwareOptions energy;
-  /// Route the data round through the event-driven engine
-  /// (event::EventNetwork::RunCompatRound over a RoundCompatTransport)
-  /// instead of calling RunRoundLossy directly. Byte-identical either way
-  /// — the compat mode reproduces the round barrier exactly — so this is
-  /// a live A/B switch for the event core under the full control loop.
-  bool use_event_runtime = false;
 };
 
 /// The base station's verdict on one *original-workload* destination under
