@@ -20,6 +20,7 @@
 #include "lifecycle/lifecycle.h"
 #include "plan/tdma.h"
 #include "sim/base_station.h"
+#include "sim/battery.h"
 
 int main(int argc, char** argv) {
   using namespace m2m;
@@ -37,8 +38,8 @@ int main(int argc, char** argv) {
   QueryLifecycleManager baseline(topology, initial, base);
   const TdmaSchedule baseline_tdma =
       BuildTdmaSchedule(baseline.compiled(), topology);
-  const std::vector<double> baseline_mj = PerNodeRoundEnergyMj(
-      baseline.compiled(), baseline.workload().functions, EnergyModel{});
+  const std::vector<double> baseline_mj =
+      CompiledRoundEnergyMj(baseline.compiled(), EnergyModel{});
   const double baseline_peak_mj =
       *std::max_element(baseline_mj.begin(), baseline_mj.end());
 

@@ -11,7 +11,6 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -159,10 +158,11 @@ int main(int argc, char** argv) {
 
     // Deterministically probe sub-seeds until the schedule keeps the
     // death/recovery pair (a death too near the end drops its recovery).
-    std::optional<FaultEvent> death;
-    std::optional<FaultEvent> recovery;
+    NodeId dead_node = kInvalidNode;
+    int death_round = -1;
+    int recover_round = -1;
     FaultSchedule schedule;
-    for (uint64_t sub = 0; sub < 16 && !recovery.has_value(); ++sub) {
+    for (uint64_t sub = 0; sub < 16 && recover_round < 0; ++sub) {
       FaultScheduleOptions options;
       options.rounds = 16;
       options.transient_link_fraction = 0.0;
@@ -172,11 +172,17 @@ int main(int argc, char** argv) {
       options.recovery_delay_rounds = 5;
       options.seed = 5300 + sub;
       schedule = FaultSchedule::Generate(topology, protected_nodes, options);
-      death.reset();
-      recovery.reset();
+      dead_node = kInvalidNode;
+      death_round = -1;
+      recover_round = -1;
       for (const FaultEvent& event : schedule.events()) {
-        if (event.type == FaultType::kNodeDeath) death = event;
-        if (event.type == FaultType::kNodeRecover) recovery = event;
+        if (event.type == FaultType::kNodeDeath) {
+          dead_node = event.a;
+          death_round = event.round;
+        }
+        if (event.type == FaultType::kNodeRecover) {
+          recover_round = event.round;
+        }
       }
     }
 
@@ -204,18 +210,16 @@ int main(int argc, char** argv) {
           runtime.RunRound(round, readings.values(), physical);
       if (r.replanned) ++replans;
       const auto believed_dead = runtime.ledger().believed_dead();
-      const bool believed = death.has_value() &&
+      const bool believed = dead_node != kInvalidNode &&
                             std::find(believed_dead.begin(),
                                       believed_dead.end(),
-                                      death->a) != believed_dead.end();
+                                      dead_node) != believed_dead.end();
       if (believed && believed_dead_round < 0) believed_dead_round = round;
       if (!believed && believed_dead_round >= 0 && readmitted_round < 0) {
         readmitted_round = round;
       }
     }
 
-    const int death_round = death ? death->round : -1;
-    const int recover_round = recovery ? recovery->round : -1;
     const int detect_rounds =
         believed_dead_round < 0 ? -1 : believed_dead_round - death_round;
     const int readmit_rounds =

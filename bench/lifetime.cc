@@ -182,8 +182,7 @@ DepletionOutcome SimulateDepletion(const Topology& topology,
     GlobalPlan plan = BuildPlan(forest, current.functions);
     CompiledPlan compiled = CompiledPlan::Compile(plan, current.functions);
     ++outcome.replans;
-    std::vector<double> drain =
-        PerNodeRoundEnergyMj(compiled, current.functions, EnergyModel{});
+    std::vector<double> drain = CompiledRoundEnergyMj(compiled, EnergyModel{});
 
     double max_drain = 0.0;
     int64_t to_death = kRoundCap;

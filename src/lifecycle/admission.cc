@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "plan/tdma.h"
+#include "sim/battery.h"
 
 namespace m2m {
 
@@ -61,30 +62,8 @@ AdmissionDecision AdmissionDecision::Reject(AdmissionReason reason,
   return decision;
 }
 
-std::vector<double> PerNodeRoundEnergyMj(const CompiledPlan& compiled,
-                                         const FunctionSet& functions,
-                                         const EnergyModel& energy) {
-  (void)functions;  // Unit byte sizes are already baked into the schedule.
-  std::vector<double> node_uj(compiled.node_count(), 0.0);
-  const MessageSchedule& schedule = compiled.schedule();
-  for (const MessageSchedule::Message& message : schedule.messages()) {
-    int payload_bytes = 0;
-    for (int u : message.unit_ids) {
-      payload_bytes += schedule.units()[u].unit_bytes;
-    }
-    const ForestEdge& edge =
-        compiled.plan().forest().edges()[message.edge_index];
-    for (size_t hop = 0; hop + 1 < edge.segment.size(); ++hop) {
-      node_uj[edge.segment[hop]] += energy.TxUj(payload_bytes);
-      node_uj[edge.segment[hop + 1]] += energy.RxUj(payload_bytes);
-    }
-  }
-  for (double& uj : node_uj) uj /= 1000.0;
-  return node_uj;
-}
-
 AdmissionDecision CheckPlanBudgets(const CompiledPlan& compiled,
-                                   const FunctionSet& functions,
+                                   const FunctionSet& /*functions*/,
                                    const Topology& topology,
                                    const AdmissionLimits& limits) {
   if (limits.state_bound_factor > 0.0) {
@@ -122,7 +101,7 @@ AdmissionDecision CheckPlanBudgets(const CompiledPlan& compiled,
   }
   if (limits.max_node_energy_mj > 0.0) {
     const std::vector<double> node_mj =
-        PerNodeRoundEnergyMj(compiled, functions, limits.energy);
+        CompiledRoundEnergyMj(compiled, limits.energy);
     for (NodeId node = 0; node < static_cast<NodeId>(node_mj.size());
          ++node) {
       if (node_mj[node] > limits.max_node_energy_mj) {
@@ -143,7 +122,7 @@ AdmissionDecision CheckPlanBudgets(const CompiledPlan& compiled,
                  compiled.node_count())
         << "the battery lifetime gate needs a residual for every node";
     const std::vector<double> node_mj =
-        PerNodeRoundEnergyMj(compiled, functions, limits.energy);
+        CompiledRoundEnergyMj(compiled, limits.energy);
     for (NodeId node = 0; node < static_cast<NodeId>(node_mj.size());
          ++node) {
       const double drain_mj = node_mj[node] + limits.idle_mj_per_round;

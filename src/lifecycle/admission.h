@@ -89,18 +89,11 @@ struct AdmissionDecision {
                                   std::string detail);
 };
 
-/// Per-node radio energy of one data round of `compiled`, in millijoules:
-/// each outgoing message pays TX at its sender and RX at its recipient for
-/// every physical hop of its edge's segment (header + payload bytes).
-/// Deterministic in the compiled plan; the admission layer's energy budget
-/// evaluates candidate plans through this.
-std::vector<double> PerNodeRoundEnergyMj(const CompiledPlan& compiled,
-                                         const FunctionSet& functions,
-                                         const EnergyModel& energy);
-
 /// Evaluates a candidate compiled plan against the configured budgets:
 /// Theorem 3 state bound, TDMA slot capacity, per-node round energy,
-/// battery lifetime — in that order, reporting the first violation.
+/// battery lifetime — in that order, reporting the first violation. Both
+/// energy gates evaluate `CompiledRoundEnergyMj`. `functions` is not read:
+/// unit byte sizes are already baked into the compiled schedule.
 /// Read-only: callers decide whether to commit or discard the candidate.
 AdmissionDecision CheckPlanBudgets(const CompiledPlan& compiled,
                                    const FunctionSet& functions,

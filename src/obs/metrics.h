@@ -39,12 +39,15 @@ struct MetricHandle {
 /// the CI smoke job validates.
 ///
 /// Thread safety: the hot-path updates are serialized by an internal
-/// mutex, because observational counting can run inside sharded round
-/// execution (ChannelModel counts burst transitions from delivery queries
-/// the simulator fans out). Counter totals are commutative integer sums,
-/// so concurrent updates stay deterministic. Snapshot reads (`ToJson`,
-/// `Total`, ...) are unsynchronized and must happen between rounds, which
-/// is the only place the runtime and tests read them.
+/// mutex. No parallel region writes a registry today: lossy rounds process
+/// their events serially, so ChannelModel's burst-transition counting from
+/// delivery queries runs on the calling thread, and the node-parallel
+/// phases (round start, dedup eviction, lossless delivery) record metrics
+/// only in their serial merges. The mutex keeps concurrent updates safe
+/// and deterministic should one appear (counter totals are commutative
+/// integer sums). Snapshot reads (`ToJson`, `Total`, ...) are
+/// unsynchronized and must happen between rounds, which is the only place
+/// the runtime and tests read them.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

@@ -10,7 +10,6 @@ FailureDetector::FailureDetector(const Topology& topology,
                                  DetectorOptions options)
     : topology_(&topology), options_(options) {
   M2M_CHECK_GE(options_.suspicion_threshold, 1);
-  M2M_CHECK_GE(options_.probe_attempts, 1);
   M2M_CHECK_GE(options_.probation_rounds, 1);
   M2M_CHECK_GE(options_.probation_backoff_factor, 1);
   M2M_CHECK_GE(options_.max_probation_rounds, options_.probation_rounds);
@@ -66,7 +65,7 @@ FailureDetector::RoundReport FailureDetector::ObserveRound(
         // the neighbor transmits replies until one gets through. Each leg
         // burns real transmissions, which the report charges.
         bool probe_received = false;
-        for (int k = 1; k <= options_.probe_attempts; ++k) {
+        for (int k = 1; k <= kProbeAttempts; ++k) {
           report.probe_transmissions += 1;
           if (attempt_delivers(monitor, neighbor, kProbeAttemptBase + k)) {
             probe_received = true;
@@ -74,7 +73,7 @@ FailureDetector::RoundReport FailureDetector::ObserveRound(
           }
         }
         if (probe_received) {
-          for (int k = 1; k <= options_.probe_attempts; ++k) {
+          for (int k = 1; k <= kProbeAttempts; ++k) {
             report.probe_transmissions += 1;
             if (attempt_delivers(neighbor, monitor,
                                  kProbeReplyAttemptBase + k)) {

@@ -20,10 +20,6 @@ struct DetectorOptions {
   /// Higher values trade detection latency for fewer false suspicions under
   /// heavy transient loss.
   int suspicion_threshold = 2;
-  /// Transmission attempts per probe and per probe reply each round. With
-  /// per-attempt drop probability p, a live neighbor stays silent for a
-  /// whole round only with probability ~2 p^probe_attempts.
-  int probe_attempts = 8;
   /// Consecutive rounds of renewed evidence a suspected link must show
   /// before the suspicion is retracted (the link is *readmitted*). The
   /// hysteresis gap — raise after `suspicion_threshold` misses, retract
@@ -72,8 +68,8 @@ struct SuspectedLink {
 ///      This is free: it reuses the packets the aggregation already sends.
 ///   2. Explicit probes — when a neighbor was silent all round (it may
 ///      simply have no traffic routed this way), the monitor sends up to
-///      `probe_attempts` probe packets; a live neighbor answers with a
-///      probe reply (again up to `probe_attempts` attempts). Only when the
+///      `kProbeAttempts` probe packets; a live neighbor answers with a
+///      probe reply (again up to `kProbeAttempts` attempts). Only when the
 ///      whole exchange fails does the round count as missed.
 ///
 /// A neighbor missed `suspicion_threshold` consecutive rounds becomes a
@@ -166,6 +162,13 @@ class FailureDetector {
   /// pure link function.
   static constexpr int kProbeAttemptBase = 1000;
   static constexpr int kProbeReplyAttemptBase = 1500;
+  /// Transmission attempts per probe and per probe reply each round. With
+  /// per-attempt drop probability p, a live neighbor stays silent for a
+  /// whole round only with probability ~2 p^kProbeAttempts.
+  static constexpr int kProbeAttempts = 8;
+  static_assert(kProbeAttempts >= 1 &&
+                    kProbeAttemptBase + kProbeAttempts < kProbeReplyAttemptBase,
+                "probe attempts must fit their attempt namespace");
 
  private:
   struct Suspicion {

@@ -15,9 +15,9 @@ namespace m2m {
 namespace {
 
 /// Contiguous node-id region owning node `node` when ids are split into
-/// `shard_count` ranges. Region sharding keys every piece of mutable
-/// per-delivery state: a packet's recipient fixes its transfer, so all
-/// state a delivery touches lives in one shard.
+/// `shard_count` ranges. Lossless RunRound shards deliveries by recipient:
+/// a delivery mutates only its recipient node, so all state it touches
+/// lives in one shard.
 int ShardOfNode(NodeId node, int shard_count, int64_t node_count) {
   return static_cast<int>(static_cast<int64_t>(node) * shard_count /
                           node_count);
@@ -314,132 +314,53 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
   };
   event::EventQueue<Event> agenda;
 
-  // Deferred-effects execution: when the tick loop below runs sharded,
-  // each event mutates only its own transfer and its recipient node's
-  // state inline, and records every write to shared round state — result
-  // counters, energy terms, heard-evidence, metric/trace records, agenda
-  // appends, and packet emissions — into a per-event `Fx`. The merge
-  // applies the records serially in original event order, reproducing the
-  // serial path's floating-point addition order, trace byte order, and
-  // agenda order exactly (THEORY.md §12). In serial mode each Fx is
-  // applied immediately after its event — the old inline behavior.
-  struct Fx {
-    int64_t attempts = 0;
-    int64_t deliveries = 0;
-    int64_t duplicates = 0;
-    int64_t retransmissions = 0;
-    int64_t acks_lost = 0;
-    int64_t messages_abandoned = 0;
-    int64_t epoch_rejected = 0;
-    int64_t payload_bytes = 0;
-    int64_t corrupt_frames = 0;
-    int64_t spontaneous_duplicates = 0;
-    int64_t reordered_deliveries = 0;
-    /// Energy deltas, replayed with += in recorded order (floating-point
-    /// addition does not commute; the order is part of the byte-identity
-    /// contract).
-    std::vector<double> energy_terms;
-    /// Per-node energy attribution (mJ terms), recorded only when
-    /// track_node_energy_ is on. Kept separate from `energy_terms` so the
-    /// legacy total's accumulation order is untouched.
-    std::vector<std::pair<NodeId, double>> node_energy_terms;
-    std::vector<std::pair<NodeId, NodeId>> heard;
-    struct MetricOp {
-      enum class Kind : uint8_t { kAdd, kAddNode, kAddEdge, kObserve };
-      Kind kind = Kind::kAdd;
-      obs::MetricHandle handle;
-      NodeId a = kInvalidNode;  ///< Node (kAddNode) or from (kAddEdge).
-      NodeId b = kInvalidNode;  ///< To (kAddEdge).
-      int64_t value = 0;
-    };
-    std::vector<MetricOp> metric_ops;
-    struct TraceOp {
-      bool give_up = false;
-      int tick = 0;
-      NodeId from = kInvalidNode;
-      NodeId to = kInvalidNode;
-      int message_id = 0;
-      int attempt = 0;
-      int payload = 0;
-      obs::SendOutcome outcome = obs::SendOutcome::kRx;
-      bool ack_lost = false;
-      int drop_hop = 0;
-    };
-    std::vector<TraceOp> trace_ops;
-    /// An emitted packet: becomes a new transfer plus its first transmit
-    /// event at `tick`.
-    struct Emission {
-      NodeId sender = kInvalidNode;
-      NodeRuntime::OutgoingPacket packet;
-      uint32_t epoch = 0;
-      int tick = 0;
-    };
-    /// Agenda appends and emissions interleave within one event (an
-    /// arrival can emit packets before scheduling its ack), so they share
-    /// one ordered op list.
-    struct Op {
-      bool emit = false;
-      int tick = 0;
-      Event event;        ///< !emit: appended verbatim at `tick`.
-      Emission emission;  ///< emit: new transfer + first transmit.
-    };
-    std::vector<Op> ops;
-  };
-
-  auto collect = [&](NodeRuntime& node, int tick, Fx& fx) {
+  // Handlers write the round's shared state — result counters, energy
+  // terms, heard-evidence, metrics, trace records and the agenda — directly,
+  // in event order. A new transfer is pushed mid-event, so handlers go
+  // through indices into `transfers`, never held references across a push.
+  auto collect = [&](NodeRuntime& node, int tick) {
     for (NodeRuntime::OutgoingPacket& packet : node.DrainReadyPackets()) {
-      Fx::Op op;
-      op.emit = true;
-      op.emission = Fx::Emission{node.id(), std::move(packet),
-                                 node.plan_epoch(), tick};
-      fx.ops.push_back(std::move(op));
+      transfers.push_back(
+          Transfer{node.id(), std::move(packet), node.plan_epoch()});
+      Event event;
+      event.index = transfers.size() - 1;
+      agenda.Schedule(tick, event);
     }
   };
-  auto observe_message_done = [&](const Transfer& transfer, Fx& fx) {
+  auto observe_message_done = [&](const Transfer& transfer) {
     if (metrics_ != nullptr) {
-      fx.metric_ops.push_back({Fx::MetricOp::Kind::kObserve,
-                               handles_.attempts_per_message, kInvalidNode,
-                               kInvalidNode, transfer.attempts_made});
+      metrics_->Observe(handles_.attempts_per_message, transfer.attempts_made);
     }
   };
   // Records the final verdict for a message exactly once, as soon as it is
   // known: acked, or retry budget spent with nothing left in flight.
-  auto maybe_finalize = [&](size_t index, int tick, Fx& fx) {
+  auto maybe_finalize = [&](size_t index, int tick) {
     Transfer& t = transfers[index];
     if (t.done) return;
     if (t.acked) {
       t.done = true;
-      observe_message_done(t, fx);
+      observe_message_done(t);
       return;
     }
     if (t.attempts_made >= retry.max_attempts && t.pending_events == 0 &&
         t.pending_retransmits == 0) {
       t.done = true;
-      observe_message_done(t, fx);
+      observe_message_done(t);
       if (!t.delivered_once) {
-        fx.messages_abandoned += 1;
+        result.messages_abandoned += 1;
         if (metrics_ != nullptr) {
-          fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                                   handles_.messages_abandoned, t.sender,
-                                   kInvalidNode, 1});
+          metrics_->AddNode(handles_.messages_abandoned, t.sender, 1);
         }
         if (trace != nullptr) {
-          Fx::TraceOp op;
-          op.give_up = true;
-          op.tick = tick;
-          op.from = t.sender;
-          op.to = t.packet.recipient;
-          op.message_id = t.packet.local_message_id;
-          fx.trace_ops.push_back(op);
+          trace->GiveUp(tick, t.sender, t.packet.recipient,
+                        t.packet.local_message_id);
         }
       }
     }
   };
-  auto apply_ack = [&](size_t index, Fx& fx) {
+  auto apply_ack = [&](size_t index) {
     if (metrics_ != nullptr) {
-      fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                               handles_.acks_delivered,
-                               transfers[index].sender, kInvalidNode, 1});
+      metrics_->AddNode(handles_.acks_delivered, transfers[index].sender, 1);
     }
     transfers[index].acked = true;
   };
@@ -448,8 +369,8 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
   // channel adds no delay, or as a popped kDeliver event): CRC gate, then
   // dedup/epoch-gated receive, then the reverse-path ack walk.
   auto process_arrival = [&](size_t index, int attempt, int arrival_tick,
-                             bool corrupt, uint32_t corrupt_bit, bool is_dup,
-                             Fx& fx) {
+                             bool corrupt, uint32_t corrupt_bit,
+                             bool is_dup) {
     const NodeId sender = transfers[index].sender;
     const int message_id = transfers[index].packet.local_message_id;
     const NodeId packet_recipient = transfers[index].packet.recipient;
@@ -469,22 +390,14 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
       std::optional<std::vector<uint8_t>> opened =
           wire::TryOpenCrc32Frame(frame);
       if (!opened.has_value()) {
-        fx.corrupt_frames += 1;
+        result.corrupt_frames += 1;
         if (metrics_ != nullptr) {
-          fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                                   handles_.chan_corrupt_frames,
-                                   packet_recipient, kInvalidNode, 1});
+          metrics_->AddNode(handles_.chan_corrupt_frames, packet_recipient, 1);
         }
         if (trace != nullptr) {
-          Fx::TraceOp op;
-          op.tick = arrival_tick;
-          op.from = sender;
-          op.to = packet_recipient;
-          op.message_id = message_id;
-          op.attempt = attempt;
-          op.payload = payload;
-          op.outcome = obs::SendOutcome::kCorrupt;
-          fx.trace_ops.push_back(op);
+          trace->Send(arrival_tick, sender, packet_recipient, message_id,
+                      attempt, payload, obs::SendOutcome::kCorrupt,
+                      /*ack_lost=*/false, /*drop_hop=*/0);
         }
         return;
       }
@@ -492,35 +405,23 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
       // error); if the checksum somehow matched, the frame is intact.
     }
 
-    fx.deliveries += 1;
-    fx.payload_bytes += payload;
+    result.deliveries += 1;
+    result.payload_bytes += payload;
     if (is_dup) {
-      fx.spontaneous_duplicates += 1;
-      if (metrics_ != nullptr) {
-        fx.metric_ops.push_back({Fx::MetricOp::Kind::kAdd,
-                                 handles_.chan_duplicated, kInvalidNode,
-                                 kInvalidNode, 1});
-      }
+      result.spontaneous_duplicates += 1;
+      if (metrics_ != nullptr) metrics_->Add(handles_.chan_duplicated, 1);
     }
     if (attempt < transfers[index].last_arrival_attempt) {
       // A delayed copy landed after a newer attempt already arrived.
-      fx.reordered_deliveries += 1;
-      if (metrics_ != nullptr) {
-        fx.metric_ops.push_back({Fx::MetricOp::Kind::kAdd,
-                                 handles_.chan_reordered, kInvalidNode,
-                                 kInvalidNode, 1});
-      }
+      result.reordered_deliveries += 1;
+      if (metrics_ != nullptr) metrics_->Add(handles_.chan_reordered, 1);
     } else {
       transfers[index].last_arrival_attempt = attempt;
     }
     NodeRuntime& recipient = nodes_[packet_recipient];
     if (metrics_ != nullptr) {
-      fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                               handles_.rx_packets, packet_recipient,
-                               kInvalidNode, 1});
-      fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                               handles_.rx_bytes, packet_recipient,
-                               kInvalidNode, payload});
+      metrics_->AddNode(handles_.rx_packets, packet_recipient, 1);
+      metrics_->AddNode(handles_.rx_bytes, packet_recipient, payload);
     }
     obs::SendOutcome outcome = obs::SendOutcome::kRx;
     switch (recipient.OnReceiveOnce(sender, message_id,
@@ -529,15 +430,13 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
                                     arrival_tick)) {
       case NodeRuntime::ReceiveOutcome::kFresh:
         transfers[index].delivered_once = true;
-        collect(recipient, arrival_tick + 1, fx);
+        collect(recipient, arrival_tick + 1);
         outcome = obs::SendOutcome::kRx;
         break;
       case NodeRuntime::ReceiveOutcome::kDuplicate:
-        fx.duplicates += 1;
+        result.duplicates += 1;
         if (metrics_ != nullptr) {
-          fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                                   handles_.dedup_hits, packet_recipient,
-                                   kInvalidNode, 1});
+          metrics_->AddNode(handles_.dedup_hits, packet_recipient, 1);
         }
         outcome = obs::SendOutcome::kDuplicate;
         break;
@@ -545,11 +444,9 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
         // Dropped whole, but still acked below: the mismatch is a plan
         // generation gap, not a link failure — retrying cannot help.
         transfers[index].delivered_once = true;
-        fx.epoch_rejected += 1;
+        result.epoch_rejected += 1;
         if (metrics_ != nullptr) {
-          fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                                   handles_.epoch_gate_drops,
-                                   packet_recipient, kInvalidNode, 1});
+          metrics_->AddNode(handles_.epoch_gate_drops, packet_recipient, 1);
         }
         outcome = obs::SendOutcome::kEpochRejected;
         break;
@@ -567,70 +464,53 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
         break;
       }
       ++ack_hops;
-      fx.heard.emplace_back(segment[h], segment[h - 1]);
+      result.heard.emplace(segment[h], segment[h - 1]);
       if (links.hop_effects != nullptr) {
         ack_delay +=
             links.hop_effects(segment[h], segment[h - 1], attempt)
                 .delay_ticks;
       }
     }
-    fx.energy_terms.push_back(ack_hops * energy.UnicastHopUj(0) / 1000.0);
+    result.energy_mj += ack_hops * energy.UnicastHopUj(0) / 1000.0;
     if (track_node_energy_) {
       // Replay the crossed ack hops for attribution: segment[h] transmitted
       // the header-only ack, segment[h - 1] received it.
       for (int crossed = 0; crossed < ack_hops; ++crossed) {
         const size_t h = segment.size() - 1 - crossed;
-        fx.node_energy_terms.emplace_back(segment[h],
-                                          energy.TxUj(0) / 1000.0);
-        fx.node_energy_terms.emplace_back(segment[h - 1],
-                                          energy.RxUj(0) / 1000.0);
+        result.node_energy_mj[segment[h]] += energy.TxUj(0) / 1000.0;
+        result.node_energy_mj[segment[h - 1]] += energy.RxUj(0) / 1000.0;
       }
     }
     if (ack_ok) {
       ack_delay = std::min(ack_delay, links.max_delay_ticks);
       if (ack_delay <= 0) {
-        apply_ack(index, fx);
+        apply_ack(index);
       } else {
         transfers[index].pending_events += 1;
         Event event;
         event.kind = Event::Kind::kAckArrive;
         event.index = index;
         event.attempt = attempt;
-        Fx::Op op;
-        op.tick = arrival_tick + ack_delay;
-        op.event = event;
-        fx.ops.push_back(op);
+        agenda.Schedule(arrival_tick + ack_delay, event);
       }
     } else {
-      fx.energy_terms.push_back(energy.TxUj(0) / 1000.0);
+      result.energy_mj += energy.TxUj(0) / 1000.0;
       if (track_node_energy_) {
         // The failed ack attempt burned one header-only TX at the node the
         // reverse walk stalled at.
-        fx.node_energy_terms.emplace_back(
-            segment[segment.size() - 1 - ack_hops], energy.TxUj(0) / 1000.0);
+        result.node_energy_mj[segment[segment.size() - 1 - ack_hops]] +=
+            energy.TxUj(0) / 1000.0;
       }
-      fx.acks_lost += 1;
-      if (metrics_ != nullptr) {
-        fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                                 handles_.acks_lost, sender, kInvalidNode,
-                                 1});
-      }
+      result.acks_lost += 1;
+      if (metrics_ != nullptr) metrics_->AddNode(handles_.acks_lost, sender, 1);
     }
     if (trace != nullptr) {
-      Fx::TraceOp op;
-      op.tick = arrival_tick;
-      op.from = sender;
-      op.to = packet_recipient;
-      op.message_id = message_id;
-      op.attempt = attempt;
-      op.payload = payload;
-      op.outcome = outcome;
-      op.ack_lost = !ack_ok;
-      fx.trace_ops.push_back(op);
+      trace->Send(arrival_tick, sender, packet_recipient, message_id, attempt,
+                  payload, outcome, /*ack_lost=*/!ack_ok, /*drop_hop=*/0);
     }
   };
 
-  auto process_transmit = [&](size_t index, int tick, Fx& fx) {
+  auto process_transmit = [&](size_t index, int tick) {
     const NodeId sender = transfers[index].sender;
     const int message_id = transfers[index].packet.local_message_id;
     const NodeId packet_recipient = transfers[index].packet.recipient;
@@ -639,27 +519,20 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
     const int payload =
         static_cast<int>(transfers[index].packet.payload.size());
     const int attempt = ++transfers[index].attempts_made;
-    fx.attempts += 1;
-    if (attempt > 1) fx.retransmissions += 1;
+    result.attempts += 1;
+    if (attempt > 1) result.retransmissions += 1;
     if (metrics_ != nullptr) {
-      fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                               handles_.tx_attempts, sender, kInvalidNode,
-                               1});
-      fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddNode,
-                               handles_.tx_bytes, sender, kInvalidNode,
-                               payload});
-      if (attempt > 1) {
-        fx.metric_ops.push_back({Fx::MetricOp::Kind::kAdd,
-                                 handles_.retransmissions, kInvalidNode,
-                                 kInvalidNode, 1});
-      }
+      metrics_->AddNode(handles_.tx_attempts, sender, 1);
+      metrics_->AddNode(handles_.tx_bytes, sender, payload);
+      if (attempt > 1) metrics_->Add(handles_.retransmissions, 1);
     }
 
     // Data crosses the segment hop by hop; the first dead hop burns one
     // transmit and stops the packet. Channel effects (delay, duplication,
     // corruption) accumulate along the hops actually crossed.
     int hops_crossed = 0;
-    bool delivered = alive(packet_recipient);
+    const bool recipient_alive = alive(packet_recipient);
+    bool delivered = recipient_alive;
     int data_delay = 0;
     bool dup = false;
     bool corrupt = false;
@@ -672,12 +545,11 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
         }
         ++hops_crossed;
         if (metrics_ != nullptr) {
-          fx.metric_ops.push_back({Fx::MetricOp::Kind::kAddEdge,
-                                   handles_.hop_transmissions, segment[h],
-                                   segment[h + 1], 1});
+          metrics_->AddEdge(handles_.hop_transmissions, segment[h],
+                            segment[h + 1], 1);
         }
         // Heartbeat evidence: segment[h+1] heard segment[h] transmit.
-        fx.heard.emplace_back(segment[h], segment[h + 1]);
+        result.heard.emplace(segment[h], segment[h + 1]);
         if (links.hop_effects != nullptr) {
           HopEffects effects =
               links.hop_effects(segment[h], segment[h + 1], attempt);
@@ -690,77 +562,52 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
         }
       }
     }
-    fx.energy_terms.push_back(hops_crossed * energy.UnicastHopUj(payload) /
-                              1000.0);
+    result.energy_mj += hops_crossed * energy.UnicastHopUj(payload) / 1000.0;
     if (track_node_energy_) {
       for (int h = 0; h < hops_crossed; ++h) {
-        fx.node_energy_terms.emplace_back(segment[h],
-                                          energy.TxUj(payload) / 1000.0);
-        fx.node_energy_terms.emplace_back(segment[h + 1],
-                                          energy.RxUj(payload) / 1000.0);
+        result.node_energy_mj[segment[h]] += energy.TxUj(payload) / 1000.0;
+        result.node_energy_mj[segment[h + 1]] +=
+            energy.RxUj(payload) / 1000.0;
       }
     }
     if (!delivered && hops_crossed + 2 <= static_cast<int>(segment.size())) {
-      fx.energy_terms.push_back(energy.TxUj(payload) / 1000.0);
+      result.energy_mj += energy.TxUj(payload) / 1000.0;
       if (track_node_energy_) {
         // The failed (or dead-recipient) attempt burned one TX at the node
         // the forward walk stalled at.
-        fx.node_energy_terms.emplace_back(segment[hops_crossed],
-                                          energy.TxUj(payload) / 1000.0);
+        result.node_energy_mj[segment[hops_crossed]] +=
+            energy.TxUj(payload) / 1000.0;
       }
     }
 
     if (delivered) {
       data_delay = std::min(data_delay, links.max_delay_ticks);
+      Event event;
+      event.kind = Event::Kind::kDeliver;
+      event.index = index;
+      event.attempt = attempt;
+      event.corrupt = corrupt;
+      event.corrupt_bit = corrupt_bit;
       if (data_delay <= 0) {
         process_arrival(index, attempt, tick, corrupt, corrupt_bit,
-                        /*is_dup=*/false, fx);
+                        /*is_dup=*/false);
       } else {
         transfers[index].pending_events += 1;
-        Event event;
-        event.kind = Event::Kind::kDeliver;
-        event.index = index;
-        event.attempt = attempt;
-        event.corrupt = corrupt;
-        event.corrupt_bit = corrupt_bit;
-        Fx::Op op;
-        op.tick = tick + data_delay;
-        op.event = event;
-        fx.ops.push_back(op);
+        agenda.Schedule(tick + data_delay, event);
       }
       if (dup) {
         // The spontaneous copy trails the original by one tick.
         transfers[index].pending_events += 1;
-        Event event;
-        event.kind = Event::Kind::kDeliver;
-        event.index = index;
-        event.attempt = attempt;
-        event.corrupt = corrupt;
-        event.corrupt_bit = corrupt_bit;
         event.is_dup = true;
-        Fx::Op op;
-        op.tick = tick + data_delay + 1;
-        op.event = event;
-        fx.ops.push_back(op);
+        agenda.Schedule(tick + data_delay + 1, event);
       }
-    } else {
-      obs::SendOutcome outcome = alive(packet_recipient)
-                                     ? obs::SendOutcome::kDropped
-                                     : obs::SendOutcome::kDeadRecipient;
-      if (trace != nullptr) {
-        Fx::TraceOp op;
-        op.tick = tick;
-        op.from = sender;
-        op.to = packet_recipient;
-        op.message_id = message_id;
-        op.attempt = attempt;
-        op.payload = payload;
-        op.outcome = outcome;
-        op.drop_hop = outcome == obs::SendOutcome::kDropped
-                          ? hops_crossed + 1
-                          : 0;
-        fx.trace_ops.push_back(op);
-      }
+    } else if (trace != nullptr) {
+      trace->Send(tick, sender, packet_recipient, message_id, attempt,
+                  payload,
+                  recipient_alive ? obs::SendOutcome::kDropped
+                                  : obs::SendOutcome::kDeadRecipient,
+                  /*ack_lost=*/false,
+                  /*drop_hop=*/recipient_alive ? hops_crossed + 1 : 0);
     }
 
     // Retry decision at send time: if no ack has landed by the backoff
@@ -773,106 +620,37 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
       Event event;
       event.index = index;
       event.retransmit = true;
-      Fx::Op op;
-      op.tick = tick + static_cast<int>(timeout);
-      op.event = event;
-      fx.ops.push_back(op);
+      agenda.Schedule(tick + static_cast<int>(timeout), event);
       if (metrics_ != nullptr) {
-        fx.metric_ops.push_back({Fx::MetricOp::Kind::kAdd,
-                                 handles_.backoff_wait_ticks, kInvalidNode,
-                                 kInvalidNode, timeout});
+        metrics_->Add(handles_.backoff_wait_ticks, timeout);
       }
     }
-    maybe_finalize(index, tick, fx);
+    maybe_finalize(index, tick);
   };
 
-  // Dispatches one event. All transfer-state and recipient-node mutation
-  // is inline (shard-exclusive: every kind touches only transfers[index]
-  // and nodes_[recipient], and the recipient is fixed per transfer);
-  // everything shared lands in `fx`.
-  auto process_event = [&](const Event& event, int tick, Fx& fx) {
+  auto process_event = [&](const Event& event, int tick) {
     switch (event.kind) {
       case Event::Kind::kTransmit:
         if (event.retransmit) {
           transfers[event.index].pending_retransmits -= 1;
           if (transfers[event.index].acked || transfers[event.index].done) {
-            maybe_finalize(event.index, tick, fx);
+            maybe_finalize(event.index, tick);
             break;
           }
         }
-        process_transmit(event.index, tick, fx);
+        process_transmit(event.index, tick);
         break;
       case Event::Kind::kDeliver:
         transfers[event.index].pending_events -= 1;
         process_arrival(event.index, event.attempt, tick, event.corrupt,
-                        event.corrupt_bit, event.is_dup, fx);
-        maybe_finalize(event.index, tick, fx);
+                        event.corrupt_bit, event.is_dup);
+        maybe_finalize(event.index, tick);
         break;
       case Event::Kind::kAckArrive:
         transfers[event.index].pending_events -= 1;
-        apply_ack(event.index, fx);
-        maybe_finalize(event.index, tick, fx);
+        apply_ack(event.index);
+        maybe_finalize(event.index, tick);
         break;
-    }
-  };
-
-  // Replays one event's deferred shared-state writes, in recorded order.
-  auto apply_fx = [&](Fx& fx) {
-    result.attempts += fx.attempts;
-    result.deliveries += fx.deliveries;
-    result.duplicates += fx.duplicates;
-    result.retransmissions += fx.retransmissions;
-    result.acks_lost += fx.acks_lost;
-    result.messages_abandoned += fx.messages_abandoned;
-    result.epoch_rejected += fx.epoch_rejected;
-    result.payload_bytes += fx.payload_bytes;
-    result.corrupt_frames += fx.corrupt_frames;
-    result.spontaneous_duplicates += fx.spontaneous_duplicates;
-    result.reordered_deliveries += fx.reordered_deliveries;
-    for (double term : fx.energy_terms) result.energy_mj += term;
-    for (const auto& [node, term] : fx.node_energy_terms) {
-      result.node_energy_mj[node] += term;
-    }
-    for (const auto& [from, to] : fx.heard) result.heard.emplace(from, to);
-    if (metrics_ != nullptr) {
-      for (const Fx::MetricOp& op : fx.metric_ops) {
-        switch (op.kind) {
-          case Fx::MetricOp::Kind::kAdd:
-            metrics_->Add(op.handle, op.value);
-            break;
-          case Fx::MetricOp::Kind::kAddNode:
-            metrics_->AddNode(op.handle, op.a, op.value);
-            break;
-          case Fx::MetricOp::Kind::kAddEdge:
-            metrics_->AddEdge(op.handle, op.a, op.b, op.value);
-            break;
-          case Fx::MetricOp::Kind::kObserve:
-            metrics_->Observe(op.handle, op.value);
-            break;
-        }
-      }
-    }
-    if (trace != nullptr) {
-      for (const Fx::TraceOp& op : fx.trace_ops) {
-        if (op.give_up) {
-          trace->GiveUp(op.tick, op.from, op.to, op.message_id);
-        } else {
-          trace->Send(op.tick, op.from, op.to, op.message_id, op.attempt,
-                      op.payload, op.outcome, op.ack_lost, op.drop_hop);
-        }
-      }
-    }
-    for (Fx::Op& op : fx.ops) {
-      if (op.emit) {
-        transfers.push_back(Transfer{op.emission.sender,
-                                     std::move(op.emission.packet),
-                                     op.emission.epoch});
-        Event event;
-        event.index = transfers.size() - 1;
-        agenda.Schedule(op.emission.tick, event);
-      } else {
-        agenda.Schedule(op.tick, op.event);
-      }
     }
   };
 
@@ -921,60 +699,12 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
         }
       });
     }
-    // Every event scheduled during processing lands at tick + 1 or later
-    // (arrivals collect at arrival + 1; channel delays and backoffs are
-    // >= 1), so one wave normally covers the whole tick; the wave loop
-    // mirrors the serial index walk in case a schedule ever targets the
-    // current tick (the queue's seq tie-break keeps any such stragglers in
-    // append order). Entries may be added to this tick's list during the
-    // merge — and a merged emission can push into `transfers`
-    // (reallocation) — so go through indices, never held references.
-    std::vector<Event> list;
-    size_t processed = 0;
-    while (true) {
-      while (!agenda.empty() && agenda.NextTime() == tick) {
-        list.push_back(std::move(agenda.Pop()->payload));
-      }
-      if (processed >= list.size()) break;
-      const size_t wave_end = list.size();
-      ThreadPool* pool = GlobalThreadPool();
-      const int shard_count =
-          pool == nullptr
-              ? 1
-              : static_cast<int>(
-                    std::min<int64_t>(GlobalShardCount(), node_count));
-      if (shard_count <= 1) {
-        // Serial: apply each event's effects immediately after it — the
-        // original inline behavior, byte for byte.
-        for (size_t i = processed; i < wave_end; ++i) {
-          const Event event = list[i];
-          Fx fx;
-          process_event(event, tick, fx);
-          apply_fx(fx);
-        }
-      } else {
-        // Parallel wave: events bucket by the recipient region of their
-        // transfer, keeping every per-transfer and per-node mutation in
-        // exactly one shard, in original event order. The per-event Fx
-        // records are then merged serially in event order — identical
-        // bytes to the serial walk for any shard count.
-        std::vector<std::vector<size_t>> buckets(shard_count);
-        for (size_t i = processed; i < wave_end; ++i) {
-          buckets[ShardOfNode(transfers[list[i].index].packet.recipient,
-                              shard_count, node_count)]
-              .push_back(i);
-        }
-        std::vector<Fx> fx(wave_end - processed);
-        pool->RunShards(shard_count, [&](int s) {
-          for (size_t i : buckets[s]) {
-            process_event(list[i], tick, fx[i - processed]);
-          }
-        });
-        for (size_t i = processed; i < wave_end; ++i) {
-          apply_fx(fx[i - processed]);
-        }
-      }
-      processed = wave_end;
+    // Events run one at a time in (tick, seq) order. Processing schedules
+    // only at tick + 1 or later (arrivals collect at arrival + 1; channel
+    // delays and backoffs are >= 1), and anything scheduled at this tick
+    // would still pop after every earlier event, by its higher seq.
+    while (agenda.NextTime() == tick) {
+      process_event(agenda.Pop()->payload, tick);
     }
   }
   if (metrics_ != nullptr) {

@@ -200,6 +200,9 @@ class RuntimeNetwork {
   /// message retransmits after the policy's backoff. Dead nodes neither
   /// start the round nor receive. Incomplete destinations are reported, not
   /// CHECK-failed. Every event is appended to `trace` when non-null.
+  /// Events run serially in (tick, seq) order; only round start and the
+  /// per-tick dedup eviction run node-parallel (SetGlobalParallelism), and
+  /// the bytes are the same at every thread and shard count.
   LossyResult RunRoundLossy(const std::vector<double>& readings,
                             const LossyLinkModel& links,
                             const RetryPolicy& retry = {},

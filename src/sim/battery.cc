@@ -68,7 +68,7 @@ double BatteryLedger::total_drain_mj() const {
 
 std::vector<double> CompiledRoundEnergyMj(const CompiledPlan& compiled,
                                           const EnergyModel& energy) {
-  // Mirrors lifecycle's PerNodeRoundEnergyMj operation for operation:
+  // Mirrors PlanExecutor's ledger charge operation for operation:
   // microjoules accumulated over messages in schedule order, TX before RX
   // per hop, one division at the end. Any deviation breaks the exact
   // predicted-vs-executed reconciliation (energy_test pins it).

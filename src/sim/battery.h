@@ -74,11 +74,11 @@ class BatteryLedger {
 /// Per-node radio energy of one full analytic round of `compiled`, in
 /// millijoules. Accumulates microjoules over the schedule's messages in
 /// schedule order (TX then RX per physical hop) and divides once at the
-/// end — the exact operation sequence of the admission layer's
-/// `PerNodeRoundEnergyMj`, so the two agree bit-for-bit (regression-tested:
-/// floating-point addition order is part of the byte-identity contract).
-/// This is both what PlanExecutor charges the ledger on a lossless round
-/// and what the base station uses to predict residuals in-band.
+/// end — the exact operation sequence PlanExecutor uses to charge the
+/// ledger on a lossless round, so prediction and execution agree
+/// bit-for-bit (regression-tested: floating-point addition order is part of
+/// the byte-identity contract). The admission layer's energy and lifetime
+/// gates and the base station's in-band residual prediction both use it.
 std::vector<double> CompiledRoundEnergyMj(const CompiledPlan& compiled,
                                           const EnergyModel& energy);
 

@@ -104,10 +104,9 @@ class PlanExecutor {
   /// Attaches a battery ledger: every executed round (full, broadcast,
   /// suppressed) then charges each node its radio drain. The per-round
   /// charge is accumulated in microjoules in schedule order and divided
-  /// once — on a lossless full round it equals the admission layer's
-  /// `PerNodeRoundEnergyMj` bit-for-bit (the predicted-vs-executed
-  /// reconciliation contract). Pass nullptr to detach. The ledger must
-  /// outlive the executor.
+  /// once — on a lossless full round it equals `CompiledRoundEnergyMj`
+  /// bit-for-bit (the predicted-vs-executed reconciliation contract). Pass
+  /// nullptr to detach. The ledger must outlive the executor.
   void set_battery(BatteryLedger* battery) { battery_ = battery; }
   BatteryLedger* battery() const { return battery_; }
 
@@ -178,7 +177,7 @@ class PlanExecutor {
   int PartialUnitBytes(NodeId destination) const;
   /// `battery_uj`, when non-null, additionally accumulates the message's
   /// per-node drain in microjoules (divided once per round before charging
-  /// the ledger — matching PerNodeRoundEnergyMj's operation order exactly).
+  /// the ledger — matching CompiledRoundEnergyMj's operation order exactly).
   void ChargeMessage(int edge_index, int payload_bytes, RoundResult& result,
                      std::vector<double>* battery_uj = nullptr) const;
   /// Reconstructs, verifies, and evaluates one task's aggregate for a full

@@ -294,6 +294,10 @@ bool FaultSchedule::AttemptDelivers(int round, NodeId from, NodeId to,
       case FaultType::kLinkHeal:
         if (LinkKey(event.a, event.b) == LinkKey(from, to)) link_up = true;
         break;
+      case FaultType::kEnergyExhaustion:
+        // Never emitted by Generate: exhaustion deaths come from the
+        // battery ledger, not the schedule (NodeAliveAt ignores it too).
+        break;
     }
   }
   if (!from_alive || !to_alive || !link_up) return false;

@@ -20,6 +20,26 @@ namespace {
 
 constexpr int64_t kUnreachableWeight = std::numeric_limits<int64_t>::max();
 
+/// Rounds a sender waits for an end-to-end acknowledgment before
+/// re-emitting a control message (covers holders dying mid-route).
+constexpr int kResendAfterRounds = 3;
+static_assert(kResendAfterRounds >= 1);
+
+/// Penalty for ResidualEnergyLinkCost on battery-aware replans: how hard
+/// routes avoid depleted relays. With full batteries everywhere the cost is
+/// exactly 1.0 — identical paths to the legacy hop-count metric.
+constexpr double kResidualCostPenalty = 8.0;
+
+/// How far below both its previous level and the current predicted minimum
+/// the rotation trigger re-arms after each proactive rotation.
+constexpr double kRotationHysteresis = 0.10;
+
+/// A believed-dead node whose *predicted* residual fraction is at or below
+/// this is classified energy-dead (vs crash/partition). In-band: the verdict
+/// uses only the base station's own drain predictions, never the physical
+/// ledger.
+constexpr double kExhaustionClassifyFraction = 0.10;
+
 /// Maps ControlMessage::Kind (by ordinal: report, reportack, image, bump,
 /// ack) to the trace's ControlKind.
 obs::ControlKind ToTraceKind(int kind) {
@@ -70,7 +90,6 @@ SelfHealingRuntime::SelfHealingRuntime(const Topology& topology,
   M2M_CHECK(options_.control_hop_attempts >= 1 &&
             options_.control_hop_attempts <= 16)
       << "control_hop_attempts must fit the per-hop attempt namespace";
-  M2M_CHECK_GE(options_.resend_after_rounds, 1);
   ledger_.set_partition_aware(options_.partition_aware);
   epoch_opened_round_[0] = -1;
   if (options_.energy.battery_aware) {
@@ -351,7 +370,7 @@ void SelfHealingRuntime::AdvanceControlPlane(int round,
       continue;
     }
     if (outbox.last_sent_round >= 0 &&
-        round - outbox.last_sent_round < options_.resend_after_rounds) {
+        round - outbox.last_sent_round < kResendAfterRounds) {
       continue;
     }
     // Drop any stale in-flight copy (its holder may have died) and re-emit
@@ -375,7 +394,7 @@ void SelfHealingRuntime::AdvanceControlPlane(int round,
   for (auto& [node, pending] : pending_installs_) {
     if (pending.acked) continue;
     if (pending.last_sent_round >= 0 &&
-        round - pending.last_sent_round < options_.resend_after_rounds) {
+        round - pending.last_sent_round < kResendAfterRounds) {
       continue;
     }
     const NodeId target = node;
@@ -665,7 +684,7 @@ void SelfHealingRuntime::MaybeReplan(int round,
           ? PathSystem(ledger_.BelievedTopology(), 0x5eed,
                        ResidualEnergyLinkCost(
                            PredictedResidualFractions(),
-                           options_.energy.residual_cost_penalty))
+                           kResidualCostPenalty))
           : PathSystem(ledger_.BelievedTopology());
   UpdateStats stats;
   GlobalPlan patched = ReplanForTopology(plan_, believed_paths,
@@ -882,7 +901,7 @@ void SelfHealingRuntime::UpdateEnergyBeliefs(int round,
   std::set<NodeId> candidates;
   for (NodeId n = 0; n < predicted_.node_count(); ++n) {
     if (predicted_.immortal(n)) continue;
-    if (fractions[n] <= options_.energy.exhaustion_classify_fraction) {
+    if (fractions[n] <= kExhaustionClassifyFraction) {
       candidates.insert(n);
     }
   }
@@ -892,7 +911,7 @@ void SelfHealingRuntime::UpdateEnergyBeliefs(int round,
   // Proactive rotation watches the minimum predicted residual over nodes
   // the current plan actually loads (unloaded nodes cannot be rotated off
   // anything). The trigger level only ever descends — threshold first,
-  // then at least `rotation_hysteresis` lower after every rotation — and
+  // then at least `kRotationHysteresis` lower after every rotation — and
   // batteries only drain, so the trigger cannot flap; the cooldown bounds
   // rotation frequency even while the minimum keeps falling.
   double predicted_min = 1.0;
@@ -910,8 +929,8 @@ void SelfHealingRuntime::UpdateEnergyBeliefs(int round,
     energy_rotation_pending_ = true;
     last_rotation_round_ = round;
     rotation_trigger_level_ = std::min(
-        rotation_trigger_level_ - options_.energy.rotation_hysteresis,
-        predicted_min - options_.energy.rotation_hysteresis);
+        rotation_trigger_level_ - kRotationHysteresis,
+        predicted_min - kRotationHysteresis);
     if (trace != nullptr) {
       trace->Text(
           "round " + std::to_string(round) +

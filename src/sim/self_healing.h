@@ -41,26 +41,16 @@ struct EnergyAwareOptions {
   /// Energy model batteries drain under (data-plane radio energy on actual
   /// encoded packet sizes).
   EnergyModel model;
-  /// Penalty for ResidualEnergyLinkCost on battery-aware replans: how hard
-  /// routes avoid depleted relays. With full batteries everywhere the cost
-  /// is exactly 1.0 — identical paths to the legacy hop-count metric.
-  double residual_cost_penalty = 8.0;
   /// Proactive relay rotation: when the minimum *predicted* residual
   /// fraction over plan-loaded mortal nodes crosses `rotation_threshold`,
   /// the base opens a rotation replan (residual costs shift load off the
   /// bottleneck) without waiting for the node to die. After each rotation
-  /// the trigger re-arms `rotation_hysteresis` lower — batteries only
+  /// the trigger re-arms a fixed hysteresis (0.10) lower — batteries only
   /// drain, so a monotonically descending trigger cannot flap — and never
   /// refires within `rotation_cooldown_rounds` of the last rotation.
   bool proactive_rotation = true;
   double rotation_threshold = 0.35;
-  double rotation_hysteresis = 0.10;
   int rotation_cooldown_rounds = 4;
-  /// A believed-dead node whose *predicted* residual fraction is at or
-  /// below this is classified energy-dead (vs crash/partition). In-band:
-  /// the verdict uses only the base station's own drain predictions, never
-  /// the physical ledger.
-  double exhaustion_classify_fraction = 0.10;
 };
 
 /// Knobs for the self-healing control loop.
@@ -73,9 +63,6 @@ struct SelfHealingOptions {
   /// advances as many hops as deliver within a round and stalls at the
   /// first hop that exhausts its attempts, resuming next round.
   int control_hop_attempts = 8;
-  /// Rounds a sender waits for an end-to-end acknowledgment before
-  /// re-emitting a control message (covers holders dying mid-route).
-  int resend_after_rounds = 3;
   /// Partition tolerance for mobile deployments. When on, the ledger
   /// classifies unreachable regions by component analysis (alive island vs
   /// dead node, see SuspicionLedger), the per-round result carries a

@@ -123,22 +123,6 @@ TEST(BatteryLedgerTest, IdleFloorAppliesOnlyWhileAlive) {
 
 // --- Predicted vs executed reconciliation (exact) -----------------------
 
-TEST(EnergyReconciliationTest, AnalyticRoundEnergyMatchesAdmissionExactly) {
-  Topology topology = MakeGreatDuckIslandLike();
-  Workload workload = DefaultWorkload(topology, 11);
-  CompiledPlan compiled = CompileInitialPlan(topology, workload);
-  const EnergyModel model;
-  const std::vector<double> admission =
-      PerNodeRoundEnergyMj(compiled, workload.functions, model);
-  const std::vector<double> ledger_side = CompiledRoundEnergyMj(compiled, model);
-  ASSERT_EQ(admission.size(), ledger_side.size());
-  for (size_t n = 0; n < admission.size(); ++n) {
-    // EXACT: both accumulate microjoules in schedule order and divide once;
-    // floating-point addition order is part of the contract.
-    EXPECT_EQ(admission[n], ledger_side[n]) << "node " << n;
-  }
-}
-
 TEST(EnergyReconciliationTest, ExecutedLosslessRoundMatchesPredictionExactly) {
   Topology topology = MakeGreatDuckIslandLike();
   Workload workload = DefaultWorkload(topology, 12);
@@ -153,11 +137,10 @@ TEST(EnergyReconciliationTest, ExecutedLosslessRoundMatchesPredictionExactly) {
   executor.RunRound(readings.values());
   ASSERT_EQ(ledger.rounds_charged(), 1);
 
-  const std::vector<double> predicted =
-      PerNodeRoundEnergyMj(*compiled, workload.functions, model);
+  const std::vector<double> predicted = CompiledRoundEnergyMj(*compiled, model);
   for (NodeId n = 0; n < topology.node_count(); ++n) {
-    // The satellite contract: executed drain of a lossless full round
-    // equals the admission layer's prediction EXACTLY, not approximately.
+    // Executed drain of a lossless full round equals the prediction the
+    // admission gates and the base station use EXACTLY, not approximately.
     EXPECT_EQ(ledger.drained_mj(n), predicted[n]) << "node " << n;
   }
 }
@@ -368,7 +351,7 @@ TEST(AdmissionTest, BatteryLifetimeGateRejectsShortLivedPlans) {
   Workload workload = DefaultWorkload(topology, 41);
   CompiledPlan compiled = CompileInitialPlan(topology, workload);
   const std::vector<double> drain =
-      PerNodeRoundEnergyMj(compiled, workload.functions, EnergyModel{});
+      CompiledRoundEnergyMj(compiled, EnergyModel{});
   NodeId hottest = 0;
   for (NodeId n = 1; n < topology.node_count(); ++n) {
     if (drain[n] > drain[hottest]) hottest = n;

@@ -11,7 +11,7 @@
 //     EventNetwork::RunCompatRound (RunRoundLossy over a transport adapter)
 //     both reproduce committed golden digests of traces, metrics JSON,
 //     aggregate bits, coverage and heard sets over 20 seeds and four
-//     channel regimes.
+//     channel regimes, RunRoundLossy at one thread and at four.
 //  3. Pipelined execution is new behavior with an analytic anchor: under
 //     clock drift and nonzero hop latency, multiple timesteps overlap in
 //     flight (max_in_flight >= 2) while every per-timestep aggregate still
@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "event/clock.h"
 #include "event/event_queue.h"
 #include "event/event_runtime.h"
@@ -553,6 +554,10 @@ TEST(RoundCompat, ByteIdenticalToRunRoundLossyAcrossSeedsAndRegimes) {
       const std::string golden = HexDigest(kGoldenDigests[seed - 1][r]);
       EXPECT_EQ(digest(/*compat=*/false), golden) << "RunRoundLossy";
       EXPECT_EQ(digest(/*compat=*/true), golden) << "RunCompatRound";
+      // The node-parallel round start and dedup-eviction sweep must leave
+      // the same bytes at any thread and shard count.
+      ScopedParallelism parallelism(4, 7);
+      EXPECT_EQ(digest(/*compat=*/false), golden) << "RunRoundLossy, 4 threads";
     }
   }
 }
