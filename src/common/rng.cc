@@ -12,13 +12,6 @@ uint64_t RotL(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 Rng::Rng(uint64_t seed) {
   uint64_t s = seed;
   for (auto& word : state_) {

@@ -59,8 +59,15 @@ class Rng {
 };
 
 /// SplitMix64 step: hashes `x` to a well-mixed 64-bit value. Exposed for
-/// deterministic per-entity perturbations (edge weights, cover tiebreakers).
-uint64_t SplitMix64(uint64_t x);
+/// deterministic per-entity perturbations (edge weights, cover tiebreakers)
+/// and inline because hot per-attempt hashes (the channel's Gilbert–Elliott
+/// walk) call it in tight loops.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 }  // namespace m2m
 

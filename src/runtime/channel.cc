@@ -9,28 +9,20 @@ namespace m2m {
 
 namespace {
 
-// Decision salts. Each per-(round, link, attempt) draw uses its own salt so
-// the loss, duplication, corruption and delay coins are independent.
-constexpr uint64_t kSaltBurstInit = 0xb1a5'0001;
-constexpr uint64_t kSaltBurstStep = 0xb1a5'0002;
-constexpr uint64_t kSaltLoss = 0xb1a5'0003;
-constexpr uint64_t kSaltDuplicate = 0xb1a5'0004;
-constexpr uint64_t kSaltCorrupt = 0xb1a5'0005;
-constexpr uint64_t kSaltDelay = 0xb1a5'0006;
-
 // Attempts within one block share a Gilbert–Elliott walk; blocks are
 // independently reseeded from the stationary distribution. This bounds the
 // per-query walk to the block size while keeping every decision a pure
 // function of (seed, round, link, attempt).
 constexpr int kBurstBlockBits = 6;
 
-uint64_t Mix(uint64_t seed, uint64_t salt, int round, NodeId from, NodeId to,
-             uint64_t attempt) {
-  uint64_t h = SplitMix64(seed ^ SplitMix64(salt));
-  h = SplitMix64(h ^ (static_cast<uint64_t>(round) << 42) ^
-                 (static_cast<uint64_t>(static_cast<uint32_t>(from)) << 21) ^
-                 static_cast<uint64_t>(static_cast<uint32_t>(to)));
-  return SplitMix64(h ^ attempt);
+// Every draw is SplitMix64(LinkHash ^ attempt), where LinkHash mixes the
+// (round, from, to) key into the salt's seed. Callers that draw several
+// attempts of one link compute LinkHash once.
+uint64_t LinkHash(uint64_t salted_seed, int round, NodeId from, NodeId to) {
+  return SplitMix64(salted_seed ^ (static_cast<uint64_t>(round) << 42) ^
+                    (static_cast<uint64_t>(static_cast<uint32_t>(from))
+                     << 21) ^
+                    static_cast<uint64_t>(static_cast<uint32_t>(to)));
 }
 
 double UniformOf(uint64_t h) { return static_cast<double>(h >> 11) * 0x1.0p-53; }
@@ -55,21 +47,29 @@ ChannelModel::ChannelModel(const ChannelOptions& options)
   if (options_.p_enter_bad > 0.0) {
     M2M_CHECK_GT(options_.p_exit_bad, 0.0)
         << "a burst the chain can enter must also be exitable";
+    p_bad_ = options_.p_enter_bad /
+             (options_.p_enter_bad + options_.p_exit_bad);
+  }
+  for (size_t salt = 0; salt < salted_seeds_.size(); ++salt) {
+    salted_seeds_[salt] =
+        SplitMix64(options_.seed ^ SplitMix64(0xb1a5'0001 + salt));
   }
 }
 
 bool ChannelModel::InBurst(int round, NodeId from, NodeId to,
                            int attempt) const {
   if (options_.p_enter_bad <= 0.0) return false;
-  const double p_bad =
-      options_.p_enter_bad / (options_.p_enter_bad + options_.p_exit_bad);
   const uint64_t block = static_cast<uint64_t>(attempt) >> kBurstBlockBits;
   const int block_start = static_cast<int>(block << kBurstBlockBits);
-  bool bad = UniformOf(Mix(options_.seed, kSaltBurstInit, round, from, to,
-                           block)) < p_bad;
+  bool bad = UniformOf(SplitMix64(
+                 LinkHash(salted_seeds_[kSaltBurstInit], round, from, to) ^
+                 block)) < p_bad_;
+  // One link hash for the whole walk, then one mix per step.
+  const uint64_t step_hash =
+      LinkHash(salted_seeds_[kSaltBurstStep], round, from, to);
   for (int t = block_start + 1; t <= attempt; ++t) {
-    const double u = UniformOf(Mix(options_.seed, kSaltBurstStep, round,
-                                   from, to, static_cast<uint64_t>(t)));
+    const double u =
+        UniformOf(SplitMix64(step_hash ^ static_cast<uint64_t>(t)));
     if (bad) {
       if (u < options_.p_exit_bad) bad = false;
     } else {
@@ -95,28 +95,26 @@ bool ChannelModel::AttemptDelivers(int round, NodeId from, NodeId to,
     loss = std::min(1.0, loss + options_.reverse_extra_loss);
   }
   if (loss <= 0.0) return true;
-  return UniformOf(Mix(options_.seed, kSaltLoss, round, from, to,
-                       static_cast<uint64_t>(attempt))) >= loss;
+  return UniformOf(Draw(kSaltLoss, round, from, to, attempt)) >= loss;
 }
 
 HopEffects ChannelModel::EffectsFor(int round, NodeId from, NodeId to,
                                     int attempt) const {
   HopEffects effects;
-  const uint64_t a = static_cast<uint64_t>(attempt);
   if (options_.duplicate_probability > 0.0) {
     effects.duplicate =
-        UniformOf(Mix(options_.seed, kSaltDuplicate, round, from, to, a)) <
+        UniformOf(Draw(kSaltDuplicate, round, from, to, attempt)) <
         options_.duplicate_probability;
   }
   if (options_.corrupt_probability > 0.0) {
-    const uint64_t h = Mix(options_.seed, kSaltCorrupt, round, from, to, a);
+    const uint64_t h = Draw(kSaltCorrupt, round, from, to, attempt);
     if (UniformOf(h) < options_.corrupt_probability) {
       effects.corrupt = true;
       effects.corrupt_bit = static_cast<uint32_t>(h & 0xffffffffu);
     }
   }
   if (options_.max_delay_ticks > 0 && options_.delay_probability > 0.0) {
-    const uint64_t h = Mix(options_.seed, kSaltDelay, round, from, to, a);
+    const uint64_t h = Draw(kSaltDelay, round, from, to, attempt);
     if (UniformOf(h) < options_.delay_probability) {
       effects.delay_ticks =
           1 + static_cast<int>(h % static_cast<uint64_t>(
@@ -124,6 +122,12 @@ HopEffects ChannelModel::EffectsFor(int round, NodeId from, NodeId to,
     }
   }
   return effects;
+}
+
+uint64_t ChannelModel::Draw(Salt salt, int round, NodeId from, NodeId to,
+                           int attempt) const {
+  return SplitMix64(LinkHash(salted_seeds_[salt], round, from, to) ^
+                    static_cast<uint64_t>(attempt));
 }
 
 LossyLinkModel ChannelModel::Bind(

@@ -1,6 +1,8 @@
 #ifndef M2M_RUNTIME_CHANNEL_H_
 #define M2M_RUNTIME_CHANNEL_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -74,7 +76,29 @@ class ChannelModel {
   const ChannelOptions& options() const { return options_; }
 
  private:
+  /// Decision salts. Each per-(round, link, attempt) draw uses its own salt
+  /// so the loss, duplication, corruption and delay coins are independent.
+  /// Salt i is 0xb1a5'0001 + i.
+  enum Salt : size_t {
+    kSaltBurstInit,
+    kSaltBurstStep,
+    kSaltLoss,
+    kSaltDuplicate,
+    kSaltCorrupt,
+    kSaltDelay,
+    kSaltCount,
+  };
+
+  /// The per-(round, link, attempt) hash of one decision salt.
+  uint64_t Draw(Salt salt, int round, NodeId from, NodeId to,
+                int attempt) const;
+
   ChannelOptions options_;
+  /// Stationary share of the burst state (0 without bursts).
+  double p_bad_ = 0.0;
+  /// SplitMix64(seed ^ SplitMix64(salt)) for each decision salt: the part
+  /// of every decision hash that depends on neither link nor attempt.
+  std::array<uint64_t, kSaltCount> salted_seeds_{};
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::MetricHandle burst_transitions_{};
 };

@@ -1,6 +1,7 @@
 #include "runtime/detector.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/check.h"
 
@@ -9,6 +10,13 @@ namespace m2m {
 FailureDetector::FailureDetector(const Topology& topology,
                                  DetectorOptions options)
     : topology_(&topology), options_(options) {
+  slot_begin_.reserve(static_cast<size_t>(topology.node_count()) + 1);
+  slot_begin_.push_back(0);
+  for (NodeId n = 0; n < topology.node_count(); ++n) {
+    slot_begin_.push_back(slot_begin_.back() +
+                          static_cast<int>(topology.neighbors(n).size()));
+  }
+  missed_.assign(static_cast<size_t>(slot_begin_.back()), 0);
   M2M_CHECK_GE(options_.suspicion_threshold, 1);
   M2M_CHECK_GE(options_.probation_rounds, 1);
   M2M_CHECK_GE(options_.probation_backoff_factor, 1);
@@ -44,19 +52,26 @@ int FailureDetector::EscalatedProbation(
 }
 
 FailureDetector::RoundReport FailureDetector::ObserveRound(
-    int round, const std::set<std::pair<NodeId, NodeId>>& heard,
+    int round, const std::vector<std::pair<NodeId, NodeId>>& heard,
     const AttemptDelivers& attempt_delivers,
     const std::function<bool(NodeId)>& node_active) {
   M2M_CHECK(attempt_delivers != nullptr);
+  M2M_CHECK(std::adjacent_find(heard.begin(), heard.end(),
+                               std::greater_equal<>()) == heard.end())
+      << "heard evidence must be sorted and duplicate-free";
   RoundReport report;
   for (NodeId monitor = 0; monitor < topology_->node_count(); ++monitor) {
     if (node_active != nullptr && !node_active(monitor)) continue;
-    for (NodeId neighbor : topology_->neighbors(monitor)) {
+    const std::vector<NodeId>& neighbors = topology_->neighbors(monitor);
+    for (size_t i = 0; i < neighbors.size(); ++i) {
+      const NodeId neighbor = neighbors[i];
       const std::pair<NodeId, NodeId> link{monitor, neighbor};
+      int& missed = missed_[slot_begin_[monitor] + i];
 
       // Free evidence first: did the monitor overhear the neighbor during
       // the round's data/ack traffic?
-      bool evidence = heard.contains({neighbor, monitor});
+      bool evidence = std::binary_search(heard.begin(), heard.end(),
+                                         std::pair{neighbor, monitor});
 
       if (!evidence) {
         // Silent neighbor: run the explicit probe exchange — also on
@@ -92,7 +107,7 @@ FailureDetector::RoundReport FailureDetector::ObserveRound(
         // *consecutive* evidence rounds — the hysteresis that keeps a
         // flapping link quarantined.
         if (evidence) {
-          missed_[link] = 0;
+          missed = 0;
           if (++suspicion_it->second.probation_progress >=
               suspicion_it->second.required_probation) {
             suspected_.erase(suspicion_it);
@@ -104,17 +119,16 @@ FailureDetector::RoundReport FailureDetector::ObserveRound(
           }
         } else {
           suspicion_it->second.probation_progress = 0;
-          ++missed_[link];
+          ++missed;
         }
         continue;
       }
 
       if (evidence) {
-        missed_[link] = 0;
+        missed = 0;
         continue;
       }
-      const int missed = ++missed_[link];
-      if (missed >= options_.suspicion_threshold) {
+      if (++missed >= options_.suspicion_threshold) {
         suspected_.emplace(
             link, Suspicion{round, 0, EscalatedProbation(link, round)});
         report.new_suspicions.push_back(
@@ -153,8 +167,11 @@ int FailureDetector::probation_link_count() const {
 }
 
 int FailureDetector::missed_rounds(NodeId monitor, NodeId neighbor) const {
-  auto it = missed_.find({monitor, neighbor});
-  return it == missed_.end() ? 0 : it->second;
+  if (monitor < 0 || monitor >= topology_->node_count()) return 0;
+  const std::vector<NodeId>& neighbors = topology_->neighbors(monitor);
+  auto it = std::find(neighbors.begin(), neighbors.end(), neighbor);
+  if (it == neighbors.end()) return 0;
+  return missed_[slot_begin_[monitor] + (it - neighbors.begin())];
 }
 
 int FailureDetector::required_probation(NodeId monitor,

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -90,6 +89,11 @@ struct SuspectedLink {
 /// monitor only locally observable inputs: which neighbors it heard, and
 /// the outcome of its own probe transmissions. It never reads the fault
 /// schedule's event list.
+///
+/// Cost: a round costs one binary search of `heard` per directed topology
+/// link plus the probes of the silent ones. Missed-round counters live in
+/// one flat vector with a slot per directed link; suspicions and flap
+/// records stay in maps because only a few links hold one.
 class FailureDetector {
  public:
   FailureDetector(const Topology& topology, DetectorOptions options = {});
@@ -119,14 +123,15 @@ class FailureDetector {
 
   /// Feeds one round of observations to every live monitor. `heard` is the
   /// round's heartbeat evidence: directed pairs (from, to) where `to` heard
-  /// at least one transmission by `from` (RuntimeNetwork::LossyResult::
-  /// heard). `node_active` says whether a node ran this round at all (a
-  /// physically dead node executes nothing, so it neither monitors nor
-  /// probes); it models the node's own state, not knowledge of others.
-  RoundReport ObserveRound(int round,
-                           const std::set<std::pair<NodeId, NodeId>>& heard,
-                           const AttemptDelivers& attempt_delivers,
-                           const std::function<bool(NodeId)>& node_active);
+  /// at least one transmission by `from`, sorted and duplicate-free
+  /// (RuntimeNetwork::LossyResult::heard; CHECKed). `node_active` says
+  /// whether a node ran this round at all (a physically dead node executes
+  /// nothing, so it neither monitors nor probes); it models the node's own
+  /// state, not knowledge of others.
+  RoundReport ObserveRound(
+      int round, const std::vector<std::pair<NodeId, NodeId>>& heard,
+      const AttemptDelivers& attempt_delivers,
+      const std::function<bool(NodeId)>& node_active);
 
   /// Current suspicions (suspected or in probation), ordered by
   /// (monitor, neighbor).
@@ -143,7 +148,8 @@ class FailureDetector {
   /// Number of suspected links currently in probation.
   int probation_link_count() const;
 
-  /// Consecutive missed rounds for a directed monitor->neighbor pair.
+  /// Consecutive missed rounds for a directed monitor->neighbor pair; 0 if
+  /// the two are not topology neighbors.
   int missed_rounds(NodeId monitor, NodeId neighbor) const;
 
   /// Effective probation the current suspicion of this link must serve
@@ -192,10 +198,15 @@ class FailureDetector {
   /// updating (or forgiving) the link's flap record.
   int EscalatedProbation(const std::pair<NodeId, NodeId>& link, int round);
 
+  /// Immutable (topology.h) and must outlive the detector: link slots are
+  /// positions in its adjacency lists, fixed at construction.
   const Topology* topology_;
   DetectorOptions options_;
-  /// (monitor, neighbor) -> consecutive rounds without evidence of life.
-  std::map<std::pair<NodeId, NodeId>, int> missed_;
+  /// Monitor m's links occupy slots [slot_begin_[m], slot_begin_[m + 1]),
+  /// in the order of topology.neighbors(m).
+  std::vector<int> slot_begin_;
+  /// Per link slot: consecutive rounds without evidence of life.
+  std::vector<int> missed_;
   /// Active suspicions keyed (monitor, neighbor).
   std::map<std::pair<NodeId, NodeId>, Suspicion> suspected_;
   /// Flap history keyed (monitor, neighbor); entries are dropped when the

@@ -464,7 +464,7 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
         break;
       }
       ++ack_hops;
-      result.heard.emplace(segment[h], segment[h - 1]);
+      result.heard.emplace_back(segment[h], segment[h - 1]);
       if (links.hop_effects != nullptr) {
         ack_delay +=
             links.hop_effects(segment[h], segment[h - 1], attempt)
@@ -549,7 +549,7 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
                             segment[h + 1], 1);
         }
         // Heartbeat evidence: segment[h+1] heard segment[h] transmit.
-        result.heard.emplace(segment[h], segment[h + 1]);
+        result.heard.emplace_back(segment[h], segment[h + 1]);
         if (links.hop_effects != nullptr) {
           HopEffects effects =
               links.hop_effects(segment[h], segment[h + 1], attempt);
@@ -707,6 +707,11 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
       process_event(agenda.Pop()->payload, tick);
     }
   }
+  // Hops were appended as they were crossed; one sort at the end is cheaper
+  // than a node-keyed set insert per hop.
+  std::sort(result.heard.begin(), result.heard.end());
+  result.heard.erase(std::unique(result.heard.begin(), result.heard.end()),
+                     result.heard.end());
   if (metrics_ != nullptr) {
     metrics_->Observe(handles_.round_ticks, result.final_tick);
   }

@@ -144,10 +144,11 @@ class RuntimeNetwork {
     double energy_mj = 0.0;
     int final_tick = 0;
     /// Directed physical hops (from, to) over which `to` heard at least one
-    /// transmission this round (data hops, ack hops, final deliveries).
-    /// This is the piggybacked-heartbeat evidence the failure detector
-    /// consumes: a neighbor heard this round is certainly alive.
-    std::set<std::pair<NodeId, NodeId>> heard;
+    /// transmission this round (data hops, ack hops, final deliveries),
+    /// sorted and duplicate-free. This is the piggybacked-heartbeat
+    /// evidence the failure detector consumes (by binary search): a
+    /// neighbor heard this round is certainly alive.
+    std::vector<std::pair<NodeId, NodeId>> heard;
 
     // --- Adversarial-channel accounting ---
     /// Frames whose CRC32 check failed at the receiver (bit-corruption in

@@ -609,6 +609,67 @@ TEST(ChannelModelTest, ReverseExtraLossIsAsymmetric) {
   }
 }
 
+// Golden digest of every channel decision with all effects enabled, over
+// several seeds, rounds and directed links. The attempts cover the edges of
+// the 64-attempt Gilbert–Elliott blocks (1..70) and both probe namespaces
+// (probes from 1000, replies from 1500, with the blocks that straddle
+// them). The digest and the burst-transition total were recorded before
+// the per-salt seed hoist and the one-mix-per-step walk, so they pin that
+// those rewrites changed no decision and no count.
+TEST(ChannelModelTest, GoldenDigestPinsEveryDecision) {
+  constexpr uint64_t kGoldenDigest = 0x0d402ed07887fd5cULL;
+  constexpr int64_t kGoldenBurstTransitions = 656;
+  std::vector<int> attempts;
+  for (const auto& [first, last] :
+       std::vector<std::pair<int, int>>{{1, 70}, {959, 1010}, {1470, 1540}}) {
+    for (int attempt = first; attempt <= last; ++attempt) {
+      attempts.push_back(attempt);
+    }
+  }
+  const std::vector<std::pair<NodeId, NodeId>> links = {
+      {0, 1}, {1, 0}, {3, 17}, {17, 3}, {250, 999}, {999, 250}};
+  uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a-64 over 8-byte words.
+  auto add = [&digest](uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (word >> (8 * byte)) & 0xff;
+      digest *= 0x100000001b3ULL;
+    }
+  };
+  obs::MetricsRegistry metrics;
+  for (uint64_t seed : {1u, 7u, 42u}) {
+    ChannelOptions options;
+    options.good_loss = 0.05;
+    options.bad_loss = 0.7;
+    options.p_enter_bad = 0.08;
+    options.p_exit_bad = 0.25;
+    options.reverse_extra_loss = 0.1;
+    options.duplicate_probability = 0.1;
+    options.corrupt_probability = 0.1;
+    options.delay_probability = 0.2;
+    options.max_delay_ticks = 4;
+    options.seed = seed;
+    ChannelModel channel(options);
+    channel.set_metrics(&metrics);
+    for (int round : {0, 3, 49}) {
+      for (const auto& [from, to] : links) {
+        for (int attempt : attempts) {
+          add(channel.AttemptDelivers(round, from, to, attempt));
+          add(channel.InBurst(round, from, to, attempt));
+          const HopEffects effects =
+              channel.EffectsFor(round, from, to, attempt);
+          add(effects.duplicate);
+          add(effects.corrupt);
+          add(effects.corrupt_bit);
+          add(static_cast<uint64_t>(effects.delay_ticks));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest, kGoldenDigest)
+      << "actual digest 0x" << std::hex << digest;
+  EXPECT_EQ(metrics.Total("chan.burst_transitions"), kGoldenBurstTransitions);
+}
+
 // --- CRC rejection --------------------------------------------------------
 
 // Linearity of CRC32 guarantees every single-bit flip is detected; the

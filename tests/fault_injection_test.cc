@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "plan/consistency.h"
 #include "plan/node_tables.h"
 #include "plan/planner.h"
@@ -173,6 +174,133 @@ TEST(FaultScheduleTest, ProtectedNodesNeverDieAndSurvivorsStayConnected) {
       EXPECT_TRUE(seen[n]) << "alive node " << n << " disconnected";
     }
   }
+}
+
+// Brute-force oracle over FaultSchedule::events(): every query rescans the
+// whole event list, transient events included.
+struct ScheduleReference {
+  const FaultSchedule* schedule;
+
+  bool NodeAlive(int round, NodeId n) const {
+    bool alive = true;
+    for (const FaultEvent& event : schedule->events()) {
+      if (event.round > round || event.a != n) continue;
+      if (event.type == FaultType::kNodeDeath) alive = false;
+      if (event.type == FaultType::kNodeRecover) alive = true;
+    }
+    return alive;
+  }
+
+  bool LinkUp(int round, NodeId from, NodeId to) const {
+    const std::pair<NodeId, NodeId> link{std::min(from, to),
+                                         std::max(from, to)};
+    bool up = true;
+    for (const FaultEvent& event : schedule->events()) {
+      if (event.round > round || std::make_pair(event.a, event.b) != link) {
+        continue;
+      }
+      if (event.type == FaultType::kPersistentLink) up = false;
+      if (event.type == FaultType::kLinkHeal) up = true;
+    }
+    return up;
+  }
+
+  bool Flaky(int round, NodeId from, NodeId to) const {
+    for (const FaultEvent& event : schedule->events()) {
+      if (event.round == round && event.type == FaultType::kTransientLink &&
+          event.a == std::min(from, to) && event.b == std::max(from, to)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // The per-attempt draw on a link that is flaky this round.
+  bool TransientDelivers(int round, NodeId from, NodeId to,
+                         int attempt) const {
+    const uint64_t h = SplitMix64(
+        schedule->options().seed ^ (static_cast<uint64_t>(round) << 48) ^
+        (static_cast<uint64_t>(static_cast<uint32_t>(from)) << 26) ^
+        (static_cast<uint64_t>(static_cast<uint32_t>(to)) << 5) ^
+        static_cast<uint64_t>(attempt));
+    return static_cast<double>(h >> 11) * 0x1.0p-53 >=
+           schedule->options().transient_drop_probability;
+  }
+};
+
+// On a long schedule dense with transient faults, every FaultSchedule query
+// must equal a full rescan of events().
+TEST(FaultScheduleTest, QueriesMatchBruteForceReferenceOnLongSchedule) {
+  const Topology topology = MakeGrid(6, 6, 10.0, 15.0);
+  FaultScheduleOptions options;
+  options.rounds = 300;
+  options.transient_link_fraction = 0.08;
+  options.transient_drop_probability = 0.5;
+  options.persistent_link_failures = 8;
+  options.node_deaths = 4;
+  options.link_heals = 4;
+  options.node_recoveries = 2;
+  options.recovery_delay_rounds = 40;
+  options.seed = 5;
+  const FaultSchedule schedule =
+      FaultSchedule::Generate(topology, {0}, options);
+  std::map<FaultType, int> kinds;
+  for (const FaultEvent& event : schedule.events()) ++kinds[event.type];
+  ASSERT_GT(kinds[FaultType::kTransientLink], 1000);
+  ASSERT_GT(kinds[FaultType::kPersistentLink], 0);
+  ASSERT_GT(kinds[FaultType::kNodeDeath], 0);
+  ASSERT_GT(kinds[FaultType::kLinkHeal], 0);
+  ASSERT_GT(kinds[FaultType::kNodeRecover], 0);
+
+  // Every fifth round, each persistent event's round and the round before
+  // it, and two rounds past the schedule.
+  std::set<int> rounds = {options.rounds, options.rounds + 1};
+  for (int round = 0; round < options.rounds; round += 5) rounds.insert(round);
+  for (const FaultEvent& event : schedule.events()) {
+    if (event.type == FaultType::kTransientLink) continue;
+    rounds.insert(event.round);
+    rounds.insert(event.round - 1);
+  }
+
+  const ScheduleReference reference{&schedule};
+  int64_t flaky_queries = 0;
+  for (int round : rounds) {
+    std::vector<bool> alive(topology.node_count());
+    std::vector<NodeId> dead;
+    for (NodeId n = 0; n < topology.node_count(); ++n) {
+      alive[n] = reference.NodeAlive(round, n);
+      ASSERT_EQ(schedule.NodeAliveAt(round, n), alive[n])
+          << "round " << round << " node " << n;
+      if (!alive[n]) dead.push_back(n);
+    }
+    EXPECT_EQ(schedule.DeadNodesThrough(round), dead) << "round " << round;
+    std::vector<std::pair<NodeId, NodeId>> failed;
+    for (NodeId a = 0; a < topology.node_count(); ++a) {
+      for (NodeId b : topology.neighbors(a)) {
+        if (a > b) continue;
+        const bool link_up = reference.LinkUp(round, a, b);
+        if (!link_up) failed.emplace_back(a, b);
+        const bool flaky = reference.Flaky(round, a, b);
+        if (flaky) ++flaky_queries;
+        for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+          for (int attempt : {1, 2, 7}) {
+            const bool expected =
+                alive[from] && alive[to] && link_up &&
+                (!flaky ||
+                 reference.TransientDelivers(round, from, to, attempt));
+            ASSERT_EQ(schedule.AttemptDelivers(round, from, to, attempt),
+                      expected)
+                << "round " << round << " link " << from << "->" << to
+                << " attempt " << attempt;
+          }
+        }
+      }
+    }
+    std::sort(failed.begin(), failed.end());
+    EXPECT_EQ(schedule.FailedLinksThrough(round), failed)
+        << "round " << round;
+  }
+  EXPECT_GT(flaky_queries, 0);
 }
 
 // Corollary 1, asserted directly: after a persistent link failure and a node

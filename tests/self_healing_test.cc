@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -18,6 +20,7 @@
 #include "plan/serialization.h"
 #include "routing/multicast.h"
 #include "routing/path_system.h"
+#include "runtime/channel.h"
 #include "runtime/detector.h"
 #include "runtime/network.h"
 #include "runtime/wire_functions.h"
@@ -338,16 +341,157 @@ TEST_P(SelfHealingDifferential, DetectsRepairsAndConvergesWithoutOracle) {
 INSTANTIATE_TEST_SUITE_P(TwentySeeds, SelfHealingDifferential,
                          ::testing::Range<uint64_t>(1, 21));
 
+// --- Golden digest of seeded self-healing episodes ---
+
+// FNV-1a-64 over 8-byte words.
+class WordDigest {
+ public:
+  void Add(uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xff;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void AddDouble(double value) { Add(std::bit_cast<uint64_t>(value)); }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// Digest of one 30-round episode on 200 nodes: Gilbert–Elliott loss from a
+// ChannelModel and persistent faults (deaths, link failures, a heal and a
+// recovery) from a FaultSchedule. Per round it covers detector traffic and
+// verdicts, replans, every destination's value and epoch, and the heard
+// evidence; at the end, the detector's suspicions and the missed-round
+// count of every directed link.
+struct EpisodeDigest {
+  uint64_t digest = 0;
+  int new_suspicions = 0;
+  int readmissions = 0;
+  int replans = 0;
+};
+
+EpisodeDigest SelfHealingEpisodeDigest(uint64_t seed) {
+  constexpr int kRounds = 30;
+  const Topology topology = MakeScalingSeries({200}, 77).front();
+  WorkloadSpec spec;
+  spec.destination_count = 8;
+  spec.sources_per_destination = 5;
+  spec.seed = 77;
+  const Workload workload = GenerateWorkload(topology, spec);
+  const NodeId base = PickBaseStation(topology);
+  std::vector<NodeId> protected_nodes = Destinations(workload);
+  protected_nodes.push_back(base);
+
+  FaultScheduleOptions fault_options;
+  fault_options.rounds = kRounds;
+  fault_options.transient_link_fraction = 0.0;
+  fault_options.persistent_link_failures = 4;
+  fault_options.node_deaths = 2;
+  fault_options.link_heals = 1;
+  fault_options.node_recoveries = 1;
+  fault_options.recovery_delay_rounds = 8;
+  fault_options.seed = seed;
+  const FaultSchedule faults =
+      FaultSchedule::Generate(topology, protected_nodes, fault_options);
+  ChannelOptions channel_options;
+  channel_options.good_loss = 0.05;
+  channel_options.bad_loss = 0.6;
+  channel_options.p_enter_bad = 0.03;
+  channel_options.p_exit_bad = 0.3;
+  channel_options.seed = seed + 100;
+  const ChannelModel channel(channel_options);
+
+  SelfHealingRuntime runtime(topology, workload, base);
+  EpisodeDigest episode;
+  WordDigest digest;
+  for (int round = 0; round < kRounds; ++round) {
+    ReadingGenerator readings(topology.node_count(),
+                              seed * 1000 + static_cast<uint64_t>(round));
+    LossyLinkModel physical;
+    physical.attempt_delivers = [&faults, &channel, round](
+                                    NodeId from, NodeId to, int attempt) {
+      return faults.AttemptDelivers(round, from, to, attempt) &&
+             channel.AttemptDelivers(round, from, to, attempt);
+    };
+    physical.node_alive = [&faults, round](NodeId n) {
+      return faults.NodeAliveAt(round, n);
+    };
+    const SelfHealingRoundResult r =
+        runtime.RunRound(round, readings.values(), physical);
+    digest.Add(static_cast<uint64_t>(r.probe_transmissions));
+    digest.Add(static_cast<uint64_t>(r.probe_confirmations));
+    digest.Add(static_cast<uint64_t>(r.new_suspicions));
+    digest.Add(static_cast<uint64_t>(r.readmissions));
+    digest.Add(r.replanned);
+    digest.Add(r.base_epoch);
+    episode.new_suspicions += r.new_suspicions;
+    episode.readmissions += r.readmissions;
+    episode.replans += r.replanned ? 1 : 0;
+    const std::map<NodeId, double> values(r.data.destination_values.begin(),
+                                          r.data.destination_values.end());
+    for (const auto& [destination, value] : values) {
+      digest.Add(static_cast<uint64_t>(destination));
+      digest.AddDouble(value);
+      digest.Add(r.data.destination_epochs.at(destination));
+    }
+    digest.Add(r.data.heard.size());
+    for (const auto& [from, to] : r.data.heard) {
+      digest.Add(static_cast<uint64_t>(from));
+      digest.Add(static_cast<uint64_t>(to));
+    }
+  }
+  for (const SuspectedLink& s : runtime.detector().suspicions()) {
+    digest.Add(static_cast<uint64_t>(s.monitor));
+    digest.Add(static_cast<uint64_t>(s.neighbor));
+    digest.Add(static_cast<uint64_t>(s.round));
+  }
+  for (NodeId monitor = 0; monitor < topology.node_count(); ++monitor) {
+    for (NodeId neighbor : topology.neighbors(monitor)) {
+      digest.Add(static_cast<uint64_t>(
+          runtime.detector().missed_rounds(monitor, neighbor)));
+    }
+  }
+  episode.digest = digest.value();
+  return episode;
+}
+
+// Recorded before the channel hash hoist, the flat detector state and the
+// sorted-vector heard evidence: those rewrites must not change one
+// detection, replan or value.
+TEST(SelfHealingGoldenTest, SeededEpisodesMatchGoldenDigests) {
+  constexpr uint64_t kGoldenDigests[4] = {
+      0x6917fb3f5425f0d7ULL, 0xbeff043f9d75a906ULL, 0x0c4bcabf8e8aaf42ULL,
+      0xe22149b483aa1627ULL};
+  EpisodeDigest total;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const EpisodeDigest episode = SelfHealingEpisodeDigest(seed);
+    EXPECT_EQ(episode.digest, kGoldenDigests[seed - 1])
+        << "seed " << seed << ": actual digest 0x" << std::hex
+        << episode.digest;
+    total.new_suspicions += episode.new_suspicions;
+    total.readmissions += episode.readmissions;
+    total.replans += episode.replans;
+  }
+  // The episodes exercise the whole loop, so the digests pin more than
+  // quiet rounds.
+  EXPECT_GT(total.new_suspicions, 0);
+  EXPECT_GT(total.readmissions, 0);
+  EXPECT_GT(total.replans, 0);
+}
+
 // --- Failure detector unit tests ---
 
 TEST(FailureDetectorTest, HeartbeatEvidenceSuppressesProbes) {
   Topology topology = MakeGrid(4, 1, 10.0, 15.0);
   FailureDetector detector(topology);
   // Every directed neighbor pair heard: no probes, no suspicions.
-  std::set<std::pair<NodeId, NodeId>> heard;
+  std::vector<std::pair<NodeId, NodeId>> heard;
   for (NodeId n = 0; n < topology.node_count(); ++n) {
-    for (NodeId m : topology.neighbors(n)) heard.emplace(n, m);
+    for (NodeId m : topology.neighbors(n)) heard.emplace_back(n, m);
   }
+  std::sort(heard.begin(), heard.end());
   auto report = detector.ObserveRound(
       0, heard, [](NodeId, NodeId, int) { return true; }, nullptr);
   EXPECT_EQ(report.probe_transmissions, 0);
@@ -357,7 +501,7 @@ TEST(FailureDetectorTest, HeartbeatEvidenceSuppressesProbes) {
 TEST(FailureDetectorTest, SilentNeighborConfirmedByProbeIsNotSuspected) {
   Topology topology = MakeGrid(4, 1, 10.0, 15.0);
   FailureDetector detector(topology);
-  std::set<std::pair<NodeId, NodeId>> silent;  // Nobody heard anybody.
+  std::vector<std::pair<NodeId, NodeId>> silent;  // Nobody heard anybody.
   for (int round = 0; round < 10; ++round) {
     auto report = detector.ObserveRound(
         round, silent, [](NodeId, NodeId, int) { return true; }, nullptr);
@@ -373,7 +517,7 @@ TEST(FailureDetectorTest, DeadLinkSuspectedAfterExactlyThresholdRounds) {
   DetectorOptions options;
   options.suspicion_threshold = 3;
   FailureDetector detector(topology, options);
-  std::set<std::pair<NodeId, NodeId>> silent;
+  std::vector<std::pair<NodeId, NodeId>> silent;
   // Link 1-2 is down in both directions; everything else delivers.
   auto links = [](NodeId from, NodeId to, int) {
     return !((from == 1 && to == 2) || (from == 2 && to == 1));
@@ -408,7 +552,7 @@ TEST(FailureDetectorTest, DeadLinkSuspectedAfterExactlyThresholdRounds) {
 TEST(FailureDetectorTest, IntermittentEvidenceResetsTheCounter) {
   Topology topology = MakeGrid(2, 1, 10.0, 15.0);
   FailureDetector detector(topology);  // Threshold 2.
-  std::set<std::pair<NodeId, NodeId>> silent;
+  std::vector<std::pair<NodeId, NodeId>> silent;
   auto dead = [](NodeId, NodeId, int) { return false; };
   auto up = [](NodeId, NodeId, int) { return true; };
   detector.ObserveRound(0, silent, dead, nullptr);
@@ -419,10 +563,34 @@ TEST(FailureDetectorTest, IntermittentEvidenceResetsTheCounter) {
   EXPECT_TRUE(detector.suspicions().empty());  // 1 < threshold again.
 }
 
+TEST(FailureDetectorTest, MissedRoundsIsZeroForNonNeighbors) {
+  Topology topology = MakeGrid(3, 1, 10.0, 15.0);  // Path 0 - 1 - 2.
+  FailureDetector detector(topology);
+  std::vector<std::pair<NodeId, NodeId>> silent;
+  auto dead = [](NodeId, NodeId, int) { return false; };
+  detector.ObserveRound(0, silent, dead, nullptr);
+  EXPECT_EQ(detector.missed_rounds(0, 1), 1);
+  EXPECT_EQ(detector.missed_rounds(2, 1), 1);
+  EXPECT_EQ(detector.missed_rounds(0, 2), 0);
+  EXPECT_EQ(detector.missed_rounds(1, 1), 0);
+  EXPECT_EQ(detector.missed_rounds(-1, 0), 0);
+  EXPECT_EQ(detector.missed_rounds(3, 0), 0);
+}
+
+TEST(FailureDetectorTest, RejectsUnsortedOrDuplicateHeardEvidence) {
+  Topology topology = MakeGrid(3, 1, 10.0, 15.0);
+  FailureDetector detector(topology);
+  auto up = [](NodeId, NodeId, int) { return true; };
+  const std::vector<std::pair<NodeId, NodeId>> unsorted = {{1, 0}, {0, 1}};
+  EXPECT_DEATH(detector.ObserveRound(0, unsorted, up, nullptr), "sorted");
+  const std::vector<std::pair<NodeId, NodeId>> duplicate = {{0, 1}, {0, 1}};
+  EXPECT_DEATH(detector.ObserveRound(0, duplicate, up, nullptr), "sorted");
+}
+
 TEST(FailureDetectorTest, DeadMonitorsDoNotMonitor) {
   Topology topology = MakeGrid(3, 1, 10.0, 15.0);
   FailureDetector detector(topology);
-  std::set<std::pair<NodeId, NodeId>> silent;
+  std::vector<std::pair<NodeId, NodeId>> silent;
   auto dead_node_2 = [](NodeId from, NodeId to, int) {
     return from != 2 && to != 2;
   };
