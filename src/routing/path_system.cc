@@ -164,6 +164,20 @@ NodeId PathSystem::NextHop(NodeId u, NodeId v) const {
   return next;
 }
 
+NodeId PathSystem::NextHopAlong(NodeId root, NodeId u, NodeId v) const {
+  CheckNode(root);
+  CheckNode(u);
+  CheckNode(v);
+  const Column& column = ColumnFor(root);
+  if (column.next_hop[v] == kInvalidNode) return kInvalidNode;
+  for (NodeId cursor = v; cursor != root;) {
+    const NodeId next = column.next_hop[cursor];
+    if (next == u) return cursor;
+    cursor = next;
+  }
+  return kInvalidNode;
+}
+
 std::vector<NodeId> PathSystem::Path(NodeId u, NodeId v) const {
   CheckNode(u);
   CheckNode(v);
@@ -192,6 +206,13 @@ int PathSystem::Eccentricity(NodeId u) const {
     best = std::max(best, static_cast<int>(w >> 40));
   }
   return best;
+}
+
+int PathSystem::materialized_column_count() const {
+  std::lock_guard<std::mutex> lock(columns_mutex_);
+  return static_cast<int>(
+      std::count_if(columns_.begin(), columns_.end(),
+                    [](const auto& column) { return column != nullptr; }));
 }
 
 bool PathSystem::PathIsConsistent(NodeId u, NodeId v) const {

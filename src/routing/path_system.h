@@ -35,6 +35,12 @@ namespace m2m {
 /// immutable once built and computed by the same deterministic relaxation
 /// regardless of build order or thread, so laziness is unobservable: every
 /// query answers exactly as the eager all-pairs construction would.
+///
+/// Traffic *leaving* a fixed node stays within that small set too: link
+/// weights are symmetric and paths unique, so P(u, v) is P(v, u) reversed,
+/// and root's own column holds every root -> v route read backwards
+/// (NextHopAlong). The base station's downlink therefore costs the same
+/// single column as its uplink.
 class PathSystem {
  public:
   /// Relative cost of using a link (>= 1.0); hop count times this is the
@@ -69,6 +75,14 @@ class PathSystem {
   /// First hop on the canonical path u -> v. Requires u != v and v reachable.
   NodeId NextHop(NodeId u, NodeId v) const;
 
+  /// First hop u -> v read from `root`'s column alone: walks v's canonical
+  /// path toward `root` and returns the node just before u on it. When u
+  /// lies on P(v, root) that node is NextHop(u, v) (path sharing plus
+  /// symmetric weights), so routing root -> v messages hop by hop costs one
+  /// column instead of one per v. Returns kInvalidNode when u is not on
+  /// that path (including u == v) or v is unreachable from root.
+  NodeId NextHopAlong(NodeId root, NodeId u, NodeId v) const;
+
   /// Full canonical path u -> v, inclusive of both endpoints.
   std::vector<NodeId> Path(NodeId u, NodeId v) const;
 
@@ -78,6 +92,9 @@ class PathSystem {
   /// Verifies the consistency property on all subpaths of P(u, v); used by
   /// tests and by debug validation of multicast construction.
   bool PathIsConsistent(NodeId u, NodeId v) const;
+
+  /// Number of target columns built so far (the Dijkstra work count).
+  int materialized_column_count() const;
 
  private:
   /// Shortest-path state toward one target t: weight[u] is the perturbed

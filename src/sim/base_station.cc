@@ -113,26 +113,23 @@ void SuspicionLedger::Recompute() {
   dead_.clear();
   partitioned_.clear();
   partition_regions_ = 0;
+  // Component analysis of the belief graph (deployment minus the believed
+  // links). Legacy mode: everything the base station can no longer reach
+  // must be dead (survivors stay connected by the deployment invariant).
+  ComponentMap components = BuildComponents(*topology_, links_, {});
+  const int base_component = components.ComponentOf(base_);
   if (!partition_aware_) {
-    // Dead-node inference: mask only the believed links, then everything
-    // the base station can no longer reach must be dead (survivors stay
-    // connected by the deployment invariant).
-    Topology masked = Topology::WithFailures(*topology_, links_, {});
-    std::vector<int> distance = masked.HopDistancesFrom(base_);
     for (NodeId n = 0; n < topology_->node_count(); ++n) {
-      if (distance[n] < 0) dead_.push_back(n);
+      if (components.ComponentOf(n) != base_component) dead_.push_back(n);
     }
     return;
   }
   // Partition-aware classification: mobility voids the survivors-stay-
-  // connected invariant, so an unreachable node may be alive. Component
-  // analysis of the belief graph separates the cases: a singleton
+  // connected invariant, so an unreachable node may be alive. A singleton
   // unreachable component means every link of that node was independently
   // reported failed — radio-silent from all sides, believed dead. A
   // multi-node unreachable component is an island whose *internal* links
   // nobody reported; the conservative belief is a live partition.
-  ComponentMap components = BuildComponents(*topology_, links_, {});
-  const int base_component = components.ComponentOf(base_);
   std::vector<int> sizes = components.Sizes();
   std::set<int> partition_components;
   for (NodeId n = 0; n < topology_->node_count(); ++n) {

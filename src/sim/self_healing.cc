@@ -427,19 +427,29 @@ void SelfHealingRuntime::AdvanceControlPlane(int round,
     while (in_flight_[i].holder != in_flight_[i].target) {
       const NodeId holder = in_flight_[i].holder;
       const NodeId target = in_flight_[i].target;
-      // Prefer the believed topology; when it offers no route, fall back
-      // to the deployment route. The message with no believed route may be
-      // the very report that corrects the belief (a merged monitor
-      // retracting the cut it sits behind), and every hop is still gated
-      // by the physical layer below.
-      const PathSystem& paths =
-          control_paths_.PathWeight(holder, target) == kUnreachableWeight
-              ? deployment_paths_
-              : control_paths_;
-      if (paths.PathWeight(holder, target) == kUnreachableWeight) {
-        break;  // Physically severed deployment; retry next round.
+      // Every control message starts or ends at the base, so one column
+      // routes them all: messages toward the base read it directly, and
+      // base-originated ones (images, bumps, report acks) read their
+      // target's base path backwards — the same hop NextHop would give.
+      NodeId next = in_flight_[i].origin == base_
+                        ? control_paths_.NextHopAlong(base_, holder, target)
+                        : kInvalidNode;
+      if (next == kInvalidNode) {
+        // Off that path (a refresh rerouted the message mid-route) or no
+        // base route at all. Prefer the believed topology; when it offers
+        // no route, fall back to the deployment route. The message with no
+        // believed route may be the very report that corrects the belief
+        // (a merged monitor retracting the cut it sits behind), and every
+        // hop is still gated by the physical layer below.
+        const PathSystem& paths =
+            control_paths_.PathWeight(holder, target) == kUnreachableWeight
+                ? deployment_paths_
+                : control_paths_;
+        if (paths.PathWeight(holder, target) == kUnreachableWeight) {
+          break;  // Physically severed deployment; retry next round.
+        }
+        next = paths.NextHop(holder, target);
       }
-      const NodeId next = paths.NextHop(holder, target);
       int attempt_base = 0;
       switch (in_flight_[i].kind) {
         case ControlMessage::Kind::kReport:

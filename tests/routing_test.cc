@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -100,6 +102,54 @@ TEST(PathSystemTest, UnreachableAborts) {
   PathSystem paths(split);
   EXPECT_DEATH(paths.HopDistance(0, 1), "unreachable");
   EXPECT_DEATH(paths.NextHop(0, 1), "unreachable");
+}
+
+// Fixing one endpoint, one column routes both ways: walking v's path toward
+// root backwards gives exactly the hops of P(u, v) for every u on it, and
+// never builds v's own column.
+TEST(PathSystemTest, NextHopAlongMatchesNextHop) {
+  Topology base_gdi = MakeGreatDuckIslandLike();
+  // Isolate node 5 by masking every one of its links.
+  constexpr NodeId kIsolated = 5;
+  std::vector<std::pair<NodeId, NodeId>> cut;
+  for (NodeId w : base_gdi.neighbors(kIsolated)) cut.emplace_back(kIsolated, w);
+  std::vector<Topology> topologies = {
+      base_gdi, MakeGreatDuckIslandLike(7), MakeGreatDuckIslandLike(11),
+      Topology::WithFailures(base_gdi, cut, {})};
+  for (size_t t = 0; t < topologies.size(); ++t) {
+    const Topology& topology = topologies[t];
+    const int n = topology.node_count();
+    for (NodeId root : {0, n / 2}) {
+      SCOPED_TRACE(::testing::Message() << "topology " << t << " root "
+                                        << root);
+      PathSystem along(topology);
+      PathSystem reference(topology);
+      std::vector<int> hops = topology.HopDistancesFrom(root);
+      int unreachable = 0;
+      for (NodeId v = 0; v < n; ++v) {
+        if (hops[v] < 0) {
+          ++unreachable;
+          EXPECT_EQ(along.NextHopAlong(root, root, v), kInvalidNode);
+          EXPECT_EQ(along.NextHopAlong(root, v, v), kInvalidNode);
+          continue;
+        }
+        std::vector<NodeId> path = along.Path(v, root);
+        std::set<NodeId> on_path(path.begin(), path.end());
+        for (size_t i = 1; i < path.size(); ++i) {
+          EXPECT_EQ(along.NextHopAlong(root, path[i], v),
+                    reference.NextHop(path[i], v))
+              << path[i] << " -> " << v;
+        }
+        for (NodeId u = 0; u < n; ++u) {
+          if (on_path.contains(u) && u != v) continue;
+          EXPECT_EQ(along.NextHopAlong(root, u, v), kInvalidNode)
+              << u << " is off the path " << v << " -> " << root;
+        }
+      }
+      EXPECT_EQ(along.materialized_column_count(), 1);
+      EXPECT_EQ(unreachable > 0, t + 1 == topologies.size());
+    }
+  }
 }
 
 class MulticastForestTest : public ::testing::Test {

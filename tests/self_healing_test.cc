@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "fault_test_util.h"
 #include "plan/consistency.h"
 #include "plan/dissemination.h"
@@ -638,6 +639,83 @@ TEST(SuspicionLedgerTest, InteriorLinkFailureKillsNoNodes) {
   // The grid remains connected around the failed link.
   EXPECT_TRUE(ledger.believed_dead().empty());
   EXPECT_TRUE(ledger.BelievedTopology().IsConnected());
+}
+
+// The ledger's dead set is the complement of the base's component in the
+// belief graph. Reference: the masked-copy BFS it replaced.
+TEST(SuspicionLedgerTest, DeadSetMatchesMaskedBfsReference) {
+  Topology topology = MakeUniformRandom(200, Area{300.0, 300.0}, 40.0, 17);
+  const NodeId base = 0;
+  std::vector<std::pair<NodeId, NodeId>> all_links;
+  for (NodeId u = 0; u < topology.node_count(); ++u) {
+    for (NodeId w : topology.neighbors(u)) {
+      if (u < w) all_links.emplace_back(u, w);
+    }
+  }
+  std::vector<std::vector<std::pair<NodeId, NodeId>>> link_sets;
+  Rng rng(0x1ed9e5);
+  for (int trial = 0; trial < 12; ++trial) {
+    const double share = 0.02 * (trial + 1);
+    std::vector<std::pair<NodeId, NodeId>> links;
+    for (const auto& link : all_links) {
+      if (rng.Bernoulli(share)) links.push_back(link);
+    }
+    link_sets.push_back(std::move(links));
+  }
+  // Every link of one node.
+  const NodeId lonely = 123;
+  std::vector<std::pair<NodeId, NodeId>> isolate;
+  for (NodeId w : topology.neighbors(lonely)) {
+    isolate.emplace_back(std::min(lonely, w), std::max(lonely, w));
+  }
+  link_sets.push_back(isolate);
+  // A cut set: every link crossing x = 150 m.
+  std::vector<std::pair<NodeId, NodeId>> cut;
+  for (const auto& [a, b] : all_links) {
+    if ((topology.position(a).x < 150.0) != (topology.position(b).x < 150.0)) {
+      cut.emplace_back(a, b);
+    }
+  }
+  link_sets.push_back(cut);
+
+  for (size_t k = 0; k < link_sets.size(); ++k) {
+    SCOPED_TRACE(::testing::Message() << "link set " << k);
+    std::vector<std::pair<NodeId, NodeId>> sorted = link_sets[k];
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<int> distance =
+        Topology::WithFailures(topology, sorted, {}).HopDistancesFrom(base);
+    std::vector<NodeId> expected;
+    for (NodeId n = 0; n < topology.node_count(); ++n) {
+      if (distance[n] < 0) expected.push_back(n);
+    }
+    SuspicionLedger ledger(&topology, base);
+    for (const auto& [a, b] : link_sets[k]) {
+      ASSERT_TRUE(ledger.RecordSuspicion(b, a));
+    }
+    EXPECT_EQ(ledger.believed_failed_links(), sorted);
+    EXPECT_EQ(ledger.believed_dead(), expected);
+    if (k + 2 == link_sets.size()) {
+      EXPECT_EQ(ledger.believed_dead(), (std::vector<NodeId>{lonely}));
+    }
+    if (k + 1 == link_sets.size()) {
+      EXPECT_GT(expected.size(), 1u);
+    }
+    // Partition-aware mode splits the same unreachable set into dead and
+    // partitioned nodes.
+    ledger.set_partition_aware(true);
+    std::vector<NodeId> unreachable = ledger.believed_dead();
+    unreachable.insert(unreachable.end(),
+                       ledger.believed_partitioned().begin(),
+                       ledger.believed_partitioned().end());
+    std::sort(unreachable.begin(), unreachable.end());
+    EXPECT_EQ(unreachable, expected);
+    // Readmitting every link restores a dead-free belief.
+    ledger.set_partition_aware(false);
+    for (const auto& [a, b] : link_sets[k]) {
+      ASSERT_TRUE(ledger.RecordReadmission(a, b));
+    }
+    EXPECT_TRUE(ledger.believed_dead().empty());
+  }
 }
 
 // --- Epoch gate and safe-transition unit tests ---
