@@ -3,7 +3,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 
 #include "common/flags.h"
 #include "common/thread_pool.h"
@@ -84,18 +83,6 @@ int ApplyParallelismFlags(int argc, const char* const argv[]) {
       "shards", 0, "work partitions per parallel region (0 = threads)"));
   SetGlobalParallelism(threads, shards);
   return GlobalThreadCount();
-}
-
-std::string TransportConfigJson(const event::Transport& transport,
-                                const event::DriftOptions& drift,
-                                int64_t timestep_interval_ticks) {
-  std::ostringstream out;
-  out << "\"transport\": " << transport.Describe() << ", \"drift\": {"
-      << "\"max_skew_ppm\": " << drift.max_skew_ppm
-      << ", \"max_offset_ticks\": " << drift.max_offset_ticks
-      << ", \"seed\": " << drift.seed
-      << "}, \"timestep_interval_ticks\": " << timestep_interval_ticks;
-  return out.str();
 }
 
 }  // namespace m2m::bench

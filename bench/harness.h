@@ -1,13 +1,10 @@
 #ifndef M2M_BENCH_HARNESS_H_
 #define M2M_BENCH_HARNESS_H_
 
-#include <cstdint>
 #include <string>
 
 #include "common/table.h"
 #include "core/m2m.h"
-#include "event/clock.h"
-#include "event/transport.h"
 #include "obs/metrics.h"
 
 namespace m2m::bench {
@@ -47,15 +44,6 @@ bool MaybeWriteMetricsJson(int argc, const char* const argv[],
 /// under — results themselves are thread-invariant by construction
 /// (tests/parallel_determinism_test.cc).
 int ApplyParallelismFlags(int argc, const char* const argv[]);
-
-/// Renders the event-runtime configuration of a bench run as a JSON object
-/// fragment: the transport's self-description plus the drift regime and
-/// release interval. Benches embed it in their emitted JSON the same way
-/// they record the `threads` field from ApplyParallelismFlags, so every
-/// BENCH_*.json states the transport it ran over.
-std::string TransportConfigJson(const event::Transport& transport,
-                                const event::DriftOptions& drift,
-                                int64_t timestep_interval_ticks);
 
 }  // namespace m2m::bench
 

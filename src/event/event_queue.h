@@ -5,101 +5,51 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
 #include <vector>
-
-#include "common/check.h"
 
 namespace m2m::event {
 
-/// Handle to a scheduled event, usable for exact cancellation. The sequence
-/// number doubles as the deterministic tie-breaker: two events at the same
-/// virtual time fire in the order they were scheduled, on every platform,
-/// for every heap layout. A default-constructed id is invalid.
-struct EventId {
-  uint64_t seq = 0;
-  bool valid() const { return seq != 0; }
-};
-
-/// Deterministic discrete-event priority queue, keyed by
-/// `(time, tie_break_seq)`.
+/// Deterministic discrete-event priority queue: a min-heap keyed by
+/// `(time, schedule seq)`.
 ///
-/// This is the core of the asynchronous runtime: timer events and
-/// message-delivery events both live here, and every ordering decision the
-/// simulation makes reduces to the strict weak order below — no pointer
-/// values, no hash iteration order, no platform-dependent heap layout leaks
-/// into execution order. Replaying the same schedule therefore pops the
-/// same events in the same order, byte for byte (tests/event_test.cc pins
-/// this with a churn differential).
-///
-/// Cancellation is *exact*: `Cancel(id)` guarantees the event never fires,
-/// and double-cancel / cancel-after-fire are detected (return false).
-/// Cancelled entries are tombstoned in the heap and physically removed by
-/// compaction once they outnumber live entries, so a workload that
-/// schedules and cancels millions of timers (every acked retransmission
-/// cancels one) keeps the heap at O(live), not O(ever scheduled) — the
-/// ring/eviction discipline the dedup table already follows.
+/// The lossy round's agenda (RuntimeNetwork::RunRoundLossy) lives here, and
+/// every ordering decision it makes reduces to the strict order below — no
+/// pointer values, no hash iteration order, no platform-dependent heap
+/// layout leaks into execution order. Two events at the same time fire in
+/// the order they were scheduled, so replaying the same schedule pops the
+/// same events in the same order, byte for byte.
 template <typename E>
 class EventQueue {
  public:
   struct Fired {
     int64_t time = 0;
-    uint64_t seq = 0;
     E payload;
   };
 
-  /// Schedules `payload` at virtual `time`. Times may be scheduled in any
-  /// order (including the currently popping time); ties fire in schedule
-  /// order.
-  EventId Schedule(int64_t time, E payload) {
-    const uint64_t seq = ++last_seq_;
-    heap_.push_back(Entry{time, seq, std::move(payload)});
+  /// Schedules `payload` at `time`. Times may be scheduled in any order
+  /// (including the currently popping time); ties fire in schedule order.
+  void Schedule(int64_t time, E payload) {
+    heap_.push_back(Entry{time, ++last_seq_, std::move(payload)});
     std::push_heap(heap_.begin(), heap_.end(), Later);
-    ++scheduled_total_;
-    return EventId{seq};
   }
 
-  /// Cancels a pending event. Returns true iff the event was still pending
-  /// (it will now never fire); false if it already fired, was already
-  /// cancelled, or the id is invalid.
-  bool Cancel(EventId id) {
-    if (!id.valid() || id.seq > last_seq_) return false;
-    if (id.seq < fired_floor_ || fired_.count(id.seq) > 0) return false;
-    if (!cancelled_.insert(id.seq).second) return false;
-    ++cancelled_total_;
-    MaybeCompact();
-    return true;
-  }
+  bool empty() const { return heap_.empty(); }
+  size_t size() const { return heap_.size(); }
 
-  bool empty() const { return size() == 0; }
-
-  /// Live (pending, uncancelled) events.
-  size_t size() const { return heap_.size() - cancelled_in_heap(); }
-
-  /// Physical heap entries, including tombstones awaiting compaction. The
-  /// memory-boundedness regression asserts this stays O(size()).
-  size_t heap_size() const { return heap_.size(); }
-
-  /// Virtual time of the next live event, or nullopt when empty.
-  std::optional<int64_t> NextTime() {
-    SkipTombstones();
+  /// Time of the next event, or nullopt when empty.
+  std::optional<int64_t> NextTime() const {
     if (heap_.empty()) return std::nullopt;
     return heap_.front().time;
   }
 
-  /// Pops the next live event in (time, seq) order.
+  /// Pops the next event in (time, seq) order.
   std::optional<Fired> Pop() {
-    SkipTombstones();
     if (heap_.empty()) return std::nullopt;
     std::pop_heap(heap_.begin(), heap_.end(), Later);
     Entry entry = std::move(heap_.back());
     heap_.pop_back();
-    RememberFired(entry.seq);
-    return Fired{entry.time, entry.seq, std::move(entry.payload)};
+    return Fired{entry.time, std::move(entry.payload)};
   }
-
-  uint64_t scheduled_total() const { return scheduled_total_; }
-  uint64_t cancelled_total() const { return cancelled_total_; }
 
  private:
   struct Entry {
@@ -114,72 +64,8 @@ class EventQueue {
     return a.seq > b.seq;
   }
 
-  size_t cancelled_in_heap() const { return cancelled_.size(); }
-
-  /// Drops cancelled entries sitting at the heap top so NextTime/Pop only
-  /// ever observe live events.
-  void SkipTombstones() {
-    while (!heap_.empty() && cancelled_.count(heap_.front().seq) > 0) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later);
-      cancelled_.erase(heap_.back().seq);
-      RememberFired(heap_.back().seq);  // Cancelled == consumed.
-      heap_.pop_back();
-    }
-  }
-
-  /// Physically removes tombstones once they dominate the heap. Amortized
-  /// O(1) per cancellation; keeps heap memory proportional to live events.
-  void MaybeCompact() {
-    if (cancelled_.size() <= heap_.size() / 2 || heap_.size() < 64) return;
-    std::vector<Entry> live;
-    live.reserve(heap_.size() - cancelled_.size());
-    for (Entry& entry : heap_) {
-      if (cancelled_.count(entry.seq) > 0) {
-        RememberFired(entry.seq);  // Consumed by compaction.
-      } else {
-        live.push_back(std::move(entry));
-      }
-    }
-    heap_ = std::move(live);
-    std::make_heap(heap_.begin(), heap_.end(), Later);
-    cancelled_.clear();
-  }
-
-  /// Marks a sequence number as consumed so a later Cancel reports false.
-  /// The set is bounded: runs that consume millions of events prune it
-  /// against the live window (every seq below the minimum live seq can be
-  /// summarized by `fired_floor_`).
-  void RememberFired(uint64_t seq) {
-    fired_.insert(seq);
-    if (fired_.size() > 2 * (heap_.size() + 64)) {
-      // Everything at or below the smallest live seq minus one is fired or
-      // cancelled; collapse the prefix into the floor.
-      uint64_t min_live = last_seq_ + 1;
-      for (const Entry& entry : heap_) {
-        min_live = std::min(min_live, entry.seq);
-      }
-      for (auto it = fired_.begin(); it != fired_.end();) {
-        if (*it < min_live) {
-          it = fired_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      fired_floor_ = min_live;
-    }
-  }
-
-  friend class EventQueueTestPeer;
-
   std::vector<Entry> heap_;
-  /// Tombstoned (cancelled, still physically in the heap) seqs.
-  std::unordered_set<uint64_t> cancelled_;
-  /// Consumed seqs above `fired_floor_` (for cancel-after-fire detection).
-  std::unordered_set<uint64_t> fired_;
-  uint64_t fired_floor_ = 0;
   uint64_t last_seq_ = 0;
-  uint64_t scheduled_total_ = 0;
-  uint64_t cancelled_total_ = 0;
 };
 
 }  // namespace m2m::event

@@ -1,6 +1,7 @@
 #include "runtime/network.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -137,12 +138,6 @@ const NodeRuntime& RuntimeNetwork::node_runtime(NodeId node) const {
   return nodes_[node];
 }
 
-const std::vector<std::vector<NodeId>>& RuntimeNetwork::node_message_segments(
-    NodeId node) const {
-  M2M_CHECK(node >= 0 && node < static_cast<NodeId>(nodes_.size()));
-  return message_segments_[node];
-}
-
 RuntimeNetwork::Result RuntimeNetwork::RunRound(
     const std::vector<double>& readings, const EnergyModel& energy) {
   M2M_CHECK_EQ(readings.size(), nodes_.size());
@@ -255,8 +250,10 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
   M2M_CHECK_GE(retry.max_backoff_ticks, retry.ack_timeout_ticks)
       << "max_backoff_ticks must not undercut the base ack timeout";
   M2M_CHECK_GE(links.max_delay_ticks, 0);
-  // Ticks stay in int; the clamp bounds the horizon, but a pathological
-  // policy (huge max_attempts * huge clamp) must fail loudly, not wrap.
+  // Ticks stay in int. This bounds one message's retry horizon, so a
+  // pathological policy (huge max_attempts * huge clamp) fails up front;
+  // `schedule` below catches a chain of dependent messages running past
+  // INT_MAX. Both fail loudly rather than wrap.
   const int64_t retry_horizon_ticks = retry.RetryHorizonTicks();
   // Channel delay widens the duplicate window: a late retransmission can
   // arrive up to max_delay_ticks after it was sent, so the receiver-side
@@ -313,18 +310,23 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
     bool is_dup = false;  ///< Channel-duplicated copy, not a retry.
   };
   event::EventQueue<Event> agenda;
+  auto schedule = [&agenda](int64_t tick, const Event& event) {
+    M2M_CHECK_LE(tick, int64_t{std::numeric_limits<int>::max()})
+        << "lossy round tick overflows int";
+    agenda.Schedule(tick, event);
+  };
 
   // Handlers write the round's shared state — result counters, energy
   // terms, heard-evidence, metrics, trace records and the agenda — directly,
   // in event order. A new transfer is pushed mid-event, so handlers go
   // through indices into `transfers`, never held references across a push.
-  auto collect = [&](NodeRuntime& node, int tick) {
+  auto collect = [&](NodeRuntime& node, int64_t tick) {
     for (NodeRuntime::OutgoingPacket& packet : node.DrainReadyPackets()) {
       transfers.push_back(
           Transfer{node.id(), std::move(packet), node.plan_epoch()});
       Event event;
       event.index = transfers.size() - 1;
-      agenda.Schedule(tick, event);
+      schedule(tick, event);
     }
   };
   auto observe_message_done = [&](const Transfer& transfer) {
@@ -430,7 +432,7 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
                                     arrival_tick)) {
       case NodeRuntime::ReceiveOutcome::kFresh:
         transfers[index].delivered_once = true;
-        collect(recipient, arrival_tick + 1);
+        collect(recipient, int64_t{arrival_tick} + 1);
         outcome = obs::SendOutcome::kRx;
         break;
       case NodeRuntime::ReceiveOutcome::kDuplicate:
@@ -491,7 +493,7 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
         event.kind = Event::Kind::kAckArrive;
         event.index = index;
         event.attempt = attempt;
-        agenda.Schedule(arrival_tick + ack_delay, event);
+        schedule(int64_t{arrival_tick} + ack_delay, event);
       }
     } else {
       result.energy_mj += energy.TxUj(0) / 1000.0;
@@ -593,13 +595,13 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
                         /*is_dup=*/false);
       } else {
         transfers[index].pending_events += 1;
-        agenda.Schedule(tick + data_delay, event);
+        schedule(int64_t{tick} + data_delay, event);
       }
       if (dup) {
         // The spontaneous copy trails the original by one tick.
         transfers[index].pending_events += 1;
         event.is_dup = true;
-        agenda.Schedule(tick + data_delay + 1, event);
+        schedule(int64_t{tick} + data_delay + 1, event);
       }
     } else if (trace != nullptr) {
       trace->Send(tick, sender, packet_recipient, message_id, attempt,
@@ -620,7 +622,7 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
       Event event;
       event.index = index;
       event.retransmit = true;
-      agenda.Schedule(tick + static_cast<int>(timeout), event);
+      schedule(tick + timeout, event);
       if (metrics_ != nullptr) {
         metrics_->Add(handles_.backoff_wait_ticks, timeout);
       }

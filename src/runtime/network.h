@@ -245,11 +245,6 @@ class RuntimeNetwork {
 
   int node_count() const { return static_cast<int>(nodes_.size()); }
 
-  /// Physical segments (tail..head inclusive) of `node`'s outgoing
-  /// messages, indexed by node-local message id.
-  const std::vector<std::vector<NodeId>>& node_message_segments(
-      NodeId node) const;
-
  private:
   /// Pre-resolved metric handles, registered once in set_metrics so the
   /// per-packet hot path is handle-indexed adds only.

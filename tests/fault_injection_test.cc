@@ -697,6 +697,44 @@ TEST(LossyRuntimeTest, DelayedAcksPreserveExactlyOnceAcrossRetryBudgets) {
   }
 }
 
+// Each message's retry horizon fits the tick domain, but a chain of
+// dependent messages can still run past INT_MAX: every message needs its
+// second attempt, each waiting 2^30 - 2 ticks, and each arrival emits the
+// next hop's message. The round must fail loudly instead of wrapping its
+// int tick to a negative final_tick.
+TEST(LossyRuntimeDeathTest, DependentMessageChainPastIntMaxFailsLoudly) {
+  RetryPolicy retry;
+  retry.max_attempts = 2;
+  retry.backoff_factor = 1;
+  retry.ack_timeout_ticks = (1 << 30) - 2;
+  retry.max_backoff_ticks = retry.ack_timeout_ticks;
+  LossyLinkModel links;
+  links.attempt_delivers = [](NodeId, NodeId, int attempt) {
+    return attempt >= 2;
+  };
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Topology topology = MakeUniformRandom(56, Area{110.0, 190.0},
+                                          kDefaultRadioRangeM,
+                                          0xA5EED + seed);
+    WorkloadSpec spec;
+    spec.destination_count = 4;
+    spec.sources_per_destination = 5;
+    spec.max_hops = 4;
+    spec.seed = seed;
+    Workload workload = GenerateWorkload(topology, spec);
+    PathSystem paths(topology);
+    GlobalPlan plan = BuildPlan(
+        std::make_shared<MulticastForest>(paths, workload.tasks),
+        workload.functions);
+    CompiledPlan compiled = CompiledPlan::Compile(plan, workload.functions);
+    RuntimeNetwork network(compiled, workload.functions);
+    ReadingGenerator readings(topology.node_count(), seed);
+    EXPECT_DEATH(network.RunRoundLossy(readings.values(), links, retry),
+                 "lossy round tick overflows int")
+        << "seed " << seed;
+  }
+}
+
 // The sampled-failure path (LinkOutcome) and the oracle masking path
 // (Topology::WithFailures) must agree on what "node X is down" means:
 // identical alive link sets.
