@@ -76,6 +76,30 @@ void BM_PathSystemConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_PathSystemConstruction);
 
+// One column on a density-matched 10k-node network, built in a fresh
+// PathSystem each iteration (construction untimed), so nothing is cached.
+// Arg 0 = default cost (layered hop sweep); Arg 1 = a constant 1.0 custom
+// cost, which yields the same weights through the heap Dijkstra.
+void BM_PathSystemColumn(benchmark::State& state) {
+  static const Topology* topology =
+      new Topology(MakeScalingSeries({10000}, 1).front());
+  const PathSystem::LinkCostFn unit_cost = [](NodeId, NodeId) { return 1.0; };
+  const int n = topology->node_count();
+  NodeId target = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    PathSystem paths(*topology, 0x5eed,
+                     state.range(0) == 0 ? nullptr : unit_cost);
+    target = (target + 7919) % n;
+    state.ResumeTiming();
+    paths.Materialize({target});
+    benchmark::DoNotOptimize(paths.PathWeight(0, target));
+  }
+}
+BENCHMARK(BM_PathSystemColumn)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// The fixture's PathSystem is warm, so this times the path walk and edge
+// bookkeeping only; BM_PathSystemColumn times the column builds.
 void BM_MulticastForestConstruction(benchmark::State& state) {
   PlanFixture& fx = Fixture();
   for (auto _ : state) {

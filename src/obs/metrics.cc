@@ -84,7 +84,6 @@ MetricsRegistry::Metric& MetricsRegistry::Resolve(MetricHandle handle,
 
 void MetricsRegistry::Add(MetricHandle handle, int64_t delta) {
   M2M_CHECK_GE(delta, 0) << "counters only increase";
-  std::lock_guard<std::mutex> lock(update_mutex_);
   Resolve(handle, Kind::kCounter).total += delta;
 }
 
@@ -92,7 +91,6 @@ void MetricsRegistry::AddNode(MetricHandle handle, NodeId node,
                               int64_t delta) {
   M2M_CHECK_GE(delta, 0) << "counters only increase";
   M2M_CHECK_GE(node, 0);
-  std::lock_guard<std::mutex> lock(update_mutex_);
   Metric& metric = Resolve(handle, Kind::kCounter);
   if (static_cast<size_t>(node) >= metric.per_node.size()) {
     metric.per_node.resize(node + 1, 0);
@@ -105,21 +103,18 @@ void MetricsRegistry::AddNode(MetricHandle handle, NodeId node,
 void MetricsRegistry::AddEdge(MetricHandle handle, NodeId from, NodeId to,
                               int64_t delta) {
   M2M_CHECK_GE(delta, 0) << "counters only increase";
-  std::lock_guard<std::mutex> lock(update_mutex_);
   Metric& metric = Resolve(handle, Kind::kCounter);
   metric.per_edge[EdgeKey(from, to)] += delta;
   metric.total += delta;
 }
 
 void MetricsRegistry::Set(MetricHandle handle, int64_t value) {
-  std::lock_guard<std::mutex> lock(update_mutex_);
   Resolve(handle, Kind::kGauge).total = value;
 }
 
 void MetricsRegistry::SetNode(MetricHandle handle, NodeId node,
                               int64_t value) {
   M2M_CHECK_GE(node, 0);
-  std::lock_guard<std::mutex> lock(update_mutex_);
   Metric& metric = Resolve(handle, Kind::kGauge);
   if (static_cast<size_t>(node) >= metric.per_node.size()) {
     metric.per_node.resize(node + 1, 0);
@@ -129,7 +124,6 @@ void MetricsRegistry::SetNode(MetricHandle handle, NodeId node,
 }
 
 void MetricsRegistry::Observe(MetricHandle handle, int64_t value) {
-  std::lock_guard<std::mutex> lock(update_mutex_);
   Metric& metric = Resolve(handle, Kind::kHistogram);
   size_t bucket = 0;
   while (bucket < metric.bounds.size() && value > metric.bounds[bucket]) {

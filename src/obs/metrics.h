@@ -2,7 +2,6 @@
 #define M2M_OBS_METRICS_H_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,16 +37,17 @@ struct MetricHandle {
 /// ids ascending, edges sorted) against the `m2m.metrics.v1` schema that
 /// the CI smoke job validates.
 ///
-/// Thread safety: the hot-path updates are serialized by an internal
-/// mutex. No parallel region writes a registry today: lossy rounds process
-/// their events serially, so ChannelModel's burst-transition counting from
-/// delivery queries runs on the calling thread, and the node-parallel
-/// phases (round start, dedup eviction, lossless delivery) record metrics
-/// only in their serial merges. The mutex keeps concurrent updates safe
-/// and deterministic should one appear (counter totals are commutative
-/// integer sums). Snapshot reads (`ToJson`, `Total`, ...) are
-/// unsynchronized and must happen between rounds, which is the only place
-/// the runtime and tests read them.
+/// Thread safety: single writer. A registry is unsynchronized; every
+/// update and read must come from one thread at a time. No parallel region
+/// writes a registry: lossy rounds process their events serially, so
+/// ChannelModel's burst-transition counting from delivery queries runs on
+/// the calling thread, and the node-parallel phases (round start, dedup
+/// eviction, lossless delivery) record metrics only in their serial
+/// merges. A parallel region that must count keeps per-shard tallies and
+/// adds them in its serial merge. The TSan job runs the threaded suites
+/// with registries attached, so a write from a worker fails it. Snapshot
+/// reads (`ToJson`, `Total`, ...) happen between rounds, which is the only
+/// place the runtime and tests read them.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -127,8 +127,6 @@ class MetricsRegistry {
 
   std::vector<Metric> metrics_;
   std::unordered_map<std::string, int32_t> index_;
-  /// Guards hot-path updates (see the thread-safety note above).
-  std::mutex update_mutex_;
 };
 
 }  // namespace m2m::obs

@@ -14,6 +14,9 @@ MulticastForest::MulticastForest(const PathSystem& paths,
     : tasks_(std::move(tasks)), node_count_(paths.node_count()) {
   std::set<NodeId> source_set;
   std::set<NodeId> destination_set;
+  // Destinations whose column the path walk below reads: some source
+  // neither is the destination nor reaches it by a direct hop.
+  std::vector<NodeId> column_targets;
   for (const Task& task : tasks_) {
     M2M_CHECK(task.destination >= 0 &&
               task.destination < paths.node_count());
@@ -21,12 +24,24 @@ MulticastForest::MulticastForest(const PathSystem& paths,
         << "destination " << task.destination << " has two tasks";
     destination_set.insert(task.destination);
     std::unordered_set<NodeId> seen;
+    bool needs_column = false;
     for (NodeId s : task.sources) {
       M2M_CHECK(s >= 0 && s < paths.node_count());
       M2M_CHECK(seen.insert(s).second)
           << "duplicate source " << s << " for destination "
           << task.destination;
       source_set.insert(s);
+      needs_column = needs_column || (s != task.destination &&
+                                      !paths.IsDirectHop(s, task.destination));
+    }
+    if (needs_column) column_targets.push_back(task.destination);
+  }
+  // Columns are independent, so they build in parallel; the walk then only
+  // reads them (milestone heads may still build theirs lazily).
+  paths.Materialize(column_targets);
+
+  for (const Task& task : tasks_) {
+    for (NodeId s : task.sources) {
       if (s == task.destination) {
         // A destination reading its own sensor: no routing needed.
         routes_[SourceDestPair{s, task.destination}] = {};

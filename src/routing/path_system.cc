@@ -3,26 +3,34 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <tuple>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace m2m {
 
 namespace {
 
 // Base weight per hop. Epsilon sums along any simple path (< 2^13 hops of
-// < 2^27 each) stay below this, so hop count remains the primary metric.
+// <= 2^27 each) stay below this, so hop count remains the primary metric.
 constexpr int64_t kHopBase = int64_t{1} << 40;
 constexpr int64_t kUnreachable = std::numeric_limits<int64_t>::max();
+// A layered sweep is exact while every layer's epsilon sum stays below
+// kHopBase, i.e. for paths of fewer than 2^13 hops.
+constexpr int64_t kMaxLayeredHops = int64_t{1} << 13;
 
-int64_t LinkWeight(NodeId a, NodeId b, uint64_t seed,
-                   const PathSystem::LinkCostFn& link_cost) {
+uint32_t Epsilon(NodeId a, NodeId b, uint64_t seed) {
   NodeId lo = std::min(a, b);
   NodeId hi = std::max(a, b);
   uint64_t h = SplitMix64(seed ^ ((static_cast<uint64_t>(lo) << 32) |
                                   static_cast<uint32_t>(hi)));
-  int64_t epsilon = static_cast<int64_t>(h & ((uint64_t{1} << 27) - 1)) + 1;
+  return static_cast<uint32_t>(h & ((uint64_t{1} << 27) - 1)) + 1;
+}
+
+int64_t LinkWeight(NodeId a, NodeId b, uint32_t epsilon,
+                   const PathSystem::LinkCostFn& link_cost) {
   double cost = 1.0;
   if (link_cost != nullptr) {
     cost = link_cost(a, b);
@@ -32,20 +40,86 @@ int64_t LinkWeight(NodeId a, NodeId b, uint64_t seed,
   return static_cast<int64_t>(cost * kHopBase) + epsilon;
 }
 
+// Topology ids listed by radio-range grid cell (row-major cells, ids
+// ascending within a cell): every neighbor of a node lies in its 3x3 cell
+// block, so renumbering in this order keeps a row's neighbors close in
+// memory.
+std::vector<NodeId> GridOrder(const Topology& topology) {
+  const int n = topology.node_count();
+  const std::vector<Point>& positions = topology.positions();
+  double min_x = positions[0].x, max_x = positions[0].x;
+  double min_y = positions[0].y, max_y = positions[0].y;
+  for (const Point& p : positions) {
+    min_x = std::min(min_x, p.x);
+    max_x = std::max(max_x, p.x);
+    min_y = std::min(min_y, p.y);
+    max_y = std::max(max_y, p.y);
+  }
+  // Coarsen the grid of a sparse deployment so the cell counts stay O(n).
+  double cell = topology.radio_range_m();
+  while (((max_x - min_x) / cell + 1) * ((max_y - min_y) / cell + 1) >
+         2.0 * n + 16) {
+    cell *= 2;
+  }
+  const int64_t cols = static_cast<int64_t>((max_x - min_x) / cell) + 1;
+  const int64_t rows = static_cast<int64_t>((max_y - min_y) / cell) + 1;
+  std::vector<int64_t> cell_of(n);
+  std::vector<int32_t> start(cols * rows + 1, 0);
+  for (NodeId i = 0; i < n; ++i) {
+    cell_of[i] = static_cast<int64_t>((positions[i].y - min_y) / cell) * cols +
+                 static_cast<int64_t>((positions[i].x - min_x) / cell);
+    ++start[cell_of[i] + 1];
+  }
+  for (size_t c = 1; c < start.size(); ++c) start[c] += start[c - 1];
+  std::vector<NodeId> order(n);
+  for (NodeId i = 0; i < n; ++i) order[start[cell_of[i]]++] = i;
+  return order;
+}
+
 }  // namespace
 
 PathSystem::PathSystem(const Topology& topology, uint64_t perturbation_seed,
                        const LinkCostFn& link_cost)
     : node_count_(topology.node_count()),
-      topology_(topology),
-      perturbation_seed_(perturbation_seed),
       link_cost_(link_cost),
-      columns_(topology.node_count()) {}
+      columns_(topology.node_count()) {
+  const int n = node_count_;
+  auto graph = std::make_shared<Graph>();
+  graph->original = GridOrder(topology);
+  graph->internal.resize(n);
+  for (int32_t i = 0; i < n; ++i) graph->internal[graph->original[i]] = i;
+  graph->row_begin.assign(n + 1, 0);
+  uint64_t entries = 0;
+  for (int32_t i = 0; i < n; ++i) {
+    entries += topology.neighbors(graph->original[i]).size();
+    M2M_CHECK_LE(entries, std::numeric_limits<uint32_t>::max())
+        << "too many links for the routing graph";
+    graph->row_begin[i + 1] = static_cast<uint32_t>(entries);
+  }
+  graph->neighbor.resize(entries);
+  graph->epsilon.resize(entries);
+  // Scatter every link into its far end's row, visiting near ends in
+  // internal order: each row fills in ascending order, so no row needs a
+  // sort. Links are symmetric, so this is each row's own neighbor list.
+  std::vector<uint32_t> fill(graph->row_begin.begin(),
+                             graph->row_begin.end() - 1);
+  for (int32_t u = 0; u < n; ++u) {
+    const NodeId a = graph->original[u];
+    for (NodeId b : topology.neighbors(a)) {
+      const uint32_t e = fill[graph->internal[b]]++;
+      graph->neighbor[e] = u;
+      graph->epsilon[e] = Epsilon(a, b, perturbation_seed);
+    }
+  }
+  for (int32_t v = 0; v < n; ++v) {
+    M2M_CHECK_EQ(fill[v], graph->row_begin[v + 1]) << "asymmetric links";
+  }
+  graph_ = std::move(graph);
+}
 
 PathSystem::PathSystem(const PathSystem& other)
     : node_count_(other.node_count_),
-      topology_(other.topology_),
-      perturbation_seed_(other.perturbation_seed_),
+      graph_(other.graph_),
       link_cost_(other.link_cost_) {
   std::lock_guard<std::mutex> lock(other.columns_mutex_);
   columns_ = other.columns_;
@@ -59,46 +133,113 @@ PathSystem& PathSystem::operator=(const PathSystem& other) {
     snapshot = other.columns_;
   }
   node_count_ = other.node_count_;
-  topology_ = other.topology_;
-  perturbation_seed_ = other.perturbation_seed_;
+  graph_ = other.graph_;
   link_cost_ = other.link_cost_;
   std::lock_guard<std::mutex> lock(columns_mutex_);
   columns_ = std::move(snapshot);
   return *this;
 }
 
-PathSystem::Column PathSystem::BuildColumn(NodeId t) const {
-  const int n = node_count_;
-  Column column;
-  column.weight.assign(n, kUnreachable);
-  column.next_hop.assign(n, kInvalidNode);
+bool PathSystem::LayeredSweep(int32_t target, std::vector<int64_t>& dist,
+                              std::vector<int32_t>& parent) const {
+  const Graph& g = *graph_;
+  dist.assign(node_count_, kUnreachable);
+  parent.assign(node_count_, -1);
+  dist[target] = 0;
+  // The heap settles equal weights in (weight, topology id) order and keeps
+  // the first strict improvement, so on an exact tie the parent that
+  // settled first wins.
+  auto settles_first = [&](int32_t a, int32_t b) {
+    return dist[a] != dist[b] ? dist[a] < dist[b]
+                              : g.original[a] < g.original[b];
+  };
+  std::vector<int32_t> layer(node_count_ + 1);
+  std::vector<int32_t> next(node_count_ + 1);
+  layer[0] = target;
+  size_t layer_size = 1;
+  for (int64_t hops = 1; layer_size > 0; ++hops) {
+    if (hops == kMaxLayeredHops) return false;
+    // `layer` holds the nodes `hops - 1` hops out. Layer k weighs within
+    // [k * kHopBase, (k + 1) * kHopBase), so every candidate (at least
+    // hops * kHopBase) is heavier than any node of layers up to hops - 1:
+    // the minimum below only ever moves nodes `hops` hops out.
+    size_t next_size = 0;
+    for (size_t i = 0; i < layer_size; ++i) {
+      const int32_t u = layer[i];
+      const int64_t base = dist[u] + kHopBase;
+      const uint32_t row_end = g.row_begin[u + 1];
+      for (uint32_t e = g.row_begin[u]; e < row_end; ++e) {
+        // Branch-free on the common path: about half the entries lead
+        // back into settled layers, in no predictable order.
+        const int32_t v = g.neighbor[e];
+        const int64_t dv = dist[v];
+        const int64_t candidate = base + g.epsilon[e];
+        next[next_size] = v;
+        next_size += dv == kUnreachable;
+        const bool better = candidate < dv;
+        if (candidate == dv) [[unlikely]] {
+          if (settles_first(u, parent[v])) parent[v] = u;
+          continue;
+        }
+        dist[v] = better ? candidate : dv;
+        parent[v] = better ? u : parent[v];
+      }
+    }
+    layer.swap(next);
+    layer_size = next_size;
+  }
+  return true;
+}
 
-  // One Dijkstra from target t: toward[u] is u's neighbor on the unique
-  // shortest path from u toward t, i.e. NextHop(u, t).
-  using QueueEntry = std::pair<int64_t, NodeId>;
-  std::vector<int64_t>& dist = column.weight;
-  std::vector<NodeId> toward(n, kInvalidNode);
+void PathSystem::HeapSweep(int32_t target, std::vector<int64_t>& dist,
+                           std::vector<int32_t>& parent) const {
+  const Graph& g = *graph_;
+  dist.assign(node_count_, kUnreachable);
+  parent.assign(node_count_, -1);
+  // Ordered by (weight, topology id); the internal id rides along.
+  using QueueEntry = std::tuple<int64_t, NodeId, int32_t>;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>,
                       std::greater<QueueEntry>>
       queue;
-  dist[t] = 0;
-  queue.push({0, t});
+  dist[target] = 0;
+  queue.push({0, g.original[target], target});
   while (!queue.empty()) {
-    auto [d, u] = queue.top();
+    auto [d, a, u] = queue.top();
     queue.pop();
     if (d != dist[u]) continue;
-    for (NodeId v : topology_.neighbors(u)) {
-      int64_t w = LinkWeight(u, v, perturbation_seed_, link_cost_);
-      if (dist[u] != kUnreachable && dist[u] + w < dist[v]) {
-        dist[v] = dist[u] + w;
-        toward[v] = u;
-        queue.push({dist[v], v});
+    for (uint32_t e = g.row_begin[u]; e < g.row_begin[u + 1]; ++e) {
+      const int32_t v = g.neighbor[e];
+      const NodeId b = g.original[v];
+      const int64_t candidate = d + LinkWeight(a, b, g.epsilon[e], link_cost_);
+      if (candidate < dist[v]) {
+        dist[v] = candidate;
+        parent[v] = u;
+        queue.push({candidate, b, v});
       }
     }
   }
-  for (NodeId u = 0; u < n; ++u) {
-    column.next_hop[u] = (u == t) ? t : toward[u];
+}
+
+PathSystem::Column PathSystem::BuildColumn(NodeId t) const {
+  const Graph& g = *graph_;
+  // parent[i] is internal node i's neighbor on its shortest path toward t,
+  // i.e. NextHop(i, t).
+  std::vector<int64_t> dist;
+  std::vector<int32_t> parent;
+  const int32_t target = g.internal[t];
+  if (link_cost_ != nullptr || !LayeredSweep(target, dist, parent)) {
+    HeapSweep(target, dist, parent);
   }
+  // Un-permute once, so the column and every query stay in topology ids.
+  Column column;
+  column.weight.resize(node_count_);
+  column.next_hop.resize(node_count_);
+  for (int32_t i = 0; i < node_count_; ++i) {
+    const NodeId u = g.original[i];
+    column.weight[u] = dist[i];
+    column.next_hop[u] = parent[i] < 0 ? kInvalidNode : g.original[parent[i]];
+  }
+  column.next_hop[t] = t;
   return column;
 }
 
@@ -126,7 +267,7 @@ int64_t PathSystem::SymmetricWeight(NodeId u, NodeId v) const {
   }
   // Neither endpoint is materialized: build u's column, so query patterns
   // with a fixed first argument (eccentricity scans, base-station distance
-  // sweeps) amortize to a single Dijkstra.
+  // sweeps) amortize to a single column.
   return ColumnFor(u).weight[v];
 }
 
@@ -152,16 +293,25 @@ NodeId PathSystem::NextHop(NodeId u, NodeId v) const {
   CheckNode(u);
   CheckNode(v);
   M2M_CHECK_NE(u, v);
-  // Under the default link cost the direct link (one hop base weight plus
-  // epsilon < 2^27) strictly beats any detour (>= two hop base weights), so
-  // adjacency decides the next hop without a column. This keeps the default
-  // milestone policy (every node a milestone => every forest edge a single
-  // physical hop) from materializing a column per route node.
-  if (link_cost_ == nullptr && topology_.AreNeighbors(u, v)) return v;
+  // Adjacency decides a default-cost hop without a column. This keeps the
+  // default milestone policy (every node a milestone => every forest edge a
+  // single physical hop) from materializing a column per route node.
+  if (IsDirectHop(u, v)) return v;
   NodeId next = ColumnFor(v).next_hop[u];
   M2M_CHECK_NE(next, kInvalidNode)
       << "node " << v << " unreachable from " << u;
   return next;
+}
+
+bool PathSystem::IsDirectHop(NodeId u, NodeId v) const {
+  CheckNode(u);
+  CheckNode(v);
+  if (link_cost_ != nullptr) return false;
+  const Graph& g = *graph_;
+  const int32_t row = g.internal[u];
+  return std::binary_search(g.neighbor.begin() + g.row_begin[row],
+                            g.neighbor.begin() + g.row_begin[row + 1],
+                            g.internal[v]);
 }
 
 NodeId PathSystem::NextHopAlong(NodeId root, NodeId u, NodeId v) const {
@@ -196,7 +346,7 @@ std::vector<NodeId> PathSystem::Path(NodeId u, NodeId v) const {
 int PathSystem::Eccentricity(NodeId u) const {
   CheckNode(u);
   // Distances are symmetric, so u's own column holds d(u, v) for every v —
-  // one Dijkstra instead of n.
+  // one column instead of n.
   const Column& column = ColumnFor(u);
   int best = 0;
   for (NodeId v = 0; v < node_count_; ++v) {
@@ -206,6 +356,16 @@ int PathSystem::Eccentricity(NodeId u) const {
     best = std::max(best, static_cast<int>(w >> 40));
   }
   return best;
+}
+
+void PathSystem::Materialize(const std::vector<NodeId>& targets) const {
+  for (NodeId t : targets) CheckNode(t);
+  // Each shard builds whole columns; ColumnFor publishes them under the
+  // lock, and a column is the same whichever thread builds it.
+  ParallelFor(static_cast<int64_t>(targets.size()),
+              [&](int64_t begin, int64_t end) {
+                for (int64_t i = begin; i < end; ++i) ColumnFor(targets[i]);
+              });
 }
 
 int PathSystem::materialized_column_count() const {

@@ -31,10 +31,20 @@ namespace m2m {
 /// (~120 GB of next-hop/weight state at 100k nodes), but every consumer only
 /// ever routes toward a small set of targets (task destinations, milestone
 /// heads, the base station). Each target's shortest-path tree ("column") is
-/// materialized by one Dijkstra on first use and cached. Columns are
-/// immutable once built and computed by the same deterministic relaxation
-/// regardless of build order or thread, so laziness is unobservable: every
-/// query answers exactly as the eager all-pairs construction would.
+/// materialized on first use and cached. Columns are immutable once built
+/// and computed by the same deterministic relaxation regardless of build
+/// order or thread, so laziness is unobservable: every query answers exactly
+/// as the eager all-pairs construction would.
+///
+/// Columns are built over an immutable graph made once per topology and
+/// shared by copies: a CSR adjacency whose nodes are renumbered by
+/// radio-range grid cell (neighbors sit in nearby rows), with each link's
+/// epsilon hashed once into the entry. That costs 8 bytes per directed
+/// link plus 12 per node. A column costs O(n + m) under the default cost,
+/// a layered hop sweep (a fewest-hop path is always the lightest, see
+/// THEORY §1), and O(m log n) under a custom cost, a heap Dijkstra over the
+/// same arrays. The renumbering stays internal; every id in and out is the
+/// topology's.
 ///
 /// Traffic *leaving* a fixed node stays within that small set too: link
 /// weights are symmetric and paths unique, so P(u, v) is P(v, u) reversed,
@@ -48,17 +58,18 @@ class PathSystem {
   /// making paths hop-count shortest.
   using LinkCostFn = std::function<double(NodeId, NodeId)>;
 
-  /// Defines the path system (no paths are computed yet; each target costs
-  /// one O(m log n) Dijkstra on first use). `perturbation_seed` feeds the
-  /// per-link epsilon values. A non-null `link_cost` biases routing (e.g.
-  /// away from unstable links); paths then minimize summed link cost
-  /// instead of pure hop count, and HopDistance reports the integer cost of
-  /// the chosen route.
+  /// Defines the path system: builds the shared graph but no column yet
+  /// (each target costs one column build on first use, or in Materialize).
+  /// `perturbation_seed` feeds the per-link epsilon values. A non-null
+  /// `link_cost` biases routing (e.g. away from unstable links); paths then
+  /// minimize summed link cost instead of pure hop count, and HopDistance
+  /// reports the integer cost of the chosen route.
   explicit PathSystem(const Topology& topology,
                       uint64_t perturbation_seed = 0x5eed,
                       const LinkCostFn& link_cost = nullptr);
 
-  /// Copies share already-materialized columns (they are immutable).
+  /// Copies share the graph and already-materialized columns (both are
+  /// immutable).
   PathSystem(const PathSystem& other);
   PathSystem& operator=(const PathSystem& other);
 
@@ -74,6 +85,12 @@ class PathSystem {
 
   /// First hop on the canonical path u -> v. Requires u != v and v reachable.
   NodeId NextHop(NodeId u, NodeId v) const;
+
+  /// True when NextHop(u, v) is v without consulting v's column: under the
+  /// default link cost the direct link (one hop base weight plus epsilon)
+  /// strictly beats any detour (at least two hop base weights), so
+  /// adjacency alone decides the hop.
+  bool IsDirectHop(NodeId u, NodeId v) const;
 
   /// First hop u -> v read from `root`'s column alone: walks v's canonical
   /// path toward `root` and returns the node just before u on it. When u
@@ -93,7 +110,12 @@ class PathSystem {
   /// tests and by debug validation of multicast construction.
   bool PathIsConsistent(NodeId u, NodeId v) const;
 
-  /// Number of target columns built so far (the Dijkstra work count).
+  /// Builds the columns of `targets` (distinct ids) through ParallelFor;
+  /// already-built ones are kept. Columns do not depend on build order or
+  /// thread, so every later query answers as if they were built lazily.
+  void Materialize(const std::vector<NodeId>& targets) const;
+
+  /// Number of target columns built so far (the column-build work count).
   int materialized_column_count() const;
 
  private:
@@ -105,20 +127,39 @@ class PathSystem {
     std::vector<NodeId> next_hop;
   };
 
+  /// The routing graph in internal ids (see the class comment). Row i of
+  /// the CSR is internal node i's neighbors, ascending; epsilon[e] is the
+  /// perturbation of entry e's link.
+  struct Graph {
+    std::vector<uint32_t> row_begin;  ///< n + 1 offsets into the entries.
+    std::vector<int32_t> neighbor;
+    std::vector<uint32_t> epsilon;
+    std::vector<NodeId> original;   ///< internal id -> topology id.
+    std::vector<int32_t> internal;  ///< topology id -> internal id.
+  };
+
   void CheckNode(NodeId n) const;
-  /// Returns target t's column, materializing it (one Dijkstra) on first
-  /// use. Thread-safe: concurrent builders race to publish, but both
-  /// compute the identical column, so the loser's copy is just discarded.
+  /// Returns target t's column, materializing it on first use. Thread-safe:
+  /// concurrent builders race to publish, but both compute the identical
+  /// column, so the loser's copy is just discarded.
   const Column& ColumnFor(NodeId t) const;
   Column BuildColumn(NodeId t) const;
+  /// Default-cost column: relaxes one hop layer at a time. Returns false
+  /// (leaving dist unfinished) when a layer gets too deep for epsilon sums
+  /// to stay below one hop's base weight.
+  bool LayeredSweep(int32_t target, std::vector<int64_t>& dist,
+                    std::vector<int32_t>& parent) const;
+  /// Heap Dijkstra over the graph, popping equal weights in topology-id
+  /// order; required for custom costs.
+  void HeapSweep(int32_t target, std::vector<int64_t>& dist,
+                 std::vector<int32_t>& parent) const;
   /// Path weight u -> v read through whichever endpoint's column is already
   /// materialized (link weights are symmetric, so both agree exactly),
   /// building u's column when neither is.
   int64_t SymmetricWeight(NodeId u, NodeId v) const;
 
   int node_count_ = 0;
-  Topology topology_;
-  uint64_t perturbation_seed_ = 0;
+  std::shared_ptr<const Graph> graph_;
   LinkCostFn link_cost_;
   mutable std::mutex columns_mutex_;
   /// Lazily materialized per-target columns, indexed by target id. Entries

@@ -85,7 +85,7 @@ SelfHealingRuntime::SelfHealingRuntime(const Topology& topology,
       detector_(topology, options.detector),
       ledger_(&topology, base_station),
       control_paths_(topology),
-      deployment_paths_(topology) {
+      deployment_paths_(control_paths_) {
   M2M_CHECK(base_ >= 0 && base_ < topology.node_count());
   M2M_CHECK(options_.control_hop_attempts >= 1 &&
             options_.control_hop_attempts <= 16)

@@ -317,6 +317,40 @@ TEST(ParallelDeterminismTest, LifecycleChurnIsByteIdenticalAcrossThreads) {
   ExpectThreadInvariant(&ChurnFingerprint, "lifecycle churn");
 }
 
+// Forest construction: the destination columns are built through
+// ParallelFor before the serial path walk, so the forest — and how many
+// columns it built — must not depend on the thread count.
+std::string ForestFingerprint(uint64_t seed) {
+  Topology topology = TestTopology(seed);
+  Workload workload = TestWorkload(topology, seed);
+  PathSystem paths(topology);
+  MulticastForest forest(paths, workload.tasks);
+  std::ostringstream out;
+  out << "columns=" << paths.materialized_column_count() << "\n";
+  for (const ForestEdge& edge : forest.edges()) {
+    out << edge.edge.tail << ">" << edge.edge.head << " seg";
+    for (NodeId n : edge.segment) out << " " << n;
+    out << " pairs";
+    for (const SourceDestPair& pair : edge.pairs) {
+      out << " " << pair.source << ":" << pair.destination;
+    }
+    out << "\n";
+  }
+  return out.str();
+}
+
+TEST(ParallelDeterminismTest, MulticastForestIsIdenticalAcrossThreads) {
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    std::string serial;
+    {
+      ScopedParallelism parallelism(1);
+      serial = ForestFingerprint(seed);
+    }
+    ScopedParallelism parallelism(4);
+    ASSERT_EQ(serial, ForestFingerprint(seed)) << "seed " << seed;
+  }
+}
+
 // Shard-merge order independence: with the thread count fixed, the shard
 // geometry partitions work differently (1 giant shard, prime counts that
 // straddle region boundaries, one shard per item) yet every merge happens

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <set>
 #include <utility>
@@ -149,6 +150,80 @@ TEST(PathSystemTest, NextHopAlongMatchesNextHop) {
       EXPECT_EQ(along.materialized_column_count(), 1);
       EXPECT_EQ(unreachable > 0, t + 1 == topologies.size());
     }
+  }
+}
+
+// The default cost builds columns by a layered hop sweep; a custom cost
+// that is constant 1.0 gives bit-identical link weights but takes the heap.
+// Both must agree on every weight and next hop, unreachable nodes included.
+TEST(PathSystemTest, LayeredColumnsMatchHeapColumns) {
+  Topology gdi = MakeGreatDuckIslandLike();
+  constexpr NodeId kIsolated = 5;
+  std::vector<std::pair<NodeId, NodeId>> isolate;
+  for (NodeId w : gdi.neighbors(kIsolated)) isolate.emplace_back(kIsolated, w);
+  // Cut every link that crosses the vertical line through node 0.
+  std::vector<std::pair<NodeId, NodeId>> split;
+  const double mid = gdi.position(0).x;
+  for (NodeId a = 0; a < gdi.node_count(); ++a) {
+    for (NodeId b : gdi.neighbors(a)) {
+      if (a < b && (gdi.position(a).x < mid) != (gdi.position(b).x < mid)) {
+        split.emplace_back(a, b);
+      }
+    }
+  }
+  std::vector<Topology> topologies = {
+      gdi,
+      MakeUniformRandom(120, Area{160.0, 220.0}, kDefaultRadioRangeM, 3),
+      MakeUniformRandom(120, Area{160.0, 220.0}, kDefaultRadioRangeM, 4),
+      Topology::WithFailures(gdi, isolate, {}),
+      Topology::WithFailures(gdi, split, {})};
+  const PathSystem::LinkCostFn unit_cost = [](NodeId, NodeId) { return 1.0; };
+  for (size_t k = 0; k < topologies.size(); ++k) {
+    SCOPED_TRACE(::testing::Message() << "topology " << k);
+    const Topology& topology = topologies[k];
+    const int n = topology.node_count();
+    PathSystem layered(topology);
+    PathSystem heap(topology, 0x5eed, unit_cost);
+    std::vector<NodeId> all(n);
+    for (NodeId t = 0; t < n; ++t) all[t] = t;
+    // Build every column up front, so PathWeight(u, t) reads t's column.
+    layered.Materialize(all);
+    heap.Materialize(all);
+    int unreachable = 0;
+    for (NodeId t = 0; t < n; ++t) {
+      for (NodeId u = 0; u < n; ++u) {
+        const int64_t weight = layered.PathWeight(u, t);
+        ASSERT_EQ(weight, heap.PathWeight(u, t)) << u << " -> " << t;
+        if (weight == std::numeric_limits<int64_t>::max()) {
+          ++unreachable;
+          continue;
+        }
+        if (u == t) continue;
+        ASSERT_EQ(layered.NextHop(u, t), heap.NextHop(u, t))
+            << u << " -> " << t;
+      }
+    }
+    EXPECT_EQ(unreachable > 0, k + 2 >= topologies.size());
+  }
+}
+
+// Four nodes on a square whose two 3 -> 0 paths weigh exactly the same
+// under this perturbation seed. The heap keeps the parent it settles
+// first — the smaller (weight, id) — and the layered sweep must match it
+// in both directions.
+TEST(PathSystemTest, ExactWeightTieKeepsFirstSettledParent) {
+  Topology square({{0.0, 0.0}, {10.0, 0.0}, {0.0, 10.0}, {10.0, 10.0}}, 12.0);
+  constexpr uint64_t kTieSeed = 12476484;
+  constexpr int64_t kTiedWeight = 2199061569548;
+  PathSystem layered(square, kTieSeed);
+  PathSystem heap(square, kTieSeed, [](NodeId, NodeId) { return 1.0; });
+  ASSERT_FALSE(square.AreNeighbors(0, 3));
+  ASSERT_EQ(layered.PathWeight(3, 1) + layered.PathWeight(1, 0), kTiedWeight);
+  ASSERT_EQ(layered.PathWeight(3, 2) + layered.PathWeight(2, 0), kTiedWeight);
+  for (const PathSystem* paths : {&layered, &heap}) {
+    EXPECT_EQ(paths->PathWeight(3, 0), kTiedWeight);
+    EXPECT_EQ(paths->NextHop(3, 0), 1);
+    EXPECT_EQ(paths->NextHop(0, 3), 2);
   }
 }
 
