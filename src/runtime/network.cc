@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <set>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -58,6 +56,9 @@ RuntimeNetwork::RuntimeNetwork(const CompiledPlan& compiled,
   for (NodeId n = 0; n < compiled.node_count(); ++n) {
     installed_image_bytes_ += static_cast<int64_t>(images[n].size());
     nodes_.emplace_back(n, images[n]);
+    if (nodes_.back().decoded().state.entry_count() > 0) {
+      participants_.push_back(n);
+    }
     // Hop counts by node-local message id (images index outgoing messages
     // by their position in the outgoing table).
     for (const OutgoingMessageEntry& entry :
@@ -114,6 +115,7 @@ bool RuntimeNetwork::InstallNodeImage(NodeId node,
   const size_t outgoing = nodes_[node].decoded().state.outgoing_table.size();
   M2M_CHECK_EQ(segments.size(), outgoing)
       << "node " << node << ": segment routes do not match outgoing table";
+  UpdateParticipation(node);
   message_hops_[node].clear();
   message_segments_[node] = std::move(segments);
   for (const std::vector<NodeId>& segment : message_segments_[node]) {
@@ -126,6 +128,16 @@ bool RuntimeNetwork::InstallNodeImage(NodeId node,
                       static_cast<int64_t>(image.size()));
   }
   return true;
+}
+
+void RuntimeNetwork::UpdateParticipation(NodeId node) {
+  // A binary search, plus a shift of the (participant-sized) list only when
+  // the install moved the node into or out of the plan.
+  const bool participates = nodes_[node].decoded().state.entry_count() > 0;
+  auto it = std::lower_bound(participants_.begin(), participants_.end(), node);
+  const bool listed = it != participants_.end() && *it == node;
+  if (participates && !listed) participants_.insert(it, node);
+  if (!participates && listed) participants_.erase(it);
 }
 
 uint32_t RuntimeNetwork::plan_epoch(NodeId node) const {
@@ -149,21 +161,25 @@ RuntimeNetwork::Result RuntimeNetwork::RunRound(
   };
   const int64_t node_count = static_cast<int64_t>(nodes_.size());
 
-  // Round start touches every node exactly once, so node-id ranges shard
-  // freely; merging drained packets in node-id order reproduces the serial
-  // emission order byte for byte.
+  // Round start touches every participant exactly once, so its ranges
+  // shard freely; merging drained packets in participant (node-id) order
+  // reproduces the serial emission order byte for byte. A node without
+  // table entries neither sends nor receives.
+  const int64_t participant_count =
+      static_cast<int64_t>(participants_.size());
   std::vector<std::vector<NodeRuntime::OutgoingPacket>> drained(
-      nodes_.size());
-  ParallelFor(node_count, [&](int64_t begin, int64_t end) {
-    for (int64_t n = begin; n < end; ++n) {
-      nodes_[n].StartRound(readings[n]);
-      drained[n] = nodes_[n].DrainReadyPackets();
+      participants_.size());
+  ParallelFor(participant_count, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      NodeRuntime& node = nodes_[participants_[i]];
+      node.StartRound(readings[node.id()]);
+      drained[i] = node.DrainReadyPackets();
     }
   });
   std::vector<InFlight> batch;
-  for (int64_t n = 0; n < node_count; ++n) {
-    for (NodeRuntime::OutgoingPacket& packet : drained[n]) {
-      batch.push_back(InFlight{static_cast<NodeId>(n), std::move(packet)});
+  for (int64_t i = 0; i < participant_count; ++i) {
+    for (NodeRuntime::OutgoingPacket& packet : drained[i]) {
+      batch.push_back(InFlight{participants_[i], std::move(packet)});
     }
   }
 
@@ -229,7 +245,8 @@ RuntimeNetwork::Result RuntimeNetwork::RunRound(
     metrics_->Add(handles_.delivery_passes, result.delivery_passes);
   }
 
-  for (const NodeRuntime& node : nodes_) {
+  for (NodeId id : participants_) {
+    const NodeRuntime& node = nodes_[id];
     if (!node.is_destination()) continue;
     std::optional<double> value = node.FinalValue();
     M2M_CHECK(value.has_value())
@@ -315,6 +332,15 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
         << "lossy round tick overflows int";
     agenda.Schedule(tick, event);
   };
+
+  // Eviction agenda: one record per dedup stamp, in stamp order (events
+  // pop in tick order, so stamps never decrease).
+  struct Stamp {
+    int tick = 0;
+    NodeId node = kInvalidNode;
+  };
+  std::vector<Stamp> stamps;
+  size_t stamps_evicted = 0;  // Records [0, stamps_evicted) are popped.
 
   // Handlers write the round's shared state — result counters, energy
   // terms, heard-evidence, metrics, trace records and the agenda — directly,
@@ -426,10 +452,23 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
       metrics_->AddNode(handles_.rx_bytes, packet_recipient, payload);
     }
     obs::SendOutcome outcome = obs::SendOutcome::kRx;
-    switch (recipient.OnReceiveOnce(sender, message_id,
-                                    transfers[index].epoch,
-                                    transfers[index].packet.payload,
-                                    arrival_tick)) {
+    const NodeRuntime::ReceiveOutcome received = recipient.OnReceiveOnce(
+        sender, message_id, transfers[index].epoch,
+        transfers[index].packet.payload, arrival_tick);
+    if (received != NodeRuntime::ReceiveOutcome::kEpochMismatch) {
+      // The receive stamped (or refreshed) a dedup entry: queue it for
+      // eviction. A same-epoch packet only ever reaches a node whose tables
+      // consume it, so round start and the end-of-round passes can skip
+      // every non-participant.
+      M2M_CHECK(std::binary_search(participants_.begin(), participants_.end(),
+                                   packet_recipient))
+          << "node " << packet_recipient
+          << " received a same-epoch packet without holding a table entry";
+      M2M_CHECK(stamps.empty() || stamps.back().tick <= arrival_tick)
+          << "dedup stamps must not go back in time";
+      stamps.push_back(Stamp{arrival_tick, packet_recipient});
+    }
+    switch (received) {
       case NodeRuntime::ReceiveOutcome::kFresh:
         transfers[index].delivered_once = true;
         collect(recipient, int64_t{arrival_tick} + 1);
@@ -656,30 +695,17 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
     }
   };
 
-  const int64_t node_count = static_cast<int64_t>(nodes_.size());
-  {
-    // Round start: per-node work shards over node-id ranges; emissions
-    // merge in node-id order, reproducing the serial transfer/agenda
-    // order.
-    std::vector<std::vector<NodeRuntime::OutgoingPacket>> drained(
-        nodes_.size());
-    ParallelFor(node_count, [&](int64_t begin, int64_t end) {
-      for (int64_t n = begin; n < end; ++n) {
-        if (!alive(static_cast<NodeId>(n))) continue;
-        nodes_[n].StartRound(readings[n]);
-        drained[n] = nodes_[n].DrainReadyPackets();
-      }
-    });
-    for (size_t n = 0; n < nodes_.size(); ++n) {
-      for (NodeRuntime::OutgoingPacket& packet : drained[n]) {
-        transfers.push_back(Transfer{static_cast<NodeId>(n),
-                                     std::move(packet),
-                                     nodes_[n].plan_epoch()});
-        Event event;
-        event.index = transfers.size() - 1;
-        agenda.Schedule(0, event);
-      }
+  // Round start, in participant (node-id) order: only a node holding
+  // table entries can emit. A dead participant does not start; its
+  // leftover dedup table from an earlier round is dropped here, since it
+  // cannot receive this round.
+  for (NodeId n : participants_) {
+    if (!alive(n)) {
+      nodes_[n].EvictSeenPacketsBefore(std::numeric_limits<int>::max());
+      continue;
     }
+    nodes_[n].StartRound(readings[n]);
+    collect(nodes_[n], 0);
   }
 
   while (!agenda.empty()) {
@@ -691,15 +717,18 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
     // stamped t is retained through processing tick t + horizon, and the
     // last possible duplicate of its message arrives at
     // t + horizon - 1 (obs_test pins the clean-channel boundary, the
-    // delayed-duplicate regression the extended one). Eviction is per-node
-    // independent, so it shards over node ranges.
+    // delayed-duplicate regression the extended one). Every stamp queued
+    // its own record, so popping the records older than the cutoff visits
+    // every node holding an evictable entry, and only those.
     if (tick > evict_horizon_ticks) {
       const int evict_before = tick - static_cast<int>(evict_horizon_ticks);
-      ParallelFor(node_count, [&](int64_t begin, int64_t end) {
-        for (int64_t n = begin; n < end; ++n) {
-          nodes_[n].EvictSeenPacketsBefore(evict_before);
-        }
-      });
+      for (; stamps_evicted < stamps.size() &&
+             stamps[stamps_evicted].tick < evict_before;
+           ++stamps_evicted) {
+        result.dedup_evictions +=
+            nodes_[stamps[stamps_evicted].node].EvictSeenPacketsBefore(
+                evict_before);
+      }
     }
     // Events run one at a time in (tick, seq) order. Processing schedules
     // only at tick + 1 or later (arrivals collect at arrival + 1; channel
@@ -723,26 +752,31 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
   // tables are on the destination's plan epoch. Dead nodes keep their
   // tables, so a not-yet-repaired plan truthfully reports a dead source as
   // expected-but-uncovered; once a re-plan routes around it, the new-epoch
-  // tables no longer expect it and coverage returns to 1.
-  std::map<NodeId, std::set<NodeId>> expected_sources;
-  std::map<NodeId, uint32_t> destination_epoch;
-  for (const NodeRuntime& node : nodes_) {
-    if (node.is_destination() && alive(node.id())) {
-      destination_epoch[node.id()] = node.plan_epoch();
-    }
-  }
-  for (const NodeRuntime& node : nodes_) {
+  // tables no longer expect it and coverage returns to 1. Only
+  // participants hold pre-aggregation entries.
+  auto live_destination = [&](NodeId n) {
+    return nodes_[n].is_destination() && alive(n);
+  };
+  std::vector<std::pair<NodeId, NodeId>> expected_sources;
+  for (NodeId n : participants_) {
+    const NodeRuntime& node = nodes_[n];
     for (const PreAggTableEntry& entry : node.decoded().state.preagg_table) {
-      auto it = destination_epoch.find(entry.destination);
-      if (it == destination_epoch.end()) continue;
-      if (node.plan_epoch() != it->second) continue;
-      expected_sources[entry.destination].insert(entry.source);
+      if (!live_destination(entry.destination)) continue;
+      if (node.plan_epoch() != nodes_[entry.destination].plan_epoch()) {
+        continue;
+      }
+      expected_sources.emplace_back(entry.destination, entry.source);
     }
   }
+  std::sort(expected_sources.begin(), expected_sources.end());
+  expected_sources.erase(
+      std::unique(expected_sources.begin(), expected_sources.end()),
+      expected_sources.end());
 
   bool any_degraded = false;
-  for (const NodeRuntime& node : nodes_) {
-    if (!node.is_destination() || !alive(node.id())) continue;
+  for (NodeId n : participants_) {
+    if (!live_destination(n)) continue;
+    const NodeRuntime& node = nodes_[n];
     std::optional<double> value = node.FinalValue();
     if (value.has_value()) {
       result.destination_values[node.id()] = *value;
@@ -754,8 +788,10 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
         node.DestinationCoverage();
     if (!report.has_value()) continue;
     LossyResult::DestinationCoverage coverage;
-    const std::set<NodeId>& expected = expected_sources[node.id()];
-    coverage.expected = static_cast<int>(expected.size());
+    coverage.expected = static_cast<int>(
+        std::ranges::equal_range(expected_sources, n, {},
+                                 &std::pair<NodeId, NodeId>::first)
+            .size());
     coverage.covered = static_cast<int>(report->summary.count);
     coverage.coverage =
         coverage.expected > 0

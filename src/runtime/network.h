@@ -141,6 +141,9 @@ class RuntimeNetwork {
     /// sender ran a different plan generation; acked so retries stop).
     int64_t epoch_rejected = 0;
     int64_t payload_bytes = 0;       ///< Payload bytes of delivered copies.
+    /// Receiver dedup entries evicted past the retry horizon this round
+    /// (the eviction agenda's work count; round-start clears not counted).
+    int64_t dedup_evictions = 0;
     double energy_mj = 0.0;
     int final_tick = 0;
     /// Directed physical hops (from, to) over which `to` heard at least one
@@ -199,11 +202,14 @@ class RuntimeNetwork {
   /// the communication layer; only persistent changes require re-planning).
   /// Time advances in ticks: a transmission takes one tick, an unacked
   /// message retransmits after the policy's backoff. Dead nodes neither
-  /// start the round nor receive. Incomplete destinations are reported, not
+  /// start the round nor receive; a dead participant's leftover dedup table
+  /// is cleared at round start. Incomplete destinations are reported, not
   /// CHECK-failed. Every event is appended to `trace` when non-null.
-  /// Events run serially in (tick, seq) order; only round start and the
-  /// per-tick dedup eviction run node-parallel (SetGlobalParallelism), and
-  /// the bytes are the same at every thread and shard count.
+  /// The round runs serially and its work follows the traffic, not N: round
+  /// start and the end-of-round passes walk the participant list, events
+  /// run in (tick, seq) order, and dedup eviction pops a FIFO of receive
+  /// stamps (docs/THEORY.md §7), so the bytes are the same at every thread
+  /// and shard count.
   LossyResult RunRoundLossy(const std::vector<double>& readings,
                             const LossyLinkModel& links,
                             const RetryPolicy& retry = {},
@@ -245,6 +251,10 @@ class RuntimeNetwork {
 
   int node_count() const { return static_cast<int>(nodes_.size()); }
 
+  /// Ids of the nodes holding at least one table entry, ascending: the
+  /// only nodes a round starts, sends from or delivers to.
+  const std::vector<NodeId>& participants() const { return participants_; }
+
  private:
   /// Pre-resolved metric handles, registered once in set_metrics so the
   /// per-packet hot path is handle-indexed adds only.
@@ -274,7 +284,12 @@ class RuntimeNetwork {
     obs::MetricHandle coverage_degraded_rounds;
   };
 
+  /// Keeps participants_ in step with `node`'s installed tables.
+  void UpdateParticipation(NodeId node);
+
   std::vector<NodeRuntime> nodes_;
+  /// Nodes with entry_count() > 0, sorted (see participants()).
+  std::vector<NodeId> participants_;
   /// Physical hop count per (node, local message id).
   std::vector<std::vector<int>> message_hops_;
   /// Physical segment (tail..head inclusive) per (node, local message id).

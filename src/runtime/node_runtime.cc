@@ -1,5 +1,8 @@
 #include "runtime/node_runtime.h"
 
+#include <algorithm>
+#include <numeric>
+#include <tuple>
 #include <utility>
 
 #include "agg/aggregate_function.h"
@@ -20,10 +23,109 @@ uint8_t MakeTag(bool is_partial, int field_count) {
                               (field_count << 4));
 }
 
+/// Per-thread scratch for a unit's source summary on its way into an
+/// accumulator, so merging one allocates nothing once warm. Nodes of one
+/// round may be driven from several threads, never one node from two.
+wire::SourceSummary& ScratchSummary() {
+  thread_local wire::SourceSummary summary;
+  return summary;
+}
+
 }  // namespace
 
 NodeRuntime::NodeRuntime(NodeId id, const std::vector<uint8_t>& image)
-    : id_(id), state_(DecodeNodeState(image)) {}
+    : id_(id), state_(DecodeNodeState(image)) {
+  IndexTables();
+}
+
+void NodeRuntime::IndexTables() {
+  const NodeState& tables = state_.state;
+  // Sources the tables use (raw forwards, pre-aggregations), with their
+  // uses grouped per source: raw forwards first, each kind in table order.
+  std::vector<std::tuple<NodeId, bool, int>> by_source;  // (source, preagg, i)
+  by_source.reserve(tables.raw_table.size() + tables.preagg_table.size());
+  for (size_t i = 0; i < tables.raw_table.size(); ++i) {
+    by_source.emplace_back(tables.raw_table[i].source, false,
+                           static_cast<int>(i));
+  }
+  for (size_t i = 0; i < tables.preagg_table.size(); ++i) {
+    by_source.emplace_back(tables.preagg_table[i].source, true,
+                           static_cast<int>(i));
+  }
+  std::sort(by_source.begin(), by_source.end());
+  sources_.clear();
+  uses_.clear();
+  for (const auto& [source, preagg, i] : by_source) {
+    if (sources_.empty() || sources_.back().source != source) {
+      const int at = static_cast<int>(uses_.size());
+      sources_.push_back(SourceUse{source, at, at, at});
+    }
+    uses_.push_back(preagg ? i : tables.raw_table[i].message_id);
+    sources_.back().end = static_cast<int>(uses_.size());
+    if (!preagg) sources_.back().preagg_begin = sources_.back().end;
+  }
+
+  accumulator_index_.clear();
+  for (size_t i = 0; i < tables.partial_table.size(); ++i) {
+    accumulator_index_.emplace_back(tables.partial_table[i].destination,
+                                    static_cast<int>(i));
+  }
+  std::sort(accumulator_index_.begin(), accumulator_index_.end());
+  for (size_t i = 1; i < accumulator_index_.size(); ++i) {
+    M2M_CHECK(accumulator_index_[i - 1].first != accumulator_index_[i].first)
+        << "node " << id_ << " has two partial entries for destination "
+        << accumulator_index_[i].first;
+  }
+
+  // Packet layout per outgoing message: raw units, then partial units,
+  // each in table order.
+  const int messages = static_cast<int>(tables.outgoing_table.size());
+  std::vector<std::tuple<int, bool, int>> by_message;  // (message, partial, i)
+  by_message.reserve(tables.raw_table.size() + tables.partial_table.size());
+  for (size_t i = 0; i < tables.raw_table.size(); ++i) {
+    by_message.emplace_back(tables.raw_table[i].message_id, false,
+                            static_cast<int>(i));
+  }
+  for (size_t i = 0; i < tables.partial_table.size(); ++i) {
+    if (tables.partial_table[i].message_id < 0) continue;  // Consumed here.
+    by_message.emplace_back(tables.partial_table[i].message_id, true,
+                            static_cast<int>(i));
+  }
+  std::sort(by_message.begin(), by_message.end());
+  unit_offsets_.assign(messages == 0 ? 0 : messages + 1, 0);
+  units_.clear();
+  for (const auto& [message, partial, i] : by_message) {
+    M2M_CHECK(message >= 0 && message < messages)
+        << "node " << id_ << " references unknown message " << message;
+    units_.push_back(
+        Unit{partial, partial ? i : SourceSlot(tables.raw_table[i].source)});
+    ++unit_offsets_[message + 1];
+  }
+  std::partial_sum(unit_offsets_.begin(), unit_offsets_.end(),
+                   unit_offsets_.begin());
+
+  raw_values_.assign(sources_.size(), RawValue{});
+  accumulators_.assign(tables.partial_table.size(), Accumulator{});
+  ready_units_.assign(messages, 0);
+}
+
+int NodeRuntime::SourceSlot(NodeId source) const {
+  auto it = std::ranges::lower_bound(sources_, source, {}, &SourceUse::source);
+  if (it == sources_.end() || it->source != source) return -1;
+  return static_cast<int>(it - sources_.begin());
+}
+
+int NodeRuntime::AccumulatorSlot(NodeId destination) const {
+  auto it = std::ranges::lower_bound(accumulator_index_, destination, {},
+                                     &std::pair<NodeId, int>::first);
+  if (it == accumulator_index_.end() || it->first != destination) return -1;
+  return it->second;
+}
+
+bool NodeRuntime::MessageComplete(int local_message) const {
+  const int expected = state_.state.outgoing_table[local_message].unit_count;
+  return expected > 0 && ready_units_[local_message] == expected;
+}
 
 bool NodeRuntime::InstallImage(const std::vector<uint8_t>& image) {
   DecodedNodeState incoming = DecodeNodeState(image);
@@ -38,10 +140,7 @@ bool NodeRuntime::InstallImage(const std::vector<uint8_t>& image) {
   // survive into the new plan (no cross-epoch merges), and message ids /
   // accumulator shapes may have changed anyway.
   round_active_ = false;
-  raw_values_.clear();
-  accumulators_.clear();
-  ready_units_.clear();
-  complete_messages_.clear();
+  IndexTables();
   pending_emits_.clear();
   final_value_.reset();
   seen_packets_.clear();
@@ -50,23 +149,26 @@ bool NodeRuntime::InstallImage(const std::vector<uint8_t>& image) {
 
 void NodeRuntime::StartRound(double reading) {
   round_active_ = true;
-  raw_values_.clear();
-  accumulators_.clear();
-  ready_units_.clear();
-  complete_messages_.clear();
+  std::fill(raw_values_.begin(), raw_values_.end(), RawValue{});
+  std::fill(ready_units_.begin(), ready_units_.end(), 0);
   pending_emits_.clear();
   final_value_.reset();
   seen_packets_.clear();
 
-  for (size_t i = 0; i < state_.state.partial_table.size(); ++i) {
+  for (size_t i = 0; i < accumulators_.size(); ++i) {
     const PartialTableEntry& entry = state_.state.partial_table[i];
-    Accumulator accumulator;
+    Accumulator& accumulator = accumulators_[i];
+    accumulator.record = PartialRecord{};
+    accumulator.received = 0;
     accumulator.expected = entry.expected_contributions;
     accumulator.local_message = entry.message_id;
     accumulator.kind = state_.partial_kinds[i];
-    M2M_CHECK(accumulators_.emplace(entry.destination, accumulator).second)
-        << "node " << id_ << " has two partial entries for destination "
-        << entry.destination;
+    accumulator.has_record = false;
+    // Reset in place, keeping the source list's storage.
+    accumulator.summary.count = 0;
+    accumulator.summary.xor_fold = 0;
+    accumulator.summary.exact_known = true;
+    accumulator.summary.sources.clear();
   }
   // The node's own reading enters the pipeline like any other raw value.
   AcceptRawValue(id_, reading);
@@ -74,43 +176,50 @@ void NodeRuntime::StartRound(double reading) {
 
 void NodeRuntime::AcceptRawValue(NodeId source, double value) {
   M2M_CHECK(round_active_);
-  if (!raw_values_.emplace(source, value).second) {
-    // Duplicate delivery (e.g. the node's own reading with no table use);
-    // raw values are idempotent by source.
-    return;
+  const int slot = SourceSlot(source);
+  // A source no table uses has no effect (e.g. the node's own reading when
+  // it forwards nothing); a repeated one is ignored: raw values are
+  // idempotent by source.
+  if (slot < 0 || raw_values_[slot].present) return;
+  raw_values_[slot] = RawValue{value, true};
+  const SourceUse& use = sources_[slot];
+  for (int u = use.begin; u < use.preagg_begin; ++u) {
+    MarkUnitReady(uses_[u]);
   }
-  for (const RawTableEntry& entry : state_.state.raw_table) {
-    if (entry.source == source) MarkUnitReady(entry.message_id);
-  }
-  for (size_t i = 0; i < state_.state.preagg_table.size(); ++i) {
+  for (int u = use.preagg_begin; u < use.end; ++u) {
+    const int i = uses_[u];
     const PreAggTableEntry& entry = state_.state.preagg_table[i];
-    if (entry.source != source) continue;
     const DecodedPreAggMeta& meta = state_.preagg_meta[i];
     AcceptPartialRecord(entry.destination,
                         wire::PreAggregate(meta.kind, meta.weight,
                                            meta.param, source, value));
     // Pre-aggregation is where a raw reading becomes a partial record, so
     // this is where its source enters the coverage summary.
-    MergeSummaryInto(entry.destination, wire::SingleSource(source));
+    wire::AssignSingleSource(source, ScratchSummary());
+    MergeSummaryInto(entry.destination, ScratchSummary());
   }
 }
 
 void NodeRuntime::MergeSummaryInto(NodeId destination,
                                    const wire::SourceSummary& summary) {
-  auto it = accumulators_.find(destination);
-  M2M_CHECK(it != accumulators_.end());
-  wire::SourceSummary& mine = it->second.summary;
-  mine = mine.count == 0 ? summary : wire::MergeSummaries(mine, summary);
+  const int slot = AccumulatorSlot(destination);
+  M2M_CHECK_GE(slot, 0);
+  wire::SourceSummary& mine = accumulators_[slot].summary;
+  if (mine.count == 0) {
+    mine = summary;
+  } else {
+    wire::MergeSummaryInPlace(mine, summary);
+  }
 }
 
 void NodeRuntime::AcceptPartialRecord(NodeId destination,
                                       const PartialRecord& record) {
   M2M_CHECK(round_active_);
-  auto it = accumulators_.find(destination);
-  M2M_CHECK(it != accumulators_.end())
+  const int slot = AccumulatorSlot(destination);
+  M2M_CHECK_GE(slot, 0)
       << "node " << id_ << " received a partial record for destination "
       << destination << " it has no table entry for";
-  Accumulator& accumulator = it->second;
+  Accumulator& accumulator = accumulators_[slot];
   accumulator.record = accumulator.has_record
                            ? wire::Merge(accumulator.kind,
                                          accumulator.record, record)
@@ -142,32 +251,31 @@ void NodeRuntime::MarkUnitReady(int local_message) {
   int ready = ++ready_units_[local_message];
   int expected = state_.state.outgoing_table[local_message].unit_count;
   M2M_CHECK_LE(ready, expected) << "message over-filled at node " << id_;
-  if (ready == expected) {
-    M2M_CHECK(complete_messages_.insert(local_message).second);
-    pending_emits_.push_back(local_message);
-  }
+  if (ready == expected) pending_emits_.push_back(local_message);
 }
 
 std::vector<NodeRuntime::OutgoingPacket> NodeRuntime::DrainReadyPackets() {
   std::vector<OutgoingPacket> packets;
+  packets.reserve(pending_emits_.size());
   for (int local_message : pending_emits_) {
     const OutgoingMessageEntry& entry =
         state_.state.outgoing_table[local_message];
     ByteWriter writer;
     writer.WriteVarint(static_cast<uint64_t>(entry.unit_count));
     int written = 0;
-    for (const RawTableEntry& raw : state_.state.raw_table) {
-      if (raw.message_id != local_message) continue;
-      writer.WriteU8(MakeTag(/*is_partial=*/false, 1));
-      writer.WriteVarint(static_cast<uint64_t>(raw.source));
-      writer.WriteF32(static_cast<float>(raw_values_.at(raw.source)));
-      ++written;
-    }
-    for (size_t i = 0; i < state_.state.partial_table.size(); ++i) {
-      const PartialTableEntry& partial = state_.state.partial_table[i];
-      if (partial.message_id != local_message) continue;
-      const Accumulator& accumulator =
-          accumulators_.at(partial.destination);
+    for (int u = unit_offsets_[local_message];
+         u < unit_offsets_[local_message + 1]; ++u) {
+      if (!units_[u].partial) {
+        const int slot = units_[u].index;
+        writer.WriteU8(MakeTag(/*is_partial=*/false, 1));
+        writer.WriteVarint(static_cast<uint64_t>(sources_[slot].source));
+        writer.WriteF32(static_cast<float>(raw_values_[slot].value));
+        ++written;
+        continue;
+      }
+      const PartialTableEntry& partial =
+          state_.state.partial_table[units_[u].index];
+      const Accumulator& accumulator = accumulators_[units_[u].index];
       int fields = wire::FieldCountOf(accumulator.kind);
       writer.WriteU8(MakeTag(/*is_partial=*/true, fields));
       writer.WriteVarint(static_cast<uint64_t>(partial.destination));
@@ -203,7 +311,8 @@ void NodeRuntime::OnReceive(const std::vector<uint8_t>& packet) {
         record.fields[f] = reader.ReadF32();
       }
       AcceptPartialRecord(subject, record);
-      MergeSummaryInto(subject, wire::ReadSourceSummary(reader));
+      wire::ReadSourceSummaryInto(reader, ScratchSummary());
+      MergeSummaryInto(subject, ScratchSummary());
     } else {
       M2M_CHECK_EQ(fields, 1);
       AcceptRawValue(subject, reader.ReadF32());
@@ -224,9 +333,12 @@ NodeRuntime::ReceiveOutcome NodeRuntime::OnReceiveOnce(
   }
   uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(sender)) << 32) |
                  static_cast<uint32_t>(sender_message_id);
-  auto [it, fresh] = seen_packets_.emplace(key, tick);
-  it->second = tick;  // Refresh the horizon on duplicates too.
-  if (!fresh) return ReceiveOutcome::kDuplicate;
+  for (SeenPacket& seen : seen_packets_) {
+    if (seen.key != key) continue;
+    seen.tick = tick;  // Refresh the horizon on duplicates too.
+    return ReceiveOutcome::kDuplicate;
+  }
+  seen_packets_.push_back(SeenPacket{key, tick});
   OnReceive(packet);
   return ReceiveOutcome::kFresh;
 }
@@ -237,14 +349,11 @@ bool NodeRuntime::OnReceiveOnce(NodeId sender, int sender_message_id,
                        /*tick=*/0) == ReceiveOutcome::kFresh;
 }
 
-void NodeRuntime::EvictSeenPacketsBefore(int tick) {
-  for (auto it = seen_packets_.begin(); it != seen_packets_.end();) {
-    if (it->second < tick) {
-      it = seen_packets_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+int NodeRuntime::EvictSeenPacketsBefore(int tick) {
+  const size_t before = seen_packets_.size();
+  std::erase_if(seen_packets_,
+                [tick](const SeenPacket& seen) { return seen.tick < tick; });
+  return static_cast<int>(before - seen_packets_.size());
 }
 
 std::optional<double> NodeRuntime::FinalValue() const {
@@ -254,7 +363,7 @@ std::optional<double> NodeRuntime::FinalValue() const {
 std::vector<int> NodeRuntime::IncompleteMessages() const {
   std::vector<int> out;
   for (size_t g = 0; g < state_.state.outgoing_table.size(); ++g) {
-    if (!complete_messages_.contains(static_cast<int>(g))) {
+    if (!MessageComplete(static_cast<int>(g))) {
       out.push_back(static_cast<int>(g));
     }
   }
@@ -264,9 +373,10 @@ std::vector<int> NodeRuntime::IncompleteMessages() const {
 std::vector<NodeRuntime::AccumulatorStatus>
 NodeRuntime::AccumulatorStatuses() const {
   std::vector<AccumulatorStatus> out;
-  for (const auto& [destination, accumulator] : accumulators_) {
-    out.push_back(AccumulatorStatus{destination, accumulator.received,
-                                    accumulator.expected});
+  if (!round_active_) return out;
+  for (const auto& [destination, slot] : accumulator_index_) {
+    out.push_back(AccumulatorStatus{destination, accumulators_[slot].received,
+                                    accumulators_[slot].expected});
   }
   return out;
 }
@@ -275,8 +385,8 @@ std::optional<NodeRuntime::CoverageReport> NodeRuntime::DestinationCoverage()
     const {
   if (!state_.state.is_destination) return std::nullopt;
   CoverageReport report;
-  auto it = accumulators_.find(id_);
-  if (it == accumulators_.end()) {
+  const int slot = AccumulatorSlot(id_);
+  if (!round_active_ || slot < 0) {
     // Round not started (or state dropped by an epoch transition): nothing
     // contributed, but the expected count is still known from the tables.
     for (const PartialTableEntry& entry : state_.state.partial_table) {
@@ -284,7 +394,7 @@ std::optional<NodeRuntime::CoverageReport> NodeRuntime::DestinationCoverage()
     }
     return report;
   }
-  const Accumulator& accumulator = it->second;
+  const Accumulator& accumulator = accumulators_[slot];
   report.summary = accumulator.summary;
   report.received = accumulator.received;
   report.expected = accumulator.expected;

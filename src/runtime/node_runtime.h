@@ -2,9 +2,8 @@
 #define M2M_RUNTIME_NODE_RUNTIME_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "agg/partial_record.h"
@@ -88,11 +87,12 @@ class NodeRuntime {
   bool OnReceiveOnce(NodeId sender, int sender_message_id,
                      const std::vector<uint8_t>& packet);
 
-  /// Drops dedup entries last refreshed before `tick`. Safe once `tick` is
-  /// beyond the retry horizon (the latest tick at which a sender could
-  /// still retransmit the message), which keeps the table at O(messages in
-  /// flight) instead of O(messages ever received) in long lossy runs.
-  void EvictSeenPacketsBefore(int tick);
+  /// Drops dedup entries last refreshed before `tick` and returns how many
+  /// it dropped. Safe once `tick` is beyond the retry horizon (the latest
+  /// tick at which a sender could still retransmit the message), which
+  /// keeps the table at O(messages in flight) instead of O(messages ever
+  /// received) in long lossy runs.
+  int EvictSeenPacketsBefore(int tick);
 
   /// Current dedup-table size (regression guard for the eviction bound).
   size_t seen_packet_count() const { return seen_packets_.size(); }
@@ -147,6 +147,39 @@ class NodeRuntime {
     /// rides with every partial unit on the wire).
     wire::SourceSummary summary;
   };
+  /// Where one source's raw value goes: uses_[begin, preagg_begin) are
+  /// the raw-table messages that forward it (local message ids) and
+  /// uses_[preagg_begin, end) the pre-aggregation entries that consume it
+  /// (preagg-table indices), each in table order.
+  struct SourceUse {
+    NodeId source = kInvalidNode;
+    int begin = 0;
+    int preagg_begin = 0;
+    int end = 0;
+  };
+  struct RawValue {
+    double value = 0.0;
+    bool present = false;
+  };
+  /// One packet unit of an outgoing message: a source slot (raw unit), or a
+  /// partial-table index when `partial`.
+  struct Unit {
+    bool partial = false;
+    int index = 0;
+  };
+  struct SeenPacket {
+    uint64_t key = 0;  ///< (sender << 32) | sender-local message id.
+    int tick = 0;      ///< Tick the packet was last received.
+  };
+
+  /// Builds the lookup indexes below from the installed tables and sizes
+  /// the round state to them, so a round allocates nothing per node.
+  void IndexTables();
+  /// Position of `source` in sources_, or -1 when no table uses it.
+  int SourceSlot(NodeId source) const;
+  /// Partial-table index of `destination`'s accumulator, or -1.
+  int AccumulatorSlot(NodeId destination) const;
+  bool MessageComplete(int local_message) const;
 
   void AcceptRawValue(NodeId source, double value);
   void AcceptPartialRecord(NodeId destination, const PartialRecord& record);
@@ -158,18 +191,29 @@ class NodeRuntime {
   NodeId id_;
   DecodedNodeState state_;
 
-  // --- Round state ---
+  // --- Install-time indexes over state_ (rebuilt by IndexTables) ---
+  std::vector<SourceUse> sources_;  ///< Sorted by source.
+  std::vector<int> uses_;
+  /// (destination, partial-table index), sorted by destination.
+  std::vector<std::pair<NodeId, int>> accumulator_index_;
+  /// Units of local message g: units_[unit_offsets_[g], unit_offsets_[g+1]),
+  /// raw entries first, then partial entries, each in table order (empty
+  /// when the node sends nothing).
+  std::vector<int> unit_offsets_;
+  std::vector<Unit> units_;
+
+  // --- Round state, sized at install and reset in place by StartRound ---
   bool round_active_ = false;
-  std::map<NodeId, double> raw_values_;
-  std::map<NodeId, Accumulator> accumulators_;
-  std::map<int, int> ready_units_;  // local message -> ready unit count.
-  std::set<int> complete_messages_;
+  std::vector<RawValue> raw_values_;        ///< By source slot.
+  std::vector<Accumulator> accumulators_;   ///< By partial-table index.
+  std::vector<int> ready_units_;            ///< By local message id.
   std::vector<int> pending_emits_;
   std::optional<double> final_value_;
-  /// (sender, sender-local message id) -> tick last received. Entries are
-  /// evicted once the sender's retry horizon has passed (EvictSeenPackets-
-  /// Before), bounding the table in long-running lossy simulations.
-  std::map<uint64_t, int> seen_packets_;
+  /// Dedup entries, one per (sender, sender-local message id) seen this
+  /// round. Entries are evicted once the sender's retry horizon has passed
+  /// (EvictSeenPacketsBefore), bounding the table in long-running lossy
+  /// simulations; it holds a handful of entries, so lookups scan it.
+  std::vector<SeenPacket> seen_packets_;
 };
 
 }  // namespace m2m

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 
 #include "agg/aggregate_function.h"
 #include "common/bytes.h"
@@ -108,41 +107,40 @@ double Evaluate(uint8_t kind, const PartialRecord& record) {
   return 0.0;
 }
 
-SourceSummary SingleSource(NodeId source) {
-  SourceSummary summary;
+void AssignSingleSource(NodeId source, SourceSummary& summary) {
   summary.count = 1;
   summary.xor_fold = static_cast<uint32_t>(source) + 1;
   summary.exact_known = true;
-  summary.sources = {source};
-  return summary;
+  summary.sources.assign(1, source);
 }
 
-SourceSummary MergeSummaries(const SourceSummary& a, const SourceSummary& b) {
-  SourceSummary merged;
-  if (a.exact_known && b.exact_known) {
-    merged.sources.reserve(a.sources.size() + b.sources.size());
-    std::set_union(a.sources.begin(), a.sources.end(), b.sources.begin(),
-                   b.sources.end(), std::back_inserter(merged.sources));
-    merged.count = static_cast<uint32_t>(merged.sources.size());
-    merged.xor_fold = 0;
-    for (NodeId s : merged.sources) {
-      merged.xor_fold ^= static_cast<uint32_t>(s) + 1;
+void MergeSummaryInPlace(SourceSummary& into, const SourceSummary& from) {
+  if (into.exact_known && from.exact_known) {
+    // Both sides hold at most kCoverageExactThreshold sorted ids, so an
+    // in-place sort of the concatenation is the cheap set union.
+    into.sources.insert(into.sources.end(), from.sources.begin(),
+                        from.sources.end());
+    std::sort(into.sources.begin(), into.sources.end());
+    into.sources.erase(std::unique(into.sources.begin(), into.sources.end()),
+                       into.sources.end());
+    into.count = static_cast<uint32_t>(into.sources.size());
+    into.xor_fold = 0;
+    for (NodeId s : into.sources) {
+      into.xor_fold ^= static_cast<uint32_t>(s) + 1;
     }
-    if (merged.sources.size() <=
-        static_cast<size_t>(kCoverageExactThreshold)) {
-      merged.exact_known = true;
-      return merged;
+    if (into.sources.size() <= static_cast<size_t>(kCoverageExactThreshold)) {
+      return;
     }
-    merged.exact_known = false;
-    merged.sources.clear();
-    return merged;
+    into.exact_known = false;
+    into.sources.clear();
+    return;
   }
   // Count-only regime: contributor sets are disjoint along a consistent
   // plan's aggregation tree, so the sum is the union size.
-  merged.count = a.count + b.count;
-  merged.xor_fold = a.xor_fold ^ b.xor_fold;
-  merged.exact_known = false;
-  return merged;
+  into.count += from.count;
+  into.xor_fold ^= from.xor_fold;
+  into.exact_known = false;
+  into.sources.clear();
 }
 
 void AppendSourceSummary(const SourceSummary& summary, ByteWriter& writer) {
@@ -156,19 +154,18 @@ void AppendSourceSummary(const SourceSummary& summary, ByteWriter& writer) {
   }
 }
 
-SourceSummary ReadSourceSummary(ByteReader& reader) {
-  SourceSummary summary;
+void ReadSourceSummaryInto(ByteReader& reader, SourceSummary& summary) {
   uint64_t header = reader.ReadVarint();
   summary.exact_known = (header & 1u) != 0;
   summary.count = static_cast<uint32_t>(header >> 1);
   summary.xor_fold = static_cast<uint32_t>(reader.ReadVarint());
+  summary.sources.clear();
   if (summary.exact_known) {
     summary.sources.reserve(summary.count);
     for (uint32_t i = 0; i < summary.count; ++i) {
       summary.sources.push_back(static_cast<NodeId>(reader.ReadVarint()));
     }
   }
-  return summary;
 }
 
 namespace {

@@ -80,21 +80,25 @@ struct SourceSummary {
   friend bool operator==(const SourceSummary&, const SourceSummary&) = default;
 };
 
-/// Summary of the single contributor `source` (a pre-aggregated reading).
-SourceSummary SingleSource(NodeId source);
+/// Sets `summary` to the single contributor `source` (a pre-aggregated
+/// reading), reusing its storage.
+void AssignSingleSource(NodeId source, SourceSummary& summary);
 
-/// Union of two summaries. Contributor sets along an aggregation tree are
-/// disjoint (plan consistency: one pre-aggregation site per (source,
-/// destination)), but the union is computed set-wise so a duplicate
-/// contributor can never double-count. Collapses to (count, xor-fold)
-/// once the union exceeds kCoverageExactThreshold or either side is
-/// already inexact.
-SourceSummary MergeSummaries(const SourceSummary& a, const SourceSummary& b);
+/// Replaces `into` with the union of `into` and `from`, reusing
+/// into.sources' storage (no allocation once it has grown). Contributor
+/// sets along an aggregation tree are disjoint (plan consistency: one
+/// pre-aggregation site per (source, destination)), but the union is
+/// computed set-wise so a duplicate contributor can never double-count.
+/// Collapses to (count, xor-fold) once the union exceeds
+/// kCoverageExactThreshold or either side is already inexact.
+void MergeSummaryInPlace(SourceSummary& into, const SourceSummary& from);
 
 /// Wire format: varint((count << 1) | exact_known), varint(xor_fold),
 /// then `count` varint source ids (sorted) when exact_known.
+/// ReadSourceSummaryInto decodes into an existing summary, reusing its
+/// storage.
 void AppendSourceSummary(const SourceSummary& summary, ByteWriter& writer);
-SourceSummary ReadSourceSummary(ByteReader& reader);
+void ReadSourceSummaryInto(ByteReader& reader, SourceSummary& summary);
 
 // --- Control-plane wire formats (self-healing protocol) ---
 //

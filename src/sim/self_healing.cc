@@ -74,9 +74,10 @@ SelfHealingRuntime::SelfHealingRuntime(const Topology& topology,
       options_(options),
       original_workload_(workload),
       workload_(workload),
-      plan_(BuildPlan(std::make_shared<MulticastForest>(PathSystem(topology),
-                                                        workload.tasks),
-                      workload.functions)),
+      control_paths_(topology),
+      plan_(BuildPlan(
+          std::make_shared<MulticastForest>(control_paths_, workload.tasks),
+          workload.functions)),
       compiled_(std::make_shared<CompiledPlan>(CompiledPlan::Compile(
           plan_, workload.functions, MergePolicy::kGreedyMergePerEdge,
           /*plan_epoch=*/0))),
@@ -84,7 +85,6 @@ SelfHealingRuntime::SelfHealingRuntime(const Topology& topology,
       network_(*compiled_, workload.functions),
       detector_(topology, options.detector),
       ledger_(&topology, base_station),
-      control_paths_(topology),
       deployment_paths_(control_paths_) {
   M2M_CHECK(base_ >= 0 && base_ < topology.node_count());
   M2M_CHECK(options_.control_hop_attempts >= 1 &&

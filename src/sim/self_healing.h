@@ -343,6 +343,13 @@ class SelfHealingRuntime {
   /// The believed workload: original minus believed-dead sources.
   Workload workload_;
   uint32_t epoch_ = 0;
+  /// Paths control messages route over: the deployment topology minus
+  /// every link any monitor suspects (suspicions propagate through the
+  /// control plane itself; routing around them immediately is what lets a
+  /// report escape a region whose primary path just failed). Declared
+  /// before plan_: the initial forest is built over it, so construction
+  /// builds one graph of the topology, not two.
+  PathSystem control_paths_;
   GlobalPlan plan_;
   std::shared_ptr<CompiledPlan> compiled_;
   /// Current-epoch wire images per node.
@@ -356,11 +363,6 @@ class SelfHealingRuntime {
   int workload_revision_ = 0;
   int workload_revision_applied_ = 0;
 
-  /// Paths control messages route over: the deployment topology minus
-  /// every link any monitor suspects (suspicions propagate through the
-  /// control plane itself; routing around them immediately is what lets a
-  /// report escape a region whose primary path just failed).
-  PathSystem control_paths_;
   std::set<std::pair<NodeId, NodeId>> control_paths_suspected_;
   /// Fallback routes over the full deployment graph, for messages whose
   /// believed route does not exist: a monitor sitting behind a healed cut

@@ -389,8 +389,8 @@ TEST(RoundCompat, ByteIdenticalToRunRoundLossyAcrossSeedsAndRegimes) {
       const std::string golden = HexDigest(kGoldenDigests[seed - 1][r]);
       EXPECT_EQ(digest(/*compat=*/false), golden) << "RunRoundLossy";
       EXPECT_EQ(digest(/*compat=*/true), golden) << "RunCompatRound";
-      // The node-parallel round start and dedup-eviction sweep must leave
-      // the same bytes at any thread and shard count.
+      // RunRoundLossy has no parallel part; a thread-pool setting must
+      // still leave its bytes alone.
       ScopedParallelism parallelism(4, 7);
       EXPECT_EQ(digest(/*compat=*/false), golden) << "RunRoundLossy, 4 threads";
     }

@@ -2,19 +2,24 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iomanip>
 #include <map>
 #include <memory>
 #include <queue>
 #include <set>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "plan/consistency.h"
 #include "plan/node_tables.h"
 #include "plan/planner.h"
 #include "routing/multicast.h"
 #include "routing/path_system.h"
+#include "runtime/channel.h"
 #include "runtime/network.h"
 #include "sim/base_station.h"
 #include "sim/executor.h"
@@ -34,6 +39,21 @@ using fault_test::Destinations;
 using fault_test::FaultRunResult;
 using fault_test::RunFaultSchedule;
 using fault_test::ValuesClose;
+
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+std::string HexDigest(uint64_t digest) {
+  std::ostringstream out;
+  out << std::hex << std::setw(16) << std::setfill('0') << digest;
+  return out.str();
+}
 
 Workload DefaultWorkload(const Topology& topology, uint64_t seed) {
   WorkloadSpec spec;
@@ -693,6 +713,166 @@ TEST(LossyRuntimeTest, DelayedAcksPreserveExactlyOnceAcrossRetryBudgets) {
       // the receiver-side dedup absorbed every extra copy.
       EXPECT_GT(lossy.retransmissions, 0) << "max_attempts " << max_attempts;
       EXPECT_GT(lossy.duplicates, 0) << "max_attempts " << max_attempts;
+    }
+  }
+}
+
+// Golden for the receiver dedup tables over a long lossy deployment: a
+// 210-node grid under a lossy, delaying, duplicating and corrupting channel
+// while nodes die and recover. After every round the digest takes each
+// alive node's dedup-table size and the round's LossyResult. An eviction
+// agenda that evicts one tick early or one tick late moves both the digest
+// and the eviction count.
+TEST(LossyRuntimeTest, DedupTablesMatchGoldenUnderDelayDuplicationAndDeaths) {
+  Topology topology = MakeGrid(15, 14, 10.0, 15.0);
+  WorkloadSpec spec;
+  spec.destination_count = 10;
+  spec.sources_per_destination = 6;
+  spec.max_hops = 6;
+  spec.seed = 19;
+  Workload workload = GenerateWorkload(topology, spec);
+  PathSystem paths(topology);
+  GlobalPlan plan = BuildPlan(
+      std::make_shared<MulticastForest>(paths, workload.tasks),
+      workload.functions);
+  CompiledPlan compiled = CompiledPlan::Compile(plan, workload.functions);
+  RuntimeNetwork network(compiled, workload.functions);
+
+  ChannelOptions options;
+  options.good_loss = 0.2;
+  options.delay_probability = 0.3;
+  options.max_delay_ticks = 3;
+  options.duplicate_probability = 0.15;
+  options.corrupt_probability = 0.05;
+  options.seed = 77;
+  ChannelModel channel(options);
+  // Every 4 rounds a different ~1/23 of the nodes is down; the previous
+  // window's nodes recover.
+  auto alive_in = [](int round) {
+    return [round](NodeId n) { return (n * 7 + round / 4) % 23 != 0; };
+  };
+
+  ReadingGenerator readings(topology.node_count(), 61);
+  const int kRounds = 36;
+  std::ostringstream bytes;
+  int64_t evictions = 0;
+  int dead_tables_cleared = 0;
+  std::vector<size_t> previous(topology.node_count(), 0);
+  for (int round = 0; round < kRounds; ++round) {
+    readings.Advance(1.0);
+    const auto alive = alive_in(round);
+    RuntimeNetwork::LossyResult r = network.RunRoundLossy(
+        readings.values(), channel.Bind(round, alive));
+    bytes << "r" << round << " att=" << r.attempts << " del=" << r.deliveries
+          << " dup=" << r.duplicates << " retx=" << r.retransmissions
+          << " ackl=" << r.acks_lost << " ab=" << r.messages_abandoned
+          << " epr=" << r.epoch_rejected << " b=" << r.payload_bytes
+          << " t=" << r.final_tick << " cor=" << r.corrupt_frames
+          << " sp=" << r.spontaneous_duplicates
+          << " reo=" << r.reordered_deliveries << " heard=" << r.heard.size()
+          << " e=" << std::hexfloat << r.energy_mj << std::defaultfloat;
+    std::map<NodeId, double> values(r.destination_values.begin(),
+                                    r.destination_values.end());
+    for (const auto& [d, v] : values) {
+      bytes << " d" << d << "=" << std::hexfloat << v << std::defaultfloat;
+    }
+    bytes << " inc=" << r.incomplete_destinations.size() << " seen=";
+    int64_t seen_total = 0;
+    for (NodeId n = 0; n < topology.node_count(); ++n) {
+      const size_t seen = network.node_runtime(n).seen_packet_count();
+      if (alive(n)) {
+        bytes << seen << ",";
+        seen_total += static_cast<int64_t>(seen);
+      } else {
+        // Documented dead-node behaviour: a dead participant's leftover
+        // table is cleared at round start, and a dead node never receives.
+        EXPECT_EQ(seen, 0u) << "dead node " << n << " round " << round;
+        if (previous[n] > 0) ++dead_tables_cleared;
+      }
+      previous[n] = seen;
+    }
+    bytes << "\n";
+    // Every fresh receive adds one entry; what the round did not evict is
+    // still in an alive node's table (alive participants start empty).
+    EXPECT_EQ(r.dedup_evictions,
+              r.deliveries - r.duplicates - r.epoch_rejected - seen_total)
+        << "round " << round;
+    evictions += r.dedup_evictions;
+  }
+  EXPECT_GT(dead_tables_cleared, 0) << "no dead node ever held a table";
+  // The digest was recorded with a per-tick eviction sweep over all nodes,
+  // an independent implementation of the same rule; the count with the
+  // agenda.
+  EXPECT_EQ(HexDigest(Fnv1a64(bytes.str())), "4159112d0c5b4074");
+  EXPECT_EQ(evictions, 3546);
+}
+
+// The participant list follows InstallNodeImage across an epoch change:
+// on a line 0..7, plan 0 aggregates sources {1, 2} at node 5 and plan 1
+// sources {2, 3} at node 6, so installing plan 1 moves node 6 into the plan
+// (it gains tables) and node 1 out of it (it loses every entry). Rounds on
+// the new plan still complete with the directly evaluated value, lossless
+// and lossy, at 1 and 4 threads.
+TEST(LossyRuntimeTest, ParticipantListFollowsInstallsAcrossEpochs) {
+  Topology topology = MakeGrid(8, 1, 10.0, 15.0);
+  auto make_workload = [](NodeId destination, NodeId a, NodeId b) {
+    Workload workload;
+    workload.tasks = {Task{destination, {a, b}}};
+    FunctionSpec spec;
+    spec.kind = AggregateKind::kWeightedSum;
+    spec.weights = {{a, 1.5}, {b, -2.0}};
+    workload.specs = {spec};
+    workload.RebuildFunctions();
+    return workload;
+  };
+  auto compile = [&](const Workload& workload, uint32_t epoch) {
+    PathSystem paths(topology);
+    GlobalPlan plan = BuildPlan(
+        std::make_shared<MulticastForest>(paths, workload.tasks),
+        workload.functions);
+    return CompiledPlan::Compile(plan, workload.functions,
+                                 MergePolicy::kGreedyMergePerEdge, epoch);
+  };
+  const Workload before = make_workload(5, 1, 2);
+  const Workload after = make_workload(6, 2, 3);
+  const CompiledPlan epoch0 = compile(before, 0);
+  const CompiledPlan epoch1 = compile(after, 1);
+  ASSERT_EQ(epoch1.state(1).entry_count(), 0);
+  ASSERT_EQ(epoch0.state(6).entry_count(), 0);
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ScopedParallelism parallelism(threads);
+    RuntimeNetwork network(epoch0, before.functions);
+    EXPECT_EQ(network.participants(), (std::vector<NodeId>{1, 2, 3, 4, 5}));
+
+    const std::vector<std::vector<uint8_t>> images =
+        EncodeAllNodeStates(epoch1, after.functions);
+    for (NodeId n = 0; n < topology.node_count(); ++n) {
+      std::vector<std::vector<NodeId>> segments;
+      for (const OutgoingMessageEntry& entry : epoch1.state(n).outgoing_table) {
+        segments.push_back(entry.segment);
+      }
+      ASSERT_TRUE(network.InstallNodeImage(n, images[n], std::move(segments)));
+    }
+    EXPECT_EQ(network.participants(), (std::vector<NodeId>{2, 3, 4, 5, 6}));
+
+    LossyLinkModel clean;
+    clean.attempt_delivers = [](NodeId, NodeId, int) { return true; };
+    ReadingGenerator readings(topology.node_count(), 29);
+    for (int round = 0; round < 3; ++round) {
+      readings.Advance(1.0);
+      const std::vector<double>& values = readings.values();
+      const double expected = 1.5 * values[2] - 2.0 * values[3];
+      RuntimeNetwork::Result lossless = network.RunRound(values);
+      ASSERT_EQ(lossless.destination_values.size(), 1u);
+      EXPECT_TRUE(ValuesClose(lossless.destination_values.at(6), expected));
+      RuntimeNetwork::LossyResult lossy = network.RunRoundLossy(values, clean);
+      EXPECT_TRUE(lossy.incomplete_destinations.empty());
+      ASSERT_EQ(lossy.destination_values.size(), 1u);
+      EXPECT_TRUE(ValuesClose(lossy.destination_values.at(6), expected));
+      EXPECT_EQ(lossy.destination_epochs.at(6), 1u);
+      EXPECT_EQ(lossy.destination_coverage.at(6).expected, 2);
     }
   }
 }
