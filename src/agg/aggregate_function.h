@@ -149,6 +149,8 @@ class FunctionSet {
 
   FunctionSet(const FunctionSet&) = default;
   FunctionSet& operator=(const FunctionSet&) = default;
+  FunctionSet(FunctionSet&&) noexcept = default;
+  FunctionSet& operator=(FunctionSet&&) noexcept = default;
 
   void Set(NodeId destination, std::shared_ptr<const AggregateFunction> fn);
   const AggregateFunction& Get(NodeId destination) const;

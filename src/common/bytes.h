@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace m2m {
@@ -24,6 +25,8 @@ class ByteWriter {
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   size_t size() const { return bytes_.size(); }
+  /// Moves the written bytes out; the writer is spent afterwards.
+  std::vector<uint8_t> TakeBytes() && { return std::move(bytes_); }
 
  private:
   std::vector<uint8_t> bytes_;

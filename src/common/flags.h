@@ -17,6 +17,8 @@ class FlagParser {
 
   FlagParser(const FlagParser&) = default;
   FlagParser& operator=(const FlagParser&) = default;
+  FlagParser(FlagParser&&) noexcept = default;
+  FlagParser& operator=(FlagParser&&) noexcept = default;
 
   std::string GetString(const std::string& name,
                         const std::string& default_value,

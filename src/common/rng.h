@@ -16,6 +16,8 @@ class Rng {
 
   Rng(const Rng&) = default;
   Rng& operator=(const Rng&) = default;
+  Rng(Rng&&) noexcept = default;
+  Rng& operator=(Rng&&) noexcept = default;
 
   /// Next raw 64 random bits.
   uint64_t Next();

@@ -15,6 +15,8 @@ class Table {
 
   Table(const Table&) = default;
   Table& operator=(const Table&) = default;
+  Table(Table&&) noexcept = default;
+  Table& operator=(Table&&) noexcept = default;
 
   /// Adds a row; must match the column count.
   void AddRow(std::vector<std::string> cells);

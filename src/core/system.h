@@ -35,6 +35,8 @@ class System {
 
   System(const System&) = default;
   System& operator=(const System&) = default;
+  System(System&&) noexcept = default;
+  System& operator=(System&&) noexcept = default;
 
   const Topology& topology() const { return *topology_; }
   const Workload& workload() const { return workload_; }

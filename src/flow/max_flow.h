@@ -16,6 +16,8 @@ class MaxFlow {
 
   MaxFlow(const MaxFlow&) = default;
   MaxFlow& operator=(const MaxFlow&) = default;
+  MaxFlow(MaxFlow&&) noexcept = default;
+  MaxFlow& operator=(MaxFlow&&) noexcept = default;
 
   /// Adds a directed edge with the given capacity (>= 0); returns an edge id
   /// usable with `flow()` after solving.

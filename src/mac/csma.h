@@ -64,6 +64,8 @@ class CsmaSimulator {
 
   CsmaSimulator(const CsmaSimulator&) = default;
   CsmaSimulator& operator=(const CsmaSimulator&) = default;
+  CsmaSimulator(CsmaSimulator&&) noexcept = default;
+  CsmaSimulator& operator=(CsmaSimulator&&) noexcept = default;
 
   /// Runs one round; deterministic in `seed`.
   MacRoundResult RunRound(uint64_t seed) const;

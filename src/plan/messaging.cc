@@ -1,10 +1,7 @@
 #include "plan/messaging.h"
 
 #include <algorithm>
-#include <map>
-#include <queue>
-#include <set>
-#include <tuple>
+#include <utility>
 
 #include "agg/partial_record.h"
 #include "common/check.h"
@@ -13,32 +10,50 @@ namespace m2m {
 
 namespace {
 
-// Kahn's algorithm: returns a topological order, or an empty vector if the
-// graph has a cycle (and `node_count` > 0).
-std::vector<int> TopoOrder(int node_count,
-                           const std::vector<std::vector<int>>& deps) {
-  std::vector<int> out_degree_into(node_count, 0);  // #unmet dependencies
-  std::vector<std::vector<int>> dependents(node_count);
+// Kahn's algorithm over `node_count` nodes. `for_each_arc(arc)` calls
+// arc(waiter, dependency) once per arc; repeated arcs are allowed. Returns a
+// topological order, or an empty vector if the graph has a cycle (and
+// `node_count` > 0). Each node's dependents are released in arc order.
+template <typename ForEachArc>
+std::vector<int> TopoOrder(int node_count, const ForEachArc& for_each_arc) {
+  std::vector<int> unmet(node_count, 0);  // #unmet dependencies
+  std::vector<int> dependents_begin(node_count + 1, 0);
+  for_each_arc([&](int waiter, int dependency) {
+    ++unmet[waiter];
+    ++dependents_begin[dependency + 1];
+  });
   for (int v = 0; v < node_count; ++v) {
-    out_degree_into[v] = static_cast<int>(deps[v].size());
-    for (int u : deps[v]) dependents[u].push_back(v);
+    dependents_begin[v + 1] += dependents_begin[v];
   }
-  std::queue<int> ready;
-  for (int v = 0; v < node_count; ++v) {
-    if (out_degree_into[v] == 0) ready.push(v);
-  }
+  std::vector<int> dependents(dependents_begin[node_count]);
+  std::vector<int> cursor(dependents_begin.begin(),
+                          dependents_begin.end() - 1);
+  for_each_arc([&](int waiter, int dependency) {
+    dependents[cursor[dependency]++] = waiter;
+  });
+  // `order` doubles as the FIFO of ready nodes.
   std::vector<int> order;
   order.reserve(node_count);
-  while (!ready.empty()) {
-    int u = ready.front();
-    ready.pop();
-    order.push_back(u);
-    for (int v : dependents[u]) {
-      if (--out_degree_into[v] == 0) ready.push(v);
+  for (int v = 0; v < node_count; ++v) {
+    if (unmet[v] == 0) order.push_back(v);
+  }
+  for (size_t head = 0; head < order.size(); ++head) {
+    const int u = order[head];
+    for (int i = dependents_begin[u]; i < dependents_begin[u + 1]; ++i) {
+      if (--unmet[dependents[i]] == 0) order.push_back(dependents[i]);
     }
   }
   if (static_cast<int>(order.size()) != node_count) return {};
   return order;
+}
+
+// Topological order of the unit wait-for graph; empty if it has a cycle.
+std::vector<int> UnitOrder(const std::vector<std::vector<int>>& wait_for) {
+  return TopoOrder(static_cast<int>(wait_for.size()), [&](const auto& arc) {
+    for (size_t v = 0; v < wait_for.size(); ++v) {
+      for (int u : wait_for[v]) arc(static_cast<int>(v), u);
+    }
+  });
 }
 
 }  // namespace
@@ -49,31 +64,33 @@ MessageSchedule MessageSchedule::Build(const GlobalPlan& plan,
   MessageSchedule schedule;
   const MulticastForest& forest = plan.forest();
   const int edge_count = static_cast<int>(forest.edges().size());
-  schedule.units_by_edge_.resize(edge_count);
 
-  // 1. Enumerate units.
-  std::map<std::tuple<int, bool, NodeId>, int> unit_id;
+  // 1. Enumerate units, edge by edge in each plan's sorted order, so that
+  // UnitOf is a search within the edge's id range.
+  schedule.edge_unit_begin_.reserve(edge_count + 1);
+  schedule.units_.reserve(plan.TotalUnits());
   for (int e = 0; e < edge_count; ++e) {
+    schedule.edge_unit_begin_.push_back(
+        static_cast<int>(schedule.units_.size()));
     const EdgePlan& edge_plan = plan.plan_for(e);
     for (NodeId s : edge_plan.raw_sources) {
-      int id = static_cast<int>(schedule.units_.size());
       schedule.units_.push_back(
           MessageUnit{e, /*is_partial=*/false, s, kRawUnitBytes});
-      unit_id[{e, false, s}] = id;
-      schedule.units_by_edge_[e].push_back(id);
     }
     for (NodeId d : edge_plan.agg_destinations) {
-      int id = static_cast<int>(schedule.units_.size());
       schedule.units_.push_back(MessageUnit{
           e, /*is_partial=*/true, d,
           kIdTagBytes + functions.Get(d).partial_record_bytes()});
-      unit_id[{e, true, d}] = id;
-      schedule.units_by_edge_[e].push_back(id);
     }
   }
+  schedule.edge_unit_begin_.push_back(
+      static_cast<int>(schedule.units_.size()));
+  const int unit_count = static_cast<int>(schedule.units_.size());
 
-  // 2. Wait-for relation from consecutive edges along every route.
-  std::vector<std::set<int>> wait_sets(schedule.units_.size());
+  // 2. Wait-for relation from consecutive edges along every route, as
+  // (unit, upstream unit) pairs. Sorted and deduplicated, they list each
+  // unit's upstream units in ascending order.
+  std::vector<std::pair<int, int>> waits;
   for (const Task& task : forest.tasks()) {
     const NodeId d = task.destination;
     for (NodeId s : task.sources) {
@@ -88,11 +105,11 @@ MessageSchedule MessageSchedule::Build(const GlobalPlan& plan,
         // d's partial record from prev.
         int upstream_unit;
         if (prev_plan.TransmitsRaw(s)) {
-          upstream_unit = unit_id.at({prev, false, s});
+          upstream_unit = schedule.UnitOf(prev, false, s);
         } else {
           M2M_CHECK(prev_plan.TransmitsAggregate(d))
               << "inconsistent plan: pair uncovered on upstream edge";
-          upstream_unit = unit_id.at({prev, true, d});
+          upstream_unit = schedule.UnitOf(prev, true, d);
         }
         if (cur_plan.TransmitsRaw(s)) {
           // Raw s continues downstream: it waits for the raw copy (which
@@ -101,44 +118,31 @@ MessageSchedule MessageSchedule::Build(const GlobalPlan& plan,
           // any) does not wait on it.
           M2M_CHECK(prev_plan.TransmitsRaw(s))
               << "inconsistent plan: raw after aggregation";
-          wait_sets[unit_id.at({cur, false, s})].insert(upstream_unit);
+          waits.emplace_back(schedule.UnitOf(cur, false, s), upstream_unit);
         } else {
           M2M_CHECK(cur_plan.TransmitsAggregate(d))
               << "inconsistent plan: pair uncovered";
-          wait_sets[unit_id.at({cur, true, d})].insert(upstream_unit);
+          waits.emplace_back(schedule.UnitOf(cur, true, d), upstream_unit);
         }
       }
     }
   }
-  schedule.wait_for_.resize(schedule.units_.size());
-  for (size_t u = 0; u < wait_sets.size(); ++u) {
-    schedule.wait_for_[u].assign(wait_sets[u].begin(), wait_sets[u].end());
+  std::sort(waits.begin(), waits.end());
+  waits.erase(std::unique(waits.begin(), waits.end()), waits.end());
+  schedule.wait_for_.resize(unit_count);
+  for (size_t i = 0, j = 0; i < waits.size(); i = j) {
+    while (j < waits.size() && waits[j].first == waits[i].first) ++j;
+    std::vector<int>& upstream = schedule.wait_for_[waits[i].first];
+    upstream.reserve(j - i);
+    for (size_t k = i; k < j; ++k) upstream.push_back(waits[k].second);
   }
   M2M_CHECK(schedule.UnitsAcyclic())
       << "Theorem 2 violated: wait-for cycle among message units";
 
   // 3. Pack units into messages.
-  const int unit_count = static_cast<int>(schedule.units_.size());
   schedule.message_of_unit_.assign(unit_count, -1);
-  auto message_graph_acyclic = [&](const std::vector<int>& msg_of_unit,
-                                   int message_count) {
-    std::vector<std::set<int>> deps(message_count);
-    for (int v = 0; v < unit_count; ++v) {
-      for (int u : schedule.wait_for_[v]) {
-        if (msg_of_unit[u] != msg_of_unit[v]) {
-          deps[msg_of_unit[v]].insert(msg_of_unit[u]);
-        }
-      }
-    }
-    std::vector<std::vector<int>> dep_lists(message_count);
-    for (int m = 0; m < message_count; ++m) {
-      dep_lists[m].assign(deps[m].begin(), deps[m].end());
-    }
-    return message_count == 0 ||
-           !TopoOrder(message_count, dep_lists).empty();
-  };
-
   if (policy == MergePolicy::kOneUnitPerMessage) {
+    schedule.messages_.reserve(unit_count);
     for (int u = 0; u < unit_count; ++u) {
       schedule.message_of_unit_[u] = u;
       schedule.messages_.push_back(
@@ -155,17 +159,15 @@ MessageSchedule MessageSchedule::Build(const GlobalPlan& plan,
   for (int u = 0; u < unit_count; ++u) {
     merged_all[u] = schedule.units_[u].edge_index;
   }
-  if (message_graph_acyclic(merged_all, edge_count)) {
+  if (schedule.MessageGraphAcyclic(merged_all, edge_count)) {
     // Compact away edges with no units.
-    std::vector<int> message_index(edge_count, -1);
     for (int e = 0; e < edge_count; ++e) {
-      if (schedule.units_by_edge_[e].empty()) continue;
-      message_index[e] = static_cast<int>(schedule.messages_.size());
-      schedule.messages_.push_back(Message{e, schedule.units_by_edge_[e]});
-    }
-    for (int u = 0; u < unit_count; ++u) {
-      schedule.message_of_unit_[u] =
-          message_index[schedule.units_[u].edge_index];
+      auto edge_units = schedule.units_on_edge(e);
+      if (edge_units.empty()) continue;
+      const int message = static_cast<int>(schedule.messages_.size());
+      schedule.messages_.push_back(
+          Message{e, std::vector<int>(edge_units.begin(), edge_units.end())});
+      for (int u : edge_units) schedule.message_of_unit_[u] = message;
     }
     M2M_CHECK(schedule.MessagesAcyclic());
     return schedule;
@@ -176,7 +178,7 @@ MessageSchedule MessageSchedule::Build(const GlobalPlan& plan,
   std::vector<int> msg_of_unit(unit_count);
   for (int u = 0; u < unit_count; ++u) msg_of_unit[u] = u;
   for (int e = 0; e < edge_count; ++e) {
-    const std::vector<int>& edge_units = schedule.units_by_edge_[e];
+    const auto edge_units = schedule.units_on_edge(e);
     bool progress = true;
     while (progress) {
       progress = false;
@@ -194,7 +196,7 @@ MessageSchedule MessageSchedule::Build(const GlobalPlan& plan,
           for (int u : edge_units) {
             if (trial[u] == edge_messages[b]) trial[u] = edge_messages[a];
           }
-          if (message_graph_acyclic(trial, unit_count)) {
+          if (schedule.MessageGraphAcyclic(trial, unit_count)) {
             msg_of_unit = std::move(trial);
             progress = true;
           }
@@ -202,26 +204,45 @@ MessageSchedule MessageSchedule::Build(const GlobalPlan& plan,
       }
     }
   }
-  // Compact message ids.
-  std::map<int, int> compact;
+  // Compact message ids in order of first use.
+  std::vector<int> compact(unit_count, -1);
   for (int u = 0; u < unit_count; ++u) {
-    auto [it, inserted] = compact.emplace(
-        msg_of_unit[u], static_cast<int>(schedule.messages_.size()));
-    if (inserted) {
+    int& message = compact[msg_of_unit[u]];
+    if (message < 0) {
+      message = static_cast<int>(schedule.messages_.size());
       schedule.messages_.push_back(
           Message{schedule.units_[u].edge_index, {}});
     }
-    schedule.message_of_unit_[u] = it->second;
-    schedule.messages_[it->second].unit_ids.push_back(u);
+    schedule.message_of_unit_[u] = message;
+    schedule.messages_[message].unit_ids.push_back(u);
   }
   M2M_CHECK(schedule.MessagesAcyclic());
   return schedule;
 }
 
-const std::vector<int>& MessageSchedule::units_on_edge(int edge_index) const {
+std::ranges::iota_view<int, int> MessageSchedule::units_on_edge(
+    int edge_index) const {
   M2M_CHECK(edge_index >= 0 &&
-            edge_index < static_cast<int>(units_by_edge_.size()));
-  return units_by_edge_[edge_index];
+            edge_index + 1 < static_cast<int>(edge_unit_begin_.size()));
+  return std::views::iota(edge_unit_begin_[edge_index],
+                          edge_unit_begin_[edge_index + 1]);
+}
+
+int MessageSchedule::UnitOf(int edge_index, bool is_partial,
+                            NodeId subject) const {
+  M2M_CHECK(edge_index >= 0 &&
+            edge_index + 1 < static_cast<int>(edge_unit_begin_.size()));
+  const auto begin = units_.begin() + edge_unit_begin_[edge_index];
+  const auto end = units_.begin() + edge_unit_begin_[edge_index + 1];
+  const std::pair<bool, NodeId> key{is_partial, subject};
+  const auto it = std::lower_bound(
+      begin, end, key, [](const MessageUnit& unit, const auto& k) {
+        return std::pair<bool, NodeId>{unit.is_partial, unit.subject} < k;
+      });
+  M2M_CHECK(it != end && it->is_partial == is_partial &&
+            it->subject == subject)
+      << "no unit for subject " << subject << " on edge " << edge_index;
+  return static_cast<int>(it - units_.begin());
 }
 
 int MessageSchedule::message_of_unit(int unit_id) const {
@@ -231,34 +252,34 @@ int MessageSchedule::message_of_unit(int unit_id) const {
 }
 
 bool MessageSchedule::UnitsAcyclic() const {
-  return units_.empty() ||
-         !TopoOrder(static_cast<int>(units_.size()), wait_for_).empty();
+  return units_.empty() || !UnitOrder(wait_for_).empty();
 }
 
 std::vector<int> MessageSchedule::TopologicalUnitOrder() const {
   if (units_.empty()) return {};
-  std::vector<int> order =
-      TopoOrder(static_cast<int>(units_.size()), wait_for_);
+  std::vector<int> order = UnitOrder(wait_for_);
   M2M_CHECK(!order.empty()) << "wait-for cycle among units";
   return order;
 }
 
 bool MessageSchedule::MessagesAcyclic() const {
-  const int message_count = static_cast<int>(messages_.size());
+  return MessageGraphAcyclic(message_of_unit_,
+                             static_cast<int>(messages_.size()));
+}
+
+bool MessageSchedule::MessageGraphAcyclic(const std::vector<int>& msg_of_unit,
+                                          int message_count) const {
   if (message_count == 0) return true;
-  std::vector<std::set<int>> deps(message_count);
-  for (size_t v = 0; v < units_.size(); ++v) {
-    for (int u : wait_for_[v]) {
-      if (message_of_unit_[u] != message_of_unit_[v]) {
-        deps[message_of_unit_[v]].insert(message_of_unit_[u]);
+  auto message_arcs = [&](const auto& arc) {
+    for (size_t v = 0; v < wait_for_.size(); ++v) {
+      for (int u : wait_for_[v]) {
+        if (msg_of_unit[u] != msg_of_unit[v]) {
+          arc(msg_of_unit[v], msg_of_unit[u]);
+        }
       }
     }
-  }
-  std::vector<std::vector<int>> dep_lists(message_count);
-  for (int m = 0; m < message_count; ++m) {
-    dep_lists[m].assign(deps[m].begin(), deps[m].end());
-  }
-  return !TopoOrder(message_count, dep_lists).empty();
+  };
+  return !TopoOrder(message_count, message_arcs).empty();
 }
 
 }  // namespace m2m

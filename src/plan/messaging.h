@@ -1,6 +1,7 @@
 #ifndef M2M_PLAN_MESSAGING_H_
 #define M2M_PLAN_MESSAGING_H_
 
+#include <ranges>
 #include <vector>
 
 #include "agg/aggregate_function.h"
@@ -44,14 +45,23 @@ class MessageSchedule {
 
   MessageSchedule(const MessageSchedule&) = default;
   MessageSchedule& operator=(const MessageSchedule&) = default;
+  MessageSchedule(MessageSchedule&&) noexcept = default;
+  MessageSchedule& operator=(MessageSchedule&&) noexcept = default;
 
   const std::vector<MessageUnit>& units() const { return units_; }
-  /// wait_for()[u] = ids of units that unit u waits for.
+  /// wait_for()[u] = ids of units that unit u waits for, ascending.
   const std::vector<std::vector<int>>& wait_for() const { return wait_for_; }
   const std::vector<Message>& messages() const { return messages_; }
 
-  /// Unit ids on a given edge.
-  const std::vector<int>& units_on_edge(int edge_index) const;
+  /// Unit ids on a given edge. Each edge's units are consecutive ids: its
+  /// raw units in ascending source order, then its partial units in
+  /// ascending destination order.
+  std::ranges::iota_view<int, int> units_on_edge(int edge_index) const;
+
+  /// Id of the unit carrying `subject` on `edge_index` (raw value of source
+  /// `subject`, or partial record of destination `subject`); CHECK-fails if
+  /// the edge carries no such unit.
+  int UnitOf(int edge_index, bool is_partial, NodeId subject) const;
 
   /// Id of the message carrying `unit_id`.
   int message_of_unit(int unit_id) const;
@@ -73,10 +83,16 @@ class MessageSchedule {
  private:
   MessageSchedule() = default;
 
+  /// True iff the wait-for graph lifted to messages by `msg_of_unit` (ids
+  /// below `message_count`) is acyclic.
+  bool MessageGraphAcyclic(const std::vector<int>& msg_of_unit,
+                           int message_count) const;
+
   std::vector<MessageUnit> units_;
   std::vector<std::vector<int>> wait_for_;
   std::vector<Message> messages_;
-  std::vector<std::vector<int>> units_by_edge_;
+  /// Units of edge e are ids [edge_unit_begin_[e], edge_unit_begin_[e + 1]).
+  std::vector<int> edge_unit_begin_;
   std::vector<int> message_of_unit_;
 };
 

@@ -1,7 +1,7 @@
 #include "plan/node_tables.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <tuple>
 
 #include "common/check.h"
 
@@ -9,10 +9,24 @@ namespace m2m {
 
 namespace {
 
-// A contribution to a destination's partial record at a node: either the
+// A contribution to destination d's partial record at `node`: either the
 // result of pre-aggregating one raw value locally (kind 0, id = source), or
 // a partial record arriving on one incoming edge (kind 1, id = edge index).
-using Contribution = std::pair<int, int>;
+// Sorted and deduplicated, the records of one (node, d) form a run.
+struct Contribution {
+  NodeId node = kInvalidNode;
+  NodeId destination = kInvalidNode;
+  int kind = 0;
+  int id = 0;
+
+  friend auto operator<=>(const Contribution&, const Contribution&) = default;
+};
+
+template <typename T>
+void SortUnique(std::vector<T>& records) {
+  std::sort(records.begin(), records.end());
+  records.erase(std::unique(records.begin(), records.end()), records.end());
+}
 
 }  // namespace
 
@@ -23,21 +37,15 @@ CompiledPlan CompiledPlan::Compile(const GlobalPlan& plan,
   MessageSchedule schedule = MessageSchedule::Build(plan, functions, policy);
   std::vector<NodeState> states(forest.node_count());
 
-  // Deduplicating builders. A raw value fanning out to several of a node's
-  // outgoing messages needs one <s, g> entry per message.
-  std::set<std::tuple<NodeId, NodeId, int>> raw_entries;  // (node, s, msg)
-  std::set<std::pair<NodeId, NodeId>> preagg_entries;  // (node, source->d)
-  std::map<std::pair<NodeId, NodeId>, std::set<Contribution>> contributions;
+  // Flat record builders, deduplicated below. A raw value fanning out to
+  // several of a node's outgoing messages needs one <s, g> entry per
+  // message.
+  std::vector<std::tuple<NodeId, NodeId, int>> raw_entries;  // (node, s, g)
+  std::vector<Contribution> contributions;
 
   auto unit_message = [&](int edge_index, bool is_partial, NodeId subject) {
-    for (int u : schedule.units_on_edge(edge_index)) {
-      const MessageUnit& unit = schedule.units()[u];
-      if (unit.is_partial == is_partial && unit.subject == subject) {
-        return schedule.message_of_unit(u);
-      }
-    }
-    M2M_CHECK(false) << "no unit for subject " << subject << " on edge "
-                     << edge_index;
+    return schedule.message_of_unit(
+        schedule.UnitOf(edge_index, is_partial, subject));
   };
 
   for (const Task& task : forest.tasks()) {
@@ -45,8 +53,7 @@ CompiledPlan CompiledPlan::Compile(const GlobalPlan& plan,
     for (NodeId s : task.sources) {
       if (s == d) {
         // The destination pre-aggregates its own reading.
-        preagg_entries.insert({d, s});
-        contributions[{d, d}].insert({0, s});
+        contributions.push_back({d, d, 0, s});
         continue;
       }
       const std::vector<int>& route = forest.Route(SourceDestPair{s, d});
@@ -58,29 +65,29 @@ CompiledPlan CompiledPlan::Compile(const GlobalPlan& plan,
         if (edge_plan.TransmitsRaw(s)) {
           M2M_CHECK(carried_raw)
               << "inconsistent plan: raw after aggregation";
-          raw_entries.insert({n, s, unit_message(e, false, s)});
+          raw_entries.emplace_back(n, s, unit_message(e, false, s));
           // Value continues raw to the next node.
         } else {
           M2M_CHECK(edge_plan.TransmitsAggregate(d));
           if (carried_raw) {
-            preagg_entries.insert({n, s});
-            contributions[{n, d}].insert({0, s});
+            contributions.push_back({n, d, 0, s});
           } else {
-            contributions[{n, d}].insert({1, route[i - 1]});
+            contributions.push_back({n, d, 1, route[i - 1]});
           }
           carried_raw = false;
         }
       }
       // Arrival at the destination.
       if (carried_raw) {
-        preagg_entries.insert({d, s});
-        contributions[{d, d}].insert({0, s});
+        contributions.push_back({d, d, 0, s});
       } else {
-        contributions[{d, d}].insert({1, route.back()});
+        contributions.push_back({d, d, 1, route.back()});
       }
     }
     states[d].is_destination = true;
   }
+  SortUnique(raw_entries);
+  SortUnique(contributions);
 
   // Count every table's final size, then reserve before filling: each
   // node's tables are allocated once, contiguously, instead of growing
@@ -92,10 +99,8 @@ CompiledPlan CompiledPlan::Compile(const GlobalPlan& plan,
   for (const auto& [node, source, message_id] : raw_entries) {
     ++raw_count[node];
   }
-  for (const auto& [node_dest, contribution_set] : contributions) {
-    for (const Contribution& c : contribution_set) {
-      if (c.first == 0) ++preagg_count[node_dest.first];
-    }
+  for (const Contribution& c : contributions) {
+    if (c.kind == 0) ++preagg_count[c.node];
   }
   for (size_t e = 0; e < forest.edges().size(); ++e) {
     partial_count[forest.edges()[e].edge.tail] += static_cast<int>(
@@ -116,40 +121,41 @@ CompiledPlan CompiledPlan::Compile(const GlobalPlan& plan,
   for (const auto& [node, source, message_id] : raw_entries) {
     states[node].raw_table.push_back(RawTableEntry{source, message_id});
   }
-  // Pre-aggregation table: entries are (node, source) -> destination; we
-  // kept (node, source) only for dedup, so rebuild with destinations.
-  // (A node pre-aggregates s for exactly the destinations whose contribution
-  // set at that node includes {0, s}.)
-  for (const auto& [node_dest, contribution_set] : contributions) {
-    const auto& [node, destination] = node_dest;
-    for (const Contribution& c : contribution_set) {
-      if (c.first == 0) {
-        states[node].preagg_table.push_back(
-            PreAggTableEntry{static_cast<NodeId>(c.second), destination});
-      }
+  // Pre-aggregation table: a node pre-aggregates s for exactly the
+  // destinations whose contributions at that node include {0, s}.
+  for (const Contribution& c : contributions) {
+    if (c.kind == 0) {
+      states[c.node].preagg_table.push_back(
+          PreAggTableEntry{static_cast<NodeId>(c.id), c.destination});
     }
   }
+  // Number of contributions d's partial record combines at `node`.
+  auto contribution_count = [&](NodeId node, NodeId d) {
+    return static_cast<int>(
+        std::ranges::equal_range(contributions, std::pair{node, d}, {},
+                                 [](const Contribution& c) {
+                                   return std::pair{c.node, c.destination};
+                                 })
+            .size());
+  };
   // Partial aggregate table: one entry per edge-level partial unit plus one
   // per destination-local record.
   for (size_t e = 0; e < forest.edges().size(); ++e) {
     const NodeId n = forest.edges()[e].edge.tail;
     for (NodeId d : plan.plan_for(static_cast<int>(e)).agg_destinations) {
-      auto it = contributions.find({n, d});
-      M2M_CHECK(it != contributions.end())
-          << "partial for " << d << " at node " << n
-          << " has no contributions";
+      const int expected = contribution_count(n, d);
+      M2M_CHECK(expected > 0) << "partial for " << d << " at node " << n
+                              << " has no contributions";
       states[n].partial_table.push_back(PartialTableEntry{
-          d, static_cast<int>(it->second.size()),
-          unit_message(static_cast<int>(e), true, d)});
+          d, expected, unit_message(static_cast<int>(e), true, d)});
     }
   }
   for (const Task& task : forest.tasks()) {
     const NodeId d = task.destination;
-    auto it = contributions.find({d, d});
-    M2M_CHECK(it != contributions.end())
+    const int expected = contribution_count(d, d);
+    M2M_CHECK(expected > 0)
         << "destination " << d << " receives no contributions";
-    states[d].partial_table.push_back(
-        PartialTableEntry{d, static_cast<int>(it->second.size()), -1});
+    states[d].partial_table.push_back(PartialTableEntry{d, expected, -1});
   }
   // Outgoing message table.
   for (size_t m = 0; m < schedule.messages().size(); ++m) {
@@ -181,12 +187,38 @@ StateTotals CompiledPlan::ComputeStateTotals() const {
         static_cast<int64_t>(state.outgoing_table.size());
     if (state.is_destination) ++totals.evaluator_entries;
   }
+  // |T_s| and |A_d| count distinct physical nodes: `stamp[n] == tree`
+  // marks n as counted in the current tree.
   const MulticastForest& forest = plan_->forest();
+  std::vector<int> stamp(forest.node_count(), -1);
+  int tree = -1;
+  auto count_node = [&](NodeId n) -> int64_t {
+    if (stamp[n] == tree) return 0;
+    stamp[n] = tree;
+    return 1;
+  };
+  auto count_edge = [&](int index) {
+    int64_t added = 0;
+    for (NodeId n : forest.edges()[index].segment) added += count_node(n);
+    return added;
+  };
   for (NodeId s : forest.source_ids()) {
-    totals.sum_multicast_tree_sizes += forest.MulticastTreeSize(s);
+    ++tree;
+    totals.sum_multicast_tree_sizes += count_node(s);
+    for (int index : forest.TreeEdges(s)) {
+      totals.sum_multicast_tree_sizes += count_edge(index);
+    }
   }
-  for (NodeId d : forest.destination_ids()) {
-    totals.sum_aggregation_tree_sizes += forest.AggregationTreeSize(d);
+  // Destinations are unique per task, so each task is one aggregation tree.
+  for (const Task& task : forest.tasks()) {
+    ++tree;
+    const NodeId d = task.destination;
+    totals.sum_aggregation_tree_sizes += count_node(d);
+    for (NodeId s : task.sources) {
+      for (int index : forest.Route(SourceDestPair{s, d})) {
+        totals.sum_aggregation_tree_sizes += count_edge(index);
+      }
+    }
   }
   return totals;
 }

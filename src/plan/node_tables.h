@@ -94,6 +94,8 @@ class CompiledPlan {
 
   CompiledPlan(const CompiledPlan&) = default;
   CompiledPlan& operator=(const CompiledPlan&) = default;
+  CompiledPlan(CompiledPlan&&) noexcept = default;
+  CompiledPlan& operator=(CompiledPlan&&) noexcept = default;
 
   const GlobalPlan& plan() const { return *plan_; }
   const MessageSchedule& schedule() const { return schedule_; }

@@ -37,6 +37,8 @@ class GlobalPlan {
 
   GlobalPlan(const GlobalPlan&) = default;
   GlobalPlan& operator=(const GlobalPlan&) = default;
+  GlobalPlan(GlobalPlan&&) noexcept = default;
+  GlobalPlan& operator=(GlobalPlan&&) noexcept = default;
 
   const MulticastForest& forest() const { return *forest_; }
   std::shared_ptr<const MulticastForest> forest_ptr() const {

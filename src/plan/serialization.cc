@@ -57,7 +57,7 @@ std::vector<uint8_t> EncodeNodeState(const NodeState& state,
     writer.WriteVarint(static_cast<uint64_t>(entry.recipient));
   }
   writer.WriteU8(state.is_destination ? 1 : 0);
-  return writer.bytes();
+  return std::move(writer).TakeBytes();
 }
 
 DecodedNodeState DecodeNodeState(const std::vector<uint8_t>& bytes) {
@@ -250,7 +250,7 @@ std::vector<uint8_t> EncodeDecodedNodeState(const DecodedNodeState& decoded) {
     writer.WriteVarint(static_cast<uint64_t>(entry.recipient));
   }
   writer.WriteU8(decoded.state.is_destination ? 1 : 0);
-  return writer.bytes();
+  return std::move(writer).TakeBytes();
 }
 
 std::vector<std::vector<uint8_t>> EncodeAllNodeStates(

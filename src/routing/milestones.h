@@ -20,6 +20,8 @@ class LinkStabilityModel {
 
   LinkStabilityModel(const LinkStabilityModel&) = default;
   LinkStabilityModel& operator=(const LinkStabilityModel&) = default;
+  LinkStabilityModel(LinkStabilityModel&&) noexcept = default;
+  LinkStabilityModel& operator=(LinkStabilityModel&&) noexcept = default;
 
   /// Stability of link {a, b}; requires the link to exist.
   double stability(NodeId a, NodeId b) const;

@@ -145,22 +145,24 @@ int64_t MulticastForest::TotalPhysicalHops() const {
 }
 
 bool MulticastForest::CheckMinimality() const {
+  // (source, destination) of every task, grouped by source.
+  std::vector<SourceDestPair> served;
+  for (const Task& task : tasks_) {
+    for (NodeId s : task.sources) served.push_back({s, task.destination});
+  }
+  std::sort(served.begin(), served.end());
+  // tail_stamp[n] == source marks n as a milestone-level tail in source's
+  // tree; a tree head that is no tail is a leaf.
+  std::vector<NodeId> tail_stamp(node_count_, kInvalidNode);
   for (const auto& [source, tree] : tree_edges_) {
-    // Destinations of this source.
-    std::unordered_set<NodeId> dests;
-    for (const Task& task : tasks_) {
-      if (std::find(task.sources.begin(), task.sources.end(), source) !=
-          task.sources.end()) {
-        dests.insert(task.destination);
-      }
-    }
-    // Milestone-level out-degree within the tree.
-    std::unordered_set<NodeId> tails;
-    for (int index : tree) tails.insert(edges_[index].edge.tail);
+    for (int index : tree) tail_stamp[edges_[index].edge.tail] = source;
     for (int index : tree) {
-      NodeId head = edges_[index].edge.head;
-      bool is_leaf = !tails.contains(head);
-      if (is_leaf && !dests.contains(head)) return false;
+      const NodeId head = edges_[index].edge.head;
+      const bool is_leaf = tail_stamp[head] != source;
+      if (is_leaf && !std::binary_search(served.begin(), served.end(),
+                                         SourceDestPair{source, head})) {
+        return false;
+      }
     }
   }
   return true;

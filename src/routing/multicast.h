@@ -40,6 +40,8 @@ class MulticastForest {
 
   MulticastForest(const MulticastForest&) = default;
   MulticastForest& operator=(const MulticastForest&) = default;
+  MulticastForest(MulticastForest&&) noexcept = default;
+  MulticastForest& operator=(MulticastForest&&) noexcept = default;
 
   const std::vector<Task>& tasks() const { return tasks_; }
   const std::vector<ForestEdge>& edges() const { return edges_; }

@@ -218,7 +218,10 @@ RuntimeNetwork::Result RuntimeNetwork::RunRound(
       });
     }
 
+    size_t next_count = 0;
+    for (const auto& packets : emitted) next_count += packets.size();
     std::vector<InFlight> next;
+    next.reserve(next_count);
     for (size_t i = 0; i < batch.size(); ++i) {
       const InFlight& flight = batch[i];
       int payload = static_cast<int>(flight.packet.payload.size());

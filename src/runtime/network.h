@@ -107,6 +107,8 @@ class RuntimeNetwork {
 
   RuntimeNetwork(const RuntimeNetwork&) = default;
   RuntimeNetwork& operator=(const RuntimeNetwork&) = default;
+  RuntimeNetwork(RuntimeNetwork&&) noexcept = default;
+  RuntimeNetwork& operator=(RuntimeNetwork&&) noexcept = default;
 
   struct Result {
     std::unordered_map<NodeId, double> destination_values;

@@ -291,7 +291,8 @@ std::vector<NodeRuntime::OutgoingPacket> NodeRuntime::DrainReadyPackets() {
         << "message " << local_message << " at node " << id_
         << " has mismatched unit count";
     packets.push_back(OutgoingPacket{local_message, entry.recipient,
-                                     writer.bytes(), entry.unit_count});
+                                     std::move(writer).TakeBytes(),
+                                     entry.unit_count});
   }
   pending_emits_.clear();
   return packets;

@@ -36,6 +36,8 @@ class NodeRuntime {
 
   NodeRuntime(const NodeRuntime&) = default;
   NodeRuntime& operator=(const NodeRuntime&) = default;
+  NodeRuntime(NodeRuntime&&) noexcept = default;
+  NodeRuntime& operator=(NodeRuntime&&) noexcept = default;
 
   NodeId id() const { return id_; }
   bool is_destination() const { return state_.state.is_destination; }

@@ -233,7 +233,7 @@ std::vector<uint8_t> EncodeSuspicionReport(const SuspicionReport& report) {
     writer.WriteVarint(static_cast<uint64_t>(neighbor));
     writer.WriteVarint(static_cast<uint64_t>(round));
   }
-  return writer.bytes();
+  return std::move(writer).TakeBytes();
 }
 
 std::optional<SuspicionReport> TryDecodeSuspicionReport(
@@ -265,7 +265,7 @@ std::vector<uint8_t> EncodeEpochBump(uint32_t epoch) {
   writer.WriteU8(kEpochBumpTag);
   writer.WriteU32(epoch);  // Fixed width: the bump is always 5 bytes.
   M2M_CHECK_EQ(writer.size(), static_cast<size_t>(kEpochBumpPayloadBytes));
-  return writer.bytes();
+  return std::move(writer).TakeBytes();
 }
 
 std::optional<uint32_t> TryDecodeEpochBump(const std::vector<uint8_t>& bytes) {
@@ -281,7 +281,7 @@ std::vector<uint8_t> EncodeInstallAck(NodeId node, uint32_t epoch) {
   writer.WriteU8(kInstallAckTag);
   writer.WriteVarint(static_cast<uint64_t>(node));
   writer.WriteVarint(epoch);
-  return writer.bytes();
+  return std::move(writer).TakeBytes();
 }
 
 std::optional<std::pair<NodeId, uint32_t>> TryDecodeInstallAck(

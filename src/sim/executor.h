@@ -112,6 +112,8 @@ class PlanExecutor {
 
   PlanExecutor(const PlanExecutor&) = default;
   PlanExecutor& operator=(const PlanExecutor&) = default;
+  PlanExecutor(PlanExecutor&&) noexcept = default;
+  PlanExecutor& operator=(PlanExecutor&&) noexcept = default;
 
   /// Full recomputation: every source's reading is transmitted per the
   /// plan. Stateless. `readings` is indexed by node id. Destination values

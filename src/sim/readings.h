@@ -20,6 +20,8 @@ class ReadingGenerator {
 
   ReadingGenerator(const ReadingGenerator&) = default;
   ReadingGenerator& operator=(const ReadingGenerator&) = default;
+  ReadingGenerator(ReadingGenerator&&) noexcept = default;
+  ReadingGenerator& operator=(ReadingGenerator&&) noexcept = default;
 
   const std::vector<double>& values() const { return values_; }
 

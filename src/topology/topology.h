@@ -31,6 +31,8 @@ class Topology {
 
   Topology(const Topology&) = default;
   Topology& operator=(const Topology&) = default;
+  Topology(Topology&&) noexcept = default;
+  Topology& operator=(Topology&&) noexcept = default;
 
   int node_count() const { return static_cast<int>(positions_.size()); }
   double radio_range_m() const { return radio_range_m_; }

@@ -29,6 +29,8 @@ class MultiSensorNetwork {
 
   MultiSensorNetwork(const MultiSensorNetwork&) = default;
   MultiSensorNetwork& operator=(const MultiSensorNetwork&) = default;
+  MultiSensorNetwork(MultiSensorNetwork&&) noexcept = default;
+  MultiSensorNetwork& operator=(MultiSensorNetwork&&) noexcept = default;
 
   const Topology& expanded_topology() const { return expanded_; }
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compile_digest.h"
 #include "plan/messaging.h"
 #include "plan/planner.h"
 #include "routing/path_system.h"
@@ -142,6 +143,29 @@ TEST(MessageCycleTest, ExecutesCorrectlyDespiteTheSplit) {
     EXPECT_NEAR(result.destination_values.at(pentagon.dests[(i + 2) % 5]),
                 expected, 1e-9)
         << "route " << i;
+  }
+}
+
+// The pentagon is the only known plan whose per-edge contraction cycles, so
+// it is the golden for the pairwise fallback's packing: the greedy merge
+// order and its result must not change.
+TEST(MessageCycleTest, FallbackPackingGoldenDigests) {
+  PentagonCase pentagon = BuildPentagon();
+  GlobalPlan plan = BuildPlan(pentagon.forest,
+                              pentagon.workload.functions, {});
+  const std::pair<MergePolicy, const char*> cases[] = {
+      {MergePolicy::kGreedyMergePerEdge,
+       "1ed2a8f88088ac8d/54510cacb805de5f/7885dca854953ab4"},
+      {MergePolicy::kOneUnitPerMessage,
+       "811856469d314c47/9087c9b6eceb7f3b/58ab5e64f51ee9b0"},
+  };
+  for (const auto& [policy, expected] : cases) {
+    CompileDigests digests;
+    digests.Add(
+        CompiledPlan::Compile(plan, pentagon.workload.functions, policy),
+        pentagon.workload.functions);
+    EXPECT_EQ(digests.ToString(), expected)
+        << "merge policy " << static_cast<int>(policy);
   }
 }
 

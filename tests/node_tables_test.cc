@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "compile_digest.h"
 #include "plan/node_tables.h"
 #include "plan/planner.h"
 #include "topology/generator.h"
@@ -185,6 +186,44 @@ TEST(NodeTablesTest, ExpectedContributionsArePositiveAndBounded) {
         }
       }
       EXPECT_TRUE(found);
+    }
+  }
+}
+
+// Golden digests of the compile output (message schedule, node images and
+// state totals) over 20 seeds, per strategy and merge policy. Any change to
+// MessageSchedule::Build or CompiledPlan::Compile must leave them as they are.
+TEST(NodeTablesTest, CompileGoldenDigests) {
+  const PlanStrategy strategies[] = {PlanStrategy::kOptimal,
+                                     PlanStrategy::kMulticastOnly,
+                                     PlanStrategy::kAggregationOnly};
+  const MergePolicy policies[] = {MergePolicy::kGreedyMergePerEdge,
+                                  MergePolicy::kOneUnitPerMessage};
+  // expected[strategy][policy], as CompileDigests::ToString prints it.
+  const char* expected[3][2] = {
+      {"5d74ad6ec0c7fb80/d30bc5f36b353378/fe3a701e9a7530e9",
+       "7a74f539bd9232b0/35ba18cd5e39ed44/271067937b2733bb"},
+      {"032d364b593bef9a/aeb992a1125dc0be/a0e5445ac2efff12",
+       "15b3a73a44943f3a/a83dd097c893cb12/e7cbf13cad75c0a1"},
+      {"cfdb0b6baf5a4998/730c4a04c030e55d/c6e08838ba457c10",
+       "a67f3eaca481bbca/2af4f180c6599ad7/3fec561024958149"},
+  };
+  CompileDigests digests[3][2];
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    for (int s = 0; s < 3; ++s) {
+      Env env(seed, strategies[s]);
+      for (int p = 0; p < 2; ++p) {
+        digests[s][p].Add(CompiledPlan::Compile(*env.plan,
+                                                env.workload.functions,
+                                                policies[p]),
+                          env.workload.functions);
+      }
+    }
+  }
+  for (int s = 0; s < 3; ++s) {
+    for (int p = 0; p < 2; ++p) {
+      EXPECT_EQ(digests[s][p].ToString(), expected[s][p])
+          << ToString(strategies[s]) << ", merge policy " << p;
     }
   }
 }
