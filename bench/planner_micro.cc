@@ -1,9 +1,10 @@
 // Microbenchmarks for the optimizer itself: single-edge vertex-cover
 // solves, full plan construction, incremental update vs rebuild, path
-// system and compilation costs. The *_Threads variants sweep the
-// thread-pool width (Arg = worker threads) over the same fixture;
-// `--threads N` additionally sets the pool width for every other
-// benchmark (default 1 = serial).
+// system and compilation costs; and for the two costs that dominate a
+// self-healing round, the channel's delivery query and the failure
+// detector's round. The *_Threads variants sweep the thread-pool width
+// (Arg = worker threads) over the same fixture; `--threads N` additionally
+// sets the pool width for every other benchmark (default 1 = serial).
 
 #include <memory>
 
@@ -11,6 +12,8 @@
 
 #include "common/thread_pool.h"
 #include "harness.h"
+#include "runtime/channel.h"
+#include "runtime/detector.h"
 
 namespace {
 
@@ -214,6 +217,62 @@ void BM_ExecuteRound_Threads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecuteRound_Threads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// heal_1k's Gilbert–Elliott channel (perfbench/workloads.cc).
+ChannelOptions HealChannelOptions() {
+  ChannelOptions options;
+  options.good_loss = 0.03;
+  options.bad_loss = 0.6;
+  options.p_enter_bad = 0.02;
+  options.p_exit_bad = 0.3;
+  options.seed = 5;
+  return options;
+}
+
+// One delivery query per (link, attempt): 1024 directed links, each asked
+// for the 8 attempts from Arg on. Arg 1 = a data hop's attempts, Arg 1001
+// = the detector's probe attempts, whose burst walks start 41-48 steps
+// into their 64-attempt block.
+void BM_ChannelAttemptDelivers(benchmark::State& state) {
+  const ChannelModel channel(HealChannelOptions());
+  const int first_attempt = static_cast<int>(state.range(0));
+  int round = 0;
+  for (auto _ : state) {
+    int delivered = 0;
+    for (NodeId from = 0; from < 1024; ++from) {
+      const NodeId to = (from * 7919 + 13) % 1000;
+      for (int attempt = first_attempt; attempt < first_attempt + 8;
+           ++attempt) {
+        delivered += channel.AttemptDelivers(round, from, to, attempt);
+      }
+    }
+    benchmark::DoNotOptimize(delivered);
+    ++round;
+  }
+  state.SetItemsProcessed(state.iterations() * 1024 * 8);
+}
+BENCHMARK(BM_ChannelAttemptDelivers)->Arg(1)->Arg(1001);
+
+// One detector round on a 1000-node network where no link carried data:
+// every directed link runs its probe exchange over heal_1k's channel.
+void BM_DetectorObserveRound(benchmark::State& state) {
+  const Topology topology = MakeScalingSeries({1000}, 1).front();
+  const ChannelModel channel(HealChannelOptions());
+  FailureDetector detector(topology);
+  const std::vector<std::pair<NodeId, NodeId>> silent;
+  int round = 0;
+  for (auto _ : state) {
+    const FailureDetector::RoundReport report = detector.ObserveRound(
+        round, silent,
+        [&channel, round](NodeId from, NodeId to, int attempt) {
+          return channel.AttemptDelivers(round, from, to, attempt);
+        },
+        nullptr);
+    benchmark::DoNotOptimize(report.probe_transmissions);
+    ++round;
+  }
+}
+BENCHMARK(BM_DetectorObserveRound)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

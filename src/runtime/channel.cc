@@ -61,22 +61,35 @@ bool ChannelModel::InBurst(int round, NodeId from, NodeId to,
   if (options_.p_enter_bad <= 0.0) return false;
   const uint64_t block = static_cast<uint64_t>(attempt) >> kBurstBlockBits;
   const int block_start = static_cast<int>(block << kBurstBlockBits);
-  bool bad = UniformOf(SplitMix64(
-                 LinkHash(salted_seeds_[kSaltBurstInit], round, from, to) ^
-                 block)) < p_bad_;
+  // The forward walk from the block's stationary draw moves a bad state to
+  // good iff u < p_exit and a good state to bad iff u < p_enter. Coupling
+  // the two states on one uniform u, a step either swaps them (u < lo),
+  // keeps them (u >= hi), or sends both to one state (lo <= u < hi): good
+  // when p_enter < p_exit, bad otherwise. Walking backwards from `attempt`,
+  // the first step of the third kind fixes the state, and the swaps after
+  // it only flip it. The same uniforms meet the same thresholds, so every
+  // decision equals the forward walk's, in ~1 / |p_exit - p_enter| steps.
+  const double lo = std::min(options_.p_enter_bad, options_.p_exit_bad);
+  const double hi = std::max(options_.p_enter_bad, options_.p_exit_bad);
+  const bool coalesced_bad = options_.p_enter_bad > options_.p_exit_bad;
   // One link hash for the whole walk, then one mix per step.
   const uint64_t step_hash =
       LinkHash(salted_seeds_[kSaltBurstStep], round, from, to);
-  for (int t = block_start + 1; t <= attempt; ++t) {
+  bool swapped = false;
+  for (int t = attempt; t > block_start; --t) {
     const double u =
         UniformOf(SplitMix64(step_hash ^ static_cast<uint64_t>(t)));
-    if (bad) {
-      if (u < options_.p_exit_bad) bad = false;
-    } else {
-      if (u < options_.p_enter_bad) bad = true;
+    if (u < lo) {
+      swapped = !swapped;
+    } else if (u < hi) {
+      return coalesced_bad != swapped;
     }
   }
-  return bad;
+  const bool initially_bad =
+      UniformOf(SplitMix64(
+          LinkHash(salted_seeds_[kSaltBurstInit], round, from, to) ^ block)) <
+      p_bad_;
+  return initially_bad != swapped;
 }
 
 bool ChannelModel::AttemptDelivers(int round, NodeId from, NodeId to,

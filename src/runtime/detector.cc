@@ -17,6 +17,8 @@ FailureDetector::FailureDetector(const Topology& topology,
                           static_cast<int>(topology.neighbors(n).size()));
   }
   missed_.assign(static_cast<size_t>(slot_begin_.back()), 0);
+  heard_mark_.assign(missed_.size(), 0);
+  slot_suspected_.assign(missed_.size(), 0);
   M2M_CHECK_GE(options_.suspicion_threshold, 1);
   M2M_CHECK_GE(options_.probation_rounds, 1);
   M2M_CHECK_GE(options_.probation_backoff_factor, 1);
@@ -59,19 +61,34 @@ FailureDetector::RoundReport FailureDetector::ObserveRound(
   M2M_CHECK(std::adjacent_find(heard.begin(), heard.end(),
                                std::greater_equal<>()) == heard.end())
       << "heard evidence must be sorted and duplicate-free";
+  if (++observation_ == 0) {
+    // The mark counter wrapped: clear the marks so none of them matches a
+    // new round's.
+    std::ranges::fill(heard_mark_, 0);
+    observation_ = 1;
+  }
+  // Free evidence first: mark every monitored link whose monitor overheard
+  // its neighbor during the round's data/ack traffic. A pair that is not a
+  // topology link of its receiver carries no evidence.
+  const NodeId node_count = topology_->node_count();
+  for (const auto& [from, to] : heard) {
+    if (to < 0 || to >= node_count) continue;
+    const std::vector<NodeId>& neighbors = topology_->neighbors(to);
+    auto it = std::ranges::lower_bound(neighbors, from);
+    if (it == neighbors.end() || *it != from) continue;
+    heard_mark_[slot_begin_[to] + (it - neighbors.begin())] = observation_;
+  }
+
   RoundReport report;
-  for (NodeId monitor = 0; monitor < topology_->node_count(); ++monitor) {
+  for (NodeId monitor = 0; monitor < node_count; ++monitor) {
     if (node_active != nullptr && !node_active(monitor)) continue;
     const std::vector<NodeId>& neighbors = topology_->neighbors(monitor);
     for (size_t i = 0; i < neighbors.size(); ++i) {
       const NodeId neighbor = neighbors[i];
       const std::pair<NodeId, NodeId> link{monitor, neighbor};
-      int& missed = missed_[slot_begin_[monitor] + i];
-
-      // Free evidence first: did the monitor overhear the neighbor during
-      // the round's data/ack traffic?
-      bool evidence = std::binary_search(heard.begin(), heard.end(),
-                                         std::pair{neighbor, monitor});
+      const int slot = slot_begin_[monitor] + static_cast<int>(i);
+      int& missed = missed_[slot];
+      bool evidence = heard_mark_[slot] == observation_;
 
       if (!evidence) {
         // Silent neighbor: run the explicit probe exchange — also on
@@ -100,8 +117,9 @@ FailureDetector::RoundReport FailureDetector::ObserveRound(
         if (evidence) report.probe_confirmations += 1;
       }
 
-      auto suspicion_it = suspected_.find(link);
-      if (suspicion_it != suspected_.end()) {
+      if (slot_suspected_[slot] != 0) {
+        auto suspicion_it = suspected_.find(link);
+        M2M_CHECK(suspicion_it != suspected_.end());
         // Suspected (possibly in probation): evidence advances probation,
         // silence resets it. Retraction requires `probation_rounds`
         // *consecutive* evidence rounds — the hysteresis that keeps a
@@ -111,6 +129,7 @@ FailureDetector::RoundReport FailureDetector::ObserveRound(
           if (++suspicion_it->second.probation_progress >=
               suspicion_it->second.required_probation) {
             suspected_.erase(suspicion_it);
+            slot_suspected_[slot] = 0;
             if (options_.probation_backoff_factor > 1) {
               flaps_[link].last_readmit_round = round;
             }
@@ -131,6 +150,7 @@ FailureDetector::RoundReport FailureDetector::ObserveRound(
       if (++missed >= options_.suspicion_threshold) {
         suspected_.emplace(
             link, Suspicion{round, 0, EscalatedProbation(link, round)});
+        slot_suspected_[slot] = 1;
         report.new_suspicions.push_back(
             SuspectedLink{monitor, neighbor, round});
       }

@@ -90,10 +90,12 @@ struct SuspectedLink {
 /// the outcome of its own probe transmissions. It never reads the fault
 /// schedule's event list.
 ///
-/// Cost: a round costs one binary search of `heard` per directed topology
-/// link plus the probes of the silent ones. Missed-round counters live in
-/// one flat vector with a slot per directed link; suspicions and flap
-/// records stay in maps because only a few links hold one.
+/// Cost: a round costs one pass over `heard`, which marks the evidence of
+/// each directed topology link in its slot, one pass over the slots, and
+/// the probes of the silent links. Missed-round counters, evidence marks
+/// and suspicion flags live in flat vectors with a slot per directed link;
+/// suspicions and flap records stay in maps because only a few links hold
+/// one, and a slot searches them only when its suspicion flag is set.
 class FailureDetector {
  public:
   FailureDetector(const Topology& topology, DetectorOptions options = {});
@@ -207,6 +209,14 @@ class FailureDetector {
   std::vector<int> slot_begin_;
   /// Per link slot: consecutive rounds without evidence of life.
   std::vector<int> missed_;
+  /// Per link slot: `observation_` of the last round whose `heard` named
+  /// the link; 0 = none since the counter last wrapped.
+  std::vector<uint8_t> heard_mark_;
+  /// Per link slot: 1 iff `suspected_` holds the link.
+  std::vector<uint8_t> slot_suspected_;
+  /// Rounds observed, cycling through 1..255: the identity of a round's
+  /// evidence marks, independent of the caller's round numbers.
+  uint8_t observation_ = 0;
   /// Active suspicions keyed (monitor, neighbor).
   std::map<std::pair<NodeId, NodeId>, Suspicion> suspected_;
   /// Flap history keyed (monitor, neighbor); entries are dropped when the

@@ -20,6 +20,7 @@
 
 #include "agg/aggregate_function.h"
 #include "common/crc32.h"
+#include "common/rng.h"
 #include "fault_test_util.h"
 #include "obs/metrics.h"
 #include "plan/consistency.h"
@@ -668,6 +669,93 @@ TEST(ChannelModelTest, GoldenDigestPinsEveryDecision) {
   EXPECT_EQ(digest, kGoldenDigest)
       << "actual digest 0x" << std::hex << digest;
   EXPECT_EQ(metrics.Total("chan.burst_transitions"), kGoldenBurstTransitions);
+}
+
+// The Gilbert–Elliott state by the forward walk: from the 64-attempt
+// block's stationary draw, one uniform per attempt up to `attempt`. It
+// rebuilds ChannelModel's decision hashes (salt i is 0xb1a5'0001 + i:
+// burst-init 0, burst-step 1) so InBurst's coupled backward walk can be
+// checked against it decision by decision.
+bool ForwardWalkInBurst(const ChannelOptions& options, int round,
+                        NodeId from, NodeId to, int attempt) {
+  if (options.p_enter_bad <= 0.0) return false;
+  auto link_hash = [&](uint64_t salt) {
+    const uint64_t salted = SplitMix64(options.seed ^ SplitMix64(salt));
+    return SplitMix64(salted ^ (static_cast<uint64_t>(round) << 42) ^
+                      (static_cast<uint64_t>(static_cast<uint32_t>(from))
+                       << 21) ^
+                      static_cast<uint64_t>(static_cast<uint32_t>(to)));
+  };
+  auto uniform = [](uint64_t h) {
+    return static_cast<double>(h >> 11) * 0x1.0p-53;
+  };
+  const double p_bad =
+      options.p_enter_bad / (options.p_enter_bad + options.p_exit_bad);
+  const uint64_t block = static_cast<uint64_t>(attempt) >> 6;
+  const int block_start = static_cast<int>(block << 6);
+  bool bad = uniform(SplitMix64(link_hash(0xb1a5'0001) ^ block)) < p_bad;
+  const uint64_t step_hash = link_hash(0xb1a5'0002);
+  for (int t = block_start + 1; t <= attempt; ++t) {
+    const double u = uniform(SplitMix64(step_hash ^ static_cast<uint64_t>(t)));
+    if (bad) {
+      if (u < options.p_exit_bad) bad = false;
+    } else {
+      if (u < options.p_enter_bad) bad = true;
+    }
+  }
+  return bad;
+}
+
+// InBurst walks backwards and stops at the first step that sends both
+// chain states to one; this pins it to the forward walk in every regime
+// the coupling distinguishes, including the degenerate ones.
+TEST(ChannelModelTest, CoupledWalkMatchesForwardWalk) {
+  std::vector<int> attempts;
+  for (const auto& [first, last] : std::vector<std::pair<int, int>>{
+           {0, 200}, {959, 1010}, {1470, 1540}}) {
+    for (int attempt = first; attempt <= last; ++attempt) {
+      attempts.push_back(attempt);
+    }
+  }
+  Rng rng(2024);
+  for (int i = 0; i < 400; ++i) {
+    attempts.push_back(static_cast<int>(rng.UniformRange(0, 4096)));
+  }
+  const std::vector<std::pair<NodeId, NodeId>> links = {
+      {0, 1}, {1, 0}, {3, 17}, {250, 999}, {999, 250}};
+  // (p_enter_bad, p_exit_bad): enter < exit, enter > exit, equal, exit = 1,
+  // enter = 1, and a burst so rare that blocks mostly start good.
+  const std::vector<std::pair<double, double>> regimes = {
+      {0.02, 0.3}, {0.6, 0.1}, {0.25, 0.25}, {0.1, 1.0}, {1.0, 0.4},
+      {1e-4, 0.3}};
+  for (const auto& [p_enter, p_exit] : regimes) {
+    int bad_states = 0;
+    int checked = 0;
+    for (uint64_t seed : {1u, 99u}) {
+      ChannelOptions options;
+      options.p_enter_bad = p_enter;
+      options.p_exit_bad = p_exit;
+      options.seed = seed;
+      const ChannelModel channel(options);
+      for (int round : {0, 7, 200}) {
+        for (const auto& [from, to] : links) {
+          for (int attempt : attempts) {
+            const bool expected =
+                ForwardWalkInBurst(options, round, from, to, attempt);
+            ASSERT_EQ(channel.InBurst(round, from, to, attempt), expected)
+                << "p_enter " << p_enter << " p_exit " << p_exit << " seed "
+                << seed << " round " << round << " link " << from << "->"
+                << to << " attempt " << attempt;
+            bad_states += expected;
+            ++checked;
+          }
+        }
+      }
+    }
+    // Each regime visits both states, so the comparison sees both.
+    EXPECT_GT(bad_states, 0) << "p_enter " << p_enter;
+    EXPECT_LT(bad_states, checked) << "p_enter " << p_enter;
+  }
 }
 
 // --- CRC rejection --------------------------------------------------------

@@ -606,6 +606,143 @@ TEST(FailureDetectorTest, DeadMonitorsDoNotMonitor) {
   }
 }
 
+// Digest of 300 detector rounds on a seeded 200-node topology: random
+// heard sets (with pairs that are not topology links), sleeping monitors,
+// links that go down in 16-round windows and a pure-hash channel. The
+// round argument repeats once and goes backwards once. Per round it covers
+// the report, `suspicions()` and every directed link's missed count,
+// probation, required probation and flap count.
+struct DetectorDigest {
+  uint64_t digest = 0;
+  int new_suspicions = 0;
+  int readmissions = 0;
+  int max_flap_count = 0;
+};
+
+DetectorDigest DetectorRoundsDigest(const DetectorOptions& options) {
+  constexpr int kRounds = 300;
+  const Topology topology =
+      MakeUniformRandom(200, Area{300.0, 300.0}, 40.0, 23);
+  const NodeId n = topology.node_count();
+  auto hash = [](uint64_t a, uint64_t b, uint64_t c) {
+    return SplitMix64(SplitMix64(SplitMix64(a) ^ b) ^ c);
+  };
+  int round = 0;
+  auto node_active = [&round, &hash](NodeId node) {
+    return hash(1, static_cast<uint64_t>(node), round / 4) % 10 != 0;
+  };
+  auto link_up = [&round, &hash](NodeId from, NodeId to) {
+    const uint64_t link = static_cast<uint64_t>(std::min(from, to)) << 32 |
+                          static_cast<uint64_t>(std::max(from, to));
+    return (hash(2, link, 0) + round / 16) % 5 != 0;
+  };
+  const FailureDetector::AttemptDelivers attempt_delivers =
+      [&](NodeId from, NodeId to, int attempt) {
+        if (!node_active(from) || !node_active(to) || !link_up(from, to)) {
+          return false;
+        }
+        const uint64_t key = static_cast<uint64_t>(from) << 32 |
+                             static_cast<uint64_t>(to);
+        return hash(3, key, static_cast<uint64_t>(round) << 16 | attempt) %
+                   10 < 6;
+      };
+
+  FailureDetector detector(topology, options);
+  DetectorDigest result;
+  WordDigest digest;
+  Rng rng(4242);
+  for (round = 0; round < kRounds; ++round) {
+    std::vector<std::pair<NodeId, NodeId>> heard;
+    for (NodeId to = 0; to < n; ++to) {
+      for (NodeId from : topology.neighbors(to)) {
+        // Every ninth link is heard only in rounds 0-2, so evidence marks
+        // that outlived the detector's 255-round mark cycle would show.
+        const bool quiet =
+            hash(4, static_cast<uint64_t>(from) << 32 | to, 0) % 9 == 0;
+        if (quiet ? round < 3 : rng.Bernoulli(0.3)) {
+          heard.emplace_back(from, to);
+        }
+      }
+    }
+    for (int extra = 0; extra < 20; ++extra) {
+      // Pairs that are not topology links (self pairs, strangers, ids
+      // outside the topology) carry no evidence.
+      const NodeId from = static_cast<NodeId>(rng.UniformRange(-1, n));
+      const NodeId to = static_cast<NodeId>(rng.UniformRange(-1, n));
+      const bool in_range = from >= 0 && from < n && to >= 0 && to < n;
+      if (!in_range || !topology.AreNeighbors(from, to)) {
+        heard.emplace_back(from, to);
+      }
+    }
+    std::sort(heard.begin(), heard.end());
+    heard.erase(std::unique(heard.begin(), heard.end()), heard.end());
+
+    int round_argument = round;
+    if (round == 120) round_argument = 119;  // Repeated.
+    if (round == 200) round_argument = 150;  // Backwards.
+    const FailureDetector::RoundReport report = detector.ObserveRound(
+        round_argument, heard, attempt_delivers, node_active);
+    result.new_suspicions += static_cast<int>(report.new_suspicions.size());
+    result.readmissions += static_cast<int>(report.readmitted.size());
+    digest.Add(static_cast<uint64_t>(report.probe_transmissions));
+    digest.Add(static_cast<uint64_t>(report.probe_confirmations));
+    for (const auto* links : {&report.new_suspicions, &report.readmitted}) {
+      digest.Add(links->size());
+      for (const SuspectedLink& s : *links) {
+        digest.Add(static_cast<uint64_t>(s.monitor));
+        digest.Add(static_cast<uint64_t>(s.neighbor));
+        digest.Add(static_cast<uint64_t>(s.round));
+      }
+    }
+    const std::vector<SuspectedLink> suspicions = detector.suspicions();
+    digest.Add(suspicions.size());
+    for (const SuspectedLink& s : suspicions) {
+      digest.Add(static_cast<uint64_t>(s.monitor));
+      digest.Add(static_cast<uint64_t>(s.neighbor));
+      digest.Add(static_cast<uint64_t>(s.round));
+    }
+    digest.Add(static_cast<uint64_t>(detector.probation_link_count()));
+    for (NodeId monitor = 0; monitor < n; ++monitor) {
+      for (NodeId neighbor : topology.neighbors(monitor)) {
+        digest.Add(static_cast<uint64_t>(
+            detector.missed_rounds(monitor, neighbor)));
+        digest.Add(detector.InProbation(monitor, neighbor));
+        digest.Add(static_cast<uint64_t>(
+            detector.required_probation(monitor, neighbor)));
+        const int flaps = detector.flap_count(monitor, neighbor);
+        digest.Add(static_cast<uint64_t>(flaps));
+        result.max_flap_count = std::max(result.max_flap_count, flaps);
+      }
+    }
+  }
+  result.digest = digest.value();
+  return result;
+}
+
+// Recorded before the per-slot evidence marks and suspicion flags: the flat
+// round must not change one report or accessor.
+TEST(FailureDetectorTest, ReportsMatchGoldenOverRandomRounds) {
+  DetectorOptions plain;
+  DetectorOptions damped;
+  damped.probation_backoff_factor = 2;
+  damped.max_probation_rounds = 8;
+  damped.flap_forgiveness_rounds = 40;
+  const DetectorDigest plain_run = DetectorRoundsDigest(plain);
+  const DetectorDigest damped_run = DetectorRoundsDigest(damped);
+  EXPECT_EQ(plain_run.digest, 0xabb0149cc1948567ULL)
+      << "actual digest 0x" << std::hex << plain_run.digest;
+  EXPECT_EQ(damped_run.digest, 0x5fb684fbe3b8501dULL)
+      << "actual digest 0x" << std::hex << damped_run.digest;
+  // The rounds exercise the whole state machine, so the digests pin more
+  // than missed counters.
+  for (const DetectorDigest& run : {plain_run, damped_run}) {
+    EXPECT_GT(run.new_suspicions, 0);
+    EXPECT_GT(run.readmissions, 0);
+  }
+  EXPECT_EQ(plain_run.max_flap_count, 0);
+  EXPECT_GT(damped_run.max_flap_count, 1);
+}
+
 // --- Suspicion ledger unit tests ---
 
 TEST(SuspicionLedgerTest, InfersDeathWhenAllLinksOfANodeAreSuspected) {
