@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   CompiledPlan compiled = CompiledPlan::Compile(plan, workload.functions);
   ReadingGenerator readings(topology.node_count(), 1234);
   RuntimeNetwork clean(compiled, workload.functions);
-  RuntimeNetwork::Result reference = clean.RunRound(readings.values());
+  RuntimeNetwork::LossyResult reference = clean.RunRound(readings.values());
 
   Table overhead({"drop_prob", "attempts", "retx", "dup", "abandoned",
                   "energy_mJ", "energy_x", "ticks"});

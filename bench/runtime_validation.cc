@@ -27,7 +27,7 @@ int main() {
     RoundResult analytic =
         system.MakeExecutor().RunRound(readings.values());
     RuntimeNetwork network(system.compiled(), workload.functions);
-    RuntimeNetwork::Result distributed =
+    RuntimeNetwork::LossyResult distributed =
         network.RunRound(readings.values());
 
     size_t max_image = 0;

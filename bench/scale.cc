@@ -1,47 +1,33 @@
 // Scale sweep for the parallel execution core: threads x network size, up
 // to a density-matched 100k-node topology (same average degree as the
-// 68-node GDI baseline, paper Figure 6 construction). Per cell it times
-// full plan construction (per-edge min-cover solves fan out across the
-// pool) and >= 1k executed rounds (region-sharded), and cross-checks that
-// every thread count produced byte-identical plan bytes and round energy —
-// the bench-side echo of tests/parallel_determinism_test.cc. Results land
-// in BENCH_scale.json together with the host CPU count, since measured
-// speedup is bounded by the cores actually available.
+// 68-node GDI baseline, paper Figure 6 construction). Per cell it builds
+// the full plan (per-edge min-cover solves fan out across the pool) and
+// executes one analytic round, and cross-checks that every thread count
+// produced byte-identical plan bytes and bit-identical round energy (and
+// CHECK-fails when not) — the bench-side echo of
+// tests/parallel_determinism_test.cc. Results land in
+// BENCH_scale.json. It records no timings: perfbench's `.t4` per-layer rows
+// time these layers warm (perfbench/README.md).
 //
-// Flags: --max-nodes (default 100000), --rounds (default 1000, applied at
-// every size), --threads (extra pool width appended to the {1,2,4,8}
-// sweep).
+// Flags: --max-nodes (default 100000), --threads (extra pool width
+// appended to the {1,2,4,8} sweep).
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/check.h"
 #include "common/flags.h"
 #include "common/thread_pool.h"
 #include "harness.h"
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start)
-      .count();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace m2m;
   FlagParser flags(argc, argv);
   const int max_nodes = static_cast<int>(
       flags.GetInt("max-nodes", 100000, "largest network size in the sweep"));
-  const int rounds = static_cast<int>(
-      flags.GetInt("rounds", 1000, "executed rounds per (size, threads) cell"));
   const int extra_threads = static_cast<int>(flags.GetInt(
       "threads", 0, "extra thread count appended to the {1,2,4,8} sweep"));
 
@@ -57,25 +43,23 @@ int main(int argc, char** argv) {
           thread_counts.end()) {
     thread_counts.push_back(extra_threads);
   }
-  const unsigned host_cpus = std::thread::hardware_concurrency();
 
   std::vector<Topology> series = MakeScalingSeries(sizes, /*seed=*/77);
 
   std::ofstream json("BENCH_scale.json");
   json << "{\n  \"experiment\": \"scale\",\n"
        << "  \"setup\": \"density-matched uniform networks (GDI average "
-          "degree); plan construction + executed rounds per thread count; "
-          "identical_results asserts byte-equal plan size and bit-equal "
-          "round energy across the sweep\",\n"
-       << "  \"host_cpus\": " << host_cpus << ",\n  \"rounds\": " << rounds
-       << ",\n  \"thread_counts\": [";
+          "degree); plan construction + one executed round per thread "
+          "count; identical_results asserts byte-equal plan size and "
+          "bit-equal round energy across the sweep\",\n"
+       << "  \"thread_counts\": [";
   for (size_t i = 0; i < thread_counts.size(); ++i) {
     json << (i ? ", " : "") << thread_counts[i];
   }
   json << "],\n  \"rows\": [\n";
 
-  Table table({"nodes", "links", "forest_edges", "threads", "plan_ms",
-               "exec_ms", "rounds_per_s", "plan_speedup"});
+  Table table({"nodes", "links", "forest_edges", "plan_bytes", "round_mJ",
+               "identical_results"});
   for (size_t si = 0; si < series.size(); ++si) {
     const Topology& topology = series[si];
     const int n = topology.node_count();
@@ -89,82 +73,53 @@ int main(int argc, char** argv) {
     Workload workload = GenerateWorkload(topology, spec);
 
     // Shared across thread counts: the forest (and its cached path
-    // columns), so each cell times exactly the per-edge cover solves plus
-    // plan assembly, and the compiled plan the executor runs.
+    // columns), so each cell differs only in the per-edge cover solves,
+    // plan assembly and the executed round.
     PathSystem paths(topology);
     auto forest =
         std::make_shared<const MulticastForest>(paths, workload.tasks);
 
-    struct Cell {
-      int threads = 0;
-      double plan_ms = 0.0;
-      double exec_ms = 0.0;
-      int64_t plan_bytes = 0;
-      double round_energy_mj = 0.0;
-    };
-    std::vector<Cell> cells;
     ReadingGenerator readings(n, /*seed=*/17);
-    for (int threads : thread_counts) {
-      ScopedParallelism parallelism(threads);
-      Cell cell;
-      cell.threads = threads;
-
-      Clock::time_point start = Clock::now();
+    int64_t plan_bytes = 0;
+    double round_energy_mj = 0.0;
+    bool identical = true;
+    for (size_t ti = 0; ti < thread_counts.size(); ++ti) {
+      ScopedParallelism parallelism(thread_counts[ti]);
       GlobalPlan plan = BuildPlan(forest, workload.functions, {});
-      cell.plan_ms = MsSince(start);
-      cell.plan_bytes = plan.TotalPayloadBytes();
-
       CompiledPlan compiled = CompiledPlan::Compile(plan, workload.functions);
       PlanExecutor executor(std::make_shared<CompiledPlan>(compiled),
                             workload.functions, EnergyModel{});
-      start = Clock::now();
-      for (int r = 0; r < rounds; ++r) {
-        cell.round_energy_mj = executor.RunRound(readings.values()).energy_mj;
+      const int64_t bytes = plan.TotalPayloadBytes();
+      const double energy = executor.RunRound(readings.values()).energy_mj;
+      if (ti == 0) {
+        plan_bytes = bytes;
+        round_energy_mj = energy;
       }
-      cell.exec_ms = MsSince(start);
-      cells.push_back(cell);
+      identical = identical && bytes == plan_bytes &&
+                  energy == round_energy_mj;
     }
-
-    bool identical = true;
-    for (const Cell& cell : cells) {
-      identical = identical && cell.plan_bytes == cells[0].plan_bytes &&
-                  cell.round_energy_mj == cells[0].round_energy_mj;
-    }
-    const double serial_plan_ms = cells[0].plan_ms;
+    M2M_CHECK(identical) << n << " nodes: results differ across thread counts";
 
     json << (si ? ",\n" : "") << "    {\"nodes\": " << n
          << ", \"links\": " << topology.link_count()
          << ", \"destinations\": " << spec.destination_count
          << ", \"sources_per_destination\": " << spec.sources_per_destination
          << ", \"forest_edges\": " << forest->edges().size()
+         << ", \"plan_bytes\": " << plan_bytes
+         << ", \"round_energy_mj\": " << Table::Num(round_energy_mj)
          << ", \"identical_results\": " << (identical ? "true" : "false")
-         << ",\n     \"per_thread\": [";
-    for (size_t ci = 0; ci < cells.size(); ++ci) {
-      const Cell& cell = cells[ci];
-      const double speedup =
-          cell.plan_ms > 0.0 ? serial_plan_ms / cell.plan_ms : 0.0;
-      json << (ci ? ",\n                    " : "") << "{\"threads\": "
-           << cell.threads << ", \"plan_ms\": " << Table::Num(cell.plan_ms)
-           << ", \"exec_ms\": " << Table::Num(cell.exec_ms)
-           << ", \"rounds_per_s\": "
-           << Table::Num(rounds / (cell.exec_ms / 1000.0))
-           << ", \"plan_speedup\": " << Table::Num(speedup) << "}";
-      table.AddRow({std::to_string(n), std::to_string(topology.link_count()),
-                    std::to_string(forest->edges().size()),
-                    std::to_string(cell.threads), Table::Num(cell.plan_ms),
-                    Table::Num(cell.exec_ms),
-                    Table::Num(rounds / (cell.exec_ms / 1000.0)),
-                    Table::Num(speedup)});
-    }
-    json << "]}";
+         << "}";
+    table.AddRow({std::to_string(n), std::to_string(topology.link_count()),
+                  std::to_string(forest->edges().size()),
+                  std::to_string(plan_bytes), Table::Num(round_energy_mj),
+                  identical ? "true" : "false"});
   }
   json << "\n  ]\n}\n";
 
-  bench::EmitTable(
-      "Scale — threads x network size",
-      "Density-matched networks to " + std::to_string(sizes.back()) +
-          " nodes; " + std::to_string(rounds) +
-          " rounds per cell; host_cpus=" + std::to_string(host_cpus),
-      table);
+  bench::EmitTable("Scale — cross-thread identity by network size",
+                   "Density-matched networks to " +
+                       std::to_string(sizes.back()) +
+                       " nodes; plan + one round at each thread count",
+                   table);
   return 0;
 }

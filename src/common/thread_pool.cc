@@ -106,25 +106,18 @@ ThreadPool* GlobalThreadPool() {
 
 void ParallelFor(int64_t n,
                  const std::function<void(int64_t, int64_t)>& fn) {
-  ParallelForShards(n, [&fn](int, int64_t begin, int64_t end) {
-    fn(begin, end);
-  });
-}
-
-void ParallelForShards(
-    int64_t n, const std::function<void(int, int64_t, int64_t)>& fn) {
   if (n <= 0) return;
   ThreadPool* pool = GlobalThreadPool();
   const int64_t shard_count =
       std::min<int64_t>(n, pool == nullptr ? 1 : GlobalShardCount());
   if (pool == nullptr || shard_count == 1) {
-    fn(0, 0, n);
+    fn(0, n);
     return;
   }
   pool->RunShards(static_cast<int>(shard_count), [&](int s) {
     const int64_t begin = n * s / shard_count;
     const int64_t end = n * (s + 1) / shard_count;
-    if (begin < end) fn(s, begin, end);
+    if (begin < end) fn(begin, end);
   });
 }
 

@@ -71,11 +71,6 @@ ThreadPool* GlobalThreadPool();
 /// is one inline fn(0, n) call — zero overhead on the default path.
 void ParallelFor(int64_t n, const std::function<void(int64_t, int64_t)>& fn);
 
-/// As ParallelFor, but fn also receives the shard index (for shard-local
-/// accumulators merged deterministically by the caller afterwards).
-void ParallelForShards(
-    int64_t n, const std::function<void(int, int64_t, int64_t)>& fn);
-
 /// RAII parallelism override for tests and benches: restores the previous
 /// (threads, shards) configuration on destruction.
 class ScopedParallelism {

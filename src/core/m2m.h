@@ -19,7 +19,6 @@
 ///   m2m::RoundResult round = executor.RunRound(gen.values());
 
 #include "agg/aggregate_function.h"
-#include "core/deployment.h"
 #include "core/system.h"
 #include "plan/consistency.h"
 #include "plan/dissemination.h"

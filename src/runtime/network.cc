@@ -4,25 +4,11 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "event/event_queue.h"
 #include "plan/serialization.h"
 #include "runtime/wire_functions.h"
 
 namespace m2m {
-
-namespace {
-
-/// Contiguous node-id region owning node `node` when ids are split into
-/// `shard_count` ranges. Lossless RunRound shards deliveries by recipient:
-/// a delivery mutates only its recipient node, so all state it touches
-/// lives in one shard.
-int ShardOfNode(NodeId node, int shard_count, int64_t node_count) {
-  return static_cast<int>(static_cast<int64_t>(node) * shard_count /
-                          node_count);
-}
-
-}  // namespace
 
 int64_t RetryPolicy::BackoffWaitTicks(int attempt) const {
   M2M_CHECK_GE(attempt, 1);
@@ -51,7 +37,6 @@ RuntimeNetwork::RuntimeNetwork(const CompiledPlan& compiled,
   std::vector<std::vector<uint8_t>> images =
       EncodeAllNodeStates(compiled, functions);
   nodes_.reserve(images.size());
-  message_hops_.resize(images.size());
   message_segments_.resize(images.size());
   for (NodeId n = 0; n < compiled.node_count(); ++n) {
     installed_image_bytes_ += static_cast<int64_t>(images[n].size());
@@ -59,12 +44,10 @@ RuntimeNetwork::RuntimeNetwork(const CompiledPlan& compiled,
     if (nodes_.back().decoded().state.entry_count() > 0) {
       participants_.push_back(n);
     }
-    // Hop counts by node-local message id (images index outgoing messages
+    // Segments by node-local message id (images index outgoing messages
     // by their position in the outgoing table).
     for (const OutgoingMessageEntry& entry :
          compiled.state(n).outgoing_table) {
-      message_hops_[n].push_back(
-          static_cast<int>(entry.segment.size()) - 1);
       message_segments_[n].push_back(entry.segment);
     }
   }
@@ -87,8 +70,6 @@ void RuntimeNetwork::set_metrics(obs::MetricsRegistry* metrics) {
   handles_.epoch_gate_drops = metrics_->Counter("runtime.epoch_gate_drops");
   handles_.messages_abandoned =
       metrics_->Counter("runtime.messages_abandoned");
-  handles_.tx_packets = metrics_->Counter("runtime.tx_packets");
-  handles_.delivery_passes = metrics_->Counter("runtime.delivery_passes");
   handles_.attempts_per_message =
       metrics_->Histogram("runtime.attempts_per_message");
   handles_.round_ticks = metrics_->Histogram("runtime.round_ticks");
@@ -116,11 +97,9 @@ bool RuntimeNetwork::InstallNodeImage(NodeId node,
   M2M_CHECK_EQ(segments.size(), outgoing)
       << "node " << node << ": segment routes do not match outgoing table";
   UpdateParticipation(node);
-  message_hops_[node].clear();
   message_segments_[node] = std::move(segments);
   for (const std::vector<NodeId>& segment : message_segments_[node]) {
     M2M_CHECK_GE(segment.size(), 2u);
-    message_hops_[node].push_back(static_cast<int>(segment.size()) - 1);
   }
   if (metrics_ != nullptr) {
     metrics_->AddNode(handles_.installs, node, 1);
@@ -148,115 +127,6 @@ uint32_t RuntimeNetwork::plan_epoch(NodeId node) const {
 const NodeRuntime& RuntimeNetwork::node_runtime(NodeId node) const {
   M2M_CHECK(node >= 0 && node < static_cast<NodeId>(nodes_.size()));
   return nodes_[node];
-}
-
-RuntimeNetwork::Result RuntimeNetwork::RunRound(
-    const std::vector<double>& readings, const EnergyModel& energy) {
-  M2M_CHECK_EQ(readings.size(), nodes_.size());
-  Result result;
-
-  struct InFlight {
-    NodeId sender;
-    NodeRuntime::OutgoingPacket packet;
-  };
-  const int64_t node_count = static_cast<int64_t>(nodes_.size());
-
-  // Round start touches every participant exactly once, so its ranges
-  // shard freely; merging drained packets in participant (node-id) order
-  // reproduces the serial emission order byte for byte. A node without
-  // table entries neither sends nor receives.
-  const int64_t participant_count =
-      static_cast<int64_t>(participants_.size());
-  std::vector<std::vector<NodeRuntime::OutgoingPacket>> drained(
-      participants_.size());
-  ParallelFor(participant_count, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      NodeRuntime& node = nodes_[participants_[i]];
-      node.StartRound(readings[node.id()]);
-      drained[i] = node.DrainReadyPackets();
-    }
-  });
-  std::vector<InFlight> batch;
-  for (int64_t i = 0; i < participant_count; ++i) {
-    for (NodeRuntime::OutgoingPacket& packet : drained[i]) {
-      batch.push_back(InFlight{participants_[i], std::move(packet)});
-    }
-  }
-
-  while (!batch.empty()) {
-    ++result.delivery_passes;
-    // Parallel phase: deliveries bucket by recipient region, so each
-    // node's state is mutated by exactly one shard, in original batch
-    // order. Only the recipient's OnReceive/drain runs here; accounting,
-    // metrics, and next-batch assembly happen in the serial merge below in
-    // flight order, so the result — including the next pass's packet
-    // order — is byte-identical to the serial walk for any shard count.
-    std::vector<std::vector<NodeRuntime::OutgoingPacket>> emitted(
-        batch.size());
-    auto deliver = [&](size_t i) {
-      NodeRuntime& recipient = nodes_[batch[i].packet.recipient];
-      recipient.OnReceive(batch[i].packet.payload);
-      emitted[i] = recipient.DrainReadyPackets();
-    };
-    ThreadPool* pool = GlobalThreadPool();
-    const int shard_count =
-        pool == nullptr
-            ? 1
-            : static_cast<int>(std::min<int64_t>(GlobalShardCount(),
-                                                 node_count));
-    if (shard_count <= 1) {
-      for (size_t i = 0; i < batch.size(); ++i) deliver(i);
-    } else {
-      std::vector<std::vector<size_t>> buckets(shard_count);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        buckets[ShardOfNode(batch[i].packet.recipient, shard_count,
-                            node_count)]
-            .push_back(i);
-      }
-      pool->RunShards(shard_count, [&](int s) {
-        for (size_t i : buckets[s]) deliver(i);
-      });
-    }
-
-    size_t next_count = 0;
-    for (const auto& packets : emitted) next_count += packets.size();
-    std::vector<InFlight> next;
-    next.reserve(next_count);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const InFlight& flight = batch[i];
-      int payload = static_cast<int>(flight.packet.payload.size());
-      int hops =
-          message_hops_[flight.sender][flight.packet.local_message_id];
-      result.packets += 1;
-      result.payload_bytes += payload;
-      result.energy_mj += hops * energy.UnicastHopUj(payload) / 1000.0;
-      if (metrics_ != nullptr) {
-        metrics_->AddNode(handles_.tx_packets, flight.sender, 1);
-        metrics_->AddNode(handles_.tx_bytes, flight.sender, payload);
-        metrics_->AddNode(handles_.rx_packets, flight.packet.recipient, 1);
-        metrics_->AddNode(handles_.rx_bytes, flight.packet.recipient,
-                          payload);
-      }
-      for (NodeRuntime::OutgoingPacket& packet : emitted[i]) {
-        next.push_back(
-            InFlight{flight.packet.recipient, std::move(packet)});
-      }
-    }
-    batch = std::move(next);
-  }
-  if (metrics_ != nullptr) {
-    metrics_->Add(handles_.delivery_passes, result.delivery_passes);
-  }
-
-  for (NodeId id : participants_) {
-    const NodeRuntime& node = nodes_[id];
-    if (!node.is_destination()) continue;
-    std::optional<double> value = node.FinalValue();
-    M2M_CHECK(value.has_value())
-        << "destination " << node.id() << " never completed its aggregate";
-    result.destination_values[node.id()] = *value;
-  }
-  return result;
 }
 
 RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
@@ -821,6 +691,17 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
   if (any_degraded && metrics_ != nullptr) {
     metrics_->Add(handles_.coverage_degraded_rounds, 1);
   }
+  return result;
+}
+
+RuntimeNetwork::LossyResult RuntimeNetwork::RunRound(
+    const std::vector<double>& readings, const EnergyModel& energy) {
+  LossyLinkModel perfect;
+  perfect.attempt_delivers = [](NodeId, NodeId, int) { return true; };
+  LossyResult result = RunRoundLossy(readings, perfect, {}, energy);
+  M2M_CHECK(result.incomplete_destinations.empty())
+      << "destination " << result.incomplete_destinations.front()
+      << " never completed its aggregate";
   return result;
 }
 

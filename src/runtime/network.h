@@ -110,18 +110,6 @@ class RuntimeNetwork {
   RuntimeNetwork(RuntimeNetwork&&) noexcept = default;
   RuntimeNetwork& operator=(RuntimeNetwork&&) noexcept = default;
 
-  struct Result {
-    std::unordered_map<NodeId, double> destination_values;
-    int64_t packets = 0;        ///< Milestone-level packets exchanged.
-    int64_t payload_bytes = 0;  ///< Encoded payload bytes (no headers).
-    double energy_mj = 0.0;     ///< Hop-accurate TX+RX on encoded sizes.
-    int delivery_passes = 0;    ///< Iterations until quiescence.
-  };
-
-  /// Runs one round; CHECK-fails if any destination fails to complete.
-  Result RunRound(const std::vector<double>& readings,
-                  const EnergyModel& energy = {});
-
   /// Outcome of one round over lossy links with ack/retry recovery.
   struct LossyResult {
     /// Destinations whose aggregate completed (alive destinations only).
@@ -218,6 +206,14 @@ class RuntimeNetwork {
                             const EnergyModel& energy = {},
                             EventTrace* trace = nullptr);
 
+  /// Runs one lossless round: RunRoundLossy over a perfect link model
+  /// (every attempt delivers, every node is alive). Each message crosses
+  /// its segment once and pays one header-only ack per crossed hop
+  /// (docs/THEORY.md §7). CHECK-fails if any destination fails to
+  /// complete.
+  LossyResult RunRound(const std::vector<double>& readings,
+                       const EnergyModel& energy = {});
+
   /// Attaches a metrics registry: subsequent rounds record per-node and
   /// per-edge counters (tx/rx packets and bytes, retries, backoff waits,
   /// acks, dedup hits, epoch-gate drops) plus per-round histograms.
@@ -273,8 +269,6 @@ class RuntimeNetwork {
     obs::MetricHandle dedup_hits;
     obs::MetricHandle epoch_gate_drops;
     obs::MetricHandle messages_abandoned;
-    obs::MetricHandle tx_packets;
-    obs::MetricHandle delivery_passes;
     obs::MetricHandle attempts_per_message;
     obs::MetricHandle round_ticks;
     obs::MetricHandle installs;
@@ -292,8 +286,6 @@ class RuntimeNetwork {
   std::vector<NodeRuntime> nodes_;
   /// Nodes with entry_count() > 0, sorted (see participants()).
   std::vector<NodeId> participants_;
-  /// Physical hop count per (node, local message id).
-  std::vector<std::vector<int>> message_hops_;
   /// Physical segment (tail..head inclusive) per (node, local message id).
   std::vector<std::vector<std::vector<NodeId>>> message_segments_;
   int64_t installed_image_bytes_ = 0;

@@ -601,6 +601,40 @@ TEST_F(AdmissionControlTest, MetricsRecordMutationOutcomes) {
   EXPECT_GT(metrics.Total("qlm.delta_state_bytes"), 0);
 }
 
+// Source churn (a node dies or is deployed) is local in the Corollary 1
+// sense: each mutation re-optimizes a handful of edges, reuses the rest,
+// and ships a small image delta.
+TEST_F(AdmissionControlTest, SourceChurnReusesMostEdges) {
+  QueryLifecycleManager manager(topology_, initial_, base_);
+  std::vector<NodeId> destinations;
+  for (const auto& [destination, query] : manager.catalog().queries()) {
+    destinations.push_back(destination);
+  }
+  int64_t reused = 0;
+  int64_t reoptimized = 0;
+  int64_t shipped = 0;
+  int64_t delta_bytes = 0;
+  for (NodeId destination : destinations) {
+    // Copy before mutating: a commit replaces the catalog.
+    const QueryDefinition query = manager.catalog().Get(destination);
+    MutationResult added = manager.AddSource(
+        destination, AddableSource(topology_, query), 1.0);
+    MutationResult removed =
+        manager.RemoveSource(destination, query.Sources().front());
+    for (const MutationResult& result : {added, removed}) {
+      ASSERT_TRUE(result.decision.admitted) << result.decision.detail;
+      reused += result.replan.edges_reused;
+      reoptimized += result.replan.edges_reoptimized;
+      shipped += result.images_shipped + result.bumps_shipped;
+      delta_bytes += result.delta_state_bytes;
+    }
+  }
+  EXPECT_GT(reoptimized, 0);
+  EXPECT_GT(reused, 5 * reoptimized);
+  EXPECT_GT(shipped, 0);
+  EXPECT_GT(delta_bytes, 0);
+}
+
 // --- Determinism audit regression (satellite): two different mutation
 // orders that reach the same catalog content must produce byte-identical
 // compiled plans and wire images — no container-iteration or

@@ -477,8 +477,8 @@ TEST(LossyRuntimeTest, ExhaustedRetriesReportIncompleteDestinations) {
   EXPECT_TRUE(lossy.destination_values.empty());
 }
 
-// Fault-free lossy execution must agree with the quiescence-based runtime
-// and the analytic executor — the lossy path is a strict generalization.
+// Fault-free lossy execution must agree with the analytic executor: the
+// lossless round is the lossy path over perfect links.
 TEST(LossyRuntimeTest, PerfectLinksMatchQuiescentRuntime) {
   Topology topology = MakeGreatDuckIslandLike();
   Workload workload = DefaultWorkload(topology, 3);
@@ -489,8 +489,9 @@ TEST(LossyRuntimeTest, PerfectLinksMatchQuiescentRuntime) {
   CompiledPlan compiled = CompiledPlan::Compile(plan, workload.functions);
 
   ReadingGenerator readings(topology.node_count(), 12);
-  RuntimeNetwork lossless(compiled, workload.functions);
-  RuntimeNetwork::Result reference = lossless.RunRound(readings.values());
+  PlanExecutor executor(std::make_shared<CompiledPlan>(compiled),
+                        workload.functions, EnergyModel{});
+  RoundResult reference = executor.RunRound(readings.values());
 
   RuntimeNetwork network(compiled, workload.functions);
   LossyLinkModel links;
@@ -811,8 +812,8 @@ TEST(LossyRuntimeTest, DedupTablesMatchGoldenUnderDelayDuplicationAndDeaths) {
 // on a line 0..7, plan 0 aggregates sources {1, 2} at node 5 and plan 1
 // sources {2, 3} at node 6, so installing plan 1 moves node 6 into the plan
 // (it gains tables) and node 1 out of it (it loses every entry). Rounds on
-// the new plan still complete with the directly evaluated value, lossless
-// and lossy, at 1 and 4 threads.
+// the new plan still complete with the directly evaluated value at 1 and
+// 4 threads.
 TEST(LossyRuntimeTest, ParticipantListFollowsInstallsAcrossEpochs) {
   Topology topology = MakeGrid(8, 1, 10.0, 15.0);
   auto make_workload = [](NodeId destination, NodeId a, NodeId b) {
@@ -857,18 +858,12 @@ TEST(LossyRuntimeTest, ParticipantListFollowsInstallsAcrossEpochs) {
     }
     EXPECT_EQ(network.participants(), (std::vector<NodeId>{2, 3, 4, 5, 6}));
 
-    LossyLinkModel clean;
-    clean.attempt_delivers = [](NodeId, NodeId, int) { return true; };
     ReadingGenerator readings(topology.node_count(), 29);
     for (int round = 0; round < 3; ++round) {
       readings.Advance(1.0);
       const std::vector<double>& values = readings.values();
       const double expected = 1.5 * values[2] - 2.0 * values[3];
-      RuntimeNetwork::Result lossless = network.RunRound(values);
-      ASSERT_EQ(lossless.destination_values.size(), 1u);
-      EXPECT_TRUE(ValuesClose(lossless.destination_values.at(6), expected));
-      RuntimeNetwork::LossyResult lossy = network.RunRoundLossy(values, clean);
-      EXPECT_TRUE(lossy.incomplete_destinations.empty());
+      RuntimeNetwork::LossyResult lossy = network.RunRound(values);
       ASSERT_EQ(lossy.destination_values.size(), 1u);
       EXPECT_TRUE(ValuesClose(lossy.destination_values.at(6), expected));
       EXPECT_EQ(lossy.destination_epochs.at(6), 1u);

@@ -188,6 +188,34 @@ TEST(FailureHandlingTest, MilestoneRoutingSurvivesLinkFailuresBetter) {
   EXPECT_GT(flexible_complete, pinned_complete);
 }
 
+// Sampled transient link failures: each round reports which share of the
+// (source, destination) contributions arrived, strictly between nothing
+// and everything on the GDI network's flaky links.
+TEST(FailureHandlingTest, SampledLinkFailuresRecordDeliveryShare) {
+  Topology topo = MakeGreatDuckIslandLike();
+  WorkloadSpec spec;
+  spec.destination_count = 8;
+  spec.sources_per_destination = 6;
+  spec.seed = 604;
+  Workload wl = GenerateWorkload(topo, spec);
+  System system(topo, wl);
+  LinkStabilityModel stability(topo, 8);
+  Rng rng(8);
+  int64_t delivered = 0;
+  int64_t total = 0;
+  for (int round = 0; round < 10; ++round) {
+    FailureRoundResult result = RunRoundWithFailures(
+        system.compiled(), wl.functions, topo,
+        LinkOutcome::Sample(topo, stability, rng), EnergyModel{});
+    EXPECT_GT(result.contributions_total, 0);
+    EXPECT_LE(result.contributions_delivered, result.contributions_total);
+    delivered += result.contributions_delivered;
+    total += result.contributions_total;
+  }
+  EXPECT_GT(delivered, 0);
+  EXPECT_LT(delivered, total);
+}
+
 TEST(FailureHandlingTest, SingleDownLinkOnlyBreaksAffectedRoutes) {
   Topology topo = MakeGreatDuckIslandLike();
   WorkloadSpec spec;

@@ -160,8 +160,8 @@ std::string RuntimeFingerprint(uint64_t seed) {
   for (int round = 0; round < 2; ++round) {
     ReadingGenerator readings(topology.node_count(),
                               seed * 200 + static_cast<uint64_t>(round));
-    RuntimeNetwork::Result result = network.RunRound(readings.values());
-    out << "plain r" << round << " packets=" << result.packets
+    RuntimeNetwork::LossyResult result = network.RunRound(readings.values());
+    out << "plain r" << round << " packets=" << result.deliveries
         << " bytes=" << result.payload_bytes << " e=";
     AppendHex(out, result.energy_mj);
     std::map<NodeId, double> ordered(result.destination_values.begin(),

@@ -107,7 +107,7 @@ TEST_P(RandomWorkloadProperty, DistributedRuntimeMatchesAnalytic) {
   ReadingGenerator gen(topology_.node_count(), GetParam() + 321);
   RoundResult analytic = executor.RunRound(gen.values());
   RuntimeNetwork network(compiled, workload_.functions);
-  RuntimeNetwork::Result distributed = network.RunRound(gen.values());
+  RuntimeNetwork::LossyResult distributed = network.RunRound(gen.values());
   ASSERT_EQ(distributed.destination_values.size(),
             analytic.destination_values.size());
   for (const auto& [d, value] : analytic.destination_values) {

@@ -103,7 +103,8 @@ TEST_P(RuntimeNetworkTest, MatchesAnalyticExecutor) {
   RoundResult analytic = executor.RunRound(readings.values());
 
   RuntimeNetwork network(system.compiled(), system.workload().functions);
-  RuntimeNetwork::Result distributed = network.RunRound(readings.values());
+  RuntimeNetwork::LossyResult distributed =
+      network.RunRound(readings.values());
 
   ASSERT_EQ(distributed.destination_values.size(),
             analytic.destination_values.size());
@@ -113,7 +114,7 @@ TEST_P(RuntimeNetworkTest, MatchesAnalyticExecutor) {
                 1e-4 * std::max(1.0, std::fabs(value)))
         << ToString(kind) << "/" << ToString(strategy);
   }
-  EXPECT_GT(distributed.packets, 0);
+  EXPECT_GT(distributed.deliveries, 0);
   EXPECT_GT(distributed.energy_mj, 0.0);
 }
 
@@ -134,14 +135,57 @@ INSTANTIATE_TEST_SUITE_P(
       return ToString(info.param.first) + "_" + ToString(info.param.second);
     });
 
-TEST(RuntimeNetworkTest, PacketCountMatchesScheduleMessages) {
-  System system = MakeSystem(302, AggregateKind::kWeightedAverage);
-  RuntimeNetwork network(system.compiled(), system.workload().functions);
-  ReadingGenerator readings(system.topology().node_count(), 10);
-  RuntimeNetwork::Result result = network.RunRound(readings.values());
-  EXPECT_EQ(result.packets,
-            static_cast<int64_t>(
-                system.compiled().schedule().messages().size()));
+// A lossless round is the perfect-link lossy round: every message crosses
+// its segment once and each crossed hop is acked by one header-only frame.
+// On a line with endpoint-only milestones and raw forwarding, the energy is
+// hand-checkable: routes 0->5, 1->5 and 2->5 are single virtual edges of 5,
+// 4 and 3 hops, each carrying one raw unit.
+TEST(RuntimeNetworkTest, LosslessRoundPaysOneHeaderAckPerDataHop) {
+  Topology topology = MakeGrid(6, 1, 10.0, 15.0);
+  Workload workload;
+  workload.tasks = {Task{5, {0, 1, 2}}};
+  FunctionSpec spec;
+  spec.kind = AggregateKind::kWeightedSum;
+  spec.weights = {{0, 1.0}, {1, 2.0}, {2, 3.0}};
+  workload.specs = {spec};
+  workload.RebuildFunctions();
+  SystemOptions options;
+  options.planner.strategy = PlanStrategy::kMulticastOnly;
+  options.milestones = MilestoneSelector::EndpointsOnly(topology.node_count());
+  System system(topology, workload, options);
+
+  // A raw unit is a tag byte, a one-byte varint source id and an f32; the
+  // message leads with a one-byte varint unit count.
+  const EnergyModel energy;
+  double expected_mj = 0.0;
+  int data_hops = 0;
+  for (NodeId n = 0; n < topology.node_count(); ++n) {
+    for (const OutgoingMessageEntry& message :
+         system.compiled().state(n).outgoing_table) {
+      const int hops = static_cast<int>(message.segment.size()) - 1;
+      const int payload = 1 + 6 * message.unit_count;
+      data_hops += hops;
+      expected_mj +=
+          hops * (energy.UnicastHopUj(payload) + energy.UnicastHopUj(0)) /
+          1000.0;
+    }
+  }
+  EXPECT_EQ(data_hops, 5 + 4 + 3);
+
+  RuntimeNetwork network(system.compiled(), workload.functions);
+  ReadingGenerator readings(topology.node_count(), 10);
+  RuntimeNetwork::LossyResult result =
+      network.RunRound(readings.values(), energy);
+  EXPECT_DOUBLE_EQ(result.energy_mj, expected_mj);
+  const int64_t messages =
+      static_cast<int64_t>(system.compiled().schedule().messages().size());
+  EXPECT_EQ(messages, 3);
+  EXPECT_EQ(result.attempts, messages);
+  EXPECT_EQ(result.deliveries, messages);
+  EXPECT_EQ(result.retransmissions, 0);
+  const std::vector<double>& values = readings.values();
+  EXPECT_NEAR(result.destination_values.at(5),
+              1.0 * values[0] + 2.0 * values[1] + 3.0 * values[2], 1e-3);
 }
 
 TEST(RuntimeNetworkTest, RunsMultipleRounds) {
@@ -150,7 +194,7 @@ TEST(RuntimeNetworkTest, RunsMultipleRounds) {
   ReadingGenerator readings(system.topology().node_count(), 11);
   for (int round = 0; round < 5; ++round) {
     readings.Advance(1.0);
-    RuntimeNetwork::Result result = network.RunRound(readings.values());
+    RuntimeNetwork::LossyResult result = network.RunRound(readings.values());
     for (const Task& task : system.workload().tasks) {
       std::unordered_map<NodeId, double> inputs;
       for (NodeId s : task.sources) inputs[s] = readings.values()[s];
@@ -176,7 +220,7 @@ TEST(RuntimeNetworkTest, WorksWithMilestoneVirtualEdges) {
   System system(topology, workload, options);
   RuntimeNetwork network(system.compiled(), workload.functions);
   ReadingGenerator readings(topology.node_count(), 12);
-  RuntimeNetwork::Result result = network.RunRound(readings.values());
+  RuntimeNetwork::LossyResult result = network.RunRound(readings.values());
   EXPECT_EQ(result.destination_values.size(), workload.tasks.size());
 }
 
