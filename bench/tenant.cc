@@ -3,8 +3,8 @@
 // (T tenants drawing admissions/retirements from a shared pool of canonical
 // queries) sweeps the arrival rate (requests per batch window) and drives
 // the SAME schedule through two admission pipelines: sequential (every
-// request its own commit — one replan each) and batched (one TenantBatch
-// per window — one replan for the whole window). Reports commit latency
+// request its own commit — one replan each) and batched (one frontend
+// ApplyBatch per window — one replan for the whole window). Reports commit latency
 // p50/p99, admitted-queries throughput, replans per admitted query, and
 // the dedup hit rate (overlapping tenants sharing one physical query).
 // Both pipelines must end byte-identical — the batch purity guarantee —
@@ -139,7 +139,7 @@ TenantRequest ToTenantRequest(const Arrival& arrival,
 }
 
 /// Drives one pipeline over the schedule. `batched` commits each window as
-/// ONE TenantBatch; otherwise every arrival is its own single-request
+/// ONE frontend batch; otherwise every arrival is its own single-request
 /// commit. Returns the stats and leaves the manager at the final catalog.
 SweepStats RunPipeline(QueryLifecycleManager& manager,
                        const std::vector<std::string>& tenants,
@@ -162,7 +162,7 @@ SweepStats RunPipeline(QueryLifecycleManager& manager,
     }
     if (batched) {
       const auto start = std::chrono::steady_clock::now();
-      TenantBatchResult result = frontend.ApplyBatch(requests);
+      FrontendBatchResult result = frontend.ApplyBatch(requests);
       const auto stop = std::chrono::steady_clock::now();
       stats.commit_us.push_back(
           std::chrono::duration<double, std::micro>(stop - start).count());
@@ -172,7 +172,7 @@ SweepStats RunPipeline(QueryLifecycleManager& manager,
     } else {
       for (const TenantRequest& request : requests) {
         const auto start = std::chrono::steady_clock::now();
-        TenantBatchResult result = frontend.ApplyBatch({request});
+        FrontendBatchResult result = frontend.ApplyBatch({request});
         const auto stop = std::chrono::steady_clock::now();
         stats.commit_us.push_back(
             std::chrono::duration<double, std::micro>(stop - start).count());
@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
        << "  \"setup\": \"GDI topology, 5x5 seed workload; 4 tenants, "
           "shared pool of 6 canonical queries; open-loop arrival sweep "
           "(requests per batch window); sequential = one commit per "
-          "request, batched = one TenantBatch per window; both pipelines "
+          "request, batched = one frontend batch per window; both pipelines "
           "CHECKed byte-identical\",\n"
        << "  \"rows\": [\n";
 

@@ -200,18 +200,7 @@ std::string ChurnSchedule::Describe() const {
 
 MutationResult ApplyChurnEvent(QueryLifecycleManager& manager,
                                const ChurnEvent& event) {
-  switch (event.type) {
-    case ChurnType::kAdmit:
-      return manager.AdmitQuery(event.destination, event.spec);
-    case ChurnType::kRetire:
-      return manager.RetireQuery(event.destination);
-    case ChurnType::kAddSource:
-      return manager.AddSource(event.destination, event.source,
-                               event.weight);
-    case ChurnType::kRemoveSource:
-      return manager.RemoveSource(event.destination, event.source);
-  }
-  M2M_CHECK(false) << "unreachable churn type";
+  return manager.Apply(ToMutationRequest(event));
 }
 
 MutationRequest ToMutationRequest(const ChurnEvent& event) {

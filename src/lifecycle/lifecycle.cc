@@ -91,38 +91,18 @@ MutationRequest MutationRequest::RemoveSource(NodeId destination,
   return request;
 }
 
-MutationBatch::MutationBatch(QueryLifecycleManager* manager)
-    : manager_(manager) {
-  M2M_CHECK(manager_ != nullptr);
-}
-
-MutationBatch& MutationBatch::Admit(NodeId destination, FunctionSpec spec) {
-  return Push(MutationRequest::Admit(destination, std::move(spec)));
-}
-
-MutationBatch& MutationBatch::Retire(NodeId destination) {
-  return Push(MutationRequest::Retire(destination));
-}
-
-MutationBatch& MutationBatch::AddSource(NodeId destination, NodeId source,
-                                        double weight) {
-  return Push(MutationRequest::AddSource(destination, source, weight));
-}
-
-MutationBatch& MutationBatch::RemoveSource(NodeId destination,
-                                           NodeId source) {
-  return Push(MutationRequest::RemoveSource(destination, source));
-}
-
-MutationBatch& MutationBatch::Push(MutationRequest request) {
-  requests_.push_back(std::move(request));
-  return *this;
-}
-
-BatchResult MutationBatch::Commit() {
-  BatchResult result = manager_->ApplyBatch(requests_);
-  requests_.clear();
-  return result;
+MutationResult SingleResult(const MutationOutcome& outcome,
+                            MutationResult commit) {
+  if (!outcome.decision.admitted) {
+    MutationResult rejected;
+    rejected.decision = outcome.decision;
+    rejected.catalog_version = commit.catalog_version;
+    return rejected;
+  }
+  commit.decision = outcome.decision;
+  commit.deduplicated = outcome.deduplicated;
+  commit.refcount = outcome.refcount;
+  return commit;
 }
 
 QueryLifecycleManager::QueryLifecycleManager(const Topology& topology,
@@ -370,55 +350,29 @@ MutationOutcome QueryLifecycleManager::ValidateAndApply(
                        "unknown mutation type");
 }
 
-MutationResult QueryLifecycleManager::ApplySingle(
-    const MutationRequest& request) {
-  QueryCatalog candidate = catalog_;
-  MutationOutcome outcome = ValidateAndApply(candidate, request);
-  if (!outcome.decision.admitted) {
-    MutationResult result;
-    result.decision = outcome.decision;
-    result.catalog_version = catalog_.version();
-    RecordRejection(result.decision.reason);
-    return result;
-  }
-  if (outcome.deduplicated) {
-    MutationResult result = CommitRefcountOnly(std::move(candidate), outcome);
-    if (metrics_ != nullptr) {
-      metrics_->Add(request.type == MutationType::kAdmit
-                        ? handles_.dedup_hits
-                        : handles_.dedup_releases,
-                    1);
-    }
-    return result;
-  }
-  MutationResult result = Commit(std::move(candidate));
-  if (!result.decision.admitted) {
-    RecordRejection(result.decision.reason);
-    return result;
-  }
-  result.refcount = outcome.refcount;
-  if (metrics_ != nullptr) metrics_->Add(handles_.admissions, 1);
-  return result;
+MutationResult QueryLifecycleManager::Apply(const MutationRequest& request) {
+  BatchResult batch = ApplyRequests({&request, 1});
+  return SingleResult(batch.outcomes[0], std::move(batch.commit));
 }
 
 MutationResult QueryLifecycleManager::AdmitQuery(NodeId destination,
                                                  const FunctionSpec& spec) {
-  return ApplySingle(MutationRequest::Admit(destination, spec));
+  return Apply(MutationRequest::Admit(destination, spec));
 }
 
 MutationResult QueryLifecycleManager::RetireQuery(NodeId destination) {
-  return ApplySingle(MutationRequest::Retire(destination));
+  return Apply(MutationRequest::Retire(destination));
 }
 
 MutationResult QueryLifecycleManager::AddSource(NodeId destination,
                                                 NodeId source,
                                                 double weight) {
-  return ApplySingle(MutationRequest::AddSource(destination, source, weight));
+  return Apply(MutationRequest::AddSource(destination, source, weight));
 }
 
 MutationResult QueryLifecycleManager::RemoveSource(NodeId destination,
                                                    NodeId source) {
-  return ApplySingle(MutationRequest::RemoveSource(destination, source));
+  return Apply(MutationRequest::RemoveSource(destination, source));
 }
 
 BatchResult QueryLifecycleManager::ApplyBatch(
@@ -428,17 +382,28 @@ BatchResult QueryLifecycleManager::ApplyBatch(
     metrics_->Add(handles_.batch_requests,
                   static_cast<int64_t>(requests.size()));
   }
-  BatchResult batch;
   if (requests.empty()) {
+    BatchResult batch;
     batch.commit.catalog_version = catalog_.version();
     return batch;
   }
+  BatchResult batch = ApplyRequests(requests);
+  if (metrics_ != nullptr) {
+    if (batch.committed) metrics_->Add(handles_.batch_commits, 1);
+    if (batch.sequential_fallback) metrics_->Add(handles_.batch_fallbacks, 1);
+  }
+  return batch;
+}
 
+BatchResult QueryLifecycleManager::ApplyRequests(
+    std::span<const MutationRequest> requests) {
   // Validate every request, in order, against the evolving candidate — a
   // batch behaves exactly like its own sequential replay, and a rejected
   // request contributes nothing to what commits.
+  BatchResult batch;
   const int64_t base_version = catalog_.version();
   QueryCatalog candidate = catalog_;
+  batch.outcomes.reserve(requests.size());
   for (const MutationRequest& request : requests) {
     batch.outcomes.push_back(ValidateAndApply(candidate, request));
   }
@@ -451,16 +416,18 @@ BatchResult QueryLifecycleManager::ApplyBatch(
     // single commit compiles at the FINAL version, so the resulting wire
     // images are byte-identical to the sequential end state.
     MutationResult commit = Commit(std::move(candidate));
-    if (!commit.decision.admitted) {
+    if (commit.decision.admitted) {
+      batch.committed = true;
+    } else if (requests.size() > 1) {
       // The *combined* candidate tripped an admission budget. Individual
       // requests may still fit: degrade to exact sequential application so
       // batched and unbatched replay always agree on the final state.
-      if (metrics_ != nullptr) metrics_->Add(handles_.batch_fallbacks, 1);
       return SequentialFallback(requests);
+    } else {
+      // A lone request's budget verdict is its own.
+      batch.outcomes[0] = MutationOutcome{.decision = commit.decision};
     }
-    batch.committed = true;
     batch.commit = std::move(commit);
-    if (metrics_ != nullptr) metrics_->Add(handles_.batch_commits, 1);
   } else {
     // Refcount-only (or all-rejected) batch: adopt the candidate's
     // bookkeeping without replanning or opening an epoch.
@@ -493,46 +460,27 @@ BatchResult QueryLifecycleManager::ApplyBatch(
 }
 
 BatchResult QueryLifecycleManager::SequentialFallback(
-    const std::vector<MutationRequest>& requests) {
+    std::span<const MutationRequest> requests) {
   BatchResult batch;
   batch.sequential_fallback = true;
   batch.commit.decision = AdmissionDecision::Admit();
   for (const MutationRequest& request : requests) {
-    MutationResult result = ApplySingle(request);
-    MutationOutcome outcome;
-    outcome.decision = result.decision;
-    outcome.deduplicated = result.deduplicated;
-    outcome.refcount = result.refcount;
-    if (result.decision.admitted) {
+    BatchResult one = ApplyRequests({&request, 1});
+    if (one.accepted > 0) {
       ++batch.accepted;
-      batch.commit.replan.edges_reused += result.replan.edges_reused;
+      batch.commit.replan.edges_reused += one.commit.replan.edges_reused;
       batch.commit.replan.edges_reoptimized +=
-          result.replan.edges_reoptimized;
-      batch.commit.images_shipped += result.images_shipped;
-      batch.commit.bumps_shipped += result.bumps_shipped;
-      batch.commit.delta_state_bytes += result.delta_state_bytes;
+          one.commit.replan.edges_reoptimized;
+      batch.commit.images_shipped += one.commit.images_shipped;
+      batch.commit.bumps_shipped += one.commit.bumps_shipped;
+      batch.commit.delta_state_bytes += one.commit.delta_state_bytes;
     } else {
       ++batch.rejected;
     }
-    batch.outcomes.push_back(std::move(outcome));
+    batch.outcomes.push_back(one.outcomes[0]);
   }
   batch.commit.catalog_version = catalog_.version();
   return batch;
-}
-
-MutationResult QueryLifecycleManager::CommitRefcountOnly(
-    QueryCatalog candidate, const MutationOutcome& outcome) {
-  catalog_ = std::move(candidate);
-  MutationResult result;
-  result.decision = outcome.decision;
-  result.deduplicated = true;
-  result.refcount = outcome.refcount;
-  result.catalog_version = catalog_.version();
-  if (metrics_ != nullptr) {
-    metrics_->Add(handles_.admissions, 1);
-    RefreshCatalogGauges();
-  }
-  return result;
 }
 
 MutationResult QueryLifecycleManager::Commit(QueryCatalog candidate) {

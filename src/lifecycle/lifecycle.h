@@ -2,6 +2,7 @@
 #define M2M_LIFECYCLE_LIFECYCLE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,8 +66,8 @@ enum class MutationType : uint8_t {
 
 std::string ToString(MutationType type);
 
-/// One request inside a MutationBatch (or a standalone mutation). `spec`
-/// is read for kAdmit; `source` and `weight` for the source mutations.
+/// One lifecycle request, alone or inside a batch. `spec` is read for
+/// kAdmit; `source` and `weight` for the source mutations.
 struct MutationRequest {
   MutationType type = MutationType::kAdmit;
   NodeId destination = kInvalidNode;
@@ -103,9 +104,11 @@ struct BatchResult {
   /// through ONE replan + ONE consistency validation + ONE epoch bump
   /// (refcount-only batches commit without any of the three).
   bool committed = false;
-  /// True when the combined candidate tripped a budget gate and the batch
-  /// degraded to per-request sequential application (identical semantics
-  /// to unbatched replay; the amortization is lost, correctness is not).
+  /// True when a multi-request batch's combined candidate tripped a budget
+  /// gate and the batch degraded to sequential one-request application
+  /// (identical semantics to unbatched replay; the amortization is lost,
+  /// correctness is not). A one-request candidate that trips a budget is a
+  /// plain rejection of that request.
   bool sequential_fallback = false;
   /// Aggregate replan / Corollary 1 / dissemination accounting for the
   /// whole batch (the single commit on the fast path; summed per-request
@@ -113,36 +116,12 @@ struct BatchResult {
   MutationResult commit;
 };
 
-class QueryLifecycleManager;
-
-/// Accumulates admit / retire / add-source / remove-source requests and
-/// commits them as one atomic catalog delta: one ReplanForWorkload, one
-/// Theorem 1 + Corollary 1 validation, one admission-budget evaluation,
-/// and one epoch bump — however many requests the batch carries. This is
-/// the frontend's unit of amortization for production arrival rates:
-/// per-query replans are the single-query cost the source paper's
-/// many-to-many formulation exists to avoid paying N times.
-class MutationBatch {
- public:
-  explicit MutationBatch(QueryLifecycleManager* manager);
-
-  MutationBatch& Admit(NodeId destination, FunctionSpec spec);
-  MutationBatch& Retire(NodeId destination);
-  MutationBatch& AddSource(NodeId destination, NodeId source, double weight);
-  MutationBatch& RemoveSource(NodeId destination, NodeId source);
-  MutationBatch& Push(MutationRequest request);
-
-  int size() const { return static_cast<int>(requests_.size()); }
-  bool empty() const { return requests_.empty(); }
-  const std::vector<MutationRequest>& requests() const { return requests_; }
-
-  /// Commits everything accumulated and clears the batch.
-  BatchResult Commit();
-
- private:
-  QueryLifecycleManager* manager_;
-  std::vector<MutationRequest> requests_;
-};
+/// The single-request view of a one-request batch: the request's
+/// decision, dedup flag and refcount over the batch's commit accounting, or
+/// a bare rejection (every other field zero) at the commit's catalog
+/// version when the request was rejected.
+MutationResult SingleResult(const MutationOutcome& outcome,
+                            MutationResult commit);
 
 /// The query lifecycle manager (QLM): owns the versioned query catalog at
 /// the base station and serves runtime workload churn — AdmitQuery,
@@ -166,7 +145,7 @@ class MutationBatch {
 ///      Theorem 3 state bound, the TDMA slot budget, and the per-node
 ///      energy budget; violations reject with a typed reason and leave the
 ///      catalog and plan untouched. A multi-request batch whose combined
-///      candidate trips a budget degrades to sequential per-request
+///      candidate trips a budget degrades to sequential one-request
 ///      application, so batched and unbatched replay of the same requests
 ///      always land on byte-identical state.
 ///   5. Commit: the catalog versions forward, the candidate becomes the
@@ -176,6 +155,10 @@ class MutationBatch {
 ///      dissemination delta, and — when a self-healing runtime is attached
 ///      — the new workload is submitted once per commit so the delta rides
 ///      the epoch-versioned control plane.
+///
+/// A single mutation (AdmitQuery, RetireQuery, AddSource, RemoveSource,
+/// Apply) is a one-request batch through the same pipeline; it only skips
+/// the qlm.batch.* accounting, which counts ApplyBatch calls.
 ///
 /// Cross-tenant dedup rides the same pipeline: queries are keyed by their
 /// canonical (destination, source-set, function) form, an exact
@@ -226,10 +209,15 @@ class QueryLifecycleManager {
   /// believed-alive source).
   MutationResult RemoveSource(NodeId destination, NodeId source);
 
+  /// Applies one request of any type (the four calls above are this).
+  MutationResult Apply(const MutationRequest& request);
+
   /// Applies a batch of requests as one catalog delta: requests validate
   /// in order against the evolving candidate (typed per-request outcomes;
   /// rejections poison nothing), then the accepted set commits with one
-  /// replan + one epoch bump. See MutationBatch.
+  /// replan + one epoch bump — the frontend's unit of amortization, since
+  /// per-query replans are the single-query cost the many-to-many
+  /// formulation exists to avoid paying N times.
   BatchResult ApplyBatch(const std::vector<MutationRequest>& requests);
 
   /// Attaches the self-healing runtime that should receive admitted
@@ -277,18 +265,15 @@ class QueryLifecycleManager {
 
   /// Validates `request` against `catalog` and, on acceptance, applies it.
   /// Holds ALL structural gates (including the believed-alive-source
-  /// check), so batch and standalone mutations share one rulebook.
+  /// check), so every request type shares one rulebook.
   MutationOutcome ValidateAndApply(QueryCatalog& catalog,
                                    const MutationRequest& request) const;
-  /// Single-request pipeline (the public mutation methods).
-  MutationResult ApplySingle(const MutationRequest& request);
-  /// Commits a refcount-only candidate: no replan, no epoch, no version.
-  MutationResult CommitRefcountOnly(QueryCatalog candidate,
-                                    const MutationOutcome& outcome);
+  /// The pipeline for a non-empty request list, minus qlm.batch.*.
+  BatchResult ApplyRequests(std::span<const MutationRequest> requests);
   /// Steps 2-5 of the pipeline for a structurally valid candidate.
   MutationResult Commit(QueryCatalog candidate);
-  /// Budget-contended batch path: per-request sequential application.
-  BatchResult SequentialFallback(const std::vector<MutationRequest>& requests);
+  /// Budget-contended batch path: one one-request batch per request.
+  BatchResult SequentialFallback(std::span<const MutationRequest> requests);
   bool BelievedDead(NodeId node) const;
   void RecordRejection(AdmissionReason reason);
   void RefreshCatalogGauges();

@@ -8,44 +8,6 @@
 
 namespace m2m {
 
-TenantBatch::TenantBatch(MultiTenantFrontend* frontend)
-    : frontend_(frontend) {
-  M2M_CHECK(frontend_ != nullptr);
-}
-
-TenantBatch& TenantBatch::Admit(const std::string& tenant, NodeId destination,
-                                FunctionSpec spec) {
-  return Push({tenant, MutationRequest::Admit(destination, std::move(spec))});
-}
-
-TenantBatch& TenantBatch::Retire(const std::string& tenant,
-                                 NodeId destination) {
-  return Push({tenant, MutationRequest::Retire(destination)});
-}
-
-TenantBatch& TenantBatch::AddSource(const std::string& tenant,
-                                    NodeId destination, NodeId source,
-                                    double weight) {
-  return Push(
-      {tenant, MutationRequest::AddSource(destination, source, weight)});
-}
-
-TenantBatch& TenantBatch::RemoveSource(const std::string& tenant,
-                                       NodeId destination, NodeId source) {
-  return Push({tenant, MutationRequest::RemoveSource(destination, source)});
-}
-
-TenantBatch& TenantBatch::Push(TenantRequest request) {
-  requests_.push_back(std::move(request));
-  return *this;
-}
-
-TenantBatchResult TenantBatch::Commit() {
-  TenantBatchResult result = frontend_->ApplyBatch(requests_);
-  requests_.clear();
-  return result;
-}
-
 MultiTenantFrontend::MultiTenantFrontend(QueryLifecycleManager* manager)
     : manager_(manager) {
   M2M_CHECK(manager_ != nullptr);
@@ -60,22 +22,6 @@ void MultiTenantFrontend::RegisterTenant(const std::string& tenant,
     state.holds_gauge = metrics_->Gauge("tenant.holds." + tenant);
     RefreshHoldsGauge(tenant);
   }
-}
-
-bool MultiTenantFrontend::HasTenant(const std::string& tenant) const {
-  return tenants_.contains(tenant);
-}
-
-void MultiTenantFrontend::AdoptResident(const std::string& tenant,
-                                        NodeId destination) {
-  auto it = tenants_.find(tenant);
-  M2M_CHECK(it != tenants_.end()) << "unknown tenant " << tenant;
-  M2M_CHECK(manager_->catalog().Contains(destination))
-      << "no resident query for destination " << destination;
-  M2M_CHECK_EQ(HoldsAcrossTenants(destination), 0)
-      << "destination " << destination << " is already tenant-held";
-  it->second.holds[destination] = manager_->catalog().RefCount(destination);
-  RefreshHoldsGauge(tenant);
 }
 
 int MultiTenantFrontend::Holds(const std::string& tenant,
@@ -129,9 +75,9 @@ void MultiTenantFrontend::RefreshHoldsGauge(const std::string& tenant) {
   metrics_->Set(it->second.holds_gauge, TotalHolds(tenant));
 }
 
-TenantBatchResult MultiTenantFrontend::ApplyBatch(
+FrontendBatchResult MultiTenantFrontend::ApplyBatch(
     const std::vector<TenantRequest>& requests) {
-  TenantBatchResult result;
+  FrontendBatchResult result;
   result.outcomes.resize(requests.size());
   if (metrics_ != nullptr) {
     metrics_->Add(handles_.batches, 1);
@@ -289,53 +235,35 @@ TenantBatchResult MultiTenantFrontend::ApplyBatch(
   return result;
 }
 
-namespace {
-
-MutationResult SingleResult(const TenantBatchResult& batch,
-                            int64_t catalog_version) {
-  MutationResult result = batch.commit;
-  result.decision = batch.outcomes[0].decision;
-  result.deduplicated = batch.outcomes[0].deduplicated;
-  result.refcount = batch.outcomes[0].refcount;
-  if (!result.decision.admitted) {
-    result = MutationResult{};
-    result.decision = batch.outcomes[0].decision;
-    result.catalog_version = catalog_version;
-  }
-  return result;
-}
-
-}  // namespace
-
 MutationResult MultiTenantFrontend::AdmitQuery(const std::string& tenant,
                                                NodeId destination,
                                                const FunctionSpec& spec) {
-  TenantBatchResult batch =
+  FrontendBatchResult batch =
       ApplyBatch({{tenant, MutationRequest::Admit(destination, spec)}});
-  return SingleResult(batch, manager_->catalog().version());
+  return SingleResult(batch.outcomes[0], std::move(batch.commit));
 }
 
 MutationResult MultiTenantFrontend::RetireQuery(const std::string& tenant,
                                                 NodeId destination) {
-  TenantBatchResult batch =
+  FrontendBatchResult batch =
       ApplyBatch({{tenant, MutationRequest::Retire(destination)}});
-  return SingleResult(batch, manager_->catalog().version());
+  return SingleResult(batch.outcomes[0], std::move(batch.commit));
 }
 
 MutationResult MultiTenantFrontend::AddSource(const std::string& tenant,
                                               NodeId destination,
                                               NodeId source, double weight) {
-  TenantBatchResult batch = ApplyBatch(
+  FrontendBatchResult batch = ApplyBatch(
       {{tenant, MutationRequest::AddSource(destination, source, weight)}});
-  return SingleResult(batch, manager_->catalog().version());
+  return SingleResult(batch.outcomes[0], std::move(batch.commit));
 }
 
 MutationResult MultiTenantFrontend::RemoveSource(const std::string& tenant,
                                                  NodeId destination,
                                                  NodeId source) {
-  TenantBatchResult batch = ApplyBatch(
+  FrontendBatchResult batch = ApplyBatch(
       {{tenant, MutationRequest::RemoveSource(destination, source)}});
-  return SingleResult(batch, manager_->catalog().version());
+  return SingleResult(batch.outcomes[0], std::move(batch.commit));
 }
 
 }  // namespace m2m

@@ -29,12 +29,12 @@ struct TenantRequest {
   MutationRequest request;
 };
 
-/// Outcome of one tenant batch: per-request outcomes in request order plus
+/// Outcome of one frontend batch: per-request outcomes in request order plus
 /// the underlying manager commit accounting. Tenant-level rejections
 /// (unknown tenant, quota, shared-query) are decided in the frontend and
 /// never reach the manager; everything else carries the manager's typed
 /// decision through unchanged.
-struct TenantBatchResult {
+struct FrontendBatchResult {
   std::vector<MutationOutcome> outcomes;
   int accepted = 0;
   int rejected = 0;
@@ -43,36 +43,6 @@ struct TenantBatchResult {
   bool committed = false;
   bool sequential_fallback = false;
   MutationResult commit;
-};
-
-class MultiTenantFrontend;
-
-/// Builder for one multi-tenant batch (the concurrent frontend's unit of
-/// admission): requests from any number of tenants accumulate and commit
-/// as ONE lifecycle batch — one replan, one validation, one epoch bump —
-/// with per-request tenant attribution.
-class TenantBatch {
- public:
-  explicit TenantBatch(MultiTenantFrontend* frontend);
-
-  TenantBatch& Admit(const std::string& tenant, NodeId destination,
-                     FunctionSpec spec);
-  TenantBatch& Retire(const std::string& tenant, NodeId destination);
-  TenantBatch& AddSource(const std::string& tenant, NodeId destination,
-                         NodeId source, double weight);
-  TenantBatch& RemoveSource(const std::string& tenant, NodeId destination,
-                            NodeId source);
-  TenantBatch& Push(TenantRequest request);
-
-  int size() const { return static_cast<int>(requests_.size()); }
-  bool empty() const { return requests_.empty(); }
-
-  /// Commits everything accumulated and clears the batch.
-  TenantBatchResult Commit();
-
- private:
-  MultiTenantFrontend* frontend_;
-  std::vector<TenantRequest> requests_;
 };
 
 /// Multi-tenant base-station frontend over the QueryLifecycleManager:
@@ -112,20 +82,15 @@ class MultiTenantFrontend {
   /// Registers a tenant with its QoS class. Re-registering updates the
   /// quota in place without touching holdings.
   void RegisterTenant(const std::string& tenant, const QosClass& qos = {});
-  bool HasTenant(const std::string& tenant) const;
 
-  /// Assigns one pre-seeded resident query (admitted via the manager's
-  /// initial workload, so held by nobody) to `tenant`. Requires the query
-  /// to exist and no tenant to hold it yet.
-  void AdoptResident(const std::string& tenant, NodeId destination);
+  /// Applies a batch of tenant-attributed requests (the concurrent
+  /// frontend's unit of admission): tenant gates first (typed rejections,
+  /// nothing forwarded), then ONE manager batch for everything that passed
+  /// — one replan, one validation, one epoch bump — then holdings
+  /// reconciliation from the actual outcomes.
+  FrontendBatchResult ApplyBatch(const std::vector<TenantRequest>& requests);
 
-  /// Applies a batch of tenant-attributed requests: tenant gates first
-  /// (typed rejections, nothing forwarded), then ONE manager batch for
-  /// everything that passed, then holdings reconciliation from the actual
-  /// outcomes. See TenantBatch.
-  TenantBatchResult ApplyBatch(const std::vector<TenantRequest>& requests);
-
-  /// Single-request conveniences (a batch of one).
+  /// Single-request conveniences (a batch of one, mapped by SingleResult).
   MutationResult AdmitQuery(const std::string& tenant, NodeId destination,
                             const FunctionSpec& spec);
   MutationResult RetireQuery(const std::string& tenant, NodeId destination);

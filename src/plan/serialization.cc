@@ -283,11 +283,4 @@ std::vector<uint8_t> FrameNodeImage(const std::vector<uint8_t>& image) {
   return Crc32Frame(image);
 }
 
-std::optional<DecodedNodeState> TryDecodeFramedNodeState(
-    const std::vector<uint8_t>& frame) {
-  std::optional<std::vector<uint8_t>> image = TryOpenCrc32Frame(frame);
-  if (!image.has_value()) return std::nullopt;
-  return TryDecodeNodeState(*image);
-}
-
 }  // namespace m2m

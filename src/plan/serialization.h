@@ -95,13 +95,6 @@ bool ImageContentsEqual(const std::vector<uint8_t>& a,
 /// by the checksum before the structural decoder ever runs.
 std::vector<uint8_t> FrameNodeImage(const std::vector<uint8_t>& image);
 
-/// Two-stage defense for a framed image off the wire: (1) CRC32 trailer
-/// verification rejects transmission corruption, (2) TryDecodeNodeState
-/// rejects structurally hostile payloads that carry a valid checksum.
-/// nullopt if either stage fails.
-std::optional<DecodedNodeState> TryDecodeFramedNodeState(
-    const std::vector<uint8_t>& frame);
-
 }  // namespace m2m
 
 #endif  // M2M_PLAN_SERIALIZATION_H_

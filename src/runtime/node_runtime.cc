@@ -122,11 +122,6 @@ int NodeRuntime::AccumulatorSlot(NodeId destination) const {
   return it->second;
 }
 
-bool NodeRuntime::MessageComplete(int local_message) const {
-  const int expected = state_.state.outgoing_table[local_message].unit_count;
-  return expected > 0 && ready_units_[local_message] == expected;
-}
-
 bool NodeRuntime::InstallImage(const std::vector<uint8_t>& image) {
   DecodedNodeState incoming = DecodeNodeState(image);
   if (incoming.plan_epoch == state_.plan_epoch) return true;  // Duplicate.
@@ -344,12 +339,6 @@ NodeRuntime::ReceiveOutcome NodeRuntime::OnReceiveOnce(
   return ReceiveOutcome::kFresh;
 }
 
-bool NodeRuntime::OnReceiveOnce(NodeId sender, int sender_message_id,
-                                const std::vector<uint8_t>& packet) {
-  return OnReceiveOnce(sender, sender_message_id, state_.plan_epoch, packet,
-                       /*tick=*/0) == ReceiveOutcome::kFresh;
-}
-
 int NodeRuntime::EvictSeenPacketsBefore(int tick) {
   const size_t before = seen_packets_.size();
   std::erase_if(seen_packets_,
@@ -359,16 +348,6 @@ int NodeRuntime::EvictSeenPacketsBefore(int tick) {
 
 std::optional<double> NodeRuntime::FinalValue() const {
   return final_value_;
-}
-
-std::vector<int> NodeRuntime::IncompleteMessages() const {
-  std::vector<int> out;
-  for (size_t g = 0; g < state_.state.outgoing_table.size(); ++g) {
-    if (!MessageComplete(static_cast<int>(g))) {
-      out.push_back(static_cast<int>(g));
-    }
-  }
-  return out;
 }
 
 std::vector<NodeRuntime::AccumulatorStatus>

@@ -60,8 +60,9 @@ class NodeRuntime {
   void StartRound(double reading);
 
   /// Processes one incoming packet (payload produced by another node's
-  /// DrainReadyPackets). Every call is assumed to be a fresh packet; use
-  /// OnReceiveOnce when the link layer may deliver duplicates.
+  /// DrainReadyPackets). Every call is assumed to be a fresh packet; when
+  /// the link layer may deliver duplicates, receive through the epoch-gated
+  /// OnReceiveOnce below, which dedups before calling this.
   void OnReceive(const std::vector<uint8_t>& packet);
 
   /// Outcome of a duplicate-suppressing receive.
@@ -83,11 +84,6 @@ class NodeRuntime {
                                uint32_t sender_epoch,
                                const std::vector<uint8_t>& packet,
                                int tick);
-
-  /// Back-compat shim: same-epoch receive at tick 0. Returns true iff the
-  /// packet was fresh and processed.
-  bool OnReceiveOnce(NodeId sender, int sender_message_id,
-                     const std::vector<uint8_t>& packet);
 
   /// Drops dedup entries last refreshed before `tick` and returns how many
   /// it dropped. Safe once `tick` is beyond the retry horizon (the latest
@@ -112,9 +108,8 @@ class NodeRuntime {
   /// The destination's aggregate, once complete.
   std::optional<double> FinalValue() const;
 
-  /// Diagnostics: local message ids that are not yet complete, and the
-  /// received/expected contribution counts per destination accumulator.
-  std::vector<int> IncompleteMessages() const;
+  /// Diagnostics: the received/expected contribution counts per
+  /// destination accumulator.
   struct AccumulatorStatus {
     NodeId destination = kInvalidNode;
     int received = 0;
@@ -181,7 +176,6 @@ class NodeRuntime {
   int SourceSlot(NodeId source) const;
   /// Partial-table index of `destination`'s accumulator, or -1.
   int AccumulatorSlot(NodeId destination) const;
-  bool MessageComplete(int local_message) const;
 
   void AcceptRawValue(NodeId source, double value);
   void AcceptPartialRecord(NodeId destination, const PartialRecord& record);

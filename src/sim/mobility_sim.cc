@@ -19,19 +19,6 @@ LossyLinkModel WithMobility(const LossyLinkModel& base,
   return masked;
 }
 
-LossyLinkModel MobilityFaultModel(const FaultSchedule& schedule,
-                                  const MobilityTrace& trace, int round) {
-  LossyLinkModel base;
-  base.attempt_delivers = [&schedule, round](NodeId from, NodeId to,
-                                             int attempt) {
-    return schedule.AttemptDelivers(round, from, to, attempt);
-  };
-  base.node_alive = [&schedule, round](NodeId n) {
-    return schedule.NodeAliveAt(round, n);
-  };
-  return WithMobility(base, trace, round);
-}
-
 MobilityMetricHandles RegisterMobilityMetrics(obs::MetricsRegistry& metrics) {
   MobilityMetricHandles handles;
   handles.link_breaks = metrics.Counter("mobility.link_breaks");

@@ -3,7 +3,6 @@
 
 #include "obs/metrics.h"
 #include "runtime/network.h"
-#include "sim/fault_schedule.h"
 #include "topology/mobility.h"
 
 namespace m2m {
@@ -17,13 +16,6 @@ namespace m2m {
 /// RNG-stream-separation guarantee the mobility regression pins.
 LossyLinkModel WithMobility(const LossyLinkModel& base,
                             const MobilityTrace& trace, int round);
-
-/// The combined physical oracle for one round of a mobility × fault run:
-/// FaultSchedule decides deaths and scheduled link faults, the trace masks
-/// links broken by movement. This is what chaos-style differentials feed
-/// to SelfHealingRuntime::RunRound.
-LossyLinkModel MobilityFaultModel(const FaultSchedule& schedule,
-                                  const MobilityTrace& trace, int round);
 
 /// Pre-resolved handles for the mobility.* metric family.
 struct MobilityMetricHandles {

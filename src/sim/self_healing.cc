@@ -387,7 +387,6 @@ void SelfHealingRuntime::AdvanceControlPlane(int round,
     QueueControl(ControlMessage::Kind::kReport, monitor, base_,
                  wire::EncodeSuspicionReport(report), 0);
     outbox.last_sent_round = round;
-    outbox.report_in_flight = true;
   }
 
   // (b) Emit / re-emit dissemination to unacked targets of this epoch.
@@ -413,7 +412,6 @@ void SelfHealingRuntime::AdvanceControlPlane(int round,
                    FrameNodeImage(images_[node]), epoch_);
     }
     pending.last_sent_round = round;
-    pending.in_flight = true;
   }
 
   // (c) Advance every message as many hops as deliver this round. A
@@ -489,7 +487,7 @@ void SelfHealingRuntime::AdvanceControlPlane(int round,
                        message.origin, message.target,
                        message.payload.size());
       }
-      DeliverControl(message, round, trace);
+      DeliverControl(message, round);
     }
   }
   for (auto it = delivered.rbegin(); it != delivered.rend(); ++it) {
@@ -498,7 +496,7 @@ void SelfHealingRuntime::AdvanceControlPlane(int round,
 }
 
 void SelfHealingRuntime::DeliverControl(const ControlMessage& message,
-                                        int round, EventTrace* /*trace*/) {
+                                        int round) {
   switch (message.kind) {
     case ControlMessage::Kind::kReport: {
       auto report = wire::TryDecodeSuspicionReport(message.payload);
@@ -532,7 +530,6 @@ void SelfHealingRuntime::DeliverControl(const ControlMessage& message,
       for (const auto& entry : report->retractions) {
         outbox.retractions.erase(entry);
       }
-      outbox.report_in_flight = false;
       break;
     }
     case ControlMessage::Kind::kImage: {
@@ -574,7 +571,6 @@ void SelfHealingRuntime::DeliverControl(const ControlMessage& message,
       auto it = pending_installs_.find(ack->first);
       if (it != pending_installs_.end()) {
         it->second.acked = true;
-        it->second.in_flight = false;
       }
       break;
     }
@@ -593,28 +589,15 @@ void SelfHealingRuntime::RecordEpochDivergence(NodeId node) {
 
 void SelfHealingRuntime::RebuildBelievedWorkload() {
   workload_ = original_workload_;
-  if (!options_.partition_aware) {
-    // Believed-dead nodes stop being sources (paper section 3: membership
-    // changes shrink the workload, then the plan is patched locally). The
-    // believed workload is recomputed from the original on every belief
-    // change, so a readmitted node resumes as a source.
-    for (NodeId dead : ledger_.believed_dead()) {
-      for (const Task& task : std::vector<Task>(workload_.tasks)) {
-        if (Contains(task.sources, dead)) {
-          workload_ = WithSourceRemoved(workload_, dead, task.destination);
-        }
-      }
-    }
-    return;
-  }
-  // Partition-aware: unreachable is dead OR partitioned, and a partition
-  // can swallow a task whole — its destination, or its every source —
-  // which WithSourceRemoved cannot express (it forbids emptying a task).
-  // Filter the tasks directly: drop tasks with an unreachable destination,
-  // strip unreachable sources, drop tasks left without sources. The
-  // dropped tasks are not forgotten — they live on in original_workload_
-  // and in the round result's partition-status overlay, and come back
-  // verbatim when the island merges.
+  // Unreachable nodes stop being sources (paper section 3: membership
+  // changes shrink the workload, then the plan is patched locally).
+  // Unreachable is believed dead or, in partition-aware mode, believed
+  // partitioned. Losing nodes can swallow a task whole — its destination,
+  // or its every source — so filter the tasks directly: drop tasks with an
+  // unreachable destination, strip unreachable sources, drop tasks left
+  // without sources. The believed workload is recomputed from the original
+  // on every belief change, so dropped tasks and stripped sources come
+  // back verbatim when their nodes are readmitted or their island merges.
   std::set<NodeId> unreachable(ledger_.believed_dead().begin(),
                                ledger_.believed_dead().end());
   unreachable.insert(ledger_.believed_partitioned().begin(),

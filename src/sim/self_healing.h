@@ -270,18 +270,15 @@ class SelfHealingRuntime {
   void AdvanceControlPlane(int round, const LossyLinkModel& physical,
                            SelfHealingRoundResult& result,
                            EventTrace* trace);
-  void DeliverControl(const ControlMessage& message, int round,
-                      EventTrace* trace);
+  void DeliverControl(const ControlMessage& message, int round);
   void MaybeReplan(int round, SelfHealingRoundResult& result,
                    EventTrace* trace);
   void RefreshControlPaths();
   std::vector<std::vector<NodeId>> SegmentsFor(NodeId node) const;
   /// Rebuilds the believed workload from the original under the current
-  /// beliefs. Legacy mode removes believed-dead sources via
-  /// WithSourceRemoved; partition-aware mode additionally drops tasks whose
-  /// destination is unreachable and tasks left without any reachable source
-  /// (a partition may swallow a task whole, which the legacy path cannot
-  /// express).
+  /// beliefs: strips unreachable (believed-dead, or in partition-aware mode
+  /// believed-partitioned) sources, and drops tasks whose destination is
+  /// unreachable or that are left without any reachable source.
   void RebuildBelievedWorkload();
   /// Fills `result`'s partition-status overlay and partition.* metrics.
   void ComputePartitionStatus(SelfHealingRoundResult& result);
@@ -383,7 +380,6 @@ class SelfHealingRuntime {
     /// Readmissions not yet acked: (neighbor, round probation completed).
     std::set<std::pair<NodeId, int>> retractions;
     int last_sent_round = -1;
-    bool report_in_flight = false;
   };
   std::map<NodeId, MonitorOutbox> monitor_outbox_;
 
@@ -391,7 +387,6 @@ class SelfHealingRuntime {
   struct PendingInstall {
     bool is_bump = false;
     int last_sent_round = -1;
-    bool in_flight = false;
     bool acked = false;
   };
   std::map<NodeId, PendingInstall> pending_installs_;

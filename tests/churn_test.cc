@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -11,17 +12,21 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
+#include "compile_digest.h"
 #include "fault_test_util.h"
 #include "lifecycle/admission.h"
 #include "lifecycle/catalog.h"
 #include "lifecycle/churn_schedule.h"
 #include "lifecycle/lifecycle.h"
+#include "lifecycle/tenant.h"
 #include "obs/metrics.h"
 #include "plan/consistency.h"
 #include "plan/dissemination.h"
 #include "plan/node_tables.h"
 #include "plan/planner.h"
 #include "plan/serialization.h"
+#include "plan/tdma.h"
 #include "routing/multicast.h"
 #include "routing/path_system.h"
 #include "sim/base_station.h"
@@ -869,6 +874,448 @@ TEST(ChurnScheduleTest, DeterministicAndBounded) {
     counted += one.EventsAt(round).size();
   }
   EXPECT_EQ(counted, one.events().size());
+}
+
+// A one-request batch whose candidate trips a budget is a plain rejection
+// of that request: no sequential fallback, no second replan, and the same
+// answer the single-mutation call gives. A two-request batch over the same
+// budget still falls back.
+TEST_F(AdmissionControlTest, OneRequestBatchOverBudgetIsAPlainRejection) {
+  LifecycleOptions options;
+  options.limits.max_tdma_slots = 1;  // No real schedule fits one slot.
+  obs::MetricsRegistry metrics;
+  QueryLifecycleManager manager(topology_, initial_, base_, options);
+  manager.set_metrics(&metrics);
+  ManagerSnapshot before = Capture(manager);
+  const QueryDefinition& query = manager.catalog().queries().begin()->second;
+  const MutationRequest request = MutationRequest::AddSource(
+      query.destination, AddableSource(topology_, query), 1.0);
+
+  BatchResult batch = manager.ApplyBatch({request});
+  EXPECT_FALSE(batch.sequential_fallback);
+  EXPECT_FALSE(batch.committed);
+  EXPECT_EQ(batch.accepted, 0);
+  EXPECT_EQ(batch.rejected, 1);
+  ASSERT_EQ(batch.outcomes.size(), 1u);
+  EXPECT_EQ(batch.outcomes[0].decision.reason, AdmissionReason::kTdmaCapacity);
+  EXPECT_EQ(batch.outcomes[0].refcount, 0);
+  EXPECT_FALSE(batch.outcomes[0].deduplicated);
+  EXPECT_EQ(batch.commit.decision.reason, AdmissionReason::kTdmaCapacity);
+  EXPECT_EQ(batch.commit.catalog_version, before.catalog_version);
+  EXPECT_EQ(metrics.Total("qlm.batch.batches"), 1);
+  EXPECT_EQ(metrics.Total("qlm.batch.fallbacks"), 0);
+  EXPECT_EQ(metrics.Total("qlm.batch.commits"), 0);
+  EXPECT_EQ(metrics.Total("qlm.rejections.tdma_capacity"), 1);
+  EXPECT_EQ(metrics.Total("qlm.replans"), 0);
+  ExpectUnchanged(before, manager);
+
+  const MutationResult single = manager.AddSource(
+      request.destination, request.source, request.weight);
+  EXPECT_EQ(single.decision.reason, batch.outcomes[0].decision.reason);
+  EXPECT_EQ(single.decision.detail, batch.outcomes[0].decision.detail);
+  EXPECT_EQ(single.catalog_version, batch.commit.catalog_version);
+  EXPECT_EQ(metrics.Total("qlm.batch.batches"), 1);
+
+  BatchResult pair = manager.ApplyBatch(
+      {request, MutationRequest::Retire(query.destination)});
+  EXPECT_TRUE(pair.sequential_fallback);
+  EXPECT_EQ(metrics.Total("qlm.batch.fallbacks"), 1);
+  EXPECT_EQ(pair.outcomes[0].decision.reason, AdmissionReason::kTdmaCapacity);
+}
+
+// --- Lifecycle golden: seeded request streams through every entry point
+// of the request pipeline — single mutations, ApplyChurnEvent, multi-
+// request batches (including budget-contended ones that fall back to
+// sequential application), dedup acquires and releases, a drain to the
+// empty catalog and readmission — plus the same kind of stream through the
+// multi-tenant frontend. The digests fold every result field and both
+// metrics snapshots; they were recorded with separate single-request and
+// batch pipelines, so one pipeline must reproduce them bit for bit.
+
+bool IsBudgetReason(AdmissionReason reason) {
+  return reason == AdmissionReason::kStateBound ||
+         reason == AdmissionReason::kTdmaCapacity ||
+         reason == AdmissionReason::kEnergyBudget;
+}
+
+class LifecycleDigest {
+ public:
+  void Add(uint64_t value) { fnv_.Add(value); }
+  void Add(double value) { fnv_.Add(std::bit_cast<uint64_t>(value)); }
+  void Add(const std::string& text) {
+    fnv_.Add(text.size());
+    for (char c : text) fnv_.Add(static_cast<uint8_t>(c));
+  }
+  void Add(const AdmissionDecision& decision) {
+    Add(static_cast<uint64_t>(decision.admitted));
+    Add(static_cast<uint64_t>(decision.reason));
+    Add(decision.detail);
+    Add(static_cast<uint64_t>(decision.offending_node));
+    Add(decision.observed);
+    Add(decision.limit);
+  }
+  void Add(const MutationOutcome& outcome) {
+    Add(outcome.decision);
+    Add(static_cast<uint64_t>(outcome.deduplicated));
+    Add(static_cast<uint64_t>(outcome.refcount));
+  }
+  void Add(const std::vector<DirectedEdge>& edges) {
+    Add(static_cast<uint64_t>(edges.size()));
+    for (const DirectedEdge& edge : edges) {
+      Add(static_cast<uint64_t>(edge.tail));
+      Add(static_cast<uint64_t>(edge.head));
+    }
+  }
+  void Add(const MutationResult& result) {
+    Add(result.decision);
+    Add(static_cast<uint64_t>(result.catalog_version));
+    Add(static_cast<uint64_t>(result.deduplicated));
+    Add(static_cast<uint64_t>(result.refcount));
+    Add(static_cast<uint64_t>(result.replan.edges_total));
+    Add(static_cast<uint64_t>(result.replan.edges_reused));
+    Add(static_cast<uint64_t>(result.replan.edges_reoptimized));
+    Add(result.predicted_edges);
+    Add(result.divergent_edges);
+    Add(static_cast<uint64_t>(result.images_shipped));
+    Add(static_cast<uint64_t>(result.bumps_shipped));
+    Add(static_cast<uint64_t>(result.delta_state_bytes));
+  }
+  template <typename Batch>
+  void AddBatch(const Batch& batch) {
+    Add(static_cast<uint64_t>(batch.outcomes.size()));
+    for (const MutationOutcome& outcome : batch.outcomes) Add(outcome);
+    Add(static_cast<uint64_t>(batch.accepted));
+    Add(static_cast<uint64_t>(batch.rejected));
+    Add(static_cast<uint64_t>(batch.committed));
+    Add(static_cast<uint64_t>(batch.sequential_fallback));
+    Add(batch.commit);
+  }
+  void Add(const QueryLifecycleManager& manager) {
+    Add(static_cast<uint64_t>(manager.catalog().version()));
+    Add(static_cast<uint64_t>(manager.catalog().size()));
+    for (const std::vector<uint8_t>& image : manager.images()) {
+      Add(static_cast<uint64_t>(image.size()));
+      for (uint8_t byte : image) Add(static_cast<uint64_t>(byte));
+    }
+  }
+  uint64_t value() const { return fnv_.value(); }
+
+ private:
+  Fnv1a64 fnv_;
+};
+
+struct GoldenStreamRun {
+  uint64_t manager_digest = 0;
+  uint64_t frontend_digest = 0;
+  int fallbacks = 0;
+  int budget_rejections = 0;
+  int dedup_acquires = 0;
+  int dedup_releases = 0;
+  std::set<AdmissionReason> tenant_rejections;
+  bool drained = false;
+};
+
+/// `count` distinct nodes other than `destination`, drawn from `rng`.
+std::vector<NodeId> DrawSources(const Topology& topology, NodeId destination,
+                                int count, Rng& rng) {
+  std::vector<NodeId> sources;
+  while (static_cast<int>(sources.size()) < count) {
+    const NodeId n = static_cast<NodeId>(rng.UniformInt(
+        static_cast<uint64_t>(topology.node_count())));
+    if (n != destination &&
+        std::find(sources.begin(), sources.end(), n) == sources.end()) {
+      sources.push_back(n);
+    }
+  }
+  return sources;
+}
+
+NodeId DrawUnserved(const Topology& topology, const QueryCatalog& catalog,
+                    NodeId base, Rng& rng) {
+  while (true) {
+    const NodeId n = static_cast<NodeId>(rng.UniformInt(
+        static_cast<uint64_t>(topology.node_count())));
+    if (n != base && !catalog.Contains(n)) return n;
+  }
+}
+
+NodeId DrawServed(const QueryCatalog& catalog, Rng& rng) {
+  auto it = catalog.queries().begin();
+  std::advance(it, static_cast<ptrdiff_t>(rng.UniformInt(
+                       static_cast<uint64_t>(catalog.size()))));
+  return it->first;
+}
+
+/// One random request against `catalog`: admits of fresh and served
+/// destinations (exact resubmissions included), retires, and source
+/// mutations that may or may not be valid.
+MutationRequest DrawRequest(const Topology& topology,
+                            const QueryCatalog& catalog, NodeId base,
+                            Rng& rng) {
+  const uint64_t kind = catalog.size() == 0 ? 0 : rng.UniformInt(6);
+  switch (kind) {
+    case 0: {
+      const NodeId destination = DrawUnserved(topology, catalog, base, rng);
+      const int width = 2 + static_cast<int>(rng.UniformInt(3));
+      return MutationRequest::Admit(
+          destination, SpecOver(DrawSources(topology, destination, width,
+                                            rng)));
+    }
+    case 1: {
+      const NodeId destination = DrawServed(catalog, rng);
+      return MutationRequest::Admit(destination,
+                                    catalog.Get(destination).spec);
+    }
+    case 2:
+      return MutationRequest::Retire(DrawServed(catalog, rng));
+    case 3: {
+      const NodeId destination = DrawServed(catalog, rng);
+      return MutationRequest::AddSource(
+          destination, DrawSources(topology, destination, 1, rng)[0], 1.5);
+    }
+    case 4: {
+      const QueryDefinition& query = catalog.Get(DrawServed(catalog, rng));
+      const auto& weights = query.spec.weights;
+      return MutationRequest::RemoveSource(
+          query.destination,
+          weights[rng.UniformInt(weights.size())].first);
+    }
+    default:
+      // Unknown destination: a typed structural rejection.
+      return MutationRequest::Retire(
+          DrawUnserved(topology, catalog, base, rng));
+  }
+}
+
+/// Runs `request` through the matching single-mutation call.
+MutationResult CallSingleMutation(QueryLifecycleManager& manager,
+                                  const MutationRequest& request) {
+  switch (request.type) {
+    case MutationType::kAdmit:
+      return manager.AdmitQuery(request.destination, request.spec);
+    case MutationType::kRetire:
+      return manager.RetireQuery(request.destination);
+    case MutationType::kAddSource:
+      return manager.AddSource(request.destination, request.source,
+                               request.weight);
+    case MutationType::kRemoveSource:
+      return manager.RemoveSource(request.destination, request.source);
+  }
+  M2M_CHECK(false) << "unreachable mutation type";
+}
+
+void CountSingle(const MutationResult& result, const MutationRequest& request,
+                 GoldenStreamRun& run) {
+  if (!result.decision.admitted) {
+    run.budget_rejections += IsBudgetReason(result.decision.reason);
+  } else if (result.deduplicated) {
+    ++(request.type == MutationType::kAdmit ? run.dedup_acquires
+                                            : run.dedup_releases);
+  }
+}
+
+GoldenStreamRun RunGoldenStream(uint64_t seed) {
+  const Topology topology = MakeGreatDuckIslandLike();
+  const Workload initial = InitialWorkload(topology, seed * 7 + 1);
+  const NodeId base = PickBaseStation(topology);
+  Rng rng(seed);
+  GoldenStreamRun run;
+
+  // Tight limits: a few TDMA slots of headroom over the initial plan, so
+  // single requests mostly fit and several large admissions at once do not.
+  LifecycleOptions options;
+  {
+    QueryLifecycleManager probe(topology, initial, base);
+    options.limits.max_tdma_slots =
+        BuildTdmaSchedule(probe.compiled(), topology).slot_count + 4;
+  }
+  obs::MetricsRegistry metrics;
+  QueryLifecycleManager manager(topology, initial, base, options);
+  manager.set_metrics(&metrics);
+  LifecycleDigest digest;
+  digest.AddBatch(manager.ApplyBatch({}));
+
+  for (int step = 0; step < 40; ++step) {
+    const uint64_t op = rng.UniformInt(10);
+    if (op < 5 || manager.catalog().size() == 0) {
+      const MutationRequest request =
+          DrawRequest(topology, manager.catalog(), base, rng);
+      const MutationResult result = CallSingleMutation(manager, request);
+      CountSingle(result, request, run);
+      digest.Add(result);
+    } else if (op == 5) {
+      ChurnEvent event;
+      event.type = ChurnType::kAddSource;
+      event.destination = DrawServed(manager.catalog(), rng);
+      event.source = DrawSources(topology, event.destination, 1, rng)[0];
+      event.weight = 0.75;
+      digest.Add(ApplyChurnEvent(manager, event));
+    } else {
+      // A batch of 2-4 requests drawn against the evolving catalog view;
+      // op 9 instead admits three wide fresh queries at once.
+      std::vector<MutationRequest> requests;
+      QueryCatalog view = manager.catalog();
+      const int size = op == 9 ? 3 : 2 + static_cast<int>(rng.UniformInt(3));
+      for (int i = 0; i < size; ++i) {
+        MutationRequest request;
+        if (op == 9) {
+          const NodeId destination = DrawUnserved(topology, view, base, rng);
+          request = MutationRequest::Admit(
+              destination, SpecOver(DrawSources(topology, destination, 8,
+                                                rng)));
+        } else {
+          request = DrawRequest(topology, view, base, rng);
+        }
+        if (request.type == MutationType::kAdmit &&
+            !view.Contains(request.destination)) {
+          QueryDefinition query;
+          query.destination = request.destination;
+          query.spec = request.spec;
+          view.Admit(query);
+        }
+        requests.push_back(std::move(request));
+      }
+      const BatchResult batch = manager.ApplyBatch(requests);
+      run.fallbacks += batch.sequential_fallback;
+      for (const MutationOutcome& outcome : batch.outcomes) {
+        run.budget_rejections += IsBudgetReason(outcome.decision.reason);
+      }
+      digest.AddBatch(batch);
+    }
+  }
+
+  // Drain to the empty catalog — a two-request batch first, then single
+  // retires of every remaining hold — and readmit from empty.
+  if (manager.catalog().size() >= 2) {
+    auto it = manager.catalog().queries().begin();
+    const NodeId first = it->first;
+    const NodeId second = std::next(it)->first;
+    digest.AddBatch(manager.ApplyBatch(
+        {MutationRequest::Retire(first), MutationRequest::Retire(second)}));
+  }
+  while (manager.catalog().size() > 0) {
+    const MutationRequest request =
+        MutationRequest::Retire(manager.catalog().queries().begin()->first);
+    const MutationResult result = CallSingleMutation(manager, request);
+    CountSingle(result, request, run);
+    digest.Add(result);
+  }
+  run.drained = true;
+  const NodeId readmit = DrawUnserved(topology, manager.catalog(), base, rng);
+  digest.Add(manager.AdmitQuery(
+      readmit, SpecOver(DrawSources(topology, readmit, 3, rng))));
+  digest.Add(manager);
+  digest.Add(metrics.ToJson());
+  run.manager_digest = digest.value();
+
+  // The frontend stream: default limits, so no budget ever trips and a
+  // frontend single (a one-request batch) is never budget-rejected.
+  obs::MetricsRegistry tenant_metrics;
+  QueryLifecycleManager shared(topology, initial, base);
+  shared.set_metrics(&tenant_metrics);
+  MultiTenantFrontend frontend(&shared);
+  frontend.set_metrics(&tenant_metrics);
+  QosClass small;
+  small.max_resident_queries = 3;
+  small.max_sources_per_query = 3;
+  frontend.RegisterTenant("alpha", small);
+  frontend.RegisterTenant("beta");
+  const std::string tenants[] = {"alpha", "beta", "ghost"};
+  LifecycleDigest tenant_digest;
+  auto count = [&run](const MutationOutcome& outcome) {
+    const AdmissionReason reason = outcome.decision.reason;
+    EXPECT_FALSE(IsBudgetReason(reason));
+    if (reason == AdmissionReason::kTenantUnknown ||
+        reason == AdmissionReason::kTenantQuota ||
+        reason == AdmissionReason::kSharedQuery) {
+      run.tenant_rejections.insert(reason);
+    }
+  };
+  for (int step = 0; step < 30; ++step) {
+    const std::string& tenant = tenants[rng.UniformInt(3)];
+    const MutationRequest request =
+        DrawRequest(topology, shared.catalog(), base, rng);
+    if (rng.UniformInt(3) == 0) {
+      std::vector<TenantRequest> requests = {{tenant, request}};
+      const int extra = 1 + static_cast<int>(rng.UniformInt(3));
+      for (int i = 0; i < extra; ++i) {
+        requests.push_back({tenants[rng.UniformInt(3)],
+                            DrawRequest(topology, shared.catalog(), base,
+                                        rng)});
+      }
+      const FrontendBatchResult batch = frontend.ApplyBatch(requests);
+      for (const MutationOutcome& outcome : batch.outcomes) count(outcome);
+      tenant_digest.AddBatch(batch);
+      tenant_digest.Add(static_cast<uint64_t>(batch.tenant_rejected));
+      continue;
+    }
+    MutationResult result;
+    switch (request.type) {
+      case MutationType::kAdmit:
+        result = frontend.AdmitQuery(tenant, request.destination,
+                                     request.spec);
+        break;
+      case MutationType::kRetire:
+        result = frontend.RetireQuery(tenant, request.destination);
+        break;
+      case MutationType::kAddSource:
+        result = frontend.AddSource(tenant, request.destination,
+                                    request.source, request.weight);
+        break;
+      case MutationType::kRemoveSource:
+        result = frontend.RemoveSource(tenant, request.destination,
+                                       request.source);
+        break;
+    }
+    count(MutationOutcome{result.decision, result.deduplicated,
+                          result.refcount});
+    tenant_digest.Add(result);
+  }
+  // Every tenant releases every hold it has.
+  for (const char* tenant : {"alpha", "beta"}) {
+    for (NodeId destination = 0; destination < topology.node_count();
+         ++destination) {
+      while (frontend.Holds(tenant, destination) > 0) {
+        tenant_digest.Add(frontend.RetireQuery(tenant, destination));
+      }
+    }
+  }
+  tenant_digest.Add(shared);
+  tenant_digest.Add(tenant_metrics.ToJson());
+  run.frontend_digest = tenant_digest.value();
+  return run;
+}
+
+TEST(LifecycleGoldenTest, SeededRequestStreamsMatchGoldenDigests) {
+  // {manager stream, frontend stream} per seed.
+  constexpr uint64_t kGolden[4][2] = {
+      {0x010b49571d3b319bULL, 0xd67e51092dde29fbULL},
+      {0xb2903abd30fbe20cULL, 0x30e0d5ddf339f536ULL},
+      {0x8b40f1523c783141ULL, 0x73779dec4493fb2eULL},
+      {0xc771de394b44951dULL, 0x986a5d327e7a69c9ULL},
+  };
+  GoldenStreamRun total;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const GoldenStreamRun run = RunGoldenStream(seed);
+    EXPECT_EQ(HexDigest(run.manager_digest), HexDigest(kGolden[seed - 1][0]))
+        << "seed " << seed;
+    EXPECT_EQ(HexDigest(run.frontend_digest),
+              HexDigest(kGolden[seed - 1][1]))
+        << "seed " << seed;
+    EXPECT_TRUE(run.drained);
+    total.fallbacks += run.fallbacks;
+    total.budget_rejections += run.budget_rejections;
+    total.dedup_acquires += run.dedup_acquires;
+    total.dedup_releases += run.dedup_releases;
+    total.tenant_rejections.insert(run.tenant_rejections.begin(),
+                                   run.tenant_rejections.end());
+  }
+  // The streams reach every path the digests are meant to pin.
+  EXPECT_GT(total.fallbacks, 0);
+  EXPECT_GT(total.budget_rejections, 0);
+  EXPECT_GT(total.dedup_acquires, 0);
+  EXPECT_GT(total.dedup_releases, 0);
+  EXPECT_EQ(total.tenant_rejections.size(), 3u);
 }
 
 }  // namespace

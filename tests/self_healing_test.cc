@@ -482,6 +482,88 @@ TEST(SelfHealingGoldenTest, SeededEpisodesMatchGoldenDigests) {
   EXPECT_GT(total.replans, 0);
 }
 
+// --- Legacy-mode believed workload: tasks a death swallows whole ---
+
+/// A 6x6 grid with 8-neighbour links: no single node death disconnects it.
+/// The base station sits in a corner, away from every task below.
+Topology LegacyGrid() { return MakeGrid(6, 6, 10.0, 15.0); }
+constexpr NodeId kLegacyGridBase = 0;
+
+Workload WorkloadOf(const std::vector<Task>& tasks) {
+  Workload workload;
+  for (const Task& task : tasks) {
+    FunctionSpec spec;
+    spec.kind = AggregateKind::kWeightedAverage;
+    for (NodeId source : task.sources) spec.weights.emplace_back(source, 1.0);
+    workload.tasks.push_back(task);
+    workload.specs.push_back(std::move(spec));
+  }
+  workload.RebuildFunctions();
+  return workload;
+}
+
+/// Runs 30 legacy-mode (not partition-aware) rounds over perfect links
+/// with `dead` down from round 0 — enough for the base to believe exactly
+/// those nodes dead and install the replanned epoch everywhere, which it
+/// checks. Returns the last round's result.
+SelfHealingRoundResult RunLegacyUntilHealed(SelfHealingRuntime& runtime,
+                                            const Topology& topology,
+                                            const std::vector<NodeId>& dead) {
+  auto alive = [&dead](NodeId n) {
+    return std::find(dead.begin(), dead.end(), n) == dead.end();
+  };
+  LossyLinkModel physical;
+  physical.attempt_delivers = [alive](NodeId from, NodeId to, int) {
+    return alive(from) && alive(to);
+  };
+  physical.node_alive = alive;
+  SelfHealingRoundResult result;
+  for (int round = 0; round < 30; ++round) {
+    ReadingGenerator readings(topology.node_count(),
+                              100 + static_cast<uint64_t>(round));
+    result = runtime.RunRound(round, readings.values(), physical, nullptr);
+  }
+  EXPECT_EQ(runtime.ledger().believed_dead(), dead);
+  EXPECT_EQ(result.pending_installs, 0);
+  return result;
+}
+
+// A believed-dead destination drops its task; the legacy path used to keep
+// it and die building the forest toward the unreachable destination.
+TEST(LegacyBelievedWorkloadTest, DeadDestinationDropsItsTask) {
+  const Topology topology = LegacyGrid();
+  const std::vector<Task> tasks = {
+      {14, {1, 7, 20}}, {21, {14, 28, 3}}, {29, {8, 15, 22}}};
+  SelfHealingRuntime runtime(topology, WorkloadOf(tasks), kLegacyGridBase,
+                             SelfHealingOptions{});
+
+  SelfHealingRoundResult result = RunLegacyUntilHealed(runtime, topology, {14});
+
+  EXPECT_EQ(runtime.current_workload().tasks,
+            (std::vector<Task>{{21, {28, 3}}, {29, {8, 15, 22}}}));
+  EXPECT_TRUE(result.data.incomplete_destinations.empty());
+  EXPECT_FALSE(result.data.destination_values.contains(14));
+  EXPECT_TRUE(result.data.destination_values.contains(21));
+  EXPECT_TRUE(result.data.destination_values.contains(29));
+}
+
+// A task whose every source is believed dead is dropped; the legacy path
+// used to remove its sources one by one and die on the last.
+TEST(LegacyBelievedWorkloadTest, AllSourcesDeadDropsTheTask) {
+  const Topology topology = LegacyGrid();
+  const std::vector<Task> tasks = {{14, {20}}, {21, {20, 28}}, {29, {8, 15}}};
+  SelfHealingRuntime runtime(topology, WorkloadOf(tasks), kLegacyGridBase,
+                             SelfHealingOptions{});
+
+  SelfHealingRoundResult result = RunLegacyUntilHealed(runtime, topology, {20});
+
+  EXPECT_EQ(runtime.current_workload().tasks,
+            (std::vector<Task>{{21, {28}}, {29, {8, 15}}}));
+  EXPECT_TRUE(result.data.incomplete_destinations.empty());
+  EXPECT_FALSE(result.data.destination_values.contains(14));
+  EXPECT_TRUE(result.data.destination_values.contains(21));
+}
+
 // --- Failure detector unit tests ---
 
 TEST(FailureDetectorTest, HeartbeatEvidenceSuppressesProbes) {

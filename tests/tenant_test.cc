@@ -86,12 +86,16 @@ TEST_F(TenantFrontendTest, BatchedAdmissionsCommitWithOneReplanAndEpoch) {
 
   std::vector<NodeId> fresh =
       UnservedDestinations(topology_, manager.catalog(), base_, 4);
-  TenantBatch batch(&frontend);
-  batch.Admit("alpha", fresh[0], SpecOver({fresh[1], fresh[2]}))
-      .Admit("alpha", fresh[1], SpecOver({fresh[0], fresh[3]}))
-      .Admit("beta", fresh[2], SpecOver({fresh[0], fresh[1]}))
-      .Admit("beta", fresh[3], SpecOver({fresh[1], fresh[2]}));
-  TenantBatchResult result = batch.Commit();
+  FrontendBatchResult result = frontend.ApplyBatch({
+      {"alpha",
+       MutationRequest::Admit(fresh[0], SpecOver({fresh[1], fresh[2]}))},
+      {"alpha",
+       MutationRequest::Admit(fresh[1], SpecOver({fresh[0], fresh[3]}))},
+      {"beta",
+       MutationRequest::Admit(fresh[2], SpecOver({fresh[0], fresh[1]}))},
+      {"beta",
+       MutationRequest::Admit(fresh[3], SpecOver({fresh[1], fresh[2]}))},
+  });
 
   EXPECT_EQ(result.accepted, 4);
   EXPECT_EQ(result.rejected, 0);
@@ -134,13 +138,18 @@ TEST_F(TenantFrontendTest, MidBatchRejectionsArePureAndTyped) {
       UnservedDestinations(topology_, manager.catalog(), base_, 3);
   FunctionSpec conflicting = SpecOver({fresh[1], fresh[2]});
 
-  TenantBatch batch(&frontend);
-  batch.Admit("alpha", fresh[0], SpecOver({fresh[1], fresh[2]}))
-      .Admit("alpha", served, conflicting)  // kDuplicateDestination
-      .Retire("alpha", served)              // not held -> kUnknownDestination
-      .Admit("ghost", fresh[1], SpecOver({fresh[0]}))  // kTenantUnknown
-      .Admit("alpha", fresh[2], SpecOver({fresh[0], fresh[1]}));
-  TenantBatchResult result = batch.Commit();
+  FrontendBatchResult result = frontend.ApplyBatch({
+      {"alpha",
+       MutationRequest::Admit(fresh[0], SpecOver({fresh[1], fresh[2]}))},
+      // kDuplicateDestination
+      {"alpha", MutationRequest::Admit(served, conflicting)},
+      // Not held -> kUnknownDestination
+      {"alpha", MutationRequest::Retire(served)},
+      // kTenantUnknown
+      {"ghost", MutationRequest::Admit(fresh[1], SpecOver({fresh[0]}))},
+      {"alpha",
+       MutationRequest::Admit(fresh[2], SpecOver({fresh[0], fresh[1]}))},
+  });
 
   ASSERT_EQ(result.outcomes.size(), 5u);
   EXPECT_TRUE(result.outcomes[0].decision.admitted);
@@ -200,12 +209,14 @@ TEST_F(TenantFrontendTest, QuotaUnknownAndSharedGatesAreTyped) {
 
   // Residency quota, including the within-batch simulated count: a batch
   // of three admits under quota 2 must reject exactly the third.
-  TenantBatchResult burst =
-      TenantBatch(&frontend)
-          .Admit("alpha", fresh[0], SpecOver({fresh[1], fresh[2]}))
-          .Admit("alpha", fresh[1], SpecOver({fresh[0], fresh[2]}))
-          .Admit("alpha", fresh[2], SpecOver({fresh[0], fresh[1]}))
-          .Commit();
+  FrontendBatchResult burst = frontend.ApplyBatch({
+      {"alpha",
+       MutationRequest::Admit(fresh[0], SpecOver({fresh[1], fresh[2]}))},
+      {"alpha",
+       MutationRequest::Admit(fresh[1], SpecOver({fresh[0], fresh[2]}))},
+      {"alpha",
+       MutationRequest::Admit(fresh[2], SpecOver({fresh[0], fresh[1]}))},
+  });
   EXPECT_TRUE(burst.outcomes[0].decision.admitted);
   EXPECT_TRUE(burst.outcomes[1].decision.admitted);
   EXPECT_EQ(burst.outcomes[2].decision.reason,
