@@ -6,12 +6,15 @@
 // (Arg = worker threads) over the same fixture; `--threads N` additionally
 // sets the pool width for every other benchmark (default 1 = serial).
 
+#include <algorithm>
 #include <memory>
 
 #include <benchmark/benchmark.h>
 
 #include "common/thread_pool.h"
 #include "harness.h"
+#include "lifecycle/catalog.h"
+#include "lifecycle/lifecycle.h"
 #include "runtime/channel.h"
 #include "runtime/detector.h"
 
@@ -111,6 +114,97 @@ void BM_MulticastForestConstruction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MulticastForestConstruction);
+
+// churn_10k's shape (perfbench/workloads.cc): 10k nodes and 32 destinations
+// x 8 uniform sources in catalog (destination) order, plus the task list
+// after one source add and one query admission.
+struct ChurnFixture {
+  ChurnFixture()
+      : topology(MakeScalingSeries({10000}, 7).front()), paths(topology) {
+    WorkloadSpec spec;
+    spec.destination_count = 32;
+    spec.sources_per_destination = 8;
+    spec.selection = SourceSelection::kUniform;
+    spec.seed = 11;
+    QueryCatalog catalog =
+        QueryCatalog::FromWorkload(GenerateWorkload(topology, spec));
+    workload = catalog.ToWorkload();
+    forest = std::make_shared<const MulticastForest>(paths, workload.tasks);
+
+    const NodeId d = workload.tasks[0].destination;
+    catalog.AddSource(d, FreshNode(d, workload.tasks[0].sources), 1.0);
+    QueryDefinition query;
+    query.destination = FreshNode(d, workload.tasks[0].sources);
+    for (NodeId s = 0; query.spec.weights.size() < 8; s += 997) {
+      if (s != query.destination) query.spec.weights.emplace_back(s, 1.0);
+    }
+    catalog.Admit(query);
+    next = catalog.ToWorkload();
+  }
+
+  // A node that is no destination, not d, and not in `sources`.
+  NodeId FreshNode(NodeId d, const std::vector<NodeId>& sources) const {
+    for (NodeId n = 1;; ++n) {
+      bool used = n == d || std::find(sources.begin(), sources.end(), n) !=
+                                sources.end();
+      for (const Task& task : workload.tasks) {
+        used = used || task.destination == n;
+      }
+      if (!used) return n;
+    }
+  }
+
+  Topology topology;
+  PathSystem paths;
+  Workload workload;
+  std::shared_ptr<const MulticastForest> forest;
+  Workload next;
+};
+
+ChurnFixture& Churn() {
+  static ChurnFixture* fixture = new ChurnFixture();
+  return *fixture;
+}
+
+// Full build of the churned task list over a warm PathSystem, the cost a
+// commit paid before forests were updated in place.
+void BM_MulticastForestConstruction10k(benchmark::State& state) {
+  ChurnFixture& fx = Churn();
+  for (auto _ : state) {
+    MulticastForest forest(fx.paths, fx.next.tasks);
+    benchmark::DoNotOptimize(forest.edges().size());
+  }
+}
+BENCHMARK(BM_MulticastForestConstruction10k)->Unit(benchmark::kMillisecond);
+
+// The same result, updated from the previous forest: only the added pairs
+// are walked.
+void BM_MulticastForestUpdate(benchmark::State& state) {
+  ChurnFixture& fx = Churn();
+  for (auto _ : state) {
+    MulticastForest forest(*fx.forest, fx.paths, fx.next.tasks);
+    benchmark::DoNotOptimize(forest.edges().size());
+  }
+}
+BENCHMARK(BM_MulticastForestUpdate)->Unit(benchmark::kMillisecond);
+
+// One lifecycle commit on the 10k deployment: iterations alternate adding
+// and removing one source, so the catalog stays bounded.
+void BM_LifecycleCommit10k(benchmark::State& state) {
+  ChurnFixture& fx = Churn();
+  QueryLifecycleManager manager(fx.topology, fx.workload,
+                                PickBaseStation(fx.topology));
+  const NodeId d = fx.workload.tasks[0].destination;
+  const NodeId source = fx.FreshNode(d, fx.workload.tasks[0].sources);
+  bool add = true;
+  for (auto _ : state) {
+    const MutationResult result = add ? manager.AddSource(d, source, 1.0)
+                                      : manager.RemoveSource(d, source);
+    benchmark::DoNotOptimize(result.delta_state_bytes);
+    add = !add;
+  }
+}
+BENCHMARK(BM_LifecycleCommit10k)->Unit(benchmark::kMillisecond);
 
 void BM_BuildFullPlan(benchmark::State& state) {
   PlanFixture& fx = Fixture();

@@ -1,7 +1,6 @@
 #include "plan/consistency.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "agg/partial_record.h"
@@ -111,37 +110,46 @@ bool PlansEquivalent(const GlobalPlan& a, const GlobalPlan& b) {
 
 std::vector<DirectedEdge> DivergentEdgeKeys(const GlobalPlan& a,
                                             const GlobalPlan& b) {
-  std::set<DirectedEdge> keys;
-  const auto& b_edges = b.forest().edges();
-  for (size_t e = 0; e < b_edges.size(); ++e) {
-    int a_index = a.forest().EdgeIndexOf(b_edges[e].edge);
-    if (a_index < 0) {
-      keys.insert(b_edges[e].edge);
-      continue;
-    }
-    const EdgePlan& pa = a.plan_for(a_index);
-    const EdgePlan& pb = b.plan_for(static_cast<int>(e));
-    if (pa.raw_sources != pb.raw_sources ||
-        pa.agg_destinations != pb.agg_destinations) {
-      keys.insert(b_edges[e].edge);
-    }
-  }
-  for (const ForestEdge& edge : a.forest().edges()) {
-    if (b.forest().EdgeIndexOf(edge.edge) < 0) keys.insert(edge.edge);
-  }
-  return {keys.begin(), keys.end()};
+  // The key merge visits keys in ascending order, so the result comes out
+  // sorted and deduplicated.
+  std::vector<DirectedEdge> keys;
+  ForEachEdgeKey(a.forest(), b.forest(),
+                 [&](DirectedEdge key, int a_index, int b_index) {
+                   if (a_index >= 0 && b_index >= 0) {
+                     const EdgePlan& pa = a.plan_for(a_index);
+                     const EdgePlan& pb = b.plan_for(b_index);
+                     if (pa.raw_sources == pb.raw_sources &&
+                         pa.agg_destinations == pb.agg_destinations) {
+                       return;
+                     }
+                   }
+                   keys.push_back(key);
+                 });
+  return keys;
 }
 
 namespace {
 
-/// The route of `pair` as milestone-level edge keys, in path order.
-std::vector<DirectedEdge> RouteKeys(const GlobalPlan& plan,
-                                    SourceDestPair pair) {
-  std::vector<DirectedEdge> keys;
-  for (int edge_index : plan.forest().Route(pair)) {
-    keys.push_back(plan.forest().edges()[edge_index].edge);
+/// All (source, destination) pairs of a plan's tasks, ascending.
+std::vector<SourceDestPair> SortedPairs(const GlobalPlan& plan) {
+  std::vector<SourceDestPair> pairs = TasksToPairs(plan.forest().tasks());
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
+/// True iff `pair` crosses the same milestone-level edge keys, in the same
+/// order, in both plans.
+bool SameRouteKeys(const GlobalPlan& a, const GlobalPlan& b,
+                   SourceDestPair pair) {
+  const std::vector<int>& ra = a.forest().Route(pair);
+  const std::vector<int>& rb = b.forest().Route(pair);
+  if (ra.size() != rb.size()) return false;
+  for (size_t i = 0; i < ra.size(); ++i) {
+    if (a.forest().edges()[ra[i]].edge != b.forest().edges()[rb[i]].edge) {
+      return false;
+    }
   }
-  return keys;
+  return true;
 }
 
 int PartialUnitBytesOf(const FunctionSet& functions, NodeId destination) {
@@ -153,57 +161,48 @@ int PartialUnitBytesOf(const FunctionSet& functions, NodeId destination) {
 std::vector<DirectedEdge> PredictedPerturbedEdges(
     const GlobalPlan& old_plan, const FunctionSet& old_functions,
     const GlobalPlan& new_plan, const FunctionSet& new_functions) {
-  std::set<SourceDestPair> old_pairs, new_pairs;
-  for (const SourceDestPair& p :
-       TasksToPairs(old_plan.forest().tasks())) {
-    old_pairs.insert(p);
-  }
-  for (const SourceDestPair& p :
-       TasksToPairs(new_plan.forest().tasks())) {
-    new_pairs.insert(p);
-  }
+  const std::vector<SourceDestPair> old_pairs = SortedPairs(old_plan);
+  const std::vector<SourceDestPair> new_pairs = SortedPairs(new_plan);
 
   // A pair perturbs its edge neighborhoods when it is inserted, deleted,
   // routed differently, or its destination's partial unit size changed
-  // (the only per-pair inputs of BuildEdgeInstance).
-  std::set<SourceDestPair> perturbed;
-  for (const SourceDestPair& p : old_pairs) {
-    if (!new_pairs.contains(p)) {
-      perturbed.insert(p);
-    } else if (RouteKeys(old_plan, p) != RouteKeys(new_plan, p) ||
-               PartialUnitBytesOf(old_functions, p.destination) !=
-                   PartialUnitBytesOf(new_functions, p.destination)) {
-      perturbed.insert(p);
+  // (the only per-pair inputs of BuildEdgeInstance). Each perturbed pair
+  // contributes its route in every plan that has it.
+  std::vector<DirectedEdge> predicted;
+  auto add_route = [&predicted](const GlobalPlan& plan, SourceDestPair pair) {
+    for (int edge_index : plan.forest().Route(pair)) {
+      predicted.push_back(plan.forest().edges()[edge_index].edge);
     }
-  }
-  for (const SourceDestPair& p : new_pairs) {
-    if (!old_pairs.contains(p)) perturbed.insert(p);
-  }
-
-  std::set<DirectedEdge> predicted;
-  for (const SourceDestPair& p : perturbed) {
-    if (old_pairs.contains(p)) {
-      for (const DirectedEdge& key : RouteKeys(old_plan, p)) {
-        predicted.insert(key);
+  };
+  size_t i = 0;
+  size_t j = 0;
+  while (i < old_pairs.size() || j < new_pairs.size()) {
+    if (j == new_pairs.size() ||
+        (i < old_pairs.size() && old_pairs[i] < new_pairs[j])) {
+      add_route(old_plan, old_pairs[i++]);
+    } else if (i == old_pairs.size() || new_pairs[j] < old_pairs[i]) {
+      add_route(new_plan, new_pairs[j++]);
+    } else {
+      const SourceDestPair pair = old_pairs[i];
+      if (!SameRouteKeys(old_plan, new_plan, pair) ||
+          PartialUnitBytesOf(old_functions, pair.destination) !=
+              PartialUnitBytesOf(new_functions, pair.destination)) {
+        add_route(old_plan, pair);
+        add_route(new_plan, pair);
       }
-    }
-    if (new_pairs.contains(p)) {
-      for (const DirectedEdge& key : RouteKeys(new_plan, p)) {
-        predicted.insert(key);
-      }
+      ++i;
+      ++j;
     }
   }
-  for (const ForestEdge& edge : old_plan.forest().edges()) {
-    if (new_plan.forest().EdgeIndexOf(edge.edge) < 0) {
-      predicted.insert(edge.edge);
-    }
-  }
-  for (const ForestEdge& edge : new_plan.forest().edges()) {
-    if (old_plan.forest().EdgeIndexOf(edge.edge) < 0) {
-      predicted.insert(edge.edge);
-    }
-  }
-  return {predicted.begin(), predicted.end()};
+  // Edges in just one forest.
+  ForEachEdgeKey(old_plan.forest(), new_plan.forest(),
+                 [&](DirectedEdge key, int old_index, int new_index) {
+                   if (old_index < 0 || new_index < 0) predicted.push_back(key);
+                 });
+  std::sort(predicted.begin(), predicted.end());
+  predicted.erase(std::unique(predicted.begin(), predicted.end()),
+                  predicted.end());
+  return predicted;
 }
 
 std::vector<std::string> FindEpochTransitionHazards(

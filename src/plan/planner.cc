@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
 
 #include "agg/partial_record.h"
 #include "common/check.h"
@@ -180,12 +179,12 @@ GlobalPlan UpdatePlan(const GlobalPlan& old_plan,
                       const FunctionSet& functions, UpdateStats* stats) {
   M2M_CHECK(forest != nullptr);
   const PlannerOptions& options = old_plan.options();
-  // Index old edges by their milestone-level (tail, head) key.
-  std::unordered_map<DirectedEdge, int, DirectedEdgeHash> old_index;
-  const auto& old_edges = old_plan.forest().edges();
-  for (size_t i = 0; i < old_edges.size(); ++i) {
-    old_index.emplace(old_edges[i].edge, static_cast<int>(i));
-  }
+  // Old edge index of each new edge with the same milestone-level key.
+  std::vector<int> old_index(forest->edges().size(), -1);
+  ForEachEdgeKey(old_plan.forest(), *forest,
+                 [&](DirectedEdge, int old_edge, int new_edge) {
+                   if (new_edge >= 0) old_index[new_edge] = old_edge;
+                 });
   UpdateStats local_stats;
   local_stats.edges_total = static_cast<int>(forest->edges().size());
   // Corollary 1 localizes the update to edges whose instance signature
@@ -199,9 +198,8 @@ GlobalPlan UpdatePlan(const GlobalPlan& old_plan,
       static_cast<int64_t>(edges.size()), [&](int64_t begin, int64_t end) {
         for (int64_t i = begin; i < end; ++i) {
           const ForestEdge& edge = edges[i];
-          auto it = old_index.find(edge.edge);
-          if (it != old_index.end()) {
-            const EdgePlan& candidate = old_plan.edge_plans()[it->second];
+          if (old_index[i] >= 0) {
+            const EdgePlan& candidate = old_plan.edge_plans()[old_index[i]];
             if (candidate.instance_signature ==
                 InstanceSignature(edge, functions, options.tiebreak_seed)) {
               plans[i] = candidate;
@@ -242,8 +240,15 @@ GlobalPlan ReplanForWorkload(const GlobalPlan& old_plan,
   // whose instance signatures changed. The two entry points exist because
   // their callers reason about different invariants (believed topology vs.
   // query catalog) and their perturbation oracles differ
-  // (PredictedPerturbedEdges derives the workload form).
-  auto forest = std::make_shared<MulticastForest>(paths, std::move(tasks));
+  // (PredictedPerturbedEdges derives the workload form). Over unchanged
+  // routing the old forest's routes stay valid, so only the changed pairs
+  // are walked; any other old forest is rebuilt from empty.
+  const MulticastForest& previous = old_plan.forest();
+  auto forest = previous.RoutesOver(paths)
+                    ? std::make_shared<MulticastForest>(previous, paths,
+                                                        std::move(tasks))
+                    : std::make_shared<MulticastForest>(paths,
+                                                        std::move(tasks));
   return UpdatePlan(old_plan, std::move(forest), functions, stats);
 }
 

@@ -113,9 +113,11 @@ GlobalPlan ReplanForTopology(const GlobalPlan& old_plan,
 /// pairs — perturbs only the edge instances whose bipartite neighborhoods
 /// changed, so all other per-edge solutions carry over verbatim. `tasks`
 /// and `functions` describe the new workload; `paths` is unchanged
-/// routing. The result equals a from-scratch BuildPlan for the new
-/// workload (validate with FindPlanDivergence / PredictedPerturbedEdges
-/// when it matters).
+/// routing. When the old forest routes over `paths`
+/// (MulticastForest::RoutesOver), the new forest is an update of it that
+/// walks only the added pairs; otherwise it is built from empty. The result
+/// equals a from-scratch BuildPlan for the new workload (validate with
+/// FindPlanDivergence / PredictedPerturbedEdges when it matters).
 GlobalPlan ReplanForWorkload(const GlobalPlan& old_plan,
                              const PathSystem& paths,
                              std::vector<Task> tasks,

@@ -264,16 +264,42 @@ std::vector<std::vector<uint8_t>> EncodeAllNodeStates(
   return images;
 }
 
+namespace {
+
+/// Offset of an image's table body: just past its leading epoch varint.
+size_t BodyStart(const std::vector<uint8_t>& image) {
+  size_t i = 0;
+  while (i < image.size() && (image[i] & 0x80) != 0) ++i;
+  return std::min(i + 1, image.size());  // Past the varint's last byte.
+}
+
+}  // namespace
+
+void RestampImageEpoch(std::vector<uint8_t>& image, uint32_t plan_epoch) {
+  // The varint as ByteWriter::WriteVarint lays it out.
+  uint8_t varint[5];
+  size_t length = 0;
+  uint32_t value = plan_epoch;
+  while (value >= 0x80) {
+    varint[length++] = static_cast<uint8_t>(value) | 0x80;
+    value >>= 7;
+  }
+  varint[length++] = static_cast<uint8_t>(value);
+  const size_t old_length = BodyStart(image);
+  if (old_length > length) {
+    image.erase(image.begin(),
+                image.begin() + static_cast<ptrdiff_t>(old_length - length));
+  } else if (old_length < length) {
+    image.insert(image.begin(), length - old_length, 0);
+  }
+  std::copy(varint, varint + length, image.begin());
+}
+
 bool ImageContentsEqual(const std::vector<uint8_t>& a,
                         const std::vector<uint8_t>& b) {
   // Skip the leading epoch varint of each image.
-  auto body_start = [](const std::vector<uint8_t>& image) {
-    size_t i = 0;
-    while (i < image.size() && (image[i] & 0x80) != 0) ++i;
-    return std::min(i + 1, image.size());  // Past the varint's last byte.
-  };
-  size_t sa = body_start(a);
-  size_t sb = body_start(b);
+  const size_t sa = BodyStart(a);
+  const size_t sb = BodyStart(b);
   if (a.size() - sa != b.size() - sb) return false;
   return std::equal(a.begin() + static_cast<ptrdiff_t>(sa), a.end(),
                     b.begin() + static_cast<ptrdiff_t>(sb));

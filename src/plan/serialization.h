@@ -82,6 +82,12 @@ std::vector<uint8_t> EncodeDecodedNodeState(const DecodedNodeState& decoded);
 std::vector<std::vector<uint8_t>> EncodeAllNodeStates(
     const CompiledPlan& compiled, const FunctionSet& functions);
 
+/// Rewrites the leading plan-epoch varint of an image produced by
+/// EncodeNodeState, in place: the result equals re-encoding the same state
+/// under `plan_epoch`, and the vector reallocates only when the varint's
+/// length changes (at 2^7, 2^14, ...). The table body is not touched.
+void RestampImageEpoch(std::vector<uint8_t>& image, uint32_t plan_epoch);
+
 /// True iff two images carry the same table *content*, ignoring the plan
 /// epoch prefix. Incremental dissemination diffs on content: a re-plan that
 /// leaves a node's role unchanged must not re-ship its tables just because

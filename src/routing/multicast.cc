@@ -1,7 +1,6 @@
 #include "routing/multicast.h"
 
 #include <algorithm>
-#include <set>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -12,93 +11,219 @@ MulticastForest::MulticastForest(const PathSystem& paths,
                                  std::vector<Task> tasks,
                                  const MilestoneSelector* milestones)
     : tasks_(std::move(tasks)), node_count_(paths.node_count()) {
-  std::set<NodeId> source_set;
-  std::set<NodeId> destination_set;
-  // Destinations whose column the path walk below reads: some source
+  UpdateFrom(MulticastForest(), paths, milestones);
+}
+
+MulticastForest::MulticastForest(const MulticastForest& previous,
+                                 const PathSystem& paths,
+                                 std::vector<Task> tasks)
+    : tasks_(std::move(tasks)), node_count_(paths.node_count()) {
+  M2M_CHECK(previous.tasks_.empty() || previous.RoutesOver(paths))
+      << "a forest update must keep the previous forest's routing";
+  UpdateFrom(previous, paths, /*milestones=*/nullptr);
+}
+
+bool MulticastForest::RoutesOver(const PathSystem& paths) const {
+  const std::weak_ptr<const void> routing = paths.routing_identity();
+  return !milestone_level_ && !routing_.owner_before(routing) &&
+         !routing.owner_before(routing_);
+}
+
+void MulticastForest::UpdateFrom(const MulticastForest& previous,
+                                 const PathSystem& paths,
+                                 const MilestoneSelector* milestones) {
+  routing_ = paths.routing_identity();
+  milestone_level_ = milestones != nullptr;
+
+  // Validate the task list, collect its pairs, and find the destinations
+  // whose column the walk below reads: some pair is new, and its source
   // neither is the destination nor reaches it by a direct hop.
+  std::vector<SourceDestPair> pairs;
   std::vector<NodeId> column_targets;
+  std::vector<NodeId> sorted_sources;
   for (const Task& task : tasks_) {
-    M2M_CHECK(task.destination >= 0 &&
-              task.destination < paths.node_count());
-    M2M_CHECK(!destination_set.contains(task.destination))
-        << "destination " << task.destination << " has two tasks";
-    destination_set.insert(task.destination);
-    std::unordered_set<NodeId> seen;
+    const NodeId d = task.destination;
+    M2M_CHECK(d >= 0 && d < node_count_);
+    destination_ids_.push_back(d);
     bool needs_column = false;
     for (NodeId s : task.sources) {
-      M2M_CHECK(s >= 0 && s < paths.node_count());
-      M2M_CHECK(seen.insert(s).second)
-          << "duplicate source " << s << " for destination "
-          << task.destination;
-      source_set.insert(s);
-      needs_column = needs_column || (s != task.destination &&
-                                      !paths.IsDirectHop(s, task.destination));
+      M2M_CHECK(s >= 0 && s < node_count_);
+      source_ids_.push_back(s);
+      pairs.push_back({s, d});
+      needs_column = needs_column ||
+                     (!previous.routes_.contains({s, d}) && s != d &&
+                      !paths.IsDirectHop(s, d));
     }
-    if (needs_column) column_targets.push_back(task.destination);
+    sorted_sources.assign(task.sources.begin(), task.sources.end());
+    std::sort(sorted_sources.begin(), sorted_sources.end());
+    const auto twice =
+        std::adjacent_find(sorted_sources.begin(), sorted_sources.end());
+    M2M_CHECK(twice == sorted_sources.end())
+        << "duplicate source " << *twice << " for destination " << d;
+    if (needs_column) column_targets.push_back(d);
   }
+  std::sort(destination_ids_.begin(), destination_ids_.end());
+  const auto twice =
+      std::adjacent_find(destination_ids_.begin(), destination_ids_.end());
+  M2M_CHECK(twice == destination_ids_.end())
+      << "destination " << *twice << " has two tasks";
+  std::sort(source_ids_.begin(), source_ids_.end());
+  source_ids_.erase(std::unique(source_ids_.begin(), source_ids_.end()),
+                    source_ids_.end());
+  std::sort(pairs.begin(), pairs.end());
   // Columns are independent, so they build in parallel; the walk then only
   // reads them (milestone heads may still build theirs lazily).
   paths.Materialize(column_targets);
 
+  // Temporary edge ids: previous's edge indices, then the edges created
+  // here. A pair previous routes keeps its route; a new one is walked.
+  const int previous_count = static_cast<int>(previous.edges_.size());
+  std::vector<ForestEdge> created;
+  std::unordered_map<DirectedEdge, int, DirectedEdgeHash> created_id;
+  auto edge_id = [&](NodeId tail, NodeId head) {
+    const DirectedEdge key{tail, head};
+    const int kept = previous.EdgeIndexOf(key);
+    if (kept >= 0) return kept;
+    const auto [it, inserted] = created_id.try_emplace(
+        key, previous_count + static_cast<int>(created.size()));
+    if (inserted) {
+      ForestEdge edge;
+      edge.edge = key;
+      edge.segment = paths.Path(tail, head);
+      created.push_back(std::move(edge));
+    }
+    return it->second;
+  };
+  // Routes in temporary ids, one per pair in (task, source) order. A pair
+  // joins the pairs of each created edge it crosses during the walk; joins
+  // to kept edges wait until those are copied.
+  std::vector<const std::vector<int>*> kept_route(pairs.size(), nullptr);
+  std::vector<std::vector<int>> walked_route(pairs.size());
+  std::vector<std::pair<int, SourceDestPair>> kept_joins;
+  size_t k = 0;
   for (const Task& task : tasks_) {
     for (NodeId s : task.sources) {
-      if (s == task.destination) {
-        // A destination reading its own sensor: no routing needed.
-        routes_[SourceDestPair{s, task.destination}] = {};
+      const SourceDestPair pair{s, task.destination};
+      const auto kept = previous.routes_.find(pair);
+      if (kept != previous.routes_.end()) {
+        kept_route[k++] = &kept->second;
         continue;
       }
+      std::vector<int>& route = walked_route[k++];
+      // A destination reading its own sensor needs no routing.
+      if (s == task.destination) continue;
       // Milestone subsequence of the canonical path s -> d.
-      std::vector<NodeId> physical = paths.Path(s, task.destination);
-      std::vector<NodeId> waypoints;
-      waypoints.push_back(s);
-      for (size_t i = 1; i + 1 < physical.size(); ++i) {
-        if (milestones == nullptr || milestones->IsMilestone(physical[i])) {
-          waypoints.push_back(physical[i]);
+      const std::vector<NodeId> physical = paths.Path(s, task.destination);
+      NodeId tail = s;
+      for (size_t i = 1; i < physical.size(); ++i) {
+        if (i + 1 < physical.size() && milestones != nullptr &&
+            !milestones->IsMilestone(physical[i])) {
+          continue;
         }
-      }
-      waypoints.push_back(task.destination);
-
-      std::vector<int> route;
-      for (size_t i = 0; i + 1 < waypoints.size(); ++i) {
-        int index = GetOrCreateEdge(paths, waypoints[i], waypoints[i + 1]);
-        route.push_back(index);
-        SourceDestPair pair{s, task.destination};
-        auto& pairs = edges_[index].pairs;
+        const int id = edge_id(tail, physical[i]);
+        route.push_back(id);
+        tail = physical[i];
+        if (id < previous_count) {
+          kept_joins.emplace_back(id, pair);
+          continue;
+        }
         // A route visits an edge at most once, so no dedup needed; keep the
-        // list sorted on insert for deterministic iteration.
-        pairs.insert(std::lower_bound(pairs.begin(), pairs.end(), pair),
-                     pair);
-        auto& tree = tree_edges_[s];
-        if (std::find(tree.begin(), tree.end(), index) == tree.end()) {
-          tree.push_back(index);
-        }
+        // list sorted on insert.
+        auto& edge_pairs = created[id - previous_count].pairs;
+        edge_pairs.insert(
+            std::lower_bound(edge_pairs.begin(), edge_pairs.end(), pair), pair);
       }
-      routes_[SourceDestPair{s, task.destination}] = std::move(route);
     }
   }
-  source_ids_.assign(source_set.begin(), source_set.end());
-  destination_ids_.assign(destination_set.begin(), destination_set.end());
+
+  // Renumber in full-build order: an edge's index is the rank of its first
+  // encounter over (task, source, hop), so one pass over the routes in that
+  // order numbers the edges as a build from empty would, and fills each
+  // tree in the same push order.
+  std::vector<int> new_index(previous_count + created.size(), -1);
+  std::vector<int> order;  // Temporary id of each new index.
+  routes_.reserve(pairs.size());
+  k = 0;
+  for (const Task& task : tasks_) {
+    for (NodeId s : task.sources) {
+      const std::vector<int>* kept = kept_route[k];
+      std::vector<int> route = kept != nullptr
+                                   ? *kept
+                                   : std::move(walked_route[k]);
+      ++k;
+      std::vector<int>* tree = route.empty() ? nullptr : &tree_edges_[s];
+      for (int& id : route) {
+        int& index = new_index[id];
+        if (index < 0) {
+          index = static_cast<int>(order.size());
+          order.push_back(id);
+        }
+        id = index;
+        if (std::find(tree->begin(), tree->end(), index) == tree->end()) {
+          tree->push_back(index);
+        }
+      }
+      routes_.emplace(SourceDestPair{s, task.destination}, std::move(route));
+    }
+  }
+
+  // Edges no route reaches have no pairs left and are dropped.
+  edges_.reserve(order.size());
+  for (int id : order) {
+    if (id < previous_count) {
+      edges_.push_back(previous.edges_[id]);
+    } else {
+      edges_.push_back(std::move(created[id - previous_count]));
+    }
+  }
+  for (const Task& task : previous.tasks_) {
+    for (NodeId s : task.sources) {
+      const SourceDestPair pair{s, task.destination};
+      if (std::binary_search(pairs.begin(), pairs.end(), pair)) continue;
+      for (int id : previous.routes_.at(pair)) {
+        if (new_index[id] < 0) continue;
+        auto& edge_pairs = edges_[new_index[id]].pairs;
+        edge_pairs.erase(
+            std::lower_bound(edge_pairs.begin(), edge_pairs.end(), pair));
+      }
+    }
+  }
+  for (const auto& [id, pair] : kept_joins) {
+    auto& edge_pairs = edges_[new_index[id]].pairs;
+    edge_pairs.insert(
+        std::lower_bound(edge_pairs.begin(), edge_pairs.end(), pair), pair);
+  }
+
+  // Key order: previous's surviving keys (already sorted) merged with the
+  // created ones.
+  edges_by_key_.reserve(edges_.size());
+  for (const KeyedEdge& keyed : previous.edges_by_key_) {
+    if (new_index[keyed.index] >= 0) {
+      edges_by_key_.push_back({keyed.key, new_index[keyed.index]});
+    }
+  }
+  const auto created_begin = static_cast<ptrdiff_t>(edges_by_key_.size());
+  for (size_t c = 0; c < created.size(); ++c) {
+    const int index = new_index[previous_count + static_cast<int>(c)];
+    edges_by_key_.push_back({edges_[index].edge, index});
+  }
+  auto by_key = [](const KeyedEdge& a, const KeyedEdge& b) {
+    return a.key < b.key;
+  };
+  std::sort(edges_by_key_.begin() + created_begin, edges_by_key_.end(),
+            by_key);
+  std::inplace_merge(edges_by_key_.begin(),
+                     edges_by_key_.begin() + created_begin,
+                     edges_by_key_.end(), by_key);
   M2M_CHECK(CheckMinimality());
   M2M_CHECK(CheckSharing());
 }
 
-int MulticastForest::GetOrCreateEdge(const PathSystem& paths, NodeId tail,
-                                     NodeId head) {
-  DirectedEdge key{tail, head};
-  auto it = edge_index_.find(key);
-  if (it != edge_index_.end()) return it->second;
-  ForestEdge edge;
-  edge.edge = key;
-  edge.segment = paths.Path(tail, head);
-  int index = static_cast<int>(edges_.size());
-  edges_.push_back(std::move(edge));
-  edge_index_.emplace(key, index);
-  return index;
-}
-
 int MulticastForest::EdgeIndexOf(DirectedEdge e) const {
-  auto it = edge_index_.find(e);
-  return it == edge_index_.end() ? -1 : it->second;
+  const auto it = std::lower_bound(
+      edges_by_key_.begin(), edges_by_key_.end(), e,
+      [](const KeyedEdge& keyed, DirectedEdge key) { return keyed.key < key; });
+  return it == edges_by_key_.end() || it->key != e ? -1 : it->index;
 }
 
 const std::vector<int>& MulticastForest::Route(SourceDestPair pair) const {
@@ -171,19 +296,20 @@ bool MulticastForest::CheckMinimality() const {
 bool MulticastForest::CheckSharing() const {
   // (a) Each tree is a tree: at milestone level every node has at most one
   // incoming edge within the tree, and the source has none.
+  // head_stamp[n] == source marks n as a head already seen in source's tree.
+  std::vector<NodeId> head_stamp(node_count_, kInvalidNode);
   for (const auto& [source, tree] : tree_edges_) {
-    std::unordered_set<NodeId> heads;
     for (int index : tree) {
-      NodeId head = edges_[index].edge.head;
-      if (head == source) return false;
-      if (!heads.insert(head).second) return false;
+      const NodeId head = edges_[index].edge.head;
+      if (head == source || head_stamp[head] == source) return false;
+      head_stamp[head] = source;
     }
   }
   // (b) Physical segments of distinct milestone edges only overlap
   // consistently: any two segments that share an ordered pair of consecutive
   // physical nodes agree from that point on when heading to the same
   // milestone (guaranteed by PathSystem consistency; spot-check that every
-  // segment equals the canonical path, which GetOrCreateEdge enforces by
+  // segment equals the canonical path, which the build enforces by
   // construction). Here we re-verify tree-level path sharing: two trees that
   // both route tail -> head use the same (single, shared) ForestEdge, which
   // holds because edges are keyed by (tail, head).

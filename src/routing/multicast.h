@@ -1,6 +1,7 @@
 #ifndef M2M_ROUTING_MULTICAST_H_
 #define M2M_ROUTING_MULTICAST_H_
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -34,9 +35,20 @@ struct ForestEdge {
 class MulticastForest {
  public:
   /// Builds trees for all tasks. `milestones == nullptr` means every node is
-  /// a milestone (optimize on physical one-hop edges).
+  /// a milestone (optimize on physical one-hop edges). This is the update
+  /// below, applied to the empty forest.
   MulticastForest(const PathSystem& paths, std::vector<Task> tasks,
                   const MilestoneSelector* milestones = nullptr);
+
+  /// Updates `previous` to `tasks` (Corollary 1, forest form): a pair in
+  /// both task lists keeps its route and its edges' segments without a new
+  /// path walk, removed pairs leave their edges' `pairs` (an edge left with
+  /// none is dropped), and added pairs are walked as in a full build. Edges
+  /// are then renumbered in full-build order (docs/THEORY.md §17), so the
+  /// result equals `MulticastForest(paths, tasks)` field for field.
+  /// Requires `previous.RoutesOver(paths)` unless `previous` has no tasks.
+  MulticastForest(const MulticastForest& previous, const PathSystem& paths,
+                  std::vector<Task> tasks);
 
   MulticastForest(const MulticastForest&) = default;
   MulticastForest& operator=(const MulticastForest&) = default;
@@ -49,8 +61,22 @@ class MulticastForest {
   /// Number of nodes in the underlying topology.
   int node_count() const { return node_count_; }
 
+  /// True iff this forest was built over the routing of `paths` (copies of
+  /// one PathSystem share it) with every node a milestone, so its routes
+  /// are the ones `paths` gives and an update may keep them.
+  bool RoutesOver(const PathSystem& paths) const;
+
   /// Index of the milestone-level directed edge, or -1 if absent.
   int EdgeIndexOf(DirectedEdge e) const;
+
+  /// One edge's key and its index in edges().
+  struct KeyedEdge {
+    DirectedEdge key;
+    int index = -1;
+  };
+  /// Every edge, ascending by key: lets two forests' edge sets be merged
+  /// in one linear pass (ForEachEdgeKey).
+  const std::vector<KeyedEdge>& edges_by_key() const { return edges_by_key_; }
 
   /// Edge indices of the route source -> destination, in path order.
   /// Empty when source == destination. Requires the pair to be in the
@@ -90,11 +116,16 @@ class MulticastForest {
   bool CheckSharing() const;
 
  private:
-  int GetOrCreateEdge(const PathSystem& paths, NodeId tail, NodeId head);
+  MulticastForest() = default;
+
+  /// The one build path: derives this forest (tasks_ already set) from
+  /// `previous`, walking only the pairs `previous` does not route.
+  void UpdateFrom(const MulticastForest& previous, const PathSystem& paths,
+                  const MilestoneSelector* milestones);
 
   std::vector<Task> tasks_;
   std::vector<ForestEdge> edges_;
-  std::unordered_map<DirectedEdge, int, DirectedEdgeHash> edge_index_;
+  std::vector<KeyedEdge> edges_by_key_;
   std::unordered_map<SourceDestPair, std::vector<int>, SourceDestPairHash>
       routes_;
   std::unordered_map<NodeId, std::vector<int>> tree_edges_;
@@ -102,7 +133,36 @@ class MulticastForest {
   std::vector<NodeId> destination_ids_;
   std::vector<int> empty_route_;
   int node_count_ = 0;
+  /// Identity of the routing graph the routes were walked over, and
+  /// whether a milestone selector thinned them (see RoutesOver).
+  std::weak_ptr<const void> routing_;
+  bool milestone_level_ = false;
 };
+
+/// Visits every edge key of `a` or `b` once, in ascending key order, as
+/// `visit(key, a_index, b_index)`; the index is -1 on the side that lacks
+/// the key. Linear in the two edge counts.
+template <typename Visit>
+void ForEachEdgeKey(const MulticastForest& a, const MulticastForest& b,
+                    Visit&& visit) {
+  const auto& ak = a.edges_by_key();
+  const auto& bk = b.edges_by_key();
+  size_t i = 0;
+  size_t j = 0;
+  while (i < ak.size() || j < bk.size()) {
+    if (j == bk.size() || (i < ak.size() && ak[i].key < bk[j].key)) {
+      visit(ak[i].key, ak[i].index, -1);
+      ++i;
+    } else if (i == ak.size() || bk[j].key < ak[i].key) {
+      visit(bk[j].key, -1, bk[j].index);
+      ++j;
+    } else {
+      visit(ak[i].key, ak[i].index, bk[j].index);
+      ++i;
+      ++j;
+    }
+  }
+}
 
 }  // namespace m2m
 

@@ -75,6 +75,10 @@ class PathSystem {
 
   int node_count() const { return node_count_; }
 
+  /// Identity of this path system's routing: copies share it, and two path
+  /// systems with the same identity answer every query alike.
+  std::weak_ptr<const void> routing_identity() const { return graph_; }
+
   /// Integer route cost of the canonical path u -> v (equals the hop count
   /// under the default link cost); 0 when u == v. For physical hop counts
   /// under custom costs, use Path(u, v).size() - 1.

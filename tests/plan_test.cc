@@ -1,9 +1,18 @@
 #include <algorithm>
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "agg/partial_record.h"
+#include "common/relation.h"
+#include "common/rng.h"
 #include "plan/consistency.h"
+#include "plan/dissemination.h"
+#include "plan/node_tables.h"
+#include "plan/serialization.h"
 #include "plan/planner.h"
 #include "topology/generator.h"
 #include "workload/workload.h"
@@ -230,6 +239,265 @@ TEST(UpdatePlanTest, RemovingSourceMatchesRebuild) {
       BuildPlan(updated_forest, updated_wl.functions, plan.options());
   EXPECT_EQ(incremental.edge_plans(), full.edge_plans());
   EXPECT_GT(stats.edges_reused, 0);
+}
+
+// The std::set forms of the two Corollary 1 checks, kept as the reference
+// the sorted-vector versions must reproduce.
+std::vector<DirectedEdge> ReferenceDivergentEdgeKeys(const GlobalPlan& a,
+                                                     const GlobalPlan& b) {
+  std::set<DirectedEdge> keys;
+  const auto& b_edges = b.forest().edges();
+  for (size_t e = 0; e < b_edges.size(); ++e) {
+    int a_index = a.forest().EdgeIndexOf(b_edges[e].edge);
+    if (a_index < 0) {
+      keys.insert(b_edges[e].edge);
+      continue;
+    }
+    const EdgePlan& pa = a.plan_for(a_index);
+    const EdgePlan& pb = b.plan_for(static_cast<int>(e));
+    if (pa.raw_sources != pb.raw_sources ||
+        pa.agg_destinations != pb.agg_destinations) {
+      keys.insert(b_edges[e].edge);
+    }
+  }
+  for (const ForestEdge& edge : a.forest().edges()) {
+    if (b.forest().EdgeIndexOf(edge.edge) < 0) keys.insert(edge.edge);
+  }
+  return {keys.begin(), keys.end()};
+}
+
+std::vector<DirectedEdge> ReferenceRouteKeys(const GlobalPlan& plan,
+                                             SourceDestPair pair) {
+  std::vector<DirectedEdge> keys;
+  for (int edge_index : plan.forest().Route(pair)) {
+    keys.push_back(plan.forest().edges()[edge_index].edge);
+  }
+  return keys;
+}
+
+int ReferenceUnitBytes(const FunctionSet& functions, NodeId destination) {
+  return kIdTagBytes + functions.Get(destination).partial_record_bytes();
+}
+
+std::vector<DirectedEdge> ReferencePredictedPerturbedEdges(
+    const GlobalPlan& old_plan, const FunctionSet& old_functions,
+    const GlobalPlan& new_plan, const FunctionSet& new_functions) {
+  std::set<SourceDestPair> old_pairs, new_pairs;
+  for (const SourceDestPair& p : TasksToPairs(old_plan.forest().tasks())) {
+    old_pairs.insert(p);
+  }
+  for (const SourceDestPair& p : TasksToPairs(new_plan.forest().tasks())) {
+    new_pairs.insert(p);
+  }
+  std::set<SourceDestPair> perturbed;
+  for (const SourceDestPair& p : old_pairs) {
+    if (!new_pairs.contains(p)) {
+      perturbed.insert(p);
+    } else if (ReferenceRouteKeys(old_plan, p) !=
+                   ReferenceRouteKeys(new_plan, p) ||
+               ReferenceUnitBytes(old_functions, p.destination) !=
+                   ReferenceUnitBytes(new_functions, p.destination)) {
+      perturbed.insert(p);
+    }
+  }
+  for (const SourceDestPair& p : new_pairs) {
+    if (!old_pairs.contains(p)) perturbed.insert(p);
+  }
+  std::set<DirectedEdge> predicted;
+  for (const SourceDestPair& p : perturbed) {
+    if (old_pairs.contains(p)) {
+      for (const DirectedEdge& key : ReferenceRouteKeys(old_plan, p)) {
+        predicted.insert(key);
+      }
+    }
+    if (new_pairs.contains(p)) {
+      for (const DirectedEdge& key : ReferenceRouteKeys(new_plan, p)) {
+        predicted.insert(key);
+      }
+    }
+  }
+  for (const ForestEdge& edge : old_plan.forest().edges()) {
+    if (new_plan.forest().EdgeIndexOf(edge.edge) < 0) {
+      predicted.insert(edge.edge);
+    }
+  }
+  for (const ForestEdge& edge : new_plan.forest().edges()) {
+    if (old_plan.forest().EdgeIndexOf(edge.edge) < 0) {
+      predicted.insert(edge.edge);
+    }
+  }
+  return {predicted.begin(), predicted.end()};
+}
+
+// Seeded workload deltas: admitted and retired tasks, added and removed
+// sources, and changed partial-unit sizes (a destination switching to a
+// kind with a different partial record).
+Workload RandomWorkloadDelta(const Topology& topology, Workload workload,
+                             Rng& rng) {
+  const int steps = 1 + static_cast<int>(rng.UniformInt(3));
+  for (int step = 0; step < steps; ++step) {
+    const uint64_t kind = workload.tasks.empty() ? 0 : rng.UniformInt(5);
+    if (kind == 0) {
+      NodeId d = static_cast<NodeId>(rng.UniformInt(topology.node_count()));
+      while (std::any_of(workload.tasks.begin(), workload.tasks.end(),
+                         [d](const Task& t) { return t.destination == d; })) {
+        d = (d + 1) % topology.node_count();
+      }
+      Task task{d, {}};
+      FunctionSpec spec;
+      spec.kind = AggregateKind::kWeightedAverage;
+      while (task.sources.size() < 4) {
+        const NodeId s =
+            static_cast<NodeId>(rng.UniformInt(topology.node_count()));
+        if (s == d || std::find(task.sources.begin(), task.sources.end(),
+                                s) != task.sources.end()) {
+          continue;
+        }
+        task.sources.push_back(s);
+        spec.weights.emplace_back(s, 1.0);
+      }
+      workload.tasks.push_back(task);
+      workload.specs.push_back(spec);
+    } else {
+      const size_t i = rng.UniformInt(workload.tasks.size());
+      Task& task = workload.tasks[i];
+      FunctionSpec& spec = workload.specs[i];
+      if (kind == 1) {
+        workload.tasks.erase(workload.tasks.begin() +
+                             static_cast<ptrdiff_t>(i));
+        workload.specs.erase(workload.specs.begin() +
+                             static_cast<ptrdiff_t>(i));
+      } else if (kind == 2) {
+        const NodeId s =
+            static_cast<NodeId>(rng.UniformInt(topology.node_count()));
+        if (s != task.destination &&
+            std::find(task.sources.begin(), task.sources.end(), s) ==
+                task.sources.end()) {
+          task.sources.push_back(s);
+          spec.weights.emplace_back(s, 1.0);
+        }
+      } else if (kind == 3 && task.sources.size() > 1) {
+        const NodeId s = task.sources.back();
+        task.sources.pop_back();
+        std::erase_if(spec.weights,
+                      [s](const auto& weight) { return weight.first == s; });
+      } else {
+        spec.kind = spec.kind == AggregateKind::kWeightedStdDev
+                        ? AggregateKind::kWeightedSum
+                        : AggregateKind::kWeightedStdDev;
+      }
+    }
+  }
+  workload.RebuildFunctions();
+  return workload;
+}
+
+TEST(ConsistencyTest, CorollaryChecksMatchSetReference) {
+  const Topology topology = MakeGreatDuckIslandLike();
+  const PathSystem paths(topology);
+  auto plan_of = [&](const Workload& workload) {
+    return BuildPlan(std::make_shared<MulticastForest>(paths, workload.tasks),
+                     workload.functions);
+  };
+  const Workload empty;
+  const GlobalPlan empty_plan = plan_of(empty);
+  int perturbed_steps = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Workload before = GenerateWorkload(topology, DefaultSpec(seed));
+    GlobalPlan before_plan = plan_of(before);
+    for (int step = 0; step < 6; ++step) {
+      const Workload after = RandomWorkloadDelta(topology, before, rng);
+      const GlobalPlan after_plan = plan_of(after);
+      const GlobalPlan* plans[] = {&before_plan, &after_plan, &empty_plan};
+      const Workload* workloads[] = {&before, &after, &empty};
+      for (int a = 0; a < 3; ++a) {
+        for (int b = 0; b < 3; ++b) {
+          EXPECT_EQ(DivergentEdgeKeys(*plans[a], *plans[b]),
+                    ReferenceDivergentEdgeKeys(*plans[a], *plans[b]))
+              << a << " vs " << b;
+          EXPECT_EQ(
+              PredictedPerturbedEdges(*plans[a], workloads[a]->functions,
+                                      *plans[b], workloads[b]->functions),
+              ReferencePredictedPerturbedEdges(
+                  *plans[a], workloads[a]->functions, *plans[b],
+                  workloads[b]->functions))
+              << a << " vs " << b;
+        }
+      }
+      perturbed_steps += !PredictedPerturbedEdges(before_plan, before.functions,
+                                                  after_plan, after.functions)
+                              .empty();
+      before = after;
+      before_plan = after_plan;
+    }
+  }
+  // Most deltas are not no-ops (a draw may pick an existing source).
+  EXPECT_GT(perturbed_steps, 60);
+}
+
+// Every node whose image content changes is marked, and an unmarked
+// node's image is its old one restamped, for seeded workload deltas
+// replanned as a commit replans them (UpdatePlan over the new forest).
+// Pure reorders of the task list change no edge instance and no function,
+// yet move edges in the full-build order: nodes whose kept outgoing edges
+// swap places change their tables with no touched incident edge.
+TEST(DisseminationTest, PossiblyChangedNodesCoverEveryChangedImage) {
+  const Topology topology = MakeGreatDuckIslandLike();
+  const PathSystem paths(topology);
+  int reorder_changes = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Workload before = GenerateWorkload(topology, DefaultSpec(seed));
+    GlobalPlan before_plan =
+        BuildPlan(std::make_shared<MulticastForest>(paths, before.tasks),
+                  before.functions);
+    for (int step = 0; step < 6; ++step) {
+      const bool reorder = step % 2 == 1;
+      Workload after = before;
+      if (reorder) {
+        std::vector<size_t> order(after.tasks.size());
+        for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+        rng.Shuffle(order);
+        for (size_t i = 0; i < order.size(); ++i) {
+          after.tasks[i] = before.tasks[order[i]];
+          after.specs[i] = before.specs[order[i]];
+        }
+        after.RebuildFunctions();
+      } else {
+        after = RandomWorkloadDelta(topology, before, rng);
+      }
+      const GlobalPlan after_plan = UpdatePlan(
+          before_plan,
+          std::make_shared<MulticastForest>(paths, after.tasks),
+          after.functions);
+      const CompiledPlan old_compiled = CompiledPlan::Compile(
+          before_plan, before.functions, MergePolicy::kGreedyMergePerEdge, 1);
+      const CompiledPlan new_compiled = CompiledPlan::Compile(
+          after_plan, after.functions, MergePolicy::kGreedyMergePerEdge, 2);
+      const auto old_images = EncodeAllNodeStates(old_compiled, before.functions);
+      const auto new_images = EncodeAllNodeStates(new_compiled, after.functions);
+      const std::vector<uint8_t> marked = NodesWithPossiblyChangedImages(
+          old_compiled, before.functions, new_compiled, after.functions);
+      for (NodeId n = 0; n < topology.node_count(); ++n) {
+        if (marked[n] != 0) continue;
+        std::vector<uint8_t> restamped = old_images[n];
+        RestampImageEpoch(restamped, 2);
+        EXPECT_EQ(restamped, new_images[n]) << "node " << n;
+      }
+      if (reorder) {
+        for (NodeId n = 0; n < topology.node_count(); ++n) {
+          reorder_changes += !ImageContentsEqual(old_images[n], new_images[n]);
+        }
+      }
+      before = after;
+      before_plan = after_plan;
+    }
+  }
+  // The reorders did move some node's tables.
+  EXPECT_GT(reorder_changes, 0);
 }
 
 TEST(PlannerTest, PartialRecordSizesInfluenceCovers) {

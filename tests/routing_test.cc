@@ -2,11 +2,13 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "plan/consistency.h"
 #include "plan/planner.h"
 #include "routing/backbone.h"
@@ -343,6 +345,199 @@ TEST_F(MulticastForestTest, AllMilestonesEqualsDefault) {
   MulticastForest without(paths_, tasks);
   EXPECT_EQ(with.edges().size(), without.edges().size());
   EXPECT_EQ(with.TotalPhysicalHops(), without.TotalPhysicalHops());
+}
+
+// Field-by-field equality of an updated forest and a full build.
+void ExpectSameForest(const MulticastForest& updated,
+                      const MulticastForest& full, const std::string& step) {
+  SCOPED_TRACE(step);
+  ASSERT_EQ(updated.edges().size(), full.edges().size());
+  for (size_t e = 0; e < full.edges().size(); ++e) {
+    EXPECT_EQ(updated.edges()[e].edge, full.edges()[e].edge) << "edge " << e;
+    EXPECT_EQ(updated.edges()[e].segment, full.edges()[e].segment)
+        << "edge " << e;
+    EXPECT_EQ(updated.edges()[e].pairs, full.edges()[e].pairs) << "edge " << e;
+  }
+  for (const Task& task : full.tasks()) {
+    for (NodeId s : task.sources) {
+      const SourceDestPair pair{s, task.destination};
+      EXPECT_EQ(updated.Route(pair), full.Route(pair))
+          << s << " -> " << task.destination;
+    }
+  }
+  EXPECT_EQ(updated.source_ids(), full.source_ids());
+  EXPECT_EQ(updated.destination_ids(), full.destination_ids());
+  for (NodeId s : full.source_ids()) {
+    EXPECT_EQ(updated.TreeEdges(s), full.TreeEdges(s)) << "source " << s;
+  }
+  for (const ForestEdge& edge : full.edges()) {
+    EXPECT_EQ(updated.EdgeIndexOf(edge.edge), full.EdgeIndexOf(edge.edge));
+  }
+}
+
+// Seeded task-list deltas for the forest differential. Each returns the
+// next task list and names itself.
+class TaskDeltas {
+ public:
+  TaskDeltas(int node_count, uint64_t seed)
+      : node_count_(node_count), rng_(seed) {}
+
+  NodeId RandomNode() {
+    return static_cast<NodeId>(rng_.UniformInt(node_count_));
+  }
+
+  bool Serves(const std::vector<Task>& tasks, NodeId d) const {
+    return std::any_of(tasks.begin(), tasks.end(),
+                       [d](const Task& t) { return t.destination == d; });
+  }
+
+  NodeId UnservedNode(const std::vector<Task>& tasks, NodeId from) {
+    for (NodeId n = from;; n = (n + 1) % node_count_) {
+      if (!Serves(tasks, n)) return n;
+    }
+  }
+
+  Task RandomTask(NodeId destination) {
+    Task task{destination, {}};
+    const int sources = 1 + static_cast<int>(rng_.UniformInt(8));
+    while (static_cast<int>(task.sources.size()) < sources) {
+      const NodeId s = RandomNode();
+      if (s != destination &&
+          std::find(task.sources.begin(), task.sources.end(), s) ==
+              task.sources.end()) {
+        task.sources.push_back(s);
+      }
+    }
+    return task;
+  }
+
+  // One random admit / retire / add-source / remove-source / reorder.
+  std::vector<Task> Random(std::vector<Task> tasks, std::string* name) {
+    const uint64_t kind = tasks.empty() ? 0 : rng_.UniformInt(6);
+    if (kind == 0) {
+      *name = "admit";
+      const Task task = RandomTask(UnservedNode(tasks, RandomNode()));
+      tasks.insert(tasks.begin() + rng_.UniformInt(tasks.size() + 1), task);
+    } else if (kind == 1) {
+      *name = "retire";
+      tasks.erase(tasks.begin() + rng_.UniformInt(tasks.size()));
+    } else if (kind == 2 || kind == 3) {
+      *name = "add source";
+      Task& task = tasks[rng_.UniformInt(tasks.size())];
+      // Now and then the destination starts reading its own sensor.
+      NodeId s = rng_.Bernoulli(0.2) ? task.destination : RandomNode();
+      if (std::find(task.sources.begin(), task.sources.end(), s) ==
+          task.sources.end()) {
+        task.sources.insert(
+            task.sources.begin() + rng_.UniformInt(task.sources.size() + 1),
+            s);
+      }
+    } else if (kind == 4) {
+      *name = "remove source";
+      Task& task = tasks[rng_.UniformInt(tasks.size())];
+      if (task.sources.size() > 1) {
+        task.sources.erase(task.sources.begin() +
+                           rng_.UniformInt(task.sources.size()));
+      }
+    } else {
+      *name = "reorder";
+      rng_.Shuffle(tasks);
+    }
+    return tasks;
+  }
+
+ private:
+  int node_count_;
+  Rng rng_;
+};
+
+// Removes the pair that first encountered an edge shared by several pairs
+// (the edge's full-build index then moves to its next pair's encounter).
+std::vector<Task> WithoutFirstEncounterOfSharedEdge(
+    const MulticastForest& forest) {
+  std::vector<Task> tasks = forest.tasks();
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    for (size_t i = 0; i < tasks[t].sources.size(); ++i) {
+      const SourceDestPair pair{tasks[t].sources[i], tasks[t].destination};
+      for (int e : forest.Route(pair)) {
+        if (forest.edges()[e].pairs.size() < 2) continue;
+        if (tasks[t].sources.size() > 1) {
+          tasks[t].sources.erase(tasks[t].sources.begin() +
+                                 static_cast<ptrdiff_t>(i));
+        } else {
+          tasks.erase(tasks.begin() + static_cast<ptrdiff_t>(t));
+        }
+        return tasks;
+      }
+    }
+  }
+  return tasks;
+}
+
+TEST_F(MulticastForestTest, UpdateMatchesFullBuild) {
+  const std::vector<Topology> topologies =
+      MakeScalingSeries({400, 1200, 2500}, 17);
+  for (size_t k = 0; k < topologies.size(); ++k) {
+    const Topology& topology = topologies[k];
+    SCOPED_TRACE("topology " + std::to_string(topology.node_count()));
+    const PathSystem paths(topology);
+    TaskDeltas deltas(topology.node_count(), 100 + k);
+    std::vector<Task> tasks;
+    for (int i = 0; i < 6; ++i) {
+      tasks.push_back(
+          deltas.RandomTask(deltas.UnservedNode(tasks, deltas.RandomNode())));
+    }
+    auto forest = std::make_shared<const MulticastForest>(paths, tasks);
+    int step = 0;
+    // Applies one delta as an update of the current forest and compares
+    // it with a full build of the same task list.
+    auto apply = [&](std::vector<Task> next, const std::string& name) {
+      auto updated =
+          std::make_shared<const MulticastForest>(*forest, paths, next);
+      const MulticastForest full(paths, next);
+      ExpectSameForest(*updated, full,
+                       "step " + std::to_string(step++) + ": " + name);
+      forest = std::move(updated);
+    };
+
+    // A destination that sorts before every other one.
+    std::vector<Task> next = forest->tasks();
+    const NodeId first = deltas.UnservedNode(next, 0);
+    ASSERT_LT(first, forest->destination_ids().front());
+    next.insert(next.begin() + 1, deltas.RandomTask(first));
+    apply(next, "admit a destination that sorts first");
+    // A task whose only source is its own destination.
+    next = forest->tasks();
+    const NodeId self = deltas.UnservedNode(next, deltas.RandomNode());
+    next.push_back(Task{self, {self}});
+    apply(next, "admit a self-sourced task");
+    apply(WithoutFirstEncounterOfSharedEdge(*forest),
+          "remove the first encounter of a shared edge");
+    for (int i = 0; i < 40; ++i) {
+      std::string name;
+      next = deltas.Random(forest->tasks(), &name);
+      apply(next, name);
+    }
+    apply({}, "drain to empty");
+    EXPECT_TRUE(forest->edges().empty());
+    apply(tasks, "re-admit the initial tasks");
+    // The update keeps the caller's task order: here not by destination.
+    next = forest->tasks();
+    std::reverse(next.begin(), next.end());
+    apply(next, "reverse the task order");
+  }
+}
+
+TEST_F(MulticastForestTest, RoutesOverNeedsTheSameRoutingAndNoMilestones) {
+  const std::vector<Task> tasks{{5, {12, 30}}};
+  const MulticastForest forest(paths_, tasks);
+  const PathSystem copy(paths_);
+  const PathSystem rebuilt(topology_);
+  EXPECT_TRUE(forest.RoutesOver(paths_));
+  EXPECT_TRUE(forest.RoutesOver(copy));
+  EXPECT_FALSE(forest.RoutesOver(rebuilt));
+  const MilestoneSelector all = MilestoneSelector::All(topology_.node_count());
+  EXPECT_FALSE(MulticastForest(paths_, tasks, &all).RoutesOver(paths_));
 }
 
 TEST(LinkStabilityTest, ScoresInRangeAndDeterministic) {
