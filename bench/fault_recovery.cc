@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
         topology, schedule.FailedLinksThrough(options.rounds), {});
     PathSystem masked_paths(masked);
     UpdateStats stats;
-    GlobalPlan patched = ReplanForTopology(plan, masked_paths, workload.tasks,
+    GlobalPlan patched = ReplanForWorkload(plan, masked_paths, workload.tasks,
                                            workload.functions, &stats);
     GlobalPlan fresh =
         BuildPlan(patched.forest_ptr(), workload.functions, plan.options());

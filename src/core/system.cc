@@ -14,14 +14,13 @@ System::System(Topology topology, Workload workload, SystemOptions options)
       options_.milestones.has_value() ? &*options_.milestones : nullptr;
   forest_ = std::make_shared<const MulticastForest>(*paths_, workload_.tasks,
                                                     milestones);
-  plan_ = std::make_shared<const GlobalPlan>(
-      BuildPlan(forest_, workload_.functions, options_.planner));
+  GlobalPlan plan = BuildPlan(forest_, workload_.functions, options_.planner);
   if (options_.validate_consistency) {
-    M2M_CHECK(ValidatePlanConsistency(*plan_))
+    M2M_CHECK(ValidatePlanConsistency(plan))
         << "assembled plan violates Theorem 1 consistency";
   }
-  compiled_ = std::make_shared<const CompiledPlan>(
-      CompiledPlan::Compile(*plan_, workload_.functions, options_.merge));
+  compiled_ = std::make_shared<const CompiledPlan>(CompiledPlan::Compile(
+      std::move(plan), workload_.functions, options_.merge));
 }
 
 PlanExecutor System::MakeExecutor(const EnergyModel& energy) const {

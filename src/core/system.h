@@ -45,7 +45,7 @@ class System {
   std::shared_ptr<const MulticastForest> forest_ptr() const {
     return forest_;
   }
-  const GlobalPlan& plan() const { return *plan_; }
+  const GlobalPlan& plan() const { return compiled_->plan(); }
   const CompiledPlan& compiled() const { return *compiled_; }
   const SystemOptions& options() const { return options_; }
 
@@ -63,7 +63,6 @@ class System {
   SystemOptions options_;
   std::shared_ptr<const PathSystem> paths_;
   std::shared_ptr<const MulticastForest> forest_;
-  std::shared_ptr<const GlobalPlan> plan_;
   std::shared_ptr<const CompiledPlan> compiled_;
 };
 

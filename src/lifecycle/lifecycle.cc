@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <iterator>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <utility>
 
 #include "common/check.h"
 #include "plan/dissemination.h"
-#include "plan/serialization.h"
 
 namespace m2m {
 
@@ -140,13 +138,9 @@ QueryLifecycleManager::QueryLifecycleManager(const Topology& topology,
       // The live workload is the catalog's canonical materialization, so
       // every later delta diffs against catalog-derived bytes.
       workload_(catalog_.ToWorkload()),
-      plan_(BuildPlan(
-          std::make_shared<MulticastForest>(paths_, workload_.tasks),
-          workload_.functions, options.planner)),
-      compiled_(std::make_shared<CompiledPlan>(CompiledPlan::Compile(
-          plan_, workload_.functions, MergePolicy::kGreedyMergePerEdge,
-          static_cast<uint32_t>(catalog_.version())))),
-      images_(EncodeAllNodeStates(*compiled_, workload_.functions)) {
+      generation_(paths_, workload_.tasks, workload_.functions,
+                  static_cast<uint32_t>(catalog_.version()),
+                  options.planner) {
   M2M_CHECK(base_ >= 0 && base_ < topology.node_count());
   M2M_CHECK(!workload_.tasks.empty()) << "initial workload has no queries";
 }
@@ -508,79 +502,30 @@ BatchResult QueryLifecycleManager::SequentialFallback(
 MutationResult QueryLifecycleManager::Commit(QueryCatalog candidate) {
   Workload candidate_workload = candidate.ToWorkload();
 
-  // Incremental Corollary 1 replan of the candidate workload over the
-  // deployment routing trees. Draining to an empty workload replans to the
-  // empty forest; re-admission replans back out of it.
-  UpdateStats stats;
-  GlobalPlan candidate_plan =
-      ReplanForWorkload(plan_, paths_, candidate_workload.tasks,
-                        candidate_workload.functions, &stats);
+  // Plan epoch = catalog version. Draining to an empty workload replans to
+  // the empty forest; re-admission replans back out of it.
+  PlanGeneration::Proposal proposal = generation_.Propose(
+      paths_, candidate_workload.tasks, candidate_workload.functions,
+      static_cast<uint32_t>(candidate.version()));
 
-  // Theorem 1: every per-edge solution must still cover every route.
-  M2M_CHECK(FindConsistencyViolations(candidate_plan).empty())
-      << "candidate plan violates Theorem 1 consistency";
-  // Corollary 1: the patch may only have touched predicted edges.
-  std::vector<DirectedEdge> divergent =
-      DivergentEdgeKeys(plan_, candidate_plan);
-  std::vector<DirectedEdge> predicted = PredictedPerturbedEdges(
-      plan_, workload_.functions, candidate_plan,
-      candidate_workload.functions);
-  for (const DirectedEdge& edge : divergent) {
-    M2M_CHECK(std::binary_search(predicted.begin(), predicted.end(), edge))
-        << "edge " << edge.tail << "->" << edge.head
-        << " changed outside the Corollary 1 predicted perturbation set";
-  }
-
-  auto candidate_compiled = std::make_shared<CompiledPlan>(
-      CompiledPlan::Compile(candidate_plan, candidate_workload.functions,
-                            MergePolicy::kGreedyMergePerEdge,
-                            static_cast<uint32_t>(candidate.version())));
-
-  AdmissionDecision budgets =
-      CheckPlanBudgets(*candidate_compiled, candidate_workload.functions,
+  MutationResult result;
+  result.decision =
+      CheckPlanBudgets(proposal.compiled, candidate_workload.functions,
                        *topology_, options_.limits);
-  if (!budgets.admitted) {
-    // Candidate state is discarded wholesale; the live catalog, plan,
+  if (!result.decision.admitted) {
+    // The proposal is discarded wholesale; the live catalog, plan,
     // compiled tables, and images are untouched.
-    MutationResult result;
-    result.decision = budgets;
     result.catalog_version = catalog_.version();
     return result;
   }
-
-  MutationResult result;
-  result.decision = AdmissionDecision::Admit();
-  result.replan = stats;
-  result.predicted_edges = std::move(predicted);
-  result.divergent_edges = std::move(divergent);
-
-  // The image delta, as DiffNodeImages over a full re-encode would give
-  // it: only nodes whose tables can have changed are re-encoded and
-  // compared; every other image keeps its body and takes the new epoch in
-  // place. A node participates iff it holds state in either plan.
-  const std::vector<uint8_t> reencode =
-      NodesWithPossiblyChangedImages(*compiled_, workload_.functions,
-                                     *candidate_compiled,
-                                     candidate_workload.functions);
-  const uint32_t epoch = candidate_compiled->plan_epoch();
-  for (NodeId n = 0; n < candidate_compiled->node_count(); ++n) {
-    std::vector<uint8_t>& image = images_[n];
-    bool changed = false;
-    if (reencode[n] != 0) {
-      std::vector<uint8_t> fresh = EncodeNodeState(
-          candidate_compiled->state(n), candidate_workload.functions, epoch);
-      changed = !ImageContentsEqual(image, fresh);
-      image = std::move(fresh);
-    } else {
-      RestampImageEpoch(image, epoch);
-    }
-    if (compiled_->state(n).entry_count() == 0 &&
-        candidate_compiled->state(n).entry_count() == 0) {
-      continue;
-    }
-    if (changed) {
+  result.replan = proposal.stats;
+  result.predicted_edges = std::move(proposal.predicted_edges);
+  result.divergent_edges = std::move(proposal.divergent_edges);
+  for (const NodeImageDelta& delta : generation_.Adopt(std::move(proposal))) {
+    if (delta.ship_image) {
       ++result.images_shipped;
-      result.delta_state_bytes += static_cast<int64_t>(image.size());
+      result.delta_state_bytes +=
+          static_cast<int64_t>(images()[delta.node].size());
     } else {
       ++result.bumps_shipped;
       result.delta_state_bytes += kEpochBumpPayloadBytes;
@@ -589,8 +534,6 @@ MutationResult QueryLifecycleManager::Commit(QueryCatalog candidate) {
 
   catalog_ = std::move(candidate);
   workload_ = std::move(candidate_workload);
-  plan_ = std::move(candidate_plan);
-  compiled_ = std::move(candidate_compiled);
   result.catalog_version = catalog_.version();
 
   if (runtime_ != nullptr) {

@@ -12,6 +12,7 @@
 #include "lifecycle/catalog.h"
 #include "obs/metrics.h"
 #include "plan/consistency.h"
+#include "plan/generation.h"
 #include "plan/node_tables.h"
 #include "plan/planner.h"
 #include "routing/path_system.h"
@@ -133,28 +134,24 @@ MutationResult SingleResult(const MutationOutcome& outcome,
 ///      nothing mutated). Within a batch, requests validate against the
 ///      evolving candidate, so a batch behaves exactly like its sequential
 ///      replay; a rejected request is skipped and poisons nothing.
-///   2. Candidate build: the mutated catalog is materialized as a workload
-///      and incrementally re-planned with ReplanForWorkload — routing trees
-///      and per-edge solutions are reused wherever the mutation's bipartite
-///      neighborhoods are untouched. One replan per batch, not per request.
-///   3. Validation: the candidate must pass the Theorem 1 consistency
-///      checker, and its divergence from the live plan must lie inside the
-///      Corollary 1 predicted perturbation set (both CHECKed — a violation
-///      is a planner bug, not an admissible outcome).
-///   4. Admission control: the candidate plan is evaluated against the
+///   2. Candidate build (PlanGeneration::Propose): the mutated catalog is
+///      materialized as a workload and re-planned incrementally, once per
+///      batch; the Theorem 1 and Corollary 1 checks are CHECKs, since a
+///      violation is a planner bug, not an admissible outcome.
+///   3. Admission control: the candidate plan is evaluated against the
 ///      Theorem 3 state bound, the TDMA slot budget, and the per-node
 ///      energy budget; violations reject with a typed reason and leave the
 ///      catalog and plan untouched. A multi-request batch whose combined
 ///      candidate trips a budget degrades to sequential one-request
 ///      application, so batched and unbatched replay of the same requests
 ///      always land on byte-identical state.
-///   5. Commit: the catalog versions forward, the candidate becomes the
-///      live plan (compiled at plan epoch = catalog version — a batch
-///      advances the version once per accepted material request but opens
-///      only the FINAL version as an epoch), the per-node image diff is the
-///      dissemination delta, and — when a self-healing runtime is attached
-///      — the new workload is submitted once per commit so the delta rides
-///      the epoch-versioned control plane.
+///   4. Commit (PlanGeneration::Adopt): the catalog versions forward, the
+///      candidate becomes the live plan (compiled at plan epoch = catalog
+///      version — a batch advances the version once per accepted material
+///      request but opens only the FINAL version as an epoch), the per-node
+///      image diff is the dissemination delta, and — when a self-healing
+///      runtime is attached — the new workload is submitted once per commit
+///      so the delta rides the epoch-versioned control plane.
 ///
 /// A single mutation (AdmitQuery, RetireQuery, AddSource, RemoveSource,
 /// Apply) is a one-request batch through the same pipeline; it only skips
@@ -233,10 +230,12 @@ class QueryLifecycleManager {
   const QueryCatalog& catalog() const { return catalog_; }
   /// The live workload (the catalog, materialized).
   const Workload& workload() const { return workload_; }
-  const GlobalPlan& plan() const { return plan_; }
-  const CompiledPlan& compiled() const { return *compiled_; }
+  const GlobalPlan& plan() const { return compiled().plan(); }
+  const CompiledPlan& compiled() const { return generation_.compiled(); }
   /// Current wire images per node, stamped with epoch = catalog version.
-  const std::vector<std::vector<uint8_t>>& images() const { return images_; }
+  const std::vector<std::vector<uint8_t>>& images() const {
+    return generation_.images();
+  }
   const PathSystem& paths() const { return paths_; }
 
  private:
@@ -270,7 +269,7 @@ class QueryLifecycleManager {
                                    const MutationRequest& request) const;
   /// The pipeline for a non-empty request list, minus qlm.batch.*.
   BatchResult ApplyRequests(std::span<const MutationRequest> requests);
-  /// Steps 2-5 of the pipeline for a structurally valid candidate.
+  /// Steps 2-4 of the pipeline for a structurally valid candidate.
   MutationResult Commit(QueryCatalog candidate);
   /// Budget-contended batch path: one one-request batch per request.
   BatchResult SequentialFallback(std::span<const MutationRequest> requests);
@@ -284,9 +283,7 @@ class QueryLifecycleManager {
   PathSystem paths_;
   QueryCatalog catalog_;
   Workload workload_;
-  GlobalPlan plan_;
-  std::shared_ptr<CompiledPlan> compiled_;
-  std::vector<std::vector<uint8_t>> images_;
+  PlanGeneration generation_;
   SelfHealingRuntime* runtime_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   MetricHandles handles_;

@@ -24,8 +24,9 @@ bool ValidatePlanConsistency(const GlobalPlan& plan);
 /// edge: both must cover the same edge set, and matching edges must carry
 /// identical raw-source / aggregated-destination choices. Returns
 /// human-readable differences (empty = the plans are the same). This is the
-/// Corollary 1 check: a local re-plan (UpdatePlan / ReplanForTopology)
-/// after a topology change must equal a from-scratch global re-plan.
+/// Corollary 1 check: a local re-plan (UpdatePlan / ReplanForWorkload)
+/// after a topology or workload change must equal a from-scratch global
+/// re-plan.
 std::vector<std::string> FindPlanDivergence(const GlobalPlan& patched,
                                             const GlobalPlan& fresh);
 
@@ -47,8 +48,9 @@ std::vector<DirectedEdge> DivergentEdgeKeys(const GlobalPlan& a,
 /// whose destination's partial-record unit size changed. Returns the edge
 /// keys, in either forest, satisfying (a) or serving a pair in (b); sorted
 /// ascending, deduplicated. Any sound incremental planner's change set
-/// (DivergentEdgeKeys against the old plan) is a subset of this — the
-/// locality bound the self-healing and query-lifecycle validators enforce.
+/// (DivergentEdgeKeys against the old plan) is a subset of this. Both plan
+/// writers, the self-healing runtime and the query lifecycle manager,
+/// CHECK that bound on every commit (PlanGeneration::Propose).
 std::vector<DirectedEdge> PredictedPerturbedEdges(
     const GlobalPlan& old_plan, const FunctionSet& old_functions,
     const GlobalPlan& new_plan, const FunctionSet& new_functions);

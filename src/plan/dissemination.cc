@@ -69,12 +69,6 @@ bool SameFunction(const FunctionSet& a, const FunctionSet& b, NodeId d,
   return true;
 }
 
-bool ImageIsEmptyState(const NodeState& state) {
-  return state.raw_table.empty() && state.preagg_table.empty() &&
-         state.partial_table.empty() && state.outgoing_table.empty() &&
-         !state.is_destination;
-}
-
 }  // namespace
 
 DisseminationCost ComputeFullDissemination(const CompiledPlan& compiled,
@@ -86,7 +80,7 @@ DisseminationCost ComputeFullDissemination(const CompiledPlan& compiled,
   std::vector<std::vector<uint8_t>> images =
       EncodeAllNodeStates(compiled, functions);
   for (NodeId n = 0; n < compiled.node_count(); ++n) {
-    if (ImageIsEmptyState(compiled.state(n))) continue;
+    if (compiled.state(n).entry_count() == 0) continue;
     ChargeImage(paths, base_station, n, images[n].size(), energy, cost);
   }
   return cost;
@@ -96,21 +90,17 @@ DisseminationCost ComputeIncrementalDissemination(
     const CompiledPlan& old_compiled, const FunctionSet& old_functions,
     const CompiledPlan& new_compiled, const FunctionSet& new_functions,
     const PathSystem& paths, NodeId base_station, const EnergyModel& energy) {
-  M2M_CHECK_EQ(old_compiled.node_count(), new_compiled.node_count());
   DisseminationCost cost;
-  std::vector<std::vector<uint8_t>> old_images =
-      EncodeAllNodeStates(old_compiled, old_functions);
-  std::vector<std::vector<uint8_t>> new_images =
+  const std::vector<std::vector<uint8_t>> new_images =
       EncodeAllNodeStates(new_compiled, new_functions);
-  for (NodeId n = 0; n < new_compiled.node_count(); ++n) {
-    // Content comparison: an epoch advance alone does not re-ship tables.
-    if (ImageContentsEqual(old_images[n], new_images[n])) continue;
-    if (ImageIsEmptyState(new_compiled.state(n))) {
-      // The node dropped out of the plan; ship a (1-byte) clear command.
-      ChargeImage(paths, base_station, n, 1, energy, cost);
-      continue;
-    }
-    ChargeImage(paths, base_station, n, new_images[n].size(), energy, cost);
+  // Content comparison: an epoch advance alone does not re-ship tables.
+  for (const NodeImageDelta& delta : DiffNodeImages(
+           EncodeAllNodeStates(old_compiled, old_functions), new_images)) {
+    if (!delta.ship_image) continue;
+    // A node that dropped out of the plan gets a (1-byte) clear command.
+    const bool cleared = new_compiled.state(delta.node).entry_count() == 0;
+    ChargeImage(paths, base_station, delta.node,
+                cleared ? 1 : new_images[delta.node].size(), energy, cost);
   }
   return cost;
 }

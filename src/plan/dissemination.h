@@ -40,17 +40,18 @@ std::vector<NodeImageDelta> DiffNodeImages(
     const std::vector<std::vector<uint8_t>>& new_images);
 
 /// Marks (1) a superset of the nodes whose image content differs between
-/// two compiled plans over the same routing and nodes. A node's tables read
-/// only its incident edges' plans and pairs, the order of its outgoing
-/// edges, its own task, and the functions of the destinations it serves
-/// (docs/THEORY.md §17), so the marked nodes are: both ends of every edge
-/// in one plan only or whose single-edge instance changed (its instance
-/// signature), every tail whose kept outgoing edges changed relative order,
-/// every destination whose task appeared or vanished, and every node on
-/// the routes of a destination whose function changed. Every node is marked
-/// when either schedule splits an edge's units over several messages (the
-/// pairwise merge fallback). An unmarked node's image differs only in its
-/// epoch (RestampImageEpoch).
+/// two compiled plans over the same node count; their routing may differ
+/// (failures, link costs), as it does across self-healing replans. A
+/// node's tables read only its incident edges' plans and pairs, the order
+/// of its outgoing edges, its own task, and the functions of the
+/// destinations it serves (docs/THEORY.md §17), so the marked nodes are:
+/// both ends of every edge in one plan only or whose single-edge instance
+/// changed (its instance signature), every tail whose kept outgoing edges
+/// changed relative order, every destination whose task appeared or
+/// vanished, and every node on the routes of a destination whose function
+/// changed. Every node is marked when either schedule splits an edge's
+/// units over several messages (the pairwise merge fallback). An unmarked
+/// node's image differs only in its epoch (RestampImageEpoch).
 std::vector<uint8_t> NodesWithPossiblyChangedImages(
     const CompiledPlan& old_compiled, const FunctionSet& old_functions,
     const CompiledPlan& new_compiled, const FunctionSet& new_functions);

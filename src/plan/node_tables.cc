@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
 
 #include "common/check.h"
 
@@ -30,7 +31,7 @@ void SortUnique(std::vector<T>& records) {
 
 }  // namespace
 
-CompiledPlan CompiledPlan::Compile(const GlobalPlan& plan,
+CompiledPlan CompiledPlan::Compile(GlobalPlan plan,
                                    const FunctionSet& functions,
                                    MergePolicy policy, uint32_t plan_epoch) {
   const MulticastForest& forest = plan.forest();
@@ -166,7 +167,7 @@ CompiledPlan CompiledPlan::Compile(const GlobalPlan& plan,
         edge.edge.head, edge.segment});
   }
 
-  return CompiledPlan(std::make_shared<GlobalPlan>(plan),
+  return CompiledPlan(std::make_shared<const GlobalPlan>(std::move(plan)),
                       std::move(schedule), std::move(states), plan_epoch);
 }
 

@@ -85,8 +85,9 @@ class CompiledPlan {
   /// `plan_epoch` versions the compiled tables for failure handling: every
   /// base-station re-plan compiles with a bumped epoch, the epoch is stamped
   /// into each node's wire image, and the runtime refuses to merge partials
-  /// across epochs (see docs/THEORY.md section 8).
-  static CompiledPlan Compile(const GlobalPlan& plan,
+  /// across epochs (see docs/THEORY.md section 8). The compiled plan owns
+  /// `plan`: pass an rvalue to hand it over without a copy.
+  static CompiledPlan Compile(GlobalPlan plan,
                               const FunctionSet& functions,
                               MergePolicy policy =
                                   MergePolicy::kGreedyMergePerEdge,

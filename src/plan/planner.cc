@@ -221,15 +221,6 @@ GlobalPlan UpdatePlan(const GlobalPlan& old_plan,
   return GlobalPlan(std::move(forest), std::move(plans), options);
 }
 
-GlobalPlan ReplanForTopology(const GlobalPlan& old_plan,
-                             const PathSystem& paths,
-                             std::vector<Task> tasks,
-                             const FunctionSet& functions,
-                             UpdateStats* stats) {
-  auto forest = std::make_shared<MulticastForest>(paths, std::move(tasks));
-  return UpdatePlan(old_plan, std::move(forest), functions, stats);
-}
-
 GlobalPlan ReplanForWorkload(const GlobalPlan& old_plan,
                              const PathSystem& paths,
                              std::vector<Task> tasks,
@@ -237,12 +228,9 @@ GlobalPlan ReplanForWorkload(const GlobalPlan& old_plan,
                              UpdateStats* stats) {
   // Topology and workload perturbations are symmetric under Corollary 1:
   // both reduce to rebuilding the forest and re-solving only the edges
-  // whose instance signatures changed. The two entry points exist because
-  // their callers reason about different invariants (believed topology vs.
-  // query catalog) and their perturbation oracles differ
-  // (PredictedPerturbedEdges derives the workload form). Over unchanged
-  // routing the old forest's routes stay valid, so only the changed pairs
-  // are walked; any other old forest is rebuilt from empty.
+  // whose instance signatures changed. Over unchanged routing the old
+  // forest's routes stay valid, so only the changed pairs are walked; any
+  // other old forest is rebuilt from empty.
   const MulticastForest& previous = old_plan.forest();
   auto forest = previous.RoutesOver(paths)
                     ? std::make_shared<MulticastForest>(previous, paths,

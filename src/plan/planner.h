@@ -96,28 +96,17 @@ GlobalPlan UpdatePlan(const GlobalPlan& old_plan,
                       const FunctionSet& functions,
                       UpdateStats* stats = nullptr);
 
-/// Local re-plan after a topology or membership change (paper section 3 /
-/// Corollary 1): rebuilds the multicast forest over the (possibly
-/// failure-masked) `paths` for the surviving `tasks`, then re-solves only
-/// the edges whose single-edge instances changed. Because per-edge optima
-/// are independent, the patched plan equals a from-scratch BuildPlan —
-/// validate with FindPlanDivergence when it matters.
-GlobalPlan ReplanForTopology(const GlobalPlan& old_plan,
-                             const PathSystem& paths,
-                             std::vector<Task> tasks,
-                             const FunctionSet& functions,
-                             UpdateStats* stats = nullptr);
-
-/// Local re-plan after a *workload* change (Corollary 1, workload form):
-/// inserting or deleting queries — or individual (source, destination)
-/// pairs — perturbs only the edge instances whose bipartite neighborhoods
+/// Local re-plan (Corollary 1), the one replan entry point for workload
+/// and topology changes alike: inserting or deleting queries or individual
+/// (source, destination) pairs, and failures or cost changes that re-route
+/// pairs, perturb only the edge instances whose bipartite neighborhoods
 /// changed, so all other per-edge solutions carry over verbatim. `tasks`
-/// and `functions` describe the new workload; `paths` is unchanged
-/// routing. When the old forest routes over `paths`
-/// (MulticastForest::RoutesOver), the new forest is an update of it that
-/// walks only the added pairs; otherwise it is built from empty. The result
-/// equals a from-scratch BuildPlan for the new workload (validate with
-/// FindPlanDivergence / PredictedPerturbedEdges when it matters).
+/// and `functions` describe the new workload and `paths` the new routing.
+/// When the old forest routes over `paths` (MulticastForest::RoutesOver),
+/// the new forest is an update of it that walks only the added pairs;
+/// otherwise, as for any new `PathSystem`, it is built from empty. The
+/// result equals a from-scratch BuildPlan for the new workload (validate
+/// with FindPlanDivergence / PredictedPerturbedEdges when it matters).
 GlobalPlan ReplanForWorkload(const GlobalPlan& old_plan,
                              const PathSystem& paths,
                              std::vector<Task> tasks,

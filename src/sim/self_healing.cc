@@ -10,7 +10,6 @@
 #include "plan/dissemination.h"
 #include "plan/serialization.h"
 #include "routing/lifetime_forest.h"
-#include "routing/multicast.h"
 #include "runtime/wire_functions.h"
 #include "sim/fault_schedule.h"
 
@@ -40,24 +39,6 @@ constexpr double kRotationHysteresis = 0.10;
 /// ledger.
 constexpr double kExhaustionClassifyFraction = 0.10;
 
-/// Maps ControlMessage::Kind (by ordinal: report, reportack, image, bump,
-/// ack) to the trace's ControlKind.
-obs::ControlKind ToTraceKind(int kind) {
-  switch (kind) {
-    case 0:
-      return obs::ControlKind::kReport;
-    case 1:
-      return obs::ControlKind::kReportAck;
-    case 2:
-      return obs::ControlKind::kImage;
-    case 3:
-      return obs::ControlKind::kBump;
-    case 4:
-      return obs::ControlKind::kInstallAck;
-  }
-  return obs::ControlKind::kReport;
-}
-
 template <typename T>
 bool Contains(const std::vector<T>& values, const T& value) {
   return std::find(values.begin(), values.end(), value) != values.end();
@@ -75,14 +56,9 @@ SelfHealingRuntime::SelfHealingRuntime(const Topology& topology,
       original_workload_(workload),
       workload_(workload),
       control_paths_(topology),
-      plan_(BuildPlan(
-          std::make_shared<MulticastForest>(control_paths_, workload.tasks),
-          workload.functions)),
-      compiled_(std::make_shared<CompiledPlan>(CompiledPlan::Compile(
-          plan_, workload.functions, MergePolicy::kGreedyMergePerEdge,
-          /*plan_epoch=*/0))),
-      images_(EncodeAllNodeStates(*compiled_, workload.functions)),
-      network_(*compiled_, workload.functions),
+      generation_(control_paths_, workload.tasks, workload.functions,
+                  /*plan_epoch=*/0),
+      network_(generation_.compiled(), workload.functions),
       detector_(topology, options.detector),
       ledger_(&topology, base_station),
       deployment_paths_(control_paths_) {
@@ -104,7 +80,7 @@ SelfHealingRuntime::SelfHealingRuntime(const Topology& topology,
     predicted_ = BatteryLedger(topology.node_count(), battery_options);
     network_.set_track_node_energy(true);
     predicted_drain_mj_ =
-        CompiledRoundEnergyMj(*compiled_, options_.energy.model);
+        CompiledRoundEnergyMj(compiled(), options_.energy.model);
     rotation_trigger_level_ = options_.energy.rotation_threshold;
   }
 }
@@ -176,7 +152,7 @@ std::vector<std::vector<NodeId>> SelfHealingRuntime::SegmentsFor(
     NodeId node) const {
   std::vector<std::vector<NodeId>> segments;
   for (const OutgoingMessageEntry& entry :
-       compiled_->state(node).outgoing_table) {
+       compiled().state(node).outgoing_table) {
     segments.push_back(entry.segment);
   }
   return segments;
@@ -409,7 +385,7 @@ void SelfHealingRuntime::AdvanceControlPlane(int round,
       // Full images cross many hops; the CRC32 frame lets the installer
       // prove the bytes arrived intact before decoding them.
       QueueControl(ControlMessage::Kind::kImage, base_, node,
-                   FrameNodeImage(images_[node]), epoch_);
+                   FrameNodeImage(images()[node]), epoch_);
     }
     pending.last_sent_round = round;
   }
@@ -458,7 +434,7 @@ void SelfHealingRuntime::AdvanceControlPlane(int round,
         case ControlMessage::Kind::kBump:
           attempt_base = 3000;
           break;
-        case ControlMessage::Kind::kAck:
+        case ControlMessage::Kind::kInstallAck:
           attempt_base = 4000;
           break;
       }
@@ -483,8 +459,7 @@ void SelfHealingRuntime::AdvanceControlPlane(int round,
       ControlMessage message = in_flight_[i];
       delivered.push_back(i);
       if (trace != nullptr) {
-        trace->Control(round, ToTraceKind(static_cast<int>(message.kind)),
-                       message.origin, message.target,
+        trace->Control(round, message.kind, message.origin, message.target,
                        message.payload.size());
       }
       DeliverControl(message, round);
@@ -544,7 +519,7 @@ void SelfHealingRuntime::DeliverControl(const ControlMessage& message,
         RecordEpochDivergence(message.target);
         break;  // No ack: the install stays pending for the next epoch.
       }
-      QueueControl(ControlMessage::Kind::kAck, message.target, base_,
+      QueueControl(ControlMessage::Kind::kInstallAck, message.target, base_,
                    wire::EncodeInstallAck(message.target, message.epoch),
                    message.epoch);
       break;
@@ -555,16 +530,16 @@ void SelfHealingRuntime::DeliverControl(const ControlMessage& message,
       if (*epoch != epoch_) break;  // Superseded mid-flight.
       // The bump re-stamps tables the node already holds: only 5 bytes
       // traveled, but the install path is the same as for a full image.
-      if (!network_.InstallNodeImage(message.target, images_[message.target],
+      if (!network_.InstallNodeImage(message.target, images()[message.target],
                                      SegmentsFor(message.target))) {
         RecordEpochDivergence(message.target);
         break;
       }
-      QueueControl(ControlMessage::Kind::kAck, message.target, base_,
+      QueueControl(ControlMessage::Kind::kInstallAck, message.target, base_,
                    wire::EncodeInstallAck(message.target, *epoch), *epoch);
       break;
     }
-    case ControlMessage::Kind::kAck: {
+    case ControlMessage::Kind::kInstallAck: {
       auto ack = wire::TryDecodeInstallAck(message.payload);
       M2M_CHECK(ack.has_value()) << "malformed install ack";
       if (ack->second != epoch_) break;  // Ack for a superseded epoch.
@@ -679,21 +654,16 @@ void SelfHealingRuntime::MaybeReplan(int round,
                            PredictedResidualFractions(),
                            kResidualCostPenalty))
           : PathSystem(ledger_.BelievedTopology());
-  UpdateStats stats;
-  GlobalPlan patched = ReplanForTopology(plan_, believed_paths,
-                                         workload_.tasks,
-                                         workload_.functions, &stats);
   // The reconciling epoch must supersede every lineage it has seen —
   // including epochs a partitioned island opened while split. Higher epoch
   // wins at every node, so opening above max(ours, theirs) converges both
   // sides onto this plan.
   const uint32_t new_epoch = std::max(epoch_, foreign_epoch_max_) + 1;
-  auto new_compiled = std::make_shared<CompiledPlan>(CompiledPlan::Compile(
-      patched, workload_.functions, MergePolicy::kGreedyMergePerEdge,
-      new_epoch));
-  std::vector<std::vector<uint8_t>> new_images =
-      EncodeAllNodeStates(*new_compiled, workload_.functions);
-  std::vector<NodeImageDelta> deltas = DiffNodeImages(images_, new_images);
+  PlanGeneration::Proposal proposal = generation_.Propose(
+      believed_paths, workload_.tasks, workload_.functions, new_epoch);
+  const UpdateStats stats = proposal.stats;
+  const std::vector<NodeImageDelta> deltas =
+      generation_.Adopt(std::move(proposal));
 
   // The new epoch supersedes any dissemination still in flight.
   std::erase_if(in_flight_, [](const ControlMessage& m) {
@@ -703,20 +673,15 @@ void SelfHealingRuntime::MaybeReplan(int round,
   pending_installs_.clear();
 
   epoch_ = new_epoch;
-  plan_ = std::move(patched);
-  compiled_ = std::move(new_compiled);
-  images_ = std::move(new_images);
   epoch_opened_round_[new_epoch] = round;
   if (options_.energy.battery_aware) {
     // The base predicts future drain from the plan it just installed — the
     // rotation trigger and exhaustion classifier track the new load shape
     // from the next round on.
     predicted_drain_mj_ =
-        CompiledRoundEnergyMj(*compiled_, options_.energy.model);
+        CompiledRoundEnergyMj(compiled(), options_.energy.model);
   }
 
-  int images_queued = 0;
-  int bumps_queued = 0;
   auto unreachable_now = [this](NodeId node) {
     return Contains(ledger_.believed_dead(), node) ||
            Contains(ledger_.believed_partitioned(), node);
@@ -727,20 +692,10 @@ void SelfHealingRuntime::MaybeReplan(int round,
     }
     if (delta.node == base_) {
       // The base station installs its own image locally, for free.
-      network_.InstallNodeImage(base_, images_[base_], SegmentsFor(base_));
+      network_.InstallNodeImage(base_, images()[base_], SegmentsFor(base_));
       continue;
     }
-    const bool force_image = Contains(readmitted_nodes, delta.node) ||
-                             Contains(merged_nodes, delta.node) ||
-                             Contains(diverged_nodes, delta.node);
-    PendingInstall pending;
-    pending.is_bump = !delta.ship_image && !force_image;
-    pending_installs_.emplace(delta.node, pending);
-    if (pending.is_bump) {
-      ++bumps_queued;
-    } else {
-      ++images_queued;
-    }
+    pending_installs_[delta.node].is_bump = !delta.ship_image;
   }
   // The diff only covers nodes whose image content changed or is non-empty,
   // but a rejoiner's (or merger's, or diverged node's) actual tables are
@@ -749,15 +704,7 @@ void SelfHealingRuntime::MaybeReplan(int round,
   // diff or not.
   auto force_full_image = [&](NodeId node, obs::MetricHandle counter) {
     if (node == base_ || unreachable_now(node)) return;
-    auto [it, inserted] = pending_installs_.emplace(node, PendingInstall{});
-    if (inserted) {
-      it->second.is_bump = false;
-      ++images_queued;
-    } else if (it->second.is_bump) {
-      it->second.is_bump = false;
-      --bumps_queued;
-      ++images_queued;
-    }
+    pending_installs_[node].is_bump = false;
     if (metrics_ != nullptr) {
       metrics_->AddNode(counter, node, 1);
     }
@@ -773,6 +720,15 @@ void SelfHealingRuntime::MaybeReplan(int round,
       continue;  // Already forced (and counted) above.
     }
     force_full_image(node, handles_.epoch_reconciliations);
+  }
+  int images_queued = 0;
+  int bumps_queued = 0;
+  for (const auto& [node, pending] : pending_installs_) {
+    if (pending.is_bump) {
+      ++bumps_queued;
+    } else {
+      ++images_queued;
+    }
   }
 
   result.replanned = true;

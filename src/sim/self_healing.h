@@ -3,12 +3,12 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "common/ids.h"
+#include "plan/generation.h"
 #include "plan/node_tables.h"
 #include "plan/planner.h"
 #include "routing/path_system.h"
@@ -171,8 +171,8 @@ struct SelfHealingRoundResult {
 ///      epoch bumps and install acks route the other way. Every message is
 ///      resumable across rounds and re-emitted if unacked.
 ///   4. Re-planning: on any ledger change the base station re-plans against
-///      its believed topology (ReplanForTopology — Corollary 1 keeps the
-///      patch local), opens a new plan epoch, and disseminates only the
+///      its believed topology through the query lifecycle's commit core
+///      (PlanGeneration), opens a new plan epoch, and disseminates only the
 ///      diff: full images to content-changed nodes, 5-byte epoch bumps to
 ///      unchanged participants. Readmitted nodes always get a full image —
 ///      whatever stale-epoch tables they rebooted with, the install
@@ -220,8 +220,12 @@ class SelfHealingRuntime {
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
   uint32_t base_epoch() const { return epoch_; }
-  const GlobalPlan& plan() const { return plan_; }
-  const CompiledPlan& compiled() const { return *compiled_; }
+  const GlobalPlan& plan() const { return compiled().plan(); }
+  const CompiledPlan& compiled() const { return generation_.compiled(); }
+  /// Current-epoch wire images per node.
+  const std::vector<std::vector<uint8_t>>& images() const {
+    return generation_.images();
+  }
   /// The believed workload: the original workload minus the sources of
   /// currently-believed-dead nodes. Recomputed from the original on every
   /// belief change, so a readmitted node's sources come back.
@@ -254,13 +258,13 @@ class SelfHealingRuntime {
 
  private:
   struct ControlMessage {
-    enum class Kind { kReport, kReportAck, kImage, kBump, kAck };
+    using Kind = obs::ControlKind;
     Kind kind;
     NodeId origin = kInvalidNode;
     NodeId target = kInvalidNode;
     NodeId holder = kInvalidNode;
     std::vector<uint8_t> payload;
-    uint32_t epoch = 0;  ///< Plan epoch for kImage/kBump/kAck.
+    uint32_t epoch = 0;  ///< Plan epoch for kImage/kBump/kInstallAck.
     int seq = 0;         ///< Decorrelates per-hop attempt indices.
     int last_advanced_round = -1;
   };
@@ -344,13 +348,11 @@ class SelfHealingRuntime {
   /// every link any monitor suspects (suspicions propagate through the
   /// control plane itself; routing around them immediately is what lets a
   /// report escape a region whose primary path just failed). Declared
-  /// before plan_: the initial forest is built over it, so construction
-  /// builds one graph of the topology, not two.
+  /// before generation_: the initial forest is built over it, so
+  /// construction builds one graph of the topology, not two.
   PathSystem control_paths_;
-  GlobalPlan plan_;
-  std::shared_ptr<CompiledPlan> compiled_;
-  /// Current-epoch wire images per node.
-  std::vector<std::vector<uint8_t>> images_;
+  /// The believed plan, its functions and its images.
+  PlanGeneration generation_;
   RuntimeNetwork network_;
   FailureDetector detector_;
   SuspicionLedger ledger_;

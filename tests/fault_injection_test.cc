@@ -349,7 +349,7 @@ TEST(LocalReplanTest, LocalReplanEqualsGlobalReplan) {
       Topology::WithFailures(topology, failed_links, {victim});
   PathSystem masked_paths(masked);
   UpdateStats stats;
-  GlobalPlan patched = ReplanForTopology(plan, masked_paths, survivors.tasks,
+  GlobalPlan patched = ReplanForWorkload(plan, masked_paths, survivors.tasks,
                                          survivors.functions, &stats);
   GlobalPlan fresh =
       BuildPlan(patched.forest_ptr(), survivors.functions, plan.options());

@@ -112,7 +112,7 @@ inline FaultRunResult RunFaultSchedule(const Topology& topology,
           Topology::WithFailures(topology, failed_links, dead_nodes);
       paths = PathSystem(masked);
       UpdateStats stats;
-      GlobalPlan patched = ReplanForTopology(plan, paths, current.tasks,
+      GlobalPlan patched = ReplanForWorkload(plan, paths, current.tasks,
                                              current.functions, &stats);
       GlobalPlan fresh = BuildPlan(patched.forest_ptr(), current.functions,
                                    plan.options());

@@ -2,6 +2,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -437,16 +438,73 @@ TEST(ConsistencyTest, CorollaryChecksMatchSetReference) {
   EXPECT_GT(perturbed_steps, 60);
 }
 
+// The workload with every unreachable node removed, as the self-healing
+// runtime prunes its believed workload: tasks whose destination is
+// unreachable go, unreachable sources and their weights go, and tasks left
+// without sources go.
+Workload PrunedWorkload(const Workload& workload,
+                        const std::vector<uint8_t>& unreachable) {
+  Workload pruned;
+  for (size_t i = 0; i < workload.tasks.size(); ++i) {
+    Task task = workload.tasks[i];
+    FunctionSpec spec = workload.specs[i];
+    if (unreachable[task.destination] != 0) continue;
+    std::erase_if(task.sources,
+                  [&](NodeId s) { return unreachable[s] != 0; });
+    std::erase_if(spec.weights, [&](const auto& weight) {
+      return unreachable[weight.first] != 0;
+    });
+    if (task.sources.empty()) continue;
+    pruned.tasks.push_back(std::move(task));
+    pruned.specs.push_back(std::move(spec));
+  }
+  pruned.RebuildFunctions();
+  return pruned;
+}
+
 // Every node whose image content changes is marked, and an unmarked
 // node's image is its old one restamped, for seeded workload deltas
 // replanned as a commit replans them (UpdatePlan over the new forest).
 // Pure reorders of the task list change no edge instance and no function,
 // yet move edges in the full-build order: nodes whose kept outgoing edges
-// swap places change their tables with no touched incident edge.
+// swap places change their tables with no touched incident edge. The
+// routing changes a self-healing replan makes are covered too, each
+// replanned with ReplanForWorkload over a new PathSystem: failed links and
+// dead nodes with the workload pruned to the reachable nodes, a custom
+// link cost, and the return to the full topology and workload.
 TEST(DisseminationTest, PossiblyChangedNodesCoverEveryChangedImage) {
   const Topology topology = MakeGreatDuckIslandLike();
   const PathSystem paths(topology);
   int reorder_changes = 0;
+  int routing_changes = 0;
+  int routing_restamps = 0;
+  // Returns how many nodes' image content changed, and counts the
+  // participating nodes that were restamped.
+  auto expect_covered = [&](const Workload& before,
+                            const GlobalPlan& before_plan,
+                            const Workload& after,
+                            const GlobalPlan& after_plan, int* restamps) {
+    const CompiledPlan old_compiled = CompiledPlan::Compile(
+        before_plan, before.functions, MergePolicy::kGreedyMergePerEdge, 1);
+    const CompiledPlan new_compiled = CompiledPlan::Compile(
+        after_plan, after.functions, MergePolicy::kGreedyMergePerEdge, 2);
+    const auto old_images = EncodeAllNodeStates(old_compiled, before.functions);
+    const auto new_images = EncodeAllNodeStates(new_compiled, after.functions);
+    const std::vector<uint8_t> marked = NodesWithPossiblyChangedImages(
+        old_compiled, before.functions, new_compiled, after.functions);
+    int changed = 0;
+    for (NodeId n = 0; n < topology.node_count(); ++n) {
+      changed += !ImageContentsEqual(old_images[n], new_images[n]);
+      if (marked[n] != 0) continue;
+      std::vector<uint8_t> restamped = old_images[n];
+      RestampImageEpoch(restamped, 2);
+      EXPECT_EQ(restamped, new_images[n]) << "node " << n;
+      if (restamps != nullptr && new_compiled.state(n).entry_count() > 0) {
+        ++*restamps;
+      }
+    }
+    return changed;
+  };
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
@@ -473,31 +531,60 @@ TEST(DisseminationTest, PossiblyChangedNodesCoverEveryChangedImage) {
           before_plan,
           std::make_shared<MulticastForest>(paths, after.tasks),
           after.functions);
-      const CompiledPlan old_compiled = CompiledPlan::Compile(
-          before_plan, before.functions, MergePolicy::kGreedyMergePerEdge, 1);
-      const CompiledPlan new_compiled = CompiledPlan::Compile(
-          after_plan, after.functions, MergePolicy::kGreedyMergePerEdge, 2);
-      const auto old_images = EncodeAllNodeStates(old_compiled, before.functions);
-      const auto new_images = EncodeAllNodeStates(new_compiled, after.functions);
-      const std::vector<uint8_t> marked = NodesWithPossiblyChangedImages(
-          old_compiled, before.functions, new_compiled, after.functions);
-      for (NodeId n = 0; n < topology.node_count(); ++n) {
-        if (marked[n] != 0) continue;
-        std::vector<uint8_t> restamped = old_images[n];
-        RestampImageEpoch(restamped, 2);
-        EXPECT_EQ(restamped, new_images[n]) << "node " << n;
-      }
-      if (reorder) {
-        for (NodeId n = 0; n < topology.node_count(); ++n) {
-          reorder_changes += !ImageContentsEqual(old_images[n], new_images[n]);
-        }
-      }
+      const int changed =
+          expect_covered(before, before_plan, after, after_plan, nullptr);
+      if (reorder) reorder_changes += changed;
       before = after;
       before_plan = after_plan;
     }
+
+    // Failed links and dead nodes. Nodes cut off from node 0 (kept alive)
+    // are unreachable like the dead ones.
+    std::vector<std::pair<NodeId, NodeId>> failed_links;
+    std::vector<NodeId> dead_nodes;
+    for (int i = 0; i < 4; ++i) {
+      const NodeId a =
+          static_cast<NodeId>(rng.UniformInt(topology.node_count()));
+      const std::vector<NodeId>& neighbors = topology.neighbors(a);
+      if (neighbors.empty()) continue;
+      failed_links.emplace_back(a,
+                                neighbors[rng.UniformInt(neighbors.size())]);
+    }
+    for (int i = 0; i < 2; ++i) {
+      dead_nodes.push_back(
+          1 + static_cast<NodeId>(rng.UniformInt(topology.node_count() - 1)));
+    }
+    const Topology masked =
+        Topology::WithFailures(topology, failed_links, dead_nodes);
+    const std::vector<int> reach = masked.HopDistancesFrom(0);
+    std::vector<uint8_t> unreachable(topology.node_count(), 0);
+    for (NodeId n = 0; n < topology.node_count(); ++n) {
+      unreachable[n] = reach[n] < 0;
+    }
+    // A cost that differs per link, so routes bend away from hop count.
+    auto link_cost = [](NodeId a, NodeId b) {
+      return 1.0 + 0.5 * static_cast<double>((a + b) % 4);
+    };
+    const Workload full = before;
+    const PathSystem masked_paths(masked);
+    const PathSystem costed_paths(topology, 0x5eed, link_cost);
+    const Workload pruned = PrunedWorkload(full, unreachable);
+    const std::pair<const PathSystem*, const Workload*> steps[] = {
+        {&masked_paths, &pruned}, {&costed_paths, &full}, {&paths, &full}};
+    for (const auto& [step_paths, after] : steps) {
+      const GlobalPlan after_plan = ReplanForWorkload(
+          before_plan, *step_paths, after->tasks, after->functions);
+      routing_changes += expect_covered(before, before_plan, *after,
+                                        after_plan, &routing_restamps);
+      before = *after;
+      before_plan = after_plan;
+    }
   }
-  // The reorders did move some node's tables.
+  // The reorders did move some node's tables, and the routing changes
+  // changed some images while leaving others to a restamp.
   EXPECT_GT(reorder_changes, 0);
+  EXPECT_GT(routing_changes, 0);
+  EXPECT_GT(routing_restamps, 0);
 }
 
 TEST(PlannerTest, PartialRecordSizesInfluenceCovers) {

@@ -92,6 +92,10 @@ struct SelfHealRun {
   /// Corollary 1 violations: a replan changed an edge outside the
   /// predicted perturbation set for its old -> new transition.
   std::vector<std::string> corollary_violations;
+  /// Nodes whose image differed from a full encode of the runtime's
+  /// compiled plan after a replan (the commit re-encodes only possibly
+  /// changed nodes and restamps the rest).
+  std::vector<std::string> image_mismatches;
   /// (lo, hi) believed-failed link -> first round it was believed.
   std::map<std::pair<NodeId, NodeId>, int> first_believed_link;
   /// Believed-dead node -> first round it was believed dead.
@@ -171,6 +175,14 @@ SelfHealRun RunSelfHealing(const Topology& topology, const Workload& workload,
                     << divergent.size() << " divergent, "
                     << predicted.size() << " predicted)";
           run.corollary_violations.push_back(violation.str());
+        }
+      }
+      const std::vector<std::vector<uint8_t>> full = EncodeAllNodeStates(
+          runtime.compiled(), runtime.current_workload().functions);
+      for (NodeId n = 0; n < topology.node_count(); ++n) {
+        if (runtime.images()[n] != full[n]) {
+          run.image_mismatches.push_back("r" + std::to_string(round) +
+                                         " node " + std::to_string(n));
         }
       }
     }
@@ -296,6 +308,9 @@ TEST_P(SelfHealingDifferential, DetectsRepairsAndConvergesWithoutOracle) {
   // edges inside its predicted perturbation set.
   EXPECT_TRUE(run.corollary_violations.empty())
       << "seed " << seed << ": " << run.corollary_violations.front();
+  // --- Every replan's images equal a full encode of its plan.
+  EXPECT_TRUE(run.image_mismatches.empty())
+      << "seed " << seed << ": " << run.image_mismatches.front();
 
   // --- Differential against the oracle-driven path: the self-healed plan
   // equals a from-scratch plan over the TRUE surviving topology (the PR 1
