@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 
 #include "common/check.h"
 
@@ -23,35 +22,6 @@ PartialRecord SubtractFields(const PartialRecord& a, const PartialRecord& b) {
     out.fields[i] = a.fields[i] - b.fields[i];
   }
   return out;
-}
-
-PartialRecord AggregateFunction::DeltaPreAggregate(NodeId source,
-                                                   double old_value,
-                                                   double new_value) const {
-  M2M_CHECK(SupportsDeltas()) << name() << " has no delta form";
-  return SubtractFields(PreAggregate(source, new_value),
-                        PreAggregate(source, old_value));
-}
-
-PartialRecord AggregateFunction::LinearDeltaPreAggregate(NodeId source,
-                                                         double delta) const {
-  M2M_CHECK(SupportsLinearDeltas()) << name() << " has no linear delta form";
-  (void)source;
-  (void)delta;
-  return PartialRecord{};
-}
-
-PartialRecord AggregateFunction::ApplyDelta(const PartialRecord& record,
-                                            const PartialRecord& delta) const {
-  M2M_CHECK(SupportsDeltas()) << name() << " has no delta form";
-  return AddFields(record, delta);
-}
-
-double AggregateFunction::SuppressionErrorBound(double epsilon) const {
-  M2M_CHECK(SupportsLinearDeltas())
-      << name() << " has no suppression error bound";
-  (void)epsilon;
-  return 0.0;
 }
 
 std::string ToString(AggregateKind kind) {
@@ -76,381 +46,275 @@ std::string ToString(AggregateKind kind) {
   return "unknown";
 }
 
-namespace {
+namespace agg {
 
-// Shared base handling the per-source weight table.
-class WeightedFunctionBase : public AggregateFunction {
- public:
-  explicit WeightedFunctionBase(
-      const std::vector<std::pair<NodeId, double>>& weights) {
-    M2M_CHECK(!weights.empty());
-    for (const auto& [source, weight] : weights) {
-      M2M_CHECK(weights_.emplace(source, weight).second)
-          << "duplicate weight for source " << source;
+PartialRecord PreAggregate(AggregateKind kind, double weight,
+                           double parameter, NodeId source, double value) {
+  switch (kind) {
+    case AggregateKind::kWeightedSum:
+      return PartialRecord{{weight * value, 0.0, 0.0}};
+    case AggregateKind::kWeightedAverage:
+      return PartialRecord{{weight * value, 1.0, 0.0}};
+    case AggregateKind::kWeightedStdDev: {
+      double x = weight * value;
+      return PartialRecord{{x, x * x, 1.0}};
+    }
+    case AggregateKind::kMin:
+    case AggregateKind::kMax:
+      return PartialRecord{{value, 0.0, 0.0}};
+    case AggregateKind::kCount:
+      return PartialRecord{{1.0, 0.0, 0.0}};
+    case AggregateKind::kCountAbove:
+      return PartialRecord{{value > parameter ? 1.0 : 0.0, 0.0, 0.0}};
+    case AggregateKind::kArgMax:
+      // The record carries (value, node id).
+      return PartialRecord{{value, static_cast<double>(source), 0.0}};
+  }
+  return PartialRecord{};
+}
+
+PartialRecord Merge(AggregateKind kind, const PartialRecord& a,
+                    const PartialRecord& b) {
+  switch (kind) {
+    case AggregateKind::kWeightedSum:
+    case AggregateKind::kWeightedAverage:
+    case AggregateKind::kWeightedStdDev:
+    case AggregateKind::kCount:
+    case AggregateKind::kCountAbove:
+      return AddFields(a, b);
+    case AggregateKind::kMin:
+      return PartialRecord{{std::min(a.fields[0], b.fields[0]), 0.0, 0.0}};
+    case AggregateKind::kMax:
+      return PartialRecord{{std::max(a.fields[0], b.fields[0]), 0.0, 0.0}};
+    case AggregateKind::kArgMax:
+      // The larger value wins; ties go to the smaller id, so the result
+      // does not depend on merge order.
+      if (a.fields[0] != b.fields[0]) {
+        return a.fields[0] > b.fields[0] ? a : b;
+      }
+      return a.fields[1] <= b.fields[1] ? a : b;
+  }
+  return a;
+}
+
+double Evaluate(AggregateKind kind, const PartialRecord& record) {
+  switch (kind) {
+    case AggregateKind::kWeightedSum:
+    case AggregateKind::kMin:
+    case AggregateKind::kMax:
+    case AggregateKind::kCount:
+    case AggregateKind::kCountAbove:
+      return record.fields[0];
+    case AggregateKind::kWeightedAverage:
+      M2M_CHECK_GT(record.fields[1], 0.0);
+      return record.fields[0] / record.fields[1];
+    case AggregateKind::kWeightedStdDev: {
+      M2M_CHECK_GT(record.fields[2], 0.0);
+      double n = record.fields[2];
+      double mean = record.fields[0] / n;
+      return std::sqrt(std::max(record.fields[1] / n - mean * mean, 0.0));
+    }
+    case AggregateKind::kArgMax:
+      return record.fields[1];
+  }
+  return 0.0;
+}
+
+int FieldCount(AggregateKind kind) {
+  switch (kind) {
+    case AggregateKind::kWeightedSum:
+    case AggregateKind::kMin:
+    case AggregateKind::kMax:
+    case AggregateKind::kCount:
+    case AggregateKind::kCountAbove:
+      return 1;
+    case AggregateKind::kWeightedAverage:
+    case AggregateKind::kArgMax:
+      return 2;
+    case AggregateKind::kWeightedStdDev:
+      return 3;
+  }
+  return 1;
+}
+
+}  // namespace agg
+
+AggregateFunction::AggregateFunction(const FunctionSpec& spec)
+    : kind_(spec.kind),
+      parameter_(spec.kind == AggregateKind::kCountAbove ? spec.threshold
+                                                         : 0.0),
+      weights_(spec.weights) {
+  M2M_CHECK(!weights_.empty());
+  std::sort(weights_.begin(), weights_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (size_t i = 1; i < weights_.size(); ++i) {
+    M2M_CHECK(weights_[i - 1].first != weights_[i].first)
+        << "duplicate weight for source " << weights_[i].first;
+  }
+}
+
+double AggregateFunction::WeightFor(NodeId source) const {
+  auto it = std::ranges::lower_bound(
+      weights_, source, {}, &std::pair<NodeId, double>::first);
+  M2M_CHECK(it != weights_.end() && it->first == source)
+      << "node " << source << " is not a source of " << name();
+  switch (kind_) {
+    case AggregateKind::kWeightedSum:
+    case AggregateKind::kWeightedAverage:
+    case AggregateKind::kWeightedStdDev:
+      return it->second;
+    default:
+      return 1.0;
+  }
+}
+
+std::vector<NodeId> AggregateFunction::sources() const {
+  std::vector<NodeId> out;
+  out.reserve(weights_.size());
+  for (const auto& [source, weight] : weights_) out.push_back(source);
+  return out;
+}
+
+PartialRecord AggregateFunction::PreAggregate(NodeId source,
+                                              double value) const {
+  return agg::PreAggregate(kind_, WeightFor(source), parameter_, source,
+                           value);
+}
+
+PartialRecord AggregateFunction::Merge(const PartialRecord& a,
+                                       const PartialRecord& b) const {
+  return agg::Merge(kind_, a, b);
+}
+
+double AggregateFunction::Evaluate(const PartialRecord& record) const {
+  return agg::Evaluate(kind_, record);
+}
+
+double AggregateFunction::Direct(
+    const std::unordered_map<NodeId, double>& values) const {
+  const double n = static_cast<double>(weights_.size());
+  switch (kind_) {
+    case AggregateKind::kWeightedSum:
+    case AggregateKind::kWeightedAverage: {
+      double total = 0.0;
+      for (const auto& [source, weight] : weights_) {
+        total += weight * values.at(source);
+      }
+      return kind_ == AggregateKind::kWeightedSum ? total : total / n;
+    }
+    case AggregateKind::kWeightedStdDev: {
+      double sum = 0.0;
+      double sum_sq = 0.0;
+      for (const auto& [source, weight] : weights_) {
+        double x = weight * values.at(source);
+        sum += x;
+        sum_sq += x * x;
+      }
+      double mean = sum / n;
+      return std::sqrt(std::max(sum_sq / n - mean * mean, 0.0));
+    }
+    case AggregateKind::kMin:
+    case AggregateKind::kMax: {
+      const bool is_min = kind_ == AggregateKind::kMin;
+      double best = is_min ? std::numeric_limits<double>::infinity()
+                           : -std::numeric_limits<double>::infinity();
+      for (const auto& [source, weight] : weights_) {
+        best = is_min ? std::min(best, values.at(source))
+                      : std::max(best, values.at(source));
+      }
+      return best;
+    }
+    case AggregateKind::kCount:
+      for (const auto& [source, weight] : weights_) values.at(source);
+      return n;
+    case AggregateKind::kCountAbove: {
+      double count = 0.0;
+      for (const auto& [source, weight] : weights_) {
+        count += values.at(source) > parameter_ ? 1.0 : 0.0;
+      }
+      return count;
+    }
+    case AggregateKind::kArgMax: {
+      // Sources ascend, so a strict comparison keeps the smallest id among
+      // equal maxima.
+      double best_value = -std::numeric_limits<double>::infinity();
+      double best_source = -1.0;
+      for (const auto& [source, weight] : weights_) {
+        if (values.at(source) > best_value) {
+          best_value = values.at(source);
+          best_source = static_cast<double>(source);
+        }
+      }
+      return best_source;
     }
   }
+  return 0.0;
+}
 
-  std::vector<NodeId> sources() const override {
-    std::vector<NodeId> out;
-    out.reserve(weights_.size());
-    for (const auto& [source, weight] : weights_) out.push_back(source);
-    return out;  // std::map keys are already ascending.
+int AggregateFunction::partial_record_bytes() const {
+  switch (kind_) {
+    case AggregateKind::kWeightedSum:
+    case AggregateKind::kMin:
+    case AggregateKind::kMax:
+      return kReadingBytes;
+    case AggregateKind::kWeightedAverage:
+      return kReadingBytes + kCountFieldBytes;
+    case AggregateKind::kWeightedStdDev:
+      return 2 * kReadingBytes + kCountFieldBytes;
+    case AggregateKind::kCount:
+    case AggregateKind::kCountAbove:
+      return kCountFieldBytes;
+    case AggregateKind::kArgMax:
+      return kReadingBytes + kIdTagBytes;
   }
+  return kReadingBytes;
+}
 
-  double WeightFor(NodeId source) const override { return WeightOf(source); }
+bool AggregateFunction::SupportsDeltas() const {
+  return kind_ != AggregateKind::kMin && kind_ != AggregateKind::kMax &&
+         kind_ != AggregateKind::kArgMax;
+}
 
- protected:
-  double WeightOf(NodeId source) const {
-    auto it = weights_.find(source);
-    M2M_CHECK(it != weights_.end())
-        << "node " << source << " is not a source of " << name();
-    return it->second;
-  }
+bool AggregateFunction::SupportsLinearDeltas() const {
+  return kind_ == AggregateKind::kWeightedSum ||
+         kind_ == AggregateKind::kWeightedAverage;
+}
 
-  // Ordered so sources() is deterministic.
-  std::map<NodeId, double> weights_;
-};
+PartialRecord AggregateFunction::DeltaPreAggregate(NodeId source,
+                                                   double old_value,
+                                                   double new_value) const {
+  M2M_CHECK(SupportsDeltas()) << name() << " has no delta form";
+  return SubtractFields(PreAggregate(source, new_value),
+                        PreAggregate(source, old_value));
+}
 
-class WeightedSum : public WeightedFunctionBase {
- public:
-  using WeightedFunctionBase::WeightedFunctionBase;
+PartialRecord AggregateFunction::LinearDeltaPreAggregate(NodeId source,
+                                                         double delta) const {
+  M2M_CHECK(SupportsLinearDeltas()) << name() << " has no linear delta form";
+  // Only the weighted value moves; an average's count does not change when
+  // a reading changes.
+  return PartialRecord{{WeightFor(source) * delta, 0.0, 0.0}};
+}
 
-  PartialRecord PreAggregate(NodeId source, double value) const override {
-    return PartialRecord{{WeightOf(source) * value, 0.0, 0.0}};
-  }
+PartialRecord AggregateFunction::ApplyDelta(const PartialRecord& record,
+                                            const PartialRecord& delta) const {
+  M2M_CHECK(SupportsDeltas()) << name() << " has no delta form";
+  return AddFields(record, delta);
+}
 
-  PartialRecord Merge(const PartialRecord& a,
-                      const PartialRecord& b) const override {
-    return AddFields(a, b);
-  }
-
-  double Evaluate(const PartialRecord& record) const override {
-    return record.fields[0];
-  }
-
-  double Direct(
-      const std::unordered_map<NodeId, double>& values) const override {
-    double total = 0.0;
-    for (const auto& [source, weight] : weights_) {
-      total += weight * values.at(source);
-    }
-    return total;
-  }
-
-  int partial_record_bytes() const override { return kReadingBytes; }
-  std::string name() const override { return "weighted_sum"; }
-  AggregateKind kind() const override { return AggregateKind::kWeightedSum; }
-
-  bool SupportsLinearDeltas() const override { return true; }
-  PartialRecord LinearDeltaPreAggregate(NodeId source,
-                                        double delta) const override {
-    return PartialRecord{{WeightOf(source) * delta, 0.0, 0.0}};
-  }
-
-  double SuppressionErrorBound(double epsilon) const override {
-    double total = 0.0;
-    for (const auto& [source, weight] : weights_) {
-      total += std::abs(weight);
-    }
-    return epsilon * total;
-  }
-};
-
-class WeightedAverage : public WeightedFunctionBase {
- public:
-  using WeightedFunctionBase::WeightedFunctionBase;
-
-  PartialRecord PreAggregate(NodeId source, double value) const override {
-    return PartialRecord{{WeightOf(source) * value, 1.0, 0.0}};
-  }
-
-  PartialRecord Merge(const PartialRecord& a,
-                      const PartialRecord& b) const override {
-    return AddFields(a, b);
-  }
-
-  double Evaluate(const PartialRecord& record) const override {
-    M2M_CHECK_GT(record.fields[1], 0.0);
-    return record.fields[0] / record.fields[1];
-  }
-
-  double Direct(
-      const std::unordered_map<NodeId, double>& values) const override {
-    double total = 0.0;
-    for (const auto& [source, weight] : weights_) {
-      total += weight * values.at(source);
-    }
-    return total / static_cast<double>(weights_.size());
-  }
-
-  int partial_record_bytes() const override {
-    return kReadingBytes + kCountFieldBytes;
-  }
-  std::string name() const override { return "weighted_average"; }
-  AggregateKind kind() const override {
-    return AggregateKind::kWeightedAverage;
-  }
-
-  bool SupportsLinearDeltas() const override { return true; }
-  PartialRecord LinearDeltaPreAggregate(NodeId source,
-                                        double delta) const override {
-    // The count does not change when a reading changes.
-    return PartialRecord{{WeightOf(source) * delta, 0.0, 0.0}};
-  }
-
-  double SuppressionErrorBound(double epsilon) const override {
-    double total = 0.0;
-    for (const auto& [source, weight] : weights_) {
-      total += std::abs(weight);
-    }
-    return epsilon * total / static_cast<double>(weights_.size());
-  }
-};
-
-class WeightedStdDev : public WeightedFunctionBase {
- public:
-  using WeightedFunctionBase::WeightedFunctionBase;
-
-  PartialRecord PreAggregate(NodeId source, double value) const override {
-    double x = WeightOf(source) * value;
-    return PartialRecord{{x, x * x, 1.0}};
-  }
-
-  PartialRecord Merge(const PartialRecord& a,
-                      const PartialRecord& b) const override {
-    return AddFields(a, b);
-  }
-
-  double Evaluate(const PartialRecord& record) const override {
-    M2M_CHECK_GT(record.fields[2], 0.0);
-    double n = record.fields[2];
-    double mean = record.fields[0] / n;
-    double var = record.fields[1] / n - mean * mean;
-    return std::sqrt(std::max(var, 0.0));
-  }
-
-  double Direct(
-      const std::unordered_map<NodeId, double>& values) const override {
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    for (const auto& [source, weight] : weights_) {
-      double x = weight * values.at(source);
-      sum += x;
-      sum_sq += x * x;
-    }
-    double n = static_cast<double>(weights_.size());
-    double mean = sum / n;
-    return std::sqrt(std::max(sum_sq / n - mean * mean, 0.0));
-  }
-
-  int partial_record_bytes() const override {
-    return 2 * kReadingBytes + kCountFieldBytes;
-  }
-  std::string name() const override { return "weighted_stddev"; }
-  AggregateKind kind() const override {
-    return AggregateKind::kWeightedStdDev;
-  }
-};
-
-// Min/Max share everything but the comparator.
-class Extremum : public WeightedFunctionBase {
- public:
-  Extremum(const std::vector<std::pair<NodeId, double>>& weights,
-           bool is_min)
-      : WeightedFunctionBase(weights), is_min_(is_min) {}
-
-  PartialRecord PreAggregate(NodeId source, double value) const override {
-    WeightOf(source);  // Validates membership; weights are unused.
-    return PartialRecord{{value, 0.0, 0.0}};
-  }
-
-  PartialRecord Merge(const PartialRecord& a,
-                      const PartialRecord& b) const override {
-    double merged = is_min_ ? std::min(a.fields[0], b.fields[0])
-                            : std::max(a.fields[0], b.fields[0]);
-    return PartialRecord{{merged, 0.0, 0.0}};
-  }
-
-  double Evaluate(const PartialRecord& record) const override {
-    return record.fields[0];
-  }
-
-  double Direct(
-      const std::unordered_map<NodeId, double>& values) const override {
-    double best = is_min_ ? std::numeric_limits<double>::infinity()
-                          : -std::numeric_limits<double>::infinity();
-    for (const auto& [source, weight] : weights_) {
-      best = is_min_ ? std::min(best, values.at(source))
-                     : std::max(best, values.at(source));
-    }
-    return best;
-  }
-
-  bool SupportsDeltas() const override { return false; }
-  int partial_record_bytes() const override { return kReadingBytes; }
-  std::string name() const override { return is_min_ ? "min" : "max"; }
-  AggregateKind kind() const override {
-    return is_min_ ? AggregateKind::kMin : AggregateKind::kMax;
-  }
-
-  double WeightFor(NodeId source) const override {
-    WeightOf(source);  // Validates membership; extrema are unweighted.
-    return 1.0;
-  }
-
- private:
-  bool is_min_;
-};
-
-// Number of reporting sources: the simplest algebraic aggregate. A tiny
-// (count-only) partial record.
-class Count : public WeightedFunctionBase {
- public:
-  using WeightedFunctionBase::WeightedFunctionBase;
-
-  PartialRecord PreAggregate(NodeId source, double value) const override {
-    WeightOf(source);  // Validates membership.
-    (void)value;
-    return PartialRecord{{1.0, 0.0, 0.0}};
-  }
-
-  PartialRecord Merge(const PartialRecord& a,
-                      const PartialRecord& b) const override {
-    return AddFields(a, b);
-  }
-
-  double Evaluate(const PartialRecord& record) const override {
-    return record.fields[0];
-  }
-
-  double Direct(
-      const std::unordered_map<NodeId, double>& values) const override {
-    for (const auto& [source, weight] : weights_) values.at(source);
-    return static_cast<double>(weights_.size());
-  }
-
-  int partial_record_bytes() const override { return kCountFieldBytes; }
-  std::string name() const override { return "count"; }
-  AggregateKind kind() const override { return AggregateKind::kCount; }
-  double WeightFor(NodeId source) const override {
-    WeightOf(source);
-    return 1.0;
-  }
-};
-
-// Event detection: how many sources read above the threshold. Delta-capable
-// (indicator differences are sum-like) but not linear in the raw delta.
-class CountAbove : public WeightedFunctionBase {
- public:
-  CountAbove(const std::vector<std::pair<NodeId, double>>& weights,
-             double threshold)
-      : WeightedFunctionBase(weights), threshold_(threshold) {}
-
-  PartialRecord PreAggregate(NodeId source, double value) const override {
-    WeightOf(source);
-    return PartialRecord{{value > threshold_ ? 1.0 : 0.0, 0.0, 0.0}};
-  }
-
-  PartialRecord Merge(const PartialRecord& a,
-                      const PartialRecord& b) const override {
-    return AddFields(a, b);
-  }
-
-  double Evaluate(const PartialRecord& record) const override {
-    return record.fields[0];
-  }
-
-  double Direct(
-      const std::unordered_map<NodeId, double>& values) const override {
-    double count = 0.0;
-    for (const auto& [source, weight] : weights_) {
-      count += values.at(source) > threshold_ ? 1.0 : 0.0;
-    }
-    return count;
-  }
-
-  int partial_record_bytes() const override { return kCountFieldBytes; }
-  std::string name() const override { return "count_above"; }
-  AggregateKind kind() const override { return AggregateKind::kCountAbove; }
-  double Parameter() const override { return threshold_; }
-  double WeightFor(NodeId source) const override {
-    WeightOf(source);
-    return 1.0;
-  }
-
- private:
-  double threshold_;
-};
-
-// Which source reads highest. The partial record carries (value, node id);
-// merge keeps the larger value, breaking ties toward the smaller id so the
-// result is deterministic regardless of merge order.
-class ArgMax : public WeightedFunctionBase {
- public:
-  using WeightedFunctionBase::WeightedFunctionBase;
-
-  PartialRecord PreAggregate(NodeId source, double value) const override {
-    WeightOf(source);
-    return PartialRecord{{value, static_cast<double>(source), 0.0}};
-  }
-
-  PartialRecord Merge(const PartialRecord& a,
-                      const PartialRecord& b) const override {
-    if (a.fields[0] != b.fields[0]) {
-      return a.fields[0] > b.fields[0] ? a : b;
-    }
-    return a.fields[1] <= b.fields[1] ? a : b;
-  }
-
-  double Evaluate(const PartialRecord& record) const override {
-    return record.fields[1];
-  }
-
-  double Direct(
-      const std::unordered_map<NodeId, double>& values) const override {
-    PartialRecord best{{-std::numeric_limits<double>::infinity(), -1.0, 0.0}};
-    for (const auto& [source, weight] : weights_) {
-      best = Merge(best, PartialRecord{{values.at(source),
-                                        static_cast<double>(source), 0.0}});
-    }
-    return best.fields[1];
-  }
-
-  bool SupportsDeltas() const override { return false; }
-  int partial_record_bytes() const override {
-    return kReadingBytes + kIdTagBytes;
-  }
-  std::string name() const override { return "argmax"; }
-  AggregateKind kind() const override { return AggregateKind::kArgMax; }
-  double WeightFor(NodeId source) const override {
-    WeightOf(source);
-    return 1.0;
-  }
-};
-
-}  // namespace
+double AggregateFunction::SuppressionErrorBound(double epsilon) const {
+  M2M_CHECK(SupportsLinearDeltas())
+      << name() << " has no suppression error bound";
+  double total = 0.0;
+  for (const auto& [source, weight] : weights_) total += std::abs(weight);
+  return kind_ == AggregateKind::kWeightedSum
+             ? epsilon * total
+             : epsilon * total / static_cast<double>(weights_.size());
+}
 
 std::shared_ptr<const AggregateFunction> MakeAggregateFunction(
     const FunctionSpec& spec) {
-  switch (spec.kind) {
-    case AggregateKind::kWeightedSum:
-      return std::make_shared<WeightedSum>(spec.weights);
-    case AggregateKind::kWeightedAverage:
-      return std::make_shared<WeightedAverage>(spec.weights);
-    case AggregateKind::kWeightedStdDev:
-      return std::make_shared<WeightedStdDev>(spec.weights);
-    case AggregateKind::kMin:
-      return std::make_shared<Extremum>(spec.weights, /*is_min=*/true);
-    case AggregateKind::kMax:
-      return std::make_shared<Extremum>(spec.weights, /*is_min=*/false);
-    case AggregateKind::kCount:
-      return std::make_shared<Count>(spec.weights);
-    case AggregateKind::kCountAbove:
-      return std::make_shared<CountAbove>(spec.weights, spec.threshold);
-    case AggregateKind::kArgMax:
-      return std::make_shared<ArgMax>(spec.weights);
-  }
-  M2M_CHECK(false) << "unknown aggregate kind";
+  return std::make_shared<const AggregateFunction>(spec);
 }
 
 void FunctionSet::Set(NodeId destination,

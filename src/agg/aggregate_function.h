@@ -4,107 +4,13 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "agg/partial_record.h"
 #include "common/ids.h"
 
 namespace m2m {
-
-/// A generalized algebraic aggregation function (paper section 2.1):
-/// `f_d(v_{s1}..v_{sn}) = e_d(m_d({w_{d,s1}(v_{s1}), ..., w_{d,sn}(v_{sn})}))`
-/// with per-source pre-aggregation `w_{d,s}`, an associative/commutative
-/// merge `m_d` over constant-size partial records, and an evaluator `e_d`.
-///
-/// One instance belongs to one destination; the per-source transforms (e.g.
-/// weights) are stored inside the instance.
-// Defined below; kind() needs the enum.
-enum class AggregateKind;
-
-class AggregateFunction {
- public:
-  virtual ~AggregateFunction() = default;
-
-  AggregateFunction(const AggregateFunction&) = delete;
-  AggregateFunction& operator=(const AggregateFunction&) = delete;
-
-  /// The declarative kind this instance implements; together with
-  /// per-source weights and Parameter() it fully describes the function on
-  /// the wire (plan dissemination installs exactly this).
-  virtual AggregateKind kind() const = 0;
-
-  /// Kind-specific scalar parameter (e.g. kCountAbove's threshold); 0 for
-  /// kinds without one.
-  virtual double Parameter() const { return 0.0; }
-
-  /// w_{d,s}: transforms one raw reading into a partial record. Requires
-  /// `source` to be one of this function's sources.
-  virtual PartialRecord PreAggregate(NodeId source, double value) const = 0;
-
-  /// m_d: merges two partial records.
-  virtual PartialRecord Merge(const PartialRecord& a,
-                              const PartialRecord& b) const = 0;
-
-  /// e_d: final result from the fully merged record.
-  virtual double Evaluate(const PartialRecord& record) const = 0;
-
-  /// Reference semantics: the exact result over full inputs, computed
-  /// directly (used by tests and runtime verification).
-  virtual double Direct(
-      const std::unordered_map<NodeId, double>& values) const = 0;
-
-  /// Wire size in bytes of one partial record (excluding the destination
-  /// tag). Determines the destination-vertex weight in the per-edge vertex
-  /// cover.
-  virtual int partial_record_bytes() const = 0;
-
-  /// Whether the function supports incremental maintenance from value
-  /// deltas (temporal suppression). True for sum-like records.
-  virtual bool SupportsDeltas() const { return true; }
-
-  /// Delta record for a source whose reading changed old -> new. Default:
-  /// field-wise PreAggregate(new) - PreAggregate(old), which is correct for
-  /// all sum-like records. Must only be called when SupportsDeltas().
-  virtual PartialRecord DeltaPreAggregate(NodeId source, double old_value,
-                                          double new_value) const;
-
-  /// Whether the delta record is computable from the value change alone
-  /// (new - old), without knowing the old value. Required by the temporal
-  /// suppression protocol, where only the difference travels (paper
-  /// section 3). True for weighted sum and weighted average.
-  virtual bool SupportsLinearDeltas() const { return false; }
-
-  /// Delta record from a raw value difference; only valid when
-  /// SupportsLinearDeltas().
-  virtual PartialRecord LinearDeltaPreAggregate(NodeId source,
-                                                double delta) const;
-
-  /// Applies a delta record to a maintained partial record (field-wise sum;
-  /// valid for sum-like records).
-  PartialRecord ApplyDelta(const PartialRecord& record,
-                           const PartialRecord& delta) const;
-
-  /// Worst-case error of the evaluated aggregate when every source's
-  /// transmitted value may lag its true reading by up to `epsilon`
-  /// (threshold-based temporal suppression, paper section 3: continuous
-  /// maintenance "up to desired precision"). Only defined when
-  /// SupportsLinearDeltas().
-  virtual double SuppressionErrorBound(double epsilon) const;
-
-  virtual std::string name() const = 0;
-
-  /// Sources this function aggregates, ascending.
-  virtual std::vector<NodeId> sources() const = 0;
-
-  /// The per-source weight stored with the pre-aggregation function
-  /// (serialized into the node tables' <s, d, w_{d,s}> entries). Weightless
-  /// kinds report 1.0. Requires `source` to be one of this function's
-  /// sources.
-  virtual double WeightFor(NodeId source) const = 0;
-
- protected:
-  AggregateFunction() = default;
-};
 
 /// Kinds available through the factory.
 enum class AggregateKind {
@@ -136,6 +42,128 @@ struct FunctionSpec {
   double threshold = 0.0;
 
   friend bool operator==(const FunctionSpec&, const FunctionSpec&) = default;
+};
+
+/// The aggregation algebra of paper section 2.1, keyed by kind: the one
+/// implementation of w_{d,s}, m_d and e_d. AggregateFunction runs it for the
+/// planner and the analytic executor, and a mote runs it from the
+/// (kind, weight, parameter) its decoded image carries (runtime/NodeRuntime),
+/// so both execute the same formulas. AggregateFunction::Direct is the
+/// independent reference every round is checked against.
+namespace agg {
+
+/// w_{d,s}: transforms one raw reading into a partial record. `weight` is
+/// the source's weight (ignored by the unweighted kinds) and `parameter`
+/// the kind's scalar parameter (kCountAbove's threshold).
+PartialRecord PreAggregate(AggregateKind kind, double weight,
+                           double parameter, NodeId source, double value);
+
+/// m_d: merges two partial records of this kind.
+PartialRecord Merge(AggregateKind kind, const PartialRecord& a,
+                    const PartialRecord& b);
+
+/// e_d: final result from a fully merged record.
+double Evaluate(AggregateKind kind, const PartialRecord& record);
+
+/// Number of meaningful PartialRecord fields, which a packet carries as
+/// 32-bit floats.
+int FieldCount(AggregateKind kind);
+
+}  // namespace agg
+
+/// A generalized algebraic aggregation function (paper section 2.1):
+/// `f_d(v_{s1}..v_{sn}) = e_d(m_d({w_{d,s1}(v_{s1}), ..., w_{d,sn}(v_{sn})}))`
+/// with per-source pre-aggregation `w_{d,s}`, an associative/commutative
+/// merge `m_d` over constant-size partial records, and an evaluator `e_d`,
+/// all run by the kind-keyed algebra above.
+///
+/// One instance belongs to one destination; the per-source weights and the
+/// kind's parameter are stored inside the instance.
+class AggregateFunction {
+ public:
+  /// CHECKs that `spec` names at least one source and none twice.
+  explicit AggregateFunction(const FunctionSpec& spec);
+
+  AggregateFunction(const AggregateFunction&) = delete;
+  AggregateFunction& operator=(const AggregateFunction&) = delete;
+
+  /// The declarative kind this instance implements; together with
+  /// per-source weights and Parameter() it fully describes the function on
+  /// the wire (plan dissemination installs exactly this).
+  AggregateKind kind() const { return kind_; }
+
+  /// Kind-specific scalar parameter (e.g. kCountAbove's threshold); 0 for
+  /// kinds without one.
+  double Parameter() const { return parameter_; }
+
+  /// w_{d,s}: transforms one raw reading into a partial record. Requires
+  /// `source` to be one of this function's sources.
+  PartialRecord PreAggregate(NodeId source, double value) const;
+
+  /// m_d: merges two partial records.
+  PartialRecord Merge(const PartialRecord& a, const PartialRecord& b) const;
+
+  /// e_d: final result from the fully merged record.
+  double Evaluate(const PartialRecord& record) const;
+
+  /// Reference semantics: the exact result over full inputs, computed
+  /// directly per kind without the algebra (used by tests and runtime
+  /// verification).
+  double Direct(const std::unordered_map<NodeId, double>& values) const;
+
+  /// Wire size in bytes of one partial record (excluding the destination
+  /// tag). Determines the destination-vertex weight in the per-edge vertex
+  /// cover.
+  int partial_record_bytes() const;
+
+  /// Whether the function supports incremental maintenance from value
+  /// deltas (temporal suppression). True for sum-like records.
+  bool SupportsDeltas() const;
+
+  /// Delta record for a source whose reading changed old -> new:
+  /// field-wise PreAggregate(new) - PreAggregate(old), which is correct for
+  /// all sum-like records. Must only be called when SupportsDeltas().
+  PartialRecord DeltaPreAggregate(NodeId source, double old_value,
+                                  double new_value) const;
+
+  /// Whether the delta record is computable from the value change alone
+  /// (new - old), without knowing the old value. Required by the temporal
+  /// suppression protocol, where only the difference travels (paper
+  /// section 3). True for weighted sum and weighted average.
+  bool SupportsLinearDeltas() const;
+
+  /// Delta record from a raw value difference; only valid when
+  /// SupportsLinearDeltas().
+  PartialRecord LinearDeltaPreAggregate(NodeId source, double delta) const;
+
+  /// Applies a delta record to a maintained partial record (field-wise sum;
+  /// valid for sum-like records).
+  PartialRecord ApplyDelta(const PartialRecord& record,
+                           const PartialRecord& delta) const;
+
+  /// Worst-case error of the evaluated aggregate when every source's
+  /// transmitted value may lag its true reading by up to `epsilon`
+  /// (threshold-based temporal suppression, paper section 3: continuous
+  /// maintenance "up to desired precision"). Only defined when
+  /// SupportsLinearDeltas().
+  double SuppressionErrorBound(double epsilon) const;
+
+  std::string name() const { return ToString(kind_); }
+
+  /// Sources this function aggregates, ascending.
+  std::vector<NodeId> sources() const;
+
+  /// The per-source weight stored with the pre-aggregation function
+  /// (serialized into the node tables' <s, d, w_{d,s}> entries). Weightless
+  /// kinds report 1.0. Requires `source` to be one of this function's
+  /// sources.
+  double WeightFor(NodeId source) const;
+
+ private:
+  AggregateKind kind_;
+  double parameter_;
+  /// (source, weight), ascending by source.
+  std::vector<std::pair<NodeId, double>> weights_;
 };
 
 /// Builds a function instance from its spec.

@@ -15,10 +15,8 @@ System::System(Topology topology, Workload workload, SystemOptions options)
   forest_ = std::make_shared<const MulticastForest>(*paths_, workload_.tasks,
                                                     milestones);
   GlobalPlan plan = BuildPlan(forest_, workload_.functions, options_.planner);
-  if (options_.validate_consistency) {
-    M2M_CHECK(ValidatePlanConsistency(plan))
-        << "assembled plan violates Theorem 1 consistency";
-  }
+  M2M_CHECK(ValidatePlanConsistency(plan))
+      << "assembled plan violates Theorem 1 consistency";
   compiled_ = std::make_shared<const CompiledPlan>(CompiledPlan::Compile(
       std::move(plan), workload_.functions, options_.merge));
 }

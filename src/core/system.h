@@ -21,9 +21,6 @@ struct SystemOptions {
   /// Milestone predicate; nullopt = every node is a milestone (optimize on
   /// physical one-hop edges, the paper's default setting).
   std::optional<MilestoneSelector> milestones;
-  /// Validate Theorem 1 consistency of the assembled plan (cheap; on by
-  /// default).
-  bool validate_consistency = true;
 };
 
 /// One-stop facade: topology + workload in, routed / optimized / compiled
@@ -31,6 +28,7 @@ struct SystemOptions {
 /// examples and experiment harnesses use.
 class System {
  public:
+  /// CHECKs that the assembled plan satisfies Theorem 1 (consistency).
   System(Topology topology, Workload workload, SystemOptions options = {});
 
   System(const System&) = default;

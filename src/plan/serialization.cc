@@ -109,6 +109,13 @@ class SafeByteReader {
     return value;
   }
 
+  /// A kind byte; one that names no AggregateKind fails the read.
+  AggregateKind ReadKind() {
+    uint8_t kind = ReadU8();
+    if (kind > static_cast<uint8_t>(AggregateKind::kArgMax)) ok = false;
+    return ok ? static_cast<AggregateKind>(kind) : AggregateKind{};
+  }
+
   /// Varint that must fit a non-negative int32 (node ids, counts).
   int32_t ReadSmall() {
     uint64_t value = ReadVarint();
@@ -159,7 +166,7 @@ std::optional<DecodedNodeState> TryDecodeNodeState(
     entry.source = reader.ReadSmall();
     entry.destination = reader.ReadSmall();
     DecodedPreAggMeta meta;
-    meta.kind = reader.ReadU8();
+    meta.kind = reader.ReadKind();
     meta.weight = reader.ReadF32();
     meta.param = reader.ReadF32();
     decoded.preagg_meta.push_back(meta);
@@ -177,7 +184,7 @@ std::optional<DecodedNodeState> TryDecodeNodeState(
     entry.expected_contributions = reader.ReadSmall();
     int32_t local_plus1 = reader.ReadSmall();
     entry.message_id = local_plus1 - 1;
-    decoded.partial_kinds.push_back(reader.ReadU8());
+    decoded.partial_kinds.push_back(reader.ReadKind());
     decoded.state.partial_table.push_back(entry);
   }
   // The trailing is_destination byte follows the outgoing table, so each
@@ -232,7 +239,7 @@ std::vector<uint8_t> EncodeDecodedNodeState(const DecodedNodeState& decoded) {
     const DecodedPreAggMeta& meta = decoded.preagg_meta[i];
     writer.WriteVarint(static_cast<uint64_t>(entry.source));
     writer.WriteVarint(static_cast<uint64_t>(entry.destination));
-    writer.WriteU8(meta.kind);
+    writer.WriteU8(static_cast<uint8_t>(meta.kind));
     writer.WriteF32(meta.weight);
     writer.WriteF32(meta.param);
   }
@@ -242,7 +249,7 @@ std::vector<uint8_t> EncodeDecodedNodeState(const DecodedNodeState& decoded) {
     writer.WriteVarint(static_cast<uint64_t>(entry.destination));
     writer.WriteVarint(static_cast<uint64_t>(entry.expected_contributions));
     writer.WriteVarint(static_cast<uint64_t>(entry.message_id + 1));
-    writer.WriteU8(decoded.partial_kinds[i]);
+    writer.WriteU8(static_cast<uint8_t>(decoded.partial_kinds[i]));
   }
   writer.WriteVarint(decoded.state.outgoing_table.size());
   for (const OutgoingMessageEntry& entry : decoded.state.outgoing_table) {

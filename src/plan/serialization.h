@@ -43,9 +43,10 @@ std::vector<uint8_t> EncodeNodeState(const NodeState& state,
                                      const FunctionSet& functions,
                                      uint32_t plan_epoch = 0);
 
-/// Function metadata serialized with one pre-aggregation entry.
+/// Function metadata serialized with one pre-aggregation entry; the kind
+/// travels as the byte static_cast<uint8_t>(AggregateKind).
 struct DecodedPreAggMeta {
-  uint8_t kind = 0;  ///< static_cast<uint8_t>(AggregateKind).
+  AggregateKind kind = AggregateKind::kWeightedSum;
   float weight = 1.0f;
   float param = 0.0f;
 };
@@ -57,7 +58,7 @@ struct DecodedPreAggMeta {
 struct DecodedNodeState {
   NodeState state;
   std::vector<DecodedPreAggMeta> preagg_meta;
-  std::vector<uint8_t> partial_kinds;
+  std::vector<AggregateKind> partial_kinds;
   /// Version of the plan these tables were compiled from.
   uint32_t plan_epoch = 0;
 };
@@ -67,8 +68,9 @@ DecodedNodeState DecodeNodeState(const std::vector<uint8_t>& bytes);
 /// Bounds-checked decode for untrusted bytes (a mote must survive a
 /// corrupted dissemination packet): returns nullopt instead of
 /// CHECK-failing on truncated or structurally invalid images. Validates
-/// that node ids and counts are in range, that raw/partial entries
-/// reference the outgoing table, and that the image is consumed exactly.
+/// that node ids and counts are in range, that every kind byte names an
+/// AggregateKind, that raw/partial entries reference the outgoing table,
+/// and that the image is consumed exactly.
 std::optional<DecodedNodeState> TryDecodeNodeState(
     const std::vector<uint8_t>& bytes);
 

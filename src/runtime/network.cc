@@ -33,9 +33,13 @@ int64_t RetryPolicy::RetryHorizonTicks() const {
 }
 
 RuntimeNetwork::RuntimeNetwork(const CompiledPlan& compiled,
-                               const FunctionSet& functions) {
-  std::vector<std::vector<uint8_t>> images =
-      EncodeAllNodeStates(compiled, functions);
+                               const FunctionSet& functions)
+    : RuntimeNetwork(compiled, EncodeAllNodeStates(compiled, functions)) {}
+
+RuntimeNetwork::RuntimeNetwork(
+    const CompiledPlan& compiled,
+    const std::vector<std::vector<uint8_t>>& images) {
+  M2M_CHECK_EQ(static_cast<int>(images.size()), compiled.node_count());
   nodes_.reserve(images.size());
   message_segments_.resize(images.size());
   for (NodeId n = 0; n < compiled.node_count(); ++n) {

@@ -103,6 +103,12 @@ struct LossyLinkModel {
 /// executor.
 class RuntimeNetwork {
  public:
+  /// Installs `images`, the wire images of every node of `compiled` indexed
+  /// by node id (EncodeAllNodeStates); `compiled` supplies the physical
+  /// segment of each outgoing message.
+  RuntimeNetwork(const CompiledPlan& compiled,
+                 const std::vector<std::vector<uint8_t>>& images);
+  /// Encodes every node of `compiled` under `functions` and installs it.
   RuntimeNetwork(const CompiledPlan& compiled, const FunctionSet& functions);
 
   RuntimeNetwork(const RuntimeNetwork&) = default;

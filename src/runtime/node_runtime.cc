@@ -186,8 +186,8 @@ void NodeRuntime::AcceptRawValue(NodeId source, double value) {
     const PreAggTableEntry& entry = state_.state.preagg_table[i];
     const DecodedPreAggMeta& meta = state_.preagg_meta[i];
     AcceptPartialRecord(entry.destination,
-                        wire::PreAggregate(meta.kind, meta.weight,
-                                           meta.param, source, value));
+                        agg::PreAggregate(meta.kind, meta.weight,
+                                          meta.param, source, value));
     // Pre-aggregation is where a raw reading becomes a partial record, so
     // this is where its source enters the coverage summary.
     wire::AssignSingleSource(source, ScratchSummary());
@@ -203,7 +203,7 @@ void NodeRuntime::MergeSummaryInto(NodeId destination,
   if (mine.count == 0) {
     mine = summary;
   } else {
-    wire::MergeSummaryInPlace(mine, summary);
+    wire::UnionSummaryInPlace(mine, summary);
   }
 }
 
@@ -216,8 +216,8 @@ void NodeRuntime::AcceptPartialRecord(NodeId destination,
       << destination << " it has no table entry for";
   Accumulator& accumulator = accumulators_[slot];
   accumulator.record = accumulator.has_record
-                           ? wire::Merge(accumulator.kind,
-                                         accumulator.record, record)
+                           ? agg::Merge(accumulator.kind,
+                                        accumulator.record, record)
                            : record;
   accumulator.has_record = true;
   accumulator.received += 1;
@@ -233,7 +233,7 @@ void NodeRuntime::CompleteAccumulator(NodeId destination,
   if (accumulator.local_message < 0) {
     // This node is the destination: evaluate.
     M2M_CHECK_EQ(destination, id_);
-    final_value_ = wire::Evaluate(accumulator.kind, accumulator.record);
+    final_value_ = agg::Evaluate(accumulator.kind, accumulator.record);
     return;
   }
   MarkUnitReady(accumulator.local_message);
@@ -271,7 +271,7 @@ std::vector<NodeRuntime::OutgoingPacket> NodeRuntime::DrainReadyPackets() {
       const PartialTableEntry& partial =
           state_.state.partial_table[units_[u].index];
       const Accumulator& accumulator = accumulators_[units_[u].index];
-      int fields = wire::FieldCountOf(accumulator.kind);
+      int fields = agg::FieldCount(accumulator.kind);
       writer.WriteU8(MakeTag(/*is_partial=*/true, fields));
       writer.WriteVarint(static_cast<uint64_t>(partial.destination));
       for (int f = 0; f < fields; ++f) {
@@ -381,15 +381,15 @@ std::optional<NodeRuntime::CoverageReport> NodeRuntime::DestinationCoverage()
   if (accumulator.has_record && accumulator.summary.count > 0) {
     // Guard the kinds whose evaluation divides by an accumulated weight or
     // count — an empty or zero-weight partial cannot be evaluated.
-    uint8_t kind = accumulator.kind;
+    const AggregateKind kind = accumulator.kind;
     bool evaluable = true;
-    if (kind == static_cast<uint8_t>(AggregateKind::kWeightedAverage)) {
+    if (kind == AggregateKind::kWeightedAverage) {
       evaluable = accumulator.record.fields[1] > 0.0;
-    } else if (kind == static_cast<uint8_t>(AggregateKind::kWeightedStdDev)) {
+    } else if (kind == AggregateKind::kWeightedStdDev) {
       evaluable = accumulator.record.fields[2] > 0.0;
     }
     if (evaluable) {
-      report.degraded_value = wire::Evaluate(kind, accumulator.record);
+      report.degraded_value = agg::Evaluate(kind, accumulator.record);
     }
   }
   return report;

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "agg/aggregate_function.h"
 #include "agg/partial_record.h"
 #include "common/ids.h"
 #include "plan/serialization.h"
@@ -138,7 +139,7 @@ class NodeRuntime {
     int received = 0;
     int expected = 0;
     int local_message = -1;  // -1: consumed at this node.
-    uint8_t kind = 0;
+    AggregateKind kind = AggregateKind::kWeightedSum;
     bool has_record = false;
     /// Which sources the merged record accounts for (coverage accounting;
     /// rides with every partial unit on the wire).

@@ -1,111 +1,13 @@
 #include "runtime/wire_functions.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "agg/aggregate_function.h"
 #include "common/bytes.h"
 #include "common/check.h"
 #include "common/crc32.h"
 #include "plan/dissemination.h"
 
 namespace m2m::wire {
-
-namespace {
-
-AggregateKind KindOf(uint8_t kind) {
-  M2M_CHECK_LE(kind, static_cast<uint8_t>(AggregateKind::kArgMax))
-      << "unknown wire function kind " << static_cast<int>(kind);
-  return static_cast<AggregateKind>(kind);
-}
-
-}  // namespace
-
-int FieldCountOf(uint8_t kind) {
-  switch (KindOf(kind)) {
-    case AggregateKind::kWeightedSum:
-    case AggregateKind::kMin:
-    case AggregateKind::kMax:
-    case AggregateKind::kCount:
-    case AggregateKind::kCountAbove:
-      return 1;
-    case AggregateKind::kWeightedAverage:
-    case AggregateKind::kArgMax:
-      return 2;
-    case AggregateKind::kWeightedStdDev:
-      return 3;
-  }
-  return 1;
-}
-
-PartialRecord PreAggregate(uint8_t kind, float weight, float param,
-                           NodeId source, double value) {
-  switch (KindOf(kind)) {
-    case AggregateKind::kWeightedSum:
-      return PartialRecord{{weight * value, 0.0, 0.0}};
-    case AggregateKind::kWeightedAverage:
-      return PartialRecord{{weight * value, 1.0, 0.0}};
-    case AggregateKind::kWeightedStdDev: {
-      double x = weight * value;
-      return PartialRecord{{x, x * x, 1.0}};
-    }
-    case AggregateKind::kMin:
-    case AggregateKind::kMax:
-      return PartialRecord{{value, 0.0, 0.0}};
-    case AggregateKind::kCount:
-      return PartialRecord{{1.0, 0.0, 0.0}};
-    case AggregateKind::kCountAbove:
-      return PartialRecord{{value > param ? 1.0 : 0.0, 0.0, 0.0}};
-    case AggregateKind::kArgMax:
-      return PartialRecord{{value, static_cast<double>(source), 0.0}};
-  }
-  return PartialRecord{};
-}
-
-PartialRecord Merge(uint8_t kind, const PartialRecord& a,
-                    const PartialRecord& b) {
-  switch (KindOf(kind)) {
-    case AggregateKind::kWeightedSum:
-    case AggregateKind::kWeightedAverage:
-    case AggregateKind::kWeightedStdDev:
-    case AggregateKind::kCount:
-    case AggregateKind::kCountAbove:
-      return AddFields(a, b);
-    case AggregateKind::kMin:
-      return PartialRecord{{std::min(a.fields[0], b.fields[0]), 0.0, 0.0}};
-    case AggregateKind::kMax:
-      return PartialRecord{{std::max(a.fields[0], b.fields[0]), 0.0, 0.0}};
-    case AggregateKind::kArgMax:
-      if (a.fields[0] != b.fields[0]) {
-        return a.fields[0] > b.fields[0] ? a : b;
-      }
-      return a.fields[1] <= b.fields[1] ? a : b;
-  }
-  return a;
-}
-
-double Evaluate(uint8_t kind, const PartialRecord& record) {
-  switch (KindOf(kind)) {
-    case AggregateKind::kWeightedSum:
-    case AggregateKind::kMin:
-    case AggregateKind::kMax:
-    case AggregateKind::kCount:
-    case AggregateKind::kCountAbove:
-      return record.fields[0];
-    case AggregateKind::kWeightedAverage:
-      M2M_CHECK_GT(record.fields[1], 0.0);
-      return record.fields[0] / record.fields[1];
-    case AggregateKind::kWeightedStdDev: {
-      M2M_CHECK_GT(record.fields[2], 0.0);
-      double n = record.fields[2];
-      double mean = record.fields[0] / n;
-      return std::sqrt(std::max(record.fields[1] / n - mean * mean, 0.0));
-    }
-    case AggregateKind::kArgMax:
-      return record.fields[1];
-  }
-  return 0.0;
-}
 
 void AssignSingleSource(NodeId source, SourceSummary& summary) {
   summary.count = 1;
@@ -114,7 +16,7 @@ void AssignSingleSource(NodeId source, SourceSummary& summary) {
   summary.sources.assign(1, source);
 }
 
-void MergeSummaryInPlace(SourceSummary& into, const SourceSummary& from) {
+void UnionSummaryInPlace(SourceSummary& into, const SourceSummary& from) {
   if (into.exact_known && from.exact_known) {
     // Both sides hold at most kCoverageExactThreshold sorted ids, so an
     // in-place sort of the concatenation is the cheap set union.

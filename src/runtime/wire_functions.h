@@ -6,33 +6,16 @@
 #include <utility>
 #include <vector>
 
-#include "agg/partial_record.h"
 #include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/ids.h"
 
 namespace m2m::wire {
 
-/// Operational forms of the aggregation functions, keyed by the kind byte
-/// serialized in the node-state images (static_cast of AggregateKind).
-/// These are what an installed mote executes; differential tests pin them
-/// to the AggregateFunction implementations.
-
-/// Number of meaningful PartialRecord fields for the kind (determines the
-/// packet encoding of a partial unit).
-int FieldCountOf(uint8_t kind);
-
-/// w_{d,s}: raw reading -> partial record, given the serialized weight and
-/// kind parameter.
-PartialRecord PreAggregate(uint8_t kind, float weight, float param,
-                           NodeId source, double value);
-
-/// m_d: merge two partial records of this kind.
-PartialRecord Merge(uint8_t kind, const PartialRecord& a,
-                    const PartialRecord& b);
-
-/// e_d: final value from a fully merged record.
-double Evaluate(uint8_t kind, const PartialRecord& record);
+/// The runtime's wire formats: link-layer framing, coverage summaries and
+/// the self-healing control messages. A mote runs the aggregation algebra
+/// itself through agg::PreAggregate / Merge / Evaluate
+/// (agg/aggregate_function.h), keyed by the kind its decoded image carries.
 
 // --- Link-layer framing (CRC32) ---
 //
@@ -91,7 +74,7 @@ void AssignSingleSource(NodeId source, SourceSummary& summary);
 /// computed set-wise so a duplicate contributor can never double-count.
 /// Collapses to (count, xor-fold) once the union exceeds
 /// kCoverageExactThreshold or either side is already inexact.
-void MergeSummaryInPlace(SourceSummary& into, const SourceSummary& from);
+void UnionSummaryInPlace(SourceSummary& into, const SourceSummary& from);
 
 /// Wire format: varint((count << 1) | exact_known), varint(xor_fold),
 /// then `count` varint source ids (sorted) when exact_known.

@@ -24,6 +24,14 @@ constexpr int64_t kUnreachableWeight = std::numeric_limits<int64_t>::max();
 constexpr int kResendAfterRounds = 3;
 static_assert(kResendAfterRounds >= 1);
 
+/// Transmission attempts per control-message hop per round. A control
+/// message (suspicion report, plan image, epoch bump, install ack) advances
+/// as many hops as deliver within a round and stalls at the first hop that
+/// exhausts its attempts, resuming next round. Each message owns 16 attempt
+/// indices per hop (AdvanceControlPlane), so the attempts must fit them.
+constexpr int kControlHopAttempts = 8;
+static_assert(kControlHopAttempts >= 1 && kControlHopAttempts <= 16);
+
 /// Penalty for ResidualEnergyLinkCost on battery-aware replans: how hard
 /// routes avoid depleted relays. With full batteries everywhere the cost is
 /// exactly 1.0 — identical paths to the legacy hop-count metric.
@@ -58,14 +66,11 @@ SelfHealingRuntime::SelfHealingRuntime(const Topology& topology,
       control_paths_(topology),
       generation_(control_paths_, workload.tasks, workload.functions,
                   /*plan_epoch=*/0),
-      network_(generation_.compiled(), workload.functions),
+      network_(generation_.compiled(), generation_.images()),
       detector_(topology, options.detector),
       ledger_(&topology, base_station),
       deployment_paths_(control_paths_) {
   M2M_CHECK(base_ >= 0 && base_ < topology.node_count());
-  M2M_CHECK(options_.control_hop_attempts >= 1 &&
-            options_.control_hop_attempts <= 16)
-      << "control_hop_attempts must fit the per-hop attempt namespace";
   ledger_.set_partition_aware(options_.partition_aware);
   epoch_opened_round_[0] = -1;
   if (options_.energy.battery_aware) {
@@ -440,7 +445,7 @@ void SelfHealingRuntime::AdvanceControlPlane(int round,
       }
       attempt_base += (in_flight_[i].seq % 60) * 16;
       bool crossed = false;
-      for (int k = 1; k <= options_.control_hop_attempts; ++k) {
+      for (int k = 1; k <= kControlHopAttempts; ++k) {
         result.control_hop_attempts += 1;
         if (physical.attempt_delivers(holder, next, attempt_base + k)) {
           crossed = true;

@@ -58,11 +58,6 @@ struct SelfHealingOptions {
   DetectorOptions detector;
   /// Data-plane ack/retry policy (RunRoundLossy).
   RetryPolicy retry;
-  /// Transmission attempts per control-message hop per round. A control
-  /// message (suspicion report, plan image, epoch bump, install ack)
-  /// advances as many hops as deliver within a round and stalls at the
-  /// first hop that exhausts its attempts, resuming next round.
-  int control_hop_attempts = 8;
   /// Partition tolerance for mobile deployments. When on, the ledger
   /// classifies unreachable regions by component analysis (alive island vs
   /// dead node, see SuspicionLedger), the per-round result carries a

@@ -94,19 +94,6 @@ TEST(DisseminationTest, PacketizationRoundsUp) {
   EXPECT_GT(cost.energy_mj, 0.0);
 }
 
-TEST(SystemTest, ValidateConsistencyFlagCanBeDisabled) {
-  Topology topo = MakeGreatDuckIslandLike();
-  WorkloadSpec spec;
-  spec.destination_count = 4;
-  spec.sources_per_destination = 4;
-  spec.seed = 802;
-  Workload wl = GenerateWorkload(topo, spec);
-  SystemOptions options;
-  options.validate_consistency = false;
-  System system(topo, wl, options);  // Still builds a valid plan.
-  EXPECT_TRUE(ValidatePlanConsistency(system.plan()));
-}
-
 TEST(BaseStationTest, SelfSufficientWorkloadHasNoDownlinkForBaseTask) {
   // A task whose destination is the base station itself contributes no
   // downlink traffic.

@@ -68,8 +68,7 @@ TEST(SerializationTest, RoundtripPreservesTables) {
           env.workload.functions.Get(original.preagg_table[i].destination);
       EXPECT_NEAR(decoded.preagg_meta[i].weight,
                   fn.WeightFor(original.preagg_table[i].source), 1e-6);
-      EXPECT_EQ(decoded.preagg_meta[i].kind,
-                static_cast<uint8_t>(fn.kind()));
+      EXPECT_EQ(decoded.preagg_meta[i].kind, fn.kind());
     }
     for (size_t i = 0; i < original.partial_table.size(); ++i) {
       EXPECT_EQ(decoded.state.partial_table[i].destination,
@@ -145,6 +144,21 @@ TEST(SerializationFuzzTest, EveryTruncationIsRejected) {
   }
 }
 
+/// True iff `kind` (a decoded kind, as an integer) names an AggregateKind.
+bool IsKnownKind(int kind) {
+  return kind >= 0 && kind <= static_cast<int>(AggregateKind::kArgMax);
+}
+
+/// Every kind an accepted image carries is one a mote can execute.
+void ExpectKnownKinds(const DecodedNodeState& decoded) {
+  for (const DecodedPreAggMeta& meta : decoded.preagg_meta) {
+    EXPECT_TRUE(IsKnownKind(static_cast<int>(meta.kind)));
+  }
+  for (auto kind : decoded.partial_kinds) {
+    EXPECT_TRUE(IsKnownKind(static_cast<int>(kind)));
+  }
+}
+
 TEST(SerializationFuzzTest, SingleByteCorruptionNeverCrashes) {
   Env env(72);
   Rng rng(404);
@@ -173,6 +187,7 @@ TEST(SerializationFuzzTest, SingleByteCorruptionNeverCrashes) {
           ASSERT_LT(entry.message_id, outgoing);
           ASSERT_GE(entry.expected_contributions, 1);
         }
+        ExpectKnownKinds(*decoded);
       } else {
         ++rejected;
       }
@@ -204,8 +219,31 @@ TEST(SerializationFuzzTest, RandomGarbageNeverCrashes) {
         ASSERT_GE(entry.expected_contributions, 1);
         ASSERT_LT(entry.message_id, outgoing);
       }
+      ExpectKnownKinds(*decoded);
     }
   }
+}
+
+TEST(SerializationFuzzTest, UnknownFunctionKindIsRejected) {
+  // One pre-aggregation entry (source 1 -> destination 2, weight 1.0f,
+  // parameter 0) and one partial entry consumed at its destination, with
+  // the given kind bytes. A kind past kArgMax would abort the mote in the
+  // middle of a round, so the image must not decode at all.
+  auto image = [](uint8_t preagg_kind, uint8_t partial_kind) {
+    return std::vector<uint8_t>{
+        0x00, 0x00,                                      // epoch, raw_count
+        0x01, 0x01, 0x02, preagg_kind,                   // preagg entry
+        0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0x00,  // weight, param
+        0x01, 0x02, 0x01, 0x00, partial_kind,            // partial entry
+        0x00, 0x01};                                     // outgoing, is_dest
+  };
+  const uint8_t last = static_cast<uint8_t>(AggregateKind::kArgMax);
+  std::optional<DecodedNodeState> valid = TryDecodeNodeState(image(0, last));
+  ASSERT_TRUE(valid.has_value());
+  EXPECT_EQ(valid->preagg_meta[0].kind, AggregateKind::kWeightedSum);
+  EXPECT_EQ(valid->partial_kinds[0], AggregateKind::kArgMax);
+  EXPECT_FALSE(TryDecodeNodeState(image(99, 0)).has_value());
+  EXPECT_FALSE(TryDecodeNodeState(image(0, last + 1)).has_value());
 }
 
 TEST(SerializationFuzzTest, CountPrefixBeyondBufferIsRejected) {
