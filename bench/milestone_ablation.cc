@@ -44,10 +44,10 @@ MilestoneNumbers Measure(const Topology& topology, const Workload& workload,
   double energy = 0.0;
   const int rounds = 40;
   for (int round = 0; round < rounds; ++round) {
-    LinkOutcome links = LinkOutcome::Sample(topology, stability, rng);
     FailureRoundResult result = RunRoundWithFailures(
-        system.compiled(), workload.functions, topology, links,
-        EnergyModel{}, redundancy);
+        system.compiled(), workload.functions,
+        SampleLinkFailures(topology, stability, rng), EnergyModel{},
+        redundancy);
     complete += result.destinations_complete;
     total += result.destinations_total;
     contributions += result.contributions_delivered;

@@ -59,9 +59,9 @@ int main() {
     int64_t complete = 0;
     int64_t total = 0;
     for (int round = 0; round < 40; ++round) {
-      LinkOutcome links = LinkOutcome::Sample(topology, stability, rng);
       FailureRoundResult result = RunRoundWithFailures(
-          compiled, workload.functions, topology, links, EnergyModel{});
+          compiled, workload.functions,
+          SampleLinkFailures(topology, stability, rng), EnergyModel{});
       complete += result.contributions_delivered;
       total += result.contributions_total;
     }

@@ -86,13 +86,11 @@ int main() {
   int64_t total = 0;
   const int rounds = 25;
   for (int round = 0; round < rounds; ++round) {
-    LinkOutcome links = LinkOutcome::Sample(topology, stability, failures);
-    FailureRoundResult p =
-        RunRoundWithFailures(pinned_system.compiled(), workload.functions,
-                             topology, links, EnergyModel{});
-    FailureRoundResult f =
-        RunRoundWithFailures(flexible_system.compiled(), workload.functions,
-                             topology, links, EnergyModel{});
+    Topology live = SampleLinkFailures(topology, stability, failures);
+    FailureRoundResult p = RunRoundWithFailures(
+        pinned_system.compiled(), workload.functions, live, EnergyModel{});
+    FailureRoundResult f = RunRoundWithFailures(
+        flexible_system.compiled(), workload.functions, live, EnergyModel{});
     pinned_ok += p.destinations_complete;
     flexible_ok += f.destinations_complete;
     total += p.destinations_total;

@@ -115,8 +115,8 @@ int main() {
       round_messages.Add(static_cast<double>(round.messages));
 
       FailureRoundResult failure = RunRoundWithFailures(
-          lifecycle.compiled(), lifecycle.workload().functions, topology,
-          LinkOutcome::Sample(topology, stability, rng), EnergyModel{});
+          lifecycle.compiled(), lifecycle.workload().functions,
+          SampleLinkFailures(topology, stability, rng), EnergyModel{});
       if (failure.contributions_total > 0) {
         delivery_pct.Add(
             100.0 * static_cast<double>(failure.contributions_delivered) /

@@ -7,16 +7,6 @@
 
 namespace m2m {
 
-namespace {
-
-uint64_t LinkKey(NodeId a, NodeId b) {
-  NodeId lo = std::min(a, b);
-  NodeId hi = std::max(a, b);
-  return (static_cast<uint64_t>(lo) << 32) | static_cast<uint32_t>(hi);
-}
-
-}  // namespace
-
 LinkStabilityModel::LinkStabilityModel(const Topology& topology,
                                        uint64_t seed) {
   const double range = topology.radio_range_m();
@@ -28,16 +18,16 @@ LinkStabilityModel::LinkStabilityModel(const Topology& topology,
       // Transient failures are occasional: close links ~0.99, links at the
       // edge of the radio range ~0.75, plus +-0.05 jitter.
       double base = 0.995 - 0.25 * frac;
-      uint64_t h = SplitMix64(seed ^ LinkKey(a, b));
+      uint64_t h = SplitMix64(seed ^ PackLink(a, b));
       double jitter =
           (static_cast<double>(h >> 11) * 0x1.0p-53 - 0.5) * 0.1;
-      stability_[LinkKey(a, b)] = std::clamp(base + jitter, 0.5, 0.999);
+      stability_[PackLink(a, b)] = std::clamp(base + jitter, 0.5, 0.999);
     }
   }
 }
 
 double LinkStabilityModel::stability(NodeId a, NodeId b) const {
-  auto it = stability_.find(LinkKey(a, b));
+  auto it = stability_.find(PackLink(a, b));
   M2M_CHECK(it != stability_.end())
       << "no link between " << a << " and " << b;
   return it->second;

@@ -6,7 +6,6 @@
 
 #include "agg/partial_record.h"
 #include "common/check.h"
-#include "runtime/partition.h"
 
 namespace m2m {
 
@@ -116,7 +115,8 @@ void SuspicionLedger::Recompute() {
   // Component analysis of the belief graph (deployment minus the believed
   // links). Legacy mode: everything the base station can no longer reach
   // must be dead (survivors stay connected by the deployment invariant).
-  ComponentMap components = BuildComponents(*topology_, links_, {});
+  ComponentMap components =
+      BuildComponents(Topology::WithFailures(*topology_, links_, {}));
   const int base_component = components.ComponentOf(base_);
   if (!partition_aware_) {
     for (NodeId n = 0; n < topology_->node_count(); ++n) {

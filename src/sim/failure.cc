@@ -9,26 +9,19 @@ namespace m2m {
 
 namespace {
 
-uint64_t LinkKey(NodeId a, NodeId b) {
-  NodeId lo = std::min(a, b);
-  NodeId hi = std::max(a, b);
-  return (static_cast<uint64_t>(lo) << 32) | static_cast<uint32_t>(hi);
-}
-
 // BFS over live links; returns the path a..b inclusive, or empty if
 // disconnected.
-std::vector<NodeId> LivePath(const Topology& topology,
-                             const LinkOutcome& links, NodeId a, NodeId b) {
+std::vector<NodeId> LivePath(const Topology& live, NodeId a, NodeId b) {
   if (a == b) return {a};
-  std::vector<NodeId> parent(topology.node_count(), kInvalidNode);
+  std::vector<NodeId> parent(live.node_count(), kInvalidNode);
   std::queue<NodeId> frontier;
   parent[a] = a;
   frontier.push(a);
   while (!frontier.empty()) {
     NodeId u = frontier.front();
     frontier.pop();
-    for (NodeId v : topology.neighbors(u)) {
-      if (parent[v] != kInvalidNode || !links.IsUp(u, v)) continue;
+    for (NodeId v : live.neighbors(u)) {
+      if (parent[v] != kInvalidNode) continue;
       parent[v] = u;
       if (v == b) {
         std::vector<NodeId> path;
@@ -47,60 +40,21 @@ std::vector<NodeId> LivePath(const Topology& topology,
 
 }  // namespace
 
-LinkOutcome LinkOutcome::Sample(const Topology& topology,
-                                const LinkStabilityModel& model, Rng& rng) {
-  LinkOutcome outcome;
+Topology SampleLinkFailures(const Topology& topology,
+                            const LinkStabilityModel& model, Rng& rng) {
+  std::vector<std::pair<NodeId, NodeId>> down;
   for (NodeId a = 0; a < topology.node_count(); ++a) {
     for (NodeId b : topology.neighbors(a)) {
       if (b < a) continue;
-      if (rng.Bernoulli(model.stability(a, b))) {
-        outcome.up_.insert(LinkKey(a, b));
-      }
+      if (!rng.Bernoulli(model.stability(a, b))) down.emplace_back(a, b);
     }
   }
-  return outcome;
-}
-
-LinkOutcome LinkOutcome::AllUp(const Topology& topology) {
-  LinkOutcome outcome;
-  for (NodeId a = 0; a < topology.node_count(); ++a) {
-    for (NodeId b : topology.neighbors(a)) {
-      if (b < a) continue;
-      outcome.up_.insert(LinkKey(a, b));
-    }
-  }
-  return outcome;
-}
-
-bool LinkOutcome::IsUp(NodeId a, NodeId b) const {
-  return up_.contains(LinkKey(a, b));
-}
-
-void LinkOutcome::TakeDown(NodeId a, NodeId b) {
-  up_.erase(LinkKey(a, b));
-}
-
-void LinkOutcome::TakeDownNode(const Topology& topology, NodeId node) {
-  for (NodeId neighbor : topology.neighbors(node)) {
-    TakeDown(node, neighbor);
-  }
-}
-
-std::vector<std::pair<NodeId, NodeId>> LinkOutcome::AliveLinks() const {
-  std::vector<std::pair<NodeId, NodeId>> links;
-  links.reserve(up_.size());
-  for (uint64_t key : up_) {
-    links.emplace_back(static_cast<NodeId>(key >> 32),
-                       static_cast<NodeId>(key & 0xffffffffull));
-  }
-  std::sort(links.begin(), links.end());
-  return links;
+  return Topology::WithFailures(topology, down, {});
 }
 
 FailureRoundResult RunRoundWithFailures(const CompiledPlan& compiled,
                                         const FunctionSet& functions,
-                                        const Topology& topology,
-                                        const LinkOutcome& links,
+                                        const Topology& live,
                                         const EnergyModel& energy,
                                         const RedundancyOptions& redundancy) {
   const GlobalPlan& plan = compiled.plan();
@@ -116,15 +70,12 @@ FailureRoundResult RunRoundWithFailures(const CompiledPlan& compiled,
     if (edge.segment.size() == 2) {
       // Physical one-hop edge: pinned, no rerouting possible — unless a
       // backup relay is installed and its two links are up.
-      edge_delivered[e] = links.IsUp(edge.edge.tail, edge.edge.head);
+      edge_delivered[e] = live.AreNeighbors(edge.edge.tail, edge.edge.head);
       edge_live_hops[e] = 1;
       if (!edge_delivered[e] && redundancy.backup_relay) {
-        // Deterministic backup: the smallest-id common neighbor.
-        for (NodeId k : topology.neighbors(edge.edge.tail)) {
-          if (k == edge.edge.head) continue;
-          if (topology.AreNeighbors(k, edge.edge.head) &&
-              links.IsUp(edge.edge.tail, k) &&
-              links.IsUp(k, edge.edge.head)) {
+        // Deterministic backup: the smallest-id common live neighbor.
+        for (NodeId k : live.neighbors(edge.edge.tail)) {
+          if (live.AreNeighbors(k, edge.edge.head)) {
             edge_delivered[e] = true;
             edge_live_hops[e] = 2;
             break;
@@ -133,7 +84,7 @@ FailureRoundResult RunRoundWithFailures(const CompiledPlan& compiled,
       }
     } else {
       std::vector<NodeId> path =
-          LivePath(topology, links, edge.edge.tail, edge.edge.head);
+          LivePath(live, edge.edge.tail, edge.edge.head);
       edge_delivered[e] = !path.empty();
       edge_live_hops[e] =
           path.empty() ? 1 : static_cast<int>(path.size()) - 1;

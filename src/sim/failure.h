@@ -2,9 +2,6 @@
 #define M2M_SIM_FAILURE_H_
 
 #include <cstdint>
-#include <unordered_set>
-#include <utility>
-#include <vector>
 
 #include "common/rng.h"
 #include "plan/node_tables.h"
@@ -14,31 +11,12 @@
 
 namespace m2m {
 
-/// The set of links that are up in one round. Keys are packed (lo, hi) node
-/// pairs.
-class LinkOutcome {
- public:
-  /// Samples each link independently up with its stability probability.
-  static LinkOutcome Sample(const Topology& topology,
+/// The live topology of one round: each link of `topology` is up
+/// independently with its stability probability, drawn in (a < b,
+/// adjacency) order. Down links are masked out with Topology::WithFailures,
+/// the one representation of a degraded graph.
+Topology SampleLinkFailures(const Topology& topology,
                             const LinkStabilityModel& model, Rng& rng);
-  /// All links up.
-  static LinkOutcome AllUp(const Topology& topology);
-
-  bool IsUp(NodeId a, NodeId b) const;
-  /// Forces one link down (test helper).
-  void TakeDown(NodeId a, NodeId b);
-  /// Takes down every link incident to `node` in `topology` — the link-set
-  /// view of a node death, consistent with Topology::WithFailures' masking
-  /// (a dead node stays present but isolated).
-  void TakeDownNode(const Topology& topology, NodeId node);
-
-  /// The up links as sorted undirected (lo, hi) pairs — comparable against
-  /// a failure-masked Topology's link set.
-  std::vector<std::pair<NodeId, NodeId>> AliveLinks() const;
-
- private:
-  std::unordered_set<uint64_t> up_;
-};
 
 /// Outcome of one round executed under transient link failures (paper
 /// section 3: milestones let the communication layer route around failed
@@ -67,7 +45,8 @@ struct RedundancyOptions {
   bool backup_relay = false;
 };
 
-/// Simulates one round of `compiled` under the given link outcome. For each
+/// Simulates one round of `compiled` over `live`, the planned topology
+/// with this round's failed links masked out. For each
 /// forest (virtual) edge, the communication layer may use any path of live
 /// links between the edge's endpoints — this is exactly the flexibility
 /// milestones buy; with an all-nodes milestone plan every segment is one
@@ -78,8 +57,7 @@ struct RedundancyOptions {
 /// edge on every of its routes delivered.
 FailureRoundResult RunRoundWithFailures(const CompiledPlan& compiled,
                                         const FunctionSet& functions,
-                                        const Topology& topology,
-                                        const LinkOutcome& links,
+                                        const Topology& live,
                                         const EnergyModel& energy,
                                         const RedundancyOptions& redundancy =
                                             {});

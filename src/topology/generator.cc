@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
-#include <unordered_map>
 
 #include "common/check.h"
 
@@ -11,118 +9,29 @@ namespace m2m {
 
 namespace {
 
-// Radio-range-sized grid over node positions: every in-range pair sits in
-// adjacent (3x3) cells, so proximity scans cost O(local density) per node
-// instead of O(n). Mirrors the bucketing in Topology's constructor.
-class CellGrid {
- public:
-  CellGrid(const std::vector<Point>& positions, double range_m)
-      : positions_(positions), range_m_(range_m) {
-    min_x_ = positions[0].x;
-    min_y_ = positions[0].y;
-    for (const Point& p : positions) {
-      min_x_ = std::min(min_x_, p.x);
-      min_y_ = std::min(min_y_, p.y);
-    }
-    buckets_.reserve(positions.size());
-    for (int i = 0; i < static_cast<int>(positions.size()); ++i) {
-      auto [cx, cy] = CellOf(positions[i]);
-      buckets_[Key(cx, cy)].push_back(i);
-    }
-  }
-
-  // Invokes fn(v) for every node v in the 3x3 cell neighborhood of `p`
-  // (a superset of the nodes within range of p; callers distance-check).
-  template <typename Fn>
-  void ForNeighborhood(const Point& p, Fn&& fn) const {
-    auto [cx, cy] = CellOf(p);
-    for (int64_t dx = -1; dx <= 1; ++dx) {
-      for (int64_t dy = -1; dy <= 1; ++dy) {
-        auto it = buckets_.find(Key(cx + dx, cy + dy));
-        if (it == buckets_.end()) continue;
-        for (int v : it->second) fn(v);
-      }
-    }
-  }
-
- private:
-  static int64_t Key(int64_t cx, int64_t cy) {
-    return (cx << 32) ^ static_cast<uint32_t>(cy);
-  }
-  std::pair<int64_t, int64_t> CellOf(const Point& p) const {
-    return {static_cast<int64_t>((p.x - min_x_) / range_m_),
-            static_cast<int64_t>((p.y - min_y_) / range_m_)};
-  }
-
-  const std::vector<Point>& positions_;
-  double range_m_;
-  double min_x_ = 0.0;
-  double min_y_ = 0.0;
-  std::unordered_map<int64_t, std::vector<int>> buckets_;
-};
-
-// Labels connected components of the disk graph over `positions`; returns
-// component id per node and stores the size of the largest component.
-// Component membership and ids are order-independent facts of the graph
-// (starts scan ascending node ids), so the cell-grid traversal labels
-// exactly as the all-pairs version did.
-std::vector<int> ComponentsOf(const std::vector<Point>& positions,
-                              double range_m, int* largest_component) {
-  const int n = static_cast<int>(positions.size());
-  const double range_sq = range_m * range_m;
-  const CellGrid grid(positions, range_m);
-  std::vector<int> component(n, -1);
-  int next_component = 0;
-  int best_size = 0;
-  int best_id = -1;
-  for (int start = 0; start < n; ++start) {
-    if (component[start] >= 0) continue;
-    int size = 0;
-    std::queue<int> frontier;
-    component[start] = next_component;
-    frontier.push(start);
-    while (!frontier.empty()) {
-      int u = frontier.front();
-      frontier.pop();
-      ++size;
-      grid.ForNeighborhood(positions[u], [&](int v) {
-        if (component[v] < 0 &&
-            DistanceSquared(positions[u], positions[v]) <= range_sq) {
-          component[v] = next_component;
-          frontier.push(v);
-        }
-      });
-    }
-    if (size > best_size) {
-      best_size = size;
-      best_id = next_component;
-    }
-    ++next_component;
-  }
-  *largest_component = best_id;
-  return component;
-}
-
-// Moves stranded nodes until the disk graph is connected: repeatedly takes
-// the node outside the largest component that is closest to it and drops the
-// node just inside radio range of its nearest in-component node.
-void RepairConnectivity(std::vector<Point>& positions, double range_m) {
+// Moves stranded nodes until the disk graph is connected, and returns that
+// graph: repeatedly takes the node outside the largest component (the
+// first of maximum size, in lowest-member-id order) that is closest to it
+// and drops the node just inside radio range of its nearest in-component
+// node.
+Topology RepairConnectivity(std::vector<Point> positions, double range_m) {
   const int n = static_cast<int>(positions.size());
   for (int guard = 0; guard < 4 * n; ++guard) {
-    int largest = -1;
-    std::vector<int> component = ComponentsOf(positions, range_m, &largest);
-    bool connected =
-        std::all_of(component.begin(), component.end(),
-                    [largest](int c) { return c == largest; });
-    if (connected) return;
+    Topology topology(std::move(positions), range_m);
+    const ComponentMap components = BuildComponents(topology);
+    if (components.component_count == 1) return topology;
+    const std::vector<int> sizes = components.Sizes();
+    const int largest = static_cast<int>(
+        std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
+    positions = topology.positions();
     // Closest (inside, outside) pair.
     double best_dist_sq = -1.0;
     int best_in = -1;
     int best_out = -1;
     for (int a = 0; a < n; ++a) {
-      if (component[a] != largest) continue;
+      if (components.ComponentOf(a) != largest) continue;
       for (int b = 0; b < n; ++b) {
-        if (component[b] == largest) continue;
+        if (components.ComponentOf(b) == largest) continue;
         double d = DistanceSquared(positions[a], positions[b]);
         if (best_dist_sq < 0.0 || d < best_dist_sq) {
           best_dist_sq = d;
@@ -178,10 +87,7 @@ Topology MakeGreatDuckIslandLike(uint64_t seed) {
     positions.push_back(Point{rng.UniformDouble(0.0, area.width),
                               rng.UniformDouble(0.0, area.height)});
   }
-  RepairConnectivity(positions, kDefaultRadioRangeM);
-  Topology topo(std::move(positions), kDefaultRadioRangeM);
-  M2M_CHECK(topo.IsConnected());
-  return topo;
+  return RepairConnectivity(std::move(positions), kDefaultRadioRangeM);
 }
 
 Topology MakeUniformRandom(int count, Area area, double radio_range_m,
@@ -194,10 +100,7 @@ Topology MakeUniformRandom(int count, Area area, double radio_range_m,
     positions.push_back(Point{rng.UniformDouble(0.0, area.width),
                               rng.UniformDouble(0.0, area.height)});
   }
-  RepairConnectivity(positions, radio_range_m);
-  Topology topo(std::move(positions), radio_range_m);
-  M2M_CHECK(topo.IsConnected());
-  return topo;
+  return RepairConnectivity(std::move(positions), radio_range_m);
 }
 
 Topology MakeGrid(int cols, int rows, double spacing_m,
@@ -234,10 +137,7 @@ Topology MakeClustered(int count, int cluster_count, Area area,
             c.y + rng.Gaussian() * cluster_stddev_m};
     positions.push_back(area.Clamp(p));
   }
-  RepairConnectivity(positions, radio_range_m);
-  Topology topo(std::move(positions), radio_range_m);
-  M2M_CHECK(topo.IsConnected());
-  return topo;
+  return RepairConnectivity(std::move(positions), radio_range_m);
 }
 
 std::vector<Topology> MakeScalingSeries(const std::vector<int>& node_counts,

@@ -11,15 +11,6 @@ namespace m2m {
 
 namespace {
 
-// Same 21-bit id packing as the fault schedule's link keys.
-constexpr int kIdBits = 21;
-
-uint64_t LinkKey(NodeId a, NodeId b) {
-  NodeId lo = std::min(a, b);
-  NodeId hi = std::max(a, b);
-  return (static_cast<uint64_t>(lo) << kIdBits) | static_cast<uint64_t>(hi);
-}
-
 // Dedicated stream label: mobility draws must never share a stream with
 // fault schedules (seed ^ 0xfa017) or any other seeded component.
 constexpr uint64_t kMobilityStream = 0x6d0b113700ULL;
@@ -188,9 +179,9 @@ void MobilityTrace::IndexLinkStates(const Topology& topology) {
     const std::vector<Point>& at = positions_[round];
     for (const auto& [a, b] : links) {
       const bool up = DistanceSquared(at[a], at[b]) <= range_sq;
-      if (!up) down.insert(LinkKey(a, b));
+      if (!up) down.insert(PackLink(a, b));
       if (round == 0) continue;
-      const bool was_up = !down_[round - 1].contains(LinkKey(a, b));
+      const bool was_up = !down_[round - 1].contains(PackLink(a, b));
       if (up == was_up) continue;
       events_.push_back(
           LinkEvent{static_cast<int>(round), std::min(a, b),
@@ -212,7 +203,7 @@ const std::vector<Point>& MobilityTrace::PositionsAt(int round) const {
 
 bool MobilityTrace::LinkUpAt(int round, NodeId a, NodeId b) const {
   const int clamped = std::clamp(round, 0, rounds());
-  return !down_[static_cast<size_t>(clamped)].contains(LinkKey(a, b));
+  return !down_[static_cast<size_t>(clamped)].contains(PackLink(a, b));
 }
 
 std::vector<std::pair<NodeId, NodeId>> MobilityTrace::DownLinksAt(
@@ -221,8 +212,8 @@ std::vector<std::pair<NodeId, NodeId>> MobilityTrace::DownLinksAt(
   std::vector<std::pair<NodeId, NodeId>> out;
   out.reserve(down_[static_cast<size_t>(clamped)].size());
   for (uint64_t key : down_[static_cast<size_t>(clamped)]) {
-    out.emplace_back(static_cast<NodeId>(key >> 21),
-                     static_cast<NodeId>(key & ((1u << 21) - 1)));
+    out.emplace_back(static_cast<NodeId>(key >> 32),
+                     static_cast<NodeId>(key & 0xffffffffu));
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -149,9 +149,8 @@ TEST(FailureHandlingTest, AllLinksUpDeliversEverything) {
   spec.seed = 500;
   Workload wl = GenerateWorkload(topo, spec);
   System system(topo, wl);
-  LinkOutcome all_up = LinkOutcome::AllUp(topo);
   FailureRoundResult result = RunRoundWithFailures(
-      system.compiled(), wl.functions, topo, all_up, EnergyModel{});
+      system.compiled(), wl.functions, topo, EnergyModel{});
   EXPECT_EQ(result.messages_delivered, result.messages_attempted);
   EXPECT_EQ(result.destinations_complete, result.destinations_total);
 }
@@ -175,14 +174,13 @@ TEST(FailureHandlingTest, MilestoneRoutingSurvivesLinkFailuresBetter) {
   int64_t pinned_complete = 0;
   int64_t flexible_complete = 0;
   for (int round = 0; round < 30; ++round) {
-    LinkOutcome links = LinkOutcome::Sample(topo, stability, rng);
+    Topology live = SampleLinkFailures(topo, stability, rng);
     pinned_complete += RunRoundWithFailures(pinned.compiled(), wl.functions,
-                                            topo, links, EnergyModel{})
+                                            live, EnergyModel{})
                            .destinations_complete;
-    flexible_complete +=
-        RunRoundWithFailures(flexible.compiled(), wl.functions, topo, links,
-                             EnergyModel{})
-            .destinations_complete;
+    flexible_complete += RunRoundWithFailures(flexible.compiled(),
+                                              wl.functions, live, EnergyModel{})
+                             .destinations_complete;
   }
   // Routing flexibility between milestones must improve delivery.
   EXPECT_GT(flexible_complete, pinned_complete);
@@ -205,8 +203,8 @@ TEST(FailureHandlingTest, SampledLinkFailuresRecordDeliveryShare) {
   int64_t total = 0;
   for (int round = 0; round < 10; ++round) {
     FailureRoundResult result = RunRoundWithFailures(
-        system.compiled(), wl.functions, topo,
-        LinkOutcome::Sample(topo, stability, rng), EnergyModel{});
+        system.compiled(), wl.functions,
+        SampleLinkFailures(topo, stability, rng), EnergyModel{});
     EXPECT_GT(result.contributions_total, 0);
     EXPECT_LE(result.contributions_delivered, result.contributions_total);
     delivered += result.contributions_delivered;
@@ -226,10 +224,10 @@ TEST(FailureHandlingTest, SingleDownLinkOnlyBreaksAffectedRoutes) {
   System system(topo, wl);
   // Kill the first forest edge's physical link.
   const ForestEdge& victim = system.forest().edges()[0];
-  LinkOutcome links = LinkOutcome::AllUp(topo);
-  links.TakeDown(victim.segment[0], victim.segment[1]);
+  Topology live = Topology::WithFailures(
+      topo, {{victim.segment[0], victim.segment[1]}}, {});
   FailureRoundResult result = RunRoundWithFailures(
-      system.compiled(), wl.functions, topo, links, EnergyModel{});
+      system.compiled(), wl.functions, live, EnergyModel{});
   EXPECT_LT(result.messages_delivered, result.messages_attempted);
   EXPECT_GT(result.destinations_complete, 0);
 }
@@ -250,12 +248,11 @@ TEST(FailureHandlingTest, BackupRelayImprovesDelivery) {
   RedundancyOptions with_backup;
   with_backup.backup_relay = true;
   for (int round = 0; round < 30; ++round) {
-    LinkOutcome links = LinkOutcome::Sample(topo, stability, rng);
+    Topology live = SampleLinkFailures(topo, stability, rng);
     FailureRoundResult base = RunRoundWithFailures(
-        system.compiled(), wl.functions, topo, links, EnergyModel{});
+        system.compiled(), wl.functions, live, EnergyModel{});
     FailureRoundResult backed = RunRoundWithFailures(
-        system.compiled(), wl.functions, topo, links, EnergyModel{},
-        with_backup);
+        system.compiled(), wl.functions, live, EnergyModel{}, with_backup);
     plain += base.contributions_delivered;
     redundant += backed.contributions_delivered;
     total += base.contributions_total;
@@ -288,15 +285,14 @@ TEST(FailureHandlingTest, BackupRelaySavesSpecificDownLink) {
     if (victim != nullptr) break;
   }
   ASSERT_NE(victim, nullptr);
-  LinkOutcome links = LinkOutcome::AllUp(topo);
-  links.TakeDown(victim->edge.tail, victim->edge.head);
+  Topology live = Topology::WithFailures(
+      topo, {{victim->edge.tail, victim->edge.head}}, {});
   FailureRoundResult plain = RunRoundWithFailures(
-      system.compiled(), wl.functions, topo, links, EnergyModel{});
+      system.compiled(), wl.functions, live, EnergyModel{});
   RedundancyOptions with_backup;
   with_backup.backup_relay = true;
   FailureRoundResult backed = RunRoundWithFailures(
-      system.compiled(), wl.functions, topo, links, EnergyModel{},
-      with_backup);
+      system.compiled(), wl.functions, live, EnergyModel{}, with_backup);
   EXPECT_LT(plain.messages_delivered, plain.messages_attempted);
   EXPECT_EQ(backed.messages_delivered, backed.messages_attempted);
   EXPECT_EQ(backed.destinations_complete, backed.destinations_total);

@@ -34,7 +34,6 @@
 #include "runtime/channel.h"
 #include "runtime/detector.h"
 #include "runtime/network.h"
-#include "runtime/partition.h"
 #include "sim/base_station.h"
 #include "sim/executor.h"
 #include "sim/fault_schedule.h"
@@ -167,15 +166,16 @@ TEST(ComponentMapTest, LabelsComponentsAndDeadNodes) {
   EXPECT_EQ(whole.component_count, 1);
   EXPECT_TRUE(whole.SameComponent(0, 5));
 
-  ComponentMap split = BuildComponents(topology, {{2, 3}}, {5});
-  EXPECT_EQ(split.component_count, 2);
+  ComponentMap split =
+      BuildComponents(Topology::WithFailures(topology, {{2, 3}}, {5}));
+  EXPECT_EQ(split.component_count, 3);
   EXPECT_TRUE(split.SameComponent(0, 2));
   EXPECT_TRUE(split.SameComponent(3, 4));
   EXPECT_FALSE(split.SameComponent(2, 3));
-  EXPECT_EQ(split.ComponentOf(5), -1);  // Dead.
+  EXPECT_EQ(split.ComponentOf(5), 2);  // Dead: present but isolated.
   EXPECT_EQ(split.Members(0), (std::vector<NodeId>{0, 1, 2}));
   EXPECT_EQ(split.Members(1), (std::vector<NodeId>{3, 4}));
-  EXPECT_EQ(split.Sizes(), (std::vector<int>{3, 2}));
+  EXPECT_EQ(split.Sizes(), (std::vector<int>{3, 2, 1}));
 }
 
 // --- Ledger partition classification --------------------------------------
