@@ -224,6 +224,92 @@ TEST(SerializationFuzzTest, RandomGarbageNeverCrashes) {
   }
 }
 
+// Structured fuzz: uniform garbage rarely decodes to an image with table
+// entries, so this one starts from canonical images of seeded plans (one
+// plan per aggregate kind, nodes with non-empty tables only) and applies
+// multi-byte mutations, truncations and splices of two images. Many of the
+// results still decode, which drives the per-entry checks (kind bytes,
+// message ids, contribution counts) that garbage only reaches by chance.
+TEST(SerializationFuzzTest, MutatedCanonicalImagesKeepInvariants) {
+  std::vector<std::vector<uint8_t>> seeds;
+  for (int kind = 0; kind <= static_cast<int>(AggregateKind::kArgMax);
+       ++kind) {
+    Topology topology = MakeGreatDuckIslandLike();
+    PathSystem paths(topology);
+    WorkloadSpec spec;
+    spec.destination_count = 6;
+    spec.sources_per_destination = 6;
+    spec.kind = static_cast<AggregateKind>(kind);
+    spec.seed = 900 + static_cast<uint64_t>(kind);
+    Workload workload = GenerateWorkload(topology, spec);
+    GlobalPlan plan =
+        BuildPlan(std::make_shared<MulticastForest>(paths, workload.tasks),
+                  workload.functions, {});
+    CompiledPlan compiled = CompiledPlan::Compile(plan, workload.functions);
+    for (NodeId n = 0; n < compiled.node_count(); ++n) {
+      const NodeState& state = compiled.state(n);
+      if (state.preagg_table.empty() && state.partial_table.empty()) continue;
+      seeds.push_back(EncodeNodeState(state, workload.functions));
+    }
+  }
+  ASSERT_GT(seeds.size(), 40u);
+
+  Rng rng(606);
+  const int kTrials = 16384;
+  int accepted = 0, accepted_with_entries = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::vector<uint8_t> image = seeds[rng.UniformInt(seeds.size())];
+    switch (rng.UniformInt(3)) {
+      case 0: {  // Two to eight random byte overwrites.
+        const int edits = 2 + static_cast<int>(rng.UniformInt(7));
+        for (int e = 0; e < edits; ++e) {
+          image[rng.UniformInt(image.size())] =
+              static_cast<uint8_t>(rng.UniformInt(256));
+        }
+        break;
+      }
+      case 1:  // Truncation, then an optional overwrite.
+        image.resize(rng.UniformInt(image.size()));
+        if (!image.empty() && rng.Bernoulli(0.5)) {
+          image[rng.UniformInt(image.size())] =
+              static_cast<uint8_t>(rng.UniformInt(256));
+        }
+        break;
+      default: {  // Splice: a prefix of this image, a suffix of another.
+        const std::vector<uint8_t>& other =
+            seeds[rng.UniformInt(seeds.size())];
+        image.resize(rng.UniformInt(image.size() + 1));
+        image.insert(image.end(),
+                     other.begin() + static_cast<ptrdiff_t>(
+                                         rng.UniformInt(other.size())),
+                     other.end());
+        break;
+      }
+    }
+    std::optional<DecodedNodeState> decoded = TryDecodeNodeState(image);
+    if (!decoded.has_value()) continue;
+    ++accepted;
+    if (!decoded->state.preagg_table.empty() ||
+        !decoded->state.partial_table.empty()) {
+      ++accepted_with_entries;
+    }
+    int outgoing = static_cast<int>(decoded->state.outgoing_table.size());
+    for (const RawTableEntry& entry : decoded->state.raw_table) {
+      ASSERT_GE(entry.message_id, 0);
+      ASSERT_LT(entry.message_id, outgoing);
+    }
+    for (const PartialTableEntry& entry : decoded->state.partial_table) {
+      ASSERT_GE(entry.message_id, -1);
+      ASSERT_LT(entry.message_id, outgoing);
+      ASSERT_GE(entry.expected_contributions, 1);
+    }
+    ExpectKnownKinds(*decoded);
+  }
+  // The mutations must reach the entry checks, not only the rejections.
+  EXPECT_GT(accepted_with_entries, 300) << accepted;
+  EXPECT_GT(kTrials - accepted, 200) << accepted_with_entries;
+}
+
 TEST(SerializationFuzzTest, UnknownFunctionKindIsRejected) {
   // One pre-aggregation entry (source 1 -> destination 2, weight 1.0f,
   // parameter 0) and one partial entry consumed at its destination, with
