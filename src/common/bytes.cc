@@ -8,19 +8,10 @@ namespace m2m {
 
 void ByteWriter::WriteU8(uint8_t value) { bytes_.push_back(value); }
 
-void ByteWriter::WriteU16(uint16_t value) {
-  bytes_.push_back(static_cast<uint8_t>(value & 0xff));
-  bytes_.push_back(static_cast<uint8_t>(value >> 8));
-}
-
 void ByteWriter::WriteU32(uint32_t value) {
   for (int shift = 0; shift < 32; shift += 8) {
     bytes_.push_back(static_cast<uint8_t>((value >> shift) & 0xff));
   }
-}
-
-void ByteWriter::WriteI32(int32_t value) {
-  WriteU32(static_cast<uint32_t>(value));
 }
 
 void ByteWriter::WriteF32(float value) {
@@ -43,12 +34,6 @@ uint8_t ByteReader::ReadU8() {
   return bytes_[cursor_++];
 }
 
-uint16_t ByteReader::ReadU16() {
-  uint16_t lo = ReadU8();
-  uint16_t hi = ReadU8();
-  return static_cast<uint16_t>(lo | (hi << 8));
-}
-
 uint32_t ByteReader::ReadU32() {
   uint32_t value = 0;
   for (int shift = 0; shift < 32; shift += 8) {
@@ -56,8 +41,6 @@ uint32_t ByteReader::ReadU32() {
   }
   return value;
 }
-
-int32_t ByteReader::ReadI32() { return static_cast<int32_t>(ReadU32()); }
 
 float ByteReader::ReadF32() {
   uint32_t bits = ReadU32();

@@ -16,9 +16,7 @@ class ByteWriter {
   ByteWriter() = default;
 
   void WriteU8(uint8_t value);
-  void WriteU16(uint16_t value);
   void WriteU32(uint32_t value);
-  void WriteI32(int32_t value);
   void WriteF32(float value);
   /// LEB128-style unsigned varint (1 byte for values < 128).
   void WriteVarint(uint64_t value);
@@ -40,9 +38,7 @@ class ByteReader {
   explicit ByteReader(const std::vector<uint8_t>& bytes) : bytes_(bytes) {}
 
   uint8_t ReadU8();
-  uint16_t ReadU16();
   uint32_t ReadU32();
-  int32_t ReadI32();
   float ReadF32();
   uint64_t ReadVarint();
 

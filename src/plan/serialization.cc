@@ -312,8 +312,4 @@ bool ImageContentsEqual(const std::vector<uint8_t>& a,
                     b.begin() + static_cast<ptrdiff_t>(sb));
 }
 
-std::vector<uint8_t> FrameNodeImage(const std::vector<uint8_t>& image) {
-  return Crc32Frame(image);
-}
-
 }  // namespace m2m

@@ -98,11 +98,6 @@ void RestampImageEpoch(std::vector<uint8_t>& image, uint32_t plan_epoch);
 bool ImageContentsEqual(const std::vector<uint8_t>& a,
                         const std::vector<uint8_t>& b);
 
-/// CRC32-framed image: image || crc32(image) (wire::FrameWithCrc32). The
-/// frame dissemination actually ships, so channel bit-flips are rejected
-/// by the checksum before the structural decoder ever runs.
-std::vector<uint8_t> FrameNodeImage(const std::vector<uint8_t>& image);
-
 }  // namespace m2m
 
 #endif  // M2M_PLAN_SERIALIZATION_H_

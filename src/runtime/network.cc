@@ -289,11 +289,10 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
       // before any decoding. No ack — the sender's retry budget covers
       // corruption exactly like a drop, but the event is *counted*.
       std::vector<uint8_t> frame =
-          wire::FrameWithCrc32(transfers[index].packet.payload);
+          Crc32Frame(transfers[index].packet.payload);
       size_t bit = corrupt_bit % (frame.size() * 8);
       frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-      std::optional<std::vector<uint8_t>> opened =
-          wire::TryOpenCrc32Frame(frame);
+      std::optional<std::vector<uint8_t>> opened = TryOpenCrc32Frame(frame);
       if (!opened.has_value()) {
         result.corrupt_frames += 1;
         if (metrics_ != nullptr) {

@@ -25,18 +25,8 @@ namespace m2m::wire {
 // can only cost a retransmission, not a wrong merge. The hostile-input
 // Try-decoders (TryDecodeNodeState etc.) remain the second line of
 // defense for frames an adversary crafts with a valid CRC. The primitive
-// lives in common/crc32.h so the plan serializer (which the runtime links
-// against) can frame dissemination images without a dependency cycle.
-
-using ::m2m::Crc32;
-using ::m2m::kCrc32FrameTrailerBytes;
-using ::m2m::TryOpenCrc32Frame;
-
-/// payload -> payload || crc32(payload), little-endian trailer.
-inline std::vector<uint8_t> FrameWithCrc32(
-    const std::vector<uint8_t>& payload) {
-  return Crc32Frame(payload);
-}
+// is common/crc32.h's Crc32Frame / TryOpenCrc32Frame, shared with the
+// dissemination images the self-healing runtime ships.
 
 // --- Coverage summaries (contributing-source accounting) ---
 

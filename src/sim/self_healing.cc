@@ -388,9 +388,10 @@ void SelfHealingRuntime::AdvanceControlPlane(int round,
                    wire::EncodeEpochBump(epoch_), epoch_);
     } else {
       // Full images cross many hops; the CRC32 frame lets the installer
-      // prove the bytes arrived intact before decoding them.
+      // prove the bytes arrived intact before decoding them, so channel
+      // bit-flips are rejected before the structural decoder ever runs.
       QueueControl(ControlMessage::Kind::kImage, base_, node,
-                   FrameNodeImage(images()[node]), epoch_);
+                   Crc32Frame(images()[node]), epoch_);
     }
     pending.last_sent_round = round;
   }
@@ -840,12 +841,6 @@ void SelfHealingRuntime::UpdateEnergyBeliefs(int round,
                                              SelfHealingRoundResult& result,
                                              EventTrace* trace) {
   result.battery_depleted = battery_.depleted_nodes();
-  double min_fraction = 1.0;
-  for (NodeId n = 0; n < battery_.node_count(); ++n) {
-    if (battery_.immortal(n)) continue;
-    min_fraction = std::min(min_fraction, battery_.residual_fraction(n));
-  }
-  result.min_residual_fraction = min_fraction;
 
   // In-band exhaustion classification: a believed-dead node whose
   // *predicted* residual is at or below the classify fraction died of its
@@ -874,7 +869,6 @@ void SelfHealingRuntime::UpdateEnergyBeliefs(int round,
     if (predicted_drain_mj_[n] <= 0.0) continue;
     predicted_min = std::min(predicted_min, fractions[n]);
   }
-  result.predicted_min_residual_fraction = predicted_min;
 
   if (options_.energy.proactive_rotation &&
       predicted_min <= rotation_trigger_level_ &&
@@ -895,6 +889,12 @@ void SelfHealingRuntime::UpdateEnergyBeliefs(int round,
   }
 
   if (metrics_ != nullptr) {
+    // Minimum actual residual fraction over mortal nodes after this round.
+    double min_fraction = 1.0;
+    for (NodeId n = 0; n < battery_.node_count(); ++n) {
+      if (battery_.immortal(n)) continue;
+      min_fraction = std::min(min_fraction, battery_.residual_fraction(n));
+    }
     metrics_->Set(handles_.energy_rounds, battery_.rounds_charged());
     metrics_->Set(handles_.energy_drain,
                   std::llround(battery_.total_drain_mj() * 1000.0));

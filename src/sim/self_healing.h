@@ -140,11 +140,6 @@ struct SelfHealingRoundResult {
   /// True iff this round's replan was opened (at least in part) by the
   /// proactive rotation trigger rather than a belief/workload change.
   bool energy_rotation = false;
-  /// Minimum actual residual fraction over mortal nodes after this round.
-  double min_residual_fraction = 1.0;
-  /// Minimum *predicted* residual fraction over plan-loaded mortal nodes
-  /// (what the rotation trigger watches).
-  double predicted_min_residual_fraction = 1.0;
 };
 
 /// The tentpole self-healing loop: aggregation rounds run over lossy links

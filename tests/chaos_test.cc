@@ -768,13 +768,13 @@ TEST(CrcRejectionTest, EverySingleBitFlipIsRejected) {
   for (int i = 0; i < 24; ++i) {
     payload.push_back(static_cast<uint8_t>(i * 37 + 5));
   }
-  std::vector<uint8_t> frame = wire::FrameWithCrc32(payload);
-  ASSERT_TRUE(wire::TryOpenCrc32Frame(frame).has_value());
-  ASSERT_EQ(*wire::TryOpenCrc32Frame(frame), payload);
+  std::vector<uint8_t> frame = Crc32Frame(payload);
+  ASSERT_TRUE(TryOpenCrc32Frame(frame).has_value());
+  ASSERT_EQ(*TryOpenCrc32Frame(frame), payload);
   for (size_t bit = 0; bit < frame.size() * 8; ++bit) {
     std::vector<uint8_t> corrupted = frame;
     corrupted[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-    EXPECT_FALSE(wire::TryOpenCrc32Frame(corrupted).has_value())
+    EXPECT_FALSE(TryOpenCrc32Frame(corrupted).has_value())
         << "bit " << bit << " flip went undetected";
   }
 }
