@@ -73,7 +73,7 @@ FailureDetector::RoundReport FailureDetector::ObserveRound(
   const NodeId node_count = topology_->node_count();
   for (const auto& [from, to] : heard) {
     if (to < 0 || to >= node_count) continue;
-    const std::vector<NodeId>& neighbors = topology_->neighbors(to);
+    const std::span<const NodeId> neighbors = topology_->neighbors(to);
     auto it = std::ranges::lower_bound(neighbors, from);
     if (it == neighbors.end() || *it != from) continue;
     heard_mark_[slot_begin_[to] + (it - neighbors.begin())] = observation_;
@@ -82,7 +82,7 @@ FailureDetector::RoundReport FailureDetector::ObserveRound(
   RoundReport report;
   for (NodeId monitor = 0; monitor < node_count; ++monitor) {
     if (node_active != nullptr && !node_active(monitor)) continue;
-    const std::vector<NodeId>& neighbors = topology_->neighbors(monitor);
+    const std::span<const NodeId> neighbors = topology_->neighbors(monitor);
     for (size_t i = 0; i < neighbors.size(); ++i) {
       const NodeId neighbor = neighbors[i];
       const std::pair<NodeId, NodeId> link{monitor, neighbor};
@@ -188,7 +188,7 @@ int FailureDetector::probation_link_count() const {
 
 int FailureDetector::missed_rounds(NodeId monitor, NodeId neighbor) const {
   if (monitor < 0 || monitor >= topology_->node_count()) return 0;
-  const std::vector<NodeId>& neighbors = topology_->neighbors(monitor);
+  const std::span<const NodeId> neighbors = topology_->neighbors(monitor);
   auto it = std::find(neighbors.begin(), neighbors.end(), neighbor);
   if (it == neighbors.end()) return 0;
   return missed_[slot_begin_[monitor] + (it - neighbors.begin())];

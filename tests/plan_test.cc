@@ -545,7 +545,7 @@ TEST(DisseminationTest, PossiblyChangedNodesCoverEveryChangedImage) {
     for (int i = 0; i < 4; ++i) {
       const NodeId a =
           static_cast<NodeId>(rng.UniformInt(topology.node_count()));
-      const std::vector<NodeId>& neighbors = topology.neighbors(a);
+      const std::span<const NodeId> neighbors = topology.neighbors(a);
       if (neighbors.empty()) continue;
       failed_links.emplace_back(a,
                                 neighbors[rng.UniformInt(neighbors.size())]);
