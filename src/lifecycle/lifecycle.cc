@@ -13,10 +13,6 @@ namespace m2m {
 
 namespace {
 
-bool Contains(const std::vector<NodeId>& nodes, NodeId node) {
-  return std::find(nodes.begin(), nodes.end(), node) != nodes.end();
-}
-
 constexpr AdmissionReason kAllReasons[] = {
     AdmissionReason::kAdmitted,
     AdmissionReason::kDuplicateDestination,
@@ -175,8 +171,8 @@ void QueryLifecycleManager::set_metrics(obs::MetricsRegistry* metrics) {
 }
 
 bool QueryLifecycleManager::BelievedDead(NodeId node) const {
-  return runtime_ != nullptr &&
-         Contains(runtime_->ledger().believed_dead(), node);
+  return runtime_ != nullptr && runtime_->ledger().belief(node) ==
+                                    SuspicionLedger::NodeBelief::kDead;
 }
 
 void QueryLifecycleManager::RecordRejection(AdmissionReason reason) {

@@ -11,6 +11,14 @@ namespace m2m {
 
 namespace {
 
+/// Candidate forests tried: the first on pure residual costs (this
+/// penalty), each later one also surcharging the previous candidate's
+/// bottleneck's links by the step. Every candidate keeps PathSystem's
+/// default perturbation seed.
+constexpr int kIterations = 4;
+constexpr double kResidualPenalty = 8.0;
+constexpr double kBottleneckStep = 64.0;
+
 /// min over loaded nodes of residual_mj / load; +inf when nothing is
 /// loaded (empty workloads have unbounded lifetime).
 double MinLifetime(const std::vector<double>& residual_mj,
@@ -69,10 +77,8 @@ std::vector<double> ForestNodeLoad(const MulticastForest& forest,
 
 MulticastForest BuildLifetimeMaxForest(
     const Topology& topology, std::vector<Task> tasks,
-    const std::vector<double>& residual_mj,
-    const LifetimeForestOptions& options, LifetimeForestStats* stats) {
+    const std::vector<double>& residual_mj, LifetimeForestStats* stats) {
   M2M_CHECK_EQ(static_cast<int>(residual_mj.size()), topology.node_count());
-  M2M_CHECK_GE(options.iterations, 1);
 
   // Normalize residuals to fractions of the best-charged node: the cost
   // function cares about *relative* depletion, and the builder then needs
@@ -90,11 +96,11 @@ MulticastForest BuildLifetimeMaxForest(
   }
 
   if (stats != nullptr) {
-    PathSystem hop_paths(topology, options.perturbation_seed);
+    PathSystem hop_paths(topology);
     MulticastForest baseline(hop_paths, tasks);
     stats->baseline_min_lifetime = MinLifetime(
-        residual_mj, ForestNodeLoad(baseline, options.tx_weight,
-                                    options.rx_weight));
+        residual_mj,
+        ForestNodeLoad(baseline, kForestTxLoadWeight, kForestRxLoadWeight));
   }
 
   // Iterative max-min reweighting: start from residual-aware costs, then
@@ -106,19 +112,19 @@ MulticastForest BuildLifetimeMaxForest(
   double best_lifetime = -1.0;
   int best_iteration = 0;
   int iterations_run = 0;
-  for (int iteration = 0; iteration < options.iterations; ++iteration) {
+  for (int iteration = 0; iteration < kIterations; ++iteration) {
     const PathSystem::LinkCostFn residual_cost =
-        ResidualEnergyLinkCost(fraction, options.residual_penalty);
+        ResidualEnergyLinkCost(fraction, kResidualPenalty);
     PathSystem::LinkCostFn cost = [&residual_cost, &surcharge](NodeId a,
                                                                NodeId b) {
       const double c =
           residual_cost(a, b) + (surcharge[a] + surcharge[b]) / 2.0;
       return std::min(c, 1024.0);
     };
-    PathSystem paths(topology, options.perturbation_seed, cost);
+    PathSystem paths(topology, /*perturbation_seed=*/0x5eed, cost);
     MulticastForest candidate(paths, tasks);
     const std::vector<double> load =
-        ForestNodeLoad(candidate, options.tx_weight, options.rx_weight);
+        ForestNodeLoad(candidate, kForestTxLoadWeight, kForestRxLoadWeight);
     const double lifetime = MinLifetime(residual_mj, load);
     ++iterations_run;
     if (lifetime > best_lifetime) {
@@ -128,7 +134,7 @@ MulticastForest BuildLifetimeMaxForest(
     }
     const NodeId bottleneck = Bottleneck(residual_mj, load);
     if (bottleneck == kInvalidNode) break;  // Unloaded: nothing to shift.
-    surcharge[bottleneck] += options.bottleneck_step;
+    surcharge[bottleneck] += kBottleneckStep;
   }
   M2M_CHECK(best.has_value());
 

@@ -24,25 +24,11 @@ namespace m2m {
 PathSystem::LinkCostFn ResidualEnergyLinkCost(
     std::vector<double> residual_fraction, double penalty);
 
-/// Knobs for the lifetime-maximizing forest builder.
-struct LifetimeForestOptions {
-  /// Candidate forests to try (>= 1). Iteration 0 uses the pure residual
-  /// cost; each later iteration additionally penalizes the previous
-  /// iteration's bottleneck node's links.
-  int iterations = 4;
-  /// Residual-depletion cost penalty (ResidualEnergyLinkCost).
-  double residual_penalty = 8.0;
-  /// Additive per-iteration cost surcharge on the bottleneck's links.
-  double bottleneck_step = 64.0;
-  /// Relative per-unit TX/RX load weights for the bottleneck metric. The
-  /// defaults mirror the Mica2 per-byte energies (16.9 / 6.25 uJ) without
-  /// depending on sim/ — routing stays a leaf library.
-  double tx_weight = 16.9;
-  double rx_weight = 6.25;
-  /// Perturbation seed for every candidate PathSystem (kept at the
-  /// default so candidate 0 with zero penalty is the legacy forest).
-  uint64_t perturbation_seed = 0x5eed;
-};
+/// Relative per-unit TX/RX load weights of the bottleneck metric
+/// (ForestNodeLoad). They mirror the Mica2 per-byte energies (16.9 / 6.25
+/// uJ) without depending on sim/ — routing stays a leaf library.
+inline constexpr double kForestTxLoadWeight = 16.9;
+inline constexpr double kForestRxLoadWeight = 6.25;
 
 /// Diagnostics from BuildLifetimeMaxForest.
 struct LifetimeForestStats {
@@ -78,7 +64,6 @@ std::vector<double> ForestNodeLoad(const MulticastForest& forest,
 MulticastForest BuildLifetimeMaxForest(const Topology& topology,
                                        std::vector<Task> tasks,
                                        const std::vector<double>& residual_mj,
-                                       const LifetimeForestOptions& options = {},
                                        LifetimeForestStats* stats = nullptr);
 
 }  // namespace m2m

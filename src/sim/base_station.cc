@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "agg/partial_record.h"
 #include "common/check.h"
@@ -88,10 +87,12 @@ SuspicionLedger::SuspicionLedger(const Topology* topology,
 bool SuspicionLedger::RecordSuspicion(NodeId monitor, NodeId neighbor) {
   M2M_CHECK(topology_->AreNeighbors(monitor, neighbor))
       << "suspicion for a non-link " << monitor << "-" << neighbor;
-  std::pair<NodeId, NodeId> link{std::min(monitor, neighbor),
-                                 std::max(monitor, neighbor)};
-  if (!reported_.insert(link).second) return false;
-  Recompute();
+  const std::pair<NodeId, NodeId> link{std::min(monitor, neighbor),
+                                       std::max(monitor, neighbor)};
+  auto it = std::lower_bound(links_.begin(), links_.end(), link);
+  if (it != links_.end() && *it == link) return false;
+  links_.insert(it, link);
+  derived_.reset();
   ++revision_;
   return true;
 }
@@ -99,58 +100,51 @@ bool SuspicionLedger::RecordSuspicion(NodeId monitor, NodeId neighbor) {
 bool SuspicionLedger::RecordReadmission(NodeId monitor, NodeId neighbor) {
   M2M_CHECK(topology_->AreNeighbors(monitor, neighbor))
       << "readmission for a non-link " << monitor << "-" << neighbor;
-  std::pair<NodeId, NodeId> link{std::min(monitor, neighbor),
-                                 std::max(monitor, neighbor)};
-  if (reported_.erase(link) == 0) return false;
-  Recompute();
+  const std::pair<NodeId, NodeId> link{std::min(monitor, neighbor),
+                                       std::max(monitor, neighbor)};
+  auto it = std::lower_bound(links_.begin(), links_.end(), link);
+  if (it == links_.end() || *it != link) return false;
+  links_.erase(it);
+  derived_.reset();
   ++revision_;
   return true;
 }
 
-void SuspicionLedger::Recompute() {
-  links_.assign(reported_.begin(), reported_.end());
-  dead_.clear();
-  partitioned_.clear();
-  partition_regions_ = 0;
-  // Component analysis of the belief graph (deployment minus the believed
-  // links). Legacy mode: everything the base station can no longer reach
-  // must be dead (survivors stay connected by the deployment invariant).
-  ComponentMap components =
-      BuildComponents(Topology::WithFailures(*topology_, links_, {}));
+const SuspicionLedger::Beliefs& SuspicionLedger::Derived() const {
+  if (derived_.has_value()) return *derived_;
+  const int n = topology_->node_count();
+  Beliefs& beliefs = derived_.emplace(
+      Beliefs{Topology::WithFailures(*topology_, links_, {}),
+              std::vector<NodeBelief>(n, NodeBelief::kAlive), {}, {}, 0});
+  // Component analysis of the belief graph. Legacy mode: everything the
+  // base station can no longer reach must be dead (survivors stay
+  // connected by the deployment invariant).
+  const ComponentMap components = BuildComponents(beliefs.graph);
   const int base_component = components.ComponentOf(base_);
-  if (!partition_aware_) {
-    for (NodeId n = 0; n < topology_->node_count(); ++n) {
-      if (components.ComponentOf(n) != base_component) dead_.push_back(n);
-    }
-    return;
-  }
   // Partition-aware classification: mobility voids the survivors-stay-
   // connected invariant, so an unreachable node may be alive. A singleton
   // unreachable component means every link of that node was independently
   // reported failed — radio-silent from all sides, believed dead. A
   // multi-node unreachable component is an island whose *internal* links
   // nobody reported; the conservative belief is a live partition.
-  std::vector<int> sizes = components.Sizes();
-  std::set<int> partition_components;
-  for (NodeId n = 0; n < topology_->node_count(); ++n) {
-    const int c = components.ComponentOf(n);
+  const std::vector<int> sizes = components.Sizes();
+  std::vector<bool> island_counted(sizes.size(), false);
+  for (NodeId node = 0; node < n; ++node) {
+    const int c = components.ComponentOf(node);
     if (c == base_component) continue;
-    if (sizes[static_cast<size_t>(c)] <= 1) {
-      dead_.push_back(n);
+    if (!partition_aware_ || sizes[static_cast<size_t>(c)] <= 1) {
+      beliefs.belief[static_cast<size_t>(node)] = NodeBelief::kDead;
+      beliefs.dead.push_back(node);
     } else {
-      partitioned_.push_back(n);
-      partition_components.insert(c);
+      beliefs.belief[static_cast<size_t>(node)] = NodeBelief::kPartitioned;
+      beliefs.partitioned.push_back(node);
+      if (!island_counted[static_cast<size_t>(c)]) {
+        island_counted[static_cast<size_t>(c)] = true;
+        ++beliefs.regions;
+      }
     }
   }
-  partition_regions_ = static_cast<int>(partition_components.size());
-}
-
-Topology SuspicionLedger::BelievedTopology() const {
-  std::vector<NodeId> masked_nodes = dead_;
-  masked_nodes.insert(masked_nodes.end(), partitioned_.begin(),
-                      partitioned_.end());
-  std::sort(masked_nodes.begin(), masked_nodes.end());
-  return Topology::WithFailures(*topology_, links_, masked_nodes);
+  return beliefs;
 }
 
 }  // namespace m2m

@@ -2,6 +2,7 @@
 #define M2M_SIM_BASE_STATION_H_
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -63,19 +64,27 @@ BaseStationRoundResult SimulateBaseStationRound(const Topology& topology,
 /// a drifting cluster can carry a whole region out of range, leaving nodes
 /// unreachable yet alive. `set_partition_aware(true)` switches the
 /// unreachability inference to component analysis: an unreachable node is
-/// believed *dead* only when it is isolated even in the unmasked belief
-/// graph restricted to unreachable nodes (a singleton component — every one
-/// of its own links was reported failed, which only total radio silence or
-/// death produces). Unreachable nodes that still form a multi-node island
-/// are believed *partitioned*: alive, holding state, and expected to merge
-/// back later. The distinction is what lets the runtime (a) report degraded
-/// coverage with a partition cause instead of a stale "complete", and (b)
-/// force full-image reconciliation when the island reconnects.
+/// believed *dead* only when it is isolated in the belief graph (a
+/// singleton component — every one of its own links was reported failed,
+/// which only total radio silence or death produces). Unreachable nodes
+/// that still form a multi-node island are believed *partitioned*: alive,
+/// holding state, and expected to merge back later. The distinction is
+/// what lets the runtime (a) report degraded coverage with a partition
+/// cause instead of a stale "complete", and (b) force full-image
+/// reconciliation when the island reconnects.
 ///
-/// Each change to the belief set bumps `revision`, which is the base
-/// station's trigger to re-plan and open a new plan epoch.
+/// A record only edits the sorted link list and bumps `revision`, the base
+/// station's trigger to re-plan and open a new plan epoch. Everything else
+/// comes from one derivation, run on the first read after a change (a
+/// record, a readmission or a mode switch), so a control round folding in
+/// many reports derives once. The runtime plans over `belief_graph()`
+/// itself: masking the unreachable nodes would change no route between
+/// the nodes its believed workload names (THEORY §8).
 class SuspicionLedger {
  public:
+  /// What the base station believes about one node.
+  enum class NodeBelief : uint8_t { kAlive, kDead, kPartitioned };
+
   SuspicionLedger(const Topology* topology, NodeId base_station);
 
   /// Enables partition-aware unreachability classification. Off (legacy)
@@ -84,7 +93,7 @@ class SuspicionLedger {
   void set_partition_aware(bool aware) {
     if (partition_aware_ == aware) return;
     partition_aware_ = aware;
-    Recompute();
+    derived_.reset();
   }
   bool partition_aware() const { return partition_aware_; }
 
@@ -94,9 +103,8 @@ class SuspicionLedger {
 
   /// Retracts a previously recorded suspicion — the monitor readmitted the
   /// neighbor after probation (detector hysteresis). Returns true iff the
-  /// undirected link was believed failed; beliefs and dead-node inference
-  /// are recomputed and `revision` bumps, triggering a re-plan that routes
-  /// over the healed link again.
+  /// undirected link was believed failed; `revision` then bumps, triggering
+  /// a re-plan that routes over the healed link again.
   bool RecordReadmission(NodeId monitor, NodeId neighbor);
 
   /// Undirected believed-failed links, sorted (lo, hi).
@@ -105,12 +113,17 @@ class SuspicionLedger {
     return links_;
   }
 
+  /// The base station's belief about `node`.
+  NodeBelief belief(NodeId node) const {
+    return Derived().belief[static_cast<size_t>(node)];
+  }
+
   /// Nodes the base station believes dead, sorted by id.
-  const std::vector<NodeId>& believed_dead() const { return dead_; }
+  const std::vector<NodeId>& believed_dead() const { return Derived().dead; }
 
   /// Declares which nodes the base station's in-band energy prediction
   /// considers exhaustion candidates (predicted residual at or below the
-  /// classification threshold). Pure annotation: beliefs, topology masking
+  /// classification threshold). Pure annotation: beliefs, the belief graph
   /// and `revision()` are untouched — classification refines the *cause*
   /// of a believed death, never the death itself.
   void SetEnergyExhaustionCandidates(std::set<NodeId> candidates) {
@@ -123,7 +136,7 @@ class SuspicionLedger {
   /// (believed alive but unreachable).
   std::vector<NodeId> believed_energy_dead() const {
     std::vector<NodeId> result;
-    for (NodeId node : dead_) {
+    for (NodeId node : believed_dead()) {
       if (energy_candidates_.contains(node)) result.push_back(node);
     }
     return result;
@@ -132,33 +145,40 @@ class SuspicionLedger {
   /// Nodes the base station believes alive but partitioned away (always
   /// empty unless partition-aware), sorted by id.
   const std::vector<NodeId>& believed_partitioned() const {
-    return partitioned_;
+    return Derived().partitioned;
   }
 
   /// Number of disconnected multi-node islands currently believed to exist
   /// beyond the base station's region (0 when no partition is believed).
-  int partition_region_count() const { return partition_regions_; }
+  int partition_region_count() const { return Derived().regions; }
 
-  /// The failure-masked topology the base station plans against. Both dead
-  /// and partitioned nodes are masked out: the planner must not route
-  /// through either, whatever the cause.
-  Topology BelievedTopology() const;
+  /// The belief graph: the deployment topology minus the believed-failed
+  /// links. Exactly the nodes believed alive are reachable from the base
+  /// station in it.
+  const Topology& belief_graph() const { return Derived().graph; }
 
   /// Bumped on every belief change; equal revisions mean equal beliefs.
   int revision() const { return revision_; }
 
  private:
-  void Recompute();
+  /// Everything derived from the link list and the mode.
+  struct Beliefs {
+    Topology graph;
+    std::vector<NodeBelief> belief;  ///< Per node.
+    std::vector<NodeId> dead;
+    std::vector<NodeId> partitioned;
+    int regions = 0;
+  };
+
+  /// The beliefs for the current links and mode, derived if stale.
+  const Beliefs& Derived() const;
 
   const Topology* topology_;
   NodeId base_;
   bool partition_aware_ = false;
-  std::set<std::pair<NodeId, NodeId>> reported_;  // Normalized (lo, hi).
   std::set<NodeId> energy_candidates_;
-  std::vector<std::pair<NodeId, NodeId>> links_;
-  std::vector<NodeId> dead_;
-  std::vector<NodeId> partitioned_;
-  int partition_regions_ = 0;
+  std::vector<std::pair<NodeId, NodeId>> links_;  // Sorted (lo, hi).
+  mutable std::optional<Beliefs> derived_;        // Empty when stale.
   int revision_ = 0;
 };
 

@@ -47,6 +47,8 @@ constexpr double kRotationHysteresis = 0.10;
 /// ledger.
 constexpr double kExhaustionClassifyFraction = 0.10;
 
+using NodeBelief = SuspicionLedger::NodeBelief;
+
 template <typename T>
 bool Contains(const std::vector<T>& values, const T& value) {
   return std::find(values.begin(), values.end(), value) != values.end();
@@ -579,21 +581,21 @@ void SelfHealingRuntime::RebuildBelievedWorkload() {
   // without sources. The believed workload is recomputed from the original
   // on every belief change, so dropped tasks and stripped sources come
   // back verbatim when their nodes are readmitted or their island merges.
-  std::set<NodeId> unreachable(ledger_.believed_dead().begin(),
-                               ledger_.believed_dead().end());
-  unreachable.insert(ledger_.believed_partitioned().begin(),
-                     ledger_.believed_partitioned().end());
-  if (unreachable.empty()) return;
+  if (ledger_.believed_dead().empty() &&
+      ledger_.believed_partitioned().empty()) {
+    return;
+  }
+  auto unreachable = [this](NodeId node) {
+    return ledger_.belief(node) != NodeBelief::kAlive;
+  };
   Workload pruned;
   for (size_t i = 0; i < workload_.tasks.size(); ++i) {
     Task task = workload_.tasks[i];
     FunctionSpec spec = workload_.specs[i];
-    if (unreachable.contains(task.destination)) continue;
-    std::erase_if(task.sources, [&unreachable](NodeId s) {
-      return unreachable.contains(s);
-    });
+    if (unreachable(task.destination)) continue;
+    std::erase_if(task.sources, unreachable);
     std::erase_if(spec.weights, [&unreachable](const auto& entry) {
-      return unreachable.contains(entry.first);
+      return unreachable(entry.first);
     });
     if (task.sources.empty()) continue;
     pruned.tasks.push_back(std::move(task));
@@ -624,7 +626,7 @@ void SelfHealingRuntime::MaybeReplan(int round,
   // higher epoch wins, the rejoiner re-syncs).
   std::vector<NodeId> readmitted_nodes;
   for (NodeId node : believed_dead_applied_) {
-    if (!Contains(ledger_.believed_dead(), node)) {
+    if (ledger_.belief(node) != NodeBelief::kDead) {
       readmitted_nodes.push_back(node);
     }
   }
@@ -635,8 +637,7 @@ void SelfHealingRuntime::MaybeReplan(int round,
   // CRC-framed image, counted as a merge reconciliation.
   std::vector<NodeId> merged_nodes;
   for (NodeId node : believed_partitioned_applied_) {
-    if (!Contains(ledger_.believed_partitioned(), node) &&
-        !Contains(ledger_.believed_dead(), node)) {
+    if (ledger_.belief(node) == NodeBelief::kAlive) {
       merged_nodes.push_back(node);
     }
   }
@@ -655,11 +656,11 @@ void SelfHealingRuntime::MaybeReplan(int round,
   // only diverge from legacy ones once some battery has actually drained.
   PathSystem believed_paths =
       options_.energy.battery_aware
-          ? PathSystem(ledger_.BelievedTopology(), 0x5eed,
+          ? PathSystem(ledger_.belief_graph(), 0x5eed,
                        ResidualEnergyLinkCost(
                            PredictedResidualFractions(),
                            kResidualCostPenalty))
-          : PathSystem(ledger_.BelievedTopology());
+          : PathSystem(ledger_.belief_graph());
   // The reconciling epoch must supersede every lineage it has seen —
   // including epochs a partitioned island opened while split. Higher epoch
   // wins at every node, so opening above max(ours, theirs) converges both
@@ -688,12 +689,8 @@ void SelfHealingRuntime::MaybeReplan(int round,
         CompiledRoundEnergyMj(compiled(), options_.energy.model);
   }
 
-  auto unreachable_now = [this](NodeId node) {
-    return Contains(ledger_.believed_dead(), node) ||
-           Contains(ledger_.believed_partitioned(), node);
-  };
   for (const NodeImageDelta& delta : deltas) {
-    if (unreachable_now(delta.node)) {
+    if (ledger_.belief(delta.node) != NodeBelief::kAlive) {
       continue;  // Nothing can be installed at a dead or cut-off node.
     }
     if (delta.node == base_) {
@@ -709,7 +706,7 @@ void SelfHealingRuntime::MaybeReplan(int round,
   // or foreign-lineage state. Every such node gets a full framed image,
   // diff or not.
   auto force_full_image = [&](NodeId node, obs::MetricHandle counter) {
-    if (node == base_ || unreachable_now(node)) return;
+    if (node == base_ || ledger_.belief(node) != NodeBelief::kAlive) return;
     pending_installs_[node].is_bump = false;
     if (metrics_ != nullptr) {
       metrics_->AddNode(counter, node, 1);
@@ -758,7 +755,6 @@ void SelfHealingRuntime::MaybeReplan(int round,
 
 void SelfHealingRuntime::ComputePartitionStatus(
     SelfHealingRoundResult& result) {
-  const std::vector<NodeId>& dead = ledger_.believed_dead();
   const std::vector<NodeId>& parted = ledger_.believed_partitioned();
   result.believed_partitioned = parted;
 
@@ -766,13 +762,14 @@ void SelfHealingRuntime::ComputePartitionStatus(
   for (size_t i = 0; i < original_workload_.tasks.size(); ++i) {
     const Task& task = original_workload_.tasks[i];
     DestinationPartitionStatus status;
-    status.destination_reachable = !Contains(dead, task.destination) &&
-                                   !Contains(parted, task.destination);
+    const NodeBelief destination = ledger_.belief(task.destination);
+    status.destination_reachable = destination == NodeBelief::kAlive;
     status.expected_original = static_cast<int>(task.sources.size());
     for (NodeId source : task.sources) {
-      if (Contains(dead, source)) {
+      const NodeBelief belief = ledger_.belief(source);
+      if (belief == NodeBelief::kDead) {
         status.dead_sources.push_back(source);
-      } else if (Contains(parted, source)) {
+      } else if (belief == NodeBelief::kPartitioned) {
         status.partitioned_sources.push_back(source);
       } else {
         ++status.believed_covered;
@@ -786,9 +783,8 @@ void SelfHealingRuntime::ComputePartitionStatus(
     status.degraded = !status.destination_reachable ||
                       !status.dead_sources.empty() ||
                       !status.partitioned_sources.empty();
-    status.degraded_by_partition =
-        Contains(parted, task.destination) ||
-        !status.partitioned_sources.empty();
+    status.degraded_by_partition = destination == NodeBelief::kPartitioned ||
+                                   !status.partitioned_sources.empty();
     if (status.degraded) ++degraded_destinations;
     result.partition_status[task.destination] = std::move(status);
   }
@@ -797,12 +793,13 @@ void SelfHealingRuntime::ComputePartitionStatus(
     metrics_->Set(handles_.believed_partitioned,
                   static_cast<int64_t>(parted.size()));
     for (NodeId node : parted) {
-      if (!Contains(believed_partitioned_last_, node)) {
+      if (!std::binary_search(believed_partitioned_last_.begin(),
+                              believed_partitioned_last_.end(), node)) {
         metrics_->AddNode(handles_.partition_events, node, 1);
       }
     }
     for (NodeId node : believed_partitioned_last_) {
-      if (!Contains(parted, node)) {
+      if (ledger_.belief(node) != NodeBelief::kPartitioned) {
         metrics_->AddNode(handles_.merge_events, node, 1);
       }
     }

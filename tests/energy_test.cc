@@ -267,8 +267,8 @@ TEST(LifetimeForestTest, NeverWorseThanBaselineAndPlansStayConsistent) {
   Workload workload = DefaultWorkload(topology, 31);
   std::vector<double> residual(topology.node_count(), 20000.0);
   LifetimeForestStats stats;
-  MulticastForest forest = BuildLifetimeMaxForest(
-      topology, workload.tasks, residual, LifetimeForestOptions{}, &stats);
+  MulticastForest forest =
+      BuildLifetimeMaxForest(topology, workload.tasks, residual, &stats);
   EXPECT_GE(stats.iterations_run, 1);
   EXPECT_GE(stats.best_min_lifetime, stats.baseline_min_lifetime);
 
@@ -293,9 +293,8 @@ TEST(LifetimeForestTest, SkewedResidualsRouteAroundTheWeakRelay) {
   std::vector<Task> tasks = {task};
 
   MulticastForest baseline(paths, tasks);
-  LifetimeForestOptions options;
   std::vector<double> load =
-      ForestNodeLoad(baseline, options.tx_weight, options.rx_weight);
+      ForestNodeLoad(baseline, kForestTxLoadWeight, kForestRxLoadWeight);
 
   // Drain a loaded pure relay (not an endpoint — endpoints cannot be
   // routed around) and ask the builder to maximize min lifetime.
@@ -316,13 +315,13 @@ TEST(LifetimeForestTest, SkewedResidualsRouteAroundTheWeakRelay) {
 
   LifetimeForestStats stats;
   MulticastForest forest =
-      BuildLifetimeMaxForest(topology, tasks, residual, options, &stats);
+      BuildLifetimeMaxForest(topology, tasks, residual, &stats);
   // The weak relay was the baseline bottleneck; routing around it STRICTLY
   // improves the minimum lifetime (the bench's acceptance criterion in
   // unit-test form).
   EXPECT_GT(stats.best_min_lifetime, stats.baseline_min_lifetime);
   std::vector<double> new_load =
-      ForestNodeLoad(forest, options.tx_weight, options.rx_weight);
+      ForestNodeLoad(forest, kForestTxLoadWeight, kForestRxLoadWeight);
   EXPECT_LT(new_load[weak], load[weak]);
 }
 
@@ -332,10 +331,10 @@ TEST(LifetimeForestTest, DeterministicAcrossRepeatedBuilds) {
   std::vector<double> residual(topology.node_count(), 20000.0);
   for (NodeId n = 0; n < topology.node_count(); n += 3) residual[n] = 900.0;
   LifetimeForestStats a_stats, b_stats;
-  MulticastForest a = BuildLifetimeMaxForest(topology, workload.tasks,
-                                             residual, {}, &a_stats);
-  MulticastForest b = BuildLifetimeMaxForest(topology, workload.tasks,
-                                             residual, {}, &b_stats);
+  MulticastForest a =
+      BuildLifetimeMaxForest(topology, workload.tasks, residual, &a_stats);
+  MulticastForest b =
+      BuildLifetimeMaxForest(topology, workload.tasks, residual, &b_stats);
   EXPECT_EQ(a_stats.best_iteration, b_stats.best_iteration);
   EXPECT_EQ(a_stats.best_min_lifetime, b_stats.best_min_lifetime);
   ASSERT_EQ(a.edges().size(), b.edges().size());

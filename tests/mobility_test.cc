@@ -198,8 +198,11 @@ TEST(SuspicionLedgerPartitionTest, MultiNodeIslandIsPartitionedNotDead) {
   EXPECT_TRUE(aware.believed_dead().empty());
   EXPECT_EQ(aware.believed_partitioned(), (std::vector<NodeId>{3, 4, 5}));
   EXPECT_EQ(aware.partition_region_count(), 1);
-  // Both must mask the unreachable region out of the planning topology.
-  EXPECT_FALSE(aware.BelievedTopology().IsConnected());
+  // Both plan over a graph in which the island is unreachable.
+  for (const SuspicionLedger* ledger : {&legacy, &aware}) {
+    EXPECT_EQ(ledger->belief_graph().HopDistancesFrom(0),
+              (std::vector<int>{0, 1, 2, -1, -1, -1}));
+  }
 
   // A singleton unreachable component is still believed dead: every one of
   // its own links was independently reported, which only death produces.

@@ -96,6 +96,10 @@ struct SelfHealRun {
   /// compiled plan after a replan (the commit re-encodes only possibly
   /// changed nodes and restamps the rest).
   std::vector<std::string> image_mismatches;
+  /// Workload pairs whose path weight over the ledger's belief graph
+  /// differed from the weight over that graph with every unreachable node
+  /// masked out, at some replan.
+  std::vector<std::string> path_weight_mismatches;
   /// (lo, hi) believed-failed link -> first round it was believed.
   std::map<std::pair<NodeId, NodeId>, int> first_believed_link;
   /// Believed-dead node -> first round it was believed dead.
@@ -183,6 +187,29 @@ SelfHealRun RunSelfHealing(const Topology& topology, const Workload& workload,
         if (runtime.images()[n] != full[n]) {
           run.image_mismatches.push_back("r" + std::to_string(round) +
                                          " node " + std::to_string(n));
+        }
+      }
+      // The replan routed over the ledger's belief graph, which keeps the
+      // unreachable nodes. The believed workload names only nodes the base
+      // reaches, so masking the others must change no weight it reads.
+      const SuspicionLedger& ledger = runtime.ledger();
+      std::vector<NodeId> unreachable = ledger.believed_dead();
+      unreachable.insert(unreachable.end(),
+                         ledger.believed_partitioned().begin(),
+                         ledger.believed_partitioned().end());
+      std::sort(unreachable.begin(), unreachable.end());
+      const PathSystem belief_paths(ledger.belief_graph());
+      const PathSystem masked_paths(Topology::WithFailures(
+          topology, ledger.believed_failed_links(), unreachable));
+      for (const Task& task : runtime.current_workload().tasks) {
+        for (NodeId source : task.sources) {
+          if (belief_paths.PathWeight(task.destination, source) !=
+              masked_paths.PathWeight(task.destination, source)) {
+            run.path_weight_mismatches.push_back(
+                "r" + std::to_string(round) + " d" +
+                std::to_string(task.destination) + " s" +
+                std::to_string(source));
+          }
         }
       }
     }
@@ -311,6 +338,8 @@ TEST_P(SelfHealingDifferential, DetectsRepairsAndConvergesWithoutOracle) {
   // --- Every replan's images equal a full encode of its plan.
   EXPECT_TRUE(run.image_mismatches.empty())
       << "seed " << seed << ": " << run.image_mismatches.front();
+  EXPECT_TRUE(run.path_weight_mismatches.empty())
+      << "seed " << seed << ": " << run.path_weight_mismatches.front();
 
   // --- Differential against the oracle-driven path: the self-healed plan
   // equals a from-scratch plan over the TRUE surviving topology (the PR 1
@@ -860,10 +889,9 @@ TEST(SuspicionLedgerTest, InfersDeathWhenAllLinksOfANodeAreSuspected) {
   EXPECT_FALSE(ledger.RecordSuspicion(2, 3));
   EXPECT_EQ(ledger.revision(), 1);
 
-  Topology believed = ledger.BelievedTopology();
-  EXPECT_TRUE(believed.neighbors(3).empty());
-  EXPECT_TRUE(believed.neighbors(4).empty());
-  EXPECT_TRUE(believed.AreNeighbors(0, 1));
+  // The planning graph reaches exactly the nodes believed alive.
+  EXPECT_EQ(ledger.belief_graph().HopDistancesFrom(0),
+            (std::vector<int>{0, 1, 2, -1, -1}));
 }
 
 TEST(SuspicionLedgerTest, InteriorLinkFailureKillsNoNodes) {
@@ -872,11 +900,79 @@ TEST(SuspicionLedgerTest, InteriorLinkFailureKillsNoNodes) {
   ASSERT_TRUE(ledger.RecordSuspicion(0, 1));
   // The grid remains connected around the failed link.
   EXPECT_TRUE(ledger.believed_dead().empty());
-  EXPECT_TRUE(ledger.BelievedTopology().IsConnected());
+  EXPECT_TRUE(ledger.belief_graph().IsConnected());
 }
 
-// The ledger's dead set is the complement of the base's component in the
-// belief graph. Reference: the masked-copy BFS it replaced.
+// Checks every accessor of `ledger` against a masked-copy BFS over the
+// deployment minus `links` (sorted): the unreachable nodes are dead, or in
+// partition-aware mode dead when isolated and partitioned otherwise.
+::testing::AssertionResult LedgerMatchesMaskedBfs(
+    const SuspicionLedger& ledger, const Topology& topology, NodeId base,
+    const std::vector<std::pair<NodeId, NodeId>>& links,
+    const std::set<NodeId>& energy_candidates) {
+  using NodeBelief = SuspicionLedger::NodeBelief;
+  const Topology masked = Topology::WithFailures(topology, links, {});
+  const std::vector<int> hops = masked.HopDistancesFrom(base);
+  std::vector<NodeId> dead;
+  std::vector<NodeId> partitioned;
+  std::vector<bool> in_counted_region(topology.node_count(), false);
+  int regions = 0;
+  for (NodeId n = 0; n < topology.node_count(); ++n) {
+    if (hops[n] >= 0) continue;
+    if (!ledger.partition_aware() || masked.neighbors(n).empty()) {
+      dead.push_back(n);
+      continue;
+    }
+    partitioned.push_back(n);
+    if (in_counted_region[n]) continue;
+    ++regions;
+    const std::vector<int> region = masked.HopDistancesFrom(n);
+    for (NodeId m = 0; m < topology.node_count(); ++m) {
+      if (region[m] >= 0) in_counted_region[m] = true;
+    }
+  }
+  std::vector<NodeId> energy_dead;
+  for (NodeId n : dead) {
+    if (energy_candidates.contains(n)) energy_dead.push_back(n);
+  }
+  if (ledger.believed_failed_links() != links) {
+    return ::testing::AssertionFailure() << "believed_failed_links differ";
+  }
+  if (ledger.believed_dead() != dead) {
+    return ::testing::AssertionFailure() << "believed_dead differs";
+  }
+  if (ledger.believed_partitioned() != partitioned) {
+    return ::testing::AssertionFailure() << "believed_partitioned differs";
+  }
+  if (ledger.partition_region_count() != regions) {
+    return ::testing::AssertionFailure()
+           << "partition_region_count " << ledger.partition_region_count()
+           << ", expected " << regions;
+  }
+  if (ledger.believed_energy_dead() != energy_dead) {
+    return ::testing::AssertionFailure() << "believed_energy_dead differs";
+  }
+  for (NodeId n = 0; n < topology.node_count(); ++n) {
+    const NodeBelief expected =
+        hops[n] >= 0 ? NodeBelief::kAlive
+        : std::binary_search(dead.begin(), dead.end(), n)
+            ? NodeBelief::kDead
+            : NodeBelief::kPartitioned;
+    if (ledger.belief(n) != expected) {
+      return ::testing::AssertionFailure() << "belief of node " << n;
+    }
+    if (!std::ranges::equal(ledger.belief_graph().neighbors(n),
+                            masked.neighbors(n))) {
+      return ::testing::AssertionFailure()
+             << "belief graph neighbors of node " << n;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The ledger derives its beliefs lazily; every read after every single
+// record, readmission and mode switch must match the masked-copy BFS of
+// the links reported so far.
 TEST(SuspicionLedgerTest, DeadSetMatchesMaskedBfsReference) {
   Topology topology = MakeUniformRandom(200, Area{300.0, 300.0}, 40.0, 17);
   const NodeId base = 0;
@@ -911,22 +1007,46 @@ TEST(SuspicionLedgerTest, DeadSetMatchesMaskedBfsReference) {
     }
   }
   link_sets.push_back(cut);
+  std::set<NodeId> energy_candidates;
+  for (NodeId n = 0; n < topology.node_count(); n += 3) {
+    energy_candidates.insert(n);
+  }
 
   for (size_t k = 0; k < link_sets.size(); ++k) {
     SCOPED_TRACE(::testing::Message() << "link set " << k);
-    std::vector<std::pair<NodeId, NodeId>> sorted = link_sets[k];
-    std::sort(sorted.begin(), sorted.end());
-    std::vector<int> distance =
-        Topology::WithFailures(topology, sorted, {}).HopDistancesFrom(base);
+    SuspicionLedger ledger(&topology, base);
+    ledger.SetEnergyExhaustionCandidates(energy_candidates);
+    std::vector<std::pair<NodeId, NodeId>> reported;
+    int revision = 0;
+    // Reads everything in the current mode, switches mode, reads again.
+    auto check_both_modes = [&](const char* step, size_t i) {
+      ASSERT_EQ(ledger.revision(), revision) << step << " " << i;
+      ASSERT_TRUE(LedgerMatchesMaskedBfs(ledger, topology, base, reported,
+                                         energy_candidates))
+          << step << " " << i;
+      ledger.set_partition_aware(!ledger.partition_aware());
+      ASSERT_EQ(ledger.revision(), revision) << step << " " << i;
+      ASSERT_TRUE(LedgerMatchesMaskedBfs(ledger, topology, base, reported,
+                                         energy_candidates))
+          << step << " " << i << " after the mode switch";
+    };
+    ASSERT_NO_FATAL_FAILURE(check_both_modes("start", 0));
+    for (size_t i = 0; i < link_sets[k].size(); ++i) {
+      const auto [a, b] = link_sets[k][i];
+      ASSERT_TRUE(ledger.RecordSuspicion(b, a));
+      ++revision;
+      reported.insert(std::lower_bound(reported.begin(), reported.end(),
+                                       std::make_pair(a, b)),
+                      {a, b});
+      ASSERT_NO_FATAL_FAILURE(check_both_modes("record", i));
+    }
+    ledger.set_partition_aware(false);
+    std::vector<int> distance = Topology::WithFailures(topology, reported, {})
+                                    .HopDistancesFrom(base);
     std::vector<NodeId> expected;
     for (NodeId n = 0; n < topology.node_count(); ++n) {
       if (distance[n] < 0) expected.push_back(n);
     }
-    SuspicionLedger ledger(&topology, base);
-    for (const auto& [a, b] : link_sets[k]) {
-      ASSERT_TRUE(ledger.RecordSuspicion(b, a));
-    }
-    EXPECT_EQ(ledger.believed_failed_links(), sorted);
     EXPECT_EQ(ledger.believed_dead(), expected);
     if (k + 2 == link_sets.size()) {
       EXPECT_EQ(ledger.believed_dead(), (std::vector<NodeId>{lonely}));
@@ -943,12 +1063,17 @@ TEST(SuspicionLedgerTest, DeadSetMatchesMaskedBfsReference) {
                        ledger.believed_partitioned().end());
     std::sort(unreachable.begin(), unreachable.end());
     EXPECT_EQ(unreachable, expected);
-    // Readmitting every link restores a dead-free belief.
-    ledger.set_partition_aware(false);
-    for (const auto& [a, b] : link_sets[k]) {
+    // Readmitting every link, one at a time, restores a dead-free belief.
+    for (size_t i = 0; i < link_sets[k].size(); ++i) {
+      const auto [a, b] = link_sets[k][i];
       ASSERT_TRUE(ledger.RecordReadmission(a, b));
+      ++revision;
+      reported.erase(std::lower_bound(reported.begin(), reported.end(),
+                                      std::make_pair(a, b)));
+      ASSERT_NO_FATAL_FAILURE(check_both_modes("readmission", i));
     }
     EXPECT_TRUE(ledger.believed_dead().empty());
+    EXPECT_TRUE(ledger.believed_partitioned().empty());
   }
 }
 
