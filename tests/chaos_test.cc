@@ -44,6 +44,7 @@ namespace m2m {
 namespace {
 
 using fault_test::Destinations;
+using fault_test::ReconciliationReference;
 using fault_test::ValuesClose;
 
 Workload DefaultWorkload(const Topology& topology, uint64_t seed) {
@@ -330,6 +331,7 @@ RejoinRun RunRejoin(const Topology& topology, const Workload& workload,
   obs::MetricsRegistry metrics;
   SelfHealingRuntime runtime(topology, workload, base, SelfHealingOptions{});
   runtime.set_metrics(&metrics);
+  ReconciliationReference reconciliations(runtime, metrics, base);
 
   std::map<uint32_t, PlanExecutor> executors;
   executors.emplace(
@@ -352,6 +354,7 @@ RejoinRun RunRejoin(const Topology& topology, const Workload& workload,
 
     SelfHealingRoundResult result =
         runtime.RunRound(round, readings.values(), physical, &trace);
+    reconciliations.CheckRound(round, result.replanned);
     run.total_readmissions += result.readmissions;
     if (result.replanned) {
       executors.emplace(

@@ -454,6 +454,18 @@ EnergyRun RunEnergyHealing(
     for (NodeId n : runtime.ledger().believed_dead()) {
       run.first_believed_dead.try_emplace(n, round);
     }
+    // Energy classification: the believed-dead mortal nodes whose
+    // predicted residual is at most 10%.
+    std::vector<NodeId> energy_dead;
+    if (options.energy.battery_aware) {
+      const BatteryLedger& predicted = runtime.predicted_battery();
+      for (NodeId n : runtime.ledger().believed_dead()) {
+        if (!predicted.immortal(n) && predicted.residual_fraction(n) <= 0.10) {
+          energy_dead.push_back(n);
+        }
+      }
+    }
+    EXPECT_EQ(result.believed_energy_dead, energy_dead) << "round " << round;
     for (NodeId n : result.believed_energy_dead) {
       run.first_energy_dead.try_emplace(n, round);
     }

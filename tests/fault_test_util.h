@@ -1,16 +1,20 @@
 #ifndef M2M_TESTS_FAULT_TEST_UTIL_H_
 #define M2M_TESTS_FAULT_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "plan/consistency.h"
 #include "plan/node_tables.h"
 #include "plan/planner.h"
@@ -20,6 +24,7 @@
 #include "sim/executor.h"
 #include "sim/fault_schedule.h"
 #include "sim/readings.h"
+#include "sim/self_healing.h"
 #include "topology/topology.h"
 #include "workload/workload.h"
 
@@ -208,6 +213,117 @@ inline std::vector<NodeId> Destinations(const Workload& workload) {
   for (const Task& task : workload.tasks) out.push_back(task.destination);
   return out;
 }
+
+/// Reference for the full images a self-healing replan forces. A replan
+/// forces one at every node other than the base that is believed alive and
+/// either merged back (believed partitioned at the previous replan),
+/// counted under `partition.merge_reconciliations`, or was readmitted
+/// (believed dead at the previous replan) or bounced an install since the
+/// previous replan, counted under `readmit.epoch_reconciliations`.
+///
+/// Bounces are read from `partition.epoch_divergences`. A round that
+/// replans runs a control pass before the replan and one after it, and a
+/// bounce in the second pass belongs to the next replan. The pass shows in
+/// the node's epoch at the end of the round: a node that bounced the new
+/// epoch holds a higher one, while a node that bounced the old epoch holds
+/// one below the new epoch, which the replan opens above every foreign
+/// epoch it has seen.
+class ReconciliationReference {
+ public:
+  ReconciliationReference(const SelfHealingRuntime& runtime,
+                          const obs::MetricsRegistry& metrics, NodeId base)
+      : runtime_(runtime),
+        metrics_(metrics),
+        base_(base),
+        applied_(runtime.network().node_count(),
+                 SuspicionLedger::NodeBelief::kAlive) {
+    Snapshot(epoch_, kEpochReconciliations);
+    Snapshot(merge_, kMergeReconciliations);
+    Snapshot(divergences_, kEpochDivergences);
+  }
+
+  /// Checks the per-node increments of both counters over the round just
+  /// run against the reference; call after every RunRound.
+  void CheckRound(int round, bool replanned) {
+    using NodeBelief = SuspicionLedger::NodeBelief;
+    std::vector<int64_t> epoch;
+    std::vector<int64_t> merge;
+    std::vector<int64_t> divergences;
+    Snapshot(epoch, kEpochReconciliations);
+    Snapshot(merge, kMergeReconciliations);
+    Snapshot(divergences, kEpochDivergences);
+    std::set<NodeId> bounced;
+    std::set<NodeId> bounced_later;
+    for (NodeId node = 0; node < static_cast<NodeId>(applied_.size());
+         ++node) {
+      if (divergences[node] == divergences_[node]) continue;
+      if (replanned &&
+          runtime_.network().plan_epoch(node) <= runtime_.base_epoch()) {
+        bounced.insert(node);
+      } else {
+        bounced_later.insert(node);
+      }
+    }
+    if (replanned) {
+      bounced.merge(carried_);
+      carried_ = std::move(bounced_later);
+    } else {
+      carried_.merge(bounced_later);
+    }
+    for (NodeId node = 0; node < static_cast<NodeId>(applied_.size());
+         ++node) {
+      int64_t want_epoch = 0;
+      int64_t want_merge = 0;
+      const NodeBelief now = runtime_.ledger().belief(node);
+      if (replanned && node != base_ && now == NodeBelief::kAlive) {
+        if (applied_[node] == NodeBelief::kPartitioned) {
+          want_merge = 1;
+        } else if (applied_[node] == NodeBelief::kDead ||
+                   bounced.contains(node)) {
+          want_epoch = 1;
+        }
+      }
+      EXPECT_EQ(epoch[node] - epoch_[node], want_epoch)
+          << "round " << round << " node " << node << " "
+          << kEpochReconciliations;
+      EXPECT_EQ(merge[node] - merge_[node], want_merge)
+          << "round " << round << " node " << node << " "
+          << kMergeReconciliations;
+      if (replanned) applied_[node] = now;
+    }
+    epoch_ = std::move(epoch);
+    merge_ = std::move(merge);
+    divergences_ = std::move(divergences);
+  }
+
+ private:
+  static constexpr const char* kEpochReconciliations =
+      "readmit.epoch_reconciliations";
+  static constexpr const char* kMergeReconciliations =
+      "partition.merge_reconciliations";
+  static constexpr const char* kEpochDivergences =
+      "partition.epoch_divergences";
+
+  void Snapshot(std::vector<int64_t>& values, const char* name) const {
+    values.resize(applied_.size());
+    for (NodeId node = 0; node < static_cast<NodeId>(values.size());
+         ++node) {
+      values[node] = metrics_.NodeValue(name, node);
+    }
+  }
+
+  const SelfHealingRuntime& runtime_;
+  const obs::MetricsRegistry& metrics_;
+  NodeId base_;
+  /// Each node's belief as of the last replan.
+  std::vector<SuspicionLedger::NodeBelief> applied_;
+  /// Counter values per node at the end of the last round.
+  std::vector<int64_t> epoch_;
+  std::vector<int64_t> merge_;
+  std::vector<int64_t> divergences_;
+  /// Nodes whose bounce belongs to the next replan.
+  std::set<NodeId> carried_;
+};
 
 }  // namespace fault_test
 }  // namespace m2m
