@@ -130,6 +130,7 @@ FailureDetector::RoundReport FailureDetector::ObserveRound(
               suspicion_it->second.required_probation) {
             suspected_.erase(suspicion_it);
             slot_suspected_[slot] = 0;
+            ++revision_;
             if (options_.probation_backoff_factor > 1) {
               flaps_[link].last_readmit_round = round;
             }
@@ -151,6 +152,7 @@ FailureDetector::RoundReport FailureDetector::ObserveRound(
         suspected_.emplace(
             link, Suspicion{round, 0, EscalatedProbation(link, round)});
         slot_suspected_[slot] = 1;
+        ++revision_;
         report.new_suspicions.push_back(
             SuspectedLink{monitor, neighbor, round});
       }

@@ -139,6 +139,11 @@ class FailureDetector {
   /// (monitor, neighbor).
   std::vector<SuspectedLink> suspicions() const;
 
+  /// Moves whenever `suspicions()` gains or loses a link (a raise or a
+  /// readmission), and only then: probation progress and missed-round
+  /// counts leave it alone. Equal revisions mean equal suspected links.
+  int revision() const { return revision_; }
+
   /// True iff `monitor` currently suspects its link to `neighbor` —
   /// including links in probation, which stay quarantined until readmitted.
   bool Suspects(NodeId monitor, NodeId neighbor) const;
@@ -219,6 +224,7 @@ class FailureDetector {
   uint8_t observation_ = 0;
   /// Active suspicions keyed (monitor, neighbor).
   std::map<std::pair<NodeId, NodeId>, Suspicion> suspected_;
+  int revision_ = 0;
   /// Flap history keyed (monitor, neighbor); entries are dropped when the
   /// forgiveness window elapses.
   std::map<std::pair<NodeId, NodeId>, FlapRecord> flaps_;

@@ -48,12 +48,19 @@ RuntimeNetwork::RuntimeNetwork(
     if (nodes_.back().decoded().state.entry_count() > 0) {
       participants_.push_back(n);
     }
-    // Segments by node-local message id (images index outgoing messages
-    // by their position in the outgoing table).
-    for (const OutgoingMessageEntry& entry :
-         compiled.state(n).outgoing_table) {
-      message_segments_[n].push_back(entry.segment);
-    }
+    AssignSegments(n, compiled);
+  }
+}
+
+void RuntimeNetwork::AssignSegments(NodeId node,
+                                    const CompiledPlan& compiled) {
+  // Segments by node-local message id (images index outgoing messages by
+  // their position in the outgoing table).
+  std::vector<std::vector<NodeId>>& segments = message_segments_[node];
+  segments.clear();
+  for (const OutgoingMessageEntry& entry :
+       compiled.state(node).outgoing_table) {
+    segments.push_back(entry.segment);
   }
 }
 
@@ -90,18 +97,19 @@ void RuntimeNetwork::set_metrics(obs::MetricsRegistry* metrics) {
 
 bool RuntimeNetwork::InstallNodeImage(NodeId node,
                                       const std::vector<uint8_t>& image,
-                                      std::vector<std::vector<NodeId>> segments) {
+                                      const CompiledPlan& compiled) {
   M2M_CHECK(node >= 0 && node < static_cast<NodeId>(nodes_.size()));
+  M2M_CHECK_EQ(compiled.node_count(), node_count());
   if (!nodes_[node].InstallImage(image)) {
     // Stale lineage: the node already runs a newer epoch; keep its current
     // tables and routes untouched (higher epoch wins).
     return false;
   }
+  AssignSegments(node, compiled);
   const size_t outgoing = nodes_[node].decoded().state.outgoing_table.size();
-  M2M_CHECK_EQ(segments.size(), outgoing)
+  M2M_CHECK_EQ(message_segments_[node].size(), outgoing)
       << "node " << node << ": segment routes do not match outgoing table";
   UpdateParticipation(node);
-  message_segments_[node] = std::move(segments);
   for (const std::vector<NodeId>& segment : message_segments_[node]) {
     M2M_CHECK_GE(segment.size(), 2u);
   }

@@ -239,14 +239,15 @@ class RuntimeNetwork {
   int64_t installed_image_bytes() const { return installed_image_bytes_; }
 
   /// Installs a new plan image at one node mid-deployment (epoch
-  /// transition). `segments` are the physical routes of the node's outgoing
-  /// messages under the new plan, indexed by node-local message id — the
-  /// communication-layer half of the state the image's tables reference.
-  /// Idempotent for the already-installed epoch. Returns false (and leaves
-  /// the node untouched) when the image's epoch is older than the node's
-  /// current one: higher epoch wins when plan lineages reconcile.
+  /// transition). `compiled` is the plan the image was encoded from: the
+  /// node's outgoing segments in it are the physical routes of its
+  /// messages, indexed by node-local message id — the communication-layer
+  /// half of the state the image's tables reference. Idempotent for the
+  /// already-installed epoch. Returns false (and leaves the node untouched)
+  /// when the image's epoch is older than the node's current one: higher
+  /// epoch wins when plan lineages reconcile.
   bool InstallNodeImage(NodeId node, const std::vector<uint8_t>& image,
-                        std::vector<std::vector<NodeId>> segments);
+                        const CompiledPlan& compiled);
 
   /// Plan epoch currently installed at `node`.
   uint32_t plan_epoch(NodeId node) const;
@@ -288,6 +289,8 @@ class RuntimeNetwork {
 
   /// Keeps participants_ in step with `node`'s installed tables.
   void UpdateParticipation(NodeId node);
+  /// Sets `node`'s message segments to its outgoing segments in `compiled`.
+  void AssignSegments(NodeId node, const CompiledPlan& compiled);
 
   std::vector<NodeRuntime> nodes_;
   /// Nodes with entry_count() > 0, sorted (see participants()).

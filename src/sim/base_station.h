@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -80,6 +79,10 @@ BaseStationRoundResult SimulateBaseStationRound(const Topology& topology,
 /// many reports derives once. The runtime plans over `belief_graph()`
 /// itself: masking the unreachable nodes would change no route between
 /// the nodes its believed workload names (THEORY §8).
+///
+/// Nothing else is stored here: what the runtime concludes from these
+/// beliefs (which believed deaths were battery exhaustion, which nodes a
+/// replan must send full images) it derives where it reads it.
 class SuspicionLedger {
  public:
   /// What the base station believes about one node.
@@ -121,27 +124,6 @@ class SuspicionLedger {
   /// Nodes the base station believes dead, sorted by id.
   const std::vector<NodeId>& believed_dead() const { return Derived().dead; }
 
-  /// Declares which nodes the base station's in-band energy prediction
-  /// considers exhaustion candidates (predicted residual at or below the
-  /// classification threshold). Pure annotation: beliefs, the belief graph
-  /// and `revision()` are untouched — classification refines the *cause*
-  /// of a believed death, never the death itself.
-  void SetEnergyExhaustionCandidates(std::set<NodeId> candidates) {
-    energy_candidates_ = std::move(candidates);
-  }
-
-  /// Believed-dead nodes classified as energy-exhausted (the intersection
-  /// of `believed_dead()` with the declared candidates), sorted by id.
-  /// Distinct from crash deaths (dead, not a candidate) and partitions
-  /// (believed alive but unreachable).
-  std::vector<NodeId> believed_energy_dead() const {
-    std::vector<NodeId> result;
-    for (NodeId node : believed_dead()) {
-      if (energy_candidates_.contains(node)) result.push_back(node);
-    }
-    return result;
-  }
-
   /// Nodes the base station believes alive but partitioned away (always
   /// empty unless partition-aware), sorted by id.
   const std::vector<NodeId>& believed_partitioned() const {
@@ -176,7 +158,6 @@ class SuspicionLedger {
   const Topology* topology_;
   NodeId base_;
   bool partition_aware_ = false;
-  std::set<NodeId> energy_candidates_;
   std::vector<std::pair<NodeId, NodeId>> links_;  // Sorted (lo, hi).
   mutable std::optional<Beliefs> derived_;        // Empty when stale.
   int revision_ = 0;

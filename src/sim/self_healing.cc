@@ -11,7 +11,6 @@
 #include "plan/serialization.h"
 #include "routing/lifetime_forest.h"
 #include "runtime/wire_functions.h"
-#include "sim/fault_schedule.h"
 
 namespace m2m {
 
@@ -71,7 +70,10 @@ SelfHealingRuntime::SelfHealingRuntime(const Topology& topology,
       network_(generation_.compiled(), generation_.images()),
       detector_(topology, options.detector),
       ledger_(&topology, base_station),
-      deployment_paths_(control_paths_) {
+      deployment_paths_(control_paths_),
+      replan_beliefs_(static_cast<size_t>(topology.node_count()),
+                      NodeBelief::kAlive),
+      install_bounced_(static_cast<size_t>(topology.node_count()), 0) {
   M2M_CHECK(base_ >= 0 && base_ < topology.node_count());
   ledger_.set_partition_aware(options_.partition_aware);
   epoch_opened_round_[0] = -1;
@@ -153,16 +155,6 @@ int SelfHealingRuntime::pending_installs() const {
     if (!install.acked) ++pending;
   }
   return pending;
-}
-
-std::vector<std::vector<NodeId>> SelfHealingRuntime::SegmentsFor(
-    NodeId node) const {
-  std::vector<std::vector<NodeId>> segments;
-  for (const OutgoingMessageEntry& entry :
-       compiled().state(node).outgoing_table) {
-    segments.push_back(entry.segment);
-  }
-  return segments;
 }
 
 SelfHealingRoundResult SelfHealingRuntime::RunRound(
@@ -310,25 +302,29 @@ void SelfHealingRuntime::QueueControl(ControlMessage::Kind kind,
 }
 
 void SelfHealingRuntime::RefreshControlPaths() {
+  // The avoided links change only when a suspicion or a belief does.
+  if (detector_.revision() == control_detector_revision_ &&
+      ledger_.revision() == control_ledger_revision_) {
+    return;
+  }
+  control_detector_revision_ = detector_.revision();
+  control_ledger_revision_ = ledger_.revision();
   // Control routing avoids every link any monitor suspects (plus the base
   // station's believed-failed links, a subset once reports arrive).
-  std::set<std::pair<NodeId, NodeId>> suspected;
+  std::vector<std::pair<NodeId, NodeId>> links =
+      ledger_.believed_failed_links();
   for (const SuspectedLink& s : detector_.suspicions()) {
-    suspected.emplace(std::min(s.monitor, s.neighbor),
-                      std::max(s.monitor, s.neighbor));
+    links.emplace_back(std::min(s.monitor, s.neighbor),
+                       std::max(s.monitor, s.neighbor));
   }
-  for (const std::pair<NodeId, NodeId>& link :
-       ledger_.believed_failed_links()) {
-    suspected.insert(link);
-  }
-  // Compare the set, not its size: a readmission paired with a fresh
+  std::ranges::sort(links);
+  links.erase(std::unique(links.begin(), links.end()), links.end());
+  // Compare the links, not their count: a readmission paired with a fresh
   // suspicion keeps the count constant while the routes must change.
-  if (suspected == control_paths_suspected_) return;
-  control_paths_suspected_ = suspected;
-  std::vector<std::pair<NodeId, NodeId>> links(suspected.begin(),
-                                               suspected.end());
+  if (links == control_links_) return;
+  control_links_ = std::move(links);
   control_paths_ =
-      PathSystem(Topology::WithFailures(*topology_, links, {}));
+      PathSystem(Topology::WithFailures(*topology_, control_links_, {}));
 }
 
 void SelfHealingRuntime::AdvanceControlPlane(int round,
@@ -522,8 +518,7 @@ void SelfHealingRuntime::DeliverControl(const ControlMessage& message,
       M2M_CHECK(image.has_value())
           << "plan image for node " << message.target
           << " failed its CRC32 frame check";
-      if (!network_.InstallNodeImage(message.target, *image,
-                                     SegmentsFor(message.target))) {
+      if (!network_.InstallNodeImage(message.target, *image, compiled())) {
         RecordEpochDivergence(message.target);
         break;  // No ack: the install stays pending for the next epoch.
       }
@@ -539,7 +534,7 @@ void SelfHealingRuntime::DeliverControl(const ControlMessage& message,
       // The bump re-stamps tables the node already holds: only 5 bytes
       // traveled, but the install path is the same as for a full image.
       if (!network_.InstallNodeImage(message.target, images()[message.target],
-                                     SegmentsFor(message.target))) {
+                                     compiled())) {
         RecordEpochDivergence(message.target);
         break;
       }
@@ -564,7 +559,7 @@ void SelfHealingRuntime::RecordEpochDivergence(NodeId node) {
   foreign_epoch_max_ =
       std::max(foreign_epoch_max_, network_.plan_epoch(node));
   epoch_divergence_pending_ = true;
-  diverged_nodes_.insert(node);
+  install_bounced_[node] = 1;
   if (metrics_ != nullptr) {
     metrics_->AddNode(handles_.epoch_divergences, node, 1);
   }
@@ -620,35 +615,6 @@ void SelfHealingRuntime::MaybeReplan(int round,
   energy_rotation_pending_ = false;
 
   RebuildBelievedWorkload();
-  // Nodes leaving the believed-dead set rebooted with whatever epoch they
-  // last installed; their actual tables are unknown to the image diff
-  // below, so they are forced a full image (lineage reconciliation:
-  // higher epoch wins, the rejoiner re-syncs).
-  std::vector<NodeId> readmitted_nodes;
-  for (NodeId node : believed_dead_applied_) {
-    if (ledger_.belief(node) != NodeBelief::kDead) {
-      readmitted_nodes.push_back(node);
-    }
-  }
-  believed_dead_applied_ = ledger_.believed_dead();
-  // Nodes leaving the believed-partitioned set merged back after running
-  // (possibly many) rounds on their own — a rejoin in all but name. Each
-  // gets the same treatment as a readmitted rebooter: a forced full
-  // CRC-framed image, counted as a merge reconciliation.
-  std::vector<NodeId> merged_nodes;
-  for (NodeId node : believed_partitioned_applied_) {
-    if (ledger_.belief(node) == NodeBelief::kAlive) {
-      merged_nodes.push_back(node);
-    }
-  }
-  believed_partitioned_applied_ = ledger_.believed_partitioned();
-  // Nodes that rejected an install with a higher epoch (the far side of a
-  // split replanned independently) are likewise forced a full image under
-  // the reconciling epoch below.
-  std::vector<NodeId> diverged_nodes(diverged_nodes_.begin(),
-                                     diverged_nodes_.end());
-  diverged_nodes_.clear();
-
   // Battery mode routes every replan over residual-energy link costs: paths
   // (and therefore the patched forest) bend away from drained relays. With
   // full batteries the cost is exactly 1.0 per link, which produces weights
@@ -695,34 +661,35 @@ void SelfHealingRuntime::MaybeReplan(int round,
     }
     if (delta.node == base_) {
       // The base station installs its own image locally, for free.
-      network_.InstallNodeImage(base_, images()[base_], SegmentsFor(base_));
+      network_.InstallNodeImage(base_, images()[base_], compiled());
       continue;
     }
     pending_installs_[delta.node].is_bump = !delta.ship_image;
   }
   // The diff only covers nodes whose image content changed or is non-empty,
-  // but a rejoiner's (or merger's, or diverged node's) actual tables are
-  // unknown regardless — it may hold no delta entry yet still carry stale
-  // or foreign-lineage state. Every such node gets a full framed image,
-  // diff or not.
-  auto force_full_image = [&](NodeId node, obs::MetricHandle counter) {
-    if (node == base_ || ledger_.belief(node) != NodeBelief::kAlive) return;
+  // but some nodes' actual tables are unknown regardless: a node merging
+  // back from a believed partition ran (possibly many) rounds on its own, a
+  // readmitted node rebooted with whatever epoch it last installed, and a
+  // node whose install bounced holds a foreign lineage. Each may hold no
+  // delta entry yet carry stale or foreign state, so each believed-alive
+  // one gets a full CRC-framed image under the new epoch, diff or not
+  // (lineage reconciliation: higher epoch wins).
+  for (NodeId node = 0; node < static_cast<NodeId>(replan_beliefs_.size());
+       ++node) {
+    const NodeBelief was = replan_beliefs_[node];
+    const NodeBelief now = ledger_.belief(node);
+    const bool bounced = install_bounced_[node] != 0;
+    replan_beliefs_[node] = now;
+    install_bounced_[node] = 0;
+    if (node == base_ || now != NodeBelief::kAlive) continue;
+    const bool merged = was == NodeBelief::kPartitioned;
+    if (!merged && was != NodeBelief::kDead && !bounced) continue;
     pending_installs_[node].is_bump = false;
     if (metrics_ != nullptr) {
-      metrics_->AddNode(counter, node, 1);
+      metrics_->AddNode(merged ? handles_.merge_reconciliations
+                               : handles_.epoch_reconciliations,
+                        node, 1);
     }
-  };
-  for (NodeId node : readmitted_nodes) {
-    force_full_image(node, handles_.epoch_reconciliations);
-  }
-  for (NodeId node : merged_nodes) {
-    force_full_image(node, handles_.merge_reconciliations);
-  }
-  for (NodeId node : diverged_nodes) {
-    if (Contains(readmitted_nodes, node) || Contains(merged_nodes, node)) {
-      continue;  // Already forced (and counted) above.
-    }
-    force_full_image(node, handles_.epoch_reconciliations);
   }
   int images_queued = 0;
   int bumps_queued = 0;
@@ -825,8 +792,7 @@ void SelfHealingRuntime::ChargeBatteries(
     if (Contains(depleted_before, node)) continue;
     if (trace != nullptr) {
       trace->Text("round " + std::to_string(round) + ": node " +
-                  std::to_string(node) + " " +
-                  ToString(FaultType::kEnergyExhaustion));
+                  std::to_string(node) + " energy-exhaustion");
     }
     if (metrics_ != nullptr) {
       metrics_->AddNode(handles_.energy_exhaustions, node, 1);
@@ -839,20 +805,17 @@ void SelfHealingRuntime::UpdateEnergyBeliefs(int round,
                                              EventTrace* trace) {
   result.battery_depleted = battery_.depleted_nodes();
 
-  // In-band exhaustion classification: a believed-dead node whose
+  // In-band exhaustion classification: a believed-dead mortal node whose
   // *predicted* residual is at or below the classify fraction died of its
-  // battery, not a crash. Pure annotation on the ledger — the death itself
-  // was detected by the ordinary suspicion machinery.
+  // battery, not a crash. Pure annotation — the death itself was detected
+  // by the ordinary suspicion machinery.
   const std::vector<double> fractions = PredictedResidualFractions();
-  std::set<NodeId> candidates;
-  for (NodeId n = 0; n < predicted_.node_count(); ++n) {
-    if (predicted_.immortal(n)) continue;
-    if (fractions[n] <= kExhaustionClassifyFraction) {
-      candidates.insert(n);
+  for (NodeId node : ledger_.believed_dead()) {
+    if (!predicted_.immortal(node) &&
+        fractions[node] <= kExhaustionClassifyFraction) {
+      result.believed_energy_dead.push_back(node);
     }
   }
-  ledger_.SetEnergyExhaustionCandidates(std::move(candidates));
-  result.believed_energy_dead = ledger_.believed_energy_dead();
 
   // Proactive rotation watches the minimum predicted residual over nodes
   // the current plan actually loads (unloaded nodes cannot be rotated off

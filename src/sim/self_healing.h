@@ -267,8 +267,9 @@ class SelfHealingRuntime {
   void DeliverControl(const ControlMessage& message, int round);
   void MaybeReplan(int round, SelfHealingRoundResult& result,
                    EventTrace* trace);
+  /// Re-derives control_paths_ when a detector or ledger revision moved
+  /// and the links they avoid changed with it.
   void RefreshControlPaths();
-  std::vector<std::vector<NodeId>> SegmentsFor(NodeId node) const;
   /// Rebuilds the believed workload from the original under the current
   /// beliefs: strips unreachable (believed-dead, or in partition-aware mode
   /// believed-partitioned) sources, and drops tasks whose destination is
@@ -285,8 +286,8 @@ class SelfHealingRuntime {
   /// analytic drain; traces/counts newly depleted nodes.
   void ChargeBatteries(int round, const SelfHealingRoundResult& result,
                        EventTrace* trace);
-  /// Battery mode: refreshes the ledger's energy-exhaustion candidate set
-  /// from predicted residuals and arms the proactive-rotation trigger.
+  /// Battery mode: classifies believed deaths as energy exhaustion from
+  /// predicted residuals and arms the proactive-rotation trigger.
   void UpdateEnergyBeliefs(int round, SelfHealingRoundResult& result,
                            EventTrace* trace);
   /// Predicted residual fractions per node (1.0 for immortal nodes).
@@ -335,11 +336,11 @@ class SelfHealingRuntime {
   Workload workload_;
   uint32_t epoch_ = 0;
   /// Paths control messages route over: the deployment topology minus
-  /// every link any monitor suspects (suspicions propagate through the
-  /// control plane itself; routing around them immediately is what lets a
-  /// report escape a region whose primary path just failed). Declared
-  /// before generation_: the initial forest is built over it, so
-  /// construction builds one graph of the topology, not two.
+  /// `control_links_` (suspicions propagate through the control plane
+  /// itself; routing around them immediately is what lets a report escape
+  /// a region whose primary path just failed). Declared before
+  /// generation_: the initial forest is built over it, so construction
+  /// builds one graph of the topology, not two.
   PathSystem control_paths_;
   /// The believed plan, its functions and its images.
   PlanGeneration generation_;
@@ -352,7 +353,11 @@ class SelfHealingRuntime {
   int workload_revision_ = 0;
   int workload_revision_applied_ = 0;
 
-  std::set<std::pair<NodeId, NodeId>> control_paths_suspected_;
+  /// Every link any monitor suspects or the ledger believes failed,
+  /// sorted (lo, hi), as of the detector and ledger revisions below.
+  std::vector<std::pair<NodeId, NodeId>> control_links_;
+  int control_detector_revision_ = 0;
+  int control_ledger_revision_ = 0;
   /// Fallback routes over the full deployment graph, for messages whose
   /// believed route does not exist: a monitor sitting behind a healed cut
   /// is the only messenger that can correct the belief, and the believed
@@ -385,14 +390,6 @@ class SelfHealingRuntime {
 
   std::map<uint32_t, int> epoch_opened_round_;
 
-  /// believed_dead() as of the last applied replan; a node leaving this set
-  /// is a readmission and is forced a full image (not a bump).
-  std::vector<NodeId> believed_dead_applied_;
-  /// believed_partitioned() as of the last applied replan; a node leaving
-  /// this set is a partition *merge* and is forced a full CRC-framed image
-  /// — its island may have run any number of rounds (and epochs) on its
-  /// own, so nothing short of full reconciliation is sound.
-  std::vector<NodeId> believed_partitioned_applied_;
   /// believed_partitioned() as of the last round, for partition/merge event
   /// metrics (tracked per round, not per replan).
   std::vector<NodeId> believed_partitioned_last_;
@@ -404,9 +401,13 @@ class SelfHealingRuntime {
   /// Set when an install bounced off a higher-epoch node (InstallNodeImage
   /// returned false); forces a reconciliation replan next round.
   bool epoch_divergence_pending_ = false;
-  /// Nodes whose installs bounced since the last replan; each is forced a
-  /// full image under the reconciling epoch.
-  std::set<NodeId> diverged_nodes_;
+  /// Per node: the ledger's belief at the last replan. A node believed
+  /// alive again after a belief of partitioned (a merge) or dead (a
+  /// readmission) is forced a full image by the next replan.
+  std::vector<SuspicionLedger::NodeBelief> replan_beliefs_;
+  /// Per node: 1 iff an install bounced since the last replan; the next
+  /// replan forces the node a full image under the reconciling epoch.
+  std::vector<uint8_t> install_bounced_;
 
   // --- Battery-aware state (battery_aware mode only) ---
   /// Physical batteries, drained by executed data rounds. Gates the link

@@ -849,11 +849,7 @@ TEST(LossyRuntimeTest, ParticipantListFollowsInstallsAcrossEpochs) {
     const std::vector<std::vector<uint8_t>> images =
         EncodeAllNodeStates(epoch1, after.functions);
     for (NodeId n = 0; n < topology.node_count(); ++n) {
-      std::vector<std::vector<NodeId>> segments;
-      for (const OutgoingMessageEntry& entry : epoch1.state(n).outgoing_table) {
-        segments.push_back(entry.segment);
-      }
-      ASSERT_TRUE(network.InstallNodeImage(n, images[n], std::move(segments)));
+      ASSERT_TRUE(network.InstallNodeImage(n, images[n], epoch1));
     }
     EXPECT_EQ(network.participants(), (std::vector<NodeId>{2, 3, 4, 5, 6}));
 

@@ -690,6 +690,53 @@ TEST(FailureDetectorTest, IntermittentEvidenceResetsTheCounter) {
   EXPECT_TRUE(detector.suspicions().empty());  // 1 < threshold again.
 }
 
+// revision() moves in exactly the rounds whose suspected links differ from
+// the round before, for raises and readmissions alike, and stays put while
+// links only serve probation or count missed rounds.
+TEST(FailureDetectorTest, RevisionMovesExactlyWhenSuspicionsChange) {
+  const Topology topology =
+      MakeUniformRandom(60, Area{150.0, 150.0}, 40.0, 7);
+  FailureDetector detector(topology);
+  auto links_of = [](const std::vector<SuspectedLink>& suspicions) {
+    std::vector<std::pair<NodeId, NodeId>> links;
+    for (const SuspectedLink& s : suspicions) {
+      links.emplace_back(s.monitor, s.neighbor);
+    }
+    return links;
+  };
+  const std::vector<std::pair<NodeId, NodeId>> silent;
+  std::vector<std::pair<NodeId, NodeId>> before;
+  int revision = detector.revision();
+  int raise_rounds = 0;
+  int readmit_rounds = 0;
+  int unchanged_probation_rounds = 0;
+  for (int round = 0; round < 120; ++round) {
+    // A quarter of the links are down in each block of five rounds, long
+    // enough to be suspected, serve probation and be readmitted.
+    auto delivers = [round](NodeId from, NodeId to, int) {
+      const uint64_t link = static_cast<uint64_t>(std::min(from, to)) << 32 |
+                            static_cast<uint64_t>(std::max(from, to));
+      return SplitMix64(link ^ static_cast<uint64_t>(round / 5)) % 4 != 0;
+    };
+    const FailureDetector::RoundReport report =
+        detector.ObserveRound(round, silent, delivers, nullptr);
+    const std::vector<std::pair<NodeId, NodeId>> after =
+        links_of(detector.suspicions());
+    EXPECT_EQ(detector.revision() != revision, after != before)
+        << "round " << round;
+    if (!report.new_suspicions.empty()) ++raise_rounds;
+    if (!report.readmitted.empty()) ++readmit_rounds;
+    if (after == before && detector.probation_link_count() > 0) {
+      ++unchanged_probation_rounds;
+    }
+    revision = detector.revision();
+    before = after;
+  }
+  EXPECT_GT(raise_rounds, 0);
+  EXPECT_GT(readmit_rounds, 0);
+  EXPECT_GT(unchanged_probation_rounds, 0);
+}
+
 TEST(FailureDetectorTest, MissedRoundsIsZeroForNonNeighbors) {
   Topology topology = MakeGrid(3, 1, 10.0, 15.0);  // Path 0 - 1 - 2.
   FailureDetector detector(topology);
@@ -908,8 +955,7 @@ TEST(SuspicionLedgerTest, InteriorLinkFailureKillsNoNodes) {
 // partition-aware mode dead when isolated and partitioned otherwise.
 ::testing::AssertionResult LedgerMatchesMaskedBfs(
     const SuspicionLedger& ledger, const Topology& topology, NodeId base,
-    const std::vector<std::pair<NodeId, NodeId>>& links,
-    const std::set<NodeId>& energy_candidates) {
+    const std::vector<std::pair<NodeId, NodeId>>& links) {
   using NodeBelief = SuspicionLedger::NodeBelief;
   const Topology masked = Topology::WithFailures(topology, links, {});
   const std::vector<int> hops = masked.HopDistancesFrom(base);
@@ -931,10 +977,6 @@ TEST(SuspicionLedgerTest, InteriorLinkFailureKillsNoNodes) {
       if (region[m] >= 0) in_counted_region[m] = true;
     }
   }
-  std::vector<NodeId> energy_dead;
-  for (NodeId n : dead) {
-    if (energy_candidates.contains(n)) energy_dead.push_back(n);
-  }
   if (ledger.believed_failed_links() != links) {
     return ::testing::AssertionFailure() << "believed_failed_links differ";
   }
@@ -948,9 +990,6 @@ TEST(SuspicionLedgerTest, InteriorLinkFailureKillsNoNodes) {
     return ::testing::AssertionFailure()
            << "partition_region_count " << ledger.partition_region_count()
            << ", expected " << regions;
-  }
-  if (ledger.believed_energy_dead() != energy_dead) {
-    return ::testing::AssertionFailure() << "believed_energy_dead differs";
   }
   for (NodeId n = 0; n < topology.node_count(); ++n) {
     const NodeBelief expected =
@@ -1007,27 +1046,20 @@ TEST(SuspicionLedgerTest, DeadSetMatchesMaskedBfsReference) {
     }
   }
   link_sets.push_back(cut);
-  std::set<NodeId> energy_candidates;
-  for (NodeId n = 0; n < topology.node_count(); n += 3) {
-    energy_candidates.insert(n);
-  }
 
   for (size_t k = 0; k < link_sets.size(); ++k) {
     SCOPED_TRACE(::testing::Message() << "link set " << k);
     SuspicionLedger ledger(&topology, base);
-    ledger.SetEnergyExhaustionCandidates(energy_candidates);
     std::vector<std::pair<NodeId, NodeId>> reported;
     int revision = 0;
     // Reads everything in the current mode, switches mode, reads again.
     auto check_both_modes = [&](const char* step, size_t i) {
       ASSERT_EQ(ledger.revision(), revision) << step << " " << i;
-      ASSERT_TRUE(LedgerMatchesMaskedBfs(ledger, topology, base, reported,
-                                         energy_candidates))
+      ASSERT_TRUE(LedgerMatchesMaskedBfs(ledger, topology, base, reported))
           << step << " " << i;
       ledger.set_partition_aware(!ledger.partition_aware());
       ASSERT_EQ(ledger.revision(), revision) << step << " " << i;
-      ASSERT_TRUE(LedgerMatchesMaskedBfs(ledger, topology, base, reported,
-                                         energy_candidates))
+      ASSERT_TRUE(LedgerMatchesMaskedBfs(ledger, topology, base, reported))
           << step << " " << i << " after the mode switch";
     };
     ASSERT_NO_FATAL_FAILURE(check_both_modes("start", 0));
@@ -1103,11 +1135,7 @@ TEST(EpochGateTest, MixedEpochRoundNeverMergesAcrossPlans) {
   // Move only the destination to epoch 1; all senders stay on epoch 0.
   std::vector<std::vector<uint8_t>> epoch1_images =
       EncodeAllNodeStates(epoch1, workload.functions);
-  std::vector<std::vector<NodeId>> segments;
-  for (const OutgoingMessageEntry& entry : epoch1.state(5).outgoing_table) {
-    segments.push_back(entry.segment);
-  }
-  network.InstallNodeImage(5, epoch1_images[5], std::move(segments));
+  network.InstallNodeImage(5, epoch1_images[5], epoch1);
   EXPECT_EQ(network.plan_epoch(5), 1u);
   EXPECT_EQ(network.plan_epoch(0), 0u);
 
