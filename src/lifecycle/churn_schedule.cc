@@ -10,20 +10,6 @@
 
 namespace m2m {
 
-std::string ToString(ChurnType type) {
-  switch (type) {
-    case ChurnType::kAdmit:
-      return "admit";
-    case ChurnType::kRetire:
-      return "retire";
-    case ChurnType::kAddSource:
-      return "add_source";
-    case ChurnType::kRemoveSource:
-      return "remove_source";
-  }
-  return "unknown";
-}
-
 ChurnSchedule ChurnSchedule::Generate(
     const Topology& topology, const Workload& initial,
     const std::vector<NodeId>& forbidden_destinations,
@@ -44,12 +30,12 @@ ChurnSchedule ChurnSchedule::Generate(
   }
 
   Rng rng(options.seed);
-  std::vector<ChurnType> types;
-  types.insert(types.end(), options.admissions, ChurnType::kAdmit);
-  types.insert(types.end(), options.retirements, ChurnType::kRetire);
-  types.insert(types.end(), options.source_adds, ChurnType::kAddSource);
+  std::vector<MutationType> types;
+  types.insert(types.end(), options.admissions, MutationType::kAdmit);
+  types.insert(types.end(), options.retirements, MutationType::kRetire);
+  types.insert(types.end(), options.source_adds, MutationType::kAddSource);
   types.insert(types.end(), options.source_removes,
-               ChurnType::kRemoveSource);
+               MutationType::kRemoveSource);
   rng.Shuffle(types);
   std::vector<int> rounds;
   rounds.reserve(types.size());
@@ -65,9 +51,10 @@ ChurnSchedule ChurnSchedule::Generate(
     Rng event_rng = rng.Fork(static_cast<uint64_t>(i));
     ChurnEvent event;
     event.round = rounds[i];
-    event.type = types[i];
+    MutationRequest& request = event.request;
+    request.type = types[i];
     switch (types[i]) {
-      case ChurnType::kAdmit: {
+      case MutationType::kAdmit: {
         std::vector<NodeId> candidates;
         for (NodeId n = 0; n < topology.node_count(); ++n) {
           if (!membership.contains(n) && !forbidden.contains(n)) {
@@ -75,26 +62,26 @@ ChurnSchedule ChurnSchedule::Generate(
           }
         }
         if (candidates.empty()) continue;
-        event.destination = candidates[event_rng.UniformInt(
+        request.destination = candidates[event_rng.UniformInt(
             static_cast<uint64_t>(candidates.size()))];
         std::vector<NodeId> pool;
         for (NodeId n = 0; n < topology.node_count(); ++n) {
-          if (n != event.destination) pool.push_back(n);
+          if (n != request.destination) pool.push_back(n);
         }
         event_rng.Shuffle(pool);
         pool.resize(options.sources_per_admission);
         std::sort(pool.begin(), pool.end());
-        event.spec.kind = options.kind;
+        request.spec.kind = options.kind;
         for (NodeId source : pool) {
-          event.spec.weights.emplace_back(
+          request.spec.weights.emplace_back(
               source, event_rng.UniformDouble(options.weight_min,
                                               options.weight_max));
         }
-        membership.emplace(event.destination,
+        membership.emplace(request.destination,
                            std::set<NodeId>(pool.begin(), pool.end()));
         break;
       }
-      case ChurnType::kRetire: {
+      case MutationType::kRetire: {
         // Draining to zero is legal at the manager, but keep two live
         // queries so a subsequent retirement slot still has a target (and
         // the steady-state experiments keep traffic to measure).
@@ -106,12 +93,12 @@ ChurnSchedule ChurnSchedule::Generate(
           }
         }
         if (candidates.empty()) continue;
-        event.destination = candidates[event_rng.UniformInt(
+        request.destination = candidates[event_rng.UniformInt(
             static_cast<uint64_t>(candidates.size()))];
-        membership.erase(event.destination);
+        membership.erase(request.destination);
         break;
       }
-      case ChurnType::kAddSource: {
+      case MutationType::kAddSource: {
         std::vector<NodeId> candidates;
         for (const auto& [destination, sources] : membership) {
           if (static_cast<int>(sources.size()) + 1 <
@@ -120,35 +107,35 @@ ChurnSchedule ChurnSchedule::Generate(
           }
         }
         if (candidates.empty()) continue;
-        event.destination = candidates[event_rng.UniformInt(
+        request.destination = candidates[event_rng.UniformInt(
             static_cast<uint64_t>(candidates.size()))];
-        std::set<NodeId>& sources = membership.at(event.destination);
+        std::set<NodeId>& sources = membership.at(request.destination);
         std::vector<NodeId> addable;
         for (NodeId n = 0; n < topology.node_count(); ++n) {
-          if (n != event.destination && !sources.contains(n)) {
+          if (n != request.destination && !sources.contains(n)) {
             addable.push_back(n);
           }
         }
-        event.source = addable[event_rng.UniformInt(
+        request.source = addable[event_rng.UniformInt(
             static_cast<uint64_t>(addable.size()))];
-        event.weight = event_rng.UniformDouble(options.weight_min,
-                                               options.weight_max);
-        sources.insert(event.source);
+        request.weight = event_rng.UniformDouble(options.weight_min,
+                                                 options.weight_max);
+        sources.insert(request.source);
         break;
       }
-      case ChurnType::kRemoveSource: {
+      case MutationType::kRemoveSource: {
         std::vector<NodeId> candidates;
         for (const auto& [destination, sources] : membership) {
           if (sources.size() >= 2) candidates.push_back(destination);
         }
         if (candidates.empty()) continue;
-        event.destination = candidates[event_rng.UniformInt(
+        request.destination = candidates[event_rng.UniformInt(
             static_cast<uint64_t>(candidates.size()))];
-        std::set<NodeId>& sources = membership.at(event.destination);
+        std::set<NodeId>& sources = membership.at(request.destination);
         std::vector<NodeId> removable(sources.begin(), sources.end());
-        event.source = removable[event_rng.UniformInt(
+        request.source = removable[event_rng.UniformInt(
             static_cast<uint64_t>(removable.size()))];
-        sources.erase(event.source);
+        sources.erase(request.source);
         break;
       }
     }
@@ -168,9 +155,12 @@ std::vector<ChurnEvent> ChurnSchedule::EventsAt(int round) const {
 std::vector<NodeId> ChurnSchedule::ReferencedNodes() const {
   std::set<NodeId> nodes;
   for (const ChurnEvent& event : events_) {
-    if (event.destination != kInvalidNode) nodes.insert(event.destination);
-    if (event.source != kInvalidNode) nodes.insert(event.source);
-    for (const auto& [source, weight] : event.spec.weights) {
+    const MutationRequest& request = event.request;
+    if (request.destination != kInvalidNode) {
+      nodes.insert(request.destination);
+    }
+    if (request.source != kInvalidNode) nodes.insert(request.source);
+    for (const auto& [source, weight] : request.spec.weights) {
       nodes.insert(source);
     }
   }
@@ -180,18 +170,19 @@ std::vector<NodeId> ChurnSchedule::ReferencedNodes() const {
 std::string ChurnSchedule::Describe() const {
   std::ostringstream os;
   for (const ChurnEvent& event : events_) {
-    os << "round " << event.round << ": " << ToString(event.type)
-       << " destination " << event.destination;
-    if (event.type == ChurnType::kAdmit) {
+    const MutationRequest& request = event.request;
+    os << "round " << event.round << ": " << ToString(request.type)
+       << " destination " << request.destination;
+    if (request.type == MutationType::kAdmit) {
       os << " sources {";
-      for (size_t i = 0; i < event.spec.weights.size(); ++i) {
+      for (size_t i = 0; i < request.spec.weights.size(); ++i) {
         if (i > 0) os << ",";
-        os << event.spec.weights[i].first;
+        os << request.spec.weights[i].first;
       }
       os << "}";
-    } else if (event.type == ChurnType::kAddSource ||
-               event.type == ChurnType::kRemoveSource) {
-      os << " source " << event.source;
+    } else if (request.type == MutationType::kAddSource ||
+               request.type == MutationType::kRemoveSource) {
+      os << " source " << request.source;
     }
     os << "\n";
   }
@@ -200,22 +191,7 @@ std::string ChurnSchedule::Describe() const {
 
 MutationResult ApplyChurnEvent(QueryLifecycleManager& manager,
                                const ChurnEvent& event) {
-  return manager.Apply(ToMutationRequest(event));
-}
-
-MutationRequest ToMutationRequest(const ChurnEvent& event) {
-  switch (event.type) {
-    case ChurnType::kAdmit:
-      return MutationRequest::Admit(event.destination, event.spec);
-    case ChurnType::kRetire:
-      return MutationRequest::Retire(event.destination);
-    case ChurnType::kAddSource:
-      return MutationRequest::AddSource(event.destination, event.source,
-                                        event.weight);
-    case ChurnType::kRemoveSource:
-      return MutationRequest::RemoveSource(event.destination, event.source);
-  }
-  M2M_CHECK(false) << "unreachable churn type";
+  return manager.Apply(event.request);
 }
 
 BatchResult ApplyChurnEventsBatched(QueryLifecycleManager& manager,
@@ -223,7 +199,7 @@ BatchResult ApplyChurnEventsBatched(QueryLifecycleManager& manager,
   std::vector<MutationRequest> requests;
   requests.reserve(events.size());
   for (const ChurnEvent& event : events) {
-    requests.push_back(ToMutationRequest(event));
+    requests.push_back(event.request);
   }
   return manager.ApplyBatch(requests);
 }

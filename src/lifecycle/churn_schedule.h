@@ -13,25 +13,11 @@
 
 namespace m2m {
 
-/// Kind of scheduled workload mutation (query arrival/departure churn).
-enum class ChurnType : uint8_t {
-  kAdmit,         ///< A new query arrives.
-  kRetire,        ///< A live query departs.
-  kAddSource,     ///< A live query gains a source.
-  kRemoveSource,  ///< A live query loses a source.
-};
-
-std::string ToString(ChurnType type);
-
-/// One scheduled mutation. `spec` is populated for kAdmit; `source` and
-/// `weight` for the source mutations.
+/// One scheduled mutation (query arrival/departure churn): the lifecycle
+/// request to apply at `round`.
 struct ChurnEvent {
   int round = 0;
-  ChurnType type = ChurnType::kAdmit;
-  NodeId destination = kInvalidNode;
-  NodeId source = kInvalidNode;
-  double weight = 1.0;
-  FunctionSpec spec;
+  MutationRequest request;
 };
 
 struct ChurnScheduleOptions {
@@ -92,9 +78,6 @@ class ChurnSchedule {
 /// Applies one scheduled event through the lifecycle manager.
 MutationResult ApplyChurnEvent(QueryLifecycleManager& manager,
                                const ChurnEvent& event);
-
-/// The event as a batchable lifecycle request.
-MutationRequest ToMutationRequest(const ChurnEvent& event);
 
 /// Applies a round's events as ONE lifecycle batch (one replan + one epoch
 /// bump on the fast path) instead of one mutation per event. Guaranteed to

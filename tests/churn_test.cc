@@ -223,8 +223,8 @@ ChurnFaultRun RunChurnWithFaults(const Topology& topology,
     for (const ChurnEvent& event : churn.EventsAt(round)) {
       MutationResult result = ApplyChurnEvent(manager, event);
       std::ostringstream line;
-      line << "r" << round << " churn " << ToString(event.type)
-           << " d" << event.destination << " -> "
+      line << "r" << round << " churn " << ToString(event.request.type)
+           << " d" << event.request.destination << " -> "
            << (result.decision.admitted
                    ? "admitted"
                    : ToString(result.decision.reason));
@@ -856,9 +856,9 @@ TEST(ChurnScheduleTest, DeterministicAndBounded) {
     EXPECT_LE(event.round, options.rounds - 1);
     EXPECT_GE(event.round, last_round);  // Sorted by round.
     last_round = event.round;
-    if (event.type == ChurnType::kAdmit ||
-        event.type == ChurnType::kRetire) {
-      EXPECT_NE(event.destination, base);
+    if (event.request.type == MutationType::kAdmit ||
+        event.request.type == MutationType::kRetire) {
+      EXPECT_NE(event.request.destination, base);
     }
   }
 
@@ -1289,10 +1289,9 @@ GoldenStreamRun RunGoldenStream(uint64_t seed) {
       digest.Add(result);
     } else if (op == 5) {
       ChurnEvent event;
-      event.type = ChurnType::kAddSource;
-      event.destination = DrawServed(manager.catalog(), rng);
-      event.source = DrawSources(topology, event.destination, 1, rng)[0];
-      event.weight = 0.75;
+      const NodeId destination = DrawServed(manager.catalog(), rng);
+      event.request = MutationRequest::AddSource(
+          destination, DrawSources(topology, destination, 1, rng)[0], 0.75);
       digest.Add(ApplyChurnEvent(manager, event));
     } else {
       // A batch of 2-4 requests drawn against the evolving catalog view;

@@ -263,7 +263,7 @@ std::string ChurnFingerprint(uint64_t seed) {
   for (int round = 0; round < options.rounds; ++round) {
     for (const ChurnEvent& event : schedule.EventsAt(round)) {
       MutationResult result = ApplyChurnEvent(manager, event);
-      out << "r" << round << " " << ToString(event.type)
+      out << "r" << round << " " << ToString(event.request.type)
           << " v=" << result.catalog_version
           << " reused=" << result.replan.edges_reused
           << " reopt=" << result.replan.edges_reoptimized
