@@ -60,8 +60,6 @@ std::string ToString(FaultType type) {
       return "link-heal";
     case FaultType::kNodeRecover:
       return "node-recover";
-    case FaultType::kEnergyExhaustion:
-      return "energy-exhaustion";
   }
   return "unknown";
 }
@@ -276,10 +274,6 @@ bool FaultSchedule::AttemptDelivers(int round, NodeId from, NodeId to,
         break;
       case FaultType::kLinkHeal:
         if (PackLink(event.a, event.b) == link) link_up = true;
-        break;
-      case FaultType::kEnergyExhaustion:
-        // Never emitted by Generate: exhaustion deaths come from the
-        // battery ledger, not the schedule (NodeAliveAt ignores it too).
         break;
     }
   }

@@ -33,12 +33,6 @@ enum class FaultType : uint8_t {
   /// last installed (now stale) plan image and must be readmitted and
   /// re-imaged before it contributes again.
   kNodeRecover,
-  /// The node is dead from `round` onward because its battery drained to
-  /// zero (BatteryLedger). Never produced by Generate — energy exhaustion
-  /// is not sampled, it is *earned*: the executed plan's own drain
-  /// deterministically kills the node. Unlike kNodeDeath there is no
-  /// recovery; a battery does not refill.
-  kEnergyExhaustion,
 };
 
 std::string ToString(FaultType type);
