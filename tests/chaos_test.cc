@@ -674,6 +674,73 @@ TEST(ChannelModelTest, GoldenDigestPinsEveryDecision) {
   EXPECT_EQ(metrics.Total("chan.burst_transitions"), kGoldenBurstTransitions);
 }
 
+// The golden above runs with metrics attached, which keeps the walk-first
+// path. A channel with no metrics draws the loss first and walks the burst
+// chain only when the draw falls between the two state losses; every
+// decision must equal the attached channel's. Besides the golden's regime:
+// a good state lossier than the burst, reverse loss saturating at 1, no
+// loss in either state, and no bursts at all.
+TEST(ChannelModelTest, DetachedDecisionsEqualAttached) {
+  std::vector<int> attempts;
+  for (const auto& [first, last] :
+       std::vector<std::pair<int, int>>{{1, 70}, {959, 1010}, {1470, 1540}}) {
+    for (int attempt = first; attempt <= last; ++attempt) {
+      attempts.push_back(attempt);
+    }
+  }
+  const std::vector<std::pair<NodeId, NodeId>> links = {
+      {0, 1}, {1, 0}, {3, 17}, {17, 3}, {250, 999}, {999, 250}};
+  struct Regime {
+    const char* name;
+    double good_loss, bad_loss, p_enter_bad, p_exit_bad, reverse_extra_loss;
+  };
+  const std::vector<Regime> regimes = {
+      {"golden", 0.05, 0.7, 0.08, 0.25, 0.1},
+      {"good lossier than bad", 0.6, 0.1, 0.08, 0.25, 0.0},
+      {"reverse saturates", 0.3, 0.8, 0.08, 0.25, 0.5},
+      {"reverse saturates both", 0.3, 0.8, 0.08, 0.25, 1.0},
+      {"lossless", 0.0, 0.0, 0.08, 0.25, 0.0},
+      {"no bursts", 0.2, 0.9, 0.0, 0.25, 0.05},
+  };
+  for (const Regime& regime : regimes) {
+    int delivered = 0;
+    int decisions = 0;
+    for (uint64_t seed : {1u, 7u, 42u}) {
+      ChannelOptions options;
+      options.good_loss = regime.good_loss;
+      options.bad_loss = regime.bad_loss;
+      options.p_enter_bad = regime.p_enter_bad;
+      options.p_exit_bad = regime.p_exit_bad;
+      options.reverse_extra_loss = regime.reverse_extra_loss;
+      options.seed = seed;
+      const ChannelModel detached(options);
+      ChannelModel attached(options);
+      obs::MetricsRegistry metrics;
+      attached.set_metrics(&metrics);
+      for (int round : {0, 3, 49}) {
+        for (const auto& [from, to] : links) {
+          for (int attempt : attempts) {
+            const bool delivers =
+                attached.AttemptDelivers(round, from, to, attempt);
+            ASSERT_EQ(detached.AttemptDelivers(round, from, to, attempt),
+                      delivers)
+                << regime.name << " seed " << seed << " round " << round
+                << " link " << from << "->" << to << " attempt " << attempt;
+            delivered += delivers;
+            ++decisions;
+          }
+        }
+      }
+    }
+    if (regime.good_loss + regime.bad_loss == 0.0) {
+      EXPECT_EQ(delivered, decisions) << regime.name;
+    } else {
+      EXPECT_GT(delivered, 0) << regime.name;
+      EXPECT_LT(delivered, decisions) << regime.name;
+    }
+  }
+}
+
 // The Gilbert–Elliott state by the forward walk: from the 64-attempt
 // block's stationary draw, one uniform per attempt up to `attempt`. It
 // rebuilds ChannelModel's decision hashes (salt i is 0xb1a5'0001 + i:

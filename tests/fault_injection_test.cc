@@ -247,8 +247,131 @@ struct ScheduleReference {
   }
 };
 
-// On a long schedule dense with transient faults, every FaultSchedule query
-// must equal a full rescan of events().
+// Every FaultSchedule query at `rounds` against a full rescan of events():
+// the liveness of every node, each directed topology link and each pair in
+// `other_pairs` (not topology links, or ids outside the topology) in both
+// directions at three attempts, and the persistent-event, dead-node and
+// failed-link lists. Returns how many link queries hit a flaky link.
+int64_t ExpectQueriesMatchReference(
+    const Topology& topology, const FaultSchedule& schedule,
+    const std::set<int>& rounds,
+    const std::vector<std::pair<NodeId, NodeId>>& other_pairs) {
+  const ScheduleReference reference{&schedule};
+  int64_t flaky_queries = 0;
+  for (int round : rounds) {
+    std::vector<NodeId> dead;
+    for (NodeId n = 0; n < topology.node_count(); ++n) {
+      const bool alive = reference.NodeAlive(round, n);
+      EXPECT_EQ(schedule.NodeAliveAt(round, n), alive)
+          << "round " << round << " node " << n;
+      if (!alive) dead.push_back(n);
+    }
+    EXPECT_EQ(schedule.DeadNodesThrough(round), dead) << "round " << round;
+    std::vector<FaultEvent> persistent;
+    for (const FaultEvent& event : schedule.events()) {
+      if (event.round == round && event.type != FaultType::kTransientLink) {
+        persistent.push_back(event);
+      }
+    }
+    const std::vector<FaultEvent> at = schedule.PersistentEventsAt(round);
+    EXPECT_TRUE(std::ranges::equal(
+        at, persistent, [](const FaultEvent& x, const FaultEvent& y) {
+          return x.round == y.round && x.type == y.type && x.a == y.a &&
+                 x.b == y.b;
+        }))
+        << "round " << round;
+    std::vector<std::pair<NodeId, NodeId>> pairs = other_pairs;
+    std::vector<std::pair<NodeId, NodeId>> failed;
+    for (NodeId a = 0; a < topology.node_count(); ++a) {
+      for (NodeId b : topology.neighbors(a)) {
+        if (a > b) continue;
+        pairs.emplace_back(a, b);
+        if (!reference.LinkUp(round, a, b)) failed.emplace_back(a, b);
+      }
+    }
+    for (const auto& [a, b] : pairs) {
+      const bool up = reference.NodeAlive(round, a) &&
+                      reference.NodeAlive(round, b) &&
+                      reference.LinkUp(round, a, b);
+      const bool flaky = reference.Flaky(round, a, b);
+      if (flaky) ++flaky_queries;
+      for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+        EXPECT_EQ(schedule.NodeAliveAt(round, from),
+                  reference.NodeAlive(round, from))
+            << "round " << round << " node " << from;
+        for (int attempt : {1, 2, 7}) {
+          const bool expected =
+              up && (!flaky ||
+                     reference.TransientDelivers(round, from, to, attempt));
+          EXPECT_EQ(schedule.AttemptDelivers(round, from, to, attempt),
+                    expected)
+              << "round " << round << " link " << from << "->" << to
+              << " attempt " << attempt;
+        }
+      }
+    }
+    std::sort(failed.begin(), failed.end());
+    EXPECT_EQ(schedule.FailedLinksThrough(round), failed)
+        << "round " << round;
+  }
+  return flaky_queries;
+}
+
+// Every fifth round, each persistent event's round and the round before
+// it, and two rounds past the schedule.
+std::set<int> ReferenceRounds(const FaultSchedule& schedule) {
+  const int last = schedule.options().rounds;
+  std::set<int> rounds = {last, last + 1};
+  for (int round = 0; round < last; round += 5) rounds.insert(round);
+  for (const FaultEvent& event : schedule.events()) {
+    if (event.type == FaultType::kTransientLink) continue;
+    rounds.insert(event.round);
+    rounds.insert(event.round - 1);
+  }
+  return rounds;
+}
+
+// Pairs that are not topology links: each node a persistent event names
+// with the next two such nodes (if not neighbors), with a far node and with
+// ids outside the topology, and a few random pairs.
+std::vector<std::pair<NodeId, NodeId>> NonLinkPairs(
+    const Topology& topology, const FaultSchedule& schedule) {
+  std::set<NodeId> named;
+  for (const FaultEvent& event : schedule.events()) {
+    if (event.type == FaultType::kTransientLink) continue;
+    named.insert(event.a);
+    if (event.b != kInvalidNode) named.insert(event.b);
+  }
+  const NodeId count = topology.node_count();
+  std::vector<std::pair<NodeId, NodeId>> pairs = {
+      {kInvalidNode, 0}, {count, count - 1}, {count + 7, kInvalidNode}};
+  for (auto it = named.begin(); it != named.end(); ++it) {
+    const NodeId x = *it;
+    for (auto next = std::next(it);
+         next != named.end() && std::distance(it, next) <= 2; ++next) {
+      if (!topology.AreNeighbors(x, *next)) pairs.emplace_back(x, *next);
+    }
+    for (NodeId far : {NodeId{0}, count - 1}) {
+      if (far != x && !topology.AreNeighbors(x, far)) {
+        pairs.emplace_back(x, far);
+      }
+    }
+    pairs.emplace_back(x, count);
+    pairs.emplace_back(kInvalidNode, x);
+  }
+  Rng rng(11);
+  for (int i = 0; i < 40; ++i) {
+    const NodeId x = static_cast<NodeId>(rng.UniformInt(count));
+    const NodeId y = static_cast<NodeId>(rng.UniformInt(count));
+    if (x != y && !topology.AreNeighbors(x, y)) pairs.emplace_back(x, y);
+  }
+  return pairs;
+}
+
+// On a long schedule dense with transient faults, and on a heal_1k-shaped
+// one (persistent faults only, on a network they mostly leave untouched),
+// every FaultSchedule query must equal a full rescan of events(), also for
+// pairs that are not topology links.
 TEST(FaultScheduleTest, QueriesMatchBruteForceReferenceOnLongSchedule) {
   const Topology topology = MakeGrid(6, 6, 10.0, 15.0);
   FaultScheduleOptions options;
@@ -270,56 +393,42 @@ TEST(FaultScheduleTest, QueriesMatchBruteForceReferenceOnLongSchedule) {
   ASSERT_GT(kinds[FaultType::kNodeDeath], 0);
   ASSERT_GT(kinds[FaultType::kLinkHeal], 0);
   ASSERT_GT(kinds[FaultType::kNodeRecover], 0);
+  EXPECT_GT(ExpectQueriesMatchReference(topology, schedule,
+                                        ReferenceRounds(schedule),
+                                        NonLinkPairs(topology, schedule)),
+            0);
 
-  // Every fifth round, each persistent event's round and the round before
-  // it, and two rounds past the schedule.
-  std::set<int> rounds = {options.rounds, options.rounds + 1};
-  for (int round = 0; round < options.rounds; round += 5) rounds.insert(round);
-  for (const FaultEvent& event : schedule.events()) {
-    if (event.type == FaultType::kTransientLink) continue;
-    rounds.insert(event.round);
-    rounds.insert(event.round - 1);
-  }
-
-  const ScheduleReference reference{&schedule};
-  int64_t flaky_queries = 0;
-  for (int round : rounds) {
-    std::vector<bool> alive(topology.node_count());
-    std::vector<NodeId> dead;
-    for (NodeId n = 0; n < topology.node_count(); ++n) {
-      alive[n] = reference.NodeAlive(round, n);
-      ASSERT_EQ(schedule.NodeAliveAt(round, n), alive[n])
-          << "round " << round << " node " << n;
-      if (!alive[n]) dead.push_back(n);
+  // heal_1k's schedule shape (perfbench/workloads.cc) on 300 nodes.
+  const Topology sparse = MakeScalingSeries({300}, 5).front();
+  FaultScheduleOptions heal;
+  heal.rounds = 50;
+  heal.transient_link_fraction = 0.0;
+  heal.persistent_link_failures = 4;
+  heal.node_deaths = 3;
+  heal.link_heals = 2;
+  heal.node_recoveries = 2;
+  heal.recovery_delay_rounds = heal.rounds / 8;
+  for (uint64_t seed : {1u, 5u, 9u}) {
+    heal.seed = seed;
+    const FaultSchedule persistent =
+        FaultSchedule::Generate(sparse, {0, 1}, heal);
+    std::map<FaultType, int> heal_kinds;
+    std::set<NodeId> named;
+    for (const FaultEvent& event : persistent.events()) {
+      ++heal_kinds[event.type];
+      named.insert(event.a);
+      if (event.b != kInvalidNode) named.insert(event.b);
     }
-    EXPECT_EQ(schedule.DeadNodesThrough(round), dead) << "round " << round;
-    std::vector<std::pair<NodeId, NodeId>> failed;
-    for (NodeId a = 0; a < topology.node_count(); ++a) {
-      for (NodeId b : topology.neighbors(a)) {
-        if (a > b) continue;
-        const bool link_up = reference.LinkUp(round, a, b);
-        if (!link_up) failed.emplace_back(a, b);
-        const bool flaky = reference.Flaky(round, a, b);
-        if (flaky) ++flaky_queries;
-        for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
-          for (int attempt : {1, 2, 7}) {
-            const bool expected =
-                alive[from] && alive[to] && link_up &&
-                (!flaky ||
-                 reference.TransientDelivers(round, from, to, attempt));
-            ASSERT_EQ(schedule.AttemptDelivers(round, from, to, attempt),
-                      expected)
-                << "round " << round << " link " << from << "->" << to
-                << " attempt " << attempt;
-          }
-        }
-      }
-    }
-    std::sort(failed.begin(), failed.end());
-    EXPECT_EQ(schedule.FailedLinksThrough(round), failed)
-        << "round " << round;
+    EXPECT_EQ(heal_kinds[FaultType::kTransientLink], 0);
+    EXPECT_GT(heal_kinds[FaultType::kLinkHeal], 0) << "seed " << seed;
+    EXPECT_GT(heal_kinds[FaultType::kNodeRecover], 0) << "seed " << seed;
+    EXPECT_LT(named.size(), 20u) << "seed " << seed;
+    std::set<int> rounds = ReferenceRounds(persistent);
+    for (int round = 0; round <= heal.rounds; ++round) rounds.insert(round);
+    EXPECT_EQ(ExpectQueriesMatchReference(sparse, persistent, rounds,
+                                          NonLinkPairs(sparse, persistent)),
+              0);
   }
-  EXPECT_GT(flaky_queries, 0);
 }
 
 // Corollary 1, asserted directly: after a persistent link failure and a node
