@@ -50,6 +50,11 @@ ChannelModel::ChannelModel(const ChannelOptions& options)
     p_bad_ = options_.p_enter_bad /
              (options_.p_enter_bad + options_.p_exit_bad);
   }
+  // Asymmetry convention: the higher-id -> lower-id direction is the
+  // "reverse" one (acks mostly travel it on tree-shaped segments).
+  loss_[0] = {options_.good_loss, options_.bad_loss};
+  loss_[1] = {std::min(1.0, options_.good_loss + options_.reverse_extra_loss),
+              std::min(1.0, options_.bad_loss + options_.reverse_extra_loss)};
   for (size_t salt = 0; salt < salted_seeds_.size(); ++salt) {
     salted_seeds_[salt] =
         SplitMix64(options_.seed ^ SplitMix64(0xb1a5'0001 + salt));
@@ -94,21 +99,27 @@ bool ChannelModel::InBurst(int round, NodeId from, NodeId to,
 
 bool ChannelModel::AttemptDelivers(int round, NodeId from, NodeId to,
                                    int attempt) const {
-  const bool burst = InBurst(round, from, to, attempt);
-  if (burst && metrics_ != nullptr &&
-      !InBurst(round, from, to, attempt - 1)) {
-    // Observational only: never feeds back into a delivery decision, so a
-    // run with metrics attached is byte-identical to one without.
-    metrics_->Add(burst_transitions_, 1);
+  const std::array<double, 2>& loss = loss_[from > to];
+  if (metrics_ != nullptr) {
+    const bool burst = InBurst(round, from, to, attempt);
+    if (burst && !InBurst(round, from, to, attempt - 1)) {
+      // Observational only: never feeds back into a delivery decision, so
+      // a run with metrics attached is byte-identical to one without.
+      metrics_->Add(burst_transitions_, 1);
+    }
+    if (loss[burst] <= 0.0) return true;
+    return UniformOf(Draw(kSaltLoss, round, from, to, attempt)) >= loss[burst];
   }
-  double loss = burst ? options_.bad_loss : options_.good_loss;
-  if (from > to) {
-    // Asymmetry convention: the higher-id -> lower-id direction is the
-    // "reverse" one (acks mostly travel it on tree-shaped segments).
-    loss = std::min(1.0, loss + options_.reverse_extra_loss);
-  }
-  if (loss <= 0.0) return true;
-  return UniformOf(Draw(kSaltLoss, round, from, to, attempt)) >= loss;
+  // The attempt delivers iff u >= loss[burst]. A draw at or above both
+  // states' losses delivers and one below both drops whatever the state,
+  // so only a draw in between needs the burst walk (THEORY §10).
+  const double low = std::min(loss[0], loss[1]);
+  const double high = std::max(loss[0], loss[1]);
+  if (high <= 0.0) return true;
+  const double u = UniformOf(Draw(kSaltLoss, round, from, to, attempt));
+  if (u >= high) return true;
+  if (u < low) return false;
+  return u >= loss[InBurst(round, from, to, attempt)];
 }
 
 HopEffects ChannelModel::EffectsFor(int round, NodeId from, NodeId to,

@@ -96,6 +96,9 @@ class ChannelModel {
   ChannelOptions options_;
   /// Stationary share of the burst state (0 without bursts).
   double p_bad_ = 0.0;
+  /// Loss probability by direction (0 forward, 1 reverse: from > to) and
+  /// state (0 good, 1 burst), reverse_extra_loss included.
+  std::array<std::array<double, 2>, 2> loss_{};
   /// SplitMix64(seed ^ SplitMix64(salt)) for each decision salt: the part
   /// of every decision hash that depends on neither link nor attempt.
   std::array<uint64_t, kSaltCount> salted_seeds_{};

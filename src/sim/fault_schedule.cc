@@ -199,24 +199,36 @@ FaultSchedule FaultSchedule::Generate(
               if (x.a != y.a) return x.a < y.a;
               return x.b < y.b;
             });
+  schedule.touched_.assign(static_cast<size_t>(topology.node_count()), 0);
+  for (const FaultEvent& event : schedule.events_) {
+    if (event.type == FaultType::kTransientLink) continue;
+    schedule.persistent_.push_back(event);
+    schedule.touched_[event.a] = 1;
+    if (event.b != kInvalidNode) schedule.touched_[event.b] = 1;
+  }
   return schedule;
+}
+
+bool FaultSchedule::MayBeTouched(NodeId n) const {
+  return n < 0 || static_cast<size_t>(n) >= touched_.size() ||
+         touched_[static_cast<size_t>(n)] != 0;
 }
 
 std::vector<FaultEvent> FaultSchedule::PersistentEventsAt(int round) const {
   std::vector<FaultEvent> out;
-  for (const FaultEvent& event : events_) {
-    if (event.round == round && event.type != FaultType::kTransientLink) {
-      out.push_back(event);
-    }
+  for (const FaultEvent& event : persistent_) {
+    if (event.round > round) break;
+    if (event.round == round) out.push_back(event);
   }
   return out;
 }
 
 bool FaultSchedule::NodeAliveAt(int round, NodeId n) const {
+  if (!MayBeTouched(n)) return true;
   // Interval semantics: the latest death/recovery at or before `round`
-  // wins (events_ is sorted by round).
+  // wins (persistent_ is sorted by round).
   bool alive = true;
-  for (const FaultEvent& event : events_) {
+  for (const FaultEvent& event : persistent_) {
     if (event.round > round) break;
     if (event.a != n) continue;
     if (event.type == FaultType::kNodeDeath) alive = false;
@@ -227,7 +239,7 @@ bool FaultSchedule::NodeAliveAt(int round, NodeId n) const {
 
 std::vector<NodeId> FaultSchedule::DeadNodesThrough(int round) const {
   std::set<NodeId> dead;
-  for (const FaultEvent& event : events_) {
+  for (const FaultEvent& event : persistent_) {
     if (event.round > round) break;
     if (event.type == FaultType::kNodeDeath) dead.insert(event.a);
     if (event.type == FaultType::kNodeRecover) dead.erase(event.a);
@@ -238,7 +250,7 @@ std::vector<NodeId> FaultSchedule::DeadNodesThrough(int round) const {
 std::vector<std::pair<NodeId, NodeId>> FaultSchedule::FailedLinksThrough(
     int round) const {
   std::set<std::pair<NodeId, NodeId>> failed;
-  for (const FaultEvent& event : events_) {
+  for (const FaultEvent& event : persistent_) {
     if (event.round > round) break;
     if (event.type == FaultType::kPersistentLink) {
       failed.emplace(event.a, event.b);
@@ -252,32 +264,34 @@ std::vector<std::pair<NodeId, NodeId>> FaultSchedule::FailedLinksThrough(
 
 bool FaultSchedule::AttemptDelivers(int round, NodeId from, NodeId to,
                                     int attempt) const {
-  bool from_alive = true;
-  bool to_alive = true;
-  bool link_up = true;
   const uint64_t link = PackLink(from, to);
-  for (const FaultEvent& event : events_) {
-    if (event.round > round) break;
-    switch (event.type) {
-      case FaultType::kTransientLink:
-        break;
-      case FaultType::kNodeDeath:
-        if (event.a == from) from_alive = false;
-        if (event.a == to) to_alive = false;
-        break;
-      case FaultType::kNodeRecover:
-        if (event.a == from) from_alive = true;
-        if (event.a == to) to_alive = true;
-        break;
-      case FaultType::kPersistentLink:
-        if (PackLink(event.a, event.b) == link) link_up = false;
-        break;
-      case FaultType::kLinkHeal:
-        if (PackLink(event.a, event.b) == link) link_up = true;
-        break;
+  if (MayBeTouched(from) || MayBeTouched(to)) {
+    bool from_alive = true;
+    bool to_alive = true;
+    bool link_up = true;
+    for (const FaultEvent& event : persistent_) {
+      if (event.round > round) break;
+      switch (event.type) {
+        case FaultType::kTransientLink:
+          break;
+        case FaultType::kNodeDeath:
+          if (event.a == from) from_alive = false;
+          if (event.a == to) to_alive = false;
+          break;
+        case FaultType::kNodeRecover:
+          if (event.a == from) from_alive = true;
+          if (event.a == to) to_alive = true;
+          break;
+        case FaultType::kPersistentLink:
+          if (PackLink(event.a, event.b) == link) link_up = false;
+          break;
+        case FaultType::kLinkHeal:
+          if (PackLink(event.a, event.b) == link) link_up = true;
+          break;
+      }
     }
+    if (!from_alive || !to_alive || !link_up) return false;
   }
-  if (!from_alive || !to_alive || !link_up) return false;
   if (static_cast<size_t>(round) >= transient_.size() ||
       !transient_[static_cast<size_t>(round)].contains(link)) {
     return true;

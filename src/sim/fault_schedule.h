@@ -81,6 +81,15 @@ struct FaultScheduleOptions {
 /// Per-attempt delivery decisions are a pure hash of (seed, round, link,
 /// direction, attempt), so replaying the same schedule yields byte-identical
 /// behavior without any shared mutable RNG state.
+///
+/// Query cost: `Generate` keeps the persistent (non-transient) events in a
+/// sorted list of their own, and flags every node a persistent event names
+/// (the dying or recovering node, both endpoints of a failed or healed
+/// link). A liveness or delivery query whose nodes are all unflagged skips
+/// the scan: no persistent event can name them, not even a link event,
+/// which names both endpoints. Other queries, and ids outside the topology,
+/// scan the persistent list only, never the transient events; flaky links
+/// are a per-round hash-set probe.
 class FaultSchedule {
  public:
   static FaultSchedule Generate(const Topology& topology,
@@ -112,8 +121,16 @@ class FaultSchedule {
   std::string Describe() const;
 
  private:
+  /// True iff a persistent event may name `n`: it is flagged, or its id is
+  /// outside the flag array.
+  bool MayBeTouched(NodeId n) const;
+
   FaultScheduleOptions options_;
   std::vector<FaultEvent> events_;
+  /// The events other than kTransientLink, in events_'s order.
+  std::vector<FaultEvent> persistent_;
+  /// Per node of the topology: 1 iff an event of persistent_ names it.
+  std::vector<uint8_t> touched_;
   /// Per round, the PackLink keys of the links flaky in it; rounds past
   /// the last flaky one have no entry.
   std::vector<std::unordered_set<uint64_t>> transient_;
