@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <string>
 
@@ -310,15 +311,28 @@ void SelfHealingRuntime::RefreshControlPaths() {
   control_detector_revision_ = detector_.revision();
   control_ledger_revision_ = ledger_.revision();
   // Control routing avoids every link any monitor suspects (plus the base
-  // station's believed-failed links, a subset once reports arrive).
-  std::vector<std::pair<NodeId, NodeId>> links =
-      ledger_.believed_failed_links();
+  // station's believed-failed links, a subset once reports arrive). The
+  // ledger's links and the monitor < neighbor suspicions are already
+  // sorted (lo, hi) and duplicate-free; only the other half needs a sort
+  // before the three lists are merged.
+  std::vector<std::pair<NodeId, NodeId>> forward;
+  std::vector<std::pair<NodeId, NodeId>> reverse;
   for (const SuspectedLink& s : detector_.suspicions()) {
-    links.emplace_back(std::min(s.monitor, s.neighbor),
-                       std::max(s.monitor, s.neighbor));
+    if (s.monitor < s.neighbor) {
+      forward.emplace_back(s.monitor, s.neighbor);
+    } else {
+      reverse.emplace_back(s.neighbor, s.monitor);
+    }
   }
-  std::ranges::sort(links);
-  links.erase(std::unique(links.begin(), links.end()), links.end());
+  std::ranges::sort(reverse);
+  const std::vector<std::pair<NodeId, NodeId>>& believed =
+      ledger_.believed_failed_links();
+  std::vector<std::pair<NodeId, NodeId>> suspected;
+  suspected.reserve(forward.size() + reverse.size());
+  std::ranges::set_union(forward, reverse, std::back_inserter(suspected));
+  std::vector<std::pair<NodeId, NodeId>> links;
+  links.reserve(believed.size() + suspected.size());
+  std::ranges::set_union(believed, suspected, std::back_inserter(links));
   // Compare the links, not their count: a readmission paired with a fresh
   // suspicion keeps the count constant while the routes must change.
   if (links == control_links_) return;
