@@ -164,35 +164,33 @@ MobilityTrace::MobilityTrace(
 void MobilityTrace::IndexLinkStates(const Topology& topology) {
   const double range_sq =
       topology.radio_range_m() * topology.radio_range_m();
-  std::vector<std::pair<NodeId, NodeId>> links;
+  link_begin_.assign(1, 0);
+  link_hi_.clear();
   for (NodeId a = 0; a < topology.node_count(); ++a) {
     for (NodeId b : topology.neighbors(a)) {
-      if (a < b) links.emplace_back(a, b);
+      if (a < b) link_hi_.push_back(b);
     }
+    link_begin_.push_back(link_hi_.size());
   }
 
-  down_.clear();
-  down_.reserve(positions_.size());
+  down_.assign(positions_.size() * link_hi_.size(), false);
   events_.clear();
   for (size_t round = 0; round < positions_.size(); ++round) {
-    std::unordered_set<uint64_t> down;
     const std::vector<Point>& at = positions_[round];
-    for (const auto& [a, b] : links) {
-      const bool up = DistanceSquared(at[a], at[b]) <= range_sq;
-      if (!up) down.insert(PackLink(a, b));
-      if (round == 0) continue;
-      const bool was_up = !down_[round - 1].contains(PackLink(a, b));
-      if (up == was_up) continue;
-      events_.push_back(
-          LinkEvent{static_cast<int>(round), std::min(a, b),
-                    std::max(a, b), up});
-      if (up) {
-        ++total_makes_;
-      } else {
-        ++total_breaks_;
+    for (NodeId a = 0; a < topology.node_count(); ++a) {
+      for (size_t link = link_begin_[a]; link < link_begin_[a + 1]; ++link) {
+        const NodeId b = link_hi_[link];
+        const bool up = DistanceSquared(at[a], at[b]) <= range_sq;
+        down_[round * link_hi_.size() + link] = !up;
+        if (round == 0 || up != Down(round - 1, link)) continue;
+        events_.push_back(LinkEvent{static_cast<int>(round), a, b, up});
+        if (up) {
+          ++total_makes_;
+        } else {
+          ++total_breaks_;
+        }
       }
     }
-    down_.push_back(std::move(down));
   }
 }
 
@@ -202,26 +200,36 @@ const std::vector<Point>& MobilityTrace::PositionsAt(int round) const {
 }
 
 bool MobilityTrace::LinkUpAt(int round, NodeId a, NodeId b) const {
+  const NodeId lo = std::min(a, b);
+  const NodeId hi = std::max(a, b);
+  if (lo < 0 || static_cast<size_t>(hi) + 1 >= link_begin_.size()) {
+    return true;
+  }
+  const auto first = link_hi_.begin() + link_begin_[lo];
+  const auto last = link_hi_.begin() + link_begin_[lo + 1];
+  const auto it = std::lower_bound(first, last, hi);
+  if (it == last || *it != hi) return true;
   const int clamped = std::clamp(round, 0, rounds());
-  return !down_[static_cast<size_t>(clamped)].contains(PackLink(a, b));
+  return !Down(static_cast<size_t>(clamped),
+               static_cast<size_t>(it - link_hi_.begin()));
 }
 
 std::vector<std::pair<NodeId, NodeId>> MobilityTrace::DownLinksAt(
     int round) const {
-  const int clamped = std::clamp(round, 0, rounds());
+  const size_t clamped = static_cast<size_t>(std::clamp(round, 0, rounds()));
   std::vector<std::pair<NodeId, NodeId>> out;
-  out.reserve(down_[static_cast<size_t>(clamped)].size());
-  for (uint64_t key : down_[static_cast<size_t>(clamped)]) {
-    out.emplace_back(static_cast<NodeId>(key >> 32),
-                     static_cast<NodeId>(key & 0xffffffffu));
+  for (NodeId a = 0; a + 1 < static_cast<NodeId>(link_begin_.size()); ++a) {
+    for (size_t link = link_begin_[a]; link < link_begin_[a + 1]; ++link) {
+      if (Down(clamped, link)) out.emplace_back(a, link_hi_[link]);
+    }
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 int MobilityTrace::down_link_count(int round) const {
-  const int clamped = std::clamp(round, 0, rounds());
-  return static_cast<int>(down_[static_cast<size_t>(clamped)].size());
+  const size_t clamped = static_cast<size_t>(std::clamp(round, 0, rounds()));
+  const auto first = down_.begin() + clamped * link_hi_.size();
+  return static_cast<int>(std::count(first, first + link_hi_.size(), true));
 }
 
 std::vector<LinkEvent> MobilityTrace::EventsAt(int round) const {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -89,7 +88,7 @@ class MobilityTrace {
                 std::vector<std::vector<Point>> positions_per_round);
 
   /// Last round with distinct movement state; queries clamp to it.
-  int rounds() const { return static_cast<int>(down_.size()) - 1; }
+  int rounds() const { return static_cast<int>(positions_.size()) - 1; }
 
   const std::vector<Point>& PositionsAt(int round) const;
 
@@ -121,12 +120,24 @@ class MobilityTrace {
  private:
   MobilityTrace() = default;
 
-  /// Computes per-round down-sets and the event stream from `positions_`.
+  /// Computes the per-round link bits and the event stream from
+  /// `positions_`.
   void IndexLinkStates(const Topology& topology);
 
+  /// Whether link `link` (an index into link_hi_) is down at `round`.
+  bool Down(size_t round, size_t link) const {
+    return down_[round * link_hi_.size() + link];
+  }
+
   std::vector<std::vector<Point>> positions_;  ///< [round][node].
-  /// Per-round set of down deployment links, packed (lo << 21 | hi).
-  std::vector<std::unordered_set<uint64_t>> down_;
+  /// The deployment links in (lo, hi) order: lo's higher-id neighbors are
+  /// link_hi_[link_begin_[lo], link_begin_[lo + 1]), and a link's index is
+  /// its position in link_hi_.
+  std::vector<size_t> link_begin_;
+  std::vector<NodeId> link_hi_;
+  /// One bit per round and deployment link, set iff the link is down:
+  /// round r's bits are [r * link_hi_.size(), (r + 1) * link_hi_.size()).
+  std::vector<bool> down_;
   std::vector<LinkEvent> events_;
   int64_t total_breaks_ = 0;
   int64_t total_makes_ = 0;
