@@ -10,13 +10,7 @@ namespace m2m {
 FailureDetector::FailureDetector(const Topology& topology,
                                  DetectorOptions options)
     : topology_(&topology), options_(options) {
-  slot_begin_.reserve(static_cast<size_t>(topology.node_count()) + 1);
-  slot_begin_.push_back(0);
-  for (NodeId n = 0; n < topology.node_count(); ++n) {
-    slot_begin_.push_back(slot_begin_.back() +
-                          static_cast<int>(topology.neighbors(n).size()));
-  }
-  missed_.assign(static_cast<size_t>(slot_begin_.back()), 0);
+  missed_.assign(2 * static_cast<size_t>(topology.link_count()), 0);
   heard_mark_.assign(missed_.size(), 0);
   slot_suspected_.assign(missed_.size(), 0);
   M2M_CHECK_GE(options_.suspicion_threshold, 1);
@@ -76,7 +70,8 @@ FailureDetector::RoundReport FailureDetector::ObserveRound(
     const std::span<const NodeId> neighbors = topology_->neighbors(to);
     auto it = std::ranges::lower_bound(neighbors, from);
     if (it == neighbors.end() || *it != from) continue;
-    heard_mark_[slot_begin_[to] + (it - neighbors.begin())] = observation_;
+    heard_mark_[topology_->row_begin(to) + (it - neighbors.begin())] =
+        observation_;
   }
 
   RoundReport report;
@@ -86,7 +81,7 @@ FailureDetector::RoundReport FailureDetector::ObserveRound(
     for (size_t i = 0; i < neighbors.size(); ++i) {
       const NodeId neighbor = neighbors[i];
       const std::pair<NodeId, NodeId> link{monitor, neighbor};
-      const int slot = slot_begin_[monitor] + static_cast<int>(i);
+      const size_t slot = topology_->row_begin(monitor) + i;
       int& missed = missed_[slot];
       bool evidence = heard_mark_[slot] == observation_;
 
@@ -193,7 +188,7 @@ int FailureDetector::missed_rounds(NodeId monitor, NodeId neighbor) const {
   const std::span<const NodeId> neighbors = topology_->neighbors(monitor);
   auto it = std::find(neighbors.begin(), neighbors.end(), neighbor);
   if (it == neighbors.end()) return 0;
-  return missed_[slot_begin_[monitor] + (it - neighbors.begin())];
+  return missed_[topology_->row_begin(monitor) + (it - neighbors.begin())];
 }
 
 int FailureDetector::required_probation(NodeId monitor,

@@ -205,13 +205,11 @@ class FailureDetector {
   /// updating (or forgiving) the link's flap record.
   int EscalatedProbation(const std::pair<NodeId, NodeId>& link, int round);
 
-  /// Immutable (topology.h) and must outlive the detector: link slots are
-  /// positions in its adjacency lists, fixed at construction.
+  /// Immutable (topology.h) and must outlive the detector. A link's slot
+  /// is its index in the topology's flat neighbor array: monitor m's links
+  /// start at topology_->row_begin(m), in the order of neighbors(m).
   const Topology* topology_;
   DetectorOptions options_;
-  /// Monitor m's links occupy slots [slot_begin_[m], slot_begin_[m + 1]),
-  /// in the order of topology.neighbors(m).
-  std::vector<int> slot_begin_;
   /// Per link slot: consecutive rounds without evidence of life.
   std::vector<int> missed_;
   /// Per link slot: `observation_` of the last round whose `heard` named

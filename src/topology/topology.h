@@ -57,6 +57,10 @@ class Topology {
   /// Neighbors of `n`, sorted by id.
   std::span<const NodeId> neighbors(NodeId n) const;
 
+  /// Offset of `n`'s row in the flat neighbor array: the directed link to
+  /// neighbors(n)[i] has index row_begin(n) + i in [0, 2 * link_count()).
+  size_t row_begin(NodeId n) const { return row_begin_[n]; }
+
   bool AreNeighbors(NodeId a, NodeId b) const;
 
   /// Number of undirected links in the connectivity graph.
