@@ -1,8 +1,8 @@
 // Microbenchmarks for the optimizer itself: single-edge vertex-cover
 // solves, full plan construction, incremental update vs rebuild, path
-// system and compilation costs; and for the two costs that dominate a
-// self-healing round, the channel's delivery query and the failure
-// detector's round. The *_Threads variants sweep the thread-pool width
+// system and compilation costs; and for the costs that dominate a
+// self-healing round, the channel's and the fault schedule's delivery
+// queries and the failure detector's round. The *_Threads variants sweep the thread-pool width
 // (Arg = worker threads) over the same fixture; `--threads N` additionally
 // sets the pool width for every other benchmark (default 1 = serial).
 
@@ -17,6 +17,7 @@
 #include "lifecycle/lifecycle.h"
 #include "runtime/channel.h"
 #include "runtime/detector.h"
+#include "sim/fault_schedule.h"
 
 namespace {
 
@@ -347,10 +348,45 @@ void BM_ChannelAttemptDelivers(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelAttemptDelivers)->Arg(1)->Arg(1001);
 
+// heal_1k's per-episode fault schedule (perfbench/workloads.cc): 50
+// rounds of persistent faults only, 4 link failures, 3 deaths, 2 heals and
+// 2 recoveries.
+FaultSchedule HealFaultSchedule(const Topology& topology) {
+  FaultScheduleOptions options;
+  options.rounds = 50;
+  options.transient_link_fraction = 0.0;
+  options.persistent_link_failures = 4;
+  options.node_deaths = 3;
+  options.link_heals = 2;
+  options.node_recoveries = 2;
+  options.recovery_delay_rounds = options.rounds / 8;
+  options.seed = 5;
+  return FaultSchedule::Generate(topology, {0}, options);
+}
+
+// The fault-schedule brute-force test's 300-round schedule, dense with
+// transient faults (tests/fault_injection_test.cc).
+FaultSchedule DenseFaultSchedule(const Topology& topology) {
+  FaultScheduleOptions options;
+  options.rounds = 300;
+  options.transient_link_fraction = 0.08;
+  options.transient_drop_probability = 0.5;
+  options.persistent_link_failures = 8;
+  options.node_deaths = 4;
+  options.link_heals = 4;
+  options.node_recoveries = 2;
+  options.recovery_delay_rounds = 40;
+  options.seed = 5;
+  return FaultSchedule::Generate(topology, {0}, options);
+}
+
 // One detector round on a 1000-node network where no link carried data:
-// every directed link runs its probe exchange over heal_1k's channel.
+// every directed link of a live monitor runs its probe exchange over
+// heal_1k's physical layer, the fault schedule ANDed with the channel, and
+// the schedule says which monitors run, as in perfbench's heal loop.
 void BM_DetectorObserveRound(benchmark::State& state) {
   const Topology topology = MakeScalingSeries({1000}, 1).front();
+  const FaultSchedule faults = HealFaultSchedule(topology);
   const ChannelModel channel(HealChannelOptions());
   FailureDetector detector(topology);
   const std::vector<std::pair<NodeId, NodeId>> silent;
@@ -358,15 +394,40 @@ void BM_DetectorObserveRound(benchmark::State& state) {
   for (auto _ : state) {
     const FailureDetector::RoundReport report = detector.ObserveRound(
         round, silent,
-        [&channel, round](NodeId from, NodeId to, int attempt) {
-          return channel.AttemptDelivers(round, from, to, attempt);
+        [&faults, &channel, round](NodeId from, NodeId to, int attempt) {
+          return faults.AttemptDelivers(round, from, to, attempt) &&
+                 channel.AttemptDelivers(round, from, to, attempt);
         },
-        nullptr);
+        [&faults, round](NodeId n) { return faults.NodeAliveAt(round, n); });
     benchmark::DoNotOptimize(report.probe_transmissions);
-    ++round;
+    round = (round + 1) % faults.options().rounds;
   }
 }
 BENCHMARK(BM_DetectorObserveRound)->Unit(benchmark::kMillisecond);
+
+// One fault-schedule delivery query per directed link per round, cycling
+// through the schedule's rounds. Arg 0: heal_1k's schedule on 1000 nodes;
+// Arg 1: the transient-dense schedule on the test's 6x6 grid.
+void BM_FaultScheduleAttemptDelivers(benchmark::State& state) {
+  const bool dense = state.range(0) != 0;
+  const Topology topology = dense ? MakeGrid(6, 6, 10.0, 15.0)
+                                  : MakeScalingSeries({1000}, 1).front();
+  const FaultSchedule faults =
+      dense ? DenseFaultSchedule(topology) : HealFaultSchedule(topology);
+  int round = 0;
+  for (auto _ : state) {
+    int delivered = 0;
+    for (NodeId from = 0; from < topology.node_count(); ++from) {
+      for (NodeId to : topology.neighbors(from)) {
+        delivered += faults.AttemptDelivers(round, from, to, 1);
+      }
+    }
+    benchmark::DoNotOptimize(delivered);
+    round = (round + 1) % faults.options().rounds;
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * topology.link_count());
+}
+BENCHMARK(BM_FaultScheduleAttemptDelivers)->Arg(0)->Arg(1);
 
 }  // namespace
 
