@@ -1,10 +1,12 @@
 // Microbenchmarks for the optimizer itself: single-edge vertex-cover
 // solves, full plan construction, incremental update vs rebuild, path
 // system and compilation costs; and for the costs that dominate a
-// self-healing round, the channel's and the fault schedule's delivery
-// queries and the failure detector's round. The *_Threads variants sweep the thread-pool width
-// (Arg = worker threads) over the same fixture; `--threads N` additionally
-// sets the pool width for every other benchmark (default 1 = serial).
+// self-healing round and a data round: the channel's and the fault
+// schedule's delivery queries, the failure detector's round and the
+// byte-level lossy round. The *_Threads variants sweep the thread-pool
+// width (Arg = worker threads) over the same fixture; `--threads N`
+// additionally sets the pool width for every other benchmark (default 1 =
+// serial).
 
 #include <algorithm>
 #include <memory>
@@ -17,6 +19,7 @@
 #include "lifecycle/lifecycle.h"
 #include "runtime/channel.h"
 #include "runtime/detector.h"
+#include "runtime/network.h"
 #include "sim/fault_schedule.h"
 
 namespace {
@@ -428,6 +431,47 @@ void BM_FaultScheduleAttemptDelivers(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * topology.link_count());
 }
 BENCHMARK(BM_FaultScheduleAttemptDelivers)->Arg(0)->Arg(1);
+
+// churn_10k's data round (perfbench/workloads.cc): RunRoundLossy on the
+// 10k-node, 32 x 8 uniform plan. Arg 0: clean links; Arg 1: heal_1k's
+// Gilbert–Elliott channel, cycling through 16 bound rounds; Arg 2: clean
+// links with a MetricsRegistry attached, the with/without A/B of the
+// metrics hot path.
+void BM_LossyRound(benchmark::State& state) {
+  ChurnFixture& fx = Churn();
+  static const CompiledPlan* compiled = new CompiledPlan(CompiledPlan::Compile(
+      BuildPlan(fx.forest, fx.workload.functions), fx.workload.functions));
+  const int mode = static_cast<int>(state.range(0));
+  RuntimeNetwork network(*compiled, fx.workload.functions);
+  obs::MetricsRegistry registry;
+  if (mode == 2) network.set_metrics(&registry);
+  const ChannelModel channel(HealChannelOptions());
+  std::vector<LossyLinkModel> links;
+  if (mode == 1) {
+    for (int round = 0; round < 16; ++round) {
+      links.push_back(channel.Bind(round));
+    }
+  } else {
+    links.emplace_back().attempt_delivers = [](NodeId, NodeId, int) {
+      return true;
+    };
+  }
+  std::vector<double> readings(fx.topology.node_count());
+  for (size_t i = 0; i < readings.size(); ++i) {
+    readings[i] = 10.0 + static_cast<double>(i % 17);
+  }
+  size_t round = 0;
+  int64_t attempts = 0;
+  for (auto _ : state) {
+    const RuntimeNetwork::LossyResult result =
+        network.RunRoundLossy(readings, links[round++ % links.size()]);
+    benchmark::DoNotOptimize(result.final_tick);
+    attempts += result.attempts;
+  }
+  state.counters["attempts"] = benchmark::Counter(
+      static_cast<double>(attempts), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_LossyRound)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -2,6 +2,7 @@
 #define M2M_COMMON_BYTES_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,12 +31,13 @@ class ByteWriter {
   std::vector<uint8_t> bytes_;
 };
 
-/// Matching reader. Out-of-bounds or malformed reads CHECK-fail: plan
-/// images are produced by this library, so corruption is a programming
-/// error, not an input error.
+/// Matching reader over a view of the bytes (a whole image, or one packet
+/// inside a round's packet arena). Out-of-bounds or malformed reads
+/// CHECK-fail: plan images are produced by this library, so corruption is
+/// a programming error, not an input error.
 class ByteReader {
  public:
-  explicit ByteReader(const std::vector<uint8_t>& bytes) : bytes_(bytes) {}
+  explicit ByteReader(std::span<const uint8_t> bytes) : bytes_(bytes) {}
 
   uint8_t ReadU8();
   uint32_t ReadU32();
@@ -46,7 +48,7 @@ class ByteReader {
   size_t remaining() const { return bytes_.size() - cursor_; }
 
  private:
-  const std::vector<uint8_t>& bytes_;
+  std::span<const uint8_t> bytes_;
   size_t cursor_ = 0;
 };
 

@@ -1,11 +1,16 @@
 #include "runtime/network.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <span>
+#include <type_traits>
 
+#include "common/bytes.h"
 #include "common/check.h"
-#include "event/event_queue.h"
+#include "common/crc32.h"
 #include "plan/serialization.h"
+#include "runtime/tick_agenda.h"
 #include "runtime/wire_functions.h"
 
 namespace m2m {
@@ -30,6 +35,43 @@ int64_t RetryPolicy::RetryHorizonTicks() const {
     if (wait < max_backoff_ticks) wait *= backoff_factor;
   }
   return horizon;
+}
+
+void SortUniqueHops(std::vector<std::pair<NodeId, NodeId>>& hops,
+                    int node_count) {
+  if (hops.empty()) return;
+  int id_bits = 0;  // ceil(log2(node_count)): every id fits.
+  while ((int64_t{1} << id_bits) < node_count) ++id_bits;
+  std::vector<uint64_t> keys;
+  keys.reserve(hops.size());
+  for (const auto& [from, to] : hops) {
+    M2M_CHECK(from >= 0 && from < node_count && to >= 0 && to < node_count)
+        << "hop " << from << ">" << to << " outside " << node_count
+        << " nodes";
+    keys.push_back(static_cast<uint64_t>(from) << id_bits |
+                   static_cast<uint64_t>(to));
+  }
+  // LSD radix sort, one stable counting pass per 11-bit digit.
+  constexpr int kDigitBits = 11;
+  constexpr uint64_t kDigitMask = (uint64_t{1} << kDigitBits) - 1;
+  std::vector<uint64_t> sorted(keys.size());
+  for (int shift = 0; shift < 2 * id_bits; shift += kDigitBits) {
+    std::array<size_t, size_t{1} << kDigitBits> offsets{};
+    for (uint64_t key : keys) ++offsets[(key >> shift) & kDigitMask];
+    size_t at = 0;
+    for (size_t& offset : offsets) at += std::exchange(offset, at);
+    for (uint64_t key : keys) {
+      sorted[offsets[(key >> shift) & kDigitMask]++] = key;
+    }
+    keys.swap(sorted);
+  }
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  const uint64_t to_mask = (uint64_t{1} << id_bits) - 1;
+  hops.resize(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    hops[i] = {static_cast<NodeId>(keys[i] >> id_bits),
+               static_cast<NodeId>(keys[i] & to_mask)};
+  }
 }
 
 RuntimeNetwork::RuntimeNetwork(const CompiledPlan& compiled,
@@ -174,10 +216,11 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
   }
 
   // One in-flight message instance per emitted packet; retransmissions
-  // reuse the instance with a bumped attempt counter.
+  // reuse the instance with a bumped attempt counter. Payloads live in the
+  // round's packet arena, so a transfer is a few plain words.
   struct Transfer {
     NodeId sender = kInvalidNode;
-    NodeRuntime::OutgoingPacket packet;
+    NodeRuntime::OutgoingPacket packet;  ///< Payload bytes are in `arena`.
     uint32_t epoch = 0;  ///< Sender's plan epoch, stamped at emission.
     int attempts_made = 0;
     bool delivered_once = false;
@@ -192,26 +235,39 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
     /// Highest attempt index whose copy has arrived (reorder detection).
     int last_arrival_attempt = 0;
   };
+  static_assert(std::is_trivially_copyable_v<Transfer>);
   std::vector<Transfer> transfers;
+  ByteWriter arena;
+  std::vector<NodeRuntime::OutgoingPacket> drained;
+  auto payload_of = [&arena](const Transfer& transfer) {
+    return std::span<const uint8_t>(arena.bytes())
+        .subspan(transfer.packet.payload_offset, transfer.packet.payload_size);
+  };
 
   // The agenda holds every future action: (re)transmissions, plus — under
   // an adversarial channel — delayed packet arrivals and delayed acks.
   // With a clean channel only kTransmit events exist and the schedule is
-  // tick-for-tick the legacy stop-and-wait behavior. The queue pops in
+  // tick-for-tick the legacy stop-and-wait behavior. The agenda pops in
   // (tick, schedule-seq) order, which is exactly the tick-ascending,
   // append-ordered walk the original per-tick vectors performed — the
   // round barrier is a special case of the discrete-event engine.
   struct Event {
     enum class Kind : uint8_t { kTransmit, kDeliver, kAckArrive };
     Kind kind = Kind::kTransmit;
-    size_t index = 0;
-    int attempt = 0;          ///< kDeliver/kAckArrive: producing attempt.
     bool retransmit = false;  ///< kTransmit: skip if already acked/done.
     bool corrupt = false;
-    uint32_t corrupt_bit = 0;
     bool is_dup = false;  ///< Channel-duplicated copy, not a retry.
+    uint32_t index = 0;   ///< Into `transfers`.
+    int attempt = 0;      ///< kDeliver/kAckArrive: producing attempt.
+    uint32_t corrupt_bit = 0;
   };
-  event::EventQueue<Event> agenda;
+  static_assert(std::is_trivially_copyable_v<Event>);
+  // Events land at most max(channel delay + 1, longest backoff wait) ticks
+  // ahead of the popping tick, so a window that wide keeps every event in
+  // the ring (the agenda caps it and sends anything further to overflow).
+  TickAgenda<Event> agenda(std::max<int64_t>(
+      int64_t{links.max_delay_ticks} + 2,
+      retry.BackoffWaitTicks(std::max(1, retry.max_attempts - 1)) + 1));
   auto schedule = [&agenda](int64_t tick, const Event& event) {
     M2M_CHECK_LE(tick, int64_t{std::numeric_limits<int>::max()})
         << "lossy round tick overflows int";
@@ -232,11 +288,12 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
   // in event order. A new transfer is pushed mid-event, so handlers go
   // through indices into `transfers`, never held references across a push.
   auto collect = [&](NodeRuntime& node, int64_t tick) {
-    for (NodeRuntime::OutgoingPacket& packet : node.DrainReadyPackets()) {
-      transfers.push_back(
-          Transfer{node.id(), std::move(packet), node.plan_epoch()});
+    node.DrainReadyPackets(arena, drained);
+    for (const NodeRuntime::OutgoingPacket& packet : drained) {
+      M2M_CHECK_LT(transfers.size(), size_t{UINT32_MAX});
+      transfers.push_back(Transfer{node.id(), packet, node.plan_epoch()});
       Event event;
-      event.index = transfers.size() - 1;
+      event.index = static_cast<uint32_t>(transfers.size() - 1);
       schedule(tick, event);
     }
   };
@@ -247,7 +304,7 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
   };
   // Records the final verdict for a message exactly once, as soon as it is
   // known: acked, or retry budget spent with nothing left in flight.
-  auto maybe_finalize = [&](size_t index, int tick) {
+  auto maybe_finalize = [&](uint32_t index, int tick) {
     Transfer& t = transfers[index];
     if (t.done) return;
     if (t.acked) {
@@ -271,7 +328,7 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
       }
     }
   };
-  auto apply_ack = [&](size_t index) {
+  auto apply_ack = [&](uint32_t index) {
     if (metrics_ != nullptr) {
       metrics_->AddNode(handles_.acks_delivered, transfers[index].sender, 1);
     }
@@ -281,14 +338,13 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
   // One copy of the message arriving at the recipient (inline when the
   // channel adds no delay, or as a popped kDeliver event): CRC gate, then
   // dedup/epoch-gated receive, then the reverse-path ack walk.
-  auto process_arrival = [&](size_t index, int attempt, int arrival_tick,
+  auto process_arrival = [&](uint32_t index, int attempt, int arrival_tick,
                              bool corrupt, uint32_t corrupt_bit,
                              bool is_dup) {
     const NodeId sender = transfers[index].sender;
     const int message_id = transfers[index].packet.local_message_id;
     const NodeId packet_recipient = transfers[index].packet.recipient;
-    const int payload =
-        static_cast<int>(transfers[index].packet.payload.size());
+    const int payload = static_cast<int>(transfers[index].packet.payload_size);
     const std::vector<NodeId>& segment =
         message_segments_[sender][message_id];
 
@@ -296,8 +352,9 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
       // Bit-flip in transit: the CRC32 frame check rejects the packet
       // before any decoding. No ack — the sender's retry budget covers
       // corruption exactly like a drop, but the event is *counted*.
+      const std::span<const uint8_t> bytes = payload_of(transfers[index]);
       std::vector<uint8_t> frame =
-          Crc32Frame(transfers[index].packet.payload);
+          Crc32Frame(std::vector<uint8_t>(bytes.begin(), bytes.end()));
       size_t bit = corrupt_bit % (frame.size() * 8);
       frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
       std::optional<std::vector<uint8_t>> opened = TryOpenCrc32Frame(frame);
@@ -336,9 +393,11 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
       metrics_->AddNode(handles_.rx_bytes, packet_recipient, payload);
     }
     obs::SendOutcome outcome = obs::SendOutcome::kRx;
+    // The payload view dies at the collect() below: draining may grow the
+    // arena.
     const NodeRuntime::ReceiveOutcome received = recipient.OnReceiveOnce(
         sender, message_id, transfers[index].epoch,
-        transfers[index].packet.payload, arrival_tick);
+        payload_of(transfers[index]), arrival_tick);
     if (received != NodeRuntime::ReceiveOutcome::kEpochMismatch) {
       // The receive stamped (or refreshed) a dedup entry: queue it for
       // eviction. A same-epoch packet only ever reaches a node whose tables
@@ -435,14 +494,13 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
     }
   };
 
-  auto process_transmit = [&](size_t index, int tick) {
+  auto process_transmit = [&](uint32_t index, int tick) {
     const NodeId sender = transfers[index].sender;
     const int message_id = transfers[index].packet.local_message_id;
     const NodeId packet_recipient = transfers[index].packet.recipient;
     const std::vector<NodeId>& segment =
         message_segments_[sender][message_id];
-    const int payload =
-        static_cast<int>(transfers[index].packet.payload.size());
+    const int payload = static_cast<int>(transfers[index].packet.payload_size);
     const int attempt = ++transfers[index].attempts_made;
     result.attempts += 1;
     if (attempt > 1) result.retransmissions += 1;
@@ -593,40 +651,40 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
   }
 
   while (!agenda.empty()) {
-    const int tick = static_cast<int>(*agenda.NextTime());
-    result.final_tick = tick;
-    // Dedup entries older than the (delay-extended) retry horizon can
-    // never be duplicated again; drop them so the table stays
-    // O(in-flight), not O(received). The boundary is exact: an entry
-    // stamped t is retained through processing tick t + horizon, and the
-    // last possible duplicate of its message arrives at
-    // t + horizon - 1 (obs_test pins the clean-channel boundary, the
-    // delayed-duplicate regression the extended one). Every stamp queued
-    // its own record, so popping the records older than the cutoff visits
-    // every node holding an evictable entry, and only those.
-    if (tick > evict_horizon_ticks) {
-      const int evict_before = tick - static_cast<int>(evict_horizon_ticks);
-      for (; stamps_evicted < stamps.size() &&
-             stamps[stamps_evicted].tick < evict_before;
-           ++stamps_evicted) {
-        result.dedup_evictions +=
-            nodes_[stamps[stamps_evicted].node].EvictSeenPacketsBefore(
-                evict_before);
+    const TickAgenda<Event>::Fired fired = agenda.Pop();
+    const int tick = static_cast<int>(fired.tick);
+    // The first event of a new tick evicts first. Dedup entries older than
+    // the (delay-extended) retry horizon can never be duplicated again;
+    // drop them so the table stays O(in-flight), not O(received). The
+    // boundary is exact: an entry stamped t is retained through processing
+    // tick t + horizon, and the last possible duplicate of its message
+    // arrives at t + horizon - 1 (obs_test pins the clean-channel boundary,
+    // the delayed-duplicate regression the extended one). Every stamp
+    // queued its own record, so popping the records older than the cutoff
+    // visits every node holding an evictable entry, and only those. Tick 0
+    // (round start) is below every horizon, so it needs no eviction pass.
+    if (tick != result.final_tick) {
+      result.final_tick = tick;
+      if (tick > evict_horizon_ticks) {
+        const int evict_before = tick - static_cast<int>(evict_horizon_ticks);
+        for (; stamps_evicted < stamps.size() &&
+               stamps[stamps_evicted].tick < evict_before;
+             ++stamps_evicted) {
+          result.dedup_evictions +=
+              nodes_[stamps[stamps_evicted].node].EvictSeenPacketsBefore(
+                  evict_before);
+        }
       }
     }
     // Events run one at a time in (tick, seq) order. Processing schedules
     // only at tick + 1 or later (arrivals collect at arrival + 1; channel
     // delays and backoffs are >= 1), and anything scheduled at this tick
     // would still pop after every earlier event, by its higher seq.
-    while (agenda.NextTime() == tick) {
-      process_event(agenda.Pop()->payload, tick);
-    }
+    process_event(fired.event, tick);
   }
-  // Hops were appended as they were crossed; one sort at the end is cheaper
-  // than a node-keyed set insert per hop.
-  std::sort(result.heard.begin(), result.heard.end());
-  result.heard.erase(std::unique(result.heard.begin(), result.heard.end()),
-                     result.heard.end());
+  // Hops were appended as they were crossed; one linear sort at the end is
+  // cheaper than a node-keyed set insert per hop.
+  SortUniqueHops(result.heard, node_count());
   if (metrics_ != nullptr) {
     metrics_->Observe(handles_.round_ticks, result.final_tick);
   }

@@ -95,6 +95,14 @@ struct LossyLinkModel {
   int max_delay_ticks = 0;
 };
 
+/// Sorts directed hops (from, to) and drops duplicates, giving exactly what
+/// std::sort + std::unique give, in linear time: each hop packs into one
+/// key of 2 * ceil(log2 node_count) bits, and an LSD radix sort on 11-bit
+/// digits orders the keys (3 passes at 10k nodes). CHECK-fails unless
+/// every id is in [0, node_count). LossyResult::heard is built with it.
+void SortUniqueHops(std::vector<std::pair<NodeId, NodeId>>& hops,
+                    int node_count);
+
 /// Drives a fleet of NodeRuntimes through one round: installs the wire
 /// images a compiled plan serializes to, injects readings, and shuttles the
 /// encoded packets between nodes until the network quiesces. The energy and
@@ -205,7 +213,10 @@ class RuntimeNetwork {
   /// start and the end-of-round passes walk the participant list, events
   /// run in (tick, seq) order, and dedup eviction pops a FIFO of receive
   /// stamps (docs/THEORY.md §7), so the bytes are the same at every thread
-  /// and shard count.
+  /// and shard count. Bookkeeping is O(1) per event with no allocation per
+  /// packet: the agenda is a ring of one-tick buckets (TickAgenda,
+  /// docs/THEORY.md §16), every packet's payload is appended to one byte
+  /// arena for the round, and `heard` is ordered by SortUniqueHops.
   LossyResult RunRoundLossy(const std::vector<double>& readings,
                             const LossyLinkModel& links,
                             const RetryPolicy& retry = {},

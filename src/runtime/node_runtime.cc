@@ -249,22 +249,22 @@ void NodeRuntime::MarkUnitReady(int local_message) {
   if (ready == expected) pending_emits_.push_back(local_message);
 }
 
-std::vector<NodeRuntime::OutgoingPacket> NodeRuntime::DrainReadyPackets() {
-  std::vector<OutgoingPacket> packets;
-  packets.reserve(pending_emits_.size());
+void NodeRuntime::DrainReadyPackets(ByteWriter& arena,
+                                    std::vector<OutgoingPacket>& out) {
+  out.clear();
   for (int local_message : pending_emits_) {
     const OutgoingMessageEntry& entry =
         state_.state.outgoing_table[local_message];
-    ByteWriter writer;
-    writer.WriteVarint(static_cast<uint64_t>(entry.unit_count));
+    const size_t offset = arena.size();
+    arena.WriteVarint(static_cast<uint64_t>(entry.unit_count));
     int written = 0;
     for (int u = unit_offsets_[local_message];
          u < unit_offsets_[local_message + 1]; ++u) {
       if (!units_[u].partial) {
         const int slot = units_[u].index;
-        writer.WriteU8(MakeTag(/*is_partial=*/false, 1));
-        writer.WriteVarint(static_cast<uint64_t>(sources_[slot].source));
-        writer.WriteF32(static_cast<float>(raw_values_[slot].value));
+        arena.WriteU8(MakeTag(/*is_partial=*/false, 1));
+        arena.WriteVarint(static_cast<uint64_t>(sources_[slot].source));
+        arena.WriteF32(static_cast<float>(raw_values_[slot].value));
         ++written;
         continue;
       }
@@ -272,28 +272,28 @@ std::vector<NodeRuntime::OutgoingPacket> NodeRuntime::DrainReadyPackets() {
           state_.state.partial_table[units_[u].index];
       const Accumulator& accumulator = accumulators_[units_[u].index];
       int fields = agg::FieldCount(accumulator.kind);
-      writer.WriteU8(MakeTag(/*is_partial=*/true, fields));
-      writer.WriteVarint(static_cast<uint64_t>(partial.destination));
+      arena.WriteU8(MakeTag(/*is_partial=*/true, fields));
+      arena.WriteVarint(static_cast<uint64_t>(partial.destination));
       for (int f = 0; f < fields; ++f) {
-        writer.WriteF32(static_cast<float>(accumulator.record.fields[f]));
+        arena.WriteF32(static_cast<float>(accumulator.record.fields[f]));
       }
       // Coverage summary rides after the record fields so the receiver can
       // attribute the merge to its contributing sources.
-      wire::AppendSourceSummary(accumulator.summary, writer);
+      wire::AppendSourceSummary(accumulator.summary, arena);
       ++written;
     }
     M2M_CHECK_EQ(written, entry.unit_count)
         << "message " << local_message << " at node " << id_
         << " has mismatched unit count";
-    packets.push_back(OutgoingPacket{local_message, entry.recipient,
-                                     std::move(writer).TakeBytes(),
-                                     entry.unit_count});
+    M2M_CHECK_LE(arena.size(), size_t{UINT32_MAX}) << "packet arena overflows";
+    out.push_back(OutgoingPacket{
+        local_message, entry.recipient, static_cast<uint32_t>(offset),
+        static_cast<uint32_t>(arena.size() - offset), entry.unit_count});
   }
   pending_emits_.clear();
-  return packets;
 }
 
-void NodeRuntime::OnReceive(const std::vector<uint8_t>& packet) {
+void NodeRuntime::OnReceive(std::span<const uint8_t> packet) {
   ByteReader reader(packet);
   uint64_t unit_count = reader.ReadVarint();
   for (uint64_t i = 0; i < unit_count; ++i) {
@@ -319,7 +319,7 @@ void NodeRuntime::OnReceive(const std::vector<uint8_t>& packet) {
 
 NodeRuntime::ReceiveOutcome NodeRuntime::OnReceiveOnce(
     NodeId sender, int sender_message_id, uint32_t sender_epoch,
-    const std::vector<uint8_t>& packet, int tick) {
+    std::span<const uint8_t> packet, int tick) {
   // Epoch gate first: a packet from another plan generation must not touch
   // this node's tables (its units reference the sender's plan, and merging
   // them here would blend two plans into one aggregate). The link layer

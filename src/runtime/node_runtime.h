@@ -3,11 +3,13 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "agg/aggregate_function.h"
 #include "agg/partial_record.h"
+#include "common/bytes.h"
 #include "common/ids.h"
 #include "plan/serialization.h"
 #include "runtime/wire_functions.h"
@@ -25,9 +27,9 @@ namespace m2m {
 ///   2. OnReceive(packet): decode incoming units; raw values are forwarded
 ///      and/or pre-aggregated per the tables; partial records merge into
 ///      the node's accumulators.
-///   3. DrainReadyPackets(): outgoing messages whose units are all ready,
-///      encoded for the radio. Call after StartRound and after every
-///      OnReceive.
+///   3. DrainReadyPackets(arena, out): outgoing messages whose units are
+///      all ready, encoded for the radio into the caller's packet arena.
+///      Call after StartRound and after every OnReceive.
 ///   4. FinalValue(): for destination nodes, the evaluated aggregate once
 ///      every expected contribution has arrived.
 class NodeRuntime {
@@ -64,7 +66,7 @@ class NodeRuntime {
   /// DrainReadyPackets). Every call is assumed to be a fresh packet; when
   /// the link layer may deliver duplicates, receive through the epoch-gated
   /// OnReceiveOnce below, which dedups before calling this.
-  void OnReceive(const std::vector<uint8_t>& packet);
+  void OnReceive(std::span<const uint8_t> packet);
 
   /// Outcome of a duplicate-suppressing receive.
   enum class ReceiveOutcome {
@@ -83,8 +85,7 @@ class NodeRuntime {
   /// the dedup entry so EvictSeenPacketsBefore can bound the table.
   ReceiveOutcome OnReceiveOnce(NodeId sender, int sender_message_id,
                                uint32_t sender_epoch,
-                               const std::vector<uint8_t>& packet,
-                               int tick);
+                               std::span<const uint8_t> packet, int tick);
 
   /// Drops dedup entries last refreshed before `tick` and returns how many
   /// it dropped. Safe once `tick` is beyond the retry horizon (the latest
@@ -96,15 +97,22 @@ class NodeRuntime {
   /// Current dedup-table size (regression guard for the eviction bound).
   size_t seen_packet_count() const { return seen_packets_.size(); }
 
+  /// One encoded packet: its payload is arena bytes
+  /// [payload_offset, payload_offset + payload_size) of the writer it was
+  /// drained into.
   struct OutgoingPacket {
     int local_message_id = -1;
     NodeId recipient = kInvalidNode;
-    std::vector<uint8_t> payload;
+    uint32_t payload_offset = 0;
+    uint32_t payload_size = 0;
     int unit_count = 0;
   };
 
-  /// Messages that became complete since the last drain.
-  std::vector<OutgoingPacket> DrainReadyPackets();
+  /// Encodes the messages that became complete since the last drain:
+  /// appends each payload to `arena` and replaces `out` with the packets,
+  /// in emission order. A round drains every node into one arena, so
+  /// emitting a packet allocates nothing once the arena and `out` are warm.
+  void DrainReadyPackets(ByteWriter& arena, std::vector<OutgoingPacket>& out);
 
   /// The destination's aggregate, once complete.
   std::optional<double> FinalValue() const;

@@ -1,8 +1,9 @@
-// Event-queue and round-compatibility suite (docs/THEORY.md section 16).
+// Agenda and round-compatibility suite (docs/THEORY.md section 16).
 //
-//  1. The discrete-event queue itself is deterministic: events pop in
+//  1. The lossy round's tick agenda is deterministic: events pop in
 //     (time, schedule order), checked against a reference over a seeded
-//     interleaving of schedules and pops with many ties.
+//     interleaving of schedules and pops with many ties, events beyond the
+//     bucket window and long empty gaps.
 //  2. Round compatibility is *byte* identity: RunRoundLossy and
 //     EventNetwork::RunCompatRound (RunRoundLossy over a transport's link
 //     model) both reproduce committed golden digests of traces, metrics
@@ -22,7 +23,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "event/event_queue.h"
 #include "event/event_runtime.h"
 #include "event/transport.h"
 #include "obs/metrics.h"
@@ -32,6 +32,7 @@
 #include "routing/path_system.h"
 #include "runtime/channel.h"
 #include "runtime/network.h"
+#include "runtime/tick_agenda.h"
 #include "sim/readings.h"
 #include "topology/generator.h"
 #include "topology/topology.h"
@@ -41,7 +42,6 @@ namespace m2m {
 namespace {
 
 using event::EventNetwork;
-using event::EventQueue;
 using event::RoundCompatTransport;
 
 constexpr int kSeeds = 20;
@@ -115,52 +115,62 @@ std::string FingerprintLossy(const RuntimeNetwork::LossyResult& r) {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Event-queue determinism in isolation.
+// 1. Tick-agenda determinism in isolation.
 
-TEST(EventQueue, PopsInTimeThenScheduleOrder) {
-  EventQueue<int> queue;
-  queue.Schedule(5, 50);
-  queue.Schedule(1, 10);
-  queue.Schedule(5, 51);  // Same time as the first: fires after it.
-  queue.Schedule(3, 30);
-  queue.Schedule(1, 11);
-  queue.Schedule(5, 52);
+TEST(TickAgenda, PopsInTimeThenScheduleOrder) {
+  TickAgenda<int> agenda(/*reach=*/4);
+  agenda.Schedule(5, 50);  // Beyond the 4-tick window: overflow.
+  agenda.Schedule(1, 10);
+  agenda.Schedule(5, 51);  // Same time as the first: fires after it.
+  agenda.Schedule(3, 30);
+  agenda.Schedule(1, 11);
+  agenda.Schedule(5, 52);
 
   std::vector<int> popped;
   std::vector<int64_t> times;
-  while (auto fired = queue.Pop()) {
-    popped.push_back(fired->payload);
-    times.push_back(fired->time);
+  while (!agenda.empty()) {
+    const TickAgenda<int>::Fired fired = agenda.Pop();
+    popped.push_back(fired.event);
+    times.push_back(fired.tick);
   }
   EXPECT_EQ(popped, (std::vector<int>{10, 11, 30, 50, 51, 52}));
   EXPECT_EQ(times, (std::vector<int64_t>{1, 1, 3, 5, 5, 5}));
 }
 
-TEST(EventQueue, SchedulingAtThePoppingTimeIsAllowed) {
-  EventQueue<int> queue;
-  queue.Schedule(2, 1);
-  auto first = queue.Pop();
-  ASSERT_TRUE(first.has_value());
+TEST(TickAgenda, SchedulingAtThePoppingTimeIsAllowed) {
+  TickAgenda<int> agenda(/*reach=*/4);
+  agenda.Schedule(2, 1);
+  EXPECT_EQ(agenda.Pop().event, 1);
   // A handler reacting at time 2 may schedule more work at time 2; it fires
   // after everything already queued there, in schedule order.
-  queue.Schedule(2, 2);
-  queue.Schedule(2, 3);
-  EXPECT_EQ(queue.Pop()->payload, 2);
-  EXPECT_EQ(queue.Pop()->payload, 3);
-  EXPECT_TRUE(queue.empty());
+  agenda.Schedule(2, 2);
+  agenda.Schedule(2, 3);
+  EXPECT_EQ(agenda.Pop().event, 2);
+  EXPECT_EQ(agenda.Pop().event, 3);
+  EXPECT_TRUE(agenda.empty());
 }
 
-TEST(EventQueue, RandomInterleavingMatchesReferenceOrder) {
+TEST(TickAgenda, WindowIsThePowerOfTwoCoveringTheReachCappedAt256) {
+  EXPECT_EQ(TickAgenda<int>(1).window(), 1u);
+  EXPECT_EQ(TickAgenda<int>(9).window(), 16u);
+  EXPECT_EQ(TickAgenda<int>(256).window(), 256u);
+  // A reach near the tick domain's limit must not size the ring to it.
+  EXPECT_EQ(TickAgenda<int>(int64_t{1} << 30).window(), 256u);
+}
+
+TEST(TickAgenda, RandomInterleavingMatchesReferenceOrder) {
   // Schedules land at or after the last popped time, with many ties
-  // (including at the popping time itself); every pop must be the pending
-  // event with the smallest (time, insertion index). Phases alternate
-  // between growing and draining the queue, so it also runs empty.
+  // (including at the popping time itself), beyond the 8-tick window, and
+  // across long empty gaps; every pop must be the pending event with the
+  // smallest (time, insertion index). Phases alternate between growing and
+  // draining the agenda, so it also runs empty and jumps forward.
   struct Pending {
     int64_t time;
     int index;
   };
   std::vector<Pending> reference;
-  EventQueue<int> queue;
+  TickAgenda<int> agenda(/*reach=*/8);
+  ASSERT_EQ(agenda.window(), 8u);
   uint64_t state = 0x5EED;
   auto next = [&state]() {
     state ^= state << 13;
@@ -171,37 +181,52 @@ TEST(EventQueue, RandomInterleavingMatchesReferenceOrder) {
   int64_t now = 0;
   int scheduled = 0;
   int pops = 0;
-  int empty_pops = 0;
+  int empty_checks = 0;
+  int beyond_window = 0;
   for (int op = 0; op < 20000; ++op) {
     const uint64_t schedule_percent = (op / 1000) % 2 == 0 ? 65 : 25;
     if (next() % 100 < schedule_percent) {
-      const int64_t time = now + static_cast<int64_t>(next() % 4);
-      queue.Schedule(time, scheduled);
-      reference.push_back(Pending{time, scheduled});
+      const uint64_t kind = next() % 100;
+      int64_t distance = static_cast<int64_t>(next() % 4);
+      if (kind >= 98) {
+        distance = 1000 + static_cast<int64_t>(next() % 5000);  // Long gap.
+      } else if (kind >= 85) {
+        distance = 8 + static_cast<int64_t>(next() % 40);  // Overflow.
+      }
+      if (distance >= 8) ++beyond_window;
+      agenda.Schedule(now + distance, scheduled);
+      reference.push_back(Pending{now + distance, scheduled});
       ++scheduled;
     } else if (reference.empty()) {
-      EXPECT_FALSE(queue.NextTime().has_value());
-      EXPECT_FALSE(queue.Pop().has_value());
-      ++empty_pops;
+      EXPECT_TRUE(agenda.empty());
+      ++empty_checks;
     } else {
       auto expected = std::min_element(
           reference.begin(), reference.end(),
           [](const Pending& a, const Pending& b) {
             return a.time != b.time ? a.time < b.time : a.index < b.index;
           });
-      ASSERT_EQ(queue.NextTime(), expected->time) << "op " << op;
-      auto fired = queue.Pop();
-      ASSERT_TRUE(fired.has_value()) << "op " << op;
-      ASSERT_EQ(fired->time, expected->time) << "op " << op;
-      ASSERT_EQ(fired->payload, expected->index) << "op " << op;
-      now = fired->time;
+      ASSERT_FALSE(agenda.empty()) << "op " << op;
+      const TickAgenda<int>::Fired fired = agenda.Pop();
+      ASSERT_EQ(fired.tick, expected->time) << "op " << op;
+      ASSERT_EQ(fired.event, expected->index) << "op " << op;
+      now = fired.tick;
       reference.erase(expected);
       ++pops;
     }
-    ASSERT_EQ(queue.size(), reference.size());
+    ASSERT_EQ(agenda.size(), reference.size());
   }
   EXPECT_GT(pops, 5000);
-  EXPECT_GT(empty_pops, 0);
+  EXPECT_GT(empty_checks, 0);
+  EXPECT_GT(beyond_window, 1000);
+  EXPECT_GT(now, 100000);  // The long gaps were crossed.
+}
+
+TEST(TickAgendaDeathTest, SchedulingBeforeTheCurrentTickFails) {
+  TickAgenda<int> agenda(/*reach=*/4);
+  agenda.Schedule(3, 0);
+  agenda.Pop();
+  EXPECT_DEATH(agenda.Schedule(2, 1), "schedule before the current tick");
 }
 
 // ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/rng.h"
 #include "compile_digest.h"
 #include "core/system.h"
 #include "plan/serialization.h"
@@ -424,6 +427,61 @@ TEST(NodeRuntimeTest, RejectsForeignPartialRecords) {
     return;
   }
   GTEST_SKIP() << "no partial-free node in this plan";
+}
+
+using Hops = std::vector<std::pair<NodeId, NodeId>>;
+
+Hops StdSortUnique(Hops hops) {
+  std::sort(hops.begin(), hops.end());
+  hops.erase(std::unique(hops.begin(), hops.end()), hops.end());
+  return hops;
+}
+
+TEST(SortUniqueHopsTest, MatchesStdSortUniqueOnRandomLists) {
+  // Node counts around powers of two: 1 (no id bits), 2, exact powers and
+  // one past them, and 10k (two 14-bit ids, three 11-bit digits). Ids are
+  // drawn with a bias toward the extremes 0 and N - 1.
+  Rng rng(0x50127);
+  for (int nodes : {1, 2, 3, 4, 5, 64, 65, 1024, 1025, 2048, 2049, 10000}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const int size = static_cast<int>(rng.UniformRange(0, 3000));
+      Hops hops;
+      for (int i = 0; i < size; ++i) {
+        auto id = [&]() {
+          const int64_t pick = rng.UniformRange(0, 9);
+          if (pick == 0) return NodeId{0};
+          if (pick == 1) return static_cast<NodeId>(nodes - 1);
+          return static_cast<NodeId>(rng.UniformRange(0, nodes - 1));
+        };
+        const NodeId from = id();
+        hops.emplace_back(from, id());
+      }
+      const Hops want = StdSortUnique(hops);
+      SortUniqueHops(hops, nodes);
+      ASSERT_EQ(hops, want) << nodes << " nodes, trial " << trial;
+    }
+  }
+}
+
+TEST(SortUniqueHopsTest, EmptyAndAllDuplicateLists) {
+  Hops empty;
+  SortUniqueHops(empty, 10);
+  EXPECT_TRUE(empty.empty());
+
+  Hops same(500, {9, 9});
+  SortUniqueHops(same, 10);
+  EXPECT_EQ(same, (Hops{{9, 9}}));
+
+  Hops single_node(7, {0, 0});
+  SortUniqueHops(single_node, 1);
+  EXPECT_EQ(single_node, (Hops{{0, 0}}));
+}
+
+TEST(SortUniqueHopsDeathTest, IdsAtOrPastTheNodeCountFail) {
+  Hops hops{{0, 1}, {4, 2}};
+  EXPECT_DEATH(SortUniqueHops(hops, 4), "outside 4 nodes");
+  Hops negative{{-1, 0}};
+  EXPECT_DEATH(SortUniqueHops(negative, 4), "outside 4 nodes");
 }
 
 }  // namespace
