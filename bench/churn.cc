@@ -24,7 +24,6 @@
 
 int main(int argc, char** argv) {
   using namespace m2m;
-  const int threads = bench::ApplyParallelismFlags(argc, argv);
   Topology topology = MakeGreatDuckIslandLike();
   WorkloadSpec spec;
   spec.destination_count = 5;
@@ -46,7 +45,6 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry metrics;
   std::ofstream json("BENCH_churn.json");
   json << "{\n  \"experiment\": \"churn\",\n"
-       << "  \"threads\": " << threads << ",\n"
        << "  \"setup\": \"GDI topology, 5 destinations x 5 sources seed "
           "workload; ChurnSchedule arrival-rate sweep; open limits = "
           "Theorem 3 only, tight limits = initial TDMA slots + 5% node "

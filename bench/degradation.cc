@@ -21,7 +21,6 @@
 
 int main(int argc, char** argv) {
   using namespace m2m;
-  const int threads = bench::ApplyParallelismFlags(argc, argv);
   Topology topology = MakeGreatDuckIslandLike();
   WorkloadSpec spec;
   spec.destination_count = 5;
@@ -38,7 +37,6 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry metrics;
   std::ofstream json("BENCH_degradation.json");
   json << "{\n  \"experiment\": \"degradation\",\n"
-       << "  \"threads\": " << threads << ",\n"
        << "  \"setup\": \"GDI topology, 5 destinations x 5 sources; "
           "Gilbert-Elliott channel, stop-and-wait ack/retry, 8 attempts\",\n"
        << "  \"severity_rows\": [\n";

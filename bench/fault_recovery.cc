@@ -23,7 +23,6 @@
 
 int main(int argc, char** argv) {
   using namespace m2m;
-  const int threads = bench::ApplyParallelismFlags(argc, argv);
   Topology topology = MakeGreatDuckIslandLike();
   WorkloadSpec spec;
   spec.destination_count = 10;
@@ -132,7 +131,6 @@ int main(int argc, char** argv) {
                  "ctrl_attempts", "ctrl_bytes", "epoch_rejected"});
   std::ofstream json("BENCH_fault_recovery.json");
   json << "{\n  \"experiment\": \"fault_recovery_self_healing\",\n"
-       << "  \"threads\": " << threads << ",\n"
        << "  \"setup\": \"GDI topology, 5 destinations x 5 sources, 2 "
           "persistent link failures + 1 node death; detection threshold "
        << DetectorOptions{}.suspicion_threshold << " rounds\",\n"

@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "common/flags.h"
-#include "common/thread_pool.h"
 
 namespace m2m::bench {
 
@@ -73,16 +72,6 @@ bool MaybeWriteMetricsJson(int argc, const char* const argv[],
   out << registry.ToJson() << "\n";
   std::cout << "metrics snapshot written to " << path << std::endl;
   return true;
-}
-
-int ApplyParallelismFlags(int argc, const char* const argv[]) {
-  FlagParser flags(argc, argv);
-  const int threads = static_cast<int>(flags.GetInt(
-      "threads", 1, "worker threads for planning and round execution"));
-  const int shards = static_cast<int>(flags.GetInt(
-      "shards", 0, "work partitions per parallel region (0 = threads)"));
-  SetGlobalParallelism(threads, shards);
-  return GlobalThreadCount();
 }
 
 }  // namespace m2m::bench

@@ -37,14 +37,6 @@ void EmitTable(const std::string& experiment_id, const std::string& setup,
 bool MaybeWriteMetricsJson(int argc, const char* const argv[],
                            const obs::MetricsRegistry& registry);
 
-/// Honors `--threads N` (and optional `--shards M`): configures the global
-/// thread-pool execution core for the run and returns the applied thread
-/// count (1 = serial, the default). Benches record the returned value in
-/// their emitted JSON so every BENCH_*.json states the parallelism it ran
-/// under — results themselves are thread-invariant by construction
-/// (tests/parallel_determinism_test.cc).
-int ApplyParallelismFlags(int argc, const char* const argv[]);
-
 }  // namespace m2m::bench
 
 #endif  // M2M_BENCH_HARNESS_H_

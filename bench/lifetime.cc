@@ -233,7 +233,6 @@ DepletionOutcome SimulateDepletion(const Topology& topology,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int threads = bench::ApplyParallelismFlags(argc, argv);
   Topology topology = MakeGreatDuckIslandLike();
   PathSystem paths(topology);
   NodeId base = PickBaseStation(topology);
@@ -290,7 +289,6 @@ int main(int argc, char** argv) {
                "coverage90_round", "replans", "deaths", "hottest_mJ"});
   std::ofstream json("BENCH_lifetime.json");
   json << "{\n  \"experiment\": \"lifetime\",\n"
-       << "  \"threads\": " << threads << ",\n"
        << "  \"setup\": \"fast-forward depletion sweep; 10 destinations x 5 "
           "sources; 20 J radio budget per node, destinations and base "
           "wall-powered; battery-aware strategies replan on a 5%-of-budget "

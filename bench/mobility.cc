@@ -23,7 +23,6 @@
 
 int main(int argc, char** argv) {
   using namespace m2m;
-  const int threads = bench::ApplyParallelismFlags(argc, argv);
   const std::vector<int> sizes = {68, 150, 300};
   const std::vector<double> speeds = {0.0, 2.0, 5.0, 10.0};
   const int kRounds = 30;
@@ -34,7 +33,6 @@ int main(int argc, char** argv) {
                "control_kb", "parted_node_rounds", "degraded_rounds"});
   std::ofstream json("BENCH_mobility.json");
   json << "{\n  \"experiment\": \"mobility\",\n"
-       << "  \"threads\": " << threads << ",\n"
        << "  \"setup\": \"density-constant scaling series; 5 destinations x "
           "5 sources; velocity-drift mobility with anchored base and "
           "destinations; partition-aware self-healing runtime, perfect "

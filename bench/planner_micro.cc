@@ -3,17 +3,13 @@
 // system and compilation costs; and for the costs that dominate a
 // self-healing round and a data round: the channel's and the fault
 // schedule's delivery queries, the failure detector's round and the
-// byte-level lossy round. The *_Threads variants sweep the thread-pool
-// width (Arg = worker threads) over the same fixture; `--threads N`
-// additionally sets the pool width for every other benchmark (default 1 =
-// serial).
+// byte-level lossy round.
 
 #include <algorithm>
 #include <memory>
 
 #include <benchmark/benchmark.h>
 
-#include "common/thread_pool.h"
 #include "harness.h"
 #include "lifecycle/catalog.h"
 #include "lifecycle/lifecycle.h"
@@ -102,8 +98,9 @@ void BM_PathSystemColumn(benchmark::State& state) {
                      state.range(0) == 0 ? nullptr : unit_cost);
     target = (target + 7919) % n;
     state.ResumeTiming();
-    paths.Materialize({target});
-    benchmark::DoNotOptimize(paths.PathWeight(0, target));
+    // Neither endpoint's column is built yet, so PathWeight builds the
+    // first argument's.
+    benchmark::DoNotOptimize(paths.PathWeight(target, (target + 1) % n));
   }
 }
 BENCHMARK(BM_PathSystemColumn)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
@@ -266,16 +263,6 @@ void BM_RebuildAfterAddSource(benchmark::State& state) {
 }
 BENCHMARK(BM_RebuildAfterAddSource);
 
-void BM_BuildFullPlan_Threads(benchmark::State& state) {
-  PlanFixture& fx = Fixture();
-  ScopedParallelism parallelism(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    GlobalPlan plan = BuildPlan(fx.forest, fx.workload.functions, {});
-    benchmark::DoNotOptimize(plan.TotalPayloadBytes());
-  }
-}
-BENCHMARK(BM_BuildFullPlan_Threads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_CompilePlan(benchmark::State& state) {
   PlanFixture& fx = Fixture();
   GlobalPlan plan = BuildPlan(fx.forest, fx.workload.functions, {});
@@ -300,21 +287,6 @@ void BM_ExecuteRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecuteRound);
-
-void BM_ExecuteRound_Threads(benchmark::State& state) {
-  PlanFixture& fx = Fixture();
-  GlobalPlan plan = BuildPlan(fx.forest, fx.workload.functions, {});
-  CompiledPlan compiled = CompiledPlan::Compile(plan, fx.workload.functions);
-  PlanExecutor executor(std::make_shared<CompiledPlan>(compiled),
-                        fx.workload.functions, EnergyModel{});
-  ReadingGenerator readings(fx.topology.node_count(), 3);
-  ScopedParallelism parallelism(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        executor.RunRound(readings.values()).energy_mj);
-  }
-}
-BENCHMARK(BM_ExecuteRound_Threads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // heal_1k's Gilbert–Elliott channel (perfbench/workloads.cc).
 ChannelOptions HealChannelOptions() {
@@ -475,13 +447,4 @@ BENCHMARK(BM_LossyRound)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// BENCHMARK_MAIN plus the harness parallelism flags. The explicit main
-// skips ReportUnrecognizedArguments so `--threads` / `--shards` pass
-// through to FlagParser.
-int main(int argc, char** argv) {
-  m2m::bench::ApplyParallelismFlags(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -193,9 +193,8 @@ SweepStats RunPipeline(QueryLifecycleManager& manager,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace m2m;
-  const int threads = bench::ApplyParallelismFlags(argc, argv);
   Topology topology = MakeGreatDuckIslandLike();
   WorkloadSpec workload_spec;
   workload_spec.destination_count = 5;
@@ -210,7 +209,6 @@ int main(int argc, char** argv) {
 
   std::ofstream json("BENCH_tenant.json");
   json << "{\n  \"experiment\": \"tenant\",\n"
-       << "  \"threads\": " << threads << ",\n"
        << "  \"setup\": \"GDI topology, 5x5 seed workload; 4 tenants, "
           "shared pool of 6 canonical queries; open-loop arrival sweep "
           "(requests per batch window); sequential = one commit per "

@@ -43,7 +43,6 @@
 #include "sim/readings.h"
 #include "topology/generator.h"
 #include "topology/topology.h"
-#include "workload/multi_sensor.h"
 #include "workload/workload.h"
 
 #endif  // M2M_CORE_M2M_H_

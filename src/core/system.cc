@@ -1,7 +1,6 @@
 #include "core/system.h"
 
 #include "common/check.h"
-#include "sim/readings.h"
 
 namespace m2m {
 
@@ -23,19 +22,6 @@ System::System(Topology topology, Workload workload, SystemOptions options)
 
 PlanExecutor System::MakeExecutor(const EnergyModel& energy) const {
   return PlanExecutor(compiled_, workload_.functions, energy);
-}
-
-double System::AverageRoundEnergyMj(int rounds, uint64_t seed,
-                                    const EnergyModel& energy) const {
-  M2M_CHECK_GT(rounds, 0);
-  PlanExecutor executor = MakeExecutor(energy);
-  ReadingGenerator readings(topology_->node_count(), seed);
-  double total = 0.0;
-  for (int r = 0; r < rounds; ++r) {
-    readings.Advance(1.0);
-    total += executor.RunRound(readings.values()).energy_mj;
-  }
-  return total / rounds;
 }
 
 }  // namespace m2m

@@ -50,11 +50,6 @@ class System {
   /// Builds a (stateful) executor over the compiled plan.
   PlanExecutor MakeExecutor(const EnergyModel& energy = {}) const;
 
-  /// Convenience: mean per-round radio energy (mJ) over `rounds` full
-  /// recomputation rounds with random readings.
-  double AverageRoundEnergyMj(int rounds, uint64_t seed,
-                              const EnergyModel& energy = {}) const;
-
  private:
   std::shared_ptr<const Topology> topology_;
   Workload workload_;

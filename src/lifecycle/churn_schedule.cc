@@ -194,14 +194,4 @@ MutationResult ApplyChurnEvent(QueryLifecycleManager& manager,
   return manager.Apply(event.request);
 }
 
-BatchResult ApplyChurnEventsBatched(QueryLifecycleManager& manager,
-                                    const std::vector<ChurnEvent>& events) {
-  std::vector<MutationRequest> requests;
-  requests.reserve(events.size());
-  for (const ChurnEvent& event : events) {
-    requests.push_back(event.request);
-  }
-  return manager.ApplyBatch(requests);
-}
-
 }  // namespace m2m

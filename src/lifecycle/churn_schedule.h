@@ -79,15 +79,6 @@ class ChurnSchedule {
 MutationResult ApplyChurnEvent(QueryLifecycleManager& manager,
                                const ChurnEvent& event);
 
-/// Applies a round's events as ONE lifecycle batch (one replan + one epoch
-/// bump on the fast path) instead of one mutation per event. Guaranteed to
-/// land on the same final catalog, plan, and wire images as sequential
-/// ApplyChurnEvent replay of the same list — the batch validates requests
-/// in order against the evolving candidate, and budget-contended batches
-/// degrade to exact sequential application.
-BatchResult ApplyChurnEventsBatched(QueryLifecycleManager& manager,
-                                    const std::vector<ChurnEvent>& events);
-
 }  // namespace m2m
 
 #endif  // M2M_LIFECYCLE_CHURN_SCHEDULE_H_

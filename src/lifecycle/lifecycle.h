@@ -214,7 +214,9 @@ class QueryLifecycleManager {
   /// rejections poison nothing), then the accepted set commits with one
   /// replan + one epoch bump — the frontend's unit of amortization, since
   /// per-query replans are the single-query cost the many-to-many
-  /// formulation exists to avoid paying N times.
+  /// formulation exists to avoid paying N times. The batch lands on the
+  /// same catalog, plan and images as applying its requests one by one;
+  /// budget-contended batches degrade to exactly that.
   BatchResult ApplyBatch(const std::vector<MutationRequest>& requests);
 
   /// Attaches the self-healing runtime that should receive admitted

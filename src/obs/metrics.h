@@ -37,17 +37,10 @@ struct MetricHandle {
 /// ids ascending, edges sorted) against the `m2m.metrics.v1` schema that
 /// the CI smoke job validates.
 ///
-/// Thread safety: single writer. A registry is unsynchronized; every
-/// update and read must come from one thread at a time. No parallel region
-/// writes a registry: lossy rounds process their events serially, so
-/// ChannelModel's burst-transition counting from delivery queries runs on
-/// the calling thread, and the node-parallel phases (round start, dedup
-/// eviction, lossless delivery) record metrics only in their serial
-/// merges. A parallel region that must count keeps per-shard tallies and
-/// adds them in its serial merge. The TSan job runs the threaded suites
-/// with registries attached, so a write from a worker fails it. Snapshot
-/// reads (`ToJson`, `Total`, ...) happen between rounds, which is the only
-/// place the runtime and tests read them.
+/// Thread safety: none. A registry is unsynchronized, and the library is
+/// serial, so every update and snapshot read (`ToJson`, `Total`, ...)
+/// comes from the one thread that runs the rounds; reads happen between
+/// rounds.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

@@ -6,7 +6,6 @@
 #include "agg/partial_record.h"
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace m2m {
 
@@ -161,16 +160,13 @@ GlobalPlan BuildPlan(std::shared_ptr<const MulticastForest> forest,
                      const PlannerOptions& options) {
   M2M_CHECK(forest != nullptr);
   // Theorem 1: each edge's min-weight vertex cover is an independent
-  // instance, so the solves fan out across shards; results land by edge
-  // index, so the plan bytes match the serial path for any thread count.
+  // instance, solved in edge order.
   const std::vector<ForestEdge>& edges = forest->edges();
-  std::vector<EdgePlan> plans(edges.size());
-  ParallelFor(static_cast<int64_t>(edges.size()),
-              [&](int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i) {
-                  plans[i] = SolveEdge(edges[i], functions, options);
-                }
-              });
+  std::vector<EdgePlan> plans;
+  plans.reserve(edges.size());
+  for (const ForestEdge& edge : edges) {
+    plans.push_back(SolveEdge(edge, functions, options));
+  }
   return GlobalPlan(std::move(forest), std::move(plans), options);
 }
 
@@ -188,34 +184,21 @@ GlobalPlan UpdatePlan(const GlobalPlan& old_plan,
   UpdateStats local_stats;
   local_stats.edges_total = static_cast<int>(forest->edges().size());
   // Corollary 1 localizes the update to edges whose instance signature
-  // changed; both the signature probes and the re-solves are per-edge
-  // independent, so the whole pass shards like BuildPlan. `old_index` is
-  // read-only here and `reused` is written by index — no shared state.
+  // changed; every other edge keeps its old solution.
   const std::vector<ForestEdge>& edges = forest->edges();
   std::vector<EdgePlan> plans(edges.size());
-  std::vector<uint8_t> reused(edges.size(), 0);
-  ParallelFor(
-      static_cast<int64_t>(edges.size()), [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          const ForestEdge& edge = edges[i];
-          if (old_index[i] >= 0) {
-            const EdgePlan& candidate = old_plan.edge_plans()[old_index[i]];
-            if (candidate.instance_signature ==
-                InstanceSignature(edge, functions, options.tiebreak_seed)) {
-              plans[i] = candidate;
-              reused[i] = 1;
-              continue;
-            }
-          }
-          plans[i] = SolveEdge(edge, functions, options);
-        }
-      });
-  for (uint8_t r : reused) {
-    if (r != 0) {
-      ++local_stats.edges_reused;
-    } else {
-      ++local_stats.edges_reoptimized;
+  for (size_t i = 0; i < edges.size(); ++i) {
+    if (old_index[i] >= 0) {
+      const EdgePlan& candidate = old_plan.edge_plans()[old_index[i]];
+      if (candidate.instance_signature ==
+          InstanceSignature(edges[i], functions, options.tiebreak_seed)) {
+        plans[i] = candidate;
+        ++local_stats.edges_reused;
+        continue;
+      }
     }
+    plans[i] = SolveEdge(edges[i], functions, options);
+    ++local_stats.edges_reoptimized;
   }
   if (stats != nullptr) *stats = local_stats;
   return GlobalPlan(std::move(forest), std::move(plans), options);

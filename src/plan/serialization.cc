@@ -222,44 +222,6 @@ std::optional<DecodedNodeState> TryDecodeNodeState(
   return decoded;
 }
 
-std::vector<uint8_t> EncodeDecodedNodeState(const DecodedNodeState& decoded) {
-  M2M_CHECK_EQ(decoded.preagg_meta.size(), decoded.state.preagg_table.size());
-  M2M_CHECK_EQ(decoded.partial_kinds.size(),
-               decoded.state.partial_table.size());
-  ByteWriter writer;
-  writer.WriteVarint(decoded.plan_epoch);
-  writer.WriteVarint(decoded.state.raw_table.size());
-  for (const RawTableEntry& entry : decoded.state.raw_table) {
-    writer.WriteVarint(static_cast<uint64_t>(entry.source));
-    writer.WriteVarint(static_cast<uint64_t>(entry.message_id));
-  }
-  writer.WriteVarint(decoded.state.preagg_table.size());
-  for (size_t i = 0; i < decoded.state.preagg_table.size(); ++i) {
-    const PreAggTableEntry& entry = decoded.state.preagg_table[i];
-    const DecodedPreAggMeta& meta = decoded.preagg_meta[i];
-    writer.WriteVarint(static_cast<uint64_t>(entry.source));
-    writer.WriteVarint(static_cast<uint64_t>(entry.destination));
-    writer.WriteU8(static_cast<uint8_t>(meta.kind));
-    writer.WriteF32(meta.weight);
-    writer.WriteF32(meta.param);
-  }
-  writer.WriteVarint(decoded.state.partial_table.size());
-  for (size_t i = 0; i < decoded.state.partial_table.size(); ++i) {
-    const PartialTableEntry& entry = decoded.state.partial_table[i];
-    writer.WriteVarint(static_cast<uint64_t>(entry.destination));
-    writer.WriteVarint(static_cast<uint64_t>(entry.expected_contributions));
-    writer.WriteVarint(static_cast<uint64_t>(entry.message_id + 1));
-    writer.WriteU8(static_cast<uint8_t>(decoded.partial_kinds[i]));
-  }
-  writer.WriteVarint(decoded.state.outgoing_table.size());
-  for (const OutgoingMessageEntry& entry : decoded.state.outgoing_table) {
-    writer.WriteVarint(static_cast<uint64_t>(entry.unit_count));
-    writer.WriteVarint(static_cast<uint64_t>(entry.recipient));
-  }
-  writer.WriteU8(decoded.state.is_destination ? 1 : 0);
-  return std::move(writer).TakeBytes();
-}
-
 std::vector<std::vector<uint8_t>> EncodeAllNodeStates(
     const CompiledPlan& compiled, const FunctionSet& functions) {
   std::vector<std::vector<uint8_t>> images;

@@ -74,11 +74,6 @@ DecodedNodeState DecodeNodeState(const std::vector<uint8_t>& bytes);
 std::optional<DecodedNodeState> TryDecodeNodeState(
     const std::vector<uint8_t>& bytes);
 
-/// Re-encodes a decoded image from its own stored function metadata (the
-/// inverse of DecodeNodeState, needing no FunctionSet). For any image
-/// produced by EncodeNodeState, decode + re-encode is byte-identical.
-std::vector<uint8_t> EncodeDecodedNodeState(const DecodedNodeState& decoded);
-
 /// Wire images for every node of a compiled plan, indexed by node id and
 /// stamped with the compiled plan's epoch.
 std::vector<std::vector<uint8_t>> EncodeAllNodeStates(

@@ -35,24 +35,17 @@ void MulticastForest::UpdateFrom(const MulticastForest& previous,
   routing_ = paths.routing_identity();
   milestone_level_ = milestones != nullptr;
 
-  // Validate the task list, collect its pairs, and find the destinations
-  // whose column the walk below reads: some pair is new, and its source
-  // neither is the destination nor reaches it by a direct hop.
+  // Validate the task list and collect its pairs.
   std::vector<SourceDestPair> pairs;
-  std::vector<NodeId> column_targets;
   std::vector<NodeId> sorted_sources;
   for (const Task& task : tasks_) {
     const NodeId d = task.destination;
     M2M_CHECK(d >= 0 && d < node_count_);
     destination_ids_.push_back(d);
-    bool needs_column = false;
     for (NodeId s : task.sources) {
       M2M_CHECK(s >= 0 && s < node_count_);
       source_ids_.push_back(s);
       pairs.push_back({s, d});
-      needs_column = needs_column ||
-                     (!previous.routes_.contains({s, d}) && s != d &&
-                      !paths.IsDirectHop(s, d));
     }
     sorted_sources.assign(task.sources.begin(), task.sources.end());
     std::sort(sorted_sources.begin(), sorted_sources.end());
@@ -60,7 +53,6 @@ void MulticastForest::UpdateFrom(const MulticastForest& previous,
         std::adjacent_find(sorted_sources.begin(), sorted_sources.end());
     M2M_CHECK(twice == sorted_sources.end())
         << "duplicate source " << *twice << " for destination " << d;
-    if (needs_column) column_targets.push_back(d);
   }
   std::sort(destination_ids_.begin(), destination_ids_.end());
   const auto twice =
@@ -71,9 +63,6 @@ void MulticastForest::UpdateFrom(const MulticastForest& previous,
   source_ids_.erase(std::unique(source_ids_.begin(), source_ids_.end()),
                     source_ids_.end());
   std::sort(pairs.begin(), pairs.end());
-  // Columns are independent, so they build in parallel; the walk then only
-  // reads them (milestone heads may still build theirs lazily).
-  paths.Materialize(column_targets);
 
   // Temporary edge ids: previous's edge indices, then the edges created
   // here. A pair previous routes keeps its route; a new one is walked.

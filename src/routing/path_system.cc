@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace m2m {
 
@@ -79,29 +78,6 @@ PathSystem::PathSystem(const Topology& topology, uint64_t perturbation_seed,
     M2M_CHECK_EQ(fill[v], graph->row_begin[v + 1]) << "asymmetric links";
   }
   graph_ = std::move(graph);
-}
-
-PathSystem::PathSystem(const PathSystem& other)
-    : node_count_(other.node_count_),
-      graph_(other.graph_),
-      link_cost_(other.link_cost_) {
-  std::lock_guard<std::mutex> lock(other.columns_mutex_);
-  columns_ = other.columns_;
-}
-
-PathSystem& PathSystem::operator=(const PathSystem& other) {
-  if (this == &other) return *this;
-  std::vector<std::shared_ptr<const Column>> snapshot;
-  {
-    std::lock_guard<std::mutex> lock(other.columns_mutex_);
-    snapshot = other.columns_;
-  }
-  node_count_ = other.node_count_;
-  graph_ = other.graph_;
-  link_cost_ = other.link_cost_;
-  std::lock_guard<std::mutex> lock(columns_mutex_);
-  columns_ = std::move(snapshot);
-  return *this;
 }
 
 bool PathSystem::LayeredSweep(int32_t target, std::vector<int64_t>& dist,
@@ -208,27 +184,15 @@ PathSystem::Column PathSystem::BuildColumn(NodeId t) const {
 }
 
 const PathSystem::Column& PathSystem::ColumnFor(NodeId t) const {
-  {
-    std::lock_guard<std::mutex> lock(columns_mutex_);
-    const std::shared_ptr<const Column>& existing = columns_[t];
-    if (existing != nullptr) return *existing;
-  }
-  // Build outside the lock: a concurrent racer computes the identical
-  // column, and whichever publishes second is discarded.
-  auto built = std::make_shared<const Column>(BuildColumn(t));
-  std::lock_guard<std::mutex> lock(columns_mutex_);
   std::shared_ptr<const Column>& slot = columns_[t];
-  if (slot == nullptr) slot = std::move(built);
+  if (slot == nullptr) slot = std::make_shared<const Column>(BuildColumn(t));
   return *slot;
 }
 
 int64_t PathSystem::SymmetricWeight(NodeId u, NodeId v) const {
   if (u == v) return 0;
-  {
-    std::lock_guard<std::mutex> lock(columns_mutex_);
-    if (columns_[v] != nullptr) return columns_[v]->weight[u];
-    if (columns_[u] != nullptr) return columns_[u]->weight[v];
-  }
+  if (columns_[v] != nullptr) return columns_[v]->weight[u];
+  if (columns_[u] != nullptr) return columns_[u]->weight[v];
   // Neither endpoint is materialized: build u's column, so query patterns
   // with a fixed first argument (eccentricity scans, base-station distance
   // sweeps) amortize to a single column.
@@ -322,18 +286,7 @@ int PathSystem::Eccentricity(NodeId u) const {
   return best;
 }
 
-void PathSystem::Materialize(const std::vector<NodeId>& targets) const {
-  for (NodeId t : targets) CheckNode(t);
-  // Each shard builds whole columns; ColumnFor publishes them under the
-  // lock, and a column is the same whichever thread builds it.
-  ParallelFor(static_cast<int64_t>(targets.size()),
-              [&](int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i) ColumnFor(targets[i]);
-              });
-}
-
 int PathSystem::materialized_column_count() const {
-  std::lock_guard<std::mutex> lock(columns_mutex_);
   return static_cast<int>(
       std::count_if(columns_.begin(), columns_.end(),
                     [](const auto& column) { return column != nullptr; }));

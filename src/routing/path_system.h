@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/ids.h"
@@ -33,7 +32,7 @@ namespace m2m {
 /// heads, the base station). Each target's shortest-path tree ("column") is
 /// materialized on first use and cached. Columns are immutable once built
 /// and computed by the same deterministic relaxation regardless of build
-/// order or thread, so laziness is unobservable: every query answers exactly
+/// order, so laziness is unobservable: every query answers exactly
 /// as the eager all-pairs construction would.
 ///
 /// Columns are built over an immutable graph made once per topology and
@@ -59,7 +58,7 @@ class PathSystem {
   using LinkCostFn = std::function<double(NodeId, NodeId)>;
 
   /// Defines the path system: builds the shared graph but no column yet
-  /// (each target costs one column build on first use, or in Materialize).
+  /// (each target costs one column build on first use).
   /// `perturbation_seed` feeds the per-link epsilon values. A non-null
   /// `link_cost` biases routing (e.g. away from unstable links); paths then
   /// minimize summed link cost instead of pure hop count, and HopDistance
@@ -70,8 +69,8 @@ class PathSystem {
 
   /// Copies share the graph and already-materialized columns (both are
   /// immutable).
-  PathSystem(const PathSystem& other);
-  PathSystem& operator=(const PathSystem& other);
+  PathSystem(const PathSystem&) = default;
+  PathSystem& operator=(const PathSystem&) = default;
 
   int node_count() const { return node_count_; }
 
@@ -114,11 +113,6 @@ class PathSystem {
   /// tests and by debug validation of multicast construction.
   bool PathIsConsistent(NodeId u, NodeId v) const;
 
-  /// Builds the columns of `targets` (distinct ids) through ParallelFor;
-  /// already-built ones are kept. Columns do not depend on build order or
-  /// thread, so every later query answers as if they were built lazily.
-  void Materialize(const std::vector<NodeId>& targets) const;
-
   /// Number of target columns built so far (the column-build work count).
   int materialized_column_count() const;
 
@@ -143,9 +137,8 @@ class PathSystem {
   };
 
   void CheckNode(NodeId n) const;
-  /// Returns target t's column, materializing it on first use. Thread-safe:
-  /// concurrent builders race to publish, but both compute the identical
-  /// column, so the loser's copy is just discarded.
+  /// Returns target t's column, materializing it on first use. Not safe to
+  /// call concurrently: the cache is filled without a lock.
   const Column& ColumnFor(NodeId t) const;
   Column BuildColumn(NodeId t) const;
   /// Default-cost column: relaxes one hop layer at a time. Returns false
@@ -165,7 +158,6 @@ class PathSystem {
   int node_count_ = 0;
   std::shared_ptr<const Graph> graph_;
   LinkCostFn link_cost_;
-  mutable std::mutex columns_mutex_;
   /// Lazily materialized per-target columns, indexed by target id. Entries
   /// are immutable once published and shared across copies.
   mutable std::vector<std::shared_ptr<const Column>> columns_;

@@ -209,11 +209,10 @@ class RuntimeNetwork {
   /// start the round nor receive; a dead participant's leftover dedup table
   /// is cleared at round start. Incomplete destinations are reported, not
   /// CHECK-failed. Every event is appended to `trace` when non-null.
-  /// The round runs serially and its work follows the traffic, not N: round
-  /// start and the end-of-round passes walk the participant list, events
-  /// run in (tick, seq) order, and dedup eviction pops a FIFO of receive
-  /// stamps (docs/THEORY.md §7), so the bytes are the same at every thread
-  /// and shard count. Bookkeeping is O(1) per event with no allocation per
+  /// The round's work follows the traffic, not N: round start and the
+  /// end-of-round passes walk the participant list, events run in
+  /// (tick, seq) order, and dedup eviction pops a FIFO of receive stamps
+  /// (docs/THEORY.md §7). Bookkeeping is O(1) per event with no allocation per
   /// packet: the agenda is a ring of one-tick buckets (TickAgenda,
   /// docs/THEORY.md §16), every packet's payload is appended to one byte
   /// arena for the round, and `heard` is ordered by SortUniqueHops.

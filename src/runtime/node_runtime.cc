@@ -23,9 +23,8 @@ uint8_t MakeTag(bool is_partial, int field_count) {
                               (field_count << 4));
 }
 
-/// Per-thread scratch for a unit's source summary on its way into an
-/// accumulator, so merging one allocates nothing once warm. Nodes of one
-/// round may be driven from several threads, never one node from two.
+/// Scratch for a unit's source summary on its way into an accumulator, so
+/// merging one allocates nothing once warm.
 wire::SourceSummary& ScratchSummary() {
   thread_local wire::SourceSummary summary;
   return summary;

@@ -1,6 +1,7 @@
 #include "runtime/wire_functions.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/bytes.h"
 #include "common/check.h"
@@ -105,6 +106,16 @@ struct SafeReader {
       shift += 7;
     }
   }
+  /// A node id or round: a varint in [0, INT32_MAX]. Anything larger would
+  /// wrap in the cast, so it fails the read instead.
+  int32_t ReadInt() {
+    const uint64_t value = ReadVarint();
+    if (value > static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
+      ok = false;
+      return 0;
+    }
+    return static_cast<int32_t>(value);
+  }
   uint32_t ReadU32() {
     if (cursor + 4 > bytes.size()) {
       ok = false;
@@ -143,19 +154,19 @@ std::optional<SuspicionReport> TryDecodeSuspicionReport(
   SafeReader reader{bytes};
   if (reader.ReadU8() != kSuspicionReportTag) return std::nullopt;
   SuspicionReport report;
-  report.monitor = static_cast<NodeId>(reader.ReadVarint());
+  report.monitor = reader.ReadInt();
   uint64_t count = reader.ReadVarint();
   if (!reader.ok || count > bytes.size()) return std::nullopt;
   for (uint64_t i = 0; i < count; ++i) {
-    NodeId neighbor = static_cast<NodeId>(reader.ReadVarint());
-    int round = static_cast<int>(reader.ReadVarint());
+    NodeId neighbor = reader.ReadInt();
+    int round = reader.ReadInt();
     report.entries.emplace_back(neighbor, round);
   }
   uint64_t retraction_count = reader.ReadVarint();
   if (!reader.ok || retraction_count > bytes.size()) return std::nullopt;
   for (uint64_t i = 0; i < retraction_count; ++i) {
-    NodeId neighbor = static_cast<NodeId>(reader.ReadVarint());
-    int round = static_cast<int>(reader.ReadVarint());
+    NodeId neighbor = reader.ReadInt();
+    int round = reader.ReadInt();
     report.retractions.emplace_back(neighbor, round);
   }
   if (!reader.ok || !reader.AtEnd()) return std::nullopt;
@@ -190,7 +201,7 @@ std::optional<std::pair<NodeId, uint32_t>> TryDecodeInstallAck(
     const std::vector<uint8_t>& bytes) {
   SafeReader reader{bytes};
   if (reader.ReadU8() != kInstallAckTag) return std::nullopt;
-  NodeId node = static_cast<NodeId>(reader.ReadVarint());
+  NodeId node = reader.ReadInt();
   uint64_t epoch = reader.ReadVarint();
   if (!reader.ok || !reader.AtEnd() || epoch > 0xffffffffull) {
     return std::nullopt;

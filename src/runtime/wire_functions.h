@@ -78,7 +78,8 @@ void ReadSourceSummaryInto(ByteReader& reader, SourceSummary& summary);
 // These messages ride the same lossy links as data traffic; the encodings
 // give the control plane byte-accurate payload sizes for energy/overhead
 // accounting. All Try-decoders return nullopt on malformed input instead of
-// CHECK-failing (control packets cross a lossy network).
+// CHECK-failing (control packets cross a lossy network); a node id or round
+// above INT32_MAX is malformed, and so is an epoch above UINT32_MAX.
 
 /// A monitor's accumulated suspicions, shipped to the base station.
 struct SuspicionReport {

@@ -8,7 +8,6 @@
 
 #include "agg/partial_record.h"
 #include "common/check.h"
-#include "common/thread_pool.h"
 
 namespace m2m {
 
@@ -96,10 +95,6 @@ void PlanExecutor::ChargeMessage(int edge_index, int payload_bytes,
   result.messages += 1;
   result.payload_bytes += payload_bytes;
   for (size_t i = 0; i + 1 < edge.segment.size(); ++i) {
-    if (free_link_ != nullptr &&
-        free_link_(edge.segment[i], edge.segment[i + 1])) {
-      continue;  // Local bus transfer: no radio energy.
-    }
     double tx_mj = energy_.TxUj(payload_bytes) / 1000.0;
     double rx_mj = energy_.RxUj(payload_bytes) / 1000.0;
     result.node_energy_mj[edge.segment[i]] += tx_mj;
@@ -235,20 +230,9 @@ RoundResult PlanExecutor::RunRound(const std::vector<double>& readings,
   result.plan_epoch = compiled_->plan_epoch();
   result.node_energy_mj.assign(forest.node_count(), 0.0);
 
-  // Each task reads only its own routes and (edge, destination) lattice,
-  // so tasks shard freely; values land by task index and merge in task
-  // order, making the result byte-identical to the serial pass for any
-  // thread/shard count.
-  const std::vector<Task>& tasks = forest.tasks();
-  std::vector<double> task_values(tasks.size(), 0.0);
-  ParallelFor(static_cast<int64_t>(tasks.size()),
-              [&](int64_t begin, int64_t end) {
-                for (int64_t t = begin; t < end; ++t) {
-                  task_values[t] = EvaluateTaskRound(tasks[t], readings);
-                }
-              });
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    result.destination_values[tasks[t].destination] = task_values[t];
+  for (const Task& task : forest.tasks()) {
+    result.destination_values[task.destination] =
+        EvaluateTaskRound(task, readings);
   }
 
   // Charge energy: every scheduled message is transmitted in a full round.
@@ -390,12 +374,9 @@ RoundResult PlanExecutor::RunThresholdSuppressedRound(
 RoundResult PlanExecutor::RunSuppressedRoundImpl(
     const std::vector<double>& new_readings, const std::vector<bool>& changed,
     OverridePolicy policy, double epsilon, bool replicated_preagg) {
-  // Deliberately serial: override decisions are order-coupled across tasks
-  // through `raw_cross` (whether a raw value already crosses an edge feeds
-  // later decisions at other nodes), so task-sharding would change
-  // decisions, not just schedules. Suppressed rounds are bounded by the
-  // changed-source count, not the network size, so they are not on the
-  // scale path the sharded full round serves.
+  // Override decisions are order-coupled across tasks through `raw_cross`
+  // (whether a raw value already crosses an edge feeds later decisions at
+  // other nodes), so tasks are decided in forest order.
   M2M_CHECK(state_initialized_)
       << "call InitializeState before RunSuppressedRound";
   const GlobalPlan& plan = compiled_->plan();

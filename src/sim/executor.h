@@ -2,7 +2,6 @@
 #define M2M_SIM_EXECUTOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -93,14 +92,6 @@ class PlanExecutor {
   PlanExecutor(std::shared_ptr<const CompiledPlan> compiled,
                FunctionSet functions, EnergyModel energy);
 
-  /// Marks certain hops as free local-bus transfers (no radio energy) —
-  /// used by the multi-sensor generalization, where a virtual sensor node
-  /// is co-located with its host (workload/multi_sensor.h).
-  using FreeLinkFn = std::function<bool(NodeId, NodeId)>;
-  void set_free_link(FreeLinkFn free_link) {
-    free_link_ = std::move(free_link);
-  }
-
   /// Attaches a battery ledger: every executed round (full, broadcast,
   /// suppressed) then charges each node its radio drain. The per-round
   /// charge is accumulated in microjoules in schedule order and divided
@@ -184,8 +175,7 @@ class PlanExecutor {
                      std::vector<double>* battery_uj = nullptr) const;
   /// Reconstructs, verifies, and evaluates one task's aggregate for a full
   /// round. Touches only the task's own (edge, destination) lattice — the
-  /// execution-level face of Theorem 1's per-edge independence — so
-  /// RunRound fans tasks out across shards (see RunRound).
+  /// execution-level face of Theorem 1's per-edge independence.
   double EvaluateTaskRound(const Task& task,
                            const std::vector<double>& readings) const;
   RoundResult RunSuppressedRoundImpl(const std::vector<double>& new_readings,
@@ -206,7 +196,6 @@ class PlanExecutor {
   std::shared_ptr<const CompiledPlan> compiled_;
   FunctionSet functions_;
   EnergyModel energy_;
-  FreeLinkFn free_link_;
   BatteryLedger* battery_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   MetricHandles handles_;

@@ -756,6 +756,12 @@ INSTANTIATE_TEST_SUITE_P(TwentySeeds, DedupReplay,
 // 20 seeds.
 class BatchedChurnReplay : public ::testing::TestWithParam<uint64_t> {};
 
+std::vector<MutationRequest> Requests(const std::vector<ChurnEvent>& events) {
+  std::vector<MutationRequest> requests;
+  for (const ChurnEvent& event : events) requests.push_back(event.request);
+  return requests;
+}
+
 TEST_P(BatchedChurnReplay, BatchedEqualsSequentialByteIdentical) {
   const uint64_t seed = GetParam();
   Topology topology = MakeGreatDuckIslandLike();
@@ -789,7 +795,7 @@ TEST_P(BatchedChurnReplay, BatchedEqualsSequentialByteIdentical) {
   for (int round = 0; round < churn_options.rounds; ++round) {
     std::vector<ChurnEvent> events = schedule.EventsAt(round);
     if (events.empty()) continue;
-    BatchResult batch = ApplyChurnEventsBatched(batched, events);
+    BatchResult batch = batched.ApplyBatch(Requests(events));
     ASSERT_EQ(batch.outcomes.size(), events.size());
     EXPECT_FALSE(batch.sequential_fallback) << "seed " << seed;
     if (batch.committed) ++material_batches;
@@ -817,7 +823,7 @@ TEST_P(BatchedChurnReplay, BatchedEqualsSequentialByteIdentical) {
   // Order-of-batching independence: the WHOLE schedule as one batch lands
   // on the same bytes again.
   QueryLifecycleManager one_shot(topology, initial, base);
-  BatchResult whole = ApplyChurnEventsBatched(one_shot, schedule.events());
+  BatchResult whole = one_shot.ApplyBatch(Requests(schedule.events()));
   ASSERT_EQ(whole.outcomes.size(), schedule.events().size());
   for (size_t i = 0; i < whole.outcomes.size(); ++i) {
     EXPECT_EQ(whole.outcomes[i].decision.admitted

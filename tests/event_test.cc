@@ -8,7 +8,7 @@
 //     EventNetwork::RunCompatRound (RunRoundLossy over a transport's link
 //     model) both reproduce committed golden digests of traces, metrics
 //     JSON, aggregate bits, coverage and heard sets over 20 seeds and four
-//     channel regimes, RunRoundLossy at one thread and at four.
+//     channel regimes.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "event/event_runtime.h"
 #include "event/transport.h"
 #include "obs/metrics.h"
@@ -417,10 +416,6 @@ TEST(RoundCompat, ByteIdenticalToRunRoundLossyAcrossSeedsAndRegimes) {
       const std::string golden = HexDigest(kGoldenDigests[seed - 1][r]);
       EXPECT_EQ(digest(/*compat=*/false), golden) << "RunRoundLossy";
       EXPECT_EQ(digest(/*compat=*/true), golden) << "RunCompatRound";
-      // RunRoundLossy has no parallel part; a thread-pool setting must
-      // still leave its bytes alone.
-      ScopedParallelism parallelism(4, 7);
-      EXPECT_EQ(digest(/*compat=*/false), golden) << "RunRoundLossy, 4 threads";
     }
   }
 }

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "plan/consistency.h"
 #include "plan/node_tables.h"
 #include "plan/planner.h"
@@ -920,8 +919,7 @@ TEST(LossyRuntimeTest, DedupTablesMatchGoldenUnderDelayDuplicationAndDeaths) {
 // on a line 0..7, plan 0 aggregates sources {1, 2} at node 5 and plan 1
 // sources {2, 3} at node 6, so installing plan 1 moves node 6 into the plan
 // (it gains tables) and node 1 out of it (it loses every entry). Rounds on
-// the new plan still complete with the directly evaluated value at 1 and
-// 4 threads.
+// the new plan still complete with the directly evaluated value.
 TEST(LossyRuntimeTest, ParticipantListFollowsInstallsAcrossEpochs) {
   Topology topology = MakeGrid(8, 1, 10.0, 15.0);
   auto make_workload = [](NodeId destination, NodeId a, NodeId b) {
@@ -949,30 +947,26 @@ TEST(LossyRuntimeTest, ParticipantListFollowsInstallsAcrossEpochs) {
   ASSERT_EQ(epoch1.state(1).entry_count(), 0);
   ASSERT_EQ(epoch0.state(6).entry_count(), 0);
 
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ScopedParallelism parallelism(threads);
-    RuntimeNetwork network(epoch0, before.functions);
-    EXPECT_EQ(network.participants(), (std::vector<NodeId>{1, 2, 3, 4, 5}));
+  RuntimeNetwork network(epoch0, before.functions);
+  EXPECT_EQ(network.participants(), (std::vector<NodeId>{1, 2, 3, 4, 5}));
 
-    const std::vector<std::vector<uint8_t>> images =
-        EncodeAllNodeStates(epoch1, after.functions);
-    for (NodeId n = 0; n < topology.node_count(); ++n) {
-      ASSERT_TRUE(network.InstallNodeImage(n, images[n], epoch1));
-    }
-    EXPECT_EQ(network.participants(), (std::vector<NodeId>{2, 3, 4, 5, 6}));
+  const std::vector<std::vector<uint8_t>> images =
+      EncodeAllNodeStates(epoch1, after.functions);
+  for (NodeId n = 0; n < topology.node_count(); ++n) {
+    ASSERT_TRUE(network.InstallNodeImage(n, images[n], epoch1));
+  }
+  EXPECT_EQ(network.participants(), (std::vector<NodeId>{2, 3, 4, 5, 6}));
 
-    ReadingGenerator readings(topology.node_count(), 29);
-    for (int round = 0; round < 3; ++round) {
-      readings.Advance(1.0);
-      const std::vector<double>& values = readings.values();
-      const double expected = 1.5 * values[2] - 2.0 * values[3];
-      RuntimeNetwork::LossyResult lossy = network.RunRound(values);
-      ASSERT_EQ(lossy.destination_values.size(), 1u);
-      EXPECT_TRUE(ValuesClose(lossy.destination_values.at(6), expected));
-      EXPECT_EQ(lossy.destination_epochs.at(6), 1u);
-      EXPECT_EQ(lossy.destination_coverage.at(6).expected, 2);
-    }
+  ReadingGenerator readings(topology.node_count(), 29);
+  for (int round = 0; round < 3; ++round) {
+    readings.Advance(1.0);
+    const std::vector<double>& values = readings.values();
+    const double expected = 1.5 * values[2] - 2.0 * values[3];
+    RuntimeNetwork::LossyResult lossy = network.RunRound(values);
+    ASSERT_EQ(lossy.destination_values.size(), 1u);
+    EXPECT_TRUE(ValuesClose(lossy.destination_values.at(6), expected));
+    EXPECT_EQ(lossy.destination_epochs.at(6), 1u);
+    EXPECT_EQ(lossy.destination_coverage.at(6).expected, 2);
   }
 }
 

@@ -25,7 +25,6 @@
 #include "sim/executor.h"
 #include "sim/readings.h"
 #include "topology/topology.h"
-#include "workload/multi_sensor.h"
 
 namespace m2m {
 namespace {
@@ -53,7 +52,6 @@ TEST(MoveTest, CopyableClassesMoveWithoutThrowing) {
   static_assert(kMovesWithoutThrowing<CsmaSimulator>);
   static_assert(kMovesWithoutThrowing<LinkStabilityModel>);
   static_assert(kMovesWithoutThrowing<ReadingGenerator>);
-  static_assert(kMovesWithoutThrowing<MultiSensorNetwork>);
 }
 
 }  // namespace

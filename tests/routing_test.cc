@@ -186,11 +186,14 @@ TEST(PathSystemTest, LayeredColumnsMatchHeapColumns) {
     const int n = topology.node_count();
     PathSystem layered(topology);
     PathSystem heap(topology, 0x5eed, unit_cost);
-    std::vector<NodeId> all(n);
-    for (NodeId t = 0; t < n; ++t) all[t] = t;
-    // Build every column up front, so PathWeight(u, t) reads t's column.
-    layered.Materialize(all);
-    heap.Materialize(all);
+    // Build every column up front, so PathWeight(u, t) reads t's column:
+    // NextHopAlong reads its root's column, building it on first use.
+    for (NodeId t = 0; t < n; ++t) {
+      layered.NextHopAlong(t, t, t);
+      heap.NextHopAlong(t, t, t);
+    }
+    ASSERT_EQ(layered.materialized_column_count(), n);
+    ASSERT_EQ(heap.materialized_column_count(), n);
     int unreachable = 0;
     for (NodeId t = 0; t < n; ++t) {
       for (NodeId u = 0; u < n; ++u) {
@@ -241,6 +244,15 @@ class MulticastForestTest : public ::testing::Test {
 TEST_F(MulticastForestTest, RoutesFollowCanonicalPaths) {
   std::vector<Task> tasks{{5, {12, 30, 47}}, {20, {12, 55}}};
   MulticastForest forest(paths_, tasks);
+  // The walk builds one column per destination that some source reaches
+  // over more than one hop, and no other.
+  int multi_hop_destinations = 0;
+  for (const Task& task : tasks) {
+    multi_hop_destinations += std::any_of(
+        task.sources.begin(), task.sources.end(),
+        [&](NodeId s) { return !paths_.IsDirectHop(s, task.destination); });
+  }
+  EXPECT_EQ(paths_.materialized_column_count(), multi_hop_destinations);
   for (const Task& task : tasks) {
     for (NodeId s : task.sources) {
       const std::vector<int>& route =

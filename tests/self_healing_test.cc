@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -1285,6 +1286,111 @@ TEST(ControlWireTest, InstallAckRoundTrip) {
   EXPECT_EQ(decoded->first, 42);
   EXPECT_EQ(decoded->second, 9u);
   EXPECT_FALSE(wire::TryDecodeInstallAck(wire::EncodeEpochBump(1)).has_value());
+}
+
+// Fuzz of the three control decoders, seeded from canonical messages (a
+// report ack echoes its report's bytes, so reports cover both). Every
+// truncation, every single-byte value at every position, random multi-byte
+// overwrites, splices of two messages and uniform garbage run through all
+// three decoders. An accepted decode must carry ids and rounds in
+// [0, 2^31) and re-decode to itself after encoding.
+TEST(ControlWireFuzzTest, MutatedMessagesNeverDecodeOutOfRange) {
+  constexpr int kIntMax = std::numeric_limits<int32_t>::max();
+  auto report = [](NodeId monitor,
+                   std::vector<std::pair<NodeId, int>> entries,
+                   std::vector<std::pair<NodeId, int>> retractions) {
+    wire::SuspicionReport r;
+    r.monitor = monitor;
+    r.entries = std::move(entries);
+    r.retractions = std::move(retractions);
+    return wire::EncodeSuspicionReport(r);
+  };
+  const std::vector<std::vector<uint8_t>> corpus = {
+      report(0, {}, {}),
+      report(17, {{3, 4}, {21, 6}}, {}),
+      report(999, {{5, 130}}, {{7, 16384}, {998, 70000}}),
+      report(kIntMax, {{kIntMax, kIntMax}}, {{kIntMax - 1, 1 << 28}}),
+      wire::EncodeEpochBump(0),
+      wire::EncodeEpochBump(0xdeadbeef),
+      wire::EncodeEpochBump(0xffffffff),
+      wire::EncodeInstallAck(0, 0),
+      wire::EncodeInstallAck(42, 128),
+      wire::EncodeInstallAck(kIntMax, 0xffffffff),
+  };
+  int accepted = 0;
+  auto check = [&](const std::vector<uint8_t>& bytes) {
+    if (::testing::Test::HasFailure()) return;  // Report the first input.
+    auto in_range = [](int64_t v) { return v >= 0 && v <= kIntMax; };
+    if (auto r = wire::TryDecodeSuspicionReport(bytes)) {
+      ++accepted;
+      ASSERT_TRUE(in_range(r->monitor)) << r->monitor;
+      for (const auto* list : {&r->entries, &r->retractions}) {
+        for (const auto& [neighbor, round] : *list) {
+          ASSERT_TRUE(in_range(neighbor)) << neighbor;
+          ASSERT_TRUE(in_range(round)) << round;
+        }
+      }
+      EXPECT_EQ(
+          wire::TryDecodeSuspicionReport(wire::EncodeSuspicionReport(*r)), r);
+    }
+    if (auto epoch = wire::TryDecodeEpochBump(bytes)) {
+      ++accepted;
+      EXPECT_EQ(wire::TryDecodeEpochBump(wire::EncodeEpochBump(*epoch)),
+                epoch);
+    }
+    if (auto ack = wire::TryDecodeInstallAck(bytes)) {
+      ++accepted;
+      ASSERT_TRUE(in_range(ack->first)) << ack->first;
+      EXPECT_EQ(wire::TryDecodeInstallAck(
+                    wire::EncodeInstallAck(ack->first, ack->second)),
+                ack);
+    }
+  };
+  Rng rng(0xC0DEC);
+  for (const std::vector<uint8_t>& message : corpus) {
+    check(message);
+    for (size_t n = 0; n < message.size(); ++n) {
+      check(std::vector<uint8_t>(message.begin(), message.begin() + n));
+    }
+    for (size_t i = 0; i < message.size(); ++i) {
+      std::vector<uint8_t> mutated = message;
+      for (int value = 0; value < 256; ++value) {
+        mutated[i] = static_cast<uint8_t>(value);
+        check(mutated);
+      }
+    }
+    for (int trial = 0; trial < 2000; ++trial) {
+      std::vector<uint8_t> mutated = message;
+      const int writes = 2 + static_cast<int>(rng.UniformInt(4));
+      for (int w = 0; w < writes; ++w) {
+        mutated[rng.UniformInt(mutated.size())] =
+            static_cast<uint8_t>(rng.UniformInt(256));
+      }
+      check(mutated);
+      const std::vector<uint8_t>& other =
+          corpus[rng.UniformInt(corpus.size())];
+      std::vector<uint8_t> spliced(
+          message.begin(),
+          message.begin() + rng.UniformInt(message.size() + 1));
+      spliced.insert(spliced.end(),
+                     other.begin() + rng.UniformInt(other.size() + 1),
+                     other.end());
+      check(spliced);
+    }
+  }
+  // Uniform garbage, half of it behind a valid tag byte so it reaches the
+  // field decoders.
+  for (int trial = 0; trial < 20000; ++trial) {
+    std::vector<uint8_t> garbage(rng.UniformInt(40));
+    for (uint8_t& byte : garbage) {
+      byte = static_cast<uint8_t>(rng.UniformInt(256));
+    }
+    if (!garbage.empty() && trial % 2 == 0) {
+      garbage[0] = corpus[rng.UniformInt(corpus.size())][0];
+    }
+    check(garbage);
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 }  // namespace

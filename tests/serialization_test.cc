@@ -125,7 +125,29 @@ TEST(SerializationFuzzTest, CanonicalImagesRoundTripByteIdentically) {
         EncodeNodeState(env.compiled->state(n), env.workload.functions);
     std::optional<DecodedNodeState> decoded = TryDecodeNodeState(image);
     ASSERT_TRUE(decoded.has_value()) << "node " << n;
-    EXPECT_EQ(EncodeDecodedNodeState(*decoded), image) << "node " << n;
+    EXPECT_EQ(EncodeNodeState(decoded->state, env.workload.functions,
+                              decoded->plan_epoch),
+              image)
+        << "node " << n;
+    // The function metadata the image carries for the motes.
+    const NodeState& tables = decoded->state;
+    ASSERT_EQ(decoded->preagg_meta.size(), tables.preagg_table.size());
+    for (size_t i = 0; i < tables.preagg_table.size(); ++i) {
+      const PreAggTableEntry& entry = tables.preagg_table[i];
+      const AggregateFunction& fn =
+          env.workload.functions.Get(entry.destination);
+      EXPECT_EQ(decoded->preagg_meta[i].kind, fn.kind());
+      EXPECT_EQ(decoded->preagg_meta[i].weight,
+                static_cast<float>(fn.WeightFor(entry.source)));
+      EXPECT_EQ(decoded->preagg_meta[i].param,
+                static_cast<float>(fn.Parameter()));
+    }
+    ASSERT_EQ(decoded->partial_kinds.size(), tables.partial_table.size());
+    for (size_t i = 0; i < tables.partial_table.size(); ++i) {
+      EXPECT_EQ(decoded->partial_kinds[i],
+                env.workload.functions.Get(tables.partial_table[i].destination)
+                    .kind());
+    }
   }
 }
 
