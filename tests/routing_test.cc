@@ -1,7 +1,9 @@
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -550,6 +552,64 @@ TEST_F(MulticastForestTest, RoutesOverNeedsTheSameRoutingAndNoMilestones) {
   EXPECT_FALSE(forest.RoutesOver(rebuilt));
   const MilestoneSelector all = MilestoneSelector::All(topology_.node_count());
   EXPECT_FALSE(MulticastForest(paths_, tasks, &all).RoutesOver(paths_));
+}
+
+std::string ForestEdgesFingerprint(const MulticastForest& forest) {
+  std::ostringstream out;
+  for (const ForestEdge& edge : forest.edges()) {
+    out << edge.edge.tail << ">" << edge.edge.head << " seg";
+    for (NodeId n : edge.segment) out << " " << n;
+    out << " pairs";
+    for (const SourceDestPair& pair : edge.pairs) {
+      out << " " << pair.source << ":" << pair.destination;
+    }
+    out << "\n";
+  }
+  return out.str();
+}
+
+// The forest must not depend on when or in which order PathSystem builds
+// its per-destination columns: a fresh system (columns built by the walk
+// itself), one with every column built up front in reverse order, and a
+// copy of a half-built system all give the same edges, segments and pairs,
+// and two fresh builds build the same columns.
+TEST(ParallelDeterminismTest, MulticastForestIsIdenticalAcrossThreads) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Topology topology = MakeUniformRandom(56, Area{110.0, 190.0},
+                                          kDefaultRadioRangeM, 0xA5EED + seed);
+    WorkloadSpec spec;
+    spec.destination_count = 4;
+    spec.sources_per_destination = 5;
+    spec.max_hops = 4;
+    spec.seed = seed;
+    Workload workload = GenerateWorkload(topology, spec);
+    const int n = topology.node_count();
+
+    PathSystem fresh(topology);
+    const std::string expected =
+        ForestEdgesFingerprint(MulticastForest(fresh, workload.tasks));
+    PathSystem fresh_again(topology);
+    ASSERT_EQ(expected, ForestEdgesFingerprint(
+                            MulticastForest(fresh_again, workload.tasks)))
+        << "seed " << seed;
+    ASSERT_EQ(fresh.materialized_column_count(),
+              fresh_again.materialized_column_count())
+        << "seed " << seed;
+
+    PathSystem reversed(topology);
+    for (NodeId t = n - 1; t >= 0; --t) reversed.NextHopAlong(t, t, t);
+    ASSERT_EQ(reversed.materialized_column_count(), n);
+    ASSERT_EQ(expected, ForestEdgesFingerprint(
+                            MulticastForest(reversed, workload.tasks)))
+        << "seed " << seed;
+
+    PathSystem half(topology);
+    for (NodeId t = 1; t < n; t += 2) half.NextHopAlong(t, t, t);
+    PathSystem copy(half);
+    ASSERT_EQ(expected,
+              ForestEdgesFingerprint(MulticastForest(copy, workload.tasks)))
+        << "seed " << seed;
+  }
 }
 
 TEST(LinkStabilityTest, ScoresInRangeAndDeterministic) {
