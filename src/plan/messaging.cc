@@ -153,8 +153,9 @@ MessageSchedule MessageSchedule::Build(const GlobalPlan& plan,
   }
 
   // Greedy merge. Fast path: contract all units of each edge into one
-  // message; in every experiment of the paper (and ours) this is already
-  // acyclic. If not, fall back to pairwise greedy merging with cycle checks.
+  // message; that is usually acyclic, but dense plans can cycle (see
+  // MergePolicy). If not, fall back to pairwise greedy merging with cycle
+  // checks.
   std::vector<int> merged_all(unit_count);
   for (int u = 0; u < unit_count; ++u) {
     merged_all[u] = schedule.units_[u].edge_index;

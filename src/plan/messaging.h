@@ -21,8 +21,10 @@ struct MessageUnit {
 /// How units are packed into messages.
 enum class MergePolicy {
   /// The paper's greedy merge: units on the same edge are merged into as few
-  /// messages as possible without creating wait-for cycles (in all
-  /// experiments this yields one message per edge).
+  /// messages as possible without creating wait-for cycles. Usually that is
+  /// one message per edge, but not always: the pentagon of
+  /// MessageCycleTest, and many dense plans (e.g. 1000 nodes with 64 x 10
+  /// uniform sources), need a split edge.
   kGreedyMergePerEdge,
   /// Each unit ships in its own message (the "straightforward, though
   /// suboptimal" scheme Theorem 2 enables). Used by the merge ablation.

@@ -18,6 +18,7 @@
 #include "routing/path_system.h"
 #include "sim/executor.h"
 #include "sim/readings.h"
+#include "topology/generator.h"
 #include "topology/topology.h"
 #include "workload/workload.h"
 
@@ -146,26 +147,78 @@ TEST(MessageCycleTest, ExecutesCorrectlyDespiteTheSplit) {
   }
 }
 
-// The pentagon is the only known plan whose per-edge contraction cycles, so
-// it is the golden for the pairwise fallback's packing: the greedy merge
-// order and its result must not change.
+// A 1000-node scaling-series deployment with 64 destinations x 10 uniform
+// sources whose per-edge contraction cycles, like the pentagon's. Such plans
+// are common at this density: at 1000 nodes, 3 of 12 workload seeds with
+// 64 x 10 uniform sources (and 11 of 12 with 100 x 10) take the fallback.
+struct FallbackCase1k {
+  FallbackCase1k()
+      : topology(MakeScalingSeries({1000}, 4).front()), paths(topology) {
+    WorkloadSpec spec;
+    spec.destination_count = 64;
+    spec.sources_per_destination = 10;
+    spec.selection = SourceSelection::kUniform;
+    spec.seed = 29;
+    workload = GenerateWorkload(topology, spec);
+    plan = std::make_unique<GlobalPlan>(
+        BuildPlan(std::make_shared<const MulticastForest>(paths,
+                                                          workload.tasks),
+                  workload.functions, {}));
+  }
+
+  Topology topology;
+  PathSystem paths;
+  Workload workload;
+  std::unique_ptr<GlobalPlan> plan;
+};
+
+TEST(MessageCycleTest, LargeUniformPlanTakesTheFallback) {
+  const FallbackCase1k large;
+  const MessageSchedule schedule =
+      MessageSchedule::Build(*large.plan, large.workload.functions,
+                             MergePolicy::kGreedyMergePerEdge);
+  std::set<int> edges_with_units;
+  for (const MessageUnit& unit : schedule.units()) {
+    edges_with_units.insert(unit.edge_index);
+  }
+  EXPECT_GT(schedule.messages().size(), edges_with_units.size())
+      << "per-edge contraction should have been cyclic";
+  EXPECT_TRUE(schedule.MessagesAcyclic());
+}
+
+// Goldens for the pairwise fallback's packing: the pentagon and the
+// 1000-node plan above, under both merge policies. The greedy merge order
+// and its result must not change.
 TEST(MessageCycleTest, FallbackPackingGoldenDigests) {
   PentagonCase pentagon = BuildPentagon();
   GlobalPlan plan = BuildPlan(pentagon.forest,
                               pentagon.workload.functions, {});
-  const std::pair<MergePolicy, const char*> cases[] = {
-      {MergePolicy::kGreedyMergePerEdge,
-       "1ed2a8f88088ac8d/54510cacb805de5f/7885dca854953ab4"},
-      {MergePolicy::kOneUnitPerMessage,
-       "811856469d314c47/9087c9b6eceb7f3b/58ab5e64f51ee9b0"},
+  const FallbackCase1k large;
+  struct Case {
+    const GlobalPlan* plan;
+    const FunctionSet* functions;
+    MergePolicy policy;
+    const char* expected;
   };
-  for (const auto& [policy, expected] : cases) {
+  const Case cases[] = {
+      {&plan, &pentagon.workload.functions, MergePolicy::kGreedyMergePerEdge,
+       "1ed2a8f88088ac8d/54510cacb805de5f/7885dca854953ab4"},
+      {&plan, &pentagon.workload.functions, MergePolicy::kOneUnitPerMessage,
+       "811856469d314c47/9087c9b6eceb7f3b/58ab5e64f51ee9b0"},
+      {large.plan.get(), &large.workload.functions,
+       MergePolicy::kGreedyMergePerEdge,
+       "4dbc400e7c012f87/a2bb08517b79f07b/ecacd662489af4ab"},
+      {large.plan.get(), &large.workload.functions,
+       MergePolicy::kOneUnitPerMessage,
+       "bbf9fb7c8cd6277a/6066e9c439cf2041/a5d25c4cc8e5b157"},
+  };
+  for (const Case& c : cases) {
     CompileDigests digests;
-    digests.Add(
-        CompiledPlan::Compile(plan, pentagon.workload.functions, policy),
-        pentagon.workload.functions);
-    EXPECT_EQ(digests.ToString(), expected)
-        << "merge policy " << static_cast<int>(policy);
+    digests.Add(CompiledPlan::Compile(*c.plan, *c.functions, c.policy),
+                *c.functions);
+    EXPECT_EQ(digests.ToString(), c.expected)
+        << c.plan->forest().node_count() << " nodes, merge policy "
+        << static_cast<int>(c.policy);
   }
 }
 
