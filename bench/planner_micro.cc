@@ -274,6 +274,29 @@ void BM_CompilePlan(benchmark::State& state) {
 }
 BENCHMARK(BM_CompilePlan);
 
+// A 1000-node plan whose per-edge contraction cycles, so the greedy merge
+// takes its pairwise fallback (MessageCycleTest pins its packing): 64
+// destinations x 10 uniform sources.
+void BM_CompileFallback1k(benchmark::State& state) {
+  static const Topology* topology =
+      new Topology(MakeScalingSeries({1000}, 4).front());
+  static const PathSystem* paths = new PathSystem(*topology);
+  WorkloadSpec spec;
+  spec.destination_count = 64;
+  spec.sources_per_destination = 10;
+  spec.selection = SourceSelection::kUniform;
+  spec.seed = 29;
+  const Workload workload = GenerateWorkload(*topology, spec);
+  const GlobalPlan plan =
+      BuildPlan(std::make_shared<MulticastForest>(*paths, workload.tasks),
+                workload.functions, {});
+  for (auto _ : state) {
+    CompiledPlan compiled = CompiledPlan::Compile(plan, workload.functions);
+    benchmark::DoNotOptimize(compiled.node_count());
+  }
+}
+BENCHMARK(BM_CompileFallback1k)->Unit(benchmark::kMillisecond);
+
 void BM_ExecuteRound(benchmark::State& state) {
   PlanFixture& fx = Fixture();
   GlobalPlan plan = BuildPlan(fx.forest, fx.workload.functions, {});

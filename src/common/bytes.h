@@ -15,6 +15,11 @@ namespace m2m {
 class ByteWriter {
  public:
   ByteWriter() = default;
+  /// Writes into `buffer`, cleared but keeping its capacity, so a caller
+  /// can reuse one buffer across many writes.
+  explicit ByteWriter(std::vector<uint8_t> buffer) : bytes_(std::move(buffer)) {
+    bytes_.clear();
+  }
 
   void WriteU8(uint8_t value);
   void WriteU32(uint32_t value);

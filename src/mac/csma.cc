@@ -62,7 +62,7 @@ CsmaSimulator::CsmaSimulator(std::shared_ptr<const CompiledPlan> compiled,
   for (size_t v = 0; v < schedule.units().size(); ++v) {
     int mv = schedule.message_of_unit(static_cast<int>(v));
     message_payload_[mv] += schedule.units()[v].unit_bytes;
-    for (int u : schedule.wait_for()[v]) {
+    for (int u : schedule.wait_for(static_cast<int>(v))) {
       int mu = schedule.message_of_unit(u);
       if (mu != mv) deps[mv].insert(mu);
     }

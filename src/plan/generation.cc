@@ -51,14 +51,17 @@ std::vector<NodeImageDelta> PlanGeneration::Adopt(Proposal proposal) {
   const std::vector<uint8_t> reencode = NodesWithPossiblyChangedImages(
       compiled_, functions_, next, proposal.functions);
   std::vector<NodeImageDelta> deltas;
+  // Re-encoded images go through one buffer and are copied into the live
+  // image's storage, which allocates only when an image outgrows it.
+  std::vector<uint8_t> fresh;
   for (NodeId n = 0; n < next.node_count(); ++n) {
     std::vector<uint8_t>& image = images_[n];
     bool changed = false;
     if (reencode[n] != 0) {
-      std::vector<uint8_t> fresh = EncodeNodeState(
-          next.state(n), proposal.functions, next.plan_epoch());
+      EncodeNodeStateInto(next.state(n), proposal.functions,
+                          next.plan_epoch(), fresh);
       changed = !ImageContentsEqual(image, fresh);
-      image = std::move(fresh);
+      image.assign(fresh.begin(), fresh.end());
     } else {
       RestampImageEpoch(image, next.plan_epoch());
     }

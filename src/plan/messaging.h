@@ -2,6 +2,7 @@
 #define M2M_PLAN_MESSAGING_H_
 
 #include <ranges>
+#include <span>
 #include <vector>
 
 #include "agg/aggregate_function.h"
@@ -33,12 +34,15 @@ enum class MergePolicy {
 
 /// The message-level realization of a plan: the wait-for DAG over units
 /// (Theorem 2 guarantees acyclicity) and the packing of units into
-/// messages.
+/// messages. Wait-for lists and message unit lists are offset arrays over
+/// single vectors, so a schedule is a fixed handful of allocations whatever
+/// its size.
 class MessageSchedule {
  public:
+  /// One message: the edge it travels on and its units, ascending.
   struct Message {
     int edge_index = -1;
-    std::vector<int> unit_ids;
+    std::span<const int> unit_ids;
   };
 
   static MessageSchedule Build(const GlobalPlan& plan,
@@ -51,9 +55,16 @@ class MessageSchedule {
   MessageSchedule& operator=(MessageSchedule&&) noexcept = default;
 
   const std::vector<MessageUnit>& units() const { return units_; }
-  /// wait_for()[u] = ids of units that unit u waits for, ascending.
-  const std::vector<std::vector<int>>& wait_for() const { return wait_for_; }
-  const std::vector<Message>& messages() const { return messages_; }
+  /// Ids of the units that unit `unit_id` waits for, ascending.
+  std::span<const int> wait_for(int unit_id) const;
+
+  /// Message `message_id`.
+  Message message(int message_id) const;
+  /// Every message in id order, as a random-access view of message(m).
+  auto messages() const {
+    return std::views::iota(0, static_cast<int>(message_edge_.size())) |
+           std::views::transform([this](int m) { return message(m); });
+  }
 
   /// Unit ids on a given edge. Each edge's units are consecutive ids: its
   /// raw units in ascending source order, then its partial units in
@@ -79,20 +90,22 @@ class MessageSchedule {
   bool MessagesAcyclic() const;
 
   int64_t message_count() const {
-    return static_cast<int64_t>(messages_.size());
+    return static_cast<int64_t>(message_edge_.size());
   }
 
  private:
   MessageSchedule() = default;
 
-  /// True iff the wait-for graph lifted to messages by `msg_of_unit` (ids
-  /// below `message_count`) is acyclic.
-  bool MessageGraphAcyclic(const std::vector<int>& msg_of_unit,
-                           int message_count) const;
-
   std::vector<MessageUnit> units_;
-  std::vector<std::vector<int>> wait_for_;
-  std::vector<Message> messages_;
+  /// Unit u waits for wait_for_units_[wait_for_begin_[u],
+  /// wait_for_begin_[u + 1]).
+  std::vector<int> wait_for_begin_;
+  std::vector<int> wait_for_units_;
+  /// Message m travels on edge message_edge_[m] and carries units
+  /// message_units_[message_unit_begin_[m], message_unit_begin_[m + 1]).
+  std::vector<int> message_edge_;
+  std::vector<int> message_unit_begin_;
+  std::vector<int> message_units_;
   /// Units of edge e are ids [edge_unit_begin_[e], edge_unit_begin_[e + 1]).
   std::vector<int> edge_unit_begin_;
   std::vector<int> message_of_unit_;

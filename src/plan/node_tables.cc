@@ -1,21 +1,21 @@
 #include "plan/node_tables.h"
 
 #include <algorithm>
-#include <tuple>
 #include <utility>
 
 #include "common/check.h"
+#include "common/grouping.h"
 
 namespace m2m {
 
 namespace {
 
-// A contribution to destination d's partial record at `node`: either the
+// A contribution to destination d's partial record at a node: either the
 // result of pre-aggregating one raw value locally (kind 0, id = source), or
 // a partial record arriving on one incoming edge (kind 1, id = edge index).
-// Sorted and deduplicated, the records of one (node, d) form a run.
+// Grouped by node, sorted and deduplicated, a node's records for one d form
+// a run.
 struct Contribution {
-  NodeId node = kInvalidNode;
   NodeId destination = kInvalidNode;
   int kind = 0;
   int id = 0;
@@ -23,132 +23,157 @@ struct Contribution {
   friend auto operator<=>(const Contribution&, const Contribution&) = default;
 };
 
-template <typename T>
-void SortUnique(std::vector<T>& records) {
-  std::sort(records.begin(), records.end());
-  records.erase(std::unique(records.begin(), records.end()), records.end());
-}
-
 }  // namespace
 
 CompiledPlan CompiledPlan::Compile(GlobalPlan plan,
                                    const FunctionSet& functions,
                                    MergePolicy policy, uint32_t plan_epoch) {
   const MulticastForest& forest = plan.forest();
-  MessageSchedule schedule = MessageSchedule::Build(plan, functions, policy);
-  std::vector<NodeState> states(forest.node_count());
+  const std::vector<ForestEdge>& edges = forest.edges();
+  const int node_count = forest.node_count();
+  CompiledPlan compiled(nullptr,
+                        MessageSchedule::Build(plan, functions, policy),
+                        plan_epoch);
+  const MessageSchedule& schedule = compiled.schedule_;
+  std::vector<TableOffsets>& offsets = compiled.offsets_;
+  offsets.assign(node_count + 1, TableOffsets{});
+  // Fill position of each node in a table filled in one forward pass.
+  std::vector<int> cursor(node_count);
 
-  // Flat record builders, deduplicated below. A raw value fanning out to
-  // several of a node's outgoing messages needs one <s, g> entry per
-  // message.
-  std::vector<std::tuple<NodeId, NodeId, int>> raw_entries;  // (node, s, g)
-  std::vector<Contribution> contributions;
-
-  auto unit_message = [&](int edge_index, bool is_partial, NodeId subject) {
-    return schedule.message_of_unit(
-        schedule.UnitOf(edge_index, is_partial, subject));
+  // Outgoing message table: each node's messages in schedule order. A
+  // message's node-local id is its index there.
+  const int message_count = static_cast<int>(schedule.message_count());
+  for (const MessageSchedule::Message& message : schedule.messages()) {
+    ++offsets[edges[message.edge_index].edge.tail + 1].outgoing;
+  }
+  for (int n = 0; n < node_count; ++n) {
+    offsets[n + 1].outgoing += offsets[n].outgoing;
+    cursor[n] = offsets[n].outgoing;
+  }
+  std::vector<int> local_id(message_count);
+  compiled.outgoing_.resize(message_count);
+  for (int m = 0; m < message_count; ++m) {
+    const MessageSchedule::Message message = schedule.message(m);
+    const ForestEdge& edge = edges[message.edge_index];
+    const NodeId tail = edge.edge.tail;
+    local_id[m] = cursor[tail] - offsets[tail].outgoing;
+    compiled.outgoing_[cursor[tail]++] = OutgoingMessageEntry{
+        local_id[m], static_cast<int>(message.unit_ids.size()),
+        edge.edge.head, edge.segment};
+  }
+  auto local_message = [&](int edge_index, bool is_partial, NodeId subject) {
+    return local_id[schedule.message_of_unit(
+        schedule.UnitOf(edge_index, is_partial, subject))];
   };
 
+  // Raw and contribution records, grouped by node below. A raw value
+  // fanning out to several of a node's outgoing messages needs one <s, g>
+  // entry per message.
+  size_t route_hops = 0;
+  size_t route_count = 0;
+  for (const Task& task : forest.tasks()) {
+    for (NodeId s : task.sources) {
+      route_hops += forest.Route(SourceDestPair{s, task.destination}).size();
+      ++route_count;
+    }
+  }
+  std::vector<std::pair<int, RawTableEntry>> raw_records;
+  std::vector<std::pair<int, Contribution>> contribution_records;
+  raw_records.reserve(route_hops);
+  contribution_records.reserve(route_hops + route_count);
+  compiled.is_destination_.assign(node_count, 0);
   for (const Task& task : forest.tasks()) {
     const NodeId d = task.destination;
     for (NodeId s : task.sources) {
       if (s == d) {
         // The destination pre-aggregates its own reading.
-        contributions.push_back({d, d, 0, s});
+        contribution_records.push_back({d, {d, 0, s}});
         continue;
       }
       const std::vector<int>& route = forest.Route(SourceDestPair{s, d});
       bool carried_raw = true;  // The value is raw at the source itself.
       for (size_t i = 0; i < route.size(); ++i) {
         const int e = route[i];
-        const NodeId n = forest.edges()[e].edge.tail;
+        const NodeId n = edges[e].edge.tail;
         const EdgePlan& edge_plan = plan.plan_for(e);
         if (edge_plan.TransmitsRaw(s)) {
           M2M_CHECK(carried_raw)
               << "inconsistent plan: raw after aggregation";
-          raw_entries.emplace_back(n, s, unit_message(e, false, s));
+          raw_records.push_back(
+              {n, RawTableEntry{s, local_message(e, false, s)}});
           // Value continues raw to the next node.
         } else {
           M2M_CHECK(edge_plan.TransmitsAggregate(d));
-          if (carried_raw) {
-            contributions.push_back({n, d, 0, s});
-          } else {
-            contributions.push_back({n, d, 1, route[i - 1]});
-          }
+          contribution_records.push_back(
+              {n, carried_raw ? Contribution{d, 0, s}
+                              : Contribution{d, 1, route[i - 1]}});
           carried_raw = false;
         }
       }
       // Arrival at the destination.
-      if (carried_raw) {
-        contributions.push_back({d, d, 0, s});
-      } else {
-        contributions.push_back({d, d, 1, route.back()});
-      }
+      contribution_records.push_back(
+          {d, carried_raw ? Contribution{d, 0, s}
+                          : Contribution{d, 1, route.back()}});
     }
-    states[d].is_destination = true;
-  }
-  SortUnique(raw_entries);
-  SortUnique(contributions);
-
-  // Count every table's final size, then reserve before filling: each
-  // node's tables are allocated once, contiguously, instead of growing
-  // through push_back doublings (visible at 100k-node compiles).
-  std::vector<int> raw_count(states.size(), 0);
-  std::vector<int> preagg_count(states.size(), 0);
-  std::vector<int> partial_count(states.size(), 0);
-  std::vector<int> outgoing_count(states.size(), 0);
-  for (const auto& [node, source, message_id] : raw_entries) {
-    ++raw_count[node];
-  }
-  for (const Contribution& c : contributions) {
-    if (c.kind == 0) ++preagg_count[c.node];
-  }
-  for (size_t e = 0; e < forest.edges().size(); ++e) {
-    partial_count[forest.edges()[e].edge.tail] += static_cast<int>(
-        plan.plan_for(static_cast<int>(e)).agg_destinations.size());
-  }
-  for (const Task& task : forest.tasks()) ++partial_count[task.destination];
-  for (const MessageSchedule::Message& message : schedule.messages()) {
-    ++outgoing_count[forest.edges()[message.edge_index].edge.tail];
-  }
-  for (size_t n = 0; n < states.size(); ++n) {
-    states[n].raw_table.reserve(raw_count[n]);
-    states[n].preagg_table.reserve(preagg_count[n]);
-    states[n].partial_table.reserve(partial_count[n]);
-    states[n].outgoing_table.reserve(outgoing_count[n]);
+    compiled.is_destination_[d] = 1;
   }
 
-  // Raw table.
-  for (const auto& [node, source, message_id] : raw_entries) {
-    states[node].raw_table.push_back(RawTableEntry{source, message_id});
-  }
+  // Raw table: each node's entries by (source, message).
+  GroupSortUnique(raw_records, node_count,
+                  [&](int n) -> int& { return offsets[n].raw; },
+                  compiled.raw_);
+  std::vector<int> contribution_begin(node_count + 1);
+  std::vector<Contribution> contributions;
+  GroupSortUnique(contribution_records, node_count,
+                  [&](int n) -> int& { return contribution_begin[n]; },
+                  contributions);
+
   // Pre-aggregation table: a node pre-aggregates s for exactly the
   // destinations whose contributions at that node include {0, s}.
-  for (const Contribution& c : contributions) {
-    if (c.kind == 0) {
-      states[c.node].preagg_table.push_back(
-          PreAggTableEntry{static_cast<NodeId>(c.id), c.destination});
+  compiled.preagg_.reserve(contributions.size());
+  for (int n = 0; n < node_count; ++n) {
+    offsets[n].preagg = static_cast<int>(compiled.preagg_.size());
+    for (int i = contribution_begin[n]; i < contribution_begin[n + 1]; ++i) {
+      const Contribution& c = contributions[i];
+      if (c.kind == 0) {
+        compiled.preagg_.push_back(
+            PreAggTableEntry{static_cast<NodeId>(c.id), c.destination});
+      }
     }
   }
+  offsets[node_count].preagg = static_cast<int>(compiled.preagg_.size());
+
   // Number of contributions d's partial record combines at `node`.
   auto contribution_count = [&](NodeId node, NodeId d) {
     return static_cast<int>(
-        std::ranges::equal_range(contributions, std::pair{node, d}, {},
-                                 [](const Contribution& c) {
-                                   return std::pair{c.node, c.destination};
-                                 })
+        std::ranges::equal_range(
+            contributions.begin() + contribution_begin[node],
+            contributions.begin() + contribution_begin[node + 1], d, {},
+            &Contribution::destination)
             .size());
   };
-  // Partial aggregate table: one entry per edge-level partial unit plus one
-  // per destination-local record.
-  for (size_t e = 0; e < forest.edges().size(); ++e) {
-    const NodeId n = forest.edges()[e].edge.tail;
+  // Partial aggregate table: one entry per edge-level partial unit, in edge
+  // order, then one per destination-local record.
+  for (size_t e = 0; e < edges.size(); ++e) {
+    offsets[edges[e].edge.tail + 1].partial += static_cast<int>(
+        plan.plan_for(static_cast<int>(e)).agg_destinations.size());
+  }
+  for (const Task& task : forest.tasks()) {
+    ++offsets[task.destination + 1].partial;
+  }
+  for (int n = 0; n < node_count; ++n) {
+    offsets[n + 1].partial += offsets[n].partial;
+    cursor[n] = offsets[n].partial;
+  }
+  compiled.partial_.resize(offsets[node_count].partial);
+  for (size_t e = 0; e < edges.size(); ++e) {
+    const NodeId n = edges[e].edge.tail;
     for (NodeId d : plan.plan_for(static_cast<int>(e)).agg_destinations) {
       const int expected = contribution_count(n, d);
       M2M_CHECK(expected > 0) << "partial for " << d << " at node " << n
                               << " has no contributions";
-      states[n].partial_table.push_back(PartialTableEntry{
-          d, expected, unit_message(static_cast<int>(e), true, d)});
+      compiled.partial_[cursor[n]++] = PartialTableEntry{
+          d, expected, local_message(static_cast<int>(e), true, d)};
     }
   }
   for (const Task& task : forest.tasks()) {
@@ -156,38 +181,33 @@ CompiledPlan CompiledPlan::Compile(GlobalPlan plan,
     const int expected = contribution_count(d, d);
     M2M_CHECK(expected > 0)
         << "destination " << d << " receives no contributions";
-    states[d].partial_table.push_back(PartialTableEntry{d, expected, -1});
-  }
-  // Outgoing message table.
-  for (size_t m = 0; m < schedule.messages().size(); ++m) {
-    const MessageSchedule::Message& message = schedule.messages()[m];
-    const ForestEdge& edge = forest.edges()[message.edge_index];
-    states[edge.edge.tail].outgoing_table.push_back(OutgoingMessageEntry{
-        static_cast<int>(m), static_cast<int>(message.unit_ids.size()),
-        edge.edge.head, edge.segment});
+    compiled.partial_[cursor[d]++] = PartialTableEntry{d, expected, -1};
   }
 
-  return CompiledPlan(std::make_shared<const GlobalPlan>(std::move(plan)),
-                      std::move(schedule), std::move(states), plan_epoch);
+  compiled.plan_ = std::make_shared<const GlobalPlan>(std::move(plan));
+  return compiled;
 }
 
-const NodeState& CompiledPlan::state(NodeId node) const {
+NodeStateView CompiledPlan::state(NodeId node) const {
   M2M_CHECK(node >= 0 && node < node_count());
-  return states_[node];
+  const TableOffsets& at = offsets_[node];
+  const TableOffsets& end = offsets_[node + 1];
+  return NodeStateView{
+      std::span(raw_).subspan(at.raw, end.raw - at.raw),
+      std::span(preagg_).subspan(at.preagg, end.preagg - at.preagg),
+      std::span(partial_).subspan(at.partial, end.partial - at.partial),
+      std::span(outgoing_).subspan(at.outgoing, end.outgoing - at.outgoing),
+      is_destination_[node] != 0};
 }
 
 StateTotals CompiledPlan::ComputeStateTotals() const {
   StateTotals totals;
-  for (const NodeState& state : states_) {
-    totals.raw_entries += static_cast<int64_t>(state.raw_table.size());
-    totals.preagg_entries +=
-        static_cast<int64_t>(state.preagg_table.size());
-    totals.partial_entries +=
-        static_cast<int64_t>(state.partial_table.size());
-    totals.outgoing_entries +=
-        static_cast<int64_t>(state.outgoing_table.size());
-    if (state.is_destination) ++totals.evaluator_entries;
-  }
+  totals.raw_entries = static_cast<int64_t>(raw_.size());
+  totals.preagg_entries = static_cast<int64_t>(preagg_.size());
+  totals.partial_entries = static_cast<int64_t>(partial_.size());
+  totals.outgoing_entries = static_cast<int64_t>(outgoing_.size());
+  totals.evaluator_entries =
+      std::count(is_destination_.begin(), is_destination_.end(), 1);
   // |T_s| and |A_d| count distinct physical nodes: `stamp[n] == tree`
   // marks n as counted in the current tree.
   const MulticastForest& forest = plan_->forest();

@@ -1,7 +1,10 @@
 #ifndef M2M_PLAN_NODE_TABLES_H_
 #define M2M_PLAN_NODE_TABLES_H_
 
+#include <compare>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "agg/aggregate_function.h"
@@ -10,10 +13,19 @@
 
 namespace m2m {
 
+/// Message ids in every table are *node-local*: the index of the message in
+/// the node's own outgoing table, which lists the node's messages in
+/// ascending schedule order. Compiled tables, wire images and decoded images
+/// all use these ids, so a node's tables do not depend on how messages
+/// elsewhere are numbered.
+
 /// <s, g>: forward source s's raw value in outgoing message g.
 struct RawTableEntry {
   NodeId source = kInvalidNode;
   int message_id = -1;
+
+  friend auto operator<=>(const RawTableEntry&,
+                          const RawTableEntry&) = default;
 };
 
 /// <s, d, w_{d,s}>: pre-aggregate s's raw value for destination d. The
@@ -35,21 +47,24 @@ struct PartialTableEntry {
 };
 
 /// <g, c, n'>: outgoing message g carries `unit_count` units to `recipient`
-/// over the physical `segment` (tail..recipient inclusive).
+/// over the physical `segment` (tail..recipient inclusive). A compiled
+/// entry's segment is the forest edge's own, which the compiled plan keeps
+/// alive; a decoded entry's is empty (routes are not part of the image).
 struct OutgoingMessageEntry {
   int message_id = -1;
   int unit_count = 0;
   NodeId recipient = kInvalidNode;
-  std::vector<NodeId> segment;
+  std::span<const NodeId> segment;
 };
 
-/// The runtime state installed at one node (paper section 3, "Implementing
-/// Node Behavior").
-struct NodeState {
-  std::vector<RawTableEntry> raw_table;
-  std::vector<PreAggTableEntry> preagg_table;
-  std::vector<PartialTableEntry> partial_table;
-  std::vector<OutgoingMessageEntry> outgoing_table;
+/// The tables installed at one node (paper section 3, "Implementing Node
+/// Behavior"), as views: CompiledPlan::state returns one over its flat
+/// arrays, and a NodeState converts to one.
+struct NodeStateView {
+  std::span<const RawTableEntry> raw_table;
+  std::span<const PreAggTableEntry> preagg_table;
+  std::span<const PartialTableEntry> partial_table;
+  std::span<const OutgoingMessageEntry> outgoing_table;
   /// Destinations additionally store the evaluator e_d; flagged here.
   bool is_destination = false;
 
@@ -59,6 +74,21 @@ struct NodeState {
                             partial_table.size() + outgoing_table.size()) +
            (is_destination ? 1 : 0);
   }
+};
+
+/// One node's tables, owned: what a node decodes from its wire image.
+struct NodeState {
+  std::vector<RawTableEntry> raw_table;
+  std::vector<PreAggTableEntry> preagg_table;
+  std::vector<PartialTableEntry> partial_table;
+  std::vector<OutgoingMessageEntry> outgoing_table;
+  bool is_destination = false;
+
+  operator NodeStateView() const {  // NOLINT: a view, like string_view.
+    return NodeStateView{raw_table, preagg_table, partial_table,
+                         outgoing_table, is_destination};
+  }
+  int entry_count() const { return NodeStateView(*this).entry_count(); }
 };
 
 /// Aggregate state-size accounting for Theorem 3.
@@ -100,24 +130,40 @@ class CompiledPlan {
 
   const GlobalPlan& plan() const { return *plan_; }
   const MessageSchedule& schedule() const { return schedule_; }
-  const NodeState& state(NodeId node) const;
-  int node_count() const { return static_cast<int>(states_.size()); }
+  /// The tables of `node`, viewing this plan's arrays: valid while the
+  /// plan lives.
+  NodeStateView state(NodeId node) const;
+  int node_count() const { return static_cast<int>(offsets_.size()) - 1; }
   uint32_t plan_epoch() const { return plan_epoch_; }
 
   StateTotals ComputeStateTotals() const;
 
  private:
+  /// Where one node's tables start in each flat array; node n's entries of
+  /// a table run to node n + 1's start.
+  struct TableOffsets {
+    int raw = 0;
+    int preagg = 0;
+    int partial = 0;
+    int outgoing = 0;
+  };
+
   CompiledPlan(std::shared_ptr<const GlobalPlan> plan,
-               MessageSchedule schedule, std::vector<NodeState> states,
-               uint32_t plan_epoch)
+               MessageSchedule schedule, uint32_t plan_epoch)
       : plan_(std::move(plan)),
         schedule_(std::move(schedule)),
-        states_(std::move(states)),
         plan_epoch_(plan_epoch) {}
 
   std::shared_ptr<const GlobalPlan> plan_;
   MessageSchedule schedule_;
-  std::vector<NodeState> states_;
+  /// Every node's tables, node by node; offsets_ has node_count() + 1
+  /// entries.
+  std::vector<RawTableEntry> raw_;
+  std::vector<PreAggTableEntry> preagg_;
+  std::vector<PartialTableEntry> partial_;
+  std::vector<OutgoingMessageEntry> outgoing_;
+  std::vector<TableOffsets> offsets_;
+  std::vector<uint8_t> is_destination_;
   uint32_t plan_epoch_ = 0;
 };
 

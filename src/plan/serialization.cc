@@ -1,7 +1,6 @@
 #include "plan/serialization.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/bytes.h"
 #include "common/check.h"
@@ -9,27 +8,30 @@
 
 namespace m2m {
 
-std::vector<uint8_t> EncodeNodeState(const NodeState& state,
+std::vector<uint8_t> EncodeNodeState(NodeStateView state,
                                      const FunctionSet& functions,
                                      uint32_t plan_epoch) {
-  // Global message id -> node-local outgoing index.
-  std::map<int, int> local_id;
-  for (size_t i = 0; i < state.outgoing_table.size(); ++i) {
-    local_id[state.outgoing_table[i].message_id] = static_cast<int>(i);
-  }
-  auto to_local = [&](int message_id) {
-    auto it = local_id.find(message_id);
-    M2M_CHECK(it != local_id.end())
+  std::vector<uint8_t> image;
+  EncodeNodeStateInto(state, functions, plan_epoch, image);
+  return image;
+}
+
+void EncodeNodeStateInto(NodeStateView state, const FunctionSet& functions,
+                         uint32_t plan_epoch, std::vector<uint8_t>& image) {
+  // Table message ids are already node-local outgoing indices.
+  const int outgoing = static_cast<int>(state.outgoing_table.size());
+  auto checked = [&](int message_id) {
+    M2M_CHECK(message_id >= 0 && message_id < outgoing)
         << "table entry references unknown outgoing message " << message_id;
-    return it->second;
+    return static_cast<uint64_t>(message_id);
   };
 
-  ByteWriter writer;
+  ByteWriter writer(std::move(image));
   writer.WriteVarint(plan_epoch);
   writer.WriteVarint(state.raw_table.size());
   for (const RawTableEntry& entry : state.raw_table) {
     writer.WriteVarint(static_cast<uint64_t>(entry.source));
-    writer.WriteVarint(static_cast<uint64_t>(to_local(entry.message_id)));
+    writer.WriteVarint(checked(entry.message_id));
   }
   writer.WriteVarint(state.preagg_table.size());
   for (const PreAggTableEntry& entry : state.preagg_table) {
@@ -44,10 +46,8 @@ std::vector<uint8_t> EncodeNodeState(const NodeState& state,
   for (const PartialTableEntry& entry : state.partial_table) {
     writer.WriteVarint(static_cast<uint64_t>(entry.destination));
     writer.WriteVarint(static_cast<uint64_t>(entry.expected_contributions));
-    writer.WriteVarint(entry.message_id < 0
-                           ? 0
-                           : static_cast<uint64_t>(
-                                 to_local(entry.message_id) + 1));
+    writer.WriteVarint(entry.message_id < 0 ? 0
+                                            : checked(entry.message_id) + 1);
     writer.WriteU8(
         static_cast<uint8_t>(functions.Get(entry.destination).kind()));
   }
@@ -57,7 +57,7 @@ std::vector<uint8_t> EncodeNodeState(const NodeState& state,
     writer.WriteVarint(static_cast<uint64_t>(entry.recipient));
   }
   writer.WriteU8(state.is_destination ? 1 : 0);
-  return std::move(writer).TakeBytes();
+  image = std::move(writer).TakeBytes();
 }
 
 DecodedNodeState DecodeNodeState(const std::vector<uint8_t>& bytes) {
@@ -226,9 +226,13 @@ std::vector<std::vector<uint8_t>> EncodeAllNodeStates(
     const CompiledPlan& compiled, const FunctionSet& functions) {
   std::vector<std::vector<uint8_t>> images;
   images.reserve(compiled.node_count());
+  // Each image is encoded into one reused buffer, then copied out at its
+  // exact size: one allocation per image.
+  std::vector<uint8_t> buffer;
   for (NodeId n = 0; n < compiled.node_count(); ++n) {
-    images.push_back(
-        EncodeNodeState(compiled.state(n), functions, compiled.plan_epoch()));
+    EncodeNodeStateInto(compiled.state(n), functions, compiled.plan_epoch(),
+                        buffer);
+    images.emplace_back(buffer.begin(), buffer.end());
   }
   return images;
 }

@@ -15,9 +15,10 @@ namespace m2m {
 /// the network and what a mote would hold in RAM.
 ///
 /// Message identifiers are *node-local* (the index of the message in the
-/// node's own outgoing table), so a node's image is stable as long as its
-/// role in the plan is unchanged — the property that makes incremental
-/// dissemination cheap after localized plan updates (Corollary 1).
+/// node's own outgoing table), as in the compiled tables, so a node's image
+/// is stable as long as its role in the plan is unchanged — the property
+/// that makes incremental dissemination cheap after localized plan updates
+/// (Corollary 1).
 ///
 /// Layout (all multi-byte integers little-endian, counts as varints):
 ///   varint plan_epoch
@@ -39,9 +40,14 @@ namespace m2m {
 /// each base-station re-plan bumps the epoch, and the runtime refuses to
 /// merge records across epochs). The epoch rides ahead of the table body so
 /// plan *content* can be compared across epochs with ImageContentsEqual.
-std::vector<uint8_t> EncodeNodeState(const NodeState& state,
+std::vector<uint8_t> EncodeNodeState(NodeStateView state,
                                      const FunctionSet& functions,
                                      uint32_t plan_epoch = 0);
+
+/// EncodeNodeState into `image`, replacing its contents but keeping its
+/// capacity: a caller encoding many nodes reuses one buffer.
+void EncodeNodeStateInto(NodeStateView state, const FunctionSet& functions,
+                         uint32_t plan_epoch, std::vector<uint8_t>& image);
 
 /// Function metadata serialized with one pre-aggregation entry; the kind
 /// travels as the byte static_cast<uint8_t>(AggregateKind).
@@ -52,8 +58,9 @@ struct DecodedPreAggMeta {
 };
 
 /// Decoded image; `preagg_meta[i]` belongs to `state.preagg_table[i]` and
-/// `partial_kinds[i]` to `state.partial_table[i]`. Message ids in the
-/// decoded state are the node-local ids of the image (outgoing segments are
+/// `partial_kinds[i]` to `state.partial_table[i]`. Message ids are the
+/// node-local ids of the image, so the decoded tables equal the compiled
+/// ones entry for entry, except that outgoing segments are empty (they are
 /// not part of the wire image — the communication layer owns routes).
 struct DecodedNodeState {
   NodeState state;

@@ -17,7 +17,7 @@ std::vector<std::vector<int>> MessageDeps(const MessageSchedule& schedule) {
   std::vector<std::set<int>> deps(message_count);
   for (size_t v = 0; v < schedule.units().size(); ++v) {
     int mv = schedule.message_of_unit(static_cast<int>(v));
-    for (int u : schedule.wait_for()[v]) {
+    for (int u : schedule.wait_for(static_cast<int>(v))) {
       int mu = schedule.message_of_unit(u);
       if (mu != mv) deps[mv].insert(mu);
     }

@@ -102,7 +102,7 @@ void RuntimeNetwork::AssignSegments(NodeId node,
   segments.clear();
   for (const OutgoingMessageEntry& entry :
        compiled.state(node).outgoing_table) {
-    segments.push_back(entry.segment);
+    segments.emplace_back(entry.segment.begin(), entry.segment.end());
   }
 }
 

@@ -4,10 +4,14 @@
 // FNV-1a-64 digests of everything CompiledPlan::Compile produces, for the
 // golden tests that pin the compile output: the message schedule (units,
 // wait-for lists and message packing), the wire images of every node and the
-// Theorem 3 state totals.
+// Theorem 3 state totals. Also a check that compiled tables equal the tables
+// decoded from their wire images.
 
+#include <algorithm>
 #include <cstdint>
 #include <iomanip>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -52,7 +56,8 @@ struct CompileDigests {
       schedule.Add(static_cast<uint64_t>(unit.subject));
       schedule.Add(static_cast<uint64_t>(unit.unit_bytes));
     }
-    for (const std::vector<int>& upstream : s.wait_for()) {
+    for (int v = 0; v < static_cast<int>(s.units().size()); ++v) {
+      const std::span<const int> upstream = s.wait_for(v);
       schedule.Add(upstream.size());
       for (int u : upstream) schedule.Add(static_cast<uint64_t>(u));
     }
@@ -84,6 +89,56 @@ struct CompileDigests {
            "/" + HexDigest(totals.value());
   }
 };
+
+/// The first difference between a node's compiled tables and the tables
+/// decoded from its wire image, as "node <n>: <table>", or "" if there is
+/// none. Every entry of all four tables is compared, message ids included
+/// (both sides use node-local ids), as are the destination flag and the
+/// epoch. Outgoing segments are not part of the image.
+inline std::string CompiledDecodedDifference(const CompiledPlan& compiled,
+                                             const FunctionSet& functions) {
+  for (NodeId n = 0; n < compiled.node_count(); ++n) {
+    const NodeStateView state = compiled.state(n);
+    const std::optional<DecodedNodeState> decoded = TryDecodeNodeState(
+        EncodeNodeState(state, functions, compiled.plan_epoch()));
+    const std::string where = "node " + std::to_string(n) + ": ";
+    if (!decoded.has_value()) return where + "image does not decode";
+    const NodeState& tables = decoded->state;
+    if (!std::ranges::equal(state.raw_table, tables.raw_table)) {
+      return where + "raw table";
+    }
+    if (!std::ranges::equal(
+            state.preagg_table, tables.preagg_table,
+            [](const PreAggTableEntry& a, const PreAggTableEntry& b) {
+              return a.source == b.source && a.destination == b.destination;
+            })) {
+      return where + "pre-aggregation table";
+    }
+    if (!std::ranges::equal(
+            state.partial_table, tables.partial_table,
+            [](const PartialTableEntry& a, const PartialTableEntry& b) {
+              return a.destination == b.destination &&
+                     a.expected_contributions == b.expected_contributions &&
+                     a.message_id == b.message_id;
+            })) {
+      return where + "partial table";
+    }
+    if (!std::ranges::equal(
+            state.outgoing_table, tables.outgoing_table,
+            [](const OutgoingMessageEntry& a, const OutgoingMessageEntry& b) {
+              return a.message_id == b.message_id &&
+                     a.unit_count == b.unit_count &&
+                     a.recipient == b.recipient;
+            })) {
+      return where + "outgoing table";
+    }
+    if (state.is_destination != tables.is_destination) {
+      return where + "destination flag";
+    }
+    if (decoded->plan_epoch != compiled.plan_epoch()) return where + "epoch";
+  }
+  return "";
+}
 
 }  // namespace m2m
 

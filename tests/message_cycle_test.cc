@@ -222,5 +222,30 @@ TEST(MessageCycleTest, FallbackPackingGoldenDigests) {
   }
 }
 
+// The split edges' nodes hold several outgoing messages, so their
+// node-local ids differ from the schedule's message ids; the images must
+// still decode to exactly the compiled tables.
+TEST(MessageCycleTest, CompiledTablesEqualDecodedImages) {
+  PentagonCase pentagon = BuildPentagon();
+  GlobalPlan plan = BuildPlan(pentagon.forest,
+                              pentagon.workload.functions, {});
+  const FallbackCase1k large;
+  for (MergePolicy policy : {MergePolicy::kGreedyMergePerEdge,
+                             MergePolicy::kOneUnitPerMessage}) {
+    EXPECT_EQ(CompiledDecodedDifference(
+                  CompiledPlan::Compile(plan, pentagon.workload.functions,
+                                        policy),
+                  pentagon.workload.functions),
+              "")
+        << "pentagon, merge policy " << static_cast<int>(policy);
+    EXPECT_EQ(CompiledDecodedDifference(
+                  CompiledPlan::Compile(*large.plan, large.workload.functions,
+                                        policy),
+                  large.workload.functions),
+              "")
+        << "1000 nodes, merge policy " << static_cast<int>(policy);
+  }
+}
+
 }  // namespace
 }  // namespace m2m

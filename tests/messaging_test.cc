@@ -60,7 +60,7 @@ TEST(MessagingTest, WaitForGraphIsAcyclic) {
     std::vector<int> position(order.size());
     for (size_t i = 0; i < order.size(); ++i) position[order[i]] = i;
     for (size_t v = 0; v < schedule.units().size(); ++v) {
-      for (int u : schedule.wait_for()[v]) {
+      for (int u : schedule.wait_for(static_cast<int>(v))) {
         EXPECT_LT(position[u], position[v]);
       }
     }
@@ -128,7 +128,7 @@ TEST(MessagingTest, RawUnitsWaitOnlyForUpstreamRawOfSameSource) {
   for (size_t v = 0; v < schedule.units().size(); ++v) {
     const MessageUnit& unit = schedule.units()[v];
     ASSERT_FALSE(unit.is_partial);
-    for (int u : schedule.wait_for()[v]) {
+    for (int u : schedule.wait_for(static_cast<int>(v))) {
       EXPECT_FALSE(schedule.units()[u].is_partial);
       EXPECT_EQ(schedule.units()[u].subject, unit.subject);
     }
@@ -142,7 +142,7 @@ TEST(MessagingTest, AggregationOnlyUnitsWaitForSameDestination) {
   for (size_t v = 0; v < schedule.units().size(); ++v) {
     const MessageUnit& unit = schedule.units()[v];
     ASSERT_TRUE(unit.is_partial);
-    for (int u : schedule.wait_for()[v]) {
+    for (int u : schedule.wait_for(static_cast<int>(v))) {
       EXPECT_EQ(schedule.units()[u].subject, unit.subject);
     }
   }

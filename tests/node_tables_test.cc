@@ -40,7 +40,7 @@ TEST(NodeTablesTest, EveryDestinationGetsEvaluatorAndLocalEntry) {
   CompiledPlan compiled =
       CompiledPlan::Compile(*env.plan, env.workload.functions);
   for (const Task& task : env.forest->tasks()) {
-    const NodeState& state = compiled.state(task.destination);
+    const NodeStateView state = compiled.state(task.destination);
     EXPECT_TRUE(state.is_destination);
     bool has_local_partial = false;
     for (const PartialTableEntry& entry : state.partial_table) {
@@ -224,6 +224,24 @@ TEST(NodeTablesTest, CompileGoldenDigests) {
     for (int p = 0; p < 2; ++p) {
       EXPECT_EQ(digests[s][p].ToString(), expected[s][p])
           << ToString(strategies[s]) << ", merge policy " << p;
+    }
+  }
+}
+
+// Compiled and decoded tables both use node-local message ids, so a node's
+// image decodes to exactly its compiled tables.
+TEST(NodeTablesTest, CompiledTablesEqualDecodedImages) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Env env(seed);
+    for (MergePolicy policy : {MergePolicy::kGreedyMergePerEdge,
+                               MergePolicy::kOneUnitPerMessage}) {
+      EXPECT_EQ(CompiledDecodedDifference(
+                    CompiledPlan::Compile(*env.plan, env.workload.functions,
+                                          policy, /*plan_epoch=*/seed),
+                    env.workload.functions),
+                "")
+          << "seed " << seed << ", merge policy "
+          << static_cast<int>(policy);
     }
   }
 }

@@ -43,7 +43,7 @@ struct Env {
 TEST(SerializationTest, RoundtripPreservesTables) {
   Env env(61);
   for (NodeId n = 0; n < env.compiled->node_count(); ++n) {
-    const NodeState& original = env.compiled->state(n);
+    const NodeStateView original = env.compiled->state(n);
     std::vector<uint8_t> image =
         EncodeNodeState(original, env.workload.functions);
     DecodedNodeState decoded = DecodeNodeState(image);
@@ -269,7 +269,7 @@ TEST(SerializationFuzzTest, MutatedCanonicalImagesKeepInvariants) {
                   workload.functions, {});
     CompiledPlan compiled = CompiledPlan::Compile(plan, workload.functions);
     for (NodeId n = 0; n < compiled.node_count(); ++n) {
-      const NodeState& state = compiled.state(n);
+      const NodeStateView state = compiled.state(n);
       if (state.preagg_table.empty() && state.partial_table.empty()) continue;
       seeds.push_back(EncodeNodeState(state, workload.functions));
     }
