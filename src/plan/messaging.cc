@@ -191,7 +191,6 @@ MessageSchedule MessageSchedule::Build(const GlobalPlan& plan,
   schedule.edge_unit_begin_.push_back(
       static_cast<int>(schedule.units_.size()));
   const int unit_count = static_cast<int>(schedule.units_.size());
-  schedule.wait_for_begin_.resize(unit_count + 1);
 
   // 2. Wait-for relation from consecutive edges along every route, as
   // (unit, upstream unit) pairs, one per route hop after the first. Grouped
@@ -242,6 +241,7 @@ MessageSchedule MessageSchedule::Build(const GlobalPlan& plan,
       }
     }
   }
+  schedule.wait_for_begin_.resize(unit_count + 1);
   GroupSortUnique(
       waits, unit_count,
       [&](int u) -> int& { return schedule.wait_for_begin_[u]; },
@@ -307,8 +307,7 @@ MessageSchedule MessageSchedule::Build(const GlobalPlan& plan,
       }
     }
     // Compact message ids in order of first use.
-    std::vector<int>& compact = edge_messages;
-    compact.assign(unit_count, -1);
+    std::vector<int> compact(unit_count, -1);
     for (int u = 0; u < unit_count; ++u) {
       int& message = compact[merger.message_of(u)];
       if (message < 0) {

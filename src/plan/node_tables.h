@@ -84,7 +84,8 @@ struct NodeState {
   std::vector<OutgoingMessageEntry> outgoing_table;
   bool is_destination = false;
 
-  operator NodeStateView() const {  // NOLINT: a view, like string_view.
+  // Implicit, as std::string converts to std::string_view.
+  operator NodeStateView() const {
     return NodeStateView{raw_table, preagg_table, partial_table,
                          outgoing_table, is_destination};
   }

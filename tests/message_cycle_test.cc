@@ -149,8 +149,9 @@ TEST(MessageCycleTest, ExecutesCorrectlyDespiteTheSplit) {
 
 // A 1000-node scaling-series deployment with 64 destinations x 10 uniform
 // sources whose per-edge contraction cycles, like the pentagon's. Such plans
-// are common at this density: at 1000 nodes, 3 of 12 workload seeds with
-// 64 x 10 uniform sources (and 11 of 12 with 100 x 10) take the fallback.
+// are common at this density: over six 1000-node scaling-series topologies
+// (seeds 1-6) and twelve workload seeds each, 10 of 72 plans with 64 x 10
+// uniform sources take the fallback, and 45 of 72 with 100 x 10.
 struct FallbackCase1k {
   FallbackCase1k()
       : topology(MakeScalingSeries({1000}, 4).front()), paths(topology) {
