@@ -153,13 +153,14 @@ TEST(MessageCycleTest, ExecutesCorrectlyDespiteTheSplit) {
 // (seeds 1-6) and twelve workload seeds each, 10 of 72 plans with 64 x 10
 // uniform sources take the fallback, and 45 of 72 with 100 x 10.
 struct FallbackCase1k {
-  FallbackCase1k()
-      : topology(MakeScalingSeries({1000}, 4).front()), paths(topology) {
+  FallbackCase1k(uint64_t topology_seed, uint64_t workload_seed)
+      : topology(MakeScalingSeries({1000}, topology_seed).front()),
+        paths(topology) {
     WorkloadSpec spec;
     spec.destination_count = 64;
     spec.sources_per_destination = 10;
     spec.selection = SourceSelection::kUniform;
-    spec.seed = 29;
+    spec.seed = workload_seed;
     workload = GenerateWorkload(topology, spec);
     plan = std::make_unique<GlobalPlan>(
         BuildPlan(std::make_shared<const MulticastForest>(paths,
@@ -173,28 +174,37 @@ struct FallbackCase1k {
   std::unique_ptr<GlobalPlan> plan;
 };
 
-TEST(MessageCycleTest, LargeUniformPlanTakesTheFallback) {
-  const FallbackCase1k large;
-  const MessageSchedule schedule =
-      MessageSchedule::Build(*large.plan, large.workload.functions,
-                             MergePolicy::kGreedyMergePerEdge);
-  std::set<int> edges_with_units;
-  for (const MessageUnit& unit : schedule.units()) {
-    edges_with_units.insert(unit.edge_index);
+// The pinned plans. In the second, some trial merge of messages a < b
+// closes a cycle only through a path from b back to a: a merge test that
+// searches from a alone passes the pentagon and the first plan, but packs
+// the second cyclically.
+FallbackCase1k PinnedPlan() { return FallbackCase1k(4, 29); }
+FallbackCase1k SecondPinnedPlan() { return FallbackCase1k(1, 3); }
+
+TEST(MessageCycleTest, LargeUniformPlansTakeTheFallback) {
+  for (const FallbackCase1k& large : {PinnedPlan(), SecondPinnedPlan()}) {
+    const MessageSchedule schedule =
+        MessageSchedule::Build(*large.plan, large.workload.functions,
+                               MergePolicy::kGreedyMergePerEdge);
+    std::set<int> edges_with_units;
+    for (const MessageUnit& unit : schedule.units()) {
+      edges_with_units.insert(unit.edge_index);
+    }
+    EXPECT_GT(schedule.messages().size(), edges_with_units.size())
+        << "per-edge contraction should have been cyclic";
+    EXPECT_TRUE(schedule.MessagesAcyclic());
   }
-  EXPECT_GT(schedule.messages().size(), edges_with_units.size())
-      << "per-edge contraction should have been cyclic";
-  EXPECT_TRUE(schedule.MessagesAcyclic());
 }
 
 // Goldens for the pairwise fallback's packing: the pentagon and the
-// 1000-node plan above, under both merge policies. The greedy merge order
+// 1000-node plans above, under both merge policies. The greedy merge order
 // and its result must not change.
 TEST(MessageCycleTest, FallbackPackingGoldenDigests) {
   PentagonCase pentagon = BuildPentagon();
   GlobalPlan plan = BuildPlan(pentagon.forest,
                               pentagon.workload.functions, {});
-  const FallbackCase1k large;
+  const FallbackCase1k large = PinnedPlan();
+  const FallbackCase1k second = SecondPinnedPlan();
   struct Case {
     const GlobalPlan* plan;
     const FunctionSet* functions;
@@ -212,14 +222,19 @@ TEST(MessageCycleTest, FallbackPackingGoldenDigests) {
       {large.plan.get(), &large.workload.functions,
        MergePolicy::kOneUnitPerMessage,
        "bbf9fb7c8cd6277a/6066e9c439cf2041/a5d25c4cc8e5b157"},
+      {second.plan.get(), &second.workload.functions,
+       MergePolicy::kGreedyMergePerEdge,
+       "c7dee7361785a4a7/3f3dbcceb0f2580b/30267dd1047f663b"},
+      {second.plan.get(), &second.workload.functions,
+       MergePolicy::kOneUnitPerMessage,
+       "eb9cbb23c6078ef3/7e0372c03033b5e3/7bfec34b486874a6"},
   };
-  for (const Case& c : cases) {
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
     CompileDigests digests;
     digests.Add(CompiledPlan::Compile(*c.plan, *c.functions, c.policy),
                 *c.functions);
-    EXPECT_EQ(digests.ToString(), c.expected)
-        << c.plan->forest().node_count() << " nodes, merge policy "
-        << static_cast<int>(c.policy);
+    EXPECT_EQ(digests.ToString(), c.expected) << "case " << i;
   }
 }
 
@@ -230,7 +245,7 @@ TEST(MessageCycleTest, CompiledTablesEqualDecodedImages) {
   PentagonCase pentagon = BuildPentagon();
   GlobalPlan plan = BuildPlan(pentagon.forest,
                               pentagon.workload.functions, {});
-  const FallbackCase1k large;
+  const FallbackCase1k large = PinnedPlan();
   for (MergePolicy policy : {MergePolicy::kGreedyMergePerEdge,
                              MergePolicy::kOneUnitPerMessage}) {
     EXPECT_EQ(CompiledDecodedDifference(
