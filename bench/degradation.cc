@@ -17,6 +17,7 @@
 #include "harness.h"
 #include "runtime/channel.h"
 #include "sim/fault_schedule.h"
+#include "sim/physical_layer.h"
 #include "sim/self_healing.h"
 
 int main(int argc, char** argv) {
@@ -81,7 +82,8 @@ int main(int argc, char** argv) {
           ReadingGenerator readings(
               topology.node_count(), 9000 + static_cast<uint64_t>(round));
           RuntimeNetwork::LossyResult lossy = network.RunRoundLossy(
-              readings.values(), channel.Bind(round), retry);
+              readings.values(), PhysicalLayer{.channel = &channel}.Bind(round),
+              retry);
           attempts += lossy.attempts;
           retx += lossy.retransmissions;
           corrupt_frames += lossy.corrupt_frames;
@@ -196,16 +198,9 @@ int main(int argc, char** argv) {
     for (int round = 0; round < total_rounds; ++round) {
       ReadingGenerator readings(topology.node_count(),
                                 9500 + static_cast<uint64_t>(round));
-      LossyLinkModel physical;
-      physical.attempt_delivers = [&schedule, round](NodeId from, NodeId to,
-                                                     int attempt) {
-        return schedule.AttemptDelivers(round, from, to, attempt);
-      };
-      physical.node_alive = [&schedule, round](NodeId n) {
-        return schedule.NodeAliveAt(round, n);
-      };
       SelfHealingRoundResult r =
-          runtime.RunRound(round, readings.values(), physical);
+          runtime.RunRound(round, readings.values(),
+                           PhysicalLayer{.faults = &schedule}.Bind(round));
       if (r.replanned) ++replans;
       const auto believed_dead = runtime.ledger().believed_dead();
       const bool believed = dead_node != kInvalidNode &&

@@ -18,7 +18,9 @@
 #include <utility>
 
 #include "harness.h"
+#include "sim/attempt_namespaces.h"
 #include "sim/fault_schedule.h"
+#include "sim/physical_layer.h"
 #include "sim/self_healing.h"
 
 int main(int argc, char** argv) {
@@ -95,15 +97,10 @@ int main(int argc, char** argv) {
         FaultSchedule::Generate(topology, destinations, options);
 
     RuntimeNetwork network(compiled, workload.functions);
-    LossyLinkModel links;
-    links.attempt_delivers = [&schedule](NodeId from, NodeId to,
-                                         int attempt) {
-      return schedule.AttemptDelivers(1, from, to, attempt);
-    };
     RetryPolicy retry;
     retry.max_attempts = 8;
-    RuntimeNetwork::LossyResult lossy =
-        network.RunRoundLossy(readings.values(), links, retry);
+    RuntimeNetwork::LossyResult lossy = network.RunRoundLossy(
+        readings.values(), PhysicalLayer{.faults = &schedule}.Bind(1), retry);
 
     overhead.AddRow(
         {Table::Num(drop), std::to_string(lossy.attempts),
@@ -171,7 +168,7 @@ int main(int argc, char** argv) {
     SelfHealingRuntime runtime(topology, healing_workload, base);
     runtime.set_metrics(&metrics);
     // Deterministic Bernoulli(control_drop) on the control namespaces
-    // (reports 2000+, dissemination 3000+, install acks 4000+).
+    // (reports, dissemination and install acks: sim/attempt_namespaces.h).
     auto control_dropped = [control_drop](int round, NodeId from, NodeId to,
                                           int attempt) {
       uint64_t h = static_cast<uint64_t>(round) * 0x9e3779b97f4a7c15ull;
@@ -195,17 +192,15 @@ int main(int argc, char** argv) {
     for (int round = 0; round < total_rounds; ++round) {
       ReadingGenerator round_readings(
           topology.node_count(), 7000 + static_cast<uint64_t>(round));
-      LossyLinkModel physical;
-      physical.attempt_delivers = [&schedule, &control_dropped, round](
-                                      NodeId from, NodeId to, int attempt) {
-        if (!schedule.AttemptDelivers(round, from, to, attempt)) return false;
-        return !(attempt >= 2000 && control_dropped(round, from, to, attempt));
+      LossyLinkModel control;
+      control.attempt_delivers = [&control_dropped, round](
+                                     NodeId from, NodeId to, int attempt) {
+        return !(attempt >= kReportAttemptBase &&
+                 control_dropped(round, from, to, attempt));
       };
-      physical.node_alive = [&schedule, round](NodeId n) {
-        return schedule.NodeAliveAt(round, n);
-      };
-      SelfHealingRoundResult r =
-          runtime.RunRound(round, round_readings.values(), physical);
+      SelfHealingRoundResult r = runtime.RunRound(
+          round, round_readings.values(),
+          PhysicalLayer{.faults = &schedule, .base = &control}.Bind(round));
       probe_tx += r.probe_transmissions;
       ctrl_attempts += r.control_hop_attempts;
       ctrl_bytes += r.control_payload_bytes;

@@ -30,6 +30,7 @@
 #include "lifecycle/admission.h"
 #include "routing/lifetime_forest.h"
 #include "sim/battery.h"
+#include "sim/physical_layer.h"
 #include "sim/self_healing.h"
 
 namespace {
@@ -396,10 +397,8 @@ int main(int argc, char** argv) {
     for (int round = 0; round < 15; ++round) {
       ReadingGenerator heal_readings(topology.node_count(),
                                      900 + static_cast<uint64_t>(round));
-      LossyLinkModel physical;
-      physical.attempt_delivers = [](NodeId, NodeId, int) { return true; };
-      physical.node_alive = [](NodeId) { return true; };
-      runtime.RunRound(round, heal_readings.values(), physical);
+      runtime.RunRound(round, heal_readings.values(),
+                       PhysicalLayer{}.Bind(round));
     }
     m2m::bench::MaybeWriteMetricsJson(argc, argv, metrics);
   }

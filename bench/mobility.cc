@@ -18,6 +18,7 @@
 
 #include "harness.h"
 #include "sim/mobility_sim.h"
+#include "sim/physical_layer.h"
 #include "sim/self_healing.h"
 #include "topology/mobility.h"
 
@@ -78,11 +79,9 @@ int main(int argc, char** argv) {
       for (int round = 0; round < kRounds; ++round) {
         ReadingGenerator readings(topology.node_count(),
                                   6400 + static_cast<uint64_t>(round));
-        LossyLinkModel physical;
-        physical.attempt_delivers = [](NodeId, NodeId, int) { return true; };
-        physical = WithMobility(physical, trace, round);
-        SelfHealingRoundResult result =
-            runtime.RunRound(round, readings.values(), physical);
+        SelfHealingRoundResult result = runtime.RunRound(
+            round, readings.values(),
+            PhysicalLayer{.mobility = &trace}.Bind(round));
         RecordMobilityRound(trace, round, metrics, handles);
         parted_node_rounds +=
             static_cast<int64_t>(result.believed_partitioned.size());

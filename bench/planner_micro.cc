@@ -17,6 +17,7 @@
 #include "runtime/detector.h"
 #include "runtime/network.h"
 #include "sim/fault_schedule.h"
+#include "sim/physical_layer.h"
 
 namespace {
 
@@ -390,13 +391,10 @@ void BM_DetectorObserveRound(benchmark::State& state) {
   const std::vector<std::pair<NodeId, NodeId>> silent;
   int round = 0;
   for (auto _ : state) {
+    const LossyLinkModel links =
+        PhysicalLayer{.faults = &faults, .channel = &channel}.Bind(round);
     const FailureDetector::RoundReport report = detector.ObserveRound(
-        round, silent,
-        [&faults, &channel, round](NodeId from, NodeId to, int attempt) {
-          return faults.AttemptDelivers(round, from, to, attempt) &&
-                 channel.AttemptDelivers(round, from, to, attempt);
-        },
-        [&faults, round](NodeId n) { return faults.NodeAliveAt(round, n); });
+        round, silent, links.attempt_delivers, links.node_alive);
     benchmark::DoNotOptimize(report.probe_transmissions);
     round = (round + 1) % faults.options().rounds;
   }
@@ -441,16 +439,9 @@ void BM_LossyRound(benchmark::State& state) {
   obs::MetricsRegistry registry;
   if (mode == 2) network.set_metrics(&registry);
   const ChannelModel channel(HealChannelOptions());
+  const PhysicalLayer layer{.channel = mode == 1 ? &channel : nullptr};
   std::vector<LossyLinkModel> links;
-  if (mode == 1) {
-    for (int round = 0; round < 16; ++round) {
-      links.push_back(channel.Bind(round));
-    }
-  } else {
-    links.emplace_back().attempt_delivers = [](NodeId, NodeId, int) {
-      return true;
-    };
-  }
+  for (int round = 0; round < 16; ++round) links.push_back(layer.Bind(round));
   std::vector<double> readings(fx.topology.node_count());
   for (size_t i = 0; i < readings.size(); ++i) {
     readings[i] = 10.0 + static_cast<double>(i % 17);

@@ -294,14 +294,10 @@ bool MulticastForest::CheckSharing() const {
       head_stamp[head] = source;
     }
   }
-  // (b) Physical segments of distinct milestone edges only overlap
-  // consistently: any two segments that share an ordered pair of consecutive
-  // physical nodes agree from that point on when heading to the same
-  // milestone (guaranteed by PathSystem consistency; spot-check that every
-  // segment equals the canonical path, which the build enforces by
-  // construction). Here we re-verify tree-level path sharing: two trees that
-  // both route tail -> head use the same (single, shared) ForestEdge, which
-  // holds because edges are keyed by (tail, head).
+  // (b) Overlapping routes share segments: two trees that both route
+  // tail -> head use the same ForestEdge. This holds by construction, since
+  // the forest keeps one ForestEdge per (tail, head) key and its segment is
+  // the consistent path system's path, so nothing is checked here.
   return true;
 }
 

@@ -110,9 +110,11 @@ class MulticastForest {
   /// source (paper restriction 1).
   bool CheckMinimality() const;
 
-  /// Verifies overlapping routes use identical paths (paper restriction 2):
-  /// all routes crossing a milestone edge traverse the same physical
-  /// segment, and each tree is a tree (unique parent per node).
+  /// Paper restriction 2 at run time: (a) each tree is a tree (unique
+  /// parent per node, none for the source), which is checked; (b) all
+  /// routes crossing a milestone edge traverse the same physical segment,
+  /// which holds by construction (one ForestEdge per (tail, head) key) and
+  /// is not checked.
   bool CheckSharing() const;
 
  private:

@@ -154,25 +154,10 @@ uint64_t ChannelModel::Draw(Salt salt, int round, NodeId from, NodeId to,
                     static_cast<uint64_t>(attempt));
 }
 
-LossyLinkModel ChannelModel::Bind(
-    int round, std::function<bool(NodeId)> node_alive) const {
-  LossyLinkModel links;
-  links.attempt_delivers = [this, round](NodeId from, NodeId to,
-                                         int attempt) {
-    return AttemptDelivers(round, from, to, attempt);
-  };
-  links.node_alive = std::move(node_alive);
-  const bool has_effects = options_.duplicate_probability > 0.0 ||
-                           options_.corrupt_probability > 0.0 ||
-                           (options_.max_delay_ticks > 0 &&
-                            options_.delay_probability > 0.0);
-  if (has_effects) {
-    links.hop_effects = [this, round](NodeId from, NodeId to, int attempt) {
-      return EffectsFor(round, from, to, attempt);
-    };
-    links.max_delay_ticks = options_.max_delay_ticks;
-  }
-  return links;
+bool ChannelModel::has_effects() const {
+  return options_.duplicate_probability > 0.0 ||
+         options_.corrupt_probability > 0.0 ||
+         (options_.max_delay_ticks > 0 && options_.delay_probability > 0.0);
 }
 
 void ChannelModel::set_metrics(obs::MetricsRegistry* metrics) {

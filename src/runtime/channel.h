@@ -4,7 +4,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "common/ids.h"
 #include "obs/metrics.h"
@@ -46,8 +45,8 @@ struct ChannelOptions {
 /// byte-identical, and delivery queries commute with any evaluation order
 /// the runtime chooses (delayed acks, reordered retransmissions, ...).
 ///
-/// `Bind(round)` produces the LossyLinkModel the runtime consumes; the
-/// ChannelModel must outlive every bound model.
+/// `PhysicalLayer::Bind` (sim/physical_layer.h) composes it into the
+/// LossyLinkModel the runtime consumes.
 class ChannelModel {
  public:
   explicit ChannelModel(const ChannelOptions& options);
@@ -63,10 +62,8 @@ class ChannelModel {
   /// attempt on this directed link.
   bool InBurst(int round, NodeId from, NodeId to, int attempt) const;
 
-  /// Binds the channel to one round as a LossyLinkModel. `node_alive` may
-  /// be null (everything alive).
-  LossyLinkModel Bind(int round,
-                      std::function<bool(NodeId)> node_alive = nullptr) const;
+  /// True iff a crossed hop can be delayed, duplicated or corrupted.
+  bool has_effects() const;
 
   /// Registers `chan.burst_transitions` (good -> bad entries observed by
   /// delivery queries). Counting is observational only — it never feeds

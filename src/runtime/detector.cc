@@ -4,6 +4,7 @@
 #include <functional>
 
 #include "common/check.h"
+#include "sim/attempt_namespaces.h"
 
 namespace m2m {
 
@@ -91,24 +92,12 @@ FailureDetector::RoundReport FailureDetector::ObserveRound(
         // all. The monitor transmits probes until one gets through, then
         // the neighbor transmits replies until one gets through. Each leg
         // burns real transmissions, which the report charges.
-        bool probe_received = false;
-        for (int k = 1; k <= kProbeAttempts; ++k) {
-          report.probe_transmissions += 1;
-          if (attempt_delivers(monitor, neighbor, kProbeAttemptBase + k)) {
-            probe_received = true;
-            break;
-          }
-        }
-        if (probe_received) {
-          for (int k = 1; k <= kProbeAttempts; ++k) {
-            report.probe_transmissions += 1;
-            if (attempt_delivers(neighbor, monitor,
-                                 kProbeReplyAttemptBase + k)) {
-              evidence = true;
-              break;
-            }
-          }
-        }
+        evidence = TryHop(attempt_delivers, monitor, neighbor,
+                          kProbeAttemptBase, kProbeAttempts,
+                          report.probe_transmissions) &&
+                   TryHop(attempt_delivers, neighbor, monitor,
+                          kReplyAttemptBase, kProbeAttempts,
+                          report.probe_transmissions);
         if (evidence) report.probe_confirmations += 1;
       }
 

@@ -103,9 +103,9 @@ class FailureDetector {
   /// Physical outcome of one probe-sized transmission attempt on a directed
   /// link (1-based attempt index). Must already account for dead endpoints:
   /// a transmission from or to a dead node never delivers. Must be pure for
-  /// reproducibility. Attempt indices are drawn from a dedicated namespace
-  /// (1000+ for probes, 1500+ for replies) so probe outcomes are
-  /// independent of the round's data-traffic outcomes.
+  /// reproducibility. Probes and replies draw their attempt indices from
+  /// namespaces of their own (sim/attempt_namespaces.h), so probe outcomes
+  /// are independent of the round's data-traffic outcomes.
   using AttemptDelivers =
       std::function<bool(NodeId from, NodeId to, int attempt)>;
 
@@ -168,20 +168,6 @@ class FailureDetector {
   int flap_count(NodeId monitor, NodeId neighbor) const;
 
   const DetectorOptions& options() const { return options_; }
-
-  /// First attempt index of the probe / probe-reply attempt namespaces.
-  /// Data traffic uses small positive attempt indices; keeping probes in a
-  /// disjoint range makes their outcomes independent draws from the same
-  /// pure link function.
-  static constexpr int kProbeAttemptBase = 1000;
-  static constexpr int kProbeReplyAttemptBase = 1500;
-  /// Transmission attempts per probe and per probe reply each round. With
-  /// per-attempt drop probability p, a live neighbor stays silent for a
-  /// whole round only with probability ~2 p^kProbeAttempts.
-  static constexpr int kProbeAttempts = 8;
-  static_assert(kProbeAttempts >= 1 &&
-                    kProbeAttemptBase + kProbeAttempts < kProbeReplyAttemptBase,
-                "probe attempts must fit their attempt namespace");
 
  private:
   struct Suspicion {

@@ -12,6 +12,7 @@
 #include "plan/serialization.h"
 #include "runtime/tick_agenda.h"
 #include "runtime/wire_functions.h"
+#include "sim/attempt_namespaces.h"
 
 namespace m2m {
 
@@ -189,6 +190,8 @@ RuntimeNetwork::LossyResult RuntimeNetwork::RunRoundLossy(
   M2M_CHECK_EQ(readings.size(), nodes_.size());
   M2M_CHECK(links.attempt_delivers != nullptr);
   M2M_CHECK_GE(retry.max_attempts, 1);
+  M2M_CHECK_LT(retry.max_attempts, kProbeAttemptBase)
+      << "data attempts must stay below the probe namespace";
   M2M_CHECK_GE(retry.ack_timeout_ticks, 1);
   M2M_CHECK_GE(retry.backoff_factor, 1);
   M2M_CHECK_GE(retry.max_backoff_ticks, retry.ack_timeout_ticks)

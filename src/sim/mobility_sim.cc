@@ -1,23 +1,6 @@
 #include "sim/mobility_sim.h"
 
-#include "common/check.h"
-
 namespace m2m {
-
-LossyLinkModel WithMobility(const LossyLinkModel& base,
-                            const MobilityTrace& trace, int round) {
-  M2M_CHECK(base.attempt_delivers != nullptr);
-  LossyLinkModel masked = base;
-  // Capture the base delegate by value: the returned model must not dangle
-  // if `base` goes out of scope before the round runs.
-  auto base_delivers = base.attempt_delivers;
-  masked.attempt_delivers = [&trace, round, base_delivers](
-                                NodeId from, NodeId to, int attempt) {
-    return trace.LinkUpAt(round, from, to) &&
-           base_delivers(from, to, attempt);
-  };
-  return masked;
-}
 
 MobilityMetricHandles RegisterMobilityMetrics(obs::MetricsRegistry& metrics) {
   MobilityMetricHandles handles;

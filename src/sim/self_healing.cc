@@ -12,6 +12,8 @@
 #include "plan/serialization.h"
 #include "routing/lifetime_forest.h"
 #include "runtime/wire_functions.h"
+#include "sim/attempt_namespaces.h"
+#include "sim/physical_layer.h"
 
 namespace m2m {
 
@@ -23,14 +25,6 @@ constexpr int64_t kUnreachableWeight = std::numeric_limits<int64_t>::max();
 /// re-emitting a control message (covers holders dying mid-route).
 constexpr int kResendAfterRounds = 3;
 static_assert(kResendAfterRounds >= 1);
-
-/// Transmission attempts per control-message hop per round. A control
-/// message (suspicion report, plan image, epoch bump, install ack) advances
-/// as many hops as deliver within a round and stalls at the first hop that
-/// exhausts its attempts, resuming next round. Each message owns 16 attempt
-/// indices per hop (AdvanceControlPlane), so the attempts must fit them.
-constexpr int kControlHopAttempts = 8;
-static_assert(kControlHopAttempts >= 1 && kControlHopAttempts <= 16);
 
 /// Penalty for ResidualEnergyLinkCost on battery-aware replans: how hard
 /// routes avoid depleted relays. With full batteries everywhere the cost is
@@ -88,6 +82,7 @@ SelfHealingRuntime::SelfHealingRuntime(const Topology& topology,
     }
     battery_ = BatteryLedger(topology.node_count(), battery_options);
     predicted_ = BatteryLedger(topology.node_count(), battery_options);
+    depleted_.assign(static_cast<size_t>(topology.node_count()), false);
     network_.set_track_node_energy(true);
     predicted_drain_mj_ =
         CompiledRoundEnergyMj(compiled(), options_.energy.model);
@@ -170,32 +165,15 @@ SelfHealingRoundResult SelfHealingRuntime::RunRound(
   // so — through the unchanged detector/ledger machinery below — energy
   // exhaustion presents exactly like a crash: neighbors see silence,
   // suspect, report, and the base replans around the corpse. The snapshot
-  // is value-captured: ChargeBatteries below mutates the ledger without
+  // is a member: ChargeBatteries below mutates the ledger without
   // affecting this round's oracle.
   LossyLinkModel gated;
   const LossyLinkModel* model = &physical;
   if (options_.energy.battery_aware) {
-    std::vector<bool> depleted(static_cast<size_t>(battery_.node_count()));
     for (NodeId n = 0; n < battery_.node_count(); ++n) {
-      depleted[n] = battery_.depleted(n);
+      depleted_[n] = battery_.depleted(n);
     }
-    gated = physical;
-    gated.attempt_delivers = [depleted,
-                              inner = physical.attempt_delivers](
-                                 NodeId from, NodeId to, int attempt) {
-      if (depleted[from] || depleted[to]) return false;
-      return inner(from, to, attempt);
-    };
-    if (physical.node_alive != nullptr) {
-      gated.node_alive = [depleted,
-                          inner = physical.node_alive](NodeId node) {
-        return !depleted[node] && inner(node);
-      };
-    } else {
-      gated.node_alive = [depleted](NodeId node) {
-        return !depleted[node];
-      };
-    }
+    gated = PhysicalLayer{.down = &depleted_, .base = &physical}.Bind(round);
     model = &gated;
   }
 
@@ -442,29 +420,26 @@ void SelfHealingRuntime::AdvanceControlPlane(int round,
         }
         next = paths.NextHop(holder, target);
       }
-      int attempt_base = 0;
+      // A control message advances as many hops as deliver within a round
+      // and stalls at the first hop that exhausts its attempts, resuming
+      // next round.
+      int attempt_base = kReportAttemptBase;
       switch (in_flight_[i].kind) {
         case ControlMessage::Kind::kReport:
         case ControlMessage::Kind::kReportAck:
-          attempt_base = 2000;
           break;
         case ControlMessage::Kind::kImage:
         case ControlMessage::Kind::kBump:
-          attempt_base = 3000;
+          attempt_base = kImageAttemptBase;
           break;
         case ControlMessage::Kind::kInstallAck:
-          attempt_base = 4000;
+          attempt_base = kInstallAckAttemptBase;
           break;
       }
-      attempt_base += (in_flight_[i].seq % 60) * 16;
-      bool crossed = false;
-      for (int k = 1; k <= kControlHopAttempts; ++k) {
-        result.control_hop_attempts += 1;
-        if (physical.attempt_delivers(holder, next, attempt_base + k)) {
-          crossed = true;
-          break;
-        }
-      }
+      const bool crossed = TryHop(
+          physical.attempt_delivers, holder, next,
+          attempt_base + ControlAttemptOffset(in_flight_[i].seq),
+          kControlHopAttempts, result.control_hop_attempts);
       if (!crossed) break;  // Stalled at this hop; resume next round.
       result.control_hops_crossed += 1;
       in_flight_[i].holder = next;

@@ -184,8 +184,8 @@ class SelfHealingRuntime {
   /// oracle for this round (false for dead endpoints and failed links —
   /// e.g. FaultSchedule::AttemptDelivers bound to `round`);
   /// `physical.node_alive` reports physical aliveness (a dead node runs
-  /// nothing). Attempt indices beyond the data plane's small values are
-  /// drawn from disjoint namespaces (probes 1000+, control 2000+), so the
+  /// nothing). Probes and control hops draw their attempt indices from
+  /// namespaces above the data plane's (sim/attempt_namespaces.h), so the
   /// oracle must accept arbitrary attempt indices.
   SelfHealingRoundResult RunRound(int round,
                                   const std::vector<double>& readings,
@@ -413,6 +413,9 @@ class SelfHealingRuntime {
   /// Physical batteries, drained by executed data rounds. Gates the link
   /// model; never read by the base station's decisions.
   BatteryLedger battery_;
+  /// Per node: depleted as of the current round's start, the down mask of
+  /// the layer that gates the caller's link model.
+  std::vector<bool> depleted_;
   /// The base station's in-band twin: same initial charges, drained by the
   /// analytic per-round energy of whatever plan the base has installed.
   BatteryLedger predicted_;

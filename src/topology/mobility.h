@@ -95,7 +95,7 @@ class MobilityTrace {
   /// True iff the (deployment) link a-b is geometrically up at `round`.
   /// Pairs that are not deployment links return true — the mask only ever
   /// removes capacity, so compose it with a base link model via
-  /// conjunction (see sim/mobility_sim.h).
+  /// conjunction (PhysicalLayer, sim/physical_layer.h).
   bool LinkUpAt(int round, NodeId a, NodeId b) const;
 
   /// Deployment links down at `round`, sorted (lo, hi).

@@ -34,6 +34,7 @@
 #include "sim/base_station.h"
 #include "sim/executor.h"
 #include "sim/fault_schedule.h"
+#include "sim/physical_layer.h"
 #include "sim/readings.h"
 #include "sim/self_healing.h"
 #include "topology/generator.h"
@@ -43,18 +44,12 @@
 namespace m2m {
 namespace {
 
-using fault_test::Destinations;
+using fault_test::DefaultWorkload;
+using fault_test::EpochOracle;
+using fault_test::ProtectedNodes;
 using fault_test::ReconciliationReference;
+using fault_test::SubsetOracle;
 using fault_test::ValuesClose;
-
-Workload DefaultWorkload(const Topology& topology, uint64_t seed) {
-  WorkloadSpec spec;
-  spec.destination_count = 5;
-  spec.sources_per_destination = 5;
-  spec.max_hops = 4;
-  spec.seed = seed;
-  return GenerateWorkload(topology, spec);
-}
 
 // One adversarial channel regime: a named ChannelOptions configuration plus
 // the counter that proves the regime actually exercised its failure mode.
@@ -103,20 +98,6 @@ std::vector<ChannelRegime> ChannelRegimes(uint64_t seed) {
   return regimes;
 }
 
-// Oracle over the actually-delivered source set: merges exactly the reported
-// contributors' pre-aggregated readings — the value a destination SHOULD
-// report given what the channel let through.
-double SubsetOracle(const AggregateFunction& fn,
-                    const std::vector<NodeId>& sources,
-                    const std::vector<double>& readings) {
-  std::optional<PartialRecord> merged;
-  for (NodeId s : sources) {
-    PartialRecord partial = fn.PreAggregate(s, readings[s]);
-    merged = merged ? fn.Merge(*merged, partial) : partial;
-  }
-  return fn.Evaluate(*merged);
-}
-
 uint32_t XorFold(const std::vector<NodeId>& sources) {
   uint32_t fold = 0;
   for (NodeId s : sources) fold ^= static_cast<uint32_t>(s) + 1;
@@ -161,7 +142,8 @@ ChaosRun RunChaosRegime(const Topology& topology, const Workload& workload,
     header << regime.name << " r" << round;
     trace.Append(header.str());
     RuntimeNetwork::LossyResult lossy = network.RunRoundLossy(
-        readings.values(), channel.Bind(round), retry, {}, &trace);
+        readings.values(), PhysicalLayer{.channel = &channel}.Bind(round), retry,
+        {}, &trace);
     run.attempts += lossy.attempts;
     run.retransmissions += lossy.retransmissions;
     run.corrupt_frames += lossy.corrupt_frames;
@@ -290,11 +272,7 @@ INSTANTIATE_TEST_SUITE_P(TwentySeeds, ChaosDifferential,
 FaultSchedule RejoinSchedule(const Topology& topology,
                              const Workload& workload, NodeId base,
                              uint64_t seed) {
-  std::vector<NodeId> protected_nodes = Destinations(workload);
-  if (std::find(protected_nodes.begin(), protected_nodes.end(), base) ==
-      protected_nodes.end()) {
-    protected_nodes.push_back(base);
-  }
+  const std::vector<NodeId> protected_nodes = ProtectedNodes(workload, base);
   FaultScheduleOptions options;
   options.rounds = 16;
   options.transient_link_fraction = 0.04;
@@ -333,56 +311,21 @@ RejoinRun RunRejoin(const Topology& topology, const Workload& workload,
   runtime.set_metrics(&metrics);
   ReconciliationReference reconciliations(runtime, metrics, base);
 
-  std::map<uint32_t, PlanExecutor> executors;
-  executors.emplace(
-      0u, PlanExecutor(std::make_shared<CompiledPlan>(runtime.compiled()),
-                       runtime.current_workload().functions, EnergyModel{}));
+  EpochOracle epochs;
+  epochs.Record(runtime);
 
   RejoinRun run;
   std::set<NodeId> believed_dead_before;
   for (int round = 0; round < total_rounds; ++round) {
     ReadingGenerator readings(topology.node_count(),
                               readings_seed + static_cast<uint64_t>(round));
-    LossyLinkModel physical;
-    physical.attempt_delivers = [&schedule, round](NodeId from, NodeId to,
-                                                   int attempt) {
-      return schedule.AttemptDelivers(round, from, to, attempt);
-    };
-    physical.node_alive = [&schedule, round](NodeId n) {
-      return schedule.NodeAliveAt(round, n);
-    };
-
-    SelfHealingRoundResult result =
-        runtime.RunRound(round, readings.values(), physical, &trace);
+    SelfHealingRoundResult result = runtime.RunRound(
+        round, readings.values(),
+        PhysicalLayer{.faults = &schedule}.Bind(round), &trace);
     reconciliations.CheckRound(round, result.replanned);
     run.total_readmissions += result.readmissions;
-    if (result.replanned) {
-      executors.emplace(
-          runtime.base_epoch(),
-          PlanExecutor(std::make_shared<CompiledPlan>(runtime.compiled()),
-                       runtime.current_workload().functions, EnergyModel{}));
-    }
-
-    // Epoch-attributed differential: every completed value equals the
-    // analytic executor of exactly the epoch it reports.
-    std::map<uint32_t, std::unordered_map<NodeId, double>> analytic_by_epoch;
-    for (const auto& [destination, value] : result.data.destination_values) {
-      uint32_t epoch = result.data.destination_epochs.at(destination);
-      auto [it, fresh] = analytic_by_epoch.try_emplace(epoch);
-      if (fresh) {
-        it->second = executors.at(epoch)
-                         .RunRound(readings.values())
-                         .destination_values;
-      }
-      auto oracle_it = it->second.find(destination);
-      if (oracle_it == it->second.end() ||
-          !ValuesClose(value, oracle_it->second)) {
-        std::ostringstream mismatch;
-        mismatch << "r" << round << " d" << destination << " epoch " << epoch
-                 << " got " << value;
-        run.value_mismatches.push_back(mismatch.str());
-      }
-    }
+    if (result.replanned) epochs.Record(runtime);
+    epochs.Check(round, result.data, readings.values(), run.value_mismatches);
 
     std::set<NodeId> believed_dead_now;
     for (NodeId dead : runtime.ledger().believed_dead()) {
@@ -616,7 +559,7 @@ TEST(ChannelModelTest, ReverseExtraLossIsAsymmetric) {
 // Golden digest of every channel decision with all effects enabled, over
 // several seeds, rounds and directed links. The attempts cover the edges of
 // the 64-attempt Gilbert–Elliott blocks (1..70) and both probe namespaces
-// (probes from 1000, replies from 1500, with the blocks that straddle
+// (kProbeAttemptBase and kReplyAttemptBase, with the blocks that straddle
 // them). The digest and the burst-transition total were recorded before
 // the per-salt seed hoist and the one-mix-per-step walk, so they pin that
 // those rewrites changed no decision and no count.

@@ -31,6 +31,7 @@
 #include "routing/path_system.h"
 #include "sim/base_station.h"
 #include "sim/fault_schedule.h"
+#include "sim/physical_layer.h"
 #include "sim/readings.h"
 #include "sim/self_healing.h"
 #include "topology/generator.h"
@@ -40,16 +41,8 @@
 namespace m2m {
 namespace {
 
+using fault_test::DefaultWorkload;
 using fault_test::Destinations;
-
-Workload InitialWorkload(const Topology& topology, uint64_t seed) {
-  WorkloadSpec spec;
-  spec.destination_count = 5;
-  spec.sources_per_destination = 5;
-  spec.max_hops = 4;
-  spec.seed = seed;
-  return GenerateWorkload(topology, spec);
-}
 
 /// From-scratch oracle: plan + compile the catalog's workload with the same
 /// options and epoch the manager uses, and encode every node image.
@@ -133,7 +126,7 @@ class ChurnDifferential : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ChurnDifferential, IncrementalEqualsFromScratchAfterEveryMutation) {
   const uint64_t seed = GetParam();
   Topology topology = MakeGreatDuckIslandLike();
-  Workload initial = InitialWorkload(topology, seed * 13 + 7);
+  Workload initial = DefaultWorkload(topology, seed * 13 + 7);
   NodeId base = PickBaseStation(topology);
 
   QueryLifecycleManager manager(topology, initial, base);
@@ -233,16 +226,9 @@ ChurnFaultRun RunChurnWithFaults(const Topology& topology,
 
     ReadingGenerator readings(topology.node_count(),
                               readings_seed + static_cast<uint64_t>(round));
-    LossyLinkModel physical;
-    physical.attempt_delivers = [&faults, round](NodeId from, NodeId to,
-                                                 int attempt) {
-      return faults.AttemptDelivers(round, from, to, attempt);
-    };
-    physical.node_alive = [&faults, round](NodeId n) {
-      return faults.NodeAliveAt(round, n);
-    };
-    SelfHealingRoundResult result =
-        runtime.RunRound(round, readings.values(), physical, &trace);
+    SelfHealingRoundResult result = runtime.RunRound(
+        round, readings.values(), PhysicalLayer{.faults = &faults}.Bind(round),
+        &trace);
     if (round == total_rounds - 1) {
       run.final_pending_installs = result.pending_installs;
       run.final_incomplete = result.data.incomplete_destinations;
@@ -260,7 +246,7 @@ ChurnFaultRun RunChurnWithFaults(const Topology& topology,
 TEST_P(ChurnWithFaults, RuntimeConvergesToFinalWorkloadUnderFailures) {
   const uint64_t seed = GetParam();
   Topology topology = MakeGreatDuckIslandLike();
-  Workload initial = InitialWorkload(topology, seed * 29 + 11);
+  Workload initial = DefaultWorkload(topology, seed * 29 + 11);
   NodeId base = PickBaseStation(topology);
 
   ChurnScheduleOptions churn_options;
@@ -335,7 +321,7 @@ class AdmissionControlTest : public ::testing::Test {
  protected:
   AdmissionControlTest()
       : topology_(MakeGreatDuckIslandLike()),
-        initial_(InitialWorkload(topology_, 41)),
+        initial_(DefaultWorkload(topology_, 41)),
         base_(PickBaseStation(topology_)) {}
 
   Topology topology_;
@@ -532,10 +518,8 @@ TEST_F(AdmissionControlTest, DrainToZeroThenReadmitConvergesWithRuntime) {
     for (; round < first_round + 10; ++round) {
       ReadingGenerator readings(topology_.node_count(),
                                 900 + static_cast<uint64_t>(round));
-      LossyLinkModel physical;  // Perfect network.
-      physical.attempt_delivers = [](NodeId, NodeId, int) { return true; };
-      physical.node_alive = [](NodeId) { return true; };
-      result = runtime.RunRound(round, readings.values(), physical, nullptr);
+      result = runtime.RunRound(round, readings.values(),
+                                PhysicalLayer{}.Bind(round), nullptr);
       if (result.pending_installs == 0) break;
     }
     EXPECT_EQ(result.pending_installs, 0);
@@ -646,7 +630,7 @@ TEST_F(AdmissionControlTest, SourceChurnReusesMostEdges) {
 // arrival-order effect may leak into plan or wire bytes.
 TEST(ChurnOrderIndependenceTest, SameContentSamePlanBytes) {
   Topology topology = MakeGreatDuckIslandLike();
-  Workload initial = InitialWorkload(topology, 97);
+  Workload initial = DefaultWorkload(topology, 97);
   NodeId base = PickBaseStation(topology);
 
   QueryLifecycleManager a(topology, initial, base);
@@ -693,7 +677,7 @@ class DedupReplay : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(DedupReplay, ByteIdenticalResubmissionIsIdempotent) {
   const uint64_t seed = GetParam();
   Topology topology = MakeGreatDuckIslandLike();
-  Workload initial = InitialWorkload(topology, seed * 19 + 5);
+  Workload initial = DefaultWorkload(topology, seed * 19 + 5);
   NodeId base = PickBaseStation(topology);
 
   QueryLifecycleManager manager(topology, initial, base);
@@ -765,7 +749,7 @@ std::vector<MutationRequest> Requests(const std::vector<ChurnEvent>& events) {
 TEST_P(BatchedChurnReplay, BatchedEqualsSequentialByteIdentical) {
   const uint64_t seed = GetParam();
   Topology topology = MakeGreatDuckIslandLike();
-  Workload initial = InitialWorkload(topology, seed * 17 + 3);
+  Workload initial = DefaultWorkload(topology, seed * 17 + 3);
   NodeId base = PickBaseStation(topology);
 
   ChurnScheduleOptions churn_options;
@@ -843,7 +827,7 @@ INSTANTIATE_TEST_SUITE_P(TwentySeeds, BatchedChurnReplay,
 // forbidden set.
 TEST(ChurnScheduleTest, DeterministicAndBounded) {
   Topology topology = MakeGreatDuckIslandLike();
-  Workload initial = InitialWorkload(topology, 7);
+  Workload initial = DefaultWorkload(topology, 7);
   NodeId base = PickBaseStation(topology);
 
   ChurnScheduleOptions options;
@@ -1266,7 +1250,7 @@ void CountSingle(const MutationResult& result, const MutationRequest& request,
 
 GoldenStreamRun RunGoldenStream(uint64_t seed) {
   const Topology topology = MakeGreatDuckIslandLike();
-  const Workload initial = InitialWorkload(topology, seed * 7 + 1);
+  const Workload initial = DefaultWorkload(topology, seed * 7 + 1);
   const NodeId base = PickBaseStation(topology);
   Rng rng(seed);
   GoldenStreamRun run;

@@ -27,6 +27,7 @@
 #include "sim/energy_model.h"
 #include "sim/executor.h"
 #include "sim/fault_schedule.h"
+#include "sim/physical_layer.h"
 #include "sim/readings.h"
 #include "sim/self_healing.h"
 #include "topology/generator.h"
@@ -36,17 +37,10 @@
 namespace m2m {
 namespace {
 
+using fault_test::DefaultWorkload;
 using fault_test::Destinations;
+using fault_test::ProtectedNodes;
 using fault_test::ValuesClose;
-
-Workload DefaultWorkload(const Topology& topology, uint64_t seed) {
-  WorkloadSpec spec;
-  spec.destination_count = 5;
-  spec.sources_per_destination = 5;
-  spec.max_hops = 4;
-  spec.seed = seed;
-  return GenerateWorkload(topology, spec);
-}
 
 CompiledPlan CompileInitialPlan(const Topology& topology,
                                 const Workload& workload) {
@@ -423,8 +417,7 @@ EnergyRun RunEnergyHealing(
     const Topology& topology, const Workload& workload, NodeId base,
     const SelfHealingOptions& options, int total_rounds,
     uint64_t readings_seed,
-    const std::function<bool(int, NodeId, NodeId, int)>& delivers,
-    const std::function<bool(int, NodeId)>& alive,
+    const std::function<PhysicalLayer(int round)>& radio,
     int stop_rounds_after_depletion = -1) {
   EventTrace trace;
   SelfHealingRuntime runtime(topology, workload, base, options);
@@ -433,16 +426,8 @@ EnergyRun RunEnergyHealing(
   for (int round = 0; round < total_rounds; ++round) {
     ReadingGenerator readings(topology.node_count(),
                               readings_seed + static_cast<uint64_t>(round));
-    LossyLinkModel physical;
-    physical.attempt_delivers = [&delivers, round](NodeId from, NodeId to,
-                                                   int attempt) {
-      return delivers(round, from, to, attempt);
-    };
-    physical.node_alive = [&alive, round](NodeId n) {
-      return alive(round, n);
-    };
-    SelfHealingRoundResult result =
-        runtime.RunRound(round, readings.values(), physical, &trace);
+    SelfHealingRoundResult result = runtime.RunRound(
+        round, readings.values(), radio(round).Bind(round), &trace);
     if (result.replanned) ++run.replans;
     if (result.energy_rotation) {
       ++run.rotations;
@@ -491,8 +476,7 @@ EnergyRun RunEnergyHealing(
   return run;
 }
 
-bool AlwaysDelivers(int, NodeId, NodeId, int) { return true; }
-bool AlwaysAlive(int, NodeId) { return true; }
+PhysicalLayer PerfectRadio(int) { return {}; }
 
 // The tentpole differential: a relay runs out of battery mid-deployment.
 // The death is earned purely from executed drain — no fault schedule lists
@@ -539,7 +523,7 @@ TEST_P(EnergyExhaustionDifferential, DepletionHealsLikeACrashButClassified) {
   const int total_rounds = 30;
   EnergyRun run =
       RunEnergyHealing(topology, workload, base, options, total_rounds,
-                       seed + 1000, AlwaysDelivers, AlwaysAlive);
+                       seed + 1000, PerfectRadio);
 
   // --- The victim (and only the victim) physically depleted.
   ASSERT_TRUE(run.first_depleted.contains(victim))
@@ -608,7 +592,7 @@ TEST_P(EnergyExhaustionDifferential, DepletionHealsLikeACrashButClassified) {
   // --- Determinism: byte-identical replay.
   EnergyRun replay =
       RunEnergyHealing(topology, workload, base, options, total_rounds,
-                       seed + 1000, AlwaysDelivers, AlwaysAlive);
+                       seed + 1000, PerfectRadio);
   EXPECT_EQ(run.trace, replay.trace) << "seed " << seed;
   EXPECT_EQ(run.first_depleted, replay.first_depleted) << "seed " << seed;
   EXPECT_EQ(run.final_values, replay.final_values) << "seed " << seed;
@@ -628,11 +612,7 @@ TEST_P(BatteryLegacyEquivalence, InfiniteBatteriesAreByteIdenticalToLegacy) {
   Topology topology = MakeGreatDuckIslandLike();
   Workload workload = DefaultWorkload(topology, seed * 17 + 3);
   NodeId base = PickBaseStation(topology);
-  std::vector<NodeId> protected_nodes = Destinations(workload);
-  if (std::find(protected_nodes.begin(), protected_nodes.end(), base) ==
-      protected_nodes.end()) {
-    protected_nodes.push_back(base);
-  }
+  const std::vector<NodeId> protected_nodes = ProtectedNodes(workload, base);
   FaultScheduleOptions schedule_options;
   schedule_options.rounds = 5;
   schedule_options.transient_link_fraction = 0.06;
@@ -643,19 +623,12 @@ TEST_P(BatteryLegacyEquivalence, InfiniteBatteriesAreByteIdenticalToLegacy) {
   FaultSchedule schedule =
       FaultSchedule::Generate(topology, protected_nodes, schedule_options);
 
-  auto delivers = [&schedule](int round, NodeId from, NodeId to,
-                              int attempt) {
-    return schedule.AttemptDelivers(round, from, to, attempt);
-  };
-  auto alive = [&schedule](int round, NodeId n) {
-    return schedule.NodeAliveAt(round, n);
-  };
+  auto radio = [&schedule](int) { return PhysicalLayer{.faults = &schedule}; };
   const int total_rounds = schedule_options.rounds + 10;
 
   SelfHealingOptions legacy;  // battery_aware defaults to false.
   EnergyRun legacy_run = RunEnergyHealing(topology, workload, base, legacy,
-                                          total_rounds, seed + 1000,
-                                          delivers, alive);
+                                          total_rounds, seed + 1000, radio);
 
   SelfHealingOptions battery;
   battery.energy.battery_aware = true;
@@ -663,8 +636,7 @@ TEST_P(BatteryLegacyEquivalence, InfiniteBatteriesAreByteIdenticalToLegacy) {
   // precision: link costs stay exactly 1.0, weights stay bit-identical.
   battery.energy.battery.initial_charge_mj = 1e18;
   EnergyRun battery_run = RunEnergyHealing(topology, workload, base, battery,
-                                           total_rounds, seed + 1000,
-                                           delivers, alive);
+                                           total_rounds, seed + 1000, radio);
 
   EXPECT_EQ(legacy_run.trace, battery_run.trace) << "seed " << seed;
   EXPECT_EQ(legacy_run.final_values, battery_run.final_values);
@@ -724,10 +696,7 @@ TEST(ProactiveRotationTest, RotationStrictlyDelaysFirstDepletion) {
     probe_options.energy.battery.initial_charge_mj = 1e9;
     SelfHealingRuntime probe(topology, workload, base, probe_options);
     ReadingGenerator readings(topology.node_count(), 4242);
-    LossyLinkModel perfect;
-    perfect.attempt_delivers = [](NodeId, NodeId, int) { return true; };
-    perfect.node_alive = [](NodeId) { return true; };
-    probe.RunRound(0, readings.values(), perfect, nullptr);
+    probe.RunRound(0, readings.values(), PhysicalLayer{}.Bind(0), nullptr);
     for (NodeId n = 0; n < topology.node_count(); ++n) {
       max_phys = std::max(max_phys, probe.battery().drained_mj(n));
     }
@@ -745,14 +714,14 @@ TEST(ProactiveRotationTest, RotationStrictlyDelaysFirstDepletion) {
   without.energy.proactive_rotation = false;
   EnergyRun no_rotation =
       RunEnergyHealing(topology, workload, base, without, total_rounds, 4242,
-                       AlwaysDelivers, AlwaysAlive,
+                       PerfectRadio,
                        /*stop_rounds_after_depletion=*/2);
 
   SelfHealingOptions with = common;
   with.energy.proactive_rotation = true;
   EnergyRun rotation =
       RunEnergyHealing(topology, workload, base, with, total_rounds, 4242,
-                       AlwaysDelivers, AlwaysAlive,
+                       PerfectRadio,
                        /*stop_rounds_after_depletion=*/2);
 
   ASSERT_FALSE(no_rotation.first_depleted.empty())
@@ -798,19 +767,15 @@ TEST(EnergyClassificationTest, CrashDeathIsNotClassifiedEnergyDead) {
   options.energy.battery.immortal_nodes = protected_nodes;
 
   const int crash_round = 3;
-  auto delivers = [victim, crash_round](int round, NodeId from, NodeId to,
-                                        int) {
-    if (round >= crash_round && (from == victim || to == victim)) {
-      return false;
-    }
-    return true;
-  };
-  auto alive = [victim, crash_round](int round, NodeId n) {
-    return !(n == victim && round >= crash_round);
+  std::vector<bool> crashed(static_cast<size_t>(topology.node_count()));
+  crashed[victim] = true;
+  auto radio = [&crashed](int round) {
+    return round >= crash_round ? PhysicalLayer{.down = &crashed}
+                                : PhysicalLayer{};
   };
 
   EnergyRun run = RunEnergyHealing(topology, workload, base, options, 15,
-                                   5151, delivers, alive);
+                                   5151, radio);
   EXPECT_TRUE(run.first_depleted.empty());
   ASSERT_TRUE(run.first_believed_dead.contains(victim))
       << "crashed node never believed dead";

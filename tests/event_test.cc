@@ -32,6 +32,7 @@
 #include "runtime/channel.h"
 #include "runtime/network.h"
 #include "runtime/tick_agenda.h"
+#include "sim/physical_layer.h"
 #include "sim/readings.h"
 #include "topology/generator.h"
 #include "topology/topology.h"
@@ -236,10 +237,11 @@ TEST(TickAgendaDeathTest, SchedulingBeforeTheCurrentTickFails) {
 
 struct CompatRegime {
   const char* name;
-  /// Builds the per-round link model. The ChannelModel outlives the bound
-  /// model via the caller's scope.
-  std::function<LossyLinkModel(const ChannelModel&, int round)> bind;
+  /// False for clean links: the regime binds no channel.
+  bool lossy = true;
   ChannelOptions channel;
+  /// The layer's base slot: node liveness on top of the channel.
+  LossyLinkModel base;
   bool track_node_energy = false;
 };
 
@@ -250,11 +252,7 @@ std::vector<CompatRegime> CompatRegimes(uint64_t seed) {
   {
     CompatRegime regime;
     regime.name = "clean";
-    regime.bind = [](const ChannelModel&, int) {
-      LossyLinkModel links;
-      links.attempt_delivers = [](NodeId, NodeId, int) { return true; };
-      return links;
-    };
+    regime.lossy = false;
     regimes.push_back(regime);
   }
 
@@ -264,9 +262,6 @@ std::vector<CompatRegime> CompatRegimes(uint64_t seed) {
     regime.name = "bernoulli";
     regime.channel.good_loss = 0.25;
     regime.channel.seed = seed * 11 + 1;
-    regime.bind = [](const ChannelModel& channel, int round) {
-      return channel.Bind(round);
-    };
     regimes.push_back(regime);
   }
 
@@ -284,9 +279,6 @@ std::vector<CompatRegime> CompatRegimes(uint64_t seed) {
     regime.channel.duplicate_probability = 0.15;
     regime.channel.corrupt_probability = 0.1;
     regime.channel.seed = seed * 31 + 7;
-    regime.bind = [](const ChannelModel& channel, int round) {
-      return channel.Bind(round);
-    };
     regimes.push_back(regime);
   }
 
@@ -298,10 +290,8 @@ std::vector<CompatRegime> CompatRegimes(uint64_t seed) {
     regime.channel.good_loss = 0.15;
     regime.channel.seed = seed * 13 + 5;
     regime.track_node_energy = true;
-    regime.bind = [seed](const ChannelModel& channel, int round) {
-      return channel.Bind(round, [seed](NodeId n) {
-        return (static_cast<uint64_t>(n) + seed) % 9 != 3;
-      });
+    regime.base.node_alive = [seed](NodeId n) {
+      return (static_cast<uint64_t>(n) + seed) % 9 != 3;
     };
     regimes.push_back(regime);
   }
@@ -390,6 +380,8 @@ TEST(RoundCompat, ByteIdenticalToRunRoundLossyAcrossSeedsAndRegimes) {
                    " regime=" + regime.name);
       auto digest = [&](bool compat) {
         ChannelModel channel(regime.channel);
+        const PhysicalLayer layer{
+            .channel = regime.lossy ? &channel : nullptr, .base = &regime.base};
         RetryPolicy retry;
         retry.max_attempts = 10;
         RuntimeNetwork fleet(compiled, workload.functions);
@@ -402,7 +394,7 @@ TEST(RoundCompat, ByteIdenticalToRunRoundLossyAcrossSeedsAndRegimes) {
         for (int round = 0; round < 3; ++round) {
           ReadingGenerator readings(topology.node_count(),
                                     seed * 200 + static_cast<uint64_t>(round));
-          LossyLinkModel links = regime.bind(channel, round);
+          LossyLinkModel links = layer.Bind(round);
           RoundCompatTransport transport(links);
           RuntimeNetwork::LossyResult result =
               compat ? engine.RunCompatRound(readings.values(), transport,

@@ -20,9 +20,11 @@
 #include "routing/path_system.h"
 #include "runtime/channel.h"
 #include "runtime/network.h"
+#include "sim/attempt_namespaces.h"
 #include "sim/base_station.h"
 #include "sim/executor.h"
 #include "sim/fault_schedule.h"
+#include "sim/physical_layer.h"
 #include "sim/readings.h"
 #include "sim/self_healing.h"
 #include "fault_test_util.h"
@@ -33,8 +35,12 @@
 namespace m2m {
 namespace {
 
+using fault_test::DefaultWorkload;
 using fault_test::Destinations;
+using fault_test::EpochOracle;
 using fault_test::FaultRunResult;
+using fault_test::LineWorkload;
+using fault_test::ProtectedNodes;
 using fault_test::RunFaultSchedule;
 using fault_test::ValuesClose;
 
@@ -53,15 +59,6 @@ std::string HexDigest(uint64_t digest) {
   return out.str();
 }
 
-Workload DefaultWorkload(const Topology& topology, uint64_t seed) {
-  WorkloadSpec spec;
-  spec.destination_count = 5;
-  spec.sources_per_destination = 5;
-  spec.max_hops = 4;
-  spec.seed = seed;
-  return GenerateWorkload(topology, spec);
-}
-
 FaultSchedule DefaultSchedule(const Topology& topology,
                               const Workload& workload, uint64_t seed) {
   FaultScheduleOptions options;
@@ -72,6 +69,14 @@ FaultSchedule DefaultSchedule(const Topology& topology,
   options.node_deaths = 1;
   options.seed = seed;
   return FaultSchedule::Generate(topology, Destinations(workload), options);
+}
+
+CompiledPlan CompileOver(const Topology& topology, const Workload& workload) {
+  PathSystem paths(topology);
+  return CompiledPlan::Compile(
+      BuildPlan(std::make_shared<MulticastForest>(paths, workload.tasks),
+                workload.functions),
+      workload.functions);
 }
 
 // The acceptance criterion of the fault-tolerant runtime, checked over many
@@ -512,19 +517,9 @@ TEST(LossyRuntimeTest, DuplicateDeliveriesAreSuppressed) {
   // ids, so "drop the first attempt of every decreasing-id transmission"
   // loses every first ack while delivering every data packet.
   Topology topology = MakeGrid(6, 1, 10.0, 15.0);
-  Workload workload;
-  workload.tasks = {Task{5, {0, 1, 2}}};
-  FunctionSpec spec;
-  spec.kind = AggregateKind::kWeightedSum;
-  spec.weights = {{0, 1.0}, {1, 2.0}, {2, 3.0}};
-  workload.specs = {spec};
-  workload.RebuildFunctions();
+  const Workload workload = LineWorkload();
 
-  PathSystem paths(topology);
-  GlobalPlan plan = BuildPlan(
-      std::make_shared<MulticastForest>(paths, workload.tasks),
-      workload.functions);
-  CompiledPlan compiled = CompiledPlan::Compile(plan, workload.functions);
+  const CompiledPlan compiled = CompileOver(topology, workload);
   RuntimeNetwork network(compiled, workload.functions);
 
   LossyLinkModel links;
@@ -561,11 +556,7 @@ TEST(LossyRuntimeTest, ExhaustedRetriesReportIncompleteDestinations) {
   workload.specs = {spec};
   workload.RebuildFunctions();
 
-  PathSystem paths(topology);
-  GlobalPlan plan = BuildPlan(
-      std::make_shared<MulticastForest>(paths, workload.tasks),
-      workload.functions);
-  CompiledPlan compiled = CompiledPlan::Compile(plan, workload.functions);
+  const CompiledPlan compiled = CompileOver(topology, workload);
   RuntimeNetwork network(compiled, workload.functions);
 
   // Link 0->1 never delivers: source 0's contribution can never reach 5.
@@ -589,11 +580,7 @@ TEST(LossyRuntimeTest, ExhaustedRetriesReportIncompleteDestinations) {
 TEST(LossyRuntimeTest, PerfectLinksMatchQuiescentRuntime) {
   Topology topology = MakeGreatDuckIslandLike();
   Workload workload = DefaultWorkload(topology, 3);
-  PathSystem paths(topology);
-  GlobalPlan plan = BuildPlan(
-      std::make_shared<MulticastForest>(paths, workload.tasks),
-      workload.functions);
-  CompiledPlan compiled = CompiledPlan::Compile(plan, workload.functions);
+  const CompiledPlan compiled = CompileOver(topology, workload);
 
   ReadingGenerator readings(topology.node_count(), 12);
   PlanExecutor executor(std::make_shared<CompiledPlan>(compiled),
@@ -601,10 +588,8 @@ TEST(LossyRuntimeTest, PerfectLinksMatchQuiescentRuntime) {
   RoundResult reference = executor.RunRound(readings.values());
 
   RuntimeNetwork network(compiled, workload.functions);
-  LossyLinkModel links;
-  links.attempt_delivers = [](NodeId, NodeId, int) { return true; };
   RuntimeNetwork::LossyResult lossy =
-      network.RunRoundLossy(readings.values(), links);
+      network.RunRoundLossy(readings.values(), PhysicalLayer{}.Bind(0));
 
   EXPECT_EQ(lossy.retransmissions, 0);
   EXPECT_EQ(lossy.duplicates, 0);
@@ -623,19 +608,9 @@ TEST(LossyRuntimeTest, PerfectLinksMatchQuiescentRuntime) {
 // remainder. Regression for the unbounded-growth bug class.
 TEST(LossyRuntimeTest, DedupTableStaysConstantSizeOverTenThousandRounds) {
   Topology topology = MakeGrid(6, 1, 10.0, 15.0);
-  Workload workload;
-  workload.tasks = {Task{5, {0, 1, 2}}};
-  FunctionSpec spec;
-  spec.kind = AggregateKind::kWeightedSum;
-  spec.weights = {{0, 1.0}, {1, 2.0}, {2, 3.0}};
-  workload.specs = {spec};
-  workload.RebuildFunctions();
+  const Workload workload = LineWorkload();
 
-  PathSystem paths(topology);
-  GlobalPlan plan = BuildPlan(
-      std::make_shared<MulticastForest>(paths, workload.tasks),
-      workload.functions);
-  CompiledPlan compiled = CompiledPlan::Compile(plan, workload.functions);
+  const CompiledPlan compiled = CompileOver(topology, workload);
   RuntimeNetwork network(compiled, workload.functions);
 
   // Every first ack drops, so every message is delivered at least twice —
@@ -702,19 +677,9 @@ TEST(LossyRuntimeTest, DedupTableStaysConstantSizeOverTenThousandRounds) {
 // and the differential below would break.
 TEST(LossyRuntimeTest, DelayedDuplicateAtEvictionBoundaryIsSuppressed) {
   Topology topology = MakeGrid(6, 1, 10.0, 15.0);
-  Workload workload;
-  workload.tasks = {Task{5, {0, 1, 2}}};
-  FunctionSpec spec;
-  spec.kind = AggregateKind::kWeightedSum;
-  spec.weights = {{0, 1.0}, {1, 2.0}, {2, 3.0}};
-  workload.specs = {spec};
-  workload.RebuildFunctions();
+  const Workload workload = LineWorkload();
 
-  PathSystem paths(topology);
-  GlobalPlan plan = BuildPlan(
-      std::make_shared<MulticastForest>(paths, workload.tasks),
-      workload.functions);
-  CompiledPlan compiled = CompiledPlan::Compile(plan, workload.functions);
+  const CompiledPlan compiled = CompileOver(topology, workload);
   RuntimeNetwork network(compiled, workload.functions);
 
   // Every first ack drops (forcing a retransmission of a delivered packet)
@@ -766,19 +731,9 @@ TEST(LossyRuntimeTest, DelayedDuplicateAtEvictionBoundaryIsSuppressed) {
 // overflow clamp).
 TEST(LossyRuntimeTest, DelayedAcksPreserveExactlyOnceAcrossRetryBudgets) {
   Topology topology = MakeGrid(6, 1, 10.0, 15.0);
-  Workload workload;
-  workload.tasks = {Task{5, {0, 1, 2}}};
-  FunctionSpec spec;
-  spec.kind = AggregateKind::kWeightedSum;
-  spec.weights = {{0, 1.0}, {1, 2.0}, {2, 3.0}};
-  workload.specs = {spec};
-  workload.RebuildFunctions();
+  const Workload workload = LineWorkload();
 
-  PathSystem paths(topology);
-  GlobalPlan plan = BuildPlan(
-      std::make_shared<MulticastForest>(paths, workload.tasks),
-      workload.functions);
-  CompiledPlan compiled = CompiledPlan::Compile(plan, workload.functions);
+  const CompiledPlan compiled = CompileOver(topology, workload);
 
   // Data always delivers; acks always deliver but arrive 3 ticks late —
   // after the sender's first backoff expires, so budgets > 1 retransmit a
@@ -839,11 +794,7 @@ TEST(LossyRuntimeTest, DedupTablesMatchGoldenUnderDelayDuplicationAndDeaths) {
   spec.max_hops = 6;
   spec.seed = 19;
   Workload workload = GenerateWorkload(topology, spec);
-  PathSystem paths(topology);
-  GlobalPlan plan = BuildPlan(
-      std::make_shared<MulticastForest>(paths, workload.tasks),
-      workload.functions);
-  CompiledPlan compiled = CompiledPlan::Compile(plan, workload.functions);
+  const CompiledPlan compiled = CompileOver(topology, workload);
   RuntimeNetwork network(compiled, workload.functions);
 
   ChannelOptions options;
@@ -869,8 +820,11 @@ TEST(LossyRuntimeTest, DedupTablesMatchGoldenUnderDelayDuplicationAndDeaths) {
   for (int round = 0; round < kRounds; ++round) {
     readings.Advance(1.0);
     const auto alive = alive_in(round);
+    LossyLinkModel liveness;
+    liveness.node_alive = alive;
     RuntimeNetwork::LossyResult r = network.RunRoundLossy(
-        readings.values(), channel.Bind(round, alive));
+        readings.values(),
+        PhysicalLayer{.channel = &channel, .base = &liveness}.Bind(round));
     bytes << "r" << round << " att=" << r.attempts << " del=" << r.deliveries
           << " dup=" << r.duplicates << " retx=" << r.retransmissions
           << " ackl=" << r.acks_lost << " ab=" << r.messages_abandoned
@@ -1020,11 +974,7 @@ TEST_P(DisseminationLoss, EpochProtocolRetriesUntilAllAffectedNodesAck) {
   Topology topology = MakeGreatDuckIslandLike();
   Workload workload = DefaultWorkload(topology, seed * 23 + 5);
   NodeId base = PickBaseStation(topology);
-  std::vector<NodeId> protected_nodes = Destinations(workload);
-  if (std::find(protected_nodes.begin(), protected_nodes.end(), base) ==
-      protected_nodes.end()) {
-    protected_nodes.push_back(base);
-  }
+  const std::vector<NodeId> protected_nodes = ProtectedNodes(workload, base);
   FaultScheduleOptions schedule_options;
   schedule_options.rounds = 5;
   schedule_options.transient_link_fraction = 0.06;
@@ -1037,7 +987,7 @@ TEST_P(DisseminationLoss, EpochProtocolRetriesUntilAllAffectedNodesAck) {
 
   SelfHealingRuntime runtime(topology, workload, base);
   // Deterministic extra loss on the dissemination namespaces (images,
-  // bumps, install acks use attempt indices >= 3000).
+  // bumps, install acks: attempt indices >= kImageAttemptBase).
   auto dissemination_dropped = [seed](int round, NodeId from, NodeId to,
                                       int attempt) {
     uint64_t h = static_cast<uint64_t>(round) * 0x9e3779b97f4a7c15ull;
@@ -1050,10 +1000,8 @@ TEST_P(DisseminationLoss, EpochProtocolRetriesUntilAllAffectedNodesAck) {
     return h % 4 != 0;  // 75% of dissemination attempts drop.
   };
 
-  std::map<uint32_t, PlanExecutor> executors;
-  executors.emplace(
-      0u, PlanExecutor(std::make_shared<CompiledPlan>(runtime.compiled()),
-                       runtime.current_workload().functions, EnergyModel{}));
+  EpochOracle epochs;
+  epochs.Record(runtime);
 
   const int total_rounds = schedule_options.rounds + 25;
   int64_t total_epoch_rejected = 0;
@@ -1065,41 +1013,28 @@ TEST_P(DisseminationLoss, EpochProtocolRetriesUntilAllAffectedNodesAck) {
   for (int round = 0; round < total_rounds; ++round) {
     ReadingGenerator readings(topology.node_count(),
                               seed + 500 + static_cast<uint64_t>(round));
-    LossyLinkModel physical;
-    physical.attempt_delivers = [&schedule, &dissemination_dropped, round](
-                                    NodeId from, NodeId to, int attempt) {
-      if (!schedule.AttemptDelivers(round, from, to, attempt)) return false;
-      return !(attempt >= 3000 &&
+    LossyLinkModel dissemination;
+    dissemination.attempt_delivers = [&dissemination_dropped, round](
+                                         NodeId from, NodeId to, int attempt) {
+      return !(attempt >= kImageAttemptBase &&
                dissemination_dropped(round, from, to, attempt));
     };
-    physical.node_alive = [&schedule, round](NodeId n) {
-      return schedule.NodeAliveAt(round, n);
-    };
-    last = runtime.RunRound(round, readings.values(), physical);
+    last = runtime.RunRound(
+        round, readings.values(),
+        PhysicalLayer{.faults = &schedule, .base = &dissemination}.Bind(round));
     total_epoch_rejected += last.data.epoch_rejected;
     total_control_attempts += last.control_hop_attempts;
     total_control_hops += last.control_hops_crossed;
     if (last.pending_installs > 0) ++rounds_with_pending;
     if (last.replanned) {
       ++replans;
-      executors.emplace(
-          runtime.base_epoch(),
-          PlanExecutor(std::make_shared<CompiledPlan>(runtime.compiled()),
-                       runtime.current_workload().functions, EnergyModel{}));
+      epochs.Record(runtime);
     }
     // Safe transitions: every completed value is attributable to exactly
     // the epoch the destination reports — never a cross-epoch mixture.
-    for (const auto& [destination, value] : last.data.destination_values) {
-      uint32_t epoch = last.data.destination_epochs.at(destination);
-      const auto analytic =
-          executors.at(epoch).RunRound(readings.values()).destination_values;
-      auto it = analytic.find(destination);
-      ASSERT_NE(it, analytic.end())
-          << "seed " << seed << " r" << round << " d" << destination;
-      EXPECT_TRUE(ValuesClose(value, it->second))
-          << "seed " << seed << " r" << round << " d" << destination
-          << " epoch " << epoch;
-    }
+    std::vector<std::string> mismatches;
+    epochs.Check(round, last.data, readings.values(), mismatches);
+    EXPECT_TRUE(mismatches.empty()) << "seed " << seed << " " << mismatches[0];
   }
 
   EXPECT_GE(replans, 1) << "seed " << seed;

@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -14,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "agg/aggregate_function.h"
 #include "obs/metrics.h"
 #include "plan/consistency.h"
 #include "plan/node_tables.h"
@@ -23,6 +26,7 @@
 #include "runtime/network.h"
 #include "sim/executor.h"
 #include "sim/fault_schedule.h"
+#include "sim/physical_layer.h"
 #include "sim/readings.h"
 #include "sim/self_healing.h"
 #include "topology/topology.h"
@@ -60,6 +64,31 @@ struct FaultRunResult {
   int64_t messages_abandoned = 0;
 };
 
+/// The differential tests' workload: 5 destinations x 5 sources within 4
+/// hops.
+inline Workload DefaultWorkload(const Topology& topology, uint64_t seed) {
+  WorkloadSpec spec;
+  spec.destination_count = 5;
+  spec.sources_per_destination = 5;
+  spec.max_hops = 4;
+  spec.seed = seed;
+  return GenerateWorkload(topology, spec);
+}
+
+/// Oracle over the actually-delivered source set: merges exactly the
+/// reported contributors' pre-aggregated readings, the value a destination
+/// should report given what the channel let through.
+inline double SubsetOracle(const AggregateFunction& fn,
+                           const std::vector<NodeId>& sources,
+                           const std::vector<double>& readings) {
+  std::optional<PartialRecord> merged;
+  for (NodeId s : sources) {
+    PartialRecord partial = fn.PreAggregate(s, readings[s]);
+    merged = merged ? fn.Merge(*merged, partial) : partial;
+  }
+  return fn.Evaluate(*merged);
+}
+
 inline bool ValuesClose(double a, double b) {
   return std::abs(a - b) <= 1e-4 * std::max({1.0, std::abs(a), std::abs(b)});
 }
@@ -70,7 +99,8 @@ inline bool ValuesClose(double a, double b) {
 /// Corollary 1), and each completed destination is compared against the
 /// analytic executor on the same plan and readings. A final convergence
 /// round (one past the schedule, so no transient faults) yields
-/// `final_values`, differentially compared to `oracle_values`.
+/// `final_values`, differentially compared to `oracle_values`. The schedule
+/// must be fail-only (no heals or recoveries).
 inline FaultRunResult RunFaultSchedule(const Topology& topology,
                                        const Workload& workload,
                                        const FaultSchedule& schedule,
@@ -83,10 +113,6 @@ inline FaultRunResult RunFaultSchedule(const Topology& topology,
   Workload current = workload;
   std::vector<std::pair<NodeId, NodeId>> failed_links;
   std::vector<NodeId> dead_nodes;
-  auto alive = [&dead_nodes](NodeId n) {
-    return std::find(dead_nodes.begin(), dead_nodes.end(), n) ==
-           dead_nodes.end();
-  };
 
   PathSystem paths(topology);
   GlobalPlan plan = BuildPlan(
@@ -144,12 +170,7 @@ inline FaultRunResult RunFaultSchedule(const Topology& topology,
     ReadingGenerator readings(topology.node_count(),
                               readings_seed + static_cast<uint64_t>(round));
 
-    LossyLinkModel links;
-    links.attempt_delivers = [&schedule, round](NodeId from, NodeId to,
-                                                int attempt) {
-      return schedule.AttemptDelivers(round, from, to, attempt);
-    };
-    links.node_alive = alive;
+    const LossyLinkModel links = PhysicalLayer{.faults = &schedule}.Bind(round);
 
     std::ostringstream header;
     header << "r" << round << " begin";
@@ -212,6 +233,71 @@ inline std::vector<NodeId> Destinations(const Workload& workload) {
   out.reserve(workload.tasks.size());
   for (const Task& task : workload.tasks) out.push_back(task.destination);
   return out;
+}
+
+/// The analytic executor of every plan epoch a self-healing runtime
+/// installs: each completed value must equal the one of exactly the epoch
+/// its destination reports, never a cross-plan mixture.
+class EpochOracle {
+ public:
+  /// Records the runtime's current plan: call on construction of the
+  /// runtime and after every round that replans.
+  void Record(const SelfHealingRuntime& runtime) {
+    executors_.emplace(
+        runtime.base_epoch(),
+        PlanExecutor(std::make_shared<CompiledPlan>(runtime.compiled()),
+                     runtime.current_workload().functions, EnergyModel{}));
+  }
+
+  /// Appends "r<round> d<destination> epoch <e> got <value>" to `out` for
+  /// each completed value of `data` that its epoch's executor disagrees
+  /// with on `readings`.
+  void Check(int round, const RuntimeNetwork::LossyResult& data,
+             const std::vector<double>& readings,
+             std::vector<std::string>& out) const {
+    std::map<uint32_t, std::unordered_map<NodeId, double>> analytic;
+    for (const auto& [destination, value] : data.destination_values) {
+      const uint32_t epoch = data.destination_epochs.at(destination);
+      auto [it, fresh] = analytic.try_emplace(epoch);
+      if (fresh) {
+        it->second = executors_.at(epoch).RunRound(readings).destination_values;
+      }
+      auto oracle_it = it->second.find(destination);
+      if (oracle_it == it->second.end() ||
+          !ValuesClose(value, oracle_it->second)) {
+        std::ostringstream mismatch;
+        mismatch << "r" << round << " d" << destination << " epoch " << epoch
+                 << " got " << value;
+        out.push_back(mismatch.str());
+      }
+    }
+  }
+
+ private:
+  std::map<uint32_t, PlanExecutor> executors_;
+};
+
+/// For the 1x6 line MakeGrid(6, 1, 10.0, 15.0): destination 5 takes a
+/// weighted sum of sources 0, 1 and 2.
+inline Workload LineWorkload() {
+  Workload workload;
+  workload.tasks = {Task{5, {0, 1, 2}}};
+  FunctionSpec spec;
+  spec.kind = AggregateKind::kWeightedSum;
+  spec.weights = {{0, 1.0}, {1, 2.0}, {2, 3.0}};
+  workload.specs = {spec};
+  workload.RebuildFunctions();
+  return workload;
+}
+
+/// The nodes a schedule must not kill: the destinations and the base.
+inline std::vector<NodeId> ProtectedNodes(const Workload& workload,
+                                          NodeId base) {
+  std::vector<NodeId> nodes = Destinations(workload);
+  if (std::find(nodes.begin(), nodes.end(), base) == nodes.end()) {
+    nodes.push_back(base);
+  }
+  return nodes;
 }
 
 /// Reference for the full images a self-healing replan forces. A replan

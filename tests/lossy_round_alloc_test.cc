@@ -22,6 +22,7 @@
 #include "routing/path_system.h"
 #include "runtime/channel.h"
 #include "runtime/network.h"
+#include "sim/physical_layer.h"
 #include "topology/generator.h"
 #include "topology/topology.h"
 #include "workload/workload.h"
@@ -106,15 +107,9 @@ Counted CountWarmRound(const Deployment& deployment,
   return counted;
 }
 
-LossyLinkModel CleanLinks() {
-  LossyLinkModel clean;
-  clean.attempt_delivers = [](NodeId, NodeId, int) { return true; };
-  return clean;
-}
-
 TEST(LossyRoundAllocations, CleanRoundAllocatesLessThanHalfPerAttempt) {
   const Deployment deployment;
-  const LossyLinkModel clean = CleanLinks();
+  const LossyLinkModel clean = PhysicalLayer{}.Bind(0);
   const Counted counted = CountWarmRound(deployment, clean, clean);
   ASSERT_GT(counted.attempts, 300);
   EXPECT_LE(counted.allocations * 2, counted.attempts)
@@ -131,8 +126,9 @@ TEST(LossyRoundAllocations, GilbertElliottRoundWithRetries) {
   options.p_exit_bad = 0.3;
   options.seed = 5;
   const ChannelModel channel(options);
-  const LossyLinkModel warm = channel.Bind(0);
-  const LossyLinkModel links = channel.Bind(1);
+  const PhysicalLayer layer{.channel = &channel};
+  const LossyLinkModel warm = layer.Bind(0);
+  const LossyLinkModel links = layer.Bind(1);
   const Counted counted = CountWarmRound(deployment, warm, links);
   ASSERT_GT(counted.retransmissions, 10);
   EXPECT_LE(counted.allocations * 2, counted.attempts)
@@ -148,8 +144,9 @@ TEST(LossyRoundAllocations, DelayingAndDuplicatingChannel) {
   options.max_delay_ticks = 4;
   options.seed = 9;
   const ChannelModel channel(options);
-  const LossyLinkModel warm = channel.Bind(0);
-  const LossyLinkModel links = channel.Bind(1);
+  const PhysicalLayer layer{.channel = &channel};
+  const LossyLinkModel warm = layer.Bind(0);
+  const LossyLinkModel links = layer.Bind(1);
   const Counted counted = CountWarmRound(deployment, warm, links);
   ASSERT_GT(counted.spontaneous_duplicates, 10);
   EXPECT_LE(counted.allocations * 2, counted.attempts)

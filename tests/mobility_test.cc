@@ -38,6 +38,7 @@
 #include "sim/executor.h"
 #include "sim/fault_schedule.h"
 #include "sim/mobility_sim.h"
+#include "sim/physical_layer.h"
 #include "sim/readings.h"
 #include "sim/self_healing.h"
 #include "topology/generator.h"
@@ -49,7 +50,9 @@ namespace m2m {
 namespace {
 
 using fault_test::Destinations;
+using fault_test::ProtectedNodes;
 using fault_test::ReconciliationReference;
+using fault_test::SubsetOracle;
 using fault_test::ValuesClose;
 
 // --- Mobility trace unit tests --------------------------------------------
@@ -356,18 +359,10 @@ std::string RunScheduleTrace(const Topology& topology,
   for (int round = 0; round < rounds; ++round) {
     ReadingGenerator readings(topology.node_count(),
                               readings_seed + static_cast<uint64_t>(round));
-    LossyLinkModel physical;
-    physical.attempt_delivers = [&schedule, round](NodeId from, NodeId to,
-                                                   int attempt) {
-      return schedule.AttemptDelivers(round, from, to, attempt);
-    };
-    physical.node_alive = [&schedule, round](NodeId n) {
-      return schedule.NodeAliveAt(round, n);
-    };
-    if (mobility != nullptr) {
-      physical = WithMobility(physical, *mobility, round);
-    }
-    runtime.RunRound(round, readings.values(), physical, &trace);
+    runtime.RunRound(
+        round, readings.values(),
+        PhysicalLayer{.mobility = mobility, .faults = &schedule}.Bind(round),
+        &trace);
   }
   return trace.ToString();
 }
@@ -496,12 +491,9 @@ SplitMergeRun RunSplitMerge(uint64_t readings_seed) {
   for (int round = 0; round < kTotalRounds; ++round) {
     ReadingGenerator readings(topology.node_count(),
                               readings_seed + static_cast<uint64_t>(round));
-    LossyLinkModel physical;
-    physical.attempt_delivers = [](NodeId, NodeId, int) { return true; };
-    physical = WithMobility(physical, trace_mobility, round);
-
-    SelfHealingRoundResult result =
-        runtime.RunRound(round, readings.values(), physical, &trace);
+    SelfHealingRoundResult result = runtime.RunRound(
+        round, readings.values(),
+        PhysicalLayer{.mobility = &trace_mobility}.Bind(round), &trace);
     reconciliations.CheckRound(round, result.replanned);
 
     if (!result.believed_partitioned.empty() &&
@@ -658,8 +650,7 @@ TEST(PartitionToleranceTest, ForeignEpochDivergenceConvergesToOnePlan) {
   SelfHealingRuntime runtime(topology, workload, /*base=*/0, options);
   runtime.set_metrics(&metrics);
 
-  LossyLinkModel physical;
-  physical.attempt_delivers = [](NodeId, NodeId, int) { return true; };
+  const LossyLinkModel physical = PhysicalLayer{}.Bind(0);
 
   ReadingGenerator readings(topology.node_count(), 5);
   ReconciliationReference reconciliations(runtime, metrics, /*base=*/0);
@@ -719,17 +710,6 @@ TEST(PartitionToleranceTest, ForeignEpochDivergenceConvergesToOnePlan) {
 
 // --- Combined mobility x fault x channel x churn differential -------------
 
-double SubsetOracle(const AggregateFunction& fn,
-                    const std::vector<NodeId>& sources,
-                    const std::vector<double>& readings) {
-  std::optional<PartialRecord> merged;
-  for (NodeId s : sources) {
-    PartialRecord partial = fn.PreAggregate(s, readings[s]);
-    merged = merged ? fn.Merge(*merged, partial) : partial;
-  }
-  return fn.Evaluate(*merged);
-}
-
 struct MobilityChaosRun {
   std::string trace;
   std::vector<std::string> errors;
@@ -751,11 +731,7 @@ MobilityChaosRun RunMobilityChaos(uint64_t seed) {
   Workload workload = GenerateWorkload(topology, spec);
   NodeId base = PickBaseStation(topology);
 
-  std::vector<NodeId> protected_nodes = Destinations(workload);
-  if (std::find(protected_nodes.begin(), protected_nodes.end(), base) ==
-      protected_nodes.end()) {
-    protected_nodes.push_back(base);
-  }
+  const std::vector<NodeId> protected_nodes = ProtectedNodes(workload, base);
   FaultScheduleOptions fault_options;
   fault_options.rounds = 14;
   fault_options.transient_link_fraction = 0.04;
@@ -823,21 +799,11 @@ MobilityChaosRun RunMobilityChaos(uint64_t seed) {
     }
     ReadingGenerator readings(topology.node_count(),
                               seed + 500 + static_cast<uint64_t>(round));
-    // Physical oracle: channel loss AND scheduled faults AND movement.
-    LossyLinkModel base_model = channel.Bind(round);
-    auto channel_delivers = base_model.attempt_delivers;
-    base_model.attempt_delivers = [&schedule, channel_delivers, round](
-                                      NodeId from, NodeId to, int attempt) {
-      return schedule.AttemptDelivers(round, from, to, attempt) &&
-             channel_delivers(from, to, attempt);
-    };
-    base_model.node_alive = [&schedule, round](NodeId n) {
-      return schedule.NodeAliveAt(round, n);
-    };
-    LossyLinkModel physical = WithMobility(base_model, mobility, round);
-
+    // Physical oracle: movement AND scheduled faults AND channel loss.
+    const PhysicalLayer radio{
+        .mobility = &mobility, .faults = &schedule, .channel = &channel};
     SelfHealingRoundResult result =
-        runtime.RunRound(round, readings.values(), physical, &trace);
+        runtime.RunRound(round, readings.values(), radio.Bind(round), &trace);
     reconciliations.CheckRound(round, result.replanned);
     RecordMobilityRound(mobility, round, metrics, mobility_handles);
     run.new_suspicions += result.new_suspicions;

@@ -14,6 +14,7 @@
 #include "routing/path_system.h"
 #include "runtime/network.h"
 #include "sim/executor.h"
+#include "sim/physical_layer.h"
 #include "sim/readings.h"
 #include "sim/self_healing.h"
 #include "topology/generator.h"
@@ -471,11 +472,9 @@ TEST(MetricsReconciliationTest, SelfHealingRoundRecordsControlPlane) {
     }
   }
   ASSERT_NE(victim, kInvalidNode);
-  LossyLinkModel physical;
-  physical.attempt_delivers = [victim](NodeId from, NodeId to, int) {
-    return from != victim && to != victim;
-  };
-  physical.node_alive = [victim](NodeId n) { return n != victim; };
+  std::vector<bool> down(static_cast<size_t>(topology.node_count()));
+  down[victim] = true;
+  const LossyLinkModel physical = PhysicalLayer{.down = &down}.Bind(0);
 
   ReadingGenerator readings(topology.node_count(), 19);
   SelfHealingRoundResult last;

@@ -15,6 +15,7 @@
 #include "plan/serialization.h"
 #include "runtime/channel.h"
 #include "runtime/network.h"
+#include "sim/physical_layer.h"
 #include "sim/readings.h"
 #include "topology/generator.h"
 #include "workload/workload.h"
@@ -223,11 +224,12 @@ KindDigests DigestKind(AggregateKind kind) {
   channel.good_loss = 0.3;
   channel.seed = 79;
   const ChannelModel model(channel);
+  const PhysicalLayer layer{.channel = &model};
   RetryPolicy retry;
   retry.max_attempts = 2;
   for (size_t r = 0; r < rounds.size(); ++r) {
     AddLossy(digests, network.RunRoundLossy(
-                          rounds[r], model.Bind(static_cast<int>(r)), retry));
+                          rounds[r], layer.Bind(static_cast<int>(r)), retry));
   }
   return digests;
 }

@@ -29,6 +29,7 @@
 #include "sim/base_station.h"
 #include "sim/executor.h"
 #include "sim/fault_schedule.h"
+#include "sim/physical_layer.h"
 #include "sim/readings.h"
 #include "sim/self_healing.h"
 #include "topology/generator.h"
@@ -38,17 +39,12 @@
 namespace m2m {
 namespace {
 
+using fault_test::DefaultWorkload;
 using fault_test::Destinations;
+using fault_test::EpochOracle;
+using fault_test::LineWorkload;
+using fault_test::ProtectedNodes;
 using fault_test::ValuesClose;
-
-Workload DefaultWorkload(const Topology& topology, uint64_t seed) {
-  WorkloadSpec spec;
-  spec.destination_count = 5;
-  spec.sources_per_destination = 5;
-  spec.max_hops = 4;
-  spec.seed = seed;
-  return GenerateWorkload(topology, spec);
-}
 
 // The self-healing runs protect the base station alongside the
 // destinations: a dead base station has no in-network recovery story (it
@@ -56,11 +52,7 @@ Workload DefaultWorkload(const Topology& topology, uint64_t seed) {
 FaultSchedule SelfHealSchedule(const Topology& topology,
                                const Workload& workload, NodeId base,
                                uint64_t seed) {
-  std::vector<NodeId> protected_nodes = Destinations(workload);
-  if (std::find(protected_nodes.begin(), protected_nodes.end(), base) ==
-      protected_nodes.end()) {
-    protected_nodes.push_back(base);
-  }
+  const std::vector<NodeId> protected_nodes = ProtectedNodes(workload, base);
   FaultScheduleOptions options;
   options.rounds = 5;
   options.transient_link_fraction = 0.06;
@@ -129,42 +121,28 @@ SelfHealRun RunSelfHealing(const Topology& topology, const Workload& workload,
   SelfHealingOptions options;
   SelfHealingRuntime runtime(topology, workload, base, options);
 
-  // Analytic executor per plan epoch, for attributing completed values.
-  std::map<uint32_t, PlanExecutor> executors;
-  executors.emplace(
-      0u, PlanExecutor(std::make_shared<CompiledPlan>(runtime.compiled()),
-                       runtime.current_workload().functions, EnergyModel{}));
+  EpochOracle epochs;  // For attributing completed values.
+  epochs.Record(runtime);
 
   SelfHealRun run;
   for (int round = 0; round < total_rounds; ++round) {
     ReadingGenerator readings(topology.node_count(),
                               readings_seed + static_cast<uint64_t>(round));
-    LossyLinkModel physical;
-    physical.attempt_delivers = [&schedule, round](NodeId from, NodeId to,
-                                                   int attempt) {
-      return schedule.AttemptDelivers(round, from, to, attempt);
-    };
-    physical.node_alive = [&schedule, round](NodeId n) {
-      return schedule.NodeAliveAt(round, n);
-    };
-
     // Snapshot the live plan so each replan's divergence can be bounded by
     // its Corollary 1 predicted perturbation set.
     GlobalPlan pre_plan = runtime.plan();
     FunctionSet pre_functions = runtime.current_workload().functions;
 
-    SelfHealingRoundResult result =
-        runtime.RunRound(round, readings.values(), physical, &trace);
+    SelfHealingRoundResult result = runtime.RunRound(
+        round, readings.values(), PhysicalLayer{.faults = &schedule}.Bind(round),
+        &trace);
     run.probe_transmissions += result.probe_transmissions;
     run.control_hop_attempts += result.control_hop_attempts;
     run.control_payload_bytes += result.control_payload_bytes;
     run.epoch_rejected += result.data.epoch_rejected;
     if (result.replanned) {
       run.replans += 1;
-      executors.emplace(
-          runtime.base_epoch(),
-          PlanExecutor(std::make_shared<CompiledPlan>(runtime.compiled()),
-                       runtime.current_workload().functions, EnergyModel{}));
+      epochs.Record(runtime);
       // Corollary 1, per replan: the edges this transition actually
       // changed must lie inside the predicted perturbation set.
       std::vector<DirectedEdge> divergent =
@@ -215,26 +193,8 @@ SelfHealRun RunSelfHealing(const Topology& topology, const Workload& workload,
       }
     }
 
-    // Epoch attribution: every completed value must equal the analytic
-    // executor of exactly the epoch the destination reports — the "no
-    // silent cross-plan merge" differential.
-    std::map<uint32_t, std::unordered_map<NodeId, double>> analytic_by_epoch;
-    for (const auto& [destination, value] : result.data.destination_values) {
-      uint32_t epoch = result.data.destination_epochs.at(destination);
-      auto [it, fresh] = analytic_by_epoch.try_emplace(epoch);
-      if (fresh) {
-        it->second =
-            executors.at(epoch).RunRound(readings.values()).destination_values;
-      }
-      auto oracle_it = it->second.find(destination);
-      if (oracle_it == it->second.end() ||
-          !ValuesClose(value, oracle_it->second)) {
-        std::ostringstream mismatch;
-        mismatch << "r" << round << " d" << destination << " epoch " << epoch
-                 << " got " << value;
-        run.value_mismatches.push_back(mismatch.str());
-      }
-    }
+    // Epoch attribution: the "no silent cross-plan merge" differential.
+    epochs.Check(round, result.data, readings.values(), run.value_mismatches);
 
     for (const auto& link : runtime.ledger().believed_failed_links()) {
       run.first_believed_link.try_emplace(link, round);
@@ -455,17 +415,9 @@ EpisodeDigest SelfHealingEpisodeDigest(uint64_t seed) {
   for (int round = 0; round < kRounds; ++round) {
     ReadingGenerator readings(topology.node_count(),
                               seed * 1000 + static_cast<uint64_t>(round));
-    LossyLinkModel physical;
-    physical.attempt_delivers = [&faults, &channel, round](
-                                    NodeId from, NodeId to, int attempt) {
-      return faults.AttemptDelivers(round, from, to, attempt) &&
-             channel.AttemptDelivers(round, from, to, attempt);
-    };
-    physical.node_alive = [&faults, round](NodeId n) {
-      return faults.NodeAliveAt(round, n);
-    };
-    const SelfHealingRoundResult r =
-        runtime.RunRound(round, readings.values(), physical);
+    const SelfHealingRoundResult r = runtime.RunRound(
+        round, readings.values(),
+        PhysicalLayer{.faults = &faults, .channel = &channel}.Bind(round));
     digest.Add(static_cast<uint64_t>(r.probe_transmissions));
     digest.Add(static_cast<uint64_t>(r.probe_confirmations));
     digest.Add(static_cast<uint64_t>(r.new_suspicions));
@@ -554,14 +506,9 @@ Workload WorkloadOf(const std::vector<Task>& tasks) {
 SelfHealingRoundResult RunLegacyUntilHealed(SelfHealingRuntime& runtime,
                                             const Topology& topology,
                                             const std::vector<NodeId>& dead) {
-  auto alive = [&dead](NodeId n) {
-    return std::find(dead.begin(), dead.end(), n) == dead.end();
-  };
-  LossyLinkModel physical;
-  physical.attempt_delivers = [alive](NodeId from, NodeId to, int) {
-    return alive(from) && alive(to);
-  };
-  physical.node_alive = alive;
+  std::vector<bool> down(static_cast<size_t>(topology.node_count()));
+  for (NodeId n : dead) down[n] = true;
+  const LossyLinkModel physical = PhysicalLayer{.down = &down}.Bind(0);
   SelfHealingRoundResult result;
   for (int round = 0; round < 30; ++round) {
     ReadingGenerator readings(topology.node_count(),
@@ -1116,13 +1063,7 @@ TEST(SuspicionLedgerTest, DeadSetMatchesMaskedBfsReference) {
 // senders still on the old epoch, while still acking them.
 TEST(EpochGateTest, MixedEpochRoundNeverMergesAcrossPlans) {
   Topology topology = MakeGrid(6, 1, 10.0, 15.0);
-  Workload workload;
-  workload.tasks = {Task{5, {0, 1, 2}}};
-  FunctionSpec spec;
-  spec.kind = AggregateKind::kWeightedSum;
-  spec.weights = {{0, 1.0}, {1, 2.0}, {2, 3.0}};
-  workload.specs = {spec};
-  workload.RebuildFunctions();
+  const Workload workload = LineWorkload();
 
   PathSystem paths(topology);
   GlobalPlan plan = BuildPlan(
@@ -1140,11 +1081,9 @@ TEST(EpochGateTest, MixedEpochRoundNeverMergesAcrossPlans) {
   EXPECT_EQ(network.plan_epoch(5), 1u);
   EXPECT_EQ(network.plan_epoch(0), 0u);
 
-  LossyLinkModel links;
-  links.attempt_delivers = [](NodeId, NodeId, int) { return true; };
   ReadingGenerator readings(topology.node_count(), 5);
   RuntimeNetwork::LossyResult lossy =
-      network.RunRoundLossy(readings.values(), links);
+      network.RunRoundLossy(readings.values(), PhysicalLayer{}.Bind(0));
 
   // The old-epoch packet reaching node 5 is rejected whole: the round ends
   // with the destination stalled (parked), not with a cross-plan value.
@@ -1158,13 +1097,7 @@ TEST(EpochGateTest, MixedEpochRoundNeverMergesAcrossPlans) {
 
 TEST(EpochGateTest, InstallImageDropsOldEpochRoundState) {
   Topology topology = MakeGrid(6, 1, 10.0, 15.0);
-  Workload workload;
-  workload.tasks = {Task{5, {0, 1, 2}}};
-  FunctionSpec spec;
-  spec.kind = AggregateKind::kWeightedSum;
-  spec.weights = {{0, 1.0}, {1, 2.0}, {2, 3.0}};
-  workload.specs = {spec};
-  workload.RebuildFunctions();
+  const Workload workload = LineWorkload();
   PathSystem paths(topology);
   GlobalPlan plan = BuildPlan(
       std::make_shared<MulticastForest>(paths, workload.tasks),

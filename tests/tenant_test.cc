@@ -10,6 +10,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "fault_test_util.h"
 #include "lifecycle/admission.h"
 #include "lifecycle/catalog.h"
 #include "lifecycle/lifecycle.h"
@@ -24,14 +25,7 @@
 namespace m2m {
 namespace {
 
-Workload InitialWorkload(const Topology& topology, uint64_t seed) {
-  WorkloadSpec spec;
-  spec.destination_count = 5;
-  spec.sources_per_destination = 5;
-  spec.max_hops = 4;
-  spec.seed = seed;
-  return GenerateWorkload(topology, spec);
-}
+using fault_test::DefaultWorkload;
 
 FunctionSpec SpecOver(const std::vector<NodeId>& sources) {
   FunctionSpec spec;
@@ -63,7 +57,7 @@ class TenantFrontendTest : public ::testing::Test {
  protected:
   TenantFrontendTest()
       : topology_(MakeGreatDuckIslandLike()),
-        initial_(InitialWorkload(topology_, 41)),
+        initial_(DefaultWorkload(topology_, 41)),
         base_(PickBaseStation(topology_)) {}
 
   Topology topology_;
@@ -308,7 +302,7 @@ class TenantDedupDifferential : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(TenantDedupDifferential, RefcountedCatalogEqualsCanonicalDeduped) {
   const uint64_t seed = GetParam();
   Topology topology = MakeGreatDuckIslandLike();
-  Workload initial = InitialWorkload(topology, seed * 23 + 9);
+  Workload initial = DefaultWorkload(topology, seed * 23 + 9);
   NodeId base = PickBaseStation(topology);
 
   QueryLifecycleManager refcounted(topology, initial, base);
